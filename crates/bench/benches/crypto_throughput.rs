@@ -3,18 +3,23 @@
 //! bought, measured **against the retained pre-optimization loop**
 //! (`parp_crypto::baseline`) compiled into this same binary.
 //!
-//! Four sections:
+//! Five sections:
 //!
 //! 1. **Correctness pin** — on fixed vectors, the optimized path must
 //!    produce byte-identical signatures and identical recovered
 //!    addresses to the retained baseline (hard assert).
 //! 2. **Single-op throughput** — signs/sec and recovers/sec, optimized
 //!    vs baseline, single-threaded.
-//! 3. **Batch recovery** — recovers/sec over an independent batch via
+//! 3. **Varied-input cost** — sign, recover and the known-signer check
+//!    (`PreparedKey::signed`) over 1,024 *distinct* digests, one pass
+//!    each: what an exchange pays in situ, where every digest is new and
+//!    the branch predictor has seen none of it. Section 2's loops revisit
+//!    120 inputs and read ~35 % lower.
+//! 4. **Batch recovery** — recovers/sec over an independent batch via
 //!    the scoped-worker fan-out (`recover_addresses_parallel`); the
 //!    speedup over the sequential baseline loop combines the algorithmic
 //!    win with whatever cores the host has.
-//! 4. **Quorum wall-clock** — end-to-end gateway quorum reads at k = 3
+//! 5. **Quorum wall-clock** — end-to-end gateway quorum reads at k = 3
 //!    vs single verified reads, wall time, exercising the parallel leg
 //!    fan-out in `parp-net`/`parp-gateway`.
 //!
@@ -23,7 +28,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use parp_crypto::{
-    baseline, keccak256, recover_address, recover_addresses_parallel, sign, SecretKey, Signature,
+    baseline, keccak256, recover_address, recover_addresses_parallel, sign, PreparedKey, SecretKey,
+    Signature,
 };
 use parp_gateway::{Gateway, GatewayConfig, SelectionPolicy};
 use parp_net::Network;
@@ -33,6 +39,8 @@ use std::time::Instant;
 
 /// Single-op measurement rounds.
 const OPS: usize = 120;
+/// Distinct digests in the varied-input section.
+const VARIED: usize = 1024;
 /// Batch-recovery size (a k=3 quorum burst of 64-item batches is ~192
 /// envelope recoveries; 128 is in that regime).
 const BATCH: usize = 128;
@@ -59,7 +67,7 @@ fn ops_per_sec(n: usize, elapsed_us: u64) -> f64 {
 /// Section 1: the optimized path must be indistinguishable from the
 /// retained loop on the wire.
 fn assert_byte_identical(key: &SecretKey, pairs: &[(H256, Signature)]) {
-    for (digest, signature) in pairs.iter().take(16) {
+    for (digest, signature) in pairs {
         let reference = baseline::sign_reference(key, digest);
         assert_eq!(
             signature.to_bytes(),
@@ -79,6 +87,9 @@ struct Numbers {
     sign_ref_us: f64,
     recover_new_us: f64,
     recover_ref_us: f64,
+    sign_varied_us: f64,
+    recover_varied_us: f64,
+    known_signer_verify_us: f64,
     batch_seq_us: u64,
     batch_par_us: u64,
     quorum_single_wall_us: u64,
@@ -115,6 +126,8 @@ fn measure(key: &SecretKey, pairs: &[(H256, Signature)]) -> Numbers {
     }
     let recover_ref_us = started.elapsed().as_micros() as f64 / OPS as f64;
 
+    let (sign_varied_us, recover_varied_us, known_signer_verify_us) = measure_varied(key);
+
     // Batch recovery: the sequential *baseline* loop is the pre-PR
     // shape (one by one, old algorithm); the optimized path fans the
     // batch across scoped workers.
@@ -137,6 +150,9 @@ fn measure(key: &SecretKey, pairs: &[(H256, Signature)]) -> Numbers {
         sign_ref_us,
         recover_new_us,
         recover_ref_us,
+        sign_varied_us,
+        recover_varied_us,
+        known_signer_verify_us,
         batch_seq_us,
         batch_par_us,
         quorum_single_wall_us,
@@ -144,6 +160,34 @@ fn measure(key: &SecretKey, pairs: &[(H256, Signature)]) -> Numbers {
         quorum_single_sim_us,
         quorum_sim_us,
     }
+}
+
+/// Section 3: one pass over `VARIED` distinct digests per operation, so
+/// no input is seen twice by the operation being timed. Returns
+/// `(sign µs, recover µs, known-signer check µs)`.
+fn measure_varied(key: &SecretKey) -> (f64, f64, f64) {
+    let digests: Vec<H256> = (0..VARIED)
+        .map(|i| keccak256(&[b"varied", &(i as u64).to_be_bytes()[..]].concat()))
+        .collect();
+    let expected = key.address();
+    let per_op = |started: Instant| started.elapsed().as_nanos() as f64 / 1e3 / VARIED as f64;
+
+    let started = Instant::now();
+    let signatures: Vec<Signature> = digests.iter().map(|d| sign(key, d)).collect();
+    let sign_varied_us = per_op(started);
+
+    let started = Instant::now();
+    for (d, s) in digests.iter().zip(&signatures) {
+        assert_eq!(recover_address(d, s).ok(), Some(expected));
+    }
+    let recover_varied_us = per_op(started);
+
+    let prepared = PreparedKey::new(key.public_key());
+    let started = Instant::now();
+    for (d, s) in digests.iter().zip(&signatures) {
+        assert!(prepared.signed(d, s));
+    }
+    (sign_varied_us, recover_varied_us, per_op(started))
 }
 
 /// A network of honest providers with a connected gateway (mirrors the
@@ -236,6 +280,8 @@ fn emit_artifact(n: &Numbers) {
     let batch_recovers_per_sec = ops_per_sec(BATCH, n.batch_par_us);
     let batch_recovers_per_sec_ref = ops_per_sec(BATCH, n.batch_seq_us);
     let recover_throughput_speedup = n.batch_seq_us as f64 / n.batch_par_us.max(1) as f64;
+    let (sign_varied_us, recover_varied_us) = (n.sign_varied_us, n.recover_varied_us);
+    let known_signer_verify_us = n.known_signer_verify_us;
     let quorum_wall_overhead = n.quorum_wall_us as f64 / n.quorum_single_wall_us.max(1) as f64;
     let quorum_sim_overhead = n.quorum_sim_us as f64 / n.quorum_single_sim_us.max(1) as f64;
     let json = format!(
@@ -244,20 +290,25 @@ fn emit_artifact(n: &Numbers) {
          \"sign_speedup\":{sign_speedup:.2},\
          \"recovers_per_sec\":{recovers_per_sec:.0},\"recovers_per_sec_prepr\":{recovers_per_sec_ref:.0},\
          \"recover_alg_speedup\":{recover_alg_speedup:.2},\
+         \"varied_digests\":{VARIED},\"sign_varied_us\":{sign_varied_us:.1},\
+         \"recover_varied_us\":{recover_varied_us:.1},\
+         \"known_signer_verify_us\":{known_signer_verify_us:.1},\
          \"batch_recovers_per_sec\":{batch_recovers_per_sec:.0},\
          \"batch_recovers_per_sec_prepr\":{batch_recovers_per_sec_ref:.0},\
          \"recover_throughput_speedup\":{recover_throughput_speedup:.2},\
          \"quorum_k\":{QUORUM},\"quorum_wall_overhead\":{quorum_wall_overhead:.3},\
          \"quorum_sim_overhead\":{quorum_sim_overhead:.3}}}\n"
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_crypto.json");
-    std::fs::write(path, &json).expect("write BENCH_crypto.json");
-    println!("wrote BENCH_crypto.json: {json}");
+    println!("BENCH_crypto.json: {json}");
     println!(
         "sign: {:.1} µs vs pre-PR {:.1} µs ({sign_speedup:.1}×) | recover: {:.1} µs vs {:.1} µs \
          ({recover_alg_speedup:.1}× alg, {recover_throughput_speedup:.1}× batch throughput on \
          {cores} core(s))",
         n.sign_new_us, n.sign_ref_us, n.recover_new_us, n.recover_ref_us,
+    );
+    println!(
+        "over {VARIED} distinct digests: sign {sign_varied_us:.1} µs | recover \
+         {recover_varied_us:.1} µs | known-signer verify {known_signer_verify_us:.1} µs"
     );
     println!(
         "quorum k={QUORUM}: {quorum_wall_overhead:.2}× wall overhead vs single reads \
@@ -273,6 +324,13 @@ fn emit_artifact(n: &Numbers) {
     assert!(
         recover_alg_speedup >= 2.0,
         "recover must beat the pre-PR loop by ≥2× single-threaded (measured {recover_alg_speedup:.2}×)"
+    );
+    // No floor to tune here: the check does strictly less work than a
+    // recovery (no square root, no table build, fewer additions).
+    assert!(
+        known_signer_verify_us < recover_varied_us,
+        "known-signer verify ({known_signer_verify_us:.1} µs) must beat recovery \
+         ({recover_varied_us:.1} µs) on the same {VARIED} digests"
     );
     // Parallel-throughput floors scale with the cores actually present:
     // the full targets only bind once the fan-out has k cores to spread
@@ -297,6 +355,11 @@ fn emit_artifact(n: &Numbers) {
         quorum_wall_overhead < overhead_ceiling,
         "quorum wall overhead {quorum_wall_overhead:.2}× above the {overhead_ceiling}× ceiling for {cores} core(s)"
     );
+    // Written last: an artifact on disk comes from a run that passed
+    // every gate above.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_crypto.json");
+    std::fs::write(path, &json).expect("write BENCH_crypto.json");
+    println!("wrote BENCH_crypto.json");
 }
 
 fn bench_crypto_ops(c: &mut Criterion) {

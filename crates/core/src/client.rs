@@ -2,16 +2,17 @@
 //! machine (Fig. 4, Algorithm 1), request construction, response
 //! verification, and fraud-evidence collection.
 
+use crate::peer::Peer;
 use crate::server::HandshakeConfirm;
 use crate::verify::{
-    classify_batch_response, classify_response, BatchClassification, Classification, InvalidReason,
+    classify_batch_paired, classify_paired, BatchClassification, Classification, InvalidReason,
 };
 use parp_chain::{Header, SignedTransaction, Transaction};
 use parp_contracts::{
     ChannelStatus, FraudVerdict, ModuleCall, ParpBatchRequest, ParpBatchResponse, ParpRequest,
     ParpResponse, RpcCall, MODULE_CALL_GAS_LIMIT,
 };
-use parp_crypto::{recover_address, sign, KeyPair, SecretKey};
+use parp_crypto::{recover_address, sign, KeyPair, PreparedKey, PublicKey, SecretKey};
 use parp_primitives::{Address, H256, U256};
 use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
@@ -229,6 +230,11 @@ struct ProviderSession {
     channel: Option<ClientChannel>,
     pending: HashMap<H256, PendingRequest>,
     pending_batches: HashMap<H256, PendingBatch>,
+    /// The provider's key, learned from the first response whose
+    /// signature recovered to the channel's full node; later responses
+    /// are checked against it instead of recovered. Dropped with the
+    /// session.
+    provider_key: Option<PreparedKey>,
 }
 
 /// A PARP light client.
@@ -247,6 +253,10 @@ pub struct LightClient {
     price_per_call: U256,
     headers: BTreeMap<u64, Header>,
     hash_index: HashMap<H256, u64>,
+    /// `(number, hash)` of the highest synced header — the `h_B` every
+    /// request pins, hashed once when [`LightClient::sync_header`]
+    /// advances the tip rather than once per request.
+    tip_id: Option<(u64, H256)>,
     sessions: HashMap<Address, ProviderSession>,
     /// The provider the single-channel API routes to.
     active: Option<Address>,
@@ -264,6 +274,7 @@ impl LightClient {
             price_per_call,
             headers: BTreeMap::new(),
             hash_index: HashMap::new(),
+            tip_id: None,
             sessions: HashMap::new(),
             active: None,
             prices: HashMap::new(),
@@ -340,6 +351,13 @@ impl LightClient {
         self.sessions.get(provider).and_then(|s| s.channel.as_ref())
     }
 
+    /// `provider`'s key, once a response on its session has recovered to
+    /// the channel's full node (`None` until then, and again after the
+    /// session is dropped: the next response recovers).
+    pub fn provider_key(&self, provider: &Address) -> Option<&PreparedKey> {
+        self.sessions.get(provider)?.provider_key.as_ref()
+    }
+
     /// Every provider the client is currently **bonded** to, in
     /// unspecified order.
     pub fn bonded_providers(&self) -> Vec<Address> {
@@ -369,7 +387,11 @@ impl LightClient {
         if let Some(existing) = self.headers.get(&header.number) {
             return existing.hash() == header.hash();
         }
-        self.hash_index.insert(header.hash(), header.number);
+        let hash = header.hash();
+        if self.tip_id.is_none_or(|(tip, _)| header.number > tip) {
+            self.tip_id = Some((header.number, hash));
+        }
+        self.hash_index.insert(hash, header.number);
         self.headers.insert(header.number, header);
         true
     }
@@ -548,12 +570,12 @@ impl LightClient {
                 actual: state,
             });
         }
-        let tip = self.tip().ok_or(ClientError::NoHeaders)?;
-        let (tip_hash, tip_number) = (tip.hash(), tip.number);
+        let (tip_number, tip_hash) = self.tip_id.ok_or(ClientError::NoHeaders)?;
         let price = self.price_for(&provider);
         let secret = *self.key.secret();
-        let session = self.sessions.get_mut(&provider).expect("bonded session");
-        let channel = session.channel.as_ref().expect("bonded implies channel");
+        let unknown = ClientError::UnknownProvider;
+        let session = self.sessions.get_mut(&provider).ok_or(unknown(provider))?;
+        let channel = session.channel.as_ref().ok_or(unknown(provider))?;
         let amount = channel.spent.saturating_add(price);
         if amount > channel.budget {
             return Err(ClientError::BudgetExhausted);
@@ -609,12 +631,12 @@ impl LightClient {
         if !calls.iter().all(RpcCall::batchable) {
             return Err(ClientError::UnbatchableCall);
         }
-        let tip = self.tip().ok_or(ClientError::NoHeaders)?;
-        let (tip_hash, tip_number) = (tip.hash(), tip.number);
+        let (tip_number, tip_hash) = self.tip_id.ok_or(ClientError::NoHeaders)?;
         let price = self.price_for(&provider);
         let secret = *self.key.secret();
-        let session = self.sessions.get_mut(&provider).expect("bonded session");
-        let channel = session.channel.as_ref().expect("bonded implies channel");
+        let unknown = ClientError::UnknownProvider;
+        let session = self.sessions.get_mut(&provider).ok_or(unknown(provider))?;
+        let channel = session.channel.as_ref().ok_or(unknown(provider))?;
         let batch_price = price * U256::from(calls.len() as u64);
         let amount = channel.spent.saturating_add(batch_price);
         if amount > channel.budget {
@@ -675,16 +697,14 @@ impl LightClient {
         let (provider, pending) = self
             .take_pending_batch(&response.request_hash, scope)
             .ok_or(ClientError::UnknownResponse)?;
-        let session = self.sessions.get(&provider).expect("pending session");
-        let channel = session.channel.as_ref().expect("pending implies channel");
-        let full_node = channel.full_node;
-        let classification = classify_batch_response(
+        let (classification, learned) = classify_batch_paired(
             &pending.request,
             response,
-            full_node,
+            self.provider_peer(&provider)?,
             pending.request_height,
             |n| self.headers.get(&n).cloned(),
         );
+        self.keep_provider_key(provider, learned);
         // The node holds σ_a either way: count the payment committed
         // (defensively on invalid/fraudulent outcomes, as with singles).
         self.commit_payment(provider, pending.request.amount);
@@ -835,6 +855,28 @@ impl LightClient {
         }
     }
 
+    /// The serving end of the channel with `provider`: the full node the
+    /// channel registered, and its key once a response has named it.
+    fn provider_peer(&self, provider: &Address) -> Result<Peer<'_>, ClientError> {
+        let session = self.sessions.get(provider);
+        let channel = session.and_then(|s| s.channel.as_ref());
+        match (session, channel) {
+            (Some(session), Some(channel)) => Ok(Peer {
+                address: channel.full_node,
+                key: session.provider_key.as_ref(),
+            }),
+            _ => Err(ClientError::UnknownProvider(*provider)),
+        }
+    }
+
+    /// Keeps the key a first-contact classification recovered with the
+    /// session it arrived on.
+    fn keep_provider_key(&mut self, provider: Address, learned: Option<PublicKey>) {
+        if let (Some(public), Some(session)) = (learned, self.sessions.get_mut(&provider)) {
+            session.provider_key = Some(PreparedKey::new(public));
+        }
+    }
+
     /// Advances a session's committed spend to `amount` (never
     /// backwards: the channel ledger is monotone).
     fn commit_payment(&mut self, provider: Address, amount: U256) {
@@ -922,11 +964,11 @@ impl LightClient {
     /// Verifies many responses that arrived concurrently, one per
     /// provider — the gateway's quorum fan-in. Pairing and ledger
     /// updates stay sequential (they mutate the session map), but the
-    /// §V-D classifications — a signature recovery plus a Merkle proof
+    /// §V-D classifications — a signature check plus a Merkle proof
     /// check each — are **independent pure functions** of the paired
-    /// exchanges and the header store, so they fan out across scoped
-    /// worker threads (the `parp-runtime` shard idiom, via
-    /// [`parp_crypto::par_map`]). Outcomes come back in leg order.
+    /// exchanges, the session keys and the header store, so they fan
+    /// out across scoped worker threads (the `parp-runtime` shard idiom,
+    /// via [`parp_crypto::par_map`]). Outcomes come back in leg order.
     pub fn process_responses_from(
         &mut self,
         legs: &[(Address, ParpResponse)],
@@ -939,27 +981,22 @@ impl LightClient {
                 let (provider, pending) = self
                     .take_pending(&response.request_hash, Some(*provider))
                     .ok_or(ClientError::UnknownResponse)?;
+                self.provider_peer(&provider)?;
                 Ok((provider, pending))
             })
             .collect();
-        // Phase 2 (parallel, &self): classify every paired exchange.
-        let work: Vec<(Address, &PendingRequest, &ParpResponse)> = paired
+        // Phase 2 (parallel, &self): classify every paired exchange
+        // (phase 1 checked that each paired provider resolves).
+        let work: Vec<(Peer<'_>, &PendingRequest, &ParpResponse)> = paired
             .iter()
             .zip(legs.iter())
             .filter_map(|(paired, (_, response))| {
-                paired.as_ref().ok().map(|(provider, pending)| {
-                    let full_node = self
-                        .sessions
-                        .get(provider)
-                        .and_then(|s| s.channel.as_ref())
-                        .expect("pending implies channel")
-                        .full_node;
-                    (full_node, pending, response)
-                })
+                let (provider, pending) = paired.as_ref().ok()?;
+                Some((self.provider_peer(provider).ok()?, pending, response))
             })
             .collect();
         let mut classifications = parp_crypto::par_map(&work, |(full_node, pending, response)| {
-            classify_response(
+            classify_paired(
                 &pending.request,
                 response,
                 *full_node,
@@ -975,7 +1012,8 @@ impl LightClient {
             .zip(legs.iter())
             .map(|(paired, (_, response))| {
                 let (provider, pending) = paired?;
-                let classification = classifications.next().expect("one per paired leg");
+                let (classification, learned) = classifications.next().expect("one per paired leg");
+                self.keep_provider_key(provider, learned);
                 Ok(self.apply_classification(provider, pending, response, classification))
             })
             .collect()
@@ -1038,19 +1076,14 @@ impl LightClient {
         let (provider, pending) = self
             .take_pending(&response.request_hash, scope)
             .ok_or(ClientError::UnknownResponse)?;
-        let full_node = self
-            .sessions
-            .get(&provider)
-            .and_then(|s| s.channel.as_ref())
-            .expect("pending implies channel")
-            .full_node;
-        let classification = classify_response(
+        let (classification, learned) = classify_paired(
             &pending.request,
             response,
-            full_node,
+            self.provider_peer(&provider)?,
             pending.request_height,
             |n| self.headers.get(&n).cloned(),
         );
+        self.keep_provider_key(provider, learned);
         Ok(self.apply_classification(provider, pending, response, classification))
     }
 

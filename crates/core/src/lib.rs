@@ -81,6 +81,7 @@
 
 mod client;
 mod misbehavior;
+mod peer;
 mod server;
 mod serving_proof;
 mod verify;

@@ -3,12 +3,13 @@
 //! §V, and the server half of Fig. 5's processing pipeline).
 
 use crate::misbehavior::Misbehavior;
+use crate::peer::{NotPeer, Peer};
 use parp_chain::{Blockchain, State};
 use parp_contracts::{
-    confirmation_digest, ChannelStatus, ModuleCall, ParpBatchRequest, ParpBatchResponse,
-    ParpExecutor, ParpRequest, ParpResponse, RpcCall,
+    confirmation_digest, payment_digest, ChannelStatus, ModuleCall, ParpBatchRequest,
+    ParpBatchResponse, ParpExecutor, ParpRequest, ParpResponse, RpcCall,
 };
-use parp_crypto::{sign, KeyPair, SecretKey, Signature};
+use parp_crypto::{sign, KeyPair, PreparedKey, PublicKey, SecretKey, Signature};
 use parp_primitives::{Address, H256, U256};
 use parp_telemetry::{StageRecorder, TimeSource, TimeStamp};
 use parp_trie::ProofBuf;
@@ -201,6 +202,81 @@ pub struct ServedChannel {
     pub latest_payment_sig: Signature,
     /// Requests served on this channel.
     pub calls_served: u64,
+    /// The light client's key, learned from the first served envelope
+    /// that recovered to the channel's registered light client; later
+    /// envelopes on this channel are checked against it instead of
+    /// recovered. Held only while the channel is Open.
+    client_key: Option<PreparedKey>,
+}
+
+/// What step (B) checks of a request, single or batched: the signed
+/// envelope, without the calls it wraps.
+struct Envelope<'a> {
+    channel_id: u64,
+    amount: U256,
+    /// `h_req` as carried, when the request's contents hash to it
+    /// (otherwise `σ_req` signs nothing this node can attribute).
+    request_hash: Option<H256>,
+    request_sig: &'a Signature,
+    payment_sig: &'a Signature,
+    /// A §V-C probe keeps its allowance while the channel is Closing.
+    is_liveness_probe: bool,
+    /// Calls the cumulative payment must cover.
+    calls: u64,
+}
+
+impl<'a> Envelope<'a> {
+    fn of_single(request: &'a ParpRequest) -> Self {
+        Envelope {
+            channel_id: request.channel_id,
+            amount: request.amount,
+            request_hash: (request.expected_hash() == request.request_hash)
+                .then_some(request.request_hash),
+            request_sig: &request.request_sig,
+            payment_sig: &request.payment_sig,
+            is_liveness_probe: matches!(request.call, RpcCall::GetChannelStatus { .. }),
+            calls: 1,
+        }
+    }
+
+    /// A batch's envelope, once the batch is one the node serves at all
+    /// (non-empty, batchable calls only).
+    fn of_batch(request: &'a ParpBatchRequest) -> Result<Self, ServeError> {
+        if request.is_empty() {
+            return Err(ServeError::EmptyBatch);
+        }
+        if !request.calls.iter().all(RpcCall::batchable) {
+            return Err(ServeError::UnbatchableCall);
+        }
+        Ok(Envelope {
+            channel_id: request.channel_id,
+            amount: request.amount,
+            request_hash: (request.expected_hash() == request.request_hash)
+                .then_some(request.request_hash),
+            request_sig: &request.request_sig,
+            payment_sig: &request.payment_sig,
+            // A batch made purely of liveness probes keeps the §V-C
+            // Closing-channel allowance of the single-call path.
+            is_liveness_probe: request
+                .calls
+                .iter()
+                .all(|call| matches!(call, RpcCall::GetChannelStatus { .. })),
+            calls: request.calls.len() as u64,
+        })
+    }
+
+    /// `σ_req` and `σ_a` both attributed to `client`: checked against
+    /// its key when the channel has learned it, recovered and compared —
+    /// both of them — on first contact, which returns the key.
+    fn signed_by(&self, client: Peer<'_>) -> Result<Option<PublicKey>, NotPeer> {
+        let request_hash = self.request_hash.ok_or(NotPeer)?;
+        let learned = client.signed(&request_hash, self.request_sig)?;
+        client.signed(
+            &payment_digest(self.channel_id, &self.amount),
+            self.payment_sig,
+        )?;
+        Ok(learned)
+    }
 }
 
 /// A PARP-compatible full node service.
@@ -358,14 +434,13 @@ impl FullNode {
         if let RpcCall::SendRawTransaction { .. } = request.call {
             // The only mutating call: verify, mine, prove inclusion.
             let verify_start = self.stage_start();
-            self.verify_request(request, executor)?;
+            let learned = self.admit(&Envelope::of_single(request), executor)?;
             self.stage_verify(verify_start);
             let request_height = chain
                 .block_number_by_hash(&request.block_hash)
                 .ok_or(ServeError::UnknownBlockHash(request.block_hash))?;
-            let (block_number, result, proof) =
-                self.execute_write(&request.call, chain, executor, engine)?;
-            return Ok(self.finish_response(request, request_height, block_number, result, proof));
+            let output = self.execute_write(&request.call, chain, executor, engine)?;
+            return Ok(self.finish_response(request, request_height, output, learned));
         }
         self.handle_read_request(request, chain, executor, engine)
     }
@@ -393,16 +468,41 @@ impl FullNode {
             return Err(ServeError::UnbatchableCall);
         }
         let verify_start = self.stage_start();
-        self.verify_request(request, executor)?;
+        let learned = self.admit(&Envelope::of_single(request), executor)?;
         self.stage_verify(verify_start);
         let request_height = chain
             .block_number_by_hash(&request.block_hash)
             .ok_or(ServeError::UnknownBlockHash(request.block_hash))?;
         let proof_start = self.stage_start();
-        let (block_number, result, proof) =
-            self.execute_read(&request.call, chain, executor, engine)?;
+        let output = self.execute_read(&request.call, chain, executor, engine)?;
         self.stage_proof(proof_start);
-        Ok(self.finish_response(request, request_height, block_number, result, proof))
+        Ok(self.finish_response(request, request_height, output, learned))
+    }
+
+    /// Records a served envelope's payment — the signed cumulative
+    /// amount is the node's receivable — and, on first contact, keeps
+    /// the client key the envelope check recovered.
+    fn record_served(
+        &mut self,
+        channel_id: u64,
+        amount: U256,
+        payment_sig: Signature,
+        calls: u64,
+        learned: Option<PublicKey>,
+    ) {
+        let channel = self.channels.entry(channel_id).or_insert(ServedChannel {
+            latest_amount: U256::ZERO,
+            latest_payment_sig: payment_sig,
+            calls_served: 0,
+            client_key: None,
+        });
+        channel.latest_amount = amount;
+        channel.latest_payment_sig = payment_sig;
+        channel.calls_served += calls;
+        self.requests_served += calls;
+        if let Some(public) = learned {
+            channel.client_key = Some(PreparedKey::new(public));
+        }
     }
 
     /// Payment bookkeeping + response signing, shared by the write and
@@ -411,25 +511,17 @@ impl FullNode {
         &mut self,
         request: &ParpRequest,
         request_height: u64,
-        block_number: u64,
-        result: Vec<u8>,
-        proof: Vec<Vec<u8>>,
+        (block_number, result, proof): CallOutput,
+        learned: Option<PublicKey>,
     ) -> ParpResponse {
-        // Record the payment before responding: the signed cumulative
-        // amount is the node's receivable.
-        self.channels.insert(
+        // Record the payment before responding.
+        self.record_served(
             request.channel_id,
-            ServedChannel {
-                latest_amount: request.amount,
-                latest_payment_sig: request.payment_sig,
-                calls_served: self
-                    .channels
-                    .get(&request.channel_id)
-                    .map(|c| c.calls_served + 1)
-                    .unwrap_or(1),
-            },
+            request.amount,
+            request.payment_sig,
+            1,
+            learned,
         );
-        self.requests_served += 1;
         let sign_start = self.stage_start();
         let honest = ParpResponse::build(self.key.secret(), request, block_number, result, proof);
         self.stage_sign(sign_start);
@@ -438,7 +530,7 @@ impl FullNode {
     }
 
     /// Serves one batched PARP request: verifies the envelope **once**
-    /// (one channel lookup, two signature recoveries — the same cost as a
+    /// (one channel lookup, two signature checks — the same cost as a
     /// single call, amortized over N items), executes state reads
     /// against a single snapshot (collapsing their proofs into one
     /// deduplicated multiproof), serves historical inclusion lookups
@@ -478,7 +570,7 @@ impl FullNode {
         engine: &mut dyn ProofEngine,
     ) -> Result<ParpBatchResponse, ServeError> {
         let verify_start = self.stage_start();
-        self.verify_batch_request(request, executor)?;
+        let learned = self.admit(&Envelope::of_batch(request)?, executor)?;
         self.stage_verify(verify_start);
         let request_height = chain
             .block_number_by_hash(&request.block_hash)
@@ -541,19 +633,13 @@ impl FullNode {
                     .ok_or(ServeError::UnknownBlock(*number))?,
             );
         }
-        let served = request.calls.len() as u64;
-        let channel = self
-            .channels
-            .entry(request.channel_id)
-            .or_insert(ServedChannel {
-                latest_amount: U256::ZERO,
-                latest_payment_sig: request.payment_sig,
-                calls_served: 0,
-            });
-        channel.latest_amount = request.amount;
-        channel.latest_payment_sig = request.payment_sig;
-        channel.calls_served += served;
-        self.requests_served += served;
+        self.record_served(
+            request.channel_id,
+            request.amount,
+            request.payment_sig,
+            request.calls.len() as u64,
+            learned,
+        );
         let output = parp_contracts::BatchOutput {
             block_number: head,
             results,
@@ -579,70 +665,59 @@ impl FullNode {
         request: &ParpBatchRequest,
         executor: &ParpExecutor,
     ) -> Result<(), ServeError> {
-        if request.is_empty() {
-            return Err(ServeError::EmptyBatch);
-        }
-        if !request.calls.iter().all(RpcCall::batchable) {
-            return Err(ServeError::UnbatchableCall);
-        }
-        // A batch made purely of liveness probes keeps the §V-C
-        // Closing-channel allowance of the single-call path.
-        let is_liveness_probe = request
-            .calls
-            .iter()
-            .all(|call| matches!(call, RpcCall::GetChannelStatus { .. }));
-        // The two envelope recoveries (request signature, payment
-        // signature) are independent ECDSA operations — recover them
-        // concurrently when a second core is available.
-        let (signer, payment_signer) =
-            parp_crypto::par_join(|| request.signer(), || request.payment_signer());
-        self.verify_envelope(
-            executor,
-            request.channel_id,
-            signer,
-            payment_signer,
-            request.amount,
-            is_liveness_probe,
-            request.calls.len() as u64,
-        )
+        self.verify_envelope(&Envelope::of_batch(request)?, executor)
+            .map(drop)
     }
 
-    /// Step (B): request verification — channel lookup plus two signature
-    /// recoveries (the request signature and the payment signature).
+    /// Step (B): request verification — channel lookup, then `σ_req` and
+    /// `σ_a` attributed to the channel's light client: recovered on the
+    /// channel's first envelope, checked against the learned key after.
+    /// (`&self`: a key recovered here is not kept; serving keeps it.)
     pub fn verify_request(
         &self,
         request: &ParpRequest,
         executor: &ParpExecutor,
     ) -> Result<(), ServeError> {
-        let is_liveness_probe = matches!(request.call, RpcCall::GetChannelStatus { .. });
-        // As in batch verification: the two recoveries are independent.
-        let (signer, payment_signer) =
-            parp_crypto::par_join(|| request.signer(), || request.payment_signer());
-        self.verify_envelope(
-            executor,
-            request.channel_id,
-            signer,
-            payment_signer,
-            request.amount,
-            is_liveness_probe,
-            1,
-        )
+        self.verify_envelope(&Envelope::of_single(request), executor)
+            .map(drop)
+    }
+
+    /// Step (B) on the serving path: [`FullNode::verify_envelope`], after
+    /// dropping the client key of a channel the CMM no longer reports
+    /// Open — the key is serving state of an open channel, and this is
+    /// where the node sees the channel stop being one.
+    fn admit(
+        &mut self,
+        envelope: &Envelope<'_>,
+        executor: &ParpExecutor,
+    ) -> Result<Option<PublicKey>, ServeError> {
+        let status = executor
+            .cmm()
+            .channel(envelope.channel_id)
+            .map(|c| c.status);
+        if status != Some(ChannelStatus::Open) {
+            if let Some(served) = self.channels.get_mut(&envelope.channel_id) {
+                served.client_key = None;
+            }
+        }
+        self.verify_envelope(envelope, executor)
     }
 
     /// The envelope checks shared by single and batched requests: channel
     /// lookup and status, signer attribution, budget, and cumulative
-    /// payment covering `price_per_call × calls`.
-    #[allow(clippy::too_many_arguments)]
+    /// payment covering `price_per_call × calls`. Returns the client's
+    /// key when this envelope was first contact on an Open channel.
+    ///
+    /// The two signature checks run back to back on the calling thread:
+    /// each is 50–80 µs, and handing one to a scoped worker costs more
+    /// than that on the hosts this runs on (see the module docs of
+    /// `parp_crypto`'s `parallel.rs`).
     fn verify_envelope(
         &self,
+        envelope: &Envelope<'_>,
         executor: &ParpExecutor,
-        channel_id: u64,
-        signer: Option<Address>,
-        payment_signer: Option<Address>,
-        amount: U256,
-        is_liveness_probe: bool,
-        calls: u64,
-    ) -> Result<(), ServeError> {
+    ) -> Result<Option<PublicKey>, ServeError> {
+        let channel_id = envelope.channel_id;
         let channel = executor
             .cmm()
             .channel(channel_id)
@@ -650,18 +725,25 @@ impl FullNode {
         // Liveness probes (§V-C) exist to detect a channel being closed
         // behind the client's back, so they are served while the channel
         // is Closing; everything else requires Open.
+        let open = channel.status == ChannelStatus::Open;
         match channel.status {
             ChannelStatus::Open => {}
-            ChannelStatus::Closing { .. } if is_liveness_probe => {}
+            ChannelStatus::Closing { .. } if envelope.is_liveness_probe => {}
             _ => return Err(ServeError::ChannelNotOpen(channel_id)),
         }
         if channel.full_node != self.address() {
             return Err(ServeError::NotOurChannel);
         }
-        if signer != Some(channel.light_client) || payment_signer != Some(channel.light_client) {
-            return Err(ServeError::WrongSigner);
-        }
-        if amount > channel.budget {
+        // The client's key belongs to the Open channel: a probe on a
+        // Closing one recovers, and names no key to keep.
+        let learned = envelope
+            .signed_by(Peer {
+                address: channel.light_client,
+                key: self.client_key(channel_id).filter(|_| open),
+            })
+            .map_err(|NotPeer| ServeError::WrongSigner)?
+            .filter(|_| open);
+        if envelope.amount > channel.budget {
             return Err(ServeError::BudgetExceeded);
         }
         let prev = self
@@ -669,14 +751,14 @@ impl FullNode {
             .get(&channel_id)
             .map(|c| c.latest_amount)
             .unwrap_or(U256::ZERO);
-        let required = prev.saturating_add(self.price_per_call * U256::from(calls));
-        if amount < required {
+        let required = prev.saturating_add(self.price_per_call * U256::from(envelope.calls));
+        if envelope.amount < required {
             return Err(ServeError::InsufficientPayment {
-                offered: amount,
+                offered: envelope.amount,
                 required,
             });
         }
-        Ok(())
+        Ok(learned)
     }
 
     /// The result payload of a snapshot-provable read, shared between
@@ -822,6 +904,13 @@ impl FullNode {
                 Ok((head, result, Vec::new()))
             }
         }
+    }
+
+    /// The light client's key as learned on `channel_id` — `None` until
+    /// the channel's first envelope has been served, and again once the
+    /// node has seen the channel Closing or Closed.
+    pub fn client_key(&self, channel_id: u64) -> Option<&PreparedKey> {
+        self.channels.get(&channel_id)?.client_key.as_ref()
     }
 
     /// The serving state for a channel, if any requests arrived.

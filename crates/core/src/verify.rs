@@ -5,11 +5,13 @@
 //! the client should walk away), or **fraudulent** (provably wrong: the
 //! client can slash the full node on-chain).
 
+use crate::peer::Peer;
 use parp_chain::Header;
 use parp_contracts::{
     batch_fraud_conditions, fraud_conditions, BatchFraud, FraudVerdict, ParpBatchRequest,
     ParpBatchResponse, ParpRequest, ParpResponse,
 };
+use parp_crypto::PublicKey;
 use parp_primitives::Address;
 use std::fmt;
 
@@ -63,6 +65,10 @@ pub enum Classification {
 /// * `request_height` — the height of the block `req.h_B` names (the
 ///   client knows it: it picked `h_B` from its own header store).
 /// * `header_for` — the client's header store lookup for `res.m_B`.
+///
+/// This entry point knows the node by address only, so `σ_res` is
+/// recovered; a [`crate::LightClient`] classifies against the key its
+/// session has learned.
 pub fn classify_response(
     req: &ParpRequest,
     res: &ParpResponse,
@@ -70,33 +76,59 @@ pub fn classify_response(
     request_height: u64,
     header_for: impl Fn(u64) -> Option<Header>,
 ) -> Classification {
-    // 1. Verify request hash: without the correct linkage no fraud proof
-    //    can be built, so a mismatch is invalid, not fraud.
-    if res.request_hash != req.request_hash || req.expected_hash() != req.request_hash {
+    if req.expected_hash() != req.request_hash {
         return Classification::Invalid(InvalidReason::RequestHashMismatch);
     }
+    classify_paired(
+        req,
+        res,
+        Peer::first_contact(full_node),
+        request_height,
+        header_for,
+    )
+    .0
+}
+
+/// [`classify_response`] for a request whose `request_hash` is known to
+/// be the hash of its contents (the client's own pending request),
+/// against whatever the session knows of the node's key. Also returns
+/// the node's key when this was first contact.
+pub(crate) fn classify_paired(
+    req: &ParpRequest,
+    res: &ParpResponse,
+    full_node: Peer<'_>,
+    request_height: u64,
+    header_for: impl Fn(u64) -> Option<Header>,
+) -> (Classification, Option<PublicKey>) {
+    let invalid = |reason| (Classification::Invalid(reason), None);
+    // 1. Verify request hash: without the correct linkage no fraud proof
+    //    can be built, so a mismatch is invalid, not fraud.
+    if res.request_hash != req.request_hash {
+        return invalid(InvalidReason::RequestHashMismatch);
+    }
     if res.request_sig != req.request_sig {
-        return Classification::Invalid(InvalidReason::RequestSigMismatch);
+        return invalid(InvalidReason::RequestSigMismatch);
     }
     // 2. Verify response signature.
-    match res.signer() {
-        Some(signer) if signer == full_node => {}
-        _ => return Classification::Invalid(InvalidReason::ResponseSignatureInvalid),
-    }
+    let Ok(learned) = full_node.signed(&res.expected_hash(), &res.response_sig) else {
+        return invalid(InvalidReason::ResponseSignatureInvalid);
+    };
     // 3. Channel identifier check.
     if res.channel_id != req.channel_id {
-        return Classification::Invalid(InvalidReason::ChannelIdMismatch);
+        return invalid(InvalidReason::ChannelIdMismatch);
     }
     // 4-6. Payment amount, timestamp and Merkle proof — the same
     // conditions the on-chain module enforces (Algorithm 2).
     let Some(header) = header_for(res.block_number) else {
-        return Classification::Invalid(InvalidReason::MissingHeader(res.block_number));
+        let reason = InvalidReason::MissingHeader(res.block_number);
+        return (Classification::Invalid(reason), learned);
     };
-    match fraud_conditions(req, res, &header, request_height) {
+    let classification = match fraud_conditions(req, res, &header, request_height) {
         Err(e) => Classification::Invalid(InvalidReason::MalformedResult(e)),
         Ok(Some(verdict)) => Classification::Fraudulent(verdict),
         Ok(None) => Classification::Valid,
-    }
+    };
+    (classification, learned)
 }
 
 /// The §V-D trichotomy applied to a batched exchange.
@@ -144,7 +176,7 @@ impl BatchClassification {
 }
 
 /// Runs the §V-D check sequence on a batched response: the same envelope
-/// checks as [`classify_response`] (one signature recovery covers all N
+/// checks as [`classify_response`] (one signature check covers all N
 /// items), then the batch fraud conditions with per-item attribution —
 /// each item judged against the trusted header of **its own** block.
 ///
@@ -158,21 +190,42 @@ pub fn classify_batch_response(
     request_height: u64,
     header_for: impl Fn(u64) -> Option<Header>,
 ) -> BatchClassification {
-    // 1. Request hash linkage (no fraud proof without it).
-    if res.request_hash != req.request_hash || req.expected_hash() != req.request_hash {
+    if req.expected_hash() != req.request_hash {
         return BatchClassification::Invalid(InvalidReason::RequestHashMismatch);
     }
+    classify_batch_paired(
+        req,
+        res,
+        Peer::first_contact(full_node),
+        request_height,
+        header_for,
+    )
+    .0
+}
+
+/// The batch analogue of [`classify_paired`].
+pub(crate) fn classify_batch_paired(
+    req: &ParpBatchRequest,
+    res: &ParpBatchResponse,
+    full_node: Peer<'_>,
+    request_height: u64,
+    header_for: impl Fn(u64) -> Option<Header>,
+) -> (BatchClassification, Option<PublicKey>) {
+    let invalid = |reason| (BatchClassification::Invalid(reason), None);
+    // 1. Request hash linkage (no fraud proof without it).
+    if res.request_hash != req.request_hash {
+        return invalid(InvalidReason::RequestHashMismatch);
+    }
     if res.request_sig != req.request_sig {
-        return BatchClassification::Invalid(InvalidReason::RequestSigMismatch);
+        return invalid(InvalidReason::RequestSigMismatch);
     }
-    // 2. One response-signature recovery for the whole batch.
-    match res.signer() {
-        Some(signer) if signer == full_node => {}
-        _ => return BatchClassification::Invalid(InvalidReason::ResponseSignatureInvalid),
-    }
+    // 2. One response-signature check for the whole batch.
+    let Ok(learned) = full_node.signed(&res.expected_hash(), &res.response_sig) else {
+        return invalid(InvalidReason::ResponseSignatureInvalid);
+    };
     // 3. Channel identifier.
     if res.channel_id != req.channel_id {
-        return BatchClassification::Invalid(InvalidReason::ChannelIdMismatch);
+        return invalid(InvalidReason::ChannelIdMismatch);
     }
     // 4-6. Payment, snapshot freshness, multiproof and per-item proofs,
     // judged against the client's own trusted headers for every block
@@ -182,11 +235,12 @@ pub fn classify_batch_response(
     let mut trusted = std::collections::BTreeMap::new();
     for number in res.referenced_blocks() {
         let Some(header) = header_for(number) else {
-            return BatchClassification::Invalid(InvalidReason::MissingHeader(number));
+            let reason = InvalidReason::MissingHeader(number);
+            return (BatchClassification::Invalid(reason), learned);
         };
         trusted.insert(number, header);
     }
-    match batch_fraud_conditions(req, res, &trusted, request_height) {
+    let classification = match batch_fraud_conditions(req, res, &trusted, request_height) {
         Err(e) => BatchClassification::Invalid(InvalidReason::MalformedResult(e)),
         Ok(None) => BatchClassification::Items(vec![Classification::Valid; req.calls.len()]),
         Ok(Some(BatchFraud::Batch(verdict))) => BatchClassification::BatchFraud { verdict },
@@ -199,7 +253,8 @@ pub fn classify_batch_response(
                 })
                 .collect(),
         ),
-    }
+    };
+    (classification, learned)
 }
 
 #[cfg(test)]

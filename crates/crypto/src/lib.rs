@@ -35,10 +35,12 @@ mod parallel;
 mod point;
 mod scalar;
 
-pub use ecdsa::{recover, recover_address, sign, verify, Signature, SignatureError};
+pub use ecdsa::{recover, recover_address, sign, verify, PreparedKey, Signature, SignatureError};
 pub use field::FieldElement;
 pub use keccak::{hmac_keccak256, keccak256, keccak256_batch, keccak256_concat, Keccak256};
 pub use keys::{InvalidSecretKey, KeyPair, PublicKey, SecretKey};
 pub use parallel::{par_join, par_map, recover_addresses_parallel};
-pub use point::{batch_to_affine, double_scalar_mul, mul_generator, AffinePoint, JacobianPoint};
+pub use point::{
+    batch_to_affine, double_scalar_mul, mul_generator, AffinePoint, JacobianPoint, PointTable,
+};
 pub use scalar::Scalar;

@@ -1,14 +1,24 @@
 //! Scoped-thread fan-out for independent crypto work.
 //!
-//! Every PARP verification site runs several **independent** ECDSA
-//! operations: a server validates a request signature and a payment
-//! signature, a gateway cross-checks `k` quorum responses, a batch
+//! Some PARP verification sites run several **independent** ECDSA
+//! operations: a gateway cross-checks `k` quorum responses, a batch
 //! verifier judges N items. These helpers spread that work across
 //! `std::thread::scope` workers — the same per-batch worker idiom as
 //! `parp-runtime`'s sharded multiproof executor: workers live exactly as
-//! long as the call, nothing persists, and on a single-core host (or for
-//! tiny inputs) everything runs inline so the fan-out can never cost more
-//! than the sequential loop it replaces.
+//! long as the call and nothing persists.
+//!
+//! **A spawn is not free.** On the 2-vCPU reference VM one scoped
+//! spawn-and-join is 12–40 µs back to back in a tight loop and 28–250 µs
+//! inside an exchange, where the worker wakes on a cold core; a signature
+//! recovery is 70–80 µs. The serve path used to [`par_join`] its two
+//! envelope recoveries and the ledger read 186 µs for 2 × 45 µs of work —
+//! slower than the loop it replaced, on every workload — so it now runs
+//! them back to back. Only work well above the spawn cost belongs here:
+//! a whole batch of recoveries ([`recover_addresses_parallel`]), a whole
+//! served leg or §V-D classification with its proof check per quorum
+//! leg. The calling thread always takes a share itself, so a fan-out
+//! over `n` workers pays `n − 1` spawns; on a single-core host
+//! everything runs inline.
 
 use crate::ecdsa::{recover_address, Signature, SignatureError};
 use parp_primitives::{Address, H256};
@@ -23,7 +33,8 @@ fn thread_budget() -> usize {
 }
 
 /// Runs two independent closures, concurrently when a second core is
-/// available, inline otherwise.
+/// available, inline otherwise. Worth it only when each closure runs for
+/// several hundred microseconds (see the module docs).
 pub fn par_join<A, B, FA, FB>(fa: FA, fb: FB) -> (A, B)
 where
     A: Send,
@@ -41,9 +52,9 @@ where
     })
 }
 
-/// Maps `f` over `items`, fanning out across scoped workers when the
-/// host has spare cores and the input is big enough to amortize the
-/// spawns. Results come back in input order.
+/// Maps `f` over `items`, fanning out across scoped workers — never more
+/// than the host has cores, the calling thread among them — when there is
+/// more than one of each. Results come back in input order.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -58,26 +69,22 @@ where
     results.resize_with(items.len(), || None);
     // Interleaved assignment (worker w takes items w, w+workers, …):
     // balanced without measuring per-item cost.
-    let mut chunks: Vec<Vec<(usize, R)>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let f = &f;
-                scope.spawn(move || {
-                    items
-                        .iter()
-                        .enumerate()
-                        .skip(w)
-                        .step_by(workers)
-                        .map(|(i, item)| (i, f(item)))
-                        .collect::<Vec<_>>()
-                })
-            })
+    let share = |w: usize| -> Vec<(usize, R)> {
+        let indexed = items.iter().enumerate().skip(w).step_by(workers);
+        indexed.map(|(i, item)| (i, f(item))).collect()
+    };
+    // The calling thread is worker 0: one spawn fewer, and no core
+    // idles waiting for the others.
+    let chunks: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let share = &share;
+        let handles: Vec<_> = (1..workers)
+            .map(|w| scope.spawn(move || share(w)))
             .collect();
-        chunks = handles
+        let own = share(0);
+        let joined = handles
             .into_iter()
-            .map(|h| h.join().expect("par_map worker panicked"))
-            .collect();
+            .map(|h| h.join().expect("par_map worker panicked"));
+        std::iter::once(own).chain(joined).collect()
     });
     for chunk in chunks {
         for (i, r) in chunk {

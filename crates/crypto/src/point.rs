@@ -8,19 +8,18 @@
 //! # The fixed-base hot path
 //!
 //! Every PARP exchange multiplies the generator several times (one per
-//! signature, one per recovery), so `G` gets two precomputed tables, both
+//! signature, one per recovery or verification), so `G` gets an 8-bit
+//! **comb table** (`windows[i][j] = (j+1)·2^(8i)·G`, 32 × 255 entries),
 //! built once behind `OnceLock` and normalized to affine with a single
-//! shared field inversion ([`batch_to_affine`]):
+//! shared field inversion ([`batch_to_affine`]): [`mul_generator`] is ≤ 32
+//! mixed additions with **zero** doublings, and it is the `a·G` half of
+//! [`PointTable::double_scalar_mul`].
 //!
-//! * an 8-bit **comb table** (`windows[i][j] = (j+1)·2^(8i)·G`, 32 × 255
-//!   entries): [`mul_generator`] is ≤ 32 mixed additions with **zero**
-//!   doublings, replacing the 256-doubling generic ladder;
-//! * an odd-multiples **wNAF table** (`1G, 3G, …, 255G`), the `a·G` half
-//!   of the interleaved [`double_scalar_mul`] used by recovery.
-//!
-//! Arbitrary points (`Q` in verification/recovery) get a per-call
-//! odd-multiples table (`1Q, 3Q, …, 15Q`), batch-normalized so the main
-//! loop uses cheap mixed additions.
+//! Arbitrary points (`Q` in verification and recovery) get a
+//! [`PointTable`]: the odd multiples `1Q, 3Q, …`, batch-normalized so the
+//! one GLV/wNAF ladder uses cheap mixed additions. A point seen once (the
+//! nonce point of a recovery) gets a table per call; a point seen on every
+//! exchange (a channel peer's key) keeps one, built once.
 
 use crate::field::FieldElement;
 use crate::scalar::Scalar;
@@ -374,9 +373,9 @@ const COMB_WINDOWS: usize = 256 / COMB_WINDOW_BITS;
 /// Entries per comb window (every non-zero byte value).
 const COMB_ENTRIES: usize = (1 << COMB_WINDOW_BITS) - 1;
 
-/// wNAF window width for the per-call point `Q` (8 odd multiples — the
+/// wNAF window width for a point multiplied once (8 odd multiples — the
 /// table is rebuilt for every recovery, so it must stay small).
-const WNAF_Q_WIDTH: u32 = 5;
+const WNAF_ONCE_WIDTH: u32 = 5;
 
 /// The precomputed fixed-base comb: `windows[i][j] = (j+1) · 2^(8i) · G`.
 /// ~8k affine points (≈0.5 MB), built once and shared by every signature
@@ -420,19 +419,6 @@ pub fn mul_generator(k: &Scalar) -> JacobianPoint {
     acc
 }
 
-/// Batch-normalized odd multiples `1Q, 3Q, …, (2^(w−1)−1)Q`.
-fn odd_multiples(q: &AffinePoint, width: u32) -> Vec<AffinePoint> {
-    let qj = q.to_jacobian();
-    let q2 = qj.double();
-    let mut jacobians = Vec::with_capacity(1 << (width - 2));
-    let mut current = qj;
-    for _ in 0..(1usize << (width - 2)) {
-        jacobians.push(current);
-        current = current.add(&q2);
-    }
-    batch_to_affine(&jacobians)
-}
-
 /// `β`: the cube root of unity in the base field realizing the GLV
 /// endomorphism `λ·(x, y) = (β·x, y)`.
 fn beta() -> FieldElement {
@@ -445,60 +431,98 @@ fn beta() -> FieldElement {
     *BETA.get_or_init(|| FieldElement::from_be_bytes(&BETA_BYTES).expect("beta below p"))
 }
 
-/// Applies the endomorphism to an affine point: `λ·(x, y) = (β·x, y)` —
-/// one field multiplication instead of a scalar multiplication.
-fn endo_map(p: &AffinePoint) -> AffinePoint {
-    match p {
-        AffinePoint::Infinity => AffinePoint::Infinity,
-        AffinePoint::Point { x, y } => AffinePoint::Point {
-            x: beta() * *x,
-            y: *y,
-        },
-    }
-}
-
 /// Upper bound on the wNAF digit positions of a sign-normalized GLV half
 /// (≤129 bits, plus the window's carry slack).
 const GLV_DIGITS: usize = 136;
 
-/// Computes `a * G + b * Q` — the core of ECDSA verification and
-/// recovery.
-///
-/// The `G` half rides the precomputed fixed-base comb (≤32 mixed
-/// additions, zero doublings). The `Q` half is GLV-split into two ≤129-bit
-/// scalars whose wNAF forms (w = 5) interleave over **one** half-length
-/// doubling chain, adding from `Q`'s batch-normalized odd-multiples table
-/// and its endomorphism image (`x → β·x`, free per entry). Net cost:
-/// ~130 doublings plus ~75 mixed additions — the old path ran a 256-bit
-/// 2-bit Shamir loop with only `{G, Q, G+Q}` precomputed, paying 256
-/// doublings and ~192 full Jacobian additions.
-pub fn double_scalar_mul(a: &Scalar, b: &Scalar, q: &AffinePoint) -> AffinePoint {
-    let (b1, neg1, b2, neg2) = b.split_glv();
-    let naf1 = b1.wnaf(WNAF_Q_WIDTH);
-    let naf2 = b2.wnaf(WNAF_Q_WIDTH);
-    debug_assert!(
-        naf1[GLV_DIGITS..].iter().all(|&d| d == 0) && naf2[GLV_DIGITS..].iter().all(|&d| d == 0),
-        "GLV halves must stay short"
-    );
-    let q_table = odd_multiples(q, WNAF_Q_WIDTH);
-    let endo_table: Vec<AffinePoint> = q_table.iter().map(endo_map).collect();
-    let mut acc = JacobianPoint::INFINITY;
-    for i in (0..GLV_DIGITS).rev() {
-        if !acc.is_infinity() {
-            acc = acc.double();
+/// The odd multiples `1Q, 3Q, …, (2^(w−1)−1)Q` of a point,
+/// batch-normalized: everything the GLV/wNAF ladder reads about `Q` (the
+/// endomorphism image of an entry is one field multiplication away, so
+/// it is not stored). Building one costs `2^(w−2)` Jacobian additions
+/// plus one field inversion, so the width is the caller's trade: narrow
+/// for a point multiplied once, wide for a point multiplied on every
+/// exchange.
+#[derive(Clone)]
+pub struct PointTable {
+    width: u32,
+    odd: Vec<AffinePoint>,
+}
+
+impl PointTable {
+    /// Builds the width-`width` table of `q` (`2^(width−2)` entries of
+    /// 72 bytes).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `2 <= width <= 8` (wNAF digits are `i8`).
+    pub fn new(q: &AffinePoint, width: u32) -> Self {
+        assert!((2..=8).contains(&width), "wNAF width out of range");
+        let qj = q.to_jacobian();
+        let q2 = qj.double();
+        let mut jacobians = Vec::with_capacity(1 << (width - 2));
+        let mut current = qj;
+        for _ in 0..(1usize << (width - 2)) {
+            jacobians.push(current);
+            current = current.add(&q2);
         }
-        let d1 = naf1[i];
-        if d1 != 0 {
-            let entry = &q_table[(d1.unsigned_abs() as usize - 1) / 2];
-            acc = acc.add_affine_signed(entry, (d1 < 0) ^ neg1);
-        }
-        let d2 = naf2[i];
-        if d2 != 0 {
-            let entry = &endo_table[(d2.unsigned_abs() as usize - 1) / 2];
-            acc = acc.add_affine_signed(entry, (d2 < 0) ^ neg2);
+        PointTable {
+            width,
+            odd: batch_to_affine(&jacobians),
         }
     }
-    acc.add(&mul_generator(a)).to_affine()
+
+    /// The wNAF window width the table was built for.
+    pub fn width(&self) -> u32 {
+        self.width
+    }
+
+    /// Computes `a * G + b * Q` — the core of ECDSA verification and
+    /// recovery, and the **only** variable-base ladder in the crate.
+    ///
+    /// The `G` half rides the precomputed fixed-base comb (≤32 mixed
+    /// additions, zero doublings). The `Q` half is GLV-split into two
+    /// ≤129-bit scalars whose wNAF forms interleave over **one**
+    /// half-length doubling chain, adding the table's odd multiples and
+    /// their endomorphism image `λ·(x, y) = (β·x, y)`. Net cost at w = 5:
+    /// ~130 doublings plus ~75 mixed additions; each extra bit of width
+    /// removes ~1/(w+1) of the `Q`-half additions.
+    pub fn double_scalar_mul(&self, a: &Scalar, b: &Scalar) -> AffinePoint {
+        let (b1, neg1, b2, neg2) = b.split_glv();
+        let naf1 = b1.wnaf(self.width);
+        let naf2 = b2.wnaf(self.width);
+        debug_assert!(
+            naf1[GLV_DIGITS..].iter().all(|&d| d == 0)
+                && naf2[GLV_DIGITS..].iter().all(|&d| d == 0),
+            "GLV halves must stay short"
+        );
+        let beta = beta();
+        let mut acc = JacobianPoint::INFINITY;
+        for i in (0..GLV_DIGITS).rev() {
+            if !acc.is_infinity() {
+                acc = acc.double();
+            }
+            let d1 = naf1[i];
+            if d1 != 0 {
+                let entry = &self.odd[(d1.unsigned_abs() as usize - 1) / 2];
+                acc = acc.add_affine_signed(entry, (d1 < 0) ^ neg1);
+            }
+            let d2 = naf2[i];
+            if d2 != 0 {
+                let entry = match self.odd[(d2.unsigned_abs() as usize - 1) / 2] {
+                    AffinePoint::Infinity => AffinePoint::Infinity,
+                    AffinePoint::Point { x, y } => AffinePoint::Point { x: beta * x, y },
+                };
+                acc = acc.add_affine_signed(&entry, (d2 < 0) ^ neg2);
+            }
+        }
+        acc.add(&mul_generator(a)).to_affine()
+    }
+}
+
+/// `a * G + b * Q` for a point multiplied once: a narrow (w = 5) table of
+/// `q`, then [`PointTable::double_scalar_mul`].
+pub fn double_scalar_mul(a: &Scalar, b: &Scalar, q: &AffinePoint) -> AffinePoint {
+    PointTable::new(q, WNAF_ONCE_WIDTH).double_scalar_mul(a, b)
 }
 
 #[cfg(test)]
@@ -625,6 +649,16 @@ mod tests {
             .add(&q.mul(&b).to_jacobian())
             .to_affine();
         assert_eq!(combined, separate);
+    }
+
+    #[test]
+    fn prepared_key_table_fits_its_budget() {
+        // What a channel end keeps per peer: the table at the serving
+        // window, ≤ 8 KiB.
+        let table = PointTable::new(&g(), crate::PreparedKey::WINDOW);
+        let bytes = table.odd.len() * std::mem::size_of::<AffinePoint>();
+        assert_eq!(table.odd.len(), 1 << (crate::PreparedKey::WINDOW - 2));
+        assert!(bytes <= 8 * 1024, "{bytes} bytes per peer");
     }
 
     #[test]

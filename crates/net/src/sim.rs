@@ -18,7 +18,7 @@ use parp_telemetry::{
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Identifier of a registered full node within the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -1136,14 +1136,15 @@ impl Network {
     ///
     /// Request building and ledger updates stay sequential (they mutate
     /// the client), but the expensive middle of every leg runs in
-    /// parallel across scoped worker threads (the `parp-runtime` shard
-    /// idiom):
+    /// parallel via [`parp_crypto::par_map`] — at most one worker per
+    /// core, the calling thread among them:
     ///
     /// * **serving** — each leg's node runs request verification (two
-    ///   signature recoveries), proof generation off the shared
-    ///   `Arc`-frozen head trie, and response signing on its own worker
-    ///   over one `&Blockchain` (read-only calls never mutate the
-    ///   chain, enforced by [`FullNode::handle_read_request`]);
+    ///   signature checks against the channel's learned client key, or
+    ///   two recoveries on the channel's first request), proof
+    ///   generation off the shared `Arc`-frozen head trie, and response
+    ///   signing over one `&Blockchain` (read-only calls never mutate
+    ///   the chain, enforced by [`FullNode::handle_read_request`]);
     /// * **client verification** — the §V-D classifications fan out via
     ///   [`LightClient::process_responses_from`].
     ///
@@ -1242,28 +1243,26 @@ impl Network {
                 .enumerate()
                 .filter(|(i, _)| legs.iter().any(|(id, _)| id.0 == *i))
                 .collect();
-            let mut worker_results: Vec<(usize, Result<ParpResponse, ServeError>, u64)> =
-                Vec::new();
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (index, built) in requests.iter().enumerate() {
-                    let Ok((_, request)) = built else { continue };
-                    let node = node_slots
-                        .remove(&legs[index].0 .0)
-                        .expect("distinct leg nodes");
-                    let mut engine = engine.clone();
-                    let clock = clock.clone();
-                    handles.push(scope.spawn(move || {
-                        let started = clock.start();
-                        let outcome =
-                            node.handle_read_request(request, chain, executor, &mut engine);
-                        (index, outcome, clock.elapsed_us(started))
-                    }));
-                }
-                worker_results = handles
-                    .into_iter()
-                    .map(|handle| handle.join().expect("serve worker panicked"))
-                    .collect();
+            // Each leg owns its node and its engine handle; the mutex
+            // only carries that `&mut` across `par_map`'s shared slice
+            // (never contended: one leg, one worker).
+            let jobs: Vec<_> = requests
+                .iter()
+                .enumerate()
+                .filter_map(|(index, built)| {
+                    let (_, request) = built.as_ref().ok()?;
+                    let node = node_slots.remove(&legs[index].0 .0)?;
+                    Some((index, request, Mutex::new((node, engine.clone()))))
+                })
+                .collect();
+            // One worker per core at most, the calling thread among
+            // them: a spawn costs about what a leg does.
+            let worker_results = parp_crypto::par_map(&jobs, |(index, request, leg)| {
+                let mut leg = leg.lock().unwrap_or_else(PoisonError::into_inner);
+                let (node, engine) = &mut *leg;
+                let started = clock.start();
+                let outcome = node.handle_read_request(request, chain, executor, engine);
+                (*index, outcome, clock.elapsed_us(started))
             });
             for (index, outcome, server_us) in worker_results {
                 match outcome {

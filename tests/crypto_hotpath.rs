@@ -10,7 +10,8 @@
 
 use parp_suite::crypto::{
     batch_to_affine, double_scalar_mul, keccak256, mul_generator, recover_address,
-    recover_addresses_parallel, sign, AffinePoint, FieldElement, Scalar, SecretKey,
+    recover_addresses_parallel, sign, AffinePoint, FieldElement, PointTable, PreparedKey, Scalar,
+    SecretKey,
 };
 use proptest::prelude::*;
 
@@ -146,6 +147,21 @@ fn degenerate_scalars_and_points() {
     // a + b spanning the order: (n−1)·G + 1·G = O.
     let n_minus_one = -Scalar::ONE;
     assert!(double_scalar_mul(&n_minus_one, &Scalar::ONE, &g).is_infinity());
+    // The same edges through the wide table a prepared key carries.
+    let wide = PointTable::new(&g, PreparedKey::WINDOW);
+    assert_eq!(wide.double_scalar_mul(&Scalar::ZERO, &Scalar::ONE), g);
+    assert_eq!(wide.double_scalar_mul(&Scalar::ONE, &Scalar::ZERO), g);
+    assert!(wide
+        .double_scalar_mul(&Scalar::ZERO, &Scalar::ZERO)
+        .is_infinity());
+    assert!(wide
+        .double_scalar_mul(&n_minus_one, &Scalar::ONE)
+        .is_infinity());
+    assert_eq!(
+        PointTable::new(&AffinePoint::Infinity, PreparedKey::WINDOW)
+            .double_scalar_mul(&Scalar::from_u64(7), &Scalar::from_u64(9)),
+        g.mul(&Scalar::from_u64(7))
+    );
     // Batch inversion of an all-zero and an empty slice.
     let mut zeros = vec![FieldElement::ZERO; 3];
     FieldElement::batch_invert(&mut zeros);
