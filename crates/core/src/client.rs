@@ -14,6 +14,7 @@ use parp_contracts::{
 };
 use parp_crypto::{recover_address, sign, KeyPair, PreparedKey, PublicKey, SecretKey};
 use parp_primitives::{Address, H256, U256};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
@@ -206,15 +207,18 @@ pub enum ProcessOutcome {
     Fraud(Box<FraudEvidence>),
 }
 
+/// A signed request of either wire shape.
 #[derive(Debug, Clone)]
-struct PendingRequest {
-    request: ParpRequest,
-    request_height: u64,
+enum Envelope {
+    Single(ParpRequest),
+    Batch(ParpBatchRequest),
 }
 
+/// One in-flight request: what was signed, and the height of the block
+/// its `h_B` names.
 #[derive(Debug, Clone)]
-struct PendingBatch {
-    request: ParpBatchRequest,
+struct Pending {
+    envelope: Envelope,
     request_height: u64,
 }
 
@@ -228,8 +232,9 @@ struct PendingBatch {
 struct ProviderSession {
     state: ClientState,
     channel: Option<ClientChannel>,
-    pending: HashMap<H256, PendingRequest>,
-    pending_batches: HashMap<H256, PendingBatch>,
+    /// Every in-flight request on this channel, single or batched, by
+    /// request hash.
+    pending: HashMap<H256, Pending>,
     /// The provider's key, learned from the first response whose
     /// signature recovered to the channel's full node; later responses
     /// are checked against it instead of recovered. Dropped with the
@@ -563,31 +568,10 @@ impl LightClient {
         provider: Address,
         call: RpcCall,
     ) -> Result<ParpRequest, ClientError> {
-        let state = self.state_with(&provider);
-        if state != ClientState::Bonded {
-            return Err(ClientError::WrongState {
-                expected: ClientState::Bonded,
-                actual: state,
-            });
-        }
-        let (tip_number, tip_hash) = self.tip_id.ok_or(ClientError::NoHeaders)?;
-        let price = self.price_for(&provider);
-        let secret = *self.key.secret();
-        let unknown = ClientError::UnknownProvider;
-        let session = self.sessions.get_mut(&provider).ok_or(unknown(provider))?;
-        let channel = session.channel.as_ref().ok_or(unknown(provider))?;
-        let amount = channel.spent.saturating_add(price);
-        if amount > channel.budget {
-            return Err(ClientError::BudgetExhausted);
-        }
-        let request = ParpRequest::build(&secret, channel.id, tip_hash, amount, call);
-        session.pending.insert(
-            request.request_hash,
-            PendingRequest {
-                request: request.clone(),
-                request_height: tip_number,
-            },
-        );
+        let (channel_id, tip, amount) = self.next_payment(provider, Ok(1))?;
+        let request = ParpRequest::build(self.key.secret(), channel_id, tip.1, amount, call);
+        let envelope = Envelope::Single(request.clone());
+        self.hold_pending(provider, request.request_hash, envelope, tip.0);
         Ok(request)
     }
 
@@ -618,6 +602,31 @@ impl LightClient {
         provider: Address,
         calls: Vec<RpcCall>,
     ) -> Result<ParpBatchRequest, ClientError> {
+        let shape = if calls.is_empty() {
+            Err(ClientError::EmptyBatch)
+        } else if !calls.iter().all(RpcCall::batchable) {
+            Err(ClientError::UnbatchableCall)
+        } else {
+            Ok(calls.len() as u64)
+        };
+        let (channel_id, tip, amount) = self.next_payment(provider, shape)?;
+        let request = ParpBatchRequest::build(self.key.secret(), channel_id, tip.1, amount, calls);
+        let envelope = Envelope::Batch(request.clone());
+        self.hold_pending(provider, request.request_hash, envelope, tip.0);
+        Ok(request)
+    }
+
+    /// What the next request on `provider`'s channel commits to: the
+    /// channel id, the `(number, hash)` of the `h_B` it pins, and the
+    /// cumulative amount after paying for `calls` more calls. `calls`
+    /// arrives as the caller's own verdict on the request's shape, so
+    /// that a malformed batch is refused after the session-state check
+    /// and before everything else.
+    fn next_payment(
+        &self,
+        provider: Address,
+        calls: Result<u64, ClientError>,
+    ) -> Result<(u64, (u64, H256), U256), ClientError> {
         let state = self.state_with(&provider);
         if state != ClientState::Bonded {
             return Err(ClientError::WrongState {
@@ -625,32 +634,28 @@ impl LightClient {
                 actual: state,
             });
         }
-        if calls.is_empty() {
-            return Err(ClientError::EmptyBatch);
-        }
-        if !calls.iter().all(RpcCall::batchable) {
-            return Err(ClientError::UnbatchableCall);
-        }
-        let (tip_number, tip_hash) = self.tip_id.ok_or(ClientError::NoHeaders)?;
-        let price = self.price_for(&provider);
-        let secret = *self.key.secret();
-        let unknown = ClientError::UnknownProvider;
-        let session = self.sessions.get_mut(&provider).ok_or(unknown(provider))?;
-        let channel = session.channel.as_ref().ok_or(unknown(provider))?;
-        let batch_price = price * U256::from(calls.len() as u64);
-        let amount = channel.spent.saturating_add(batch_price);
+        let calls = calls?;
+        let tip = self.tip_id.ok_or(ClientError::NoHeaders)?;
+        let channel = self
+            .channel_with(&provider)
+            .ok_or(ClientError::UnknownProvider(provider))?;
+        let price = self.price_for(&provider) * U256::from(calls);
+        let amount = channel.spent.saturating_add(price);
         if amount > channel.budget {
             return Err(ClientError::BudgetExhausted);
         }
-        let request = ParpBatchRequest::build(&secret, channel.id, tip_hash, amount, calls);
-        session.pending_batches.insert(
-            request.request_hash,
-            PendingBatch {
-                request: request.clone(),
-                request_height: tip_number,
-            },
-        );
-        Ok(request)
+        Ok((channel.id, tip, amount))
+    }
+
+    /// Files a just-signed request as in flight on `provider`'s channel.
+    fn hold_pending(&mut self, provider: Address, hash: H256, envelope: Envelope, height: u64) {
+        if let Some(session) = self.sessions.get_mut(&provider) {
+            let pending = Pending {
+                envelope,
+                request_height: height,
+            };
+            session.pending.insert(hash, pending);
+        }
     }
 
     /// Verifies a batched response against its pending request and
@@ -694,11 +699,13 @@ impl LightClient {
         response: &ParpBatchResponse,
         scope: Option<Address>,
     ) -> Result<ProcessBatchOutcome, ClientError> {
-        let (provider, pending) = self
-            .take_pending_batch(&response.request_hash, scope)
-            .ok_or(ClientError::UnknownResponse)?;
+        let is_batch = |envelope: &Envelope| matches!(envelope, Envelope::Batch(_));
+        let (provider, pending) = self.take_pending(&response.request_hash, scope, is_batch)?;
+        let Envelope::Batch(request) = pending.envelope else {
+            return Err(ClientError::UnknownResponse);
+        };
         let (classification, learned) = classify_batch_paired(
-            &pending.request,
+            &request,
             response,
             self.provider_peer(&provider)?,
             pending.request_height,
@@ -707,77 +714,60 @@ impl LightClient {
         self.keep_provider_key(provider, learned);
         // The node holds σ_a either way: count the payment committed
         // (defensively on invalid/fraudulent outcomes, as with singles).
-        self.commit_payment(provider, pending.request.amount);
+        self.commit_payment(provider, request.amount);
         let first_fraud = classification.first_fraud();
         let all_valid = classification.all_valid();
-        match classification {
-            BatchClassification::Invalid(reason) => Ok(ProcessBatchOutcome::Invalid(reason)),
+        let (fraud, items) = match classification {
+            BatchClassification::Invalid(reason) => {
+                return Ok(ProcessBatchOutcome::Invalid(reason));
+            }
             BatchClassification::BatchFraud { verdict } => {
-                let headers = self.evidence_headers(response);
-                let items = vec![Classification::Fraudulent(verdict); pending.request.calls.len()];
-                Ok(ProcessBatchOutcome::Fraud {
-                    evidence: Box::new(BatchFraudEvidence {
-                        request: pending.request,
-                        response: response.clone(),
-                        headers,
-                        verdict,
-                        item: None,
-                    }),
-                    items,
-                })
+                let items = vec![Classification::Fraudulent(verdict); request.calls.len()];
+                (Some((verdict, None)), items)
             }
             BatchClassification::Items(items) => {
-                if let Some((index, verdict)) = first_fraud {
-                    let headers = self.evidence_headers(response);
-                    Ok(ProcessBatchOutcome::Fraud {
-                        evidence: Box::new(BatchFraudEvidence {
-                            request: pending.request,
-                            response: response.clone(),
-                            headers,
-                            verdict,
-                            item: Some(index),
-                        }),
-                        items,
-                    })
-                } else {
-                    // Items carry only Valid/Fraudulent verdicts; with no
-                    // fraud found, the batch is fully valid.
-                    debug_assert!(all_valid, "non-fraud items must all be valid");
-                    self.valid_responses += items.len() as u64;
-                    let proven = pending
-                        .request
-                        .calls
-                        .iter()
-                        .zip(response.item_proofs.iter())
-                        .map(|(call, item_proof)| match call.proof_kind() {
-                            parp_contracts::ProofKind::State => true,
-                            // Inclusion items are proven unless the node
-                            // answered "not found" (empty, unproven).
-                            parp_contracts::ProofKind::Transaction
-                            | parp_contracts::ProofKind::Receipt => !item_proof.is_empty(),
-                            parp_contracts::ProofKind::None => false,
-                        })
-                        .collect();
-                    Ok(ProcessBatchOutcome::Valid {
-                        results: response.results.clone(),
-                        proven,
-                    })
-                }
+                let fraud = first_fraud.map(|(index, verdict)| (verdict, Some(index)));
+                (fraud, items)
             }
+        };
+        if let Some((verdict, item)) = fraud {
+            let evidence = BatchFraudEvidence {
+                headers: self.evidence_headers(response),
+                request,
+                response: response.clone(),
+                verdict,
+                item,
+            };
+            return Ok(ProcessBatchOutcome::Fraud {
+                evidence: Box::new(evidence),
+                items,
+            });
         }
+        // Items carry only Valid/Fraudulent verdicts; with no fraud
+        // found, the batch is fully valid.
+        debug_assert!(all_valid, "non-fraud items must all be valid");
+        self.valid_responses += items.len() as u64;
+        let proven = request
+            .calls
+            .iter()
+            .zip(response.item_proofs.iter())
+            .map(|(call, item_proof)| match call.proof_kind() {
+                parp_contracts::ProofKind::State => true,
+                // Inclusion items are proven unless the node
+                // answered "not found" (empty, unproven).
+                parp_contracts::ProofKind::Transaction | parp_contracts::ProofKind::Receipt => {
+                    !item_proof.is_empty()
+                }
+                parp_contracts::ProofKind::None => false,
+            })
+            .collect();
+        Ok(ProcessBatchOutcome::Valid {
+            results: response.results.clone(),
+            proven,
+        })
     }
 
-    /// Removes the pending single request matching `hash` from whichever
-    /// session holds it (the hash pairing is provider-agnostic: hashes
-    /// are unforgeable). When the echoed hash matches nothing —
-    /// a corrupted echo — falls back to transport-level pairing, but
-    /// **only within one session**: the `scope` provider's when given
-    /// (the connection the response arrived over), else the sole
-    /// session when the client has exactly one (the original
-    /// single-channel behaviour). The fallback never crosses sessions —
-    /// a garbage response from one provider must not consume, and
-    /// condemn, another provider's in-flight request.
-    /// Drops a pending single-call entry for `provider` without
+    /// Drops a pending entry of either wire shape for `provider` without
     /// processing any response — the simulator's hook for a request or
     /// response lost in transit (drop, crash, timeout). The channel's
     /// `spent` is untouched: it only advances when a response is
@@ -789,50 +779,60 @@ impl LightClient {
         }
     }
 
-    /// Batch analogue of [`Self::forget_pending`].
+    /// [`Self::forget_pending`] under its batch-side name: one pending
+    /// store holds both shapes, so the two are the same operation.
     pub fn forget_pending_batch(&mut self, provider: Address, hash: &H256) {
-        if let Some(session) = self.sessions.get_mut(&provider) {
-            session.pending_batches.remove(hash);
-        }
+        self.forget_pending(provider, hash);
     }
 
+    /// Number of requests in flight on `provider`'s channel, single and
+    /// batched together.
+    pub fn pending_with(&self, provider: &Address) -> usize {
+        self.sessions.get(provider).map_or(0, |s| s.pending.len())
+    }
+
+    /// Removes the pending request of the asked wire shape (`of_kind`)
+    /// matching `hash` from whichever session holds it (the hash pairing
+    /// is provider-agnostic: hashes are unforgeable). When the echoed
+    /// hash matches nothing — a corrupted echo — falls back to
+    /// transport-level pairing, but **only within one session**: the
+    /// `scope` provider's when given (the connection the response
+    /// arrived over), else the sole session when the client has exactly
+    /// one (the original single-channel behaviour), and only when that
+    /// session has exactly one request of that shape in flight. The
+    /// fallback never crosses sessions — a garbage response from one
+    /// provider must not consume, and condemn, another provider's
+    /// in-flight request — and never crosses shapes: a batch response
+    /// cannot consume a single request's entry, nor the reverse.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::UnknownResponse`] when nothing pairs.
     fn take_pending(
         &mut self,
         hash: &H256,
         scope: Option<Address>,
-    ) -> Option<(Address, PendingRequest)> {
+        of_kind: fn(&Envelope) -> bool,
+    ) -> Result<(Address, Pending), ClientError> {
         for (provider, session) in self.sessions.iter_mut() {
-            if let Some(pending) = session.pending.remove(hash) {
-                return Some((*provider, pending));
+            if let Entry::Occupied(entry) = session.pending.entry(*hash) {
+                if of_kind(&entry.get().envelope) {
+                    return Ok((*provider, entry.remove()));
+                }
             }
         }
-        let (provider, session) = self.fallback_session(scope)?;
-        if session.pending.len() == 1 {
-            let key = *session.pending.keys().next().expect("len checked");
-            let pending = session.pending.remove(&key).expect("key just read");
-            return Some((provider, pending));
-        }
-        None
-    }
-
-    /// Batch analogue of [`LightClient::take_pending`].
-    fn take_pending_batch(
-        &mut self,
-        hash: &H256,
-        scope: Option<Address>,
-    ) -> Option<(Address, PendingBatch)> {
-        for (provider, session) in self.sessions.iter_mut() {
-            if let Some(pending) = session.pending_batches.remove(hash) {
-                return Some((*provider, pending));
-            }
-        }
-        let (provider, session) = self.fallback_session(scope)?;
-        if session.pending_batches.len() == 1 {
-            let key = *session.pending_batches.keys().next().expect("len checked");
-            let pending = session.pending_batches.remove(&key).expect("key just read");
-            return Some((provider, pending));
-        }
-        None
+        let unknown = ClientError::UnknownResponse;
+        let (provider, session) = self.fallback_session(scope).ok_or(unknown.clone())?;
+        let mut in_flight = session
+            .pending
+            .iter()
+            .filter(|(_, p)| of_kind(&p.envelope))
+            .map(|(hash, _)| *hash);
+        let (Some(sole), None) = (in_flight.next(), in_flight.next()) else {
+            return Err(unknown);
+        };
+        let pending = session.pending.remove(&sole);
+        pending.map(|p| (provider, p)).ok_or(unknown)
     }
 
     /// The one session corrupted-echo pairing may fall back to: the
@@ -975,46 +975,30 @@ impl LightClient {
     ) -> Vec<Result<ProcessOutcome, ClientError>> {
         // Phase 1 (sequential, &mut self): pair each response with its
         // pending request, scoped to the connection it arrived over.
-        let paired: Vec<Result<(Address, PendingRequest), ClientError>> = legs
+        let paired: Vec<_> = legs
             .iter()
-            .map(|(provider, response)| {
-                let (provider, pending) = self
-                    .take_pending(&response.request_hash, Some(*provider))
-                    .ok_or(ClientError::UnknownResponse)?;
-                self.provider_peer(&provider)?;
-                Ok((provider, pending))
-            })
+            .map(|(provider, response)| self.take_single(&response.request_hash, Some(*provider)))
             .collect();
-        // Phase 2 (parallel, &self): classify every paired exchange
-        // (phase 1 checked that each paired provider resolves).
-        let work: Vec<(Peer<'_>, &PendingRequest, &ParpResponse)> = paired
-            .iter()
-            .zip(legs.iter())
-            .filter_map(|(paired, (_, response))| {
-                let (provider, pending) = paired.as_ref().ok()?;
-                Some((self.provider_peer(provider).ok()?, pending, response))
-            })
-            .collect();
-        let mut classifications = parp_crypto::par_map(&work, |(full_node, pending, response)| {
-            classify_paired(
-                &pending.request,
-                response,
-                *full_node,
-                pending.request_height,
-                |n| self.headers.get(&n).cloned(),
-            )
-        })
-        .into_iter();
+        // Phase 2 (parallel, &self): classify every paired exchange.
+        let work: Vec<_> = paired.iter().zip(legs).collect();
+        let classified = parp_crypto::par_map(&work, |(paired, (_, response))| {
+            let (provider, request, height) = paired.as_ref().map_err(ClientError::clone)?;
+            let peer = self.provider_peer(provider)?;
+            let header_for = |n| self.headers.get(&n).cloned();
+            let classified = classify_paired(request, response, peer, *height, header_for);
+            Ok::<_, ClientError>(classified)
+        });
         // Phase 3 (sequential, &mut self): apply ledger updates and
         // build outcomes in leg order.
         paired
             .into_iter()
-            .zip(legs.iter())
-            .map(|(paired, (_, response))| {
-                let (provider, pending) = paired?;
-                let (classification, learned) = classifications.next().expect("one per paired leg");
+            .zip(classified)
+            .zip(legs)
+            .map(|((paired, classified), (_, response))| {
+                let (provider, request, _) = paired?;
+                let (classification, learned) = classified?;
                 self.keep_provider_key(provider, learned);
-                Ok(self.apply_classification(provider, pending, response, classification))
+                Ok(self.apply_classification(provider, request, response, classification))
             })
             .collect()
     }
@@ -1025,37 +1009,32 @@ impl LightClient {
     fn apply_classification(
         &mut self,
         provider: Address,
-        pending: PendingRequest,
+        request: ParpRequest,
         response: &ParpResponse,
         classification: Classification,
     ) -> ProcessOutcome {
+        // The node holds σ_a whatever the verdict: on an invalid or
+        // fraudulent response it cannot redeem the payment without
+        // returning a verifiable one, but the client still counts it
+        // spent defensively (and terminates per §V-D).
+        self.commit_payment(provider, request.amount);
         match classification {
             Classification::Valid => {
-                let proven = !response.proof.is_empty();
                 self.valid_responses += 1;
-                self.commit_payment(provider, pending.request.amount);
                 ProcessOutcome::Valid {
                     result: response.result.clone(),
-                    proven,
+                    proven: !response.proof.is_empty(),
                 }
             }
-            Classification::Invalid(reason) => {
-                // Keep the pending payment un-committed; the node cannot
-                // redeem it without returning a verifiable response, but
-                // the client still counts it spent defensively (the node
-                // holds σ_a). Terminate per §V-D.
-                self.commit_payment(provider, pending.request.amount);
-                ProcessOutcome::Invalid(reason)
-            }
+            Classification::Invalid(reason) => ProcessOutcome::Invalid(reason),
             Classification::Fraudulent(verdict) => {
-                self.commit_payment(provider, pending.request.amount);
                 let header = self
                     .headers
                     .get(&response.block_number)
                     .cloned()
                     .expect("classification used this header");
                 ProcessOutcome::Fraud(Box::new(FraudEvidence {
-                    request: pending.request,
+                    request,
                     response: response.clone(),
                     header,
                     verdict,
@@ -1064,27 +1043,37 @@ impl LightClient {
         }
     }
 
+    /// Pairs a single response's echoed hash with its pending request;
+    /// when the echo is corrupted but exactly one single request is in
+    /// flight on the response's connection, transport-level pairing
+    /// still identifies it (and the §V-D hash check will flag the
+    /// response). Returns the session's provider, the request, and the
+    /// height of the block its `h_B` names.
+    fn take_single(
+        &mut self,
+        hash: &H256,
+        scope: Option<Address>,
+    ) -> Result<(Address, ParpRequest, u64), ClientError> {
+        let is_single = |envelope: &Envelope| matches!(envelope, Envelope::Single(_));
+        let (provider, pending) = self.take_pending(hash, scope, is_single)?;
+        let Envelope::Single(request) = pending.envelope else {
+            return Err(ClientError::UnknownResponse);
+        };
+        Ok((provider, request, pending.request_height))
+    }
+
     fn process_response_scoped(
         &mut self,
         response: &ParpResponse,
         scope: Option<Address>,
     ) -> Result<ProcessOutcome, ClientError> {
-        // Pair by the echoed hash; when the echo is corrupted but exactly
-        // one request is in flight on the response's connection,
-        // transport-level pairing still identifies it (and the §V-D hash
-        // check will flag the response).
-        let (provider, pending) = self
-            .take_pending(&response.request_hash, scope)
-            .ok_or(ClientError::UnknownResponse)?;
-        let (classification, learned) = classify_paired(
-            &pending.request,
-            response,
-            self.provider_peer(&provider)?,
-            pending.request_height,
-            |n| self.headers.get(&n).cloned(),
-        );
+        let (provider, request, height) = self.take_single(&response.request_hash, scope)?;
+        let peer = self.provider_peer(&provider)?;
+        let header_for = |n| self.headers.get(&n).cloned();
+        let (classification, learned) =
+            classify_paired(&request, response, peer, height, header_for);
         self.keep_provider_key(provider, learned);
-        Ok(self.apply_classification(provider, pending, response, classification))
+        Ok(self.apply_classification(provider, request, response, classification))
     }
 
     /// Interprets a liveness-probe result: `true` when the channel is

@@ -80,6 +80,7 @@
 #![forbid(unsafe_code)]
 
 mod client;
+mod exchange;
 mod misbehavior;
 mod peer;
 mod server;
@@ -90,6 +91,7 @@ pub use client::{
     BatchFraudEvidence, ClientChannel, ClientError, ClientState, FraudEvidence, LightClient,
     ProcessBatchOutcome, ProcessOutcome,
 };
+pub use exchange::Exchange;
 pub use misbehavior::Misbehavior;
 pub use server::{
     FullNode, HandshakeConfirm, ProofEngine, SequentialEngine, ServeError, ServedChannel,

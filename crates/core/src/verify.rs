@@ -58,6 +58,17 @@ pub enum Classification {
     Fraudulent(FraudVerdict),
 }
 
+impl Classification {
+    /// The verdict as a trace / telemetry label.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Classification::Valid => "valid",
+            Classification::Invalid(_) => "invalid",
+            Classification::Fraudulent(_) => "fraud",
+        }
+    }
+}
+
 /// Runs the full §V-D check sequence on a response.
 ///
 /// * `full_node` — the address the serving node authenticated with when

@@ -182,6 +182,47 @@ impl From<SimError> for GatewayError {
     }
 }
 
+/// What a settled exchange amounts to for routing, whatever it carried:
+/// a verified payload, grounds to walk away, or a fraud verdict with the
+/// relay that submits its evidence on-chain through a given witness.
+enum Verdict<T> {
+    Valid(T),
+    Invalid(InvalidReason),
+    Fraud(FraudVerdict, FraudRelay),
+}
+
+type FraudRelay = Box<dyn FnOnce(&mut Network, NodeId) -> Result<bool, SimError>>;
+
+/// One exchange as the routing loop sees it: its verdict and stats, or
+/// the transport's error.
+type Exchanged<T> = Result<(Verdict<T>, parp_net::ExchangeStats), SimError>;
+
+impl From<ProcessOutcome> for Verdict<Vec<u8>> {
+    fn from(outcome: ProcessOutcome) -> Self {
+        match outcome {
+            ProcessOutcome::Valid { result, .. } => Verdict::Valid(result),
+            ProcessOutcome::Invalid(reason) => Verdict::Invalid(reason),
+            ProcessOutcome::Fraud(evidence) => Verdict::Fraud(
+                evidence.verdict,
+                Box::new(move |net, witness| net.report_fraud(&evidence, witness)),
+            ),
+        }
+    }
+}
+
+impl From<ProcessBatchOutcome> for Verdict<Vec<Vec<u8>>> {
+    fn from(outcome: ProcessBatchOutcome) -> Self {
+        match outcome {
+            ProcessBatchOutcome::Valid { results, .. } => Verdict::Valid(results),
+            ProcessBatchOutcome::Invalid(reason) => Verdict::Invalid(reason),
+            ProcessBatchOutcome::Fraud { evidence, .. } => Verdict::Fraud(
+                evidence.verdict,
+                Box::new(move |net, witness| net.report_batch_fraud(&evidence, witness)),
+            ),
+        }
+    }
+}
+
 /// A multi-provider PARP client: one [`LightClient`] identity, one
 /// payment channel per provider, and the orchestration the paper's
 /// accountability model makes safe — spread traffic over permissionless
@@ -480,6 +521,25 @@ impl Gateway {
         Ok(node_id)
     }
 
+    /// [`Gateway::ensure_connected`], with a provider that cannot be
+    /// connected scored as a refusal and failed over (`Ok(None)`); only
+    /// a chain error is unrecoverable.
+    fn connect_or_fail_over(
+        &mut self,
+        net: &mut Network,
+        provider: Address,
+    ) -> Result<Option<NodeId>, GatewayError> {
+        match self.ensure_connected(net, provider) {
+            Ok(node_id) => Ok(Some(node_id)),
+            Err(e @ SimError::Chain(_)) => Err(GatewayError::Sim(e)),
+            Err(_) => {
+                self.reputation.entry(provider).record_refused();
+                self.fail_over(net, provider, FailoverCause::Refused, false);
+                Ok(None)
+            }
+        }
+    }
+
     /// Snapshots the provider's committed amount — the current
     /// channel's `spent` on top of the epoch base accumulated from
     /// abandoned channels — into the monotonicity trail (called after
@@ -630,38 +690,11 @@ impl Gateway {
 
     /// Submits fraud evidence through a witness node (§IV-F). Returns
     /// whether the proof was accepted on-chain.
-    fn submit_fraud(
-        &mut self,
-        net: &mut Network,
-        offender: Address,
-        evidence: &parp_core::FraudEvidence,
-    ) -> bool {
+    fn submit_fraud(&mut self, net: &mut Network, offender: Address, relay: FraudRelay) -> bool {
         let Some(witness_id) = self.pick_witness(net, offender) else {
             return false;
         };
-        let accepted = net.report_fraud(evidence, witness_id).unwrap_or(false);
-        if accepted {
-            self.fraud_proofs_submitted += 1;
-            if let Some(metrics) = &self.metrics {
-                metrics.fraud_proofs.inc();
-            }
-        }
-        accepted
-    }
-
-    /// Batch analogue of [`Gateway::submit_fraud`].
-    fn submit_batch_fraud(
-        &mut self,
-        net: &mut Network,
-        offender: Address,
-        evidence: &parp_core::BatchFraudEvidence,
-    ) -> bool {
-        let Some(witness_id) = self.pick_witness(net, offender) else {
-            return false;
-        };
-        let accepted = net
-            .report_batch_fraud(evidence, witness_id)
-            .unwrap_or(false);
+        let accepted = relay(net, witness_id).unwrap_or(false);
         if accepted {
             self.fraud_proofs_submitted += 1;
             if let Some(metrics) = &self.metrics {
@@ -690,7 +723,7 @@ impl Gateway {
     /// One verified read through the marketplace: select, exchange,
     /// and — on fraud, an invalid response, or a refusal — slash (when
     /// provable), fail over, and replay until a provider answers
-    /// honestly.
+    /// honestly. A timed-out provider is first retried in place.
     ///
     /// # Errors
     ///
@@ -699,6 +732,52 @@ impl Gateway {
     /// ([`GatewayError::Deadline`] — bounded, never a hang). Never
     /// returns an unverified payload.
     pub fn call(&mut self, net: &mut Network, call: RpcCall) -> Result<Vec<u8>, GatewayError> {
+        let max_retries = self.config.resilience.max_retries;
+        self.route(net, 1, max_retries, Self::single(&call))
+    }
+
+    /// One single-call exchange of `call` against a connected node, read
+    /// as a routing verdict.
+    fn single(
+        call: &RpcCall,
+    ) -> impl FnMut(&mut Network, &mut LightClient, NodeId) -> Exchanged<Vec<u8>> + '_ {
+        move |net, client, node_id| {
+            let (outcome, stats) = net.parp_call(client, node_id, call.clone())?;
+            Ok((outcome.into(), stats))
+        }
+    }
+
+    /// One verified **batched** read (the whole batch is the unit of
+    /// failover: a batch with even one provably bad item is replayed in
+    /// full against the next provider, so no partial results leak; a
+    /// timed-out batch fails over at once).
+    ///
+    /// # Errors
+    ///
+    /// As [`Gateway::call`].
+    pub fn call_batch(
+        &mut self,
+        net: &mut Network,
+        calls: Vec<RpcCall>,
+    ) -> Result<Vec<Vec<u8>>, GatewayError> {
+        // No in-place retries: one batch already burns a whole serve
+        // quantum, so a timed-out batch goes to the next provider.
+        self.route(net, calls.len() as u64, 0, |net, client, node_id| {
+            let (outcome, stats) = net.parp_batch_call(client, node_id, calls.clone())?;
+            Ok((outcome.into(), stats))
+        })
+    }
+
+    /// The failover loop behind [`Gateway::call`] and
+    /// [`Gateway::call_batch`]: select → connect → exchange → score,
+    /// again with the next provider until one answers honestly.
+    fn route<T>(
+        &mut self,
+        net: &mut Network,
+        calls: u64,
+        max_retries: u32,
+        mut exchange: impl FnMut(&mut Network, &mut LightClient, NodeId) -> Exchanged<T>,
+    ) -> Result<T, GatewayError> {
         self.refresh(net);
         let budget_us = self.config.resilience.call_budget_us;
         let started_us = net.now_us();
@@ -717,51 +796,42 @@ impl Gateway {
             if attempts > 0 {
                 self.trace_reselect(net.now_us(), provider);
             }
-            match self.try_call_on(net, provider, call.clone()) {
-                Ok(Some(result)) => return Ok(result),
-                Ok(None) => {
-                    attempts += 1;
-                    if attempts > self.config.max_failovers {
-                        return Err(GatewayError::FailoversExhausted { attempts });
-                    }
-                    self.refresh(net);
-                }
-                Err(e) => return Err(e),
+            if let Some(payload) = self.try_on(net, provider, calls, max_retries, &mut exchange)? {
+                return Ok(payload);
             }
+            attempts += 1;
+            if attempts > self.config.max_failovers {
+                return Err(GatewayError::FailoversExhausted { attempts });
+            }
+            self.refresh(net);
         }
     }
 
     /// One exchange attempt against `provider`. `Ok(Some)` is a
     /// verified result; `Ok(None)` means the provider failed and a
     /// failover was recorded; `Err` is unrecoverable.
-    fn try_call_on(
+    fn try_on<T>(
         &mut self,
         net: &mut Network,
         provider: Address,
-        call: RpcCall,
-    ) -> Result<Option<Vec<u8>>, GatewayError> {
-        if let Err(e) = self.ensure_connected(net, provider) {
-            match e {
-                SimError::Chain(_) => return Err(GatewayError::Sim(e)),
-                _ => {
-                    self.reputation.entry(provider).record_refused();
-                    self.fail_over(net, provider, FailoverCause::Refused, false);
-                    return Ok(None);
-                }
-            }
-        }
-        let node_id = net.node_id_by_address(&provider).expect("connected");
+        calls: u64,
+        max_retries: u32,
+        exchange: &mut impl FnMut(&mut Network, &mut LightClient, NodeId) -> Exchanged<T>,
+    ) -> Result<Option<T>, GatewayError> {
+        let Some(node_id) = self.connect_or_fail_over(net, provider)? else {
+            return Ok(None);
+        };
         let resilience = self.config.resilience;
         let started_us = net.now_us();
         let mut attempt = 0u32;
         loop {
-            let outcome = net.parp_call(&mut self.client, node_id, call.clone());
+            let outcome = exchange(net, &mut self.client, node_id);
             // Retry the same provider in place on a timeout: the
             // channel is intact and the lost exchange was never paid
             // for, so the retry re-presents the same cumulative amount
             // after a deterministic jittered backoff.
             if matches!(outcome, Err(SimError::Timeout { .. }))
-                && attempt < resilience.max_retries
+                && attempt < max_retries
                 && net.now_us().saturating_sub(started_us) < resilience.call_budget_us
             {
                 attempt += 1;
@@ -772,186 +842,74 @@ impl Gateway {
                 }
                 continue;
             }
-            return self.apply_exchange_outcome(net, provider, outcome);
+            return self.score(net, provider, calls, outcome);
         }
     }
 
-    /// Scores one finished exchange and routes its failure modes —
-    /// shared by the serial failover path ([`Gateway::try_call_on`]) and
-    /// the parallel quorum fan-out, so both react identically to fraud,
-    /// invalid responses and refusals.
-    fn apply_exchange_outcome(
+    /// Scores one finished exchange and routes its failure modes — the
+    /// one place the gateway reacts to fraud, invalid responses,
+    /// refusals and transport faults, whatever the exchange carried and
+    /// whether it flew alone or as a quorum leg.
+    fn score<T>(
         &mut self,
         net: &mut Network,
         provider: Address,
-        outcome: Result<(ProcessOutcome, parp_net::ExchangeStats), SimError>,
-    ) -> Result<Option<Vec<u8>>, GatewayError> {
-        match outcome {
-            Ok((ProcessOutcome::Valid { result, .. }, stats)) => {
+        calls: u64,
+        outcome: Exchanged<T>,
+    ) -> Result<Option<T>, GatewayError> {
+        let (cause, slashed) = match outcome {
+            Ok((Verdict::Valid(payload), stats)) => {
                 self.reputation
                     .entry(provider)
                     .record_valid(stats.latency_us());
                 self.breaker_success(provider);
                 self.note_payment(provider);
                 self.mark_recovered(net.now_us());
-                self.calls_served += 1;
+                self.calls_served += calls;
                 if let Some(metrics) = &self.metrics {
-                    metrics.calls_served.inc();
+                    metrics.calls_served.add(calls);
                 }
-                Ok(Some(result))
+                return Ok(Some(payload));
             }
             // A bad response signature on an otherwise well-formed
             // frame is transport corruption, not a §V-D lie — a
             // re-signing provider would produce a *valid* signature
             // over wrong data and land in the fraud arm instead.
-            Ok((ProcessOutcome::Invalid(InvalidReason::ResponseSignatureInvalid), _)) => {
+            Ok((Verdict::Invalid(InvalidReason::ResponseSignatureInvalid), _)) => {
                 self.reputation.entry(provider).record_corruption();
                 self.breaker_failure(provider, net.now_us());
                 self.note_payment(provider);
-                self.fail_over(net, provider, FailoverCause::Corruption, false);
-                Ok(None)
+                (FailoverCause::Corruption, false)
             }
-            Ok((ProcessOutcome::Invalid(reason), _)) => {
+            Ok((Verdict::Invalid(reason), _)) => {
                 self.reputation.entry(provider).record_invalid();
                 self.note_payment(provider);
-                self.fail_over(net, provider, FailoverCause::Invalid(reason), false);
-                Ok(None)
+                (FailoverCause::Invalid(reason), false)
             }
-            Ok((ProcessOutcome::Fraud(evidence), _)) => {
+            Ok((Verdict::Fraud(verdict, relay), _)) => {
                 self.reputation.entry(provider).record_fraud();
                 self.note_payment(provider);
-                let verdict = evidence.verdict;
-                let slashed = self.submit_fraud(net, provider, &evidence);
-                self.fail_over(net, provider, FailoverCause::Fraud(verdict), slashed);
-                Ok(None)
+                let slashed = self.submit_fraud(net, provider, relay);
+                (FailoverCause::Fraud(verdict), slashed)
             }
             Err(SimError::Serve(_)) | Err(SimError::Client(_)) => {
                 self.reputation.entry(provider).record_refused();
-                self.fail_over(net, provider, FailoverCause::Refused, false);
-                Ok(None)
+                (FailoverCause::Refused, false)
             }
             Err(SimError::Timeout { .. }) => {
                 self.reputation.entry(provider).record_timeout();
                 self.breaker_failure(provider, net.now_us());
-                self.fail_over(net, provider, FailoverCause::Timeout, false);
-                Ok(None)
+                (FailoverCause::Timeout, false)
             }
             Err(SimError::Crashed(_)) => {
                 self.reputation.entry(provider).record_refused();
                 self.breaker_failure(provider, net.now_us());
-                self.fail_over(net, provider, FailoverCause::Crash, false);
-                Ok(None)
+                (FailoverCause::Crash, false)
             }
-            Err(e) => Err(GatewayError::Sim(e)),
-        }
-    }
-
-    /// One verified **batched** read (the whole batch is the unit of
-    /// failover: a batch with even one provably bad item is replayed in
-    /// full against the next provider, so no partial results leak).
-    ///
-    /// # Errors
-    ///
-    /// As [`Gateway::call`].
-    pub fn call_batch(
-        &mut self,
-        net: &mut Network,
-        calls: Vec<RpcCall>,
-    ) -> Result<Vec<Vec<u8>>, GatewayError> {
-        self.refresh(net);
-        let budget_us = self.config.resilience.call_budget_us;
-        let started_us = net.now_us();
-        let mut attempts = 0usize;
-        loop {
-            let waited_us = net.now_us().saturating_sub(started_us);
-            if waited_us > budget_us {
-                return Err(GatewayError::Deadline {
-                    budget_us,
-                    waited_us,
-                });
-            }
-            let provider = self
-                .select_excluding(&HashSet::new(), net.now_us())
-                .ok_or(GatewayError::NoProviders)?;
-            if attempts > 0 {
-                self.trace_reselect(net.now_us(), provider);
-            }
-            if let Err(e) = self.ensure_connected(net, provider) {
-                match e {
-                    SimError::Chain(_) => return Err(GatewayError::Sim(e)),
-                    _ => {
-                        self.reputation.entry(provider).record_refused();
-                        self.fail_over(net, provider, FailoverCause::Refused, false);
-                        attempts += 1;
-                        if attempts > self.config.max_failovers {
-                            return Err(GatewayError::FailoversExhausted { attempts });
-                        }
-                        self.refresh(net);
-                        continue;
-                    }
-                }
-            }
-            let node_id = net.node_id_by_address(&provider).expect("connected");
-            let outcome = net.parp_batch_call(&mut self.client, node_id, calls.clone());
-            match outcome {
-                Ok((ProcessBatchOutcome::Valid { results, .. }, stats)) => {
-                    self.reputation
-                        .entry(provider)
-                        .record_valid(stats.latency_us());
-                    self.breaker_success(provider);
-                    self.note_payment(provider);
-                    self.mark_recovered(net.now_us());
-                    self.calls_served += results.len() as u64;
-                    if let Some(metrics) = &self.metrics {
-                        metrics.calls_served.add(results.len() as u64);
-                    }
-                    return Ok(results);
-                }
-                // Corrupted batch frame: transport damage, not a lie
-                // (same reasoning as the single-call path).
-                Ok((ProcessBatchOutcome::Invalid(InvalidReason::ResponseSignatureInvalid), _)) => {
-                    self.reputation.entry(provider).record_corruption();
-                    self.breaker_failure(provider, net.now_us());
-                    self.note_payment(provider);
-                    self.fail_over(net, provider, FailoverCause::Corruption, false);
-                }
-                Ok((ProcessBatchOutcome::Invalid(reason), _)) => {
-                    self.reputation.entry(provider).record_invalid();
-                    self.note_payment(provider);
-                    self.fail_over(net, provider, FailoverCause::Invalid(reason), false);
-                }
-                Ok((ProcessBatchOutcome::Fraud { evidence, .. }, _)) => {
-                    self.reputation.entry(provider).record_fraud();
-                    self.note_payment(provider);
-                    let verdict = evidence.verdict;
-                    let slashed = self.submit_batch_fraud(net, provider, &evidence);
-                    self.fail_over(net, provider, FailoverCause::Fraud(verdict), slashed);
-                }
-                Err(SimError::Serve(_)) | Err(SimError::Client(_)) => {
-                    self.reputation.entry(provider).record_refused();
-                    self.fail_over(net, provider, FailoverCause::Refused, false);
-                }
-                // Batches fail over rather than retry in place: one
-                // batch already burns a whole serve quantum, so the
-                // in-place backoff loop is reserved for single calls.
-                Err(SimError::Timeout { .. }) => {
-                    self.reputation.entry(provider).record_timeout();
-                    self.breaker_failure(provider, net.now_us());
-                    self.fail_over(net, provider, FailoverCause::Timeout, false);
-                }
-                Err(SimError::Crashed(_)) => {
-                    self.reputation.entry(provider).record_refused();
-                    self.breaker_failure(provider, net.now_us());
-                    self.fail_over(net, provider, FailoverCause::Crash, false);
-                }
-                Err(e) => return Err(GatewayError::Sim(e)),
-            }
-            attempts += 1;
-            if attempts > self.config.max_failovers {
-                return Err(GatewayError::FailoversExhausted { attempts });
-            }
-            self.refresh(net);
-        }
+            Err(e) => return Err(GatewayError::Sim(e)),
+        };
+        self.fail_over(net, provider, cause, slashed);
+        Ok(None)
     }
 
     /// Fans one call out to `k` distinct providers and cross-checks the
@@ -988,20 +946,15 @@ impl Gateway {
         self.refresh(net);
         // Phase 1: draft k distinct providers, channels open, before any
         // exchange (keeps all legs at one chain height).
-        let mut drafted: Vec<Address> = Vec::new();
+        let mut drafted: Vec<(Address, NodeId)> = Vec::new();
         let mut skip: HashSet<Address> = HashSet::new();
         while drafted.len() < k {
             let Some(provider) = self.select_excluding(&skip, net.now_us()) else {
                 break;
             };
             skip.insert(provider);
-            match self.ensure_connected(net, provider) {
-                Ok(_) => drafted.push(provider),
-                Err(SimError::Chain(e)) => return Err(GatewayError::Sim(SimError::Chain(e))),
-                Err(_) => {
-                    self.reputation.entry(provider).record_refused();
-                    self.fail_over(net, provider, FailoverCause::Refused, false);
-                }
+            if let Some(node_id) = self.connect_or_fail_over(net, provider)? {
+                drafted.push((provider, node_id));
             }
         }
         let resilience = self.config.resilience;
@@ -1026,19 +979,14 @@ impl Gateway {
         // go through the normal failover scoring, then replacements are
         // drafted serially.
         let mut votes: Vec<QuorumVote> = Vec::new();
-        let legs: Vec<(parp_net::NodeId, RpcCall)> = drafted
+        let legs: Vec<(NodeId, RpcCall)> = drafted
             .iter()
-            .map(|provider| {
-                let node_id = net
-                    .node_id_by_address(provider)
-                    .expect("drafted ⇒ connected");
-                (node_id, call.clone())
-            })
+            .map(|(_, node_id)| (*node_id, call.clone()))
             .collect();
         let outcomes = net.parp_call_fanout(&mut self.client, &legs);
         let mut any_leg_failed = false;
         let mut hedge_due = false;
-        for (provider, outcome) in drafted.iter().zip(outcomes) {
+        for ((provider, _), outcome) in drafted.iter().zip(outcomes) {
             // Hedge trigger is judged against the EWMA *before* this
             // leg's own sample lands in it.
             let prior_ewma = self.reputation.get(provider).latency_ewma_us;
@@ -1051,7 +999,8 @@ impl Gateway {
             } else {
                 hedge_due = true;
             }
-            match self.apply_exchange_outcome(net, *provider, outcome)? {
+            let outcome = outcome.map(|(outcome, stats)| (outcome.into(), stats));
+            match self.score(net, *provider, 1, outcome)? {
                 Some(result) => votes.push(QuorumVote {
                     provider: *provider,
                     result,
@@ -1062,33 +1011,24 @@ impl Gateway {
         if any_leg_failed {
             self.refresh(net);
         }
-        // Hedged (k+1)-th leg: when a leg failed or straggled past its
-        // EWMA-derived threshold, fire one spare leg from a fresh
-        // provider rather than waiting on replacements alone.
-        if hedge_due {
-            if let Some(provider) = self.select_excluding(&skip, net.now_us()) {
-                skip.insert(provider);
+        // Spare legs, one after the other from fresh providers: first
+        // the hedged (k+1)-th leg, fired when a leg failed or straggled
+        // past its EWMA-derived threshold rather than waiting on
+        // replacements alone; then replacements (rare path) until the
+        // quorum fills or candidates run out.
+        let mut single = Self::single(&call);
+        while hedge_due || votes.len() < k {
+            let Some(provider) = self.select_excluding(&skip, net.now_us()) else {
+                break;
+            };
+            skip.insert(provider);
+            if std::mem::take(&mut hedge_due) {
                 self.hedges_fired += 1;
                 if let Some(metrics) = &self.metrics {
                     metrics.hedges.inc();
                 }
-                match self.try_call_on(net, provider, call.clone())? {
-                    Some(result) => votes.push(QuorumVote { provider, result }),
-                    None => self.refresh(net),
-                }
             }
-        }
-        // Replacement legs (rare path): serial failover until the
-        // quorum fills or candidates run out.
-        while votes.len() < k {
-            let provider = match self.select_excluding(&skip, net.now_us()) {
-                Some(p) => {
-                    skip.insert(p);
-                    p
-                }
-                None => break,
-            };
-            match self.try_call_on(net, provider, call.clone())? {
+            match self.try_on(net, provider, 1, resilience.max_retries, &mut single)? {
                 Some(result) => votes.push(QuorumVote { provider, result }),
                 None => self.refresh(net),
             }

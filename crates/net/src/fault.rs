@@ -11,12 +11,12 @@
 //! RNG, byte-identical schedules across same-seed runs.
 //!
 //! Faults are *transport-level*: a corrupted response is flipped
-//! **without** re-signing, so the client's §V-D signature check
-//! classifies it (as [`parp_core::InvalidReason::ResponseSignatureInvalid`])
-//! instead of accepting it — distinct from [`parp_core::Misbehavior`],
-//! which models a lying provider that signs what it sends.
+//! ([`parp_core::Exchange::corrupt`]) **without** re-signing, so the
+//! client's §V-D signature check classifies it (as
+//! [`parp_core::InvalidReason::ResponseSignatureInvalid`]) instead of
+//! accepting it — distinct from [`parp_core::Misbehavior`], which models
+//! a lying provider that signs what it sends.
 
-use parp_contracts::{ParpBatchResponse, ParpResponse};
 use parp_telemetry::{Counter, Telemetry};
 
 /// The splitmix64 mixer: a full-period, statistically solid 64-bit
@@ -307,34 +307,6 @@ impl FaultPlane {
     }
 }
 
-/// Flips one deterministic byte of a served single response **without**
-/// re-signing it — transport corruption. The recomputed `h_res` no
-/// longer matches `σ_res`, so the client classifies the response
-/// `Invalid(ResponseSignatureInvalid)` instead of trusting it.
-pub fn corrupt_response(response: &mut ParpResponse, nudge: u64) {
-    if response.result.is_empty() {
-        // Nothing to flip in the payload: grow it, which breaks the
-        // hash just the same.
-        response.result.push(0xA5);
-    } else {
-        let index = (nudge as usize) % response.result.len();
-        response.result[index] ^= 0x40;
-    }
-}
-
-/// Batch analogue of [`corrupt_response`]: flips one byte of one item's
-/// result, condemning the whole signed envelope.
-pub fn corrupt_batch_response(response: &mut ParpBatchResponse, nudge: u64) {
-    if let Some(result) = response.results.iter_mut().find(|r| !r.is_empty()) {
-        let index = (nudge as usize) % result.len();
-        result[index] ^= 0x40;
-    } else if let Some(first) = response.results.first_mut() {
-        first.push(0xA5);
-    } else {
-        response.results.push(vec![0xA5]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,25 +446,5 @@ mod tests {
             .count();
         // 10% ± 1.5 points over 10k draws.
         assert!((850..=1_150).contains(&drops), "drops = {drops}");
-    }
-
-    #[test]
-    fn corruption_breaks_payload_not_length_invariants() {
-        let secret = parp_crypto::SecretKey::from_seed(b"fault-test");
-        let sig = parp_crypto::sign(&secret, &parp_primitives::H256::ZERO);
-        let mut response = ParpResponse {
-            channel_id: 0,
-            block_number: 1,
-            amount: parp_primitives::U256::from(10u64),
-            result: vec![1, 2, 3],
-            proof: Vec::new(),
-            request_hash: parp_primitives::H256::ZERO,
-            request_sig: sig,
-            response_sig: sig,
-        };
-        let original = response.result.clone();
-        corrupt_response(&mut response, 5);
-        assert_ne!(response.result, original);
-        assert_eq!(response.result.len(), original.len());
     }
 }

@@ -1,14 +1,37 @@
 //! The deterministic in-process PARP network: one simulated chain, any
 //! number of PARP full nodes and light clients, and a logical clock.
+//!
+//! Every exchange — `parp_call`, `parp_batch_call`, each leg of
+//! `parp_call_fanout` — is one **leg** driven through four phases, each
+//! written once and generic over what the leg carries
+//! ([`parp_core::Exchange`]):
+//!
+//! 1. **open** — look the node up, count the call, draw the leg's fault,
+//!    refuse on a crash or a partition, build and sign the request
+//!    (Fig. 5 step A);
+//! 2. **serve** — run the node (steps B + C), unless the request was
+//!    lost on the way;
+//! 3. **deliver** — corrupt, delay or lose the response, price the round
+//!    trip, enforce the deadline, and have the client forget whatever
+//!    did not arrive;
+//! 4. **settle** — pair, classify and commit the payment (step D), then
+//!    trace the leg and score the provider.
+//!
+//! A leg that ends early burns simulated time all the same (a refused
+//! connection one hop, a timeout the whole deadline); the clock advances
+//! by the leg, or by the slowest of concurrent legs.
 
-use crate::fault::{self, FaultConfig, FaultEffect, FaultPlane};
+use crate::fault::{FaultConfig, FaultEffect, FaultPlane};
 use crate::latency::LatencyModel;
 use parp_chain::{BlockError, Blockchain, SignedTransaction};
 use parp_contracts::{
     build_module_call, ModuleCall, ParpBatchRequest, ParpBatchResponse, ParpExecutor, ParpRequest,
     ParpResponse, RpcCall, DISPUTE_WINDOW_BLOCKS,
 };
-use parp_core::{FullNode, LightClient, ProcessBatchOutcome, ProcessOutcome, ServeError};
+use parp_core::{
+    Classification, Exchange, FullNode, LightClient, ProcessBatchOutcome, ProcessOutcome,
+    ServeError,
+};
 use parp_crypto::SecretKey;
 use parp_primitives::{Address, U256};
 use parp_runtime::Runtime;
@@ -354,6 +377,70 @@ struct NetMetrics {
     exchange_latency_us: Arc<Histogram>,
 }
 
+/// How a leg flies — the two things the entry points do differently,
+/// as data the phase functions read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Flight {
+    /// The only leg of its exchange (`parp_call`, `parp_batch_call`): a
+    /// drop loses the **request**, so the node never serves, and the
+    /// leg traces its whole request lifecycle.
+    Alone,
+    /// One of several legs sharing a window (`parp_call_fanout`): a drop
+    /// loses the **response** after the node served, and the leg traces
+    /// as one `quorum_leg` span.
+    Concurrent,
+}
+
+/// One exchange with one provider, between `open` and `settle`.
+struct Leg<E: Exchange> {
+    node_id: NodeId,
+    provider: Address,
+    /// The fault drawn for this leg when it opened.
+    effect: FaultEffect,
+    flight: Flight,
+    /// RPC calls the request carries.
+    calls: u64,
+    request: E::Request,
+}
+
+impl<E: Exchange> Leg<E> {
+    /// Whether the request gets as far as the node.
+    fn reaches_node(&self) -> bool {
+        !(self.effect == FaultEffect::Drop && self.flight == Flight::Alone)
+    }
+}
+
+/// A leg that ended early: the error, and the simulated time it burned
+/// before ending.
+type Burn = (SimError, u64);
+
+/// What the serve phase hands to delivery: the response and the measured
+/// serve time, `None` when the request never reached the node, or the
+/// node's refusal.
+type Served<E> = Result<Option<(<E as Exchange>::Response, u64)>, SimError>;
+
+/// The network method that runs a node on one kind of request.
+type ServeFn<E> = fn(
+    &mut Network,
+    NodeId,
+    &<E as Exchange>::Request,
+) -> Result<<E as Exchange>::Response, SimError>;
+
+/// Splits a finished leg into what the caller sees and the simulated
+/// time the leg burned: its round trip when it flew one, else what it
+/// cost to fail.
+fn finish<T>(
+    flown: Result<(T, ExchangeStats), Burn>,
+) -> (Result<(T, ExchangeStats), SimError>, u64) {
+    match flown {
+        Ok((outcome, stats)) => {
+            let burned_us = stats.latency_us();
+            (Ok((outcome, stats)), burned_us)
+        }
+        Err((error, burned_us)) => (Err(error), burned_us),
+    }
+}
+
 /// Funds given to every spawned identity: 100 tokens.
 fn spawn_grant() -> U256 {
     U256::from(100u64) * U256::from(1_000_000_000_000_000_000u64)
@@ -442,13 +529,6 @@ impl Network {
         match &mut self.fault {
             Some(plane) => plane.decide(node_index),
             None => FaultEffect::None,
-        }
-    }
-
-    /// Counts one deadline burn on the plane's timeout counter.
-    fn note_timeout(&self) {
-        if let Some(plane) = &self.fault {
-            plane.note_timeout();
         }
     }
 
@@ -897,119 +977,7 @@ impl Network {
         node_id: NodeId,
         call: RpcCall,
     ) -> Result<(ProcessOutcome, ExchangeStats), SimError> {
-        let provider = self
-            .nodes
-            .get(node_id.0)
-            .ok_or(SimError::UnknownNode(node_id.0))?
-            .address();
-        let deadline_us = self.call_deadline_us;
-        let effect = self.fault_effect(node_id.0);
-        match effect {
-            FaultEffect::Crashed => {
-                // Connection refused: the attempt costs one one-way hop.
-                self.provider_entry(provider).record_call();
-                self.note_provider_failure(provider);
-                self.clock_us += self.latency.one_way_us(64);
-                return Err(SimError::Crashed(provider));
-            }
-            FaultEffect::Partitioned => {
-                // The request vanishes into the partition; the caller's
-                // deadline burns in full.
-                self.provider_entry(provider).record_call();
-                self.note_provider_failure(provider);
-                self.note_timeout();
-                self.clock_us += deadline_us;
-                return Err(SimError::Timeout {
-                    provider,
-                    deadline_us,
-                });
-            }
-            _ => {}
-        }
-        let request = client.request_from(provider, call)?;
-        self.provider_entry(provider).record_call();
-        if effect == FaultEffect::Drop {
-            // The signed request was lost in flight: the client waits
-            // out its deadline, then abandons the in-flight entry (a
-            // retry re-presents the same cumulative amount, so dropping
-            // it is payment-safe).
-            client.forget_pending(provider, &request.request_hash);
-            self.note_provider_failure(provider);
-            self.note_timeout();
-            self.clock_us += deadline_us;
-            return Err(SimError::Timeout {
-                provider,
-                deadline_us,
-            });
-        }
-        let trace_t0 = self.exchange_trace_start();
-        let started = self.time.start();
-        let mut response = match self.serve(node_id, &request) {
-            Ok(response) => response,
-            Err(e) => {
-                self.note_provider_failure(provider);
-                return Err(e);
-            }
-        };
-        let server_us = self.time.elapsed_us(started);
-        if let FaultEffect::Corrupt { nudge } = effect {
-            // Transport corruption: flip a payload byte *without*
-            // re-signing — the §V-D signature check downstream refuses
-            // the response instead of surfacing the flipped bytes.
-            fault::corrupt_response(&mut response, nudge);
-        }
-        // The client needs the header for res.m_B before verifying.
-        self.sync_client(client);
-        let request_bytes = request.encode().len();
-        let response_bytes = response.encode().len();
-        let proof_bytes = response.proof_bytes();
-        let mut network_us = self.latency.round_trip_us(request_bytes, response_bytes);
-        if let FaultEffect::Delay { added_us } = effect {
-            network_us += added_us;
-        }
-        if network_us + server_us > deadline_us {
-            // The response exists but arrived past the deadline: the
-            // client already walked away, so it is never classified.
-            client.forget_pending(provider, &request.request_hash);
-            self.note_provider_failure(provider);
-            self.note_timeout();
-            self.clock_us += deadline_us;
-            return Err(SimError::Timeout {
-                provider,
-                deadline_us,
-            });
-        }
-        self.clock_us += network_us + server_us;
-        // Scoped processing: the response arrived over this provider's
-        // connection, so pairing can never cross onto another channel.
-        let outcome = match client.process_response_from(provider, &response) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                self.note_provider_failure(provider);
-                return Err(e.into());
-            }
-        };
-        let stats = ExchangeStats {
-            request_bytes,
-            response_bytes,
-            proof_bytes,
-            server_us,
-            network_us,
-        };
-        if let Some(t0) = trace_t0 {
-            let verdict = match &outcome {
-                ProcessOutcome::Valid { .. } => "valid",
-                ProcessOutcome::Invalid(_) => "invalid",
-                ProcessOutcome::Fraud(_) => "fraud",
-            };
-            self.trace_exchange(node_id, "call", 1, t0, &stats, verdict);
-        }
-        self.note_provider_outcome(
-            provider,
-            matches!(outcome, ProcessOutcome::Valid { .. }),
-            stats.latency_us(),
-        );
-        Ok((outcome, stats))
+        self.exchange(client, node_id, call, Self::serve)
     }
 
     /// One full **batched** PARP exchange: the client signs N calls once,
@@ -1026,418 +994,317 @@ impl Network {
         node_id: NodeId,
         calls: Vec<RpcCall>,
     ) -> Result<(ProcessBatchOutcome, ExchangeStats), SimError> {
-        let provider = self
-            .nodes
-            .get(node_id.0)
-            .ok_or(SimError::UnknownNode(node_id.0))?
-            .address();
-        let batch_size = calls.len() as u64;
-        let deadline_us = self.call_deadline_us;
-        let effect = self.fault_effect(node_id.0);
-        match effect {
-            FaultEffect::Crashed => {
-                self.provider_entry(provider).record_call();
-                self.note_provider_failure(provider);
-                self.clock_us += self.latency.one_way_us(64);
-                return Err(SimError::Crashed(provider));
-            }
-            FaultEffect::Partitioned => {
-                self.provider_entry(provider).record_call();
-                self.note_provider_failure(provider);
-                self.note_timeout();
-                self.clock_us += deadline_us;
-                return Err(SimError::Timeout {
-                    provider,
-                    deadline_us,
-                });
-            }
-            _ => {}
-        }
-        let request = client.request_batch_from(provider, calls)?;
-        self.provider_entry(provider).record_call();
-        if effect == FaultEffect::Drop {
-            client.forget_pending_batch(provider, &request.request_hash);
-            self.note_provider_failure(provider);
-            self.note_timeout();
-            self.clock_us += deadline_us;
-            return Err(SimError::Timeout {
-                provider,
-                deadline_us,
-            });
-        }
+        self.exchange(client, node_id, calls, Self::serve_batch)
+    }
+
+    /// One leg flying alone through the four phases; the clock advances
+    /// by what the leg burned.
+    fn exchange<E: Exchange>(
+        &mut self,
+        client: &mut LightClient,
+        node_id: NodeId,
+        payload: E,
+        serve: ServeFn<E>,
+    ) -> Result<(E::Outcome, ExchangeStats), SimError> {
         let trace_t0 = self.exchange_trace_start();
-        let started = self.time.start();
-        let mut response = match self.serve_batch(node_id, &request) {
-            Ok(response) => response,
-            Err(e) => {
-                self.note_provider_failure(provider);
-                return Err(e);
-            }
-        };
-        let server_us = self.time.elapsed_us(started);
-        if let FaultEffect::Corrupt { nudge } = effect {
-            fault::corrupt_batch_response(&mut response, nudge);
-        }
-        // The client needs the header for res.m_B before verifying.
-        self.sync_client(client);
-        let request_bytes = request.encode().len();
-        let response_bytes = response.encode().len();
-        let proof_bytes = response.proof_bytes();
-        let mut network_us = self.latency.round_trip_us(request_bytes, response_bytes);
-        if let FaultEffect::Delay { added_us } = effect {
-            network_us += added_us;
-        }
-        if network_us + server_us > deadline_us {
-            client.forget_pending_batch(provider, &request.request_hash);
-            self.note_provider_failure(provider);
-            self.note_timeout();
-            self.clock_us += deadline_us;
-            return Err(SimError::Timeout {
-                provider,
-                deadline_us,
-            });
-        }
-        self.clock_us += network_us + server_us;
-        // Scoped processing: the response arrived over this provider's
-        // connection, so pairing can never cross onto another channel.
-        let outcome = match client.process_batch_response_from(provider, &response) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                self.note_provider_failure(provider);
-                return Err(e.into());
-            }
-        };
-        let stats = ExchangeStats {
-            request_bytes,
-            response_bytes,
-            proof_bytes,
-            server_us,
-            network_us,
-        };
-        if let Some(t0) = trace_t0 {
-            let verdict = match &outcome {
-                ProcessBatchOutcome::Valid { .. } => "valid",
-                ProcessBatchOutcome::Invalid(_) => "invalid",
-                ProcessBatchOutcome::Fraud { .. } => "fraud",
-            };
-            self.trace_exchange(node_id, "batch", batch_size, t0, &stats, verdict);
-        }
-        self.note_provider_outcome(
-            provider,
-            matches!(outcome, ProcessBatchOutcome::Valid { .. }),
-            stats.latency_us(),
-        );
-        Ok((outcome, stats))
+        let opened = self.open(client, node_id, payload, Flight::Alone);
+        let flown = opened.and_then(|leg| {
+            let served = self.serve_leg(&leg, serve);
+            let (response, stats) = self.deliver(client, &leg, served)?;
+            let classified = E::settle(client, leg.provider, &response);
+            self.settle(&leg, stats, classified, trace_t0)
+        });
+        let (result, burned_us) = finish(flown);
+        self.clock_us += burned_us;
+        result
     }
 
     /// Fans one call out to several providers **concurrently** — the
     /// transport the gateway's quorum reads ride on. Per-leg results
     /// come back in input order.
     ///
-    /// Request building and ledger updates stay sequential (they mutate
-    /// the client), but the expensive middle of every leg runs in
-    /// parallel via [`parp_crypto::par_map`] — at most one worker per
-    /// core, the calling thread among them:
+    /// Every leg goes through the same four phases as a leg flying alone
+    /// (see the module docs), one phase at a time across all legs. What
+    /// differs is how a leg flies — a drop loses the *response*, after
+    /// the node served, and a leg traces as one `quorum_leg` span — plus
+    /// two things this function owns:
     ///
-    /// * **serving** — each leg's node runs request verification (two
-    ///   signature checks against the channel's learned client key, or
-    ///   two recoveries on the channel's first request), proof
-    ///   generation off the shared `Arc`-frozen head trie, and response
-    ///   signing over one `&Blockchain` (read-only calls never mutate
-    ///   the chain, enforced by [`FullNode::handle_read_request`]);
-    /// * **client verification** — the §V-D classifications fan out via
-    ///   [`LightClient::process_responses_from`].
-    ///
-    /// Because the legs fly concurrently, the simulated clock advances
-    /// by the **slowest leg**, not the sum — the serial fan-out this
-    /// replaces paid the sum.
-    ///
-    /// Falls back to sequential serving (still with parallel
-    /// classification) when a leg carries a write, node ids repeat, or
-    /// the host has a single core. Responses are byte-identical either
-    /// way.
+    /// * **concurrency** — the legs' nodes serve in parallel (one worker
+    ///   per core at most; one after the other when a leg carries a
+    ///   write, node ids repeat, or the host has a single core) and the
+    ///   §V-D classifications fan out via
+    ///   [`LightClient::process_responses_from`]; opening, delivery and
+    ///   scoring stay sequential, in leg order, so fault draws and
+    ///   ledgers do not depend on worker interleaving;
+    /// * **the clock rule** — the legs share one window, so the
+    ///   simulated clock advances by the **slowest leg**, not the sum.
     pub fn parp_call_fanout(
         &mut self,
         client: &mut LightClient,
         legs: &[(NodeId, RpcCall)],
     ) -> Vec<Result<(ProcessOutcome, ExchangeStats), SimError>> {
         let trace_t0 = self.exchange_trace_start();
-        let deadline_us = self.call_deadline_us;
-        // Phase 1 (sequential): draw each leg's fault, then build one
-        // signed request per deliverable leg. Fault decisions are drawn
-        // here, before any parallel serving, so the schedule stays
-        // deterministic whatever the worker interleaving.
-        let mut requests: Vec<Result<(Address, ParpRequest), SimError>> = Vec::new();
-        let mut effects: Vec<FaultEffect> = Vec::with_capacity(legs.len());
-        // Makespan charged by legs that never produce stats: crashed
-        // and timed-out legs still occupy the concurrent window.
-        let mut error_makespan_us = 0u64;
-        for (node_id, call) in legs {
-            let provider = match self.nodes.get(node_id.0) {
-                None => {
-                    effects.push(FaultEffect::None);
-                    requests.push(Err(SimError::UnknownNode(node_id.0)));
-                    continue;
-                }
-                Some(node) => node.address(),
-            };
+        let opened: Vec<Result<Leg<RpcCall>, Burn>> = legs
+            .iter()
+            .map(|(node_id, call)| self.open(client, *node_id, call.clone(), Flight::Concurrent))
+            .collect();
+        let served = self.serve_all(&opened);
+        let mut responses = Vec::new();
+        let delivered: Vec<Result<(Leg<RpcCall>, ExchangeStats), Burn>> = opened
+            .into_iter()
+            .zip(served)
+            .map(|(opened, served)| {
+                let leg = opened?;
+                let (response, stats) = self.deliver(client, &leg, served)?;
+                responses.push((leg.provider, response));
+                Ok((leg, stats))
+            })
+            .collect();
+        let mut classified = client.process_responses_from(&responses).into_iter();
+        let (results, burned_us): (Vec<_>, Vec<u64>) = delivered
+            .into_iter()
+            .map(|delivered| {
+                finish(delivered.and_then(|(leg, stats)| {
+                    let unpaired = Err(parp_core::ClientError::UnknownResponse);
+                    let classified = classified.next().unwrap_or(unpaired);
+                    self.settle(&leg, stats, classified, trace_t0)
+                }))
+            })
+            .unzip();
+        self.clock_us += burned_us.into_iter().max().unwrap_or(0);
+        results
+    }
+
+    /// Phase 1, **open**: looks the node up, draws the leg's fault,
+    /// refuses on a crash or a partition, and has the client build and
+    /// sign the request. The call is counted against the provider once
+    /// it is known to go out (or to be refused by a fault); a client
+    /// refusal scores nothing.
+    fn open<E: Exchange>(
+        &mut self,
+        client: &mut LightClient,
+        node_id: NodeId,
+        payload: E,
+        flight: Flight,
+    ) -> Result<Leg<E>, Burn> {
+        let node = self.nodes.get(node_id.0);
+        let provider = node.ok_or((SimError::UnknownNode(node_id.0), 0))?.address();
+        let effect = self.fault_effect(node_id.0);
+        let refused = match effect {
+            // Connection refused: the attempt costs one one-way hop.
+            FaultEffect::Crashed => {
+                Some((SimError::Crashed(provider), self.latency.one_way_us(64)))
+            }
+            // The request vanishes into the partition; the caller's
+            // deadline burns in full.
+            FaultEffect::Partitioned => Some(self.timed_out(provider)),
+            _ => None,
+        };
+        if let Some(burn) = refused {
             self.provider_entry(provider).record_call();
-            let effect = self.fault_effect(node_id.0);
-            let built = match effect {
-                FaultEffect::Crashed => {
-                    self.note_provider_failure(provider);
-                    error_makespan_us = error_makespan_us.max(self.latency.one_way_us(64));
-                    Err(SimError::Crashed(provider))
-                }
-                FaultEffect::Partitioned => {
-                    self.note_provider_failure(provider);
-                    self.note_timeout();
-                    error_makespan_us = error_makespan_us.max(deadline_us);
-                    Err(SimError::Timeout {
-                        provider,
-                        deadline_us,
-                    })
-                }
-                _ => match client.request_from(provider, call.clone()) {
-                    Ok(request) => Ok((provider, request)),
-                    Err(e) => {
-                        self.note_provider_failure(provider);
-                        Err(e.into())
-                    }
-                },
-            };
-            effects.push(effect);
-            requests.push(built);
+            self.note_provider_failure(provider);
+            return Err(burn);
         }
-        // Phase 2: serve every buildable leg.
-        let parallel_ok = legs.len() > 1
+        let calls = payload.calls();
+        let request = payload.build(client, provider).map_err(|e| (e.into(), 0))?;
+        self.provider_entry(provider).record_call();
+        Ok(Leg {
+            node_id,
+            provider,
+            effect,
+            flight,
+            calls,
+            request,
+        })
+    }
+
+    /// Phase 2, **serve**: runs the node and measures it — unless the
+    /// request never reached it.
+    fn serve_leg<E: Exchange>(&mut self, leg: &Leg<E>, serve: ServeFn<E>) -> Served<E> {
+        if !leg.reaches_node() {
+            return Ok(None);
+        }
+        let started = self.time.start();
+        let response = serve(self, leg.node_id, &leg.request)?;
+        Ok(Some((response, self.time.elapsed_us(started))))
+    }
+
+    /// Phase 2 for a fan-out: serves every opened leg, one [`Served`] per
+    /// input leg. The legs' nodes run in parallel via
+    /// [`parp_crypto::par_map`] — at most one worker per core, the
+    /// calling thread among them — each doing request verification,
+    /// proof generation off the shared `Arc`-frozen head trie, and
+    /// response signing over one `&Blockchain` (read-only calls never
+    /// mutate the chain, enforced by [`FullNode::handle_read_request`]).
+    ///
+    /// Falls back to serving the legs one after the other when a leg
+    /// carries a write, node ids repeat, or the host has a single core.
+    /// Responses are byte-identical either way.
+    fn serve_all(&mut self, opened: &[Result<Leg<RpcCall>, Burn>]) -> Vec<Served<RpcCall>> {
+        let legs: Vec<&Leg<RpcCall>> = opened.iter().flatten().collect();
+        let parallel_ok = opened.len() > 1
             && legs
                 .iter()
-                .all(|(_, call)| !matches!(call, RpcCall::SendRawTransaction { .. }))
+                .all(|leg| !matches!(leg.request.call, RpcCall::SendRawTransaction { .. }))
             && {
                 let mut seen = HashSet::new();
-                legs.iter().all(|(id, _)| seen.insert(id.0))
+                legs.iter().all(|leg| seen.insert(leg.node_id.0))
             }
             && std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
                 > 1;
-        let mut served: Vec<Option<(ParpResponse, u64)>> = vec![None; legs.len()];
-        let mut serve_errors: Vec<Option<SimError>> = Vec::new();
-        serve_errors.resize_with(legs.len(), || None);
-        if parallel_ok {
-            // One &mut moment resolves the shared frozen head trie; the
-            // legs then serve over disjoint &mut nodes + one &chain.
-            let engine = self.runtime.read_engine(&self.chain);
-            let clock = self.time.clone();
-            let Network {
-                nodes,
-                chain,
-                executor,
-                ..
-            } = &mut *self;
-            let chain = &*chain;
-            let executor = &*executor;
-            let mut node_slots: HashMap<usize, &mut FullNode> = nodes
-                .iter_mut()
-                .enumerate()
-                .filter(|(i, _)| legs.iter().any(|(id, _)| id.0 == *i))
-                .collect();
-            // Each leg owns its node and its engine handle; the mutex
-            // only carries that `&mut` across `par_map`'s shared slice
-            // (never contended: one leg, one worker).
-            let jobs: Vec<_> = requests
+        if !parallel_ok {
+            return opened
                 .iter()
-                .enumerate()
-                .filter_map(|(index, built)| {
-                    let (_, request) = built.as_ref().ok()?;
-                    let node = node_slots.remove(&legs[index].0 .0)?;
-                    Some((index, request, Mutex::new((node, engine.clone()))))
+                .map(|opened| match opened {
+                    Ok(leg) => self.serve_leg(leg, Self::serve),
+                    Err(_) => Ok(None),
                 })
                 .collect();
-            // One worker per core at most, the calling thread among
-            // them: a spawn costs about what a leg does.
-            let worker_results = parp_crypto::par_map(&jobs, |(index, request, leg)| {
-                let mut leg = leg.lock().unwrap_or_else(PoisonError::into_inner);
-                let (node, engine) = &mut *leg;
-                let started = clock.start();
-                let outcome = node.handle_read_request(request, chain, executor, engine);
-                (*index, outcome, clock.elapsed_us(started))
-            });
-            for (index, outcome, server_us) in worker_results {
-                match outcome {
-                    Ok(response) => served[index] = Some((response, server_us)),
-                    Err(e) => serve_errors[index] = Some(SimError::Serve(e)),
-                }
-            }
-        } else {
-            for (index, built) in requests.iter().enumerate() {
-                let Ok((_, request)) = built else { continue };
-                let started = self.time.start();
-                match self.serve(legs[index].0, request) {
-                    Ok(response) => {
-                        served[index] = Some((response, self.time.elapsed_us(started)));
-                    }
-                    Err(e) => serve_errors[index] = Some(e),
-                }
-            }
         }
-        // Phase 2.5 (sequential): response-path transport faults.
-        // Corruption flips a byte in the served frame (signature left
-        // untouched, so classification catches it); drops and
-        // over-deadline delays turn served legs into timeouts before
-        // the client ever sees the response, so its payment ledger is
-        // never advanced by them.
-        let mut extra_delay_us: Vec<u64> = vec![0; legs.len()];
-        for index in 0..legs.len() {
-            let Ok((provider, request)) = &requests[index] else {
-                continue;
-            };
-            let provider = *provider;
-            let effect = effects[index];
-            match effect {
-                FaultEffect::Corrupt { nudge } => {
-                    if let Some((response, _)) = served[index].as_mut() {
-                        fault::corrupt_response(response, nudge);
-                    }
-                }
-                FaultEffect::Drop => {
-                    if served[index].take().is_some() {
-                        client.forget_pending(provider, &request.request_hash);
-                        self.note_timeout();
-                        error_makespan_us = error_makespan_us.max(deadline_us);
-                        serve_errors[index] = Some(SimError::Timeout {
-                            provider,
-                            deadline_us,
-                        });
-                    }
-                }
-                FaultEffect::None | FaultEffect::Delay { .. } => {
-                    let added_us = match effect {
-                        FaultEffect::Delay { added_us } => added_us,
-                        _ => 0,
-                    };
-                    if let Some((response, server_us)) = served[index].as_ref() {
-                        let request_bytes = request.encode().len();
-                        let response_bytes = response.encode().len();
-                        let leg_us = self.latency.round_trip_us(request_bytes, response_bytes)
-                            + added_us
-                            + server_us;
-                        if leg_us > deadline_us {
-                            served[index] = None;
-                            client.forget_pending(provider, &request.request_hash);
-                            self.note_timeout();
-                            error_makespan_us = error_makespan_us.max(deadline_us);
-                            serve_errors[index] = Some(SimError::Timeout {
-                                provider,
-                                deadline_us,
-                            });
-                        } else {
-                            extra_delay_us[index] = added_us;
-                        }
-                    }
-                }
-                FaultEffect::Crashed | FaultEffect::Partitioned => {}
-            }
-        }
-        // The client needs headers for every served res.m_B.
-        self.sync_client(client);
-        // Phase 3: classify all served legs in parallel (one clone per
-        // served response — it moves into the processing list).
-        let process_legs: Vec<(Address, ParpResponse)> = requests
+        // One &mut moment resolves the shared frozen head trie; the
+        // legs then serve over disjoint &mut nodes + one &chain.
+        let engine = self.runtime.read_engine(&self.chain);
+        let clock = self.time.clone();
+        let Network {
+            nodes,
+            chain,
+            executor,
+            ..
+        } = &mut *self;
+        let (chain, executor) = (&*chain, &*executor);
+        let mut node_slots: HashMap<usize, &mut FullNode> = nodes.iter_mut().enumerate().collect();
+        // Each leg owns its node and its engine handle; the mutex
+        // only carries that `&mut` across `par_map`'s shared slice
+        // (never contended: one leg, one worker).
+        let jobs: Vec<_> = opened
             .iter()
             .enumerate()
-            .filter_map(|(index, built)| {
-                let Ok((provider, _)) = built else {
-                    return None;
-                };
-                served[index]
-                    .as_ref()
-                    .map(|(response, _)| (*provider, response.clone()))
+            .filter_map(|(index, opened)| {
+                let leg = opened.as_ref().ok().filter(|leg| leg.reaches_node())?;
+                let node = node_slots.remove(&leg.node_id.0)?;
+                Some((index, &leg.request, Mutex::new((node, engine.clone()))))
             })
             .collect();
-        let mut outcomes = client.process_responses_from(&process_legs).into_iter();
-        // Phase 4 (sequential): stats, clock (max over concurrent legs),
-        // and per-leg results in input order.
-        let mut results: Vec<Result<(ProcessOutcome, ExchangeStats), SimError>> = Vec::new();
-        let mut slowest_leg_us = 0u64;
-        for (index, built) in requests.into_iter().enumerate() {
-            let result = match built {
-                Err(e) => Err(e),
-                Ok((provider, request)) => {
-                    if let Some(e) = serve_errors[index].take() {
-                        self.note_provider_failure(provider);
-                        Err(e)
-                    } else {
-                        let (response, server_us) = served[index].take().expect("leg served");
-                        let request_bytes = request.encode().len();
-                        let response_bytes = response.encode().len();
-                        let stats = ExchangeStats {
-                            request_bytes,
-                            response_bytes,
-                            proof_bytes: response.proof_bytes(),
-                            server_us,
-                            network_us: self.latency.round_trip_us(request_bytes, response_bytes)
-                                + extra_delay_us[index],
-                        };
-                        // Every served leg flew its round trip, whatever
-                        // the client concludes about the payload — it
-                        // counts toward the concurrent batch's makespan
-                        // (the serial path charges it too).
-                        slowest_leg_us = slowest_leg_us.max(stats.latency_us());
-                        let outcome = outcomes.next().expect("one outcome per served leg");
-                        match outcome {
-                            Err(e) => {
-                                self.note_provider_failure(provider);
-                                Err(e.into())
-                            }
-                            Ok(outcome) => {
-                                if let (Some(t0), Some(telemetry)) = (trace_t0, &self.telemetry) {
-                                    // Concurrent legs share the window
-                                    // [t0, t0 + slowest]; each leg's
-                                    // span lives on its provider track.
-                                    let verdict = match &outcome {
-                                        ProcessOutcome::Valid { .. } => "valid",
-                                        ProcessOutcome::Invalid(_) => "invalid",
-                                        ProcessOutcome::Fraud(_) => "fraud",
-                                    };
-                                    telemetry.tracer.span(
-                                        "quorum_leg",
-                                        "net",
-                                        t0,
-                                        stats.latency_us(),
-                                        legs[index].0 .0 as u32 + 1,
-                                        vec![
-                                            (
-                                                "server_us".to_string(),
-                                                ArgValue::U64(stats.server_us),
-                                            ),
-                                            (
-                                                "network_us".to_string(),
-                                                ArgValue::U64(stats.network_us),
-                                            ),
-                                            (
-                                                "verdict".to_string(),
-                                                ArgValue::Str(verdict.to_string()),
-                                            ),
-                                        ],
-                                    );
-                                }
-                                self.note_provider_outcome(
-                                    provider,
-                                    matches!(outcome, ProcessOutcome::Valid { .. }),
-                                    stats.latency_us(),
-                                );
-                                Ok((outcome, stats))
-                            }
-                        }
-                    }
-                }
-            };
-            results.push(result);
+        // One worker per core at most, the calling thread among
+        // them: a spawn costs about what a leg does.
+        let worker_results = parp_crypto::par_map(&jobs, |(index, request, slot)| {
+            let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+            let (node, engine) = &mut *slot;
+            let started = clock.start();
+            let outcome = node.handle_read_request(request, chain, executor, engine);
+            (*index, outcome, clock.elapsed_us(started))
+        });
+        let mut served: Vec<Served<RpcCall>> = opened.iter().map(|_| Ok(None)).collect();
+        for (index, outcome, server_us) in worker_results {
+            served[index] = outcome
+                .map(|response| Some((response, server_us)))
+                .map_err(SimError::Serve);
         }
-        self.clock_us += slowest_leg_us.max(error_makespan_us);
-        results
+        served
+    }
+
+    /// Phase 3, **deliver**: brings the response back to the client —
+    /// corrupted, delayed or lost as the leg's fault has it — computes
+    /// the round trip and enforces the deadline. Whatever was lost or
+    /// late is forgotten by the client (its payment ledger only moves on
+    /// a processed response) and burns the deadline.
+    fn deliver<E: Exchange>(
+        &mut self,
+        client: &mut LightClient,
+        leg: &Leg<E>,
+        served: Served<E>,
+    ) -> Result<(E::Response, ExchangeStats), Burn> {
+        let arrived = match served {
+            Ok(arrived) => arrived,
+            Err(refusal) => {
+                self.note_provider_failure(leg.provider);
+                return Err((refusal, 0));
+            }
+        };
+        if let Some((mut response, server_us)) = arrived {
+            // The one place a served response is damaged, held up
+            // (`Some(added µs)`) or lost (`None`) — "served, then lost":
+            // the node has recorded σ_a and counted the request, the
+            // client will never see the reply.
+            let added_us = match leg.effect {
+                FaultEffect::Drop => None,
+                FaultEffect::Corrupt { nudge } => {
+                    E::corrupt(&mut response, nudge);
+                    Some(0)
+                }
+                FaultEffect::Delay { added_us } => Some(added_us),
+                FaultEffect::None | FaultEffect::Crashed | FaultEffect::Partitioned => Some(0),
+            };
+            // The client needs the header for res.m_B before verifying.
+            self.sync_client(client);
+            if let Some(added_us) = added_us {
+                let (request_bytes, response_bytes, proof_bytes) =
+                    E::wire_bytes(&leg.request, &response);
+                let flight_us = self.latency.round_trip_us(request_bytes, response_bytes);
+                let stats = ExchangeStats {
+                    request_bytes,
+                    response_bytes,
+                    proof_bytes,
+                    server_us,
+                    network_us: flight_us + added_us,
+                };
+                // A response past the deadline exists, but the client
+                // already walked away, so it is never classified.
+                if stats.latency_us() <= self.call_deadline_us {
+                    return Ok((response, stats));
+                }
+            }
+        }
+        // A retry re-presents the same cumulative amount, so abandoning
+        // the in-flight entry is payment-safe.
+        client.forget_pending(leg.provider, &E::request_hash(&leg.request));
+        self.note_provider_failure(leg.provider);
+        Err(self.timed_out(leg.provider))
+    }
+
+    /// Phase 4, **settle**: takes the client's classification of the
+    /// delivered response (pairing and payment commit included), emits
+    /// the leg's trace and scores the provider. The pairing was scoped
+    /// to the provider's connection, so it can never cross onto another
+    /// channel.
+    fn settle<E: Exchange>(
+        &mut self,
+        leg: &Leg<E>,
+        stats: ExchangeStats,
+        classified: Result<E::Outcome, parp_core::ClientError>,
+        trace_t0: Option<u64>,
+    ) -> Result<(E::Outcome, ExchangeStats), Burn> {
+        // A leg that flew its round trip burned it, whatever the client
+        // concludes about the payload.
+        let outcome = match classified {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                self.note_provider_failure(leg.provider);
+                return Err((e.into(), stats.latency_us()));
+            }
+        };
+        let verdict = E::verdict(&outcome);
+        if let Some(t0) = trace_t0 {
+            self.trace_leg(leg, t0, &stats, verdict.label());
+        }
+        let valid = matches!(verdict, Classification::Valid);
+        self.note_provider_outcome(leg.provider, valid, stats.latency_us());
+        Ok((outcome, stats))
+    }
+
+    /// A deadline burn against `provider`: counts it and prices it.
+    fn timed_out(&self, provider: Address) -> Burn {
+        if let Some(plane) = &self.fault {
+            plane.note_timeout();
+        }
+        let deadline_us = self.call_deadline_us;
+        let timeout = SimError::Timeout {
+            provider,
+            deadline_us,
+        };
+        (timeout, deadline_us)
     }
 
     /// When tracing is live, drains stale stage timings (so the coming
@@ -1452,11 +1319,11 @@ impl Network {
         Some(self.clock_us)
     }
 
-    /// Emits the request-lifecycle spans of one completed exchange on
-    /// the simulated-clock timeline `[t0, t0 + network + server]` —
-    /// exactly the interval the exchange advanced `clock_us` by, so
-    /// consecutive exchanges' spans never overlap and always sort in
-    /// sim-clock order:
+    /// Emits the trace of one settled leg. A leg flying alone gets the
+    /// request-lifecycle spans on the simulated-clock timeline
+    /// `[t0, t0 + network + server]` — exactly the interval the exchange
+    /// advances `clock_us` by, so consecutive exchanges' spans never
+    /// overlap and always sort in sim-clock order:
     ///
     /// ```text
     /// client track:   sign ▸ [request_flight] ............ [response_flight] ▸ classify
@@ -1465,22 +1332,26 @@ impl Network {
     ///
     /// Stage sub-spans come from the shared [`StageRecorder`] the
     /// node stamped while serving (wall-clock µs, clamped to the
-    /// serve interval).
-    fn trace_exchange(
-        &self,
-        node_id: NodeId,
-        kind: &str,
-        calls: u64,
-        t0: u64,
-        stats: &ExchangeStats,
-        verdict: &str,
-    ) {
+    /// serve interval). Concurrent legs share the window
+    /// `[t0, t0 + slowest]`; each gets one `quorum_leg` span on its
+    /// provider track.
+    fn trace_leg<E: Exchange>(&self, leg: &Leg<E>, t0: u64, stats: &ExchangeStats, verdict: &str) {
         let Some(telemetry) = &self.telemetry else {
             return;
         };
         let tracer = &telemetry.tracer;
+        let tid = leg.node_id.0 as u32 + 1;
+        if leg.flight == Flight::Concurrent {
+            let args = vec![
+                ("server_us".to_string(), ArgValue::U64(stats.server_us)),
+                ("network_us".to_string(), ArgValue::U64(stats.network_us)),
+                ("verdict".to_string(), ArgValue::Str(verdict.to_string())),
+            ];
+            tracer.span("quorum_leg", "net", t0, stats.latency_us(), tid, args);
+            return;
+        }
         let stages = self.stages.take();
-        let tid = node_id.0 as u32 + 1;
+        let calls = leg.calls;
         let up_us = self.latency.one_way_us(stats.request_bytes);
         let down_us = stats.network_us.saturating_sub(up_us);
         let t_end = t0 + stats.network_us + stats.server_us;
@@ -1491,7 +1362,7 @@ impl Network {
             t_end - t0,
             0,
             vec![
-                ("kind".to_string(), ArgValue::Str(kind.to_string())),
+                ("kind".to_string(), ArgValue::Str(E::KIND.to_string())),
                 ("calls".to_string(), ArgValue::U64(calls)),
                 ("verdict".to_string(), ArgValue::Str(verdict.to_string())),
             ],
@@ -1692,14 +1563,7 @@ impl Network {
         evidence: &parp_core::FraudEvidence,
         witness_id: NodeId,
     ) -> Result<bool, SimError> {
-        let witness = self
-            .nodes
-            .get(witness_id.0)
-            .ok_or(SimError::UnknownNode(witness_id.0))?;
-        let witness_key = *witness.secret();
-        let witness_addr = witness.address();
-        let call = evidence.to_module_call(witness_addr);
-        self.submit_module_call(&witness_key, call, U256::ZERO)
+        self.relay_fraud_proof(witness_id, |witness| evidence.to_module_call(witness))
     }
 
     /// Relays a **batch** fraud proof through a witness node: one
@@ -1714,13 +1578,21 @@ impl Network {
         evidence: &parp_core::BatchFraudEvidence,
         witness_id: NodeId,
     ) -> Result<bool, SimError> {
+        self.relay_fraud_proof(witness_id, |witness| evidence.to_module_call(witness))
+    }
+
+    /// Has the witness submit the proof `proof_for` builds for it.
+    fn relay_fraud_proof(
+        &mut self,
+        witness_id: NodeId,
+        proof_for: impl FnOnce(Address) -> ModuleCall,
+    ) -> Result<bool, SimError> {
         let witness = self
             .nodes
             .get(witness_id.0)
             .ok_or(SimError::UnknownNode(witness_id.0))?;
         let witness_key = *witness.secret();
-        let witness_addr = witness.address();
-        let call = evidence.to_module_call(witness_addr);
+        let call = proof_for(witness.address());
         self.submit_module_call(&witness_key, call, U256::ZERO)
     }
 }

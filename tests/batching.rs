@@ -2,9 +2,9 @@
 //! calls, one deduplicated multiproof — with per-item fraud attribution
 //! and cumulative-payment monotonicity across mixed single/batch traffic.
 
-use parp_suite::contracts::{FraudVerdict, ParpBatchRequest, RpcCall};
+use parp_suite::contracts::{FraudVerdict, ParpBatchRequest, ParpResponse, RpcCall};
 use parp_suite::core::{
-    Classification, Misbehavior, ProcessBatchOutcome, ProcessOutcome, ServeError,
+    Classification, InvalidReason, Misbehavior, ProcessBatchOutcome, ProcessOutcome, ServeError,
 };
 use parp_suite::crypto::keccak256;
 use parp_suite::net::Network;
@@ -958,4 +958,91 @@ fn forged_transaction_lookup_in_batch_is_provable_fraud() {
         Classification::Fraudulent(FraudVerdict::InvalidProof)
     );
     assert_eq!(evidence.item, Some(1));
+}
+
+/// One pending store holds single and batch requests side by side; a
+/// response whose echoed hash is corrupted pairs by transport — within
+/// its own connection and its own wire shape only. With a batch *and* a
+/// single in flight on provider A and a single in flight on B, a batch
+/// response can never consume a single request's entry, nor the
+/// reverse, nor anything of B's.
+#[test]
+fn corrupted_echo_pairs_within_one_connection_and_one_wire_shape() {
+    let mut net = Network::new();
+    let node_a = net.spawn_node(b"echo-node-a", U256::from(PRICE));
+    let node_b = net.spawn_node(b"echo-node-b", U256::from(PRICE));
+    let mut client = net.spawn_client(b"echo-client", U256::from(PRICE));
+    for node in [node_a, node_b] {
+        net.connect(&mut client, node, U256::from(1_000_000u64))
+            .expect("connect");
+    }
+    let addresses = funded_addresses(&mut net, 2);
+    net.sync_client(&mut client);
+    let (a, b) = (net.node(node_a).address(), net.node(node_b).address());
+    let height = net.chain().height();
+    let secrets = [node_a, node_b].map(|node| *net.node(node).secret());
+    let tip_answer = |node: usize, request| {
+        let result = parp_suite::rlp::encode_u64(height);
+        ParpResponse::build(&secrets[node], request, height, result, Vec::new())
+    };
+
+    let single_a = client.request_from(a, RpcCall::BlockNumber).unwrap();
+    let calls: Vec<RpcCall> = addresses
+        .iter()
+        .map(|a| RpcCall::GetBalance { address: *a })
+        .collect();
+    let batch_a = client.request_batch_from(a, calls).unwrap();
+    let single_b = client.request_from(b, RpcCall::BlockNumber).unwrap();
+    assert_eq!((client.pending_with(&a), client.pending_with(&b)), (2, 1));
+    let honest_batch = net.serve_batch(node_a, &batch_a).expect("batch served");
+
+    // A single response with a garbage echo arrives over A's connection:
+    // it pairs with A's one single request — not with the batch — and
+    // the §V-D hash check refuses it.
+    let mut garbage_single = tip_answer(0, &single_a);
+    garbage_single.request_hash = keccak256(b"corrupted single echo");
+    // Unscoped, with two sessions, nothing may pair at all.
+    assert_eq!(
+        client.process_response(&garbage_single),
+        Err(parp_suite::core::ClientError::UnknownResponse)
+    );
+    assert_eq!(
+        client.process_response_from(a, &garbage_single).unwrap(),
+        ProcessOutcome::Invalid(InvalidReason::RequestHashMismatch)
+    );
+    assert_eq!((client.pending_with(&a), client.pending_with(&b)), (1, 1));
+    // Nothing single is left on A: a second garbage single pairs with
+    // nothing, and in particular not with the batch still in flight.
+    assert_eq!(
+        client.process_response_from(a, &garbage_single),
+        Err(parp_suite::core::ClientError::UnknownResponse)
+    );
+    assert_eq!(client.pending_with(&a), 1);
+
+    // A batch response echoing *B's single request's* hash arrives over
+    // A's connection: the hash names a single request on another
+    // channel, so it pairs by transport with A's one batch — B's entry
+    // survives — and is refused.
+    let mut garbage_batch = honest_batch.clone();
+    garbage_batch.request_hash = single_b.request_hash;
+    assert_eq!(
+        client
+            .process_batch_response_from(a, &garbage_batch)
+            .unwrap(),
+        ProcessBatchOutcome::Invalid(InvalidReason::RequestHashMismatch)
+    );
+    assert_eq!((client.pending_with(&a), client.pending_with(&b)), (0, 1));
+    // With no batch left anywhere, a batch response over B's connection
+    // pairs with nothing — B's single request is not a candidate.
+    assert_eq!(
+        client.process_batch_response_from(b, &garbage_batch),
+        Err(parp_suite::core::ClientError::UnknownResponse)
+    );
+    // B's request is still alive and pairs with its honest response.
+    let honest_b = tip_answer(1, &single_b);
+    assert!(matches!(
+        client.process_response_from(b, &honest_b).unwrap(),
+        ProcessOutcome::Valid { .. }
+    ));
+    assert_eq!(client.pending_with(&b), 0);
 }

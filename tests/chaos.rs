@@ -6,11 +6,15 @@
 //! fault class must surface as its own `FailoverCause`.
 
 use parp_suite::contracts::RpcCall;
+use parp_suite::core::{InvalidReason, LightClient, ProcessBatchOutcome, ProcessOutcome};
 use parp_suite::gateway::{
     run_chaos, ChaosConfig, FailoverCause, Gateway, GatewayConfig, ResilienceConfig,
     SelectionPolicy,
 };
-use parp_suite::net::{FaultConfig, Network, ProviderFaultRates};
+use parp_suite::net::{
+    CrashWindow, ExchangeStats, FaultConfig, Network, NodeId, PartitionWindow, ProviderFaultRates,
+    SimError,
+};
 use parp_suite::primitives::{Address, U256};
 use proptest::prelude::*;
 
@@ -247,6 +251,319 @@ fn transient_failures_do_not_ban_and_payments_stay_monotone_across_reconnects() 
         trail.windows(2).all(|w| w[0] <= w[1]),
         "trail must be non-decreasing: {trail:?}"
     );
+}
+
+/// How one leg of an exchange ended, whatever entry point carried it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum LegEnd {
+    Valid(ExchangeStats),
+    /// Served and delivered, but the frame fails the §V-D signature check.
+    Damaged(ExchangeStats),
+    Crashed,
+    TimedOut,
+    /// The client refused to build the request.
+    ClientRefused,
+}
+
+fn leg_end<T>(
+    result: Result<(T, ExchangeStats), SimError>,
+    verdict: impl Fn(&T) -> Option<bool>,
+) -> LegEnd {
+    match result {
+        Ok((outcome, stats)) => match verdict(&outcome) {
+            Some(true) => LegEnd::Valid(stats),
+            Some(false) => LegEnd::Damaged(stats),
+            None => panic!("fault-plane damage must read as a bad response signature"),
+        },
+        Err(SimError::Crashed(_)) => LegEnd::Crashed,
+        Err(SimError::Timeout { .. }) => LegEnd::TimedOut,
+        Err(SimError::Client(_)) => LegEnd::ClientRefused,
+        Err(other) => panic!("unexpected leg error {other}"),
+    }
+}
+
+fn single_verdict(outcome: &ProcessOutcome) -> Option<bool> {
+    match outcome {
+        ProcessOutcome::Valid { .. } => Some(true),
+        ProcessOutcome::Invalid(InvalidReason::ResponseSignatureInvalid) => Some(false),
+        _ => None,
+    }
+}
+
+fn batch_verdict(outcome: &ProcessBatchOutcome) -> Option<bool> {
+    match outcome {
+        ProcessBatchOutcome::Valid { .. } => Some(true),
+        ProcessBatchOutcome::Invalid(InvalidReason::ResponseSignatureInvalid) => Some(false),
+        _ => None,
+    }
+}
+
+/// The four ways into the one exchange pipeline.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Entry {
+    Call,
+    BatchCall,
+    Fanout(usize),
+}
+
+impl Entry {
+    fn legs(self) -> usize {
+        match self {
+            Entry::Fanout(n) => n,
+            _ => 1,
+        }
+    }
+
+    /// RPC calls one leg pays for.
+    fn calls(self) -> u64 {
+        if self == Entry::BatchCall {
+            2
+        } else {
+            1
+        }
+    }
+
+    fn run(self, net: &mut Network, client: &mut LightClient, target: Address) -> Vec<LegEnd> {
+        let call = RpcCall::GetBalance { address: target };
+        match self {
+            Entry::Call => vec![leg_end(
+                net.parp_call(client, NodeId(0), call),
+                single_verdict,
+            )],
+            Entry::BatchCall => vec![leg_end(
+                net.parp_batch_call(client, NodeId(0), vec![call.clone(), call]),
+                batch_verdict,
+            )],
+            Entry::Fanout(n) => {
+                let legs: Vec<_> = (0..n).map(|i| (NodeId(i), call.clone())).collect();
+                net.parp_call_fanout(client, &legs)
+                    .into_iter()
+                    .map(|result| leg_end(result, single_verdict))
+                    .collect()
+            }
+        }
+    }
+}
+
+/// What the table expects of every leg under one fault.
+struct Expect {
+    end: fn(&LegEnd) -> bool,
+    /// Whether the client's ledger advanced by the leg's price.
+    paid: bool,
+    /// Whether the node served (`requests_served` counts the leg's
+    /// calls) when the leg flew alone / as one of a fan-out: the only
+    /// cell where the entry points differ, because a drop loses the
+    /// *request* of a lone leg and the *response* of a concurrent one.
+    served: (u64, u64),
+    /// Simulated time the exchange advances the clock by, given the
+    /// delivered leg's own latency.
+    clock_us: fn(Option<ExchangeStats>) -> u64,
+    failures: u64,
+}
+
+const DEADLINE_US: u64 = 25_000;
+const PRICE: u64 = 10;
+
+/// Every fault effect through every entry point: the returned variant,
+/// the client's `spent` and pending entries, the node's
+/// `requests_served`, the clock advance and the provider aggregate.
+#[test]
+fn every_fault_lands_the_same_way_on_every_entry_point() {
+    let everyone = || vec![0, 1, 2];
+    let always_delay = |added_us| FaultConfig {
+        delay_ppm: 1_000_000,
+        delay_base_us: added_us,
+        delay_spike_us: added_us,
+        ..FaultConfig::default()
+    };
+    let flown = |stats: Option<ExchangeStats>| stats.expect("delivered").latency_us();
+    let deadline = |_| DEADLINE_US;
+    let table: Vec<(&str, FaultConfig, Expect)> = vec![
+        (
+            "none",
+            FaultConfig::default(),
+            Expect {
+                end: |end| matches!(end, LegEnd::Valid(_)),
+                paid: true,
+                served: (1, 1),
+                clock_us: flown,
+                failures: 0,
+            },
+        ),
+        (
+            "crashed",
+            FaultConfig {
+                crashes: everyone()
+                    .into_iter()
+                    .map(|provider_index| CrashWindow {
+                        provider_index,
+                        from_step: 0,
+                        until_step: 1_000,
+                    })
+                    .collect(),
+                ..FaultConfig::default()
+            },
+            Expect {
+                end: |end| *end == LegEnd::Crashed,
+                paid: false,
+                served: (0, 0),
+                // Connection refused: one one-way hop of a 64-byte frame
+                // on the default 1 ms / 12.5 B/µs link.
+                clock_us: |_| 1_005,
+                failures: 1,
+            },
+        ),
+        (
+            "partitioned",
+            FaultConfig {
+                partitions: vec![PartitionWindow {
+                    provider_indices: everyone(),
+                    from_step: 0,
+                    until_step: 1_000,
+                }],
+                ..FaultConfig::default()
+            },
+            Expect {
+                end: |end| *end == LegEnd::TimedOut,
+                paid: false,
+                served: (0, 0),
+                clock_us: deadline,
+                failures: 1,
+            },
+        ),
+        (
+            "drop",
+            FaultConfig {
+                drop_ppm: 1_000_000,
+                ..FaultConfig::default()
+            },
+            Expect {
+                end: |end| *end == LegEnd::TimedOut,
+                paid: false,
+                served: (0, 1),
+                clock_us: deadline,
+                failures: 1,
+            },
+        ),
+        (
+            "corrupt",
+            FaultConfig {
+                corrupt_ppm: 1_000_000,
+                ..FaultConfig::default()
+            },
+            Expect {
+                end: |end| matches!(end, LegEnd::Damaged(_)),
+                // The node holds σ_a: counted spent defensively.
+                paid: true,
+                served: (1, 1),
+                clock_us: flown,
+                failures: 1,
+            },
+        ),
+        (
+            "delay within the deadline",
+            always_delay(2_000),
+            Expect {
+                end: |end| matches!(end, LegEnd::Valid(stats) if stats.network_us > 2_000),
+                paid: true,
+                served: (1, 1),
+                clock_us: flown,
+                failures: 0,
+            },
+        ),
+        (
+            "delay past the deadline",
+            always_delay(40_000),
+            Expect {
+                end: |end| *end == LegEnd::TimedOut,
+                paid: false,
+                served: (1, 1),
+                clock_us: deadline,
+                failures: 1,
+            },
+        ),
+    ];
+    for (fault_name, fault, expect) in &table {
+        for entry in [
+            Entry::Call,
+            Entry::BatchCall,
+            Entry::Fanout(1),
+            Entry::Fanout(3),
+        ] {
+            let case = format!("{fault_name} via {entry:?}");
+            let mut net = Network::new();
+            net.set_call_deadline_us(DEADLINE_US);
+            let mut client = net.spawn_client(b"fault-table-client", U256::from(PRICE));
+            for i in 0..3 {
+                let node = net.spawn_node(format!("fault-table-{i}").as_bytes(), U256::from(PRICE));
+                net.connect(&mut client, node, U256::from(100_000u64))
+                    .expect("channel opens");
+            }
+            net.install_fault_plane(fault.clone());
+            let before_us = net.now_us();
+            let ends = entry.run(&mut net, &mut client, Address::from_low_u64_be(7));
+            assert_eq!(ends.len(), entry.legs(), "{case}");
+            let mut slowest_us = 0;
+            for (i, end) in ends.iter().enumerate() {
+                assert!((expect.end)(end), "{case}: leg {i} ended {end:?}");
+                let stats = match end {
+                    LegEnd::Valid(stats) | LegEnd::Damaged(stats) => Some(*stats),
+                    _ => None,
+                };
+                slowest_us = slowest_us.max((expect.clock_us)(stats));
+                let node = net.node(NodeId(i));
+                let provider = node.address();
+                let served = match entry {
+                    Entry::Fanout(_) => expect.served.1,
+                    _ => expect.served.0,
+                };
+                let served = served * entry.calls();
+                assert_eq!(node.requests_served(), served, "{case}: leg {i} served");
+                let paid = if expect.paid {
+                    PRICE * entry.calls()
+                } else {
+                    0
+                };
+                let channel = client.channel_with(&provider).expect("bonded");
+                assert_eq!(channel.spent, U256::from(paid), "{case}: leg {i} spent");
+                assert_eq!(client.pending_with(&provider), 0, "{case}: leg {i} pending");
+                let aggregate = net.provider_stats(&provider);
+                assert_eq!(aggregate.calls(), 1, "{case}: leg {i} calls");
+                assert_eq!(aggregate.failures(), expect.failures, "{case}: leg {i}");
+            }
+            // Concurrent legs share one window: the slowest, not the sum.
+            assert_eq!(net.now_us() - before_us, slowest_us, "{case}: clock");
+        }
+    }
+}
+
+/// A request the client refuses to build scores nothing against the
+/// provider and burns no time, on every entry point (the fan-out used to
+/// count it as a call and a failure).
+#[test]
+fn a_client_refusal_scores_nothing_on_any_entry_point() {
+    for entry in [
+        Entry::Call,
+        Entry::BatchCall,
+        Entry::Fanout(1),
+        Entry::Fanout(3),
+    ] {
+        let mut net = Network::new();
+        let mut client = net.spawn_client(b"refusal-client", U256::from(PRICE));
+        for i in 0..3 {
+            net.spawn_node(format!("refusal-{i}").as_bytes(), U256::from(PRICE));
+        }
+        // Synced but never connected: `request_from` refuses (not bonded).
+        net.sync_client(&mut client);
+        let before_us = net.now_us();
+        let ends = entry.run(&mut net, &mut client, Address::from_low_u64_be(7));
+        assert_eq!(ends, vec![LegEnd::ClientRefused; entry.legs()], "{entry:?}");
+        assert_eq!(net.now_us(), before_us, "{entry:?}: no time burned");
+        assert!(
+            net.provider_stats_all().is_empty(),
+            "{entry:?}: nothing scored"
+        );
+    }
 }
 
 proptest! {

@@ -240,3 +240,49 @@ fn quorum_read_covers_unproven_calls() {
         parp_suite::rlp::encode_u64(net.chain().height())
     );
 }
+
+/// A fan-out of one leg and a plain `parp_call` are the same exchange:
+/// on twin worlds (same seeds, no fault plane) they return equal
+/// outcomes and stats and leave equal client, node, provider-aggregate
+/// and clock state behind.
+#[test]
+fn one_leg_fanout_is_a_parp_call() {
+    let twin = || {
+        let (mut net, targets, _) = marketplace_net(1, "twin");
+        let mut client = net.spawn_client(b"gwt-twin-client", U256::from(10u64));
+        let node = parp_suite::net::NodeId(0);
+        net.connect(&mut client, node, U256::from(100_000u64))
+            .expect("channel opens");
+        let call = RpcCall::GetBalance {
+            address: targets[0],
+        };
+        (net, client, node, call)
+    };
+    let (mut net_a, mut client_a, node, call) = twin();
+    let (mut net_b, mut client_b, _, _) = twin();
+    let alone = net_a
+        .parp_call(&mut client_a, node, call.clone())
+        .expect("lone leg");
+    let mut fanned = net_b.parp_call_fanout(&mut client_b, &[(node, call)]);
+    let fanned = fanned.pop().expect("one leg").expect("fan-out leg");
+    assert_eq!(alone, fanned, "outcome and stats");
+    assert_eq!(net_a.now_us(), net_b.now_us(), "clock");
+    assert_eq!(client_a.channel(), client_b.channel(), "client ledger");
+    assert_eq!(client_a.valid_responses(), client_b.valid_responses());
+    let provider = net_a.node(node).address();
+    assert_eq!(client_a.pending_with(&provider), 0);
+    assert_eq!(client_b.pending_with(&provider), 0);
+    let (served_a, served_b) = (net_a.node(node), net_b.node(node));
+    assert_eq!(served_a.requests_served(), served_b.requests_served());
+    let channel_id = client_a.channel().expect("bonded").id;
+    let ledger = |node: &parp_suite::core::FullNode| {
+        let channel = node.served_channel(channel_id).expect("served");
+        (
+            channel.latest_amount,
+            channel.latest_payment_sig,
+            channel.calls_served,
+        )
+    };
+    assert_eq!(ledger(served_a), ledger(served_b), "node ledger");
+    assert_eq!(net_a.provider_stats_all(), net_b.provider_stats_all());
+}
