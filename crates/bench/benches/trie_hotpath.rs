@@ -16,6 +16,14 @@
 //!    keccak) vs the baseline's recursive index pass, per snapshot.
 //! 4. **Batched keccak** — `keccak256_batch` over the frozen node set
 //!    vs one incremental `Keccak256` instance per node.
+//! 5. **Derive vs rebuild** — what a write pays for its new head trie:
+//!    [`FrozenTrie::derive`] from the parent arena against the
+//!    `State::build_trie` + `FrozenTrie::new` it replaced, for the two
+//!    batch sizes the chain serves (a block touching 6 accounts of
+//!    10,000; 1,000 new accounts funded into 5,000). The derived arena
+//!    must serve byte-identical proofs to the retained baseline over the
+//!    updated contents (hard assert), 6 keys must derive ≥ 10× faster
+//!    than the rebuild, and 1,000 keys no slower.
 //!
 //! Emits `BENCH_trie.json` at the workspace root (a CI artifact
 //! alongside `BENCH_crypto.json` and friends).
@@ -39,9 +47,7 @@ const ROUNDS: u32 = 30;
 /// (every call an account read, some duplicated — the dedup-heavy shape
 /// `handle_batch` actually serves).
 fn fixture() -> (Trie, Vec<Vec<u8>>) {
-    let state = State::with_alloc(
-        (1..=ACCOUNTS).map(|i| (Address::from_low_u64_be(i * 31), U256::from(1_000 + i))),
-    );
+    let state = funded_state(ACCOUNTS);
     let keys: Vec<Vec<u8>> = (0..BATCH)
         .map(|i| {
             // Three hot accounts soak ~30% of the batch; the rest spread.
@@ -55,6 +61,60 @@ fn fixture() -> (Trie, Vec<Vec<u8>>) {
         })
         .collect();
     (state.build_trie(), keys)
+}
+
+/// An account state of `accounts` funded addresses (the fixture's
+/// address and balance scheme).
+fn funded_state(accounts: u64) -> State {
+    State::with_alloc(
+        (1..=accounts).map(|i| (Address::from_low_u64_be(i * 31), U256::from(1_000 + i))),
+    )
+}
+
+/// Section 5, one row: credits `touched` on a copy of `state` and times
+/// the two ways to its frozen trie — deriving from `state`'s arena, and
+/// the full `build_trie` + freeze — after pinning the derived arena
+/// byte-identical to the retained baseline over the updated contents.
+/// Returns `(derive_us, rebuild_us)`.
+fn derive_vs_rebuild(state: &State, touched: &[Address], rounds: u32) -> (f64, f64) {
+    let parent = FrozenTrie::new(state.build_trie());
+    let mut updated = state.clone();
+    for address in touched {
+        updated.credit(*address, U256::from(7u64));
+    }
+    let upserts: Vec<(Vec<u8>, Vec<u8>)> = touched
+        .iter()
+        .map(|address| {
+            let account = updated.account(address).expect("just credited");
+            (
+                keccak256(address.as_bytes()).as_bytes().to_vec(),
+                account.encode(),
+            )
+        })
+        .collect();
+    let derive = || parent.derive(upserts.iter().map(|(k, v)| (k, v)));
+
+    let derived = derive();
+    let base = baseline::FrozenTrie::new(updated.build_trie());
+    let mut probes: Vec<Vec<u8>> = upserts.iter().take(BATCH).map(|(k, _)| k.clone()).collect();
+    probes.extend((1..=8u64).map(|i| {
+        let untouched = Address::from_low_u64_be(i * 31 * 7);
+        keccak256(untouched.as_bytes()).as_bytes().to_vec()
+    }));
+    assert_byte_identical(&derived, &base, &probes);
+    assert_eq!(derived.len(), updated.len());
+
+    let started = Instant::now();
+    for _ in 0..rounds {
+        black_box(derive());
+    }
+    let derive_us = started.elapsed().as_micros() as f64 / f64::from(rounds);
+    let started = Instant::now();
+    for _ in 0..rounds {
+        black_box(FrozenTrie::new(updated.build_trie()));
+    }
+    let rebuild_us = started.elapsed().as_micros() as f64 / f64::from(rounds);
+    (derive_us, rebuild_us)
 }
 
 /// Section 1: the arena path must be indistinguishable from the
@@ -98,6 +158,10 @@ struct Numbers {
     hashed_nodes: usize,
     proof_nodes: usize,
     proof_bytes: usize,
+    derive_6_of_10k_us: f64,
+    rebuild_10k_us: f64,
+    derive_1000_into_5k_us: f64,
+    rebuild_6k_us: f64,
 }
 
 fn measure(trie: &Trie, keys: &[Vec<u8>]) -> Numbers {
@@ -159,6 +223,21 @@ fn measure(trie: &Trie, keys: &[Vec<u8>]) -> Numbers {
     let keccak_batch_us = started.elapsed().as_micros() as u64;
     assert_eq!(batched, incremental, "batched keccak diverged");
 
+    // A block's worth of writes: sender, recipient, beneficiary and the
+    // three module accounts, here six existing accounts spread over the
+    // key space.
+    let six: Vec<Address> = (1..=6u64)
+        .map(|i| Address::from_low_u64_be(i * 1_499 * 31))
+        .collect();
+    let (derive_6_of_10k_us, rebuild_10k_us) =
+        derive_vs_rebuild(&funded_state(ACCOUNTS), &six, ROUNDS);
+    // A faucet block: 1,000 accounts that did not exist.
+    let thousand: Vec<Address> = (1..=1_000u64)
+        .map(|i| Address::from_low_u64_be(i * 31 + 7))
+        .collect();
+    let (derive_1000_into_5k_us, rebuild_6k_us) =
+        derive_vs_rebuild(&funded_state(5_000), &thousand, FREEZE_ROUNDS);
+
     Numbers {
         multiproof_base_us,
         multiproof_arena_us,
@@ -170,6 +249,10 @@ fn measure(trie: &Trie, keys: &[Vec<u8>]) -> Numbers {
         hashed_nodes: nodes.len(),
         proof_nodes,
         proof_bytes,
+        derive_6_of_10k_us,
+        rebuild_10k_us,
+        derive_1000_into_5k_us,
+        rebuild_6k_us,
     }
 }
 
@@ -179,6 +262,8 @@ fn emit_artifact(n: &Numbers) {
     let freeze_ratio = n.freeze_arena_us / n.freeze_base_us.max(1e-9);
     let keccak_speedup = n.keccak_incremental_us as f64 / n.keccak_batch_us.max(1) as f64;
     let batch_per_sec = 1e6 / n.multiproof_into_us.max(1e-9);
+    let derive_6_speedup = n.rebuild_10k_us / n.derive_6_of_10k_us.max(1e-9);
+    let derive_1000_speedup = n.rebuild_6k_us / n.derive_1000_into_5k_us.max(1e-9);
     let json = format!(
         "{{\"bench\":\"trie_hotpath\",\"accounts\":{ACCOUNTS},\"batch\":{BATCH},\
          \"multiproof_prepr_us\":{:.1},\"multiproof_arena_us\":{:.1},\
@@ -188,7 +273,11 @@ fn emit_artifact(n: &Numbers) {
          \"proof_nodes\":{},\"proof_bytes\":{},\
          \"freeze_prepr_us\":{:.0},\"freeze_arena_us\":{:.0},\"freeze_ratio\":{freeze_ratio:.2},\
          \"keccak_nodes\":{},\"keccak_incremental_us\":{},\"keccak_batch_us\":{},\
-         \"keccak_batch_speedup\":{keccak_speedup:.2}}}\n",
+         \"keccak_batch_speedup\":{keccak_speedup:.2},\
+         \"derive_6_of_10k_us\":{:.0},\"rebuild_10k_us\":{:.0},\
+         \"derive_6_speedup\":{derive_6_speedup:.1},\
+         \"derive_1000_into_5k_us\":{:.0},\"rebuild_6k_us\":{:.0},\
+         \"derive_1000_speedup\":{derive_1000_speedup:.2}}}\n",
         n.multiproof_base_us,
         n.multiproof_arena_us,
         n.multiproof_into_us,
@@ -199,6 +288,10 @@ fn emit_artifact(n: &Numbers) {
         n.hashed_nodes,
         n.keccak_incremental_us,
         n.keccak_batch_us,
+        n.derive_6_of_10k_us,
+        n.rebuild_10k_us,
+        n.derive_1000_into_5k_us,
+        n.rebuild_6k_us,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trie.json");
     std::fs::write(path, &json).expect("write BENCH_trie.json");
@@ -213,6 +306,13 @@ fn emit_artifact(n: &Numbers) {
         "freeze {ACCOUNTS}-account snapshot: pre-PR {:.0} µs | arena {:.0} µs ({freeze_ratio:.2}× \
          relative) | batched keccak over {} nodes: {keccak_speedup:.2}× vs per-node incremental",
         n.freeze_base_us, n.freeze_arena_us, n.hashed_nodes,
+    );
+
+    println!(
+        "head trie after a write: 6 of {ACCOUNTS} accounts — derive {:.0} µs vs build+freeze {:.0} µs \
+         ({derive_6_speedup:.1}×) | 1,000 new into 5,000 — derive {:.0} µs vs build+freeze {:.0} µs \
+         ({derive_1000_speedup:.2}×)",
+        n.derive_6_of_10k_us, n.rebuild_10k_us, n.derive_1000_into_5k_us, n.rebuild_6k_us,
     );
 
     // Hard gates, set conservatively below the measured wins so VM
@@ -233,6 +333,16 @@ fn emit_artifact(n: &Numbers) {
         keccak_speedup >= 0.9,
         "batched keccak must not lose to per-node incremental hashing \
          (measured {keccak_speedup:.2}×)"
+    );
+    assert!(
+        derive_6_speedup >= 10.0,
+        "deriving a 6-account write must beat the full rebuild by ≥10× \
+         (measured {derive_6_speedup:.1}×)"
+    );
+    assert!(
+        derive_1000_speedup >= 1.0,
+        "deriving a 1,000-account block must not be dearer than the rebuild it replaces \
+         (measured {derive_1000_speedup:.2}×)"
     );
     assert!(
         freeze_ratio <= 1.5,

@@ -1,14 +1,19 @@
 //! Account state objects, RLP-encoded into the state trie exactly like
 //! Ethereum's `(nonce, balance, storageRoot, codeHash)` tuples.
 
-use parp_crypto::keccak256;
 use parp_primitives::{H256, U256};
 use parp_rlp::{decode_list_of, encode_h256, encode_list, encode_u256, encode_u64, DecodeError};
+
+/// `keccak256("")`, spelled out (every default account carries it).
+const EMPTY_CODE_HASH: H256 = H256::new([
+    0xc5, 0xd2, 0x46, 0x01, 0x86, 0xf7, 0x23, 0x3c, 0x92, 0x7e, 0x7d, 0xb2, 0xdc, 0xc7, 0x03, 0xc0,
+    0xe5, 0x00, 0xb6, 0x53, 0xca, 0x82, 0x27, 0x3b, 0x7b, 0xfa, 0xd8, 0x04, 0x5d, 0x85, 0xa4, 0x70,
+]);
 
 /// Hash of the empty byte string, the `codeHash` of externally owned
 /// accounts.
 pub fn empty_code_hash() -> H256 {
-    keccak256(&[])
+    EMPTY_CODE_HASH
 }
 
 /// An account record as stored in the state trie.
@@ -105,6 +110,7 @@ mod tests {
     #[test]
     fn empty_code_hash_vector() {
         // keccak256("") — the canonical EOA code hash.
+        assert_eq!(empty_code_hash(), parp_crypto::keccak256(&[]));
         assert_eq!(
             empty_code_hash().to_string(),
             "0xc5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470"

@@ -89,7 +89,7 @@ mod tests {
         Block {
             header: Header {
                 parent_hash: H256::ZERO,
-                ommers_hash: parp_crypto::keccak256(&[0xc0]),
+                ommers_hash: crate::header::empty_ommers_hash(),
                 beneficiary: Address::ZERO,
                 state_root: H256::ZERO,
                 transactions_root: tx_root,

@@ -4,7 +4,7 @@
 
 use crate::block::{receipts_trie, Block};
 use crate::exec::{BlockContext, TransactionExecutor};
-use crate::header::Header;
+use crate::header::{empty_ommers_hash, Header};
 use crate::receipt::Receipt;
 use crate::state::State;
 use crate::transaction::SignedTransaction;
@@ -97,9 +97,10 @@ pub struct Blockchain {
     blocks: Vec<Block>,
     /// Per-block receipts, parallel to `blocks`.
     receipts: Vec<Vec<Receipt>>,
-    /// Post-execution state snapshots, parallel to `blocks`.
+    /// Post-execution state snapshots, parallel to `blocks`. The last
+    /// one is the head state, and the only one that keeps its built
+    /// trie.
     snapshots: Vec<State>,
-    state: State,
     hash_index: HashMap<H256, u64>,
     tx_index: HashMap<H256, (u64, usize)>,
     beneficiary: Address,
@@ -126,7 +127,7 @@ impl Blockchain {
         let genesis = Block {
             header: Header {
                 parent_hash: H256::ZERO,
-                ommers_hash: keccak256(&[0xc0]),
+                ommers_hash: empty_ommers_hash(),
                 beneficiary: Address::ZERO,
                 state_root: state.state_root(),
                 transactions_root: parp_trie::empty_root(),
@@ -144,8 +145,7 @@ impl Blockchain {
         let mut hash_index = HashMap::new();
         hash_index.insert(genesis_hash, 0);
         Blockchain {
-            snapshots: vec![state.clone()],
-            state,
+            snapshots: vec![state],
             receipts: vec![Vec::new()],
             blocks: vec![genesis],
             hash_index,
@@ -265,7 +265,9 @@ impl Blockchain {
             beneficiary: self.beneficiary,
             recent_hashes,
         };
-        let mut state = self.state.clone();
+        // The copy shares the head's built trie; its first write makes
+        // that trie the parent the new state root is derived from.
+        let mut state = self.state().clone();
         let mut receipts = Vec::with_capacity(transactions.len());
         let mut cumulative_gas = 0u64;
         for (index, tx) in transactions.iter().enumerate() {
@@ -277,19 +279,26 @@ impl Blockchain {
             }
             receipts.push(receipt);
         }
-        let transactions_root = {
-            let encoded: Vec<Vec<u8>> =
-                transactions.iter().map(SignedTransaction::encode).collect();
+        // One canonical encoding per transaction and receipt, shared by
+        // the roots, the archive and the transaction index.
+        let encoded_txs: Vec<Vec<u8>> =
+            transactions.iter().map(SignedTransaction::encode).collect();
+        let encoded_receipts: Vec<Vec<u8>> = receipts.iter().map(Receipt::encode).collect();
+        let ordered_root = |encoded: &[Vec<u8>]| {
             parp_trie::ordered_trie(encoded.iter().map(Vec::as_slice)).root_hash()
         };
+        let state_root = state.state_root();
+        // The root is built, so the new head no longer needs the trie it
+        // was derived from: no snapshot pins its predecessor's arena.
+        state.seal();
         let block = Block {
             header: Header {
                 parent_hash,
-                ommers_hash: keccak256(&[0xc0]),
+                ommers_hash: empty_ommers_hash(),
                 beneficiary: ctx.beneficiary,
-                state_root: state.state_root(),
-                transactions_root,
-                receipts_root: receipts_trie(&receipts).root_hash(),
+                state_root,
+                transactions_root: ordered_root(&encoded_txs),
+                receipts_root: ordered_root(&encoded_receipts),
                 difficulty: U256::ZERO,
                 number,
                 gas_limit: self.gas_limit,
@@ -303,15 +312,13 @@ impl Blockchain {
         // I/O failure leaves the chain unchanged, matching the
         // validation-error contract above.
         if let Some(history) = &self.history {
-            let header = block.header.encode();
-            let encoded_txs: Vec<Vec<u8>> = block
-                .transactions
-                .iter()
-                .map(SignedTransaction::encode)
-                .collect();
-            let encoded_receipts: Vec<Vec<u8>> = receipts.iter().map(Receipt::encode).collect();
             history
-                .append_block(number, &header, &encoded_txs, &encoded_receipts)
+                .append_block(
+                    number,
+                    &block.header.encode(),
+                    &encoded_txs,
+                    &encoded_receipts,
+                )
                 .map_err(|e| BlockError::History {
                     reason: e.to_string(),
                 })?;
@@ -322,8 +329,8 @@ impl Blockchain {
         while self.recent_window.len() > BLOCK_HASH_WINDOW as usize {
             self.recent_window.pop_front();
         }
-        for (i, tx) in block.transactions.iter().enumerate() {
-            self.tx_index.insert(tx.hash(), (number, i));
+        for (i, encoded) in encoded_txs.iter().enumerate() {
+            self.tx_index.insert(keccak256(encoded), (number, i));
         }
         // The outgoing head's memoized trie would otherwise be retained
         // forever by the snapshot store (one full frozen trie per block);
@@ -331,7 +338,6 @@ impl Blockchain {
         if let Some(previous_head) = self.snapshots.last_mut() {
             previous_head.release_trie();
         }
-        self.state = state.clone();
         // Growth is bounded: once a history store is attached,
         // `prune_resident` drains the front of all three parallel
         // vectors back to the configured window (the block just
@@ -460,19 +466,19 @@ impl Blockchain {
         self.snapshots.get(self.resident_index(number)?)
     }
 
-    /// The current world state.
+    /// The current world state: the head block's snapshot.
     pub fn state(&self) -> &State {
-        &self.state
+        self.snapshots.last().expect("genesis always present")
     }
 
     /// Current balance of an address.
     pub fn balance(&self, address: &Address) -> U256 {
-        self.state.balance(address)
+        self.state().balance(address)
     }
 
     /// Current nonce of an address.
     pub fn nonce(&self, address: &Address) -> u64 {
-        self.state.nonce(address)
+        self.state().nonce(address)
     }
 
     /// Locates a transaction by hash: `(block number, index)`.

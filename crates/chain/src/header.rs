@@ -7,6 +7,18 @@ use parp_rlp::{
     encode_u64, DecodeError,
 };
 
+/// `keccak256(rlp([]))`, spelled out (every header carries it).
+const EMPTY_OMMERS_HASH: H256 = H256::new([
+    0x1d, 0xcc, 0x4d, 0xe8, 0xde, 0xc7, 0x5d, 0x7a, 0xab, 0x85, 0xb5, 0x67, 0xb6, 0xcc, 0xd4, 0x1a,
+    0xd3, 0x12, 0x45, 0x1b, 0x94, 0x8a, 0x74, 0x13, 0xf0, 0xa1, 0x42, 0xfd, 0x40, 0xd4, 0x93, 0x47,
+]);
+
+/// Hash of the empty ommer list: the `ommers_hash` of every block this
+/// chain produces.
+pub fn empty_ommers_hash() -> H256 {
+    EMPTY_OMMERS_HASH
+}
+
 /// A block header carrying the three trie roots PARP proofs verify
 /// against.
 ///
@@ -96,7 +108,7 @@ mod tests {
     fn sample_header() -> Header {
         Header {
             parent_hash: H256::from_low_u64_be(1),
-            ommers_hash: keccak256(&[0xc0]),
+            ommers_hash: empty_ommers_hash(),
             beneficiary: Address::from_low_u64_be(2),
             state_root: H256::from_low_u64_be(3),
             transactions_root: H256::from_low_u64_be(4),
@@ -108,6 +120,16 @@ mod tests {
             timestamp: 1_700_000_000,
             extra_data: b"parp".to_vec(),
         }
+    }
+
+    #[test]
+    fn empty_ommers_hash_vector() {
+        // keccak256(rlp([])) — Ethereum's post-merge ommers hash.
+        assert_eq!(empty_ommers_hash(), keccak256(&encode_list(&[])));
+        assert_eq!(
+            empty_ommers_hash().to_string(),
+            "0x1dcc4de8dec75d7aab85b567b6ccd41ad312451b948a7413f0a142fd40d49347"
+        );
     }
 
     #[test]

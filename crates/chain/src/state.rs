@@ -5,7 +5,7 @@ use crate::account::Account;
 use parp_crypto::keccak256;
 use parp_primitives::{Address, H256, U256};
 use parp_trie::{FrozenTrie, Trie};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
 /// The world state at a point in time.
@@ -14,8 +14,18 @@ use std::sync::{Arc, OnceLock};
 /// [`State::state_root`], [`State::account_proof`],
 /// [`State::account_multiproof`] or [`State::shared_trie`] builds it once,
 /// and every later call reuses the same [`Arc`]-shared trie until a write
-/// invalidates it. Clones share the built trie (the contents are equal),
+/// supersedes it. Clones share the built trie (the contents are equal),
 /// so chain snapshots inherit the trie built at block production for free.
+///
+/// A write does not throw the built trie away: it becomes the **parent**
+/// of the next build, and the written address joins a **dirty set**. The
+/// next build then [derives](FrozenTrie::derive) the new trie from the
+/// parent — an O(accounts) copy plus O(dirty · depth) node hashes —
+/// instead of re-hashing every account. Only a state that does not
+/// descend from a built trie (genesis, [`State::with_alloc`], a snapshot
+/// whose memo was [released](State::release_trie)) pays the full
+/// [`State::build_trie`] + freeze. The two routes produce the same root
+/// and the same proof bytes; debug builds assert it on every derive.
 ///
 /// # Examples
 ///
@@ -32,10 +42,15 @@ use std::sync::{Arc, OnceLock};
 pub struct State {
     accounts: BTreeMap<Address, Account>,
     /// Lazily built, frozen secure trie over `accounts` (structure plus
-    /// the O(depth)-proof encoding index); reset by every write.
+    /// the O(depth)-proof encoding index); superseded by every write.
     /// `OnceLock` keeps `&State` shareable across threads (the sharded
     /// proof executor walks one frozen trie from many workers).
     trie: OnceLock<Arc<FrozenTrie>>,
+    /// The trie of the accounts as they were before the writes in
+    /// `dirty`, when this state descends from a built one.
+    parent: Option<Arc<FrozenTrie>>,
+    /// Addresses written since `parent` was built (empty without one).
+    dirty: BTreeSet<Address>,
 }
 
 impl PartialEq for State {
@@ -50,10 +65,7 @@ impl Eq for State {}
 impl State {
     /// Creates an empty state.
     pub fn new() -> Self {
-        State {
-            accounts: BTreeMap::new(),
-            trie: OnceLock::new(),
-        }
+        State::default()
     }
 
     /// Creates a state pre-funded with the given balances.
@@ -73,11 +85,24 @@ impl State {
     }
 
     /// Returns a mutable account record, creating a default one on first
-    /// touch. Invalidates the memoized trie (the caller holds a mutable
+    /// touch. Supersedes the memoized trie (the caller holds a mutable
     /// handle, so the account must be assumed changed).
     pub fn account_mut(&mut self, address: Address) -> &mut Account {
-        self.trie.take();
+        self.wrote(address);
         self.accounts.entry(address).or_default()
+    }
+
+    /// Records a write to `address`: a built trie becomes the parent the
+    /// next build derives from (replacing — and so releasing — the one
+    /// it was itself derived from), and the address is marked dirty.
+    fn wrote(&mut self, address: Address) {
+        if let Some(built) = self.trie.take() {
+            self.parent = Some(built);
+            self.dirty.clear();
+        }
+        if self.parent.is_some() {
+            self.dirty.insert(address);
+        }
     }
 
     /// The balance of an address (zero for absent accounts).
@@ -109,7 +134,7 @@ impl State {
             Some(account) => match account.balance.checked_sub(amount) {
                 Some(rest) => {
                     account.balance = rest;
-                    self.trie.take();
+                    self.wrote(*address);
                     true
                 }
                 None => false,
@@ -147,7 +172,8 @@ impl State {
     /// `keccak256(address) → rlp(account)`.
     ///
     /// Bypasses the memo deliberately (cold-path baseline for the
-    /// runtime benches); normal callers want [`State::shared_trie`].
+    /// runtime benches, and the reference the derived trie is checked
+    /// against); normal callers want [`State::shared_trie`].
     pub fn build_trie(&self) -> Trie {
         let mut trie = Trie::new();
         for (address, account) in &self.accounts {
@@ -162,11 +188,39 @@ impl State {
     /// The memoized, frozen secure state trie, shared behind an [`Arc`]
     /// so snapshot caches and shard workers can hold it without copying.
     /// Built (and its proof index computed) at most once per write
-    /// generation.
+    /// generation: derived from the parent trie when this state descends
+    /// from a built one, frozen from scratch otherwise.
     pub fn shared_trie(&self) -> Arc<FrozenTrie> {
         self.trie
-            .get_or_init(|| Arc::new(FrozenTrie::new(self.build_trie())))
+            .get_or_init(|| {
+                let Some(parent) = &self.parent else {
+                    return Arc::new(FrozenTrie::new(self.build_trie()));
+                };
+                let derived = parent.derive(self.dirty.iter().map(|address| {
+                    (
+                        keccak256(address.as_bytes()),
+                        self.accounts[address].encode(),
+                    )
+                }));
+                debug_assert_eq!(
+                    derived.root_hash(),
+                    FrozenTrie::new(self.build_trie()).root_hash(),
+                    "derived state trie diverged from a fresh freeze"
+                );
+                Arc::new(derived)
+            })
             .clone()
+    }
+
+    /// Lets go of the trie this state's own was derived from, once that
+    /// is built — [`State::shared_trie`] cannot (it only has `&self`),
+    /// so whoever builds a state to keep seals it, or the predecessor's
+    /// arena stays pinned until the next write.
+    pub(crate) fn seal(&mut self) {
+        if self.trie_is_built() {
+            self.parent = None;
+            self.dirty.clear();
+        }
     }
 
     /// Whether the memoized trie is currently built (no rebuild would be
@@ -185,6 +239,8 @@ impl State {
     /// their own `Arc` and control its lifetime via LRU eviction.
     pub fn release_trie(&mut self) {
         self.trie.take();
+        self.parent = None;
+        self.dirty.clear();
     }
 
     /// The state root committed into block headers.
@@ -313,6 +369,95 @@ mod tests {
         assert_ne!(state.state_root(), root);
         // The untouched clone keeps the old root.
         assert_eq!(snapshot.state_root(), root);
+    }
+
+    /// Root, single proofs and a multiproof of `state` against a trie
+    /// frozen from scratch over the same accounts.
+    fn assert_matches_fresh_freeze(state: &State, probes: &[Address]) {
+        let fresh = FrozenTrie::new(state.build_trie());
+        assert_eq!(state.state_root(), fresh.root_hash());
+        assert_eq!(state.shared_trie().len(), state.len());
+        let keys: Vec<H256> = probes.iter().map(|a| keccak256(a.as_bytes())).collect();
+        for (address, key) in probes.iter().zip(&keys) {
+            assert_eq!(state.account_proof(address), fresh.prove(key.as_bytes()));
+        }
+        assert_eq!(state.account_multiproof(probes), fresh.prove_many(&keys));
+    }
+
+    #[test]
+    fn writes_derive_from_the_built_trie() {
+        let mut state = State::new();
+        for i in 1..200u64 {
+            state.credit(addr(i), U256::from(i));
+        }
+        let genesis = state.shared_trie();
+        // Existing accounts, a new one, a no-op write and a nonce bump.
+        state.credit(addr(7), U256::from(1_000u64));
+        assert!(state.transfer(&addr(8), addr(5_000), U256::from(3u64)));
+        assert!(state.debit(&addr(9), U256::ZERO));
+        state.account_mut(addr(10)).nonce += 1;
+        assert!(!state.trie_is_built());
+        let probes = [
+            addr(7),
+            addr(8),
+            addr(9),
+            addr(10),
+            addr(5_000),
+            addr(77),
+            addr(9_999),
+        ];
+        assert_matches_fresh_freeze(&state, &probes);
+        assert!(!Arc::ptr_eq(&genesis, &state.shared_trie()));
+        // A second generation derives from the derived trie.
+        state.credit(addr(6_000), U256::ONE);
+        state.credit(addr(7), U256::ONE);
+        assert_matches_fresh_freeze(&state, &[addr(6_000), addr(7), addr(1)]);
+    }
+
+    #[test]
+    fn clones_derive_independently_and_agree() {
+        let mut state = State::with_alloc((1..100u64).map(|i| (addr(i), U256::from(i))));
+        let _ = state.state_root();
+        let mut before = state.clone();
+        state.credit(addr(3), U256::from(50u64));
+        state.credit(addr(500), U256::from(50u64));
+        let after = state.clone();
+        // The same writes replayed on the earlier copy; a released copy
+        // takes the full-freeze route to the same answer.
+        before.credit(addr(3), U256::from(50u64));
+        before.credit(addr(500), U256::from(50u64));
+        let mut released = after.clone();
+        released.release_trie();
+        let tries = [&state, &before, &after, &released].map(State::shared_trie);
+        for trie in &tries[1..] {
+            assert!(!Arc::ptr_eq(&tries[0], trie), "each copy builds its own");
+            assert_eq!(trie.root_hash(), tries[0].root_hash());
+            assert_eq!(trie.node_count(), tries[0].node_count());
+        }
+        assert_matches_fresh_freeze(&before, &[addr(3), addr(500), addr(42)]);
+    }
+
+    #[test]
+    fn seal_releases_the_parent_trie() {
+        let mut state = State::with_alloc((1..50u64).map(|i| (addr(i), U256::from(i))));
+        let parent = Arc::downgrade(&state.shared_trie());
+        state.credit(addr(1), U256::ONE);
+        // Not built yet: sealing must not drop what the build needs.
+        state.seal();
+        assert!(parent.upgrade().is_some());
+        let _ = state.state_root();
+        assert!(parent.upgrade().is_some(), "held until sealed or rewritten");
+        state.seal();
+        assert!(
+            parent.upgrade().is_none(),
+            "a sealed state pins no predecessor"
+        );
+        // Unsealed, the next write lets go of it just the same.
+        let parent = Arc::downgrade(&state.shared_trie());
+        state.credit(addr(2), U256::ONE);
+        let _ = state.state_root();
+        state.credit(addr(3), U256::ONE);
+        assert!(parent.upgrade().is_none());
     }
 
     #[test]

@@ -3,12 +3,13 @@
 
 use parp_chain::{Blockchain, Header, TransferExecutor};
 use parp_contracts::{
-    build_module_call, confirmation_digest, fndm_address, min_deposit, payment_digest,
-    ChannelStatus, FraudVerdict, ModuleCall, ParpExecutor, ParpRequest, ParpResponse, RpcCall,
-    DISPUTE_WINDOW_BLOCKS, SLASH_CLIENT_SHARE, SLASH_WITNESS_SHARE,
+    build_module_call, cmm_address, confirmation_digest, fdm_address, fndm_address, min_deposit,
+    payment_digest, ChannelStatus, FraudVerdict, ModuleCall, ParpExecutor, ParpRequest,
+    ParpResponse, RpcCall, DISPUTE_WINDOW_BLOCKS, SLASH_CLIENT_SHARE, SLASH_WITNESS_SHARE,
 };
-use parp_crypto::{sign, SecretKey};
-use parp_primitives::{Address, U256};
+use parp_crypto::{keccak256, sign, SecretKey};
+use parp_primitives::{Address, H256, U256};
+use parp_trie::FrozenTrie;
 
 struct Env {
     chain: Blockchain,
@@ -47,6 +48,7 @@ impl Env {
         self.chain
             .produce_block(vec![tx], &mut self.executor)
             .expect("node call block");
+        self.assert_head_matches_fresh_freeze();
     }
 
     fn client_call(&mut self, call: ModuleCall, value: U256) {
@@ -55,6 +57,30 @@ impl Env {
         self.chain
             .produce_block(vec![tx], &mut self.executor)
             .expect("client call block");
+        self.assert_head_matches_fresh_freeze();
+    }
+
+    /// Every module block — deposits, channel opens and closes, disputes,
+    /// slashes — derives its head trie from the previous head's arena:
+    /// hold each one to the root and the proofs of a trie frozen from
+    /// scratch over the same accounts.
+    fn assert_head_matches_fresh_freeze(&self) {
+        let state = self.chain.state();
+        let fresh = FrozenTrie::new(state.build_trie());
+        assert_eq!(self.chain.head().header.state_root, fresh.root_hash());
+        let accounts = [
+            self.node.address(),
+            self.client.address(),
+            fndm_address(),
+            cmm_address(),
+            fdm_address(),
+            Address::from_low_u64_be(0xab5e27), // absent
+        ];
+        let keys: Vec<H256> = accounts.iter().map(|a| keccak256(a.as_bytes())).collect();
+        for (address, key) in accounts.iter().zip(&keys) {
+            assert_eq!(state.account_proof(address), fresh.prove(key.as_bytes()));
+        }
+        assert_eq!(state.account_multiproof(&accounts), fresh.prove_many(&keys));
     }
 
     fn last_receipt_status(&self) -> u64 {

@@ -856,7 +856,9 @@ impl FullNode {
         engine: &mut dyn ProofEngine,
     ) -> Result<CallOutput, ServeError> {
         let RpcCall::SendRawTransaction { raw } = call else {
-            unreachable!("execute_write only handles SendRawTransaction");
+            return Err(ServeError::Execution(
+                "only SendRawTransaction is served as a write".to_string(),
+            ));
         };
         let tx = parp_chain::SignedTransaction::decode(raw)
             .map_err(|e| ServeError::Execution(format!("bad transaction: {e}")))?;
@@ -864,7 +866,9 @@ impl FullNode {
         chain
             .produce_block(vec![tx], executor)
             .map_err(|e| ServeError::Execution(format!("inclusion failed: {e}")))?;
-        let (block, index) = chain.transaction_location(&hash).expect("just included");
+        let (block, index) = chain.transaction_location(&hash).ok_or_else(|| {
+            ServeError::Execution("the mined transaction is not indexed".to_string())
+        })?;
         let proof = engine.transaction_proof(chain, block, index);
         Ok((block, parp_rlp::encode_u64(index as u64), proof))
     }
@@ -880,7 +884,7 @@ impl FullNode {
         match call {
             RpcCall::GetBalance { address } | RpcCall::GetTransactionCount { address } => {
                 let head = chain.height();
-                let state = chain.state_at(head).expect("head state exists");
+                let state = chain.state();
                 let result = Self::read_result(call, head, state, chain, executor)?;
                 let proof = engine.account_proof(state, address);
                 Ok((head, result, proof))
@@ -899,7 +903,7 @@ impl FullNode {
             }
             RpcCall::BlockNumber | RpcCall::GetHeader { .. } | RpcCall::GetChannelStatus { .. } => {
                 let head = chain.height();
-                let state = chain.state_at(head).expect("head state exists");
+                let state = chain.state();
                 let result = Self::read_result(call, head, state, chain, executor)?;
                 Ok((head, result, Vec::new()))
             }

@@ -150,19 +150,24 @@ mod tests {
     use super::*;
     use parp_primitives::U256;
 
-    fn populated_trie(n: u64) -> (FrozenTrie, Vec<Address>) {
-        let state = parp_chain::State::with_alloc(
+    /// The unfrozen trie over `n` accounts: its walk-and-encode proofs
+    /// are the reference the sharded paths are held to.
+    fn unfrozen_trie(n: u64) -> parp_trie::Trie {
+        parp_chain::State::with_alloc(
             (1..=n).map(|i| (Address::from_low_u64_be(i * 31), U256::from(i))),
-        );
+        )
+        .build_trie()
+    }
+
+    fn populated_trie(n: u64) -> (FrozenTrie, Vec<Address>) {
         let addresses: Vec<Address> = (1..=n).map(|i| Address::from_low_u64_be(i * 31)).collect();
-        (FrozenTrie::new(state.build_trie()), addresses)
+        (FrozenTrie::new(unfrozen_trie(n)), addresses)
     }
 
     #[test]
     fn byte_identical_across_shard_counts() {
         let (trie, addresses) = populated_trie(300);
-        // The unfrozen trie's walk-and-encode path is the reference.
-        let sequential = trie.trie().prove_many(
+        let sequential = unfrozen_trie(300).prove_many(
             addresses
                 .iter()
                 .map(|a| keccak256(a.as_bytes()).as_bytes().to_vec()),
@@ -207,7 +212,7 @@ mod tests {
         for i in 0..INLINE_THRESHOLD {
             mixed.push(addresses[i % addresses.len()]);
         }
-        let sequential = trie.trie().prove_many(
+        let sequential = unfrozen_trie(50).prove_many(
             mixed
                 .iter()
                 .map(|a| keccak256(a.as_bytes()).as_bytes().to_vec()),
@@ -238,7 +243,7 @@ mod tests {
             };
             skewed.push(address);
         }
-        let sequential = trie.trie().prove_many(
+        let sequential = unfrozen_trie(100).prove_many(
             skewed
                 .iter()
                 .map(|a| keccak256(a.as_bytes()).as_bytes().to_vec()),

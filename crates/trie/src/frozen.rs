@@ -32,17 +32,44 @@
 //! the serving runtime's snapshot cache shares across batches and shard
 //! workers: workers walk arena ids and only the final merge touches
 //! bytes.
+//!
+//! # Deriving instead of re-freezing
+//!
+//! A frozen arena is immutable, but the next block's state differs from
+//! it in a handful of keys. [`FrozenTrie::derive`] produces the arena of
+//! the updated trie from the parent arena and a set of `(key, value)`
+//! upserts: it decodes only the nodes on the upserted keys' spines into
+//! an editable overlay, applies the inserts there (splitting leaves and
+//! extensions exactly as [`Trie::insert`] does), encodes and hashes each
+//! touched node once, bottom-up — an untouched child's reference is the
+//! hash already embedded in its old parent's encoding, never a fresh
+//! keccak — and writes the result out with one compacting copy of the
+//! parent's pools. The cost is O(n) bytes copied plus O(dirty · depth)
+//! nodes hashed, against O(n) nodes hashed for a re-freeze; the derived
+//! arena has the same root, the same proofs and the same size as
+//! `FrozenTrie::new` on the updated contents (only the arena ids, and
+//! therefore the page bytes, may differ), and holds no reference to its
+//! parent.
 
+use crate::nibbles::{bytes_to_nibbles, common_prefix_len, hp_decode, hp_encode};
 use crate::node::{empty_root, Node};
 use crate::proofbuf::ProofBuf;
 use crate::trie::Trie;
-use parp_crypto::keccak256_batch;
+use parp_crypto::{keccak256, keccak256_batch};
 use parp_primitives::H256;
-use parp_rlp::{encode_bytes, encode_list};
+use parp_rlp::{encode_bytes, encode_list, Item};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Sentinel arena id marking an absent branch child.
 const NO_NODE: u32 = u32::MAX;
+
+/// What [`FrozenTrie::mem_bytes`] charges per arena on top of its
+/// pools: the struct and the bookkeeping of its four heap allocations.
+/// A constant, not `size_of::<Self>()`, so that byte budgets — and the
+/// recorded deep-history replay, whose spill pattern under a 1 KiB
+/// budget this decides — do not shift when a field comes or goes.
+const ARENA_HEADER_BYTES: usize = 192;
 
 /// Magic prefix of a serialized arena page ([`FrozenTrie::to_bytes`]).
 const PAGE_MAGIC: &[u8] = b"PFT1";
@@ -90,10 +117,11 @@ struct ArenaNode {
     /// unused (a proof walk never compares a leaf's path).
     path_off: u32,
     path_len: u32,
-    /// Witness id: the smallest arena id whose encoding is
-    /// byte-identical to this node's. Structurally repeated subtrees
-    /// collapse to one witness, exactly like the baseline's
-    /// hash-keyed dedup — but precomputed at freeze time.
+    /// Witness id: the one arena id that stands for every node whose
+    /// encoding is byte-identical to this node's (the smallest such id
+    /// after a freeze; any member of the class after a derive).
+    /// Structurally repeated subtrees collapse to one witness, exactly
+    /// like the baseline's hash-keyed dedup — but precomputed.
     dedup: u32,
 }
 
@@ -109,19 +137,23 @@ struct ArenaNode {
 /// for i in 0..100u32 {
 ///     trie.insert(i.to_be_bytes().to_vec(), format!("v{i}").into_bytes());
 /// }
-/// let frozen = FrozenTrie::new(trie);
+/// let frozen = FrozenTrie::new(trie.clone());
 /// let key = 42u32.to_be_bytes();
 /// // Same bytes as Trie::prove, at O(depth) instead of O(trie) cost.
-/// assert_eq!(frozen.prove(&key), frozen.trie().prove(&key));
-/// assert_eq!(frozen.root_hash(), frozen.trie().root_hash());
+/// assert_eq!(frozen.prove(&key), trie.prove(&key));
+/// assert_eq!(frozen.root_hash(), trie.root_hash());
+///
+/// // The next version of the trie, without re-hashing what did not change.
+/// let next = frozen.derive([(key, b"changed")]);
+/// trie.insert(key.to_vec(), b"changed".to_vec());
+/// assert_eq!(next.root_hash(), trie.root_hash());
+/// assert_eq!(next.prove(&key), trie.prove(&key));
 /// ```
 #[derive(Debug, Clone)]
 pub struct FrozenTrie {
-    trie: Trie,
     root: H256,
-    /// Key/value pair count, stored explicitly so a trie rehydrated
-    /// from [`FrozenTrie::to_bytes`] (whose boxed source tree is not
-    /// serialized) still reports its size.
+    /// Key/value pair count (the arena does not keep the boxed tree it
+    /// was flattened from).
     len: usize,
     nodes: Vec<ArenaNode>,
     /// Child-id pool: 16 slots per branch, 1 per extension.
@@ -135,7 +167,8 @@ pub struct FrozenTrie {
 impl FrozenTrie {
     /// Freezes `trie`: flattens it into the arena and computes every
     /// node encoding bottom-up, hashing each level's encodings in one
-    /// batched keccak pass.
+    /// batched keccak pass. The boxed tree is dropped: the arena alone
+    /// serves proofs and [`FrozenTrie::derive`]s successors.
     pub fn new(trie: Trie) -> Self {
         let (root, nodes, children, paths, buf) = match trie.root_node() {
             Node::Empty => (empty_root(), Vec::new(), Vec::new(), Vec::new(), Vec::new()),
@@ -148,26 +181,14 @@ impl FrozenTrie {
                 (root, arena.nodes, arena.children, arena.paths, arena.buf)
             }
         };
-        let len = trie.len();
         FrozenTrie {
-            trie,
             root,
-            len,
+            len: trie.len(),
             nodes,
             children,
             paths,
             buf,
         }
-    }
-
-    /// The underlying trie.
-    ///
-    /// For a trie frozen in memory this is the source [`Trie`]; for
-    /// one rehydrated from [`FrozenTrie::from_bytes`] the boxed tree
-    /// was never serialized, so this returns an empty trie — proofs
-    /// come from the arena either way.
-    pub fn trie(&self) -> &Trie {
-        &self.trie
     }
 
     /// Number of key/value pairs stored.
@@ -193,13 +214,12 @@ impl FrozenTrie {
     }
 
     /// Measured resident size of the arena in bytes: the node table,
-    /// the child and nibble-path pools, and the shared encoding
-    /// buffer. The boxed source trie (absent on rehydrated instances)
-    /// is deliberately *not* counted — this is the serving-resident
-    /// footprint a byte-budgeted cache should account, and it is what
-    /// [`FrozenTrie::to_bytes`] round-trips.
+    /// the child and nibble-path pools and the shared encoding buffer,
+    /// plus a fixed charge for the struct itself — the whole footprint
+    /// (no boxed tree is retained), which is what a byte-budgeted cache
+    /// should account and what [`FrozenTrie::to_bytes`] round-trips.
     pub fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
+        ARENA_HEADER_BYTES
             + self.nodes.len() * std::mem::size_of::<ArenaNode>()
             + self.children.len() * std::mem::size_of::<u32>()
             + self.paths.len()
@@ -207,8 +227,7 @@ impl FrozenTrie {
     }
 
     /// Serializes the arena (root, key count, node table and pools)
-    /// into a flat byte page suitable for spilling to disk. The boxed
-    /// source trie is not serialized: the arena alone serves proofs.
+    /// into a flat byte page suitable for spilling to disk.
     ///
     /// [`FrozenTrie::from_bytes`] inverts this, and the rehydrated
     /// trie's proofs are byte-identical to the original's.
@@ -252,8 +271,7 @@ impl FrozenTrie {
     /// encoding range, child slots, extension path and witness id are
     /// bounds-checked here so that proof walks over a page read from
     /// disk can never panic or loop, even on corrupt input. The
-    /// rehydrated instance carries an empty boxed trie (see
-    /// [`FrozenTrie::trie`]); its proofs are byte-identical to the
+    /// rehydrated instance's proofs are byte-identical to the
     /// original's.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut reader = Reader { bytes, pos: 0 };
@@ -339,7 +357,6 @@ impl FrozenTrie {
             return None;
         }
         Some(FrozenTrie {
-            trie: Trie::new(),
             root,
             len,
             nodes,
@@ -446,6 +463,44 @@ impl FrozenTrie {
     {
         out.clear();
         self.for_each_multiproof_node(keys, |bytes| out.push(bytes));
+    }
+
+    /// The frozen arena of this trie with `upserts` applied (insert or
+    /// replace, in order — a repeated key keeps its last value), without
+    /// re-freezing: only the nodes on the upserted keys' spines are
+    /// re-encoded and re-hashed, each once; everything else is copied.
+    /// Costs O(n) bytes copied plus O(upserts · depth) nodes hashed,
+    /// against O(n) nodes hashed for [`FrozenTrie::new`].
+    ///
+    /// The result is indistinguishable from [`FrozenTrie::new`] on the
+    /// updated contents through `root_hash`, `len`, `node_count`,
+    /// `prove`, `prove_many` / `multiproof_into` and a
+    /// [`FrozenTrie::to_bytes`] round trip; it shares nothing with
+    /// `self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a value is empty (as [`Trie::insert`] does), or when
+    /// a node encoding on a touched spine is not node RLP — which only
+    /// a corrupted page can cause: [`FrozenTrie::from_bytes`] checks a
+    /// page's structure, not its contents.
+    pub fn derive<I, K, V>(&self, upserts: I) -> FrozenTrie
+    where
+        I: IntoIterator<Item = (K, V)>,
+        K: AsRef<[u8]>,
+        V: AsRef<[u8]>,
+    {
+        let mut overlay = Overlay::new(self);
+        for (key, value) in upserts {
+            let value = value.as_ref();
+            assert!(!value.is_empty(), "empty values are not representable");
+            overlay.upsert(&bytes_to_nibbles(key.as_ref()), value);
+        }
+        if overlay.work.is_empty() {
+            return self.clone();
+        }
+        overlay.encode(0);
+        overlay.emit()
     }
 
     /// Walks every key and emits each first-touched witness node once,
@@ -657,6 +712,483 @@ impl<'a> Arena<'a> {
     }
 }
 
+/// An editable node of a [`FrozenTrie::derive`] overlay: a parent node
+/// decoded on first touch, or one the upserts created. Children are
+/// arena ids ([`NO_NODE`] when absent).
+enum Work {
+    Leaf {
+        path: Vec<u8>,
+        value: Vec<u8>,
+    },
+    Extension {
+        path: Vec<u8>,
+        child: u32,
+    },
+    Branch {
+        children: [u32; 16],
+        value: Option<Vec<u8>>,
+    },
+}
+
+/// Derive-pass scratch: the parent arena plus a sparse overlay of the
+/// nodes the upserts touch.
+///
+/// A node that is replaced (a split leaf or extension) hands its arena
+/// id to the top node of what replaces it, so no id ever dies, no
+/// parent's child slot ever needs re-pointing, and the root stays id 0;
+/// nodes the upserts create take fresh ids past the parent's.
+struct Overlay<'a> {
+    parent: &'a FrozenTrie,
+    /// Per arena id: its index in `work`, or [`NO_NODE`] while the node
+    /// is untouched. Longer than the parent's table once nodes are
+    /// created.
+    slot: Vec<u32>,
+    work: Vec<Work>,
+    /// New canonical encodings, parallel to `work` (empty until `encode`).
+    encodings: Vec<Vec<u8>>,
+    /// Per arena id, where known: the hash its parent references it by.
+    /// For an untouched node that is read out of its old parent's
+    /// encoding when the parent is decoded; for a touched one it is
+    /// computed by `encode`.
+    hashes: Vec<H256>,
+    /// Keys the upserts added (as opposed to overwrote).
+    added: usize,
+}
+
+impl<'a> Overlay<'a> {
+    fn new(parent: &'a FrozenTrie) -> Self {
+        let count = parent.nodes.len();
+        Overlay {
+            parent,
+            slot: vec![NO_NODE; count],
+            work: Vec::new(),
+            encodings: Vec::new(),
+            hashes: vec![H256::default(); count],
+            added: 0,
+        }
+    }
+
+    /// Gives `node` a fresh arena id.
+    fn create(&mut self, node: Work) -> u32 {
+        let id = self.slot.len() as u32;
+        self.slot.push(self.work.len() as u32);
+        self.hashes.push(H256::default());
+        self.work.push(node);
+        self.encodings.push(Vec::new());
+        id
+    }
+
+    /// The overlay index of arena node `id`, decoding it out of the
+    /// parent on first touch (which also records the hashes the old
+    /// encoding references its children by).
+    fn edit(&mut self, id: u32) -> usize {
+        if self.slot[id as usize] != NO_NODE {
+            return self.slot[id as usize] as usize;
+        }
+        let parent = self.parent;
+        let node = parent.nodes[id as usize];
+        let items = match parp_rlp::decode(parent.node_bytes(id)) {
+            Ok(Item::List(items)) => items,
+            _ => panic!("arena node {id} is not an RLP list"),
+        };
+        let payload = |item: &Item| match item {
+            Item::Bytes(bytes) => bytes.clone(),
+            Item::List(_) => panic!("arena node {id} holds a list where bytes belong"),
+        };
+        let mut note_child = |child: u32, reference: &Item| {
+            // A 32-byte string is a hash reference; anything else is an
+            // embedded (< 32 byte) child, referenced by its own bytes.
+            if let Item::Bytes(bytes) = reference {
+                if let Some(hash) = H256::from_slice(bytes) {
+                    self.hashes[child as usize] = hash;
+                }
+            }
+        };
+        let decoded = match node.kind {
+            Kind::Leaf => {
+                assert_eq!(items.len(), 2, "arena leaf {id} is not a pair");
+                let (path, _) = hp_decode(&payload(&items[0])).expect("leaf path is hex-prefix");
+                Work::Leaf {
+                    path,
+                    value: payload(&items[1]),
+                }
+            }
+            Kind::Extension => {
+                assert_eq!(items.len(), 2, "arena extension {id} is not a pair");
+                let child = parent.children[node.child_off as usize];
+                note_child(child, &items[1]);
+                let path = node.path_off as usize..(node.path_off + node.path_len) as usize;
+                Work::Extension {
+                    path: parent.paths[path].to_vec(),
+                    child,
+                }
+            }
+            Kind::Branch => {
+                assert_eq!(items.len(), 17, "arena branch {id} has no 17 items");
+                let mut children = [NO_NODE; 16];
+                let slots = node.child_off as usize..node.child_off as usize + 16;
+                children.copy_from_slice(&parent.children[slots]);
+                for (&child, reference) in children.iter().zip(&items) {
+                    if child != NO_NODE {
+                        note_child(child, reference);
+                    }
+                }
+                let value = payload(&items[16]);
+                Work::Branch {
+                    children,
+                    value: (!value.is_empty()).then_some(value),
+                }
+            }
+        };
+        self.slot[id as usize] = self.work.len() as u32;
+        self.work.push(decoded);
+        self.encodings.push(Vec::new());
+        self.work.len() - 1
+    }
+
+    /// Inserts or replaces one key (as nibbles), mirroring
+    /// [`Trie::insert`] node for node.
+    fn upsert(&mut self, key: &[u8], value: &[u8]) {
+        if self.slot.is_empty() {
+            self.create(Work::Leaf {
+                path: key.to_vec(),
+                value: value.to_vec(),
+            });
+            self.added += 1;
+            return;
+        }
+        let mut id = 0u32;
+        let mut rest = key;
+        loop {
+            let at = self.edit(id);
+            // What sits at `id` besides the new key, if the two part
+            // ways here: its path and what hangs below the fork.
+            let (old_path, old) = match &mut self.work[at] {
+                Work::Branch {
+                    children,
+                    value: slot,
+                } => {
+                    let Some((&nibble, below)) = rest.split_first() else {
+                        self.added += usize::from(slot.is_none());
+                        *slot = Some(value.to_vec());
+                        return;
+                    };
+                    let child = children[nibble as usize];
+                    if child != NO_NODE {
+                        id = child;
+                        rest = below;
+                        continue;
+                    }
+                    let leaf = self.create(Work::Leaf {
+                        path: below.to_vec(),
+                        value: value.to_vec(),
+                    });
+                    if let Work::Branch { children, .. } = &mut self.work[at] {
+                        children[nibble as usize] = leaf;
+                    }
+                    self.added += 1;
+                    return;
+                }
+                Work::Extension { path, child } => {
+                    if rest.starts_with(path) {
+                        id = *child;
+                        rest = &rest[path.len()..];
+                        continue;
+                    }
+                    (std::mem::take(path), Below::Child(*child))
+                }
+                Work::Leaf { path, value: slot } => {
+                    if path.as_slice() == rest {
+                        *slot = value.to_vec();
+                        return;
+                    }
+                    (std::mem::take(path), Below::Value(std::mem::take(slot)))
+                }
+            };
+            self.fork(at, &old_path, old, rest, value);
+            self.added += 1;
+            return;
+        }
+    }
+
+    /// Replaces the leaf or extension at overlay index `at` (path
+    /// `old_path`, carrying `old`) by a branch at the point where
+    /// `new_path` diverges from it — under an extension when they share
+    /// a prefix — holding both what was there and the new `value`.
+    fn fork(&mut self, at: usize, old_path: &[u8], old: Below, new_path: &[u8], value: &[u8]) {
+        let shared = common_prefix_len(old_path, new_path);
+        let mut children = [NO_NODE; 16];
+        let mut branch_value = None;
+        match (old_path.get(shared), old) {
+            (None, Below::Value(old_value)) => branch_value = Some(old_value),
+            (None, Below::Child(_)) => unreachable!("a consumed extension is followed, not forked"),
+            (Some(&nibble), old) => {
+                let tail = old_path[shared + 1..].to_vec();
+                children[nibble as usize] = match old {
+                    Below::Value(value) => self.create(Work::Leaf { path: tail, value }),
+                    Below::Child(child) if tail.is_empty() => child,
+                    Below::Child(child) => self.create(Work::Extension { path: tail, child }),
+                };
+            }
+        }
+        match new_path.get(shared) {
+            None => branch_value = Some(value.to_vec()),
+            Some(&nibble) => {
+                children[nibble as usize] = self.create(Work::Leaf {
+                    path: new_path[shared + 1..].to_vec(),
+                    value: value.to_vec(),
+                });
+            }
+        }
+        let branch = Work::Branch {
+            children,
+            value: branch_value,
+        };
+        self.work[at] = if shared == 0 {
+            branch
+        } else {
+            Work::Extension {
+                path: new_path[..shared].to_vec(),
+                child: self.create(branch),
+            }
+        };
+    }
+
+    /// Current encoding of arena node `id`: the overlay's once encoded,
+    /// the parent's otherwise.
+    fn encoding(&self, id: u32) -> &[u8] {
+        match self.slot[id as usize] {
+            NO_NODE => self.parent.node_bytes(id),
+            at => &self.encodings[at as usize],
+        }
+    }
+
+    /// The parent-embedded reference of node `id` (see
+    /// [`Arena::reference`]).
+    fn reference(&self, id: u32) -> Vec<u8> {
+        let encoded = self.encoding(id);
+        if encoded.len() < 32 {
+            encoded.to_vec()
+        } else {
+            encode_bytes(self.hashes[id as usize].as_bytes())
+        }
+    }
+
+    /// Encodes and hashes the touched nodes at and below `id`, children
+    /// first, each exactly once.
+    fn encode(&mut self, id: u32) {
+        let at = match self.slot[id as usize] {
+            NO_NODE => return,
+            at => at as usize,
+        };
+        let below: Vec<u32> = match &self.work[at] {
+            Work::Leaf { .. } => Vec::new(),
+            Work::Extension { child, .. } => vec![*child],
+            Work::Branch { children, .. } => {
+                children.iter().copied().filter(|&c| c != NO_NODE).collect()
+            }
+        };
+        for child in below {
+            self.encode(child);
+        }
+        let encoded = match &self.work[at] {
+            Work::Leaf { path, value } => {
+                encode_list(&[encode_bytes(&hp_encode(path, true)), encode_bytes(value)])
+            }
+            Work::Extension { path, child } => encode_list(&[
+                encode_bytes(&hp_encode(path, false)),
+                self.reference(*child),
+            ]),
+            Work::Branch { children, value } => {
+                let mut items: Vec<Vec<u8>> = children
+                    .iter()
+                    .map(|&child| match child {
+                        NO_NODE => encode_bytes(&[]),
+                        child => self.reference(child),
+                    })
+                    .collect();
+                items.push(encode_bytes(value.as_deref().unwrap_or(&[])));
+                encode_list(&items)
+            }
+        };
+        if encoded.len() >= 32 || id == 0 {
+            self.hashes[id as usize] = keccak256(&encoded);
+        }
+        self.encodings[at] = encoded;
+    }
+
+    /// Writes the derived arena out: one pass in id order that copies
+    /// every untouched node's ranges out of the parent's pools (adjacent
+    /// ranges as one run), appends the overlay's nodes where they fall,
+    /// and re-seats the witness ids the upserts disturbed.
+    fn emit(self) -> FrozenTrie {
+        let parent = self.parent;
+        let recordable = |id: u32, enc_len: usize| enc_len >= 32 || id == 0;
+
+        // Touched nodes a proof can record, sorted by encoding so that
+        // byte-identical ones are neighbours, smallest id first, and an
+        // untouched node can find its new twins by binary search.
+        let mut fresh: Vec<(&[u8], u32)> = (0..self.slot.len() as u32)
+            .filter(|&id| self.slot[id as usize] != NO_NODE)
+            .map(|id| (self.encoding(id), id))
+            .filter(|&(encoded, id)| recordable(id, encoded.len()))
+            .collect();
+        fresh.sort_by_key(|&(encoded, id)| (rank(encoded), id));
+        // Witness id per twin class of `fresh`, held at the index of the
+        // class's first member: that member, unless an untouched node
+        // already carries the same bytes.
+        let mut witness: Vec<u32> = fresh.iter().map(|&(_, id)| id).collect();
+        // Untouched classes whose witness was touched (and so left the
+        // class): old witness id → the first untouched member.
+        let mut reseated: HashMap<u32, u32> = HashMap::new();
+
+        let mut nodes = Vec::with_capacity(self.slot.len());
+        // Sized for the parent's data plus everything the overlay adds:
+        // never less than the result, so the copy never reallocates.
+        let (mut slots, mut nibbles) = (0, 0);
+        for node in &self.work {
+            match node {
+                Work::Leaf { .. } => {}
+                Work::Extension { path, .. } => {
+                    (slots, nibbles) = (slots + 1, nibbles + path.len())
+                }
+                Work::Branch { .. } => slots += 16,
+            }
+        }
+        let mut buf = Pool::new(&parent.buf, self.encodings.iter().map(Vec::len).sum());
+        let mut children = Pool::new(&parent.children, slots);
+        let mut paths = Pool::new(&parent.paths, nibbles);
+        for (id, &at) in self.slot.iter().enumerate() {
+            let id = id as u32;
+            if at == NO_NODE {
+                let old = parent.nodes[id as usize];
+                let mut dedup = old.dedup;
+                if recordable(id, old.enc_len as usize) {
+                    if self.slot[dedup as usize] != NO_NODE {
+                        dedup = *reseated.entry(dedup).or_insert(id);
+                    }
+                    if dedup == id {
+                        let bytes = parent.node_bytes(id);
+                        let first = fresh.partition_point(|&(f, _)| rank(f) < rank(bytes));
+                        if fresh.get(first).is_some_and(|&(f, _)| f == bytes) {
+                            witness[first] = id;
+                        }
+                    }
+                }
+                let (child_off, path_off) = match old.kind {
+                    Kind::Leaf => (0, 0),
+                    Kind::Extension => (
+                        children.keep(old.child_off, 1),
+                        paths.keep(old.path_off, old.path_len),
+                    ),
+                    Kind::Branch => (children.keep(old.child_off, 16), 0),
+                };
+                nodes.push(ArenaNode {
+                    enc_off: buf.keep(old.enc_off, old.enc_len),
+                    child_off,
+                    path_off,
+                    dedup,
+                    ..old
+                });
+            } else {
+                let encoded = &self.encodings[at as usize];
+                let (kind, child_off, path_off, path_len) = match &self.work[at as usize] {
+                    Work::Leaf { .. } => (Kind::Leaf, 0, 0, 0),
+                    Work::Extension { path, child } => (
+                        Kind::Extension,
+                        children.add(&[*child]),
+                        paths.add(path),
+                        path.len() as u32,
+                    ),
+                    Work::Branch { children: ids, .. } => (Kind::Branch, children.add(ids), 0, 0),
+                };
+                nodes.push(ArenaNode {
+                    kind,
+                    enc_off: buf.add(encoded),
+                    enc_len: encoded.len() as u32,
+                    child_off,
+                    path_off,
+                    path_len,
+                    dedup: id,
+                });
+            }
+        }
+        let mut class = 0;
+        for (i, &(encoded, id)) in fresh.iter().enumerate() {
+            if encoded != fresh[class].0 {
+                class = i;
+            }
+            nodes[id as usize].dedup = witness[class];
+        }
+        FrozenTrie {
+            root: self.hashes[0],
+            len: parent.len + self.added,
+            nodes,
+            children: children.finish(),
+            paths: paths.finish(),
+            buf: buf.finish(),
+        }
+    }
+}
+
+/// Sort key for node encodings: by length first — lengths alone tell
+/// most encodings apart, so a search rarely compares bytes.
+fn rank(encoded: &[u8]) -> (usize, &[u8]) {
+    (encoded.len(), encoded)
+}
+
+/// What a forked leaf or extension carried below its path.
+enum Below {
+    Value(Vec<u8>),
+    Child(u32),
+}
+
+/// A compacting copy of one of the parent's pools: ranges to keep are
+/// gathered into runs (a range that starts where the last one ended
+/// extends it) and copied a run at a time, with new data appended in
+/// between. Returned offsets are positions in the copy.
+struct Pool<'a, T> {
+    src: &'a [T],
+    out: Vec<T>,
+    run: Range<usize>,
+}
+
+impl<'a, T: Copy> Pool<'a, T> {
+    fn new(src: &'a [T], added: usize) -> Self {
+        Pool {
+            src,
+            out: Vec::with_capacity(src.len() + added),
+            run: 0..0,
+        }
+    }
+
+    fn keep(&mut self, off: u32, len: u32) -> u32 {
+        if off as usize != self.run.end {
+            self.flush();
+            self.run = off as usize..off as usize;
+        }
+        let at = self.out.len() + self.run.len();
+        self.run.end += len as usize;
+        at as u32
+    }
+
+    fn add(&mut self, data: &[T]) -> u32 {
+        self.flush();
+        self.out.extend_from_slice(data);
+        (self.out.len() - data.len()) as u32
+    }
+
+    fn flush(&mut self) {
+        self.out.extend_from_slice(&self.src[self.run.clone()]);
+        self.run.start = self.run.end;
+    }
+
+    fn finish(mut self) -> Vec<T> {
+        self.flush();
+        self.out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -676,14 +1208,14 @@ mod tests {
     #[test]
     fn frozen_proofs_match_trie_proofs() {
         let trie = sample_trie(500);
-        let frozen = FrozenTrie::new(trie);
-        assert_eq!(frozen.root_hash(), frozen.trie().root_hash());
+        let frozen = FrozenTrie::new(trie.clone());
+        assert_eq!(frozen.root_hash(), trie.root_hash());
         for i in [0u32, 7, 123, 499, 5000, 5001] {
             // 5000/5001 are absent: exclusion proofs must match too.
             let key = keccak256(&i.to_be_bytes());
             assert_eq!(
                 frozen.prove(key.as_bytes()),
-                frozen.trie().prove(key.as_bytes()),
+                trie.prove(key.as_bytes()),
                 "key {i} diverged"
             );
         }
@@ -692,12 +1224,12 @@ mod tests {
     #[test]
     fn frozen_multiproof_matches_and_verifies() {
         let trie = sample_trie(300);
-        let frozen = FrozenTrie::new(trie);
+        let frozen = FrozenTrie::new(trie.clone());
         let keys: Vec<Vec<u8>> = (0..64u32)
             .map(|i| keccak256(&i.to_be_bytes()).as_bytes().to_vec())
             .collect();
         let frozen_proof = frozen.prove_many(&keys);
-        assert_eq!(frozen_proof, frozen.trie().prove_many(&keys));
+        assert_eq!(frozen_proof, trie.prove_many(&keys));
         let results = crate::verify_many(frozen.root_hash(), &keys, &frozen_proof).unwrap();
         assert!(results.iter().all(Option::is_some));
     }
@@ -771,9 +1303,9 @@ mod tests {
 
         let mut one = Trie::new();
         one.insert(b"dog".to_vec(), b"puppy".to_vec());
-        let frozen = FrozenTrie::new(one);
+        let frozen = FrozenTrie::new(one.clone());
         assert_eq!(frozen.len(), 1);
-        assert_eq!(frozen.prove(b"dog"), frozen.trie().prove(b"dog"));
+        assert_eq!(frozen.prove(b"dog"), one.prove(b"dog"));
         let value = verify_proof(frozen.root_hash(), b"dog", &frozen.prove(b"dog")).unwrap();
         assert_eq!(value, Some(b"puppy".to_vec()));
     }
@@ -819,6 +1351,7 @@ mod tests {
         let small = FrozenTrie::new(sample_trie(10));
         let large = FrozenTrie::new(sample_trie(1_000));
         assert!(small.mem_bytes() >= std::mem::size_of::<FrozenTrie>());
+        assert_eq!(FrozenTrie::new(Trie::new()).mem_bytes(), ARENA_HEADER_BYTES);
         assert!(large.mem_bytes() > small.mem_bytes());
         // A rehydrated page reports the same measured size.
         let rehydrated = FrozenTrie::from_bytes(&large.to_bytes()).unwrap();

@@ -92,9 +92,16 @@ impl Node {
     }
 }
 
+/// `keccak256(rlp(""))`, spelled out: it is read on every empty-trie
+/// check and every default account, so it is a constant, not a hash.
+const EMPTY_ROOT: H256 = H256::new([
+    0x56, 0xe8, 0x1f, 0x17, 0x1b, 0xcc, 0x55, 0xa6, 0xff, 0x83, 0x45, 0xe6, 0x92, 0xc0, 0xf8, 0x6e,
+    0x5b, 0x48, 0xe0, 0x1b, 0x99, 0x6c, 0xad, 0xc0, 0x01, 0x62, 0x2f, 0xb5, 0xe3, 0x63, 0xb4, 0x21,
+]);
+
 /// Root hash of the empty trie: `keccak256(rlp(""))`.
 pub fn empty_root() -> H256 {
-    keccak256(&encode_bytes(&[]))
+    EMPTY_ROOT
 }
 
 #[cfg(test)]
@@ -103,7 +110,8 @@ mod tests {
 
     #[test]
     fn empty_root_constant() {
-        // The famous Ethereum empty-trie root.
+        // The famous Ethereum empty-trie root, and what it is the hash of.
+        assert_eq!(empty_root(), keccak256(&encode_bytes(&[])));
         assert_eq!(
             empty_root().to_string(),
             "0x56e81f171bcc55a6ff8345e692c0f86e5b48e01b996cadc001622fb5e363b421"

@@ -1,9 +1,12 @@
 //! Property tests: the trie against a BTreeMap model, root determinism,
-//! proof soundness/completeness, and the arena-frozen serving path
-//! pinned byte-identical to the retained baseline.
+//! proof soundness/completeness, the arena-frozen serving path pinned
+//! byte-identical to the retained baseline, and `FrozenTrie::derive`
+//! pinned indistinguishable from a fresh freeze over long upsert chains.
 
 use parp_trie::{baseline, verify_many, verify_proof, FrozenTrie, ProofBuf, Trie};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
 use std::collections::BTreeMap;
 
 fn arb_pairs() -> impl Strategy<Value = Vec<(Vec<u8>, Vec<u8>)>> {
@@ -280,4 +283,305 @@ fn arena_matches_baseline_on_degenerate_tries() {
     // A single short key whose root encoding is < 32 bytes (root is
     // still recorded and hashed).
     assert_arena_matches_baseline(&[(vec![7], vec![1, 2])], &[vec![8]]).unwrap();
+}
+
+// --- FrozenTrie::derive ≡ FrozenTrie::new(updated trie) -----------------
+
+/// The two key populations a `FrozenTrie` serves.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// 32-byte hashed keys with account-sized values: the secure state
+    /// trie (every leaf behind a hash reference, no branch values).
+    Hashed,
+    /// 1–4 byte keys over a 16-symbol alphabet with values from a small
+    /// pool of tiny and ≥ 32-byte strings: keys that are prefixes of
+    /// other keys (branch values), embedded (< 32-byte) children,
+    /// extension chains and byte-identical twin subtrees.
+    Short,
+}
+
+const SHORT_ALPHABET: [u8; 16] = [
+    0x00, 0x01, 0x02, 0x0f, 0x10, 0x11, 0x1f, 0x20, 0x7f, 0x80, 0xa0, 0xaa, 0xf0, 0xf1, 0xfe, 0xff,
+];
+
+impl Shape {
+    fn key(self, rng: &mut StdRng) -> Vec<u8> {
+        match self {
+            Shape::Hashed => parp_crypto::keccak256(&rng.next_u64().to_be_bytes())
+                .as_bytes()
+                .to_vec(),
+            Shape::Short => (0..1 + rng.gen_range(0..4usize))
+                .map(|_| SHORT_ALPHABET[rng.gen_range(0..SHORT_ALPHABET.len())])
+                .collect(),
+        }
+    }
+
+    fn value(self, rng: &mut StdRng) -> Vec<u8> {
+        match self {
+            Shape::Hashed => {
+                let len = 70 + rng.gen_range(0..40usize);
+                (0..len).map(|_| rng.next_u64() as u8).collect()
+            }
+            Shape::Short => match rng.gen_range(0..5usize) {
+                0 => vec![0x07],
+                1 => vec![0xaa, 0xbb],
+                2 => vec![0xcd; 40],
+                3 => vec![0xef; 33],
+                _ => vec![rng.next_u64() as u8; 1 + rng.gen_range(0..48usize)],
+            },
+        }
+    }
+}
+
+/// Shape constraint (1) of the derive contract, plus "no garbage": the
+/// derived arena answers exactly like a fresh freeze of `model` and is
+/// exactly its size.
+fn assert_derived_is_fresh(derived: &FrozenTrie, model: &Trie, probes: &[Vec<u8>]) {
+    let fresh = FrozenTrie::new(model.clone());
+    assert_eq!(derived.root_hash(), fresh.root_hash());
+    assert_eq!(derived.len(), fresh.len());
+    assert_eq!(derived.is_empty(), fresh.is_empty());
+    assert_eq!(derived.node_count(), fresh.node_count());
+    assert_eq!(derived.mem_bytes(), fresh.mem_bytes());
+    for key in probes {
+        assert_eq!(derived.prove(key), fresh.prove(key));
+    }
+    // First-touch order and the one-witness-per-identical-node rule,
+    // in both key orders.
+    let reversed: Vec<Vec<u8>> = probes.iter().rev().cloned().collect();
+    for keys in [probes, &reversed[..]] {
+        let expected = fresh.prove_many(keys);
+        assert_eq!(derived.prove_many(keys), expected);
+        let mut buf = ProofBuf::new();
+        derived.multiproof_into(keys, &mut buf);
+        assert_eq!(buf.to_vecs(), expected);
+    }
+    let paged = FrozenTrie::from_bytes(&derived.to_bytes()).expect("derived page parses");
+    assert_eq!(paged.root_hash(), fresh.root_hash());
+    assert_eq!(paged.prove_many(probes), fresh.prove_many(probes));
+}
+
+/// One chain: a random trie of `size` keys, then `batches` derivations,
+/// each checked against a fresh freeze. Batches mix overwrites (some
+/// re-writing the value already there) with new keys, 1–1,000 at a time.
+fn derive_chain(shape: Shape, size: usize, batches: usize, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut model = Trie::new();
+    let mut known: Vec<Vec<u8>> = Vec::new();
+    while model.len() < size {
+        let key = shape.key(&mut rng);
+        if model.insert(key.clone(), shape.value(&mut rng)).is_none() {
+            known.push(key);
+        }
+    }
+    let mut arena = FrozenTrie::new(model.clone());
+    for _ in 0..batches {
+        let batch_len = match rng.gen_range(0..25usize) {
+            0 => 1 + rng.gen_range(0..1_000usize),
+            1..=6 => 1 + rng.gen_range(0..64usize),
+            _ => 1 + rng.gen_range(0..6usize),
+        };
+        let mut batch: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(batch_len);
+        for _ in 0..batch_len {
+            let existing = !known.is_empty() && rng.gen_range(0..2usize) == 0;
+            let key = if existing {
+                known[rng.gen_range(0..known.len())].clone()
+            } else {
+                shape.key(&mut rng)
+            };
+            let value = match model.get(&key) {
+                Some(current) if rng.gen_range(0..4usize) == 0 => current.to_vec(),
+                _ => shape.value(&mut rng),
+            };
+            batch.push((key, value));
+        }
+        arena = arena.derive(batch.iter().map(|(k, v)| (k, v)));
+        for (key, value) in &batch {
+            if model.insert(key.clone(), value.clone()).is_none() {
+                known.push(key.clone());
+            }
+        }
+        // Probe what changed (sampled when the batch is large), some of
+        // what did not, and a few absent keys.
+        let stride = batch.len().div_ceil(40);
+        let mut probes: Vec<Vec<u8>> = batch
+            .iter()
+            .step_by(stride)
+            .map(|(k, _)| k.clone())
+            .collect();
+        probes.extend((0..8).map(|_| known[rng.gen_range(0..known.len())].clone()));
+        probes.extend((0..3).map(|_| shape.key(&mut rng)));
+        assert_derived_is_fresh(&arena, &model, &probes);
+    }
+}
+
+/// 4 small sizes × 6 seeds + the large size once, 50 batches each:
+/// 1,250 derivations per shape, 2,500 in all, every one checked.
+fn derive_chains(shape: Shape) {
+    for (size, seeds) in [(0, 6), (1, 6), (2, 6), (17, 6), (3_000, 1)] {
+        for seed in 0..seeds {
+            derive_chain(shape, size, 50, 0xD0 + seed * 7919 + size as u64);
+        }
+    }
+}
+
+#[test]
+fn derive_matches_fresh_freeze_over_long_chains_of_hashed_keys() {
+    derive_chains(Shape::Hashed);
+}
+
+#[test]
+fn derive_matches_fresh_freeze_over_long_chains_of_short_keys() {
+    derive_chains(Shape::Short);
+}
+
+#[test]
+fn derived_arenas_carry_no_garbage_after_a_thousand_derivations() {
+    // Every key of a small key space is overwritten, split and
+    // re-joined many times over; the arena must stay the size of a
+    // fresh freeze (checked exactly at every step by
+    // `assert_derived_is_fresh`, here only at the end of a long chain).
+    let shape = Shape::Short;
+    let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+    let mut model = Trie::new();
+    let mut arena = FrozenTrie::new(Trie::new());
+    for _ in 0..1_000 {
+        let batch: Vec<(Vec<u8>, Vec<u8>)> = (0..1 + rng.gen_range(0..4usize))
+            .map(|_| (shape.key(&mut rng), shape.value(&mut rng)))
+            .collect();
+        arena = arena.derive(batch.iter().map(|(k, v)| (k, v)));
+        for (key, value) in batch {
+            model.insert(key, value);
+        }
+    }
+    let probes: Vec<Vec<u8>> = model.iter().map(|(k, _)| k).collect();
+    assert_derived_is_fresh(&arena, &model, &probes);
+}
+
+/// Twin leaves: keys that diverge at the first nibble and share the
+/// rest, holding the same ≥ 32-byte value, encode byte-identically.
+fn twin_key(first: u8) -> Vec<u8> {
+    let mut key = vec![first];
+    key.extend_from_slice(&[0xab; 20]);
+    key
+}
+
+fn derive_and_check(
+    arena: &FrozenTrie,
+    model: &mut Trie,
+    upserts: &[(Vec<u8>, Vec<u8>)],
+    probes: &[Vec<u8>],
+) -> FrozenTrie {
+    let derived = arena.derive(upserts.iter().map(|(k, v)| (k, v)));
+    for (key, value) in upserts {
+        model.insert(key.clone(), value.clone());
+    }
+    assert_derived_is_fresh(&derived, model, probes);
+    derived
+}
+
+#[test]
+fn derive_breaks_and_recreates_the_canonical_twin() {
+    let twin_value = vec![0xcd; 40];
+    let (a, b, c) = (twin_key(0x10), twin_key(0x20), twin_key(0x30));
+    let mut model: Trie = [&a, &b, &c]
+        .into_iter()
+        .map(|k| (k.clone(), twin_value.clone()))
+        .collect();
+    let probes = [a.clone(), b.clone(), c.clone()];
+    let arena = FrozenTrie::new(model.clone());
+    // Three twins, one witness: root + one leaf.
+    assert_eq!(arena.prove_many(&probes).len(), 2);
+
+    // `a` is the first of the three in arena order — their canonical
+    // witness. Changing it must re-seat the other two on one witness.
+    let broken = derive_and_check(&arena, &mut model, &[(a.clone(), vec![0x99; 40])], &probes);
+    assert_eq!(broken.prove_many(&probes).len(), 3);
+    // Re-creating it: the touched leaf joins the untouched twins' class.
+    let rejoined = derive_and_check(
+        &broken,
+        &mut model,
+        &[(a.clone(), twin_value.clone())],
+        &probes,
+    );
+    assert_eq!(rejoined.prove_many(&probes).len(), 2);
+    // Re-writing the canonical twin with the value it already has keeps
+    // the class whole.
+    let same = derive_and_check(
+        &arena,
+        &mut model,
+        &[(a.clone(), twin_value.clone())],
+        &probes,
+    );
+    assert_eq!(same.prove_many(&probes).len(), 2);
+    // Breaking a non-canonical member leaves the others alone.
+    let other = derive_and_check(&arena, &mut model, &[(c.clone(), vec![0x77; 40])], &probes);
+    assert_eq!(other.prove_many(&probes).len(), 3);
+}
+
+#[test]
+fn derive_adds_a_leaf_equal_to_two_existing_ones() {
+    let twin_value = vec![0xcd; 40];
+    let (a, b, new) = (twin_key(0x10), twin_key(0x20), twin_key(0x50));
+    let mut model: Trie = [&a, &b]
+        .into_iter()
+        .map(|k| (k.clone(), twin_value.clone()))
+        .collect();
+    let arena = FrozenTrie::new(model.clone());
+    let probes = [new.clone(), a.clone(), b.clone()];
+    let grown = derive_and_check(
+        &arena,
+        &mut model,
+        &[(new.clone(), twin_value.clone())],
+        &probes,
+    );
+    assert_eq!(grown.prove_many(&probes).len(), 2);
+    // Two leaves created by one derive that equal each other and no
+    // untouched node: they share one witness too.
+    let (x, y) = (twin_key(0x40), twin_key(0x60));
+    let fresh_pair = [(x.clone(), vec![0x31; 40]), (y.clone(), vec![0x31; 40])];
+    let probes = [y, x, a, b, new];
+    let paired = derive_and_check(&grown, &mut model, &fresh_pair, &probes);
+    assert_eq!(paired.prove_many(&probes).len(), 3);
+}
+
+#[test]
+fn derive_handles_every_root_and_split_shape() {
+    // From nothing; a root that is a leaf, then an extension, then a
+    // branch; a value landing on a branch; a leaf absorbed as a branch
+    // value; an extension split at its first, middle and last nibble.
+    let steps: [&[(&[u8], &[u8])]; 8] = [
+        &[(b"\x12\x34\x56", b"leaf-root")],
+        &[(b"\x12\x34\x57", b"ext-root: shares five nibbles")],
+        &[(
+            b"\x12\x34",
+            b"value on the branch under the extension, long enough to hash",
+        )],
+        &[(b"\x12\x34\x56\x78", b"the old leaf becomes a branch value")],
+        &[(b"\x12\x35", b"split the extension at its last nibble")],
+        &[(b"\x13", b"split it in the middle")],
+        &[(b"\x22", b"split it at the first nibble: branch root")],
+        &[
+            (b"", b"the empty key: a value on the root branch"),
+            (b"\x12", b"x"),
+        ],
+    ];
+    let mut model = Trie::new();
+    let mut arena = FrozenTrie::new(Trie::new());
+    let mut probes: Vec<Vec<u8>> = vec![b"\x12\x99".to_vec(), b"\xff".to_vec()];
+    for step in steps {
+        let upserts: Vec<(Vec<u8>, Vec<u8>)> =
+            step.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+        probes.extend(upserts.iter().map(|(k, _)| k.clone()));
+        arena = derive_and_check(&arena, &mut model, &upserts, &probes);
+    }
+    // No upserts: the same arena.
+    let same = arena.derive(std::iter::empty::<(&[u8], &[u8])>());
+    assert_eq!(same.to_bytes(), arena.to_bytes());
+}
+
+#[test]
+#[should_panic(expected = "empty values")]
+fn derive_rejects_empty_values_like_insert() {
+    let _ = FrozenTrie::new(Trie::new()).derive([(b"key", b"")]);
 }
