@@ -2,7 +2,7 @@
 //! segments and a byte-budgeted warm tier costs, versus keeping every
 //! block resident.
 //!
-//! Four sections:
+//! Five sections:
 //!
 //! 1. **Correctness pin** — transaction and receipt proofs served by
 //!    the [`ColdProofEngine`] against a pruned chain must be
@@ -14,6 +14,16 @@
 //!    whose pages were spilled to disk: spill read + `from_bytes`.
 //! 4. **Warm / in-memory** — warm-tier hits and the resident runtime's
 //!    inclusion-cache hits, the steady-state serve cost.
+//! 5. **Store leaf calls at the ledger's page size** — the checksum
+//!    per byte, one record read and one spilled-page read, on the
+//!    record and the ~12 KB page of a 64-transfer block (what the
+//!    `history-cold` workload's blocks carry). Every checksum is
+//!    asserted equal to the bit-at-a-time definition and every read
+//!    byte-identical to what was written; there is no speed floor.
+//!
+//! Every proof in sections 1–4 is cut the way the serving loop cuts
+//! it: the block's header is resolved through the chain (a segment
+//! read and a decode for a pruned block), then handed to the engine.
 //!
 //! Emits `BENCH_store.json` at the workspace root (a CI artifact
 //! alongside `BENCH_trie.json` and friends) with the latency ladder
@@ -26,7 +36,8 @@ use parp_core::ProofEngine;
 use parp_crypto::SecretKey;
 use parp_primitives::{Address, U256};
 use parp_runtime::{ColdProofEngine, Runtime, RuntimeConfig};
-use parp_store::{scratch_dir, BlockStore, SpillStore};
+use parp_store::{crc32, encode_items, scratch_dir, BlockStore, SegmentFile, SpillStore};
+use parp_trie::{ordered_trie, FrozenTrie};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -91,6 +102,13 @@ fn fresh_engine(budget: usize, dirs: &mut Vec<PathBuf>) -> ColdProofEngine {
     ColdProofEngine::new(budget, spill)
 }
 
+/// One old-block transaction proof, cut as the serving loop cuts it:
+/// resolve the block's header, hand it to the engine.
+fn prove(engine: &mut impl ProofEngine, chain: &Blockchain, block: u64) -> Vec<Vec<u8>> {
+    let header = chain.header_at(block).expect("probed block has a header");
+    engine.transaction_proof(chain, &header, 0)
+}
+
 /// Section 1: the segment-backed path must be indistinguishable from
 /// the resident path on the wire.
 fn assert_byte_identical(fx: &mut Fixture) {
@@ -100,22 +118,138 @@ fn assert_byte_identical(fx: &mut Fixture) {
     // not change a single byte either.
     for _ in 0..2 {
         for &block in &fx.probe {
-            let tx_proof = engine.transaction_proof(&fx.cold, block, 0);
+            let tx_proof = prove(&mut engine, &fx.cold, block);
             assert!(!tx_proof.is_empty(), "pruned block {block} must prove");
             assert_eq!(
                 tx_proof,
-                runtime.transaction_proof(&fx.resident, block, 0),
+                prove(&mut runtime, &fx.resident, block),
                 "cold transaction proof diverged at block {block}"
             );
+            let header = fx.cold.header_at(block).expect("archived header");
+            let receipt = engine.receipt_proof(&fx.cold, &header, 0);
+            assert!(
+                receipt.is_some(),
+                "pruned block {block} must serve its receipt"
+            );
             assert_eq!(
-                engine.receipt_proof(&fx.cold, block, 0),
-                runtime.receipt_proof(&fx.resident, block, 0),
-                "cold receipt proof diverged at block {block}"
+                receipt,
+                runtime.receipt_proof(&fx.resident, &header, 0),
+                "cold receipt or its proof diverged at block {block}"
             );
         }
     }
     assert!(engine.tier().spill_count() > 0, "budget of 1 must spill");
     assert!(engine.tier().rehydrate_count() > 0, "revisits rehydrate");
+}
+
+/// Transfers in the block whose record and page section 5 reads: the
+/// `history-cold` workload's block shape.
+const LEDGER_BLOCK_TXS: u64 = 64;
+/// Timed reads (and checksum passes) per section-5 figure.
+const LEAF_SAMPLES: usize = 400;
+
+/// Section 5's figures: medians over [`LEAF_SAMPLES`] calls.
+struct LeafNumbers {
+    crc32_ns_per_byte_4k: f64,
+    crc32_ns_per_byte_16k: f64,
+    segment_read_us: f64,
+    spill_get_us: f64,
+    record_bytes: usize,
+    page_bytes: usize,
+}
+
+/// CRC-32 by its definition, one bit at a time: what every checksum
+/// the section times is asserted equal to.
+fn crc32_bitwise(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &byte in data {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    crc ^ 0xFFFF_FFFF
+}
+
+/// Median wall-clock nanoseconds of `LEAF_SAMPLES` calls of `call`.
+fn median_ns<R>(mut call: impl FnMut() -> R) -> f64 {
+    let mut samples: Vec<f64> = (0..LEAF_SAMPLES)
+        .map(|_| {
+            let started = Instant::now();
+            black_box(call());
+            started.elapsed().as_nanos() as f64
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// Section 5: the store's leaf calls on a 64-transfer block's record
+/// and page.
+fn measure_leaf_calls(dirs: &mut Vec<PathBuf>) -> LeafNumbers {
+    let key = SecretKey::from_seed(b"store-bench-wide");
+    let encoded: Vec<Vec<u8>> = (0..LEDGER_BLOCK_TXS)
+        .map(|nonce| {
+            Transaction {
+                nonce,
+                gas_price: U256::ZERO,
+                gas_limit: 21_000,
+                to: Some(Address::from_low_u64_be(0x57_0e)),
+                value: U256::ONE,
+                data: Vec::new(),
+            }
+            .sign(&key)
+            .encode()
+        })
+        .collect();
+    let record = encode_items(&encoded);
+    let trie = FrozenTrie::new(ordered_trie(encoded.iter().map(Vec::as_slice)));
+    let (root, page) = (trie.root_hash(), trie.to_bytes());
+
+    let crc32_ns_per_byte = |size: usize| {
+        let buffer: Vec<u8> = page.iter().cycle().take(size).copied().collect();
+        assert_eq!(
+            crc32(&buffer),
+            crc32_bitwise(&buffer),
+            "the sliced checksum of a {size}-byte buffer diverged from the definition"
+        );
+        median_ns(|| crc32(black_box(&buffer))) / size as f64
+    };
+    let crc32_ns_per_byte_4k = crc32_ns_per_byte(4 * 1024);
+    let crc32_ns_per_byte_16k = crc32_ns_per_byte(16 * 1024);
+
+    let dir = scratch_dir("bench-leaf").expect("scratch dir");
+    let mut segment = SegmentFile::open(dir.join("records.seg")).expect("open segment");
+    let index = segment.append(&record).expect("append record");
+    assert_eq!(
+        segment.get(index).expect("read record"),
+        Some(record.clone()),
+        "the record read back is not the record written"
+    );
+    let segment_read_us = median_ns(|| segment.get(index)) / 1_000.0;
+
+    let spill = SpillStore::open(dir.join("spill")).expect("open spill store");
+    spill.put(root, &page).expect("spill page");
+    assert_eq!(
+        spill.get(&root).expect("read page"),
+        Some(page.clone()),
+        "the page read back is not the page spilled"
+    );
+    let spill_get_us = median_ns(|| spill.get(&root)) / 1_000.0;
+    dirs.push(dir);
+
+    LeafNumbers {
+        crc32_ns_per_byte_4k,
+        crc32_ns_per_byte_16k,
+        segment_read_us,
+        spill_get_us,
+        record_bytes: record.len(),
+        page_bytes: page.len(),
+    }
 }
 
 struct Numbers {
@@ -143,7 +277,7 @@ fn measure(fx: &mut Fixture) -> Numbers {
     let started = Instant::now();
     for engine in &mut engines {
         for &block in &fx.probe {
-            black_box(engine.transaction_proof(&fx.cold, block, 0));
+            black_box(prove(engine, &fx.cold, block));
         }
     }
     let cold_first_us = per_proof(started.elapsed().as_nanos(), ROUNDS);
@@ -157,7 +291,7 @@ fn measure(fx: &mut Fixture) -> Numbers {
     let started = Instant::now();
     for _ in 0..ROUNDS {
         for &block in &fx.probe {
-            black_box(warm_engine.transaction_proof(&fx.cold, block, 0));
+            black_box(prove(warm_engine, &fx.cold, block));
         }
     }
     let warm_us = per_proof(started.elapsed().as_nanos(), ROUNDS);
@@ -169,13 +303,13 @@ fn measure(fx: &mut Fixture) -> Numbers {
     let budget_bytes = (resident_full_bytes / 8).max(1);
     let mut budgeted = fresh_engine(budget_bytes, &mut fx.dirs);
     for &block in &fx.probe {
-        black_box(budgeted.transaction_proof(&fx.cold, block, 0));
+        black_box(prove(&mut budgeted, &fx.cold, block));
     }
     let rehydrates_before = budgeted.tier().rehydrate_count();
     let started = Instant::now();
     for _ in 0..ROUNDS {
         for &block in &fx.probe {
-            black_box(budgeted.transaction_proof(&fx.cold, block, 0));
+            black_box(prove(&mut budgeted, &fx.cold, block));
         }
     }
     let rehydrate_us = per_proof(started.elapsed().as_nanos(), ROUNDS);
@@ -193,12 +327,12 @@ fn measure(fx: &mut Fixture) -> Numbers {
         ..RuntimeConfig::default()
     });
     for &block in &fx.probe {
-        black_box(runtime.transaction_proof(&fx.resident, block, 0));
+        black_box(prove(&mut runtime, &fx.resident, block));
     }
     let started = Instant::now();
     for _ in 0..ROUNDS {
         for &block in &fx.probe {
-            black_box(runtime.transaction_proof(&fx.resident, block, 0));
+            black_box(prove(&mut runtime, &fx.resident, block));
         }
     }
     let inmem_us = per_proof(started.elapsed().as_nanos(), ROUNDS);
@@ -216,7 +350,7 @@ fn measure(fx: &mut Fixture) -> Numbers {
     }
 }
 
-fn emit_artifact(n: &Numbers, blocks: u64) {
+fn emit_artifact(n: &Numbers, leaf: &LeafNumbers, blocks: u64) {
     let warm_vs_cold = n.cold_first_us / n.warm_us.max(1e-9);
     let rehydrate_vs_cold = n.cold_first_us / n.rehydrate_us.max(1e-9);
     let budget_ratio = n.budget_bytes as f64 / n.resident_full_bytes.max(1) as f64;
@@ -228,6 +362,9 @@ fn emit_artifact(n: &Numbers, blocks: u64) {
          \"history_disk_bytes\":{},\"spill_disk_bytes\":{},\
          \"resident_full_bytes\":{},\"budget_bytes\":{},\
          \"budget_resident_bytes\":{},\"budget_ratio\":{budget_ratio:.3},\
+         \"crc32_ns_per_byte_4k\":{:.3},\"crc32_ns_per_byte_16k\":{:.3},\
+         \"segment_read_us\":{:.1},\"spill_get_us\":{:.1},\
+         \"record_bytes\":{},\"page_bytes\":{},\
          \"byte_identical\":true}}\n",
         n.cold_first_us,
         n.rehydrate_us,
@@ -238,6 +375,12 @@ fn emit_artifact(n: &Numbers, blocks: u64) {
         n.resident_full_bytes,
         n.budget_bytes,
         n.budget_resident_bytes,
+        leaf.crc32_ns_per_byte_4k,
+        leaf.crc32_ns_per_byte_16k,
+        leaf.segment_read_us,
+        leaf.spill_get_us,
+        leaf.record_bytes,
+        leaf.page_bytes,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json");
     std::fs::write(path, &json).expect("write BENCH_store.json");
@@ -246,6 +389,16 @@ fn emit_artifact(n: &Numbers, blocks: u64) {
         "old-block proof serve: cold first touch {:.1} µs | rehydrate {:.1} µs | \
          warm hit {:.1} µs ({warm_vs_cold:.1}× vs cold) | resident baseline {:.1} µs",
         n.cold_first_us, n.rehydrate_us, n.warm_us, n.inmem_us,
+    );
+    println!(
+        "store leaf calls on a {LEDGER_BLOCK_TXS}-transfer block: crc32 {:.3} ns/B (4 KiB) \
+         {:.3} ns/B (16 KiB) | {} B record read {:.1} µs | {} B page spill get {:.1} µs",
+        leaf.crc32_ns_per_byte_4k,
+        leaf.crc32_ns_per_byte_16k,
+        leaf.record_bytes,
+        leaf.segment_read_us,
+        leaf.page_bytes,
+        leaf.spill_get_us,
     );
     let budget_pct = budget_ratio * 100.0;
     println!(
@@ -288,7 +441,7 @@ fn bench_store_ops(c: &mut Criterion, fx: &mut Fixture) {
     group.bench_function("warm_hit_proof", |b| {
         b.iter(|| {
             for &block in &probe {
-                black_box(warm.transaction_proof(&fx.cold, block, 0));
+                black_box(prove(&mut warm, &fx.cold, block));
             }
         })
     });
@@ -298,7 +451,7 @@ fn bench_store_ops(c: &mut Criterion, fx: &mut Fixture) {
     group.bench_function("rehydrate_proof", |b| {
         b.iter(|| {
             for &block in &probe[..2] {
-                black_box(tiny.transaction_proof(&fx.cold, block, 0));
+                black_box(prove(&mut tiny, &fx.cold, block));
             }
         })
     });
@@ -306,7 +459,7 @@ fn bench_store_ops(c: &mut Criterion, fx: &mut Fixture) {
     group.bench_function("inmem_proof", |b| {
         b.iter(|| {
             for &block in &probe[..2] {
-                black_box(runtime.transaction_proof(&fx.resident, block, 0));
+                black_box(prove(&mut runtime, &fx.resident, block));
             }
         })
     });
@@ -317,7 +470,8 @@ fn run_all(c: &mut Criterion) {
     let mut fx = fixture();
     assert_byte_identical(&mut fx);
     let numbers = measure(&mut fx);
-    emit_artifact(&numbers, fx.cold.height());
+    let leaf = measure_leaf_calls(&mut fx.dirs);
+    emit_artifact(&numbers, &leaf, fx.cold.height());
     bench_store_ops(c, &mut fx);
     for dir in fx.dirs.drain(..) {
         let _ = std::fs::remove_dir_all(dir);

@@ -2,7 +2,7 @@
 //! pluggable execution layer, with snapshot-backed historical queries and
 //! Merkle proofs — everything a PARP full node needs to serve.
 
-use crate::block::{receipts_trie, Block};
+use crate::block::Block;
 use crate::exec::{BlockContext, TransactionExecutor};
 use crate::header::{empty_ommers_hash, Header};
 use crate::receipt::Receipt;
@@ -10,7 +10,7 @@ use crate::state::State;
 use crate::transaction::SignedTransaction;
 use parp_crypto::keccak256;
 use parp_primitives::{Address, H256, U256};
-use parp_store::BlockStore;
+use parp_store::{BlockStore, ReadCounts};
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
@@ -512,18 +512,22 @@ impl Blockchain {
     /// `receipts_root`. Falls back to the archived segments for pruned
     /// blocks, byte-identically.
     pub fn receipt_proof(&self, number: u64, index: usize) -> Option<Vec<Vec<u8>>> {
-        if let Some(receipts) = self.receipts(number) {
-            if index >= receipts.len() {
-                return None;
-            }
-            return Some(receipts_trie(receipts).prove(&parp_rlp::encode_u64(index as u64)));
-        }
-        let encoded = self.cold_receipts(number)?;
+        self.receipt_with_proof(number, index)
+            .map(|(_, proof)| proof)
+    }
+
+    /// The encoded receipt at `(number, index)` and its inclusion
+    /// proof, warm or cold — both taken from one ordered trie over the
+    /// block's encoded receipts, so a pruned block's archived record
+    /// is read once for the pair.
+    pub fn receipt_with_proof(&self, number: u64, index: usize) -> Option<(Vec<u8>, Vec<Vec<u8>>)> {
+        let mut encoded = self.receipts_encoded(number)?;
         if index >= encoded.len() {
             return None;
         }
         let trie = parp_trie::ordered_trie(encoded.iter().map(Vec::as_slice));
-        Some(trie.prove(&parp_rlp::encode_u64(index as u64)))
+        let proof = trie.prove(&parp_rlp::encode_u64(index as u64));
+        Some((encoded.swap_remove(index), proof))
     }
 
     // --- cold/warm unified accessors -------------------------------
@@ -547,6 +551,14 @@ impl Blockchain {
     /// one).
     pub fn history_disk_bytes(&self) -> u64 {
         self.history.as_ref().map_or(0, BlockStore::disk_bytes)
+    }
+
+    /// Record reads the attached history store has served, per
+    /// segment (all zero without one).
+    pub fn history_read_counts(&self) -> ReadCounts {
+        self.history
+            .as_ref()
+            .map_or_else(ReadCounts::default, BlockStore::read_counts)
     }
 
     /// Fsyncs the history store's segment tails.
@@ -577,6 +589,19 @@ impl Blockchain {
             return Some(block.header.encode());
         }
         self.history.as_ref()?.header(number).ok().flatten()
+    }
+
+    /// The decoded header of block `number` with its canonical
+    /// encoding, warm or cold: a pruned block costs one segment read
+    /// and one decode for the pair, which is what lets one exchange use
+    /// a header both as a proof root and on the wire.
+    pub fn header_record(&self, number: u64) -> Option<(Header, Vec<u8>)> {
+        if let Some(block) = self.block(number) {
+            return Some((block.header.clone(), block.header.encode()));
+        }
+        let bytes = self.history.as_ref()?.header(number).ok().flatten()?;
+        let header = Header::decode(&bytes).ok()?;
+        Some((header, bytes))
     }
 
     /// The decoded header of block `number`, warm or cold.
@@ -623,18 +648,6 @@ impl Blockchain {
             return Some(receipts.iter().map(Receipt::encode).collect());
         }
         self.cold_receipts(number)
-    }
-
-    /// The encoded receipt at `(number, index)`, warm or cold.
-    pub fn receipt_encoded(&self, number: u64, index: usize) -> Option<Vec<u8>> {
-        if let Some(receipts) = self.receipts(number) {
-            return receipts.get(index).map(Receipt::encode);
-        }
-        let mut encoded = self.cold_receipts(number)?;
-        if index >= encoded.len() {
-            return None;
-        }
-        Some(encoded.swap_remove(index))
     }
 }
 

@@ -4,7 +4,7 @@
 
 use crate::misbehavior::Misbehavior;
 use crate::peer::{NotPeer, Peer};
-use parp_chain::{Blockchain, State};
+use parp_chain::{Blockchain, Header, State};
 use parp_contracts::{
     confirmation_digest, payment_digest, ChannelStatus, ModuleCall, ParpBatchRequest,
     ParpBatchResponse, ParpExecutor, ParpRequest, ParpResponse, RpcCall,
@@ -13,6 +13,7 @@ use parp_crypto::{sign, KeyPair, PreparedKey, PublicKey, SecretKey, Signature};
 use parp_primitives::{Address, H256, U256};
 use parp_telemetry::{StageRecorder, TimeSource, TimeStamp};
 use parp_trie::ProofBuf;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -52,32 +53,37 @@ pub trait ProofEngine {
     /// [`State::account_proof`].
     fn account_proof(&mut self, state: &State, address: &Address) -> Vec<Vec<u8>>;
 
-    /// Inclusion proof for transaction `index` of block `block`,
-    /// equivalent to [`Blockchain::transaction_proof`]. A runtime
-    /// overrides this to reuse a cached per-block transaction trie
-    /// instead of rebuilding it per lookup.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the location does not exist (callers resolve it via
-    /// [`Blockchain::transaction_location`] first).
-    fn transaction_proof(&mut self, chain: &Blockchain, block: u64, index: usize) -> Vec<Vec<u8>> {
+    /// Inclusion proof for transaction `index` of the block `header`
+    /// heads, equivalent to [`Blockchain::transaction_proof`] — empty
+    /// when the block holds no such transaction or its body cannot be
+    /// read. The serving loop resolves the header (once per exchange)
+    /// and hands it in, so an engine keyed by trie root never looks it
+    /// up again; a runtime overrides this to reuse a cached per-block
+    /// transaction trie instead of rebuilding it per lookup.
+    fn transaction_proof(
+        &mut self,
+        chain: &Blockchain,
+        header: &Header,
+        index: usize,
+    ) -> Vec<Vec<u8>> {
         chain
-            .transaction_proof(block, index)
-            .expect("proof for located transaction")
+            .transaction_proof(header.number, index)
+            .unwrap_or_default()
     }
 
-    /// Inclusion proof for receipt `index` of block `block`, equivalent
-    /// to [`Blockchain::receipt_proof`]. A runtime overrides this to
-    /// reuse a cached per-block receipt trie.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the location does not exist.
-    fn receipt_proof(&mut self, chain: &Blockchain, block: u64, index: usize) -> Vec<Vec<u8>> {
-        chain
-            .receipt_proof(block, index)
-            .expect("proof for located receipt")
+    /// The encoded receipt `index` of the block `header` heads and its
+    /// inclusion proof, equivalent to
+    /// [`Blockchain::receipt_with_proof`]: the pair comes from one
+    /// trie, so the receipt served is the one the proof binds. `None`
+    /// when there is no such receipt to serve. A runtime overrides
+    /// this to reuse a cached per-block receipt trie.
+    fn receipt_proof(
+        &mut self,
+        chain: &Blockchain,
+        header: &Header,
+        index: usize,
+    ) -> Option<(Vec<u8>, Vec<Vec<u8>>)> {
+        chain.receipt_with_proof(header.number, index)
     }
 }
 
@@ -108,6 +114,31 @@ impl ProofEngine for SequentialEngine {
 
 /// `(m_B, R(γ), π_γ)`: the served height, result payload and proof nodes.
 type CallOutput = (u64, Vec<u8>, Vec<Vec<u8>>);
+
+/// The headers one exchange has resolved, decoded and encoded, by
+/// block number. Each referenced block is resolved once — for a pruned
+/// block that is one segment read and one decode — and the same record
+/// supplies the root its items are proven against and the bytes a
+/// batch carries on the wire.
+#[derive(Default)]
+struct ExchangeHeaders(BTreeMap<u64, (Header, Vec<u8>)>);
+
+impl ExchangeHeaders {
+    fn resolve(
+        &mut self,
+        chain: &Blockchain,
+        number: u64,
+    ) -> Result<&mut (Header, Vec<u8>), ServeError> {
+        Ok(match self.0.entry(number) {
+            Entry::Occupied(resolved) => resolved.into_mut(),
+            Entry::Vacant(slot) => slot.insert(
+                chain
+                    .header_record(number)
+                    .ok_or(ServeError::UnknownBlock(number))?,
+            ),
+        })
+    }
+}
 
 /// How long a handshake confirmation stays valid, in seconds.
 pub const HANDSHAKE_TTL_SECS: u64 = 600;
@@ -578,7 +609,8 @@ impl FullNode {
         // One snapshot serves every state-proven and unproven item;
         // inclusion lookups bind to their own containing blocks.
         let head = chain.height();
-        let state = chain.state_at(head).expect("head state exists");
+        let state = chain.state();
+        let mut headers = ExchangeHeaders::default();
         let n = request.calls.len();
         let mut results = Vec::with_capacity(n);
         let mut item_blocks = Vec::with_capacity(n);
@@ -586,7 +618,7 @@ impl FullNode {
         let mut state_addresses: Vec<Address> = Vec::new();
         for call in &request.calls {
             // verify_batch_request already rejected unbatchable calls.
-            match Self::inclusion_lookup(call, chain, engine) {
+            match Self::inclusion_lookup(call, chain, engine, &mut headers)? {
                 Some(Some((block, result, proof))) => {
                     results.push(result);
                     item_blocks.push(block);
@@ -623,15 +655,13 @@ impl FullNode {
         // block (the snapshot plus every inclusion item's block),
         // ordered by the same function the judge zips headers against.
         let referenced = parp_contracts::referenced_blocks(head, &item_blocks);
-        let mut headers: Vec<Vec<u8>> = Vec::with_capacity(referenced.len());
+        let mut carried: Vec<Vec<u8>> = Vec::with_capacity(referenced.len());
         for number in &referenced {
             // Warm blocks come off the resident window, pruned blocks
-            // off the history segments — byte-identical either way.
-            headers.push(
-                chain
-                    .header_encoded(*number)
-                    .ok_or(ServeError::UnknownBlock(*number))?,
-            );
+            // off the history segments — byte-identical either way —
+            // and a block an item was proven against is not read again:
+            // its bytes move out of the resolved set onto the wire.
+            carried.push(std::mem::take(&mut headers.resolve(chain, *number)?.1));
         }
         self.record_served(
             request.channel_id,
@@ -646,7 +676,7 @@ impl FullNode {
             multiproof,
             item_blocks,
             item_proofs,
-            headers,
+            headers: carried,
         };
         let sign_start = self.stage_start();
         let honest = ParpBatchResponse::build(self.key.secret(), request, output);
@@ -815,35 +845,43 @@ impl FullNode {
     /// `Some(None)` when the queried transaction is unknown (absence by
     /// hash is not provable in an index-keyed trie — the caller serves
     /// an unproven empty answer), and `Some(Some((block, result,
-    /// proof)))` for a located item bound to its containing block.
+    /// proof)))` for a located item bound to its containing block,
+    /// whose header is resolved through `headers`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::UnknownBlock`] when the containing block's
+    /// header cannot be resolved: there is then no root to prove the
+    /// item against.
     fn inclusion_lookup(
         call: &RpcCall,
         chain: &Blockchain,
         engine: &mut dyn ProofEngine,
-    ) -> Option<Option<CallOutput>> {
-        match call {
-            RpcCall::GetTransactionByHash { hash } => {
-                Some(chain.transaction_location(hash).map(|(block, index)| {
-                    let proof = engine.transaction_proof(chain, block, index);
-                    (block, parp_rlp::encode_u64(index as u64), proof)
-                }))
-            }
-            RpcCall::GetTransactionReceipt { hash } => {
-                Some(chain.transaction_location(hash).and_then(|(block, index)| {
-                    // Located receipts normally exist; a pruned block
-                    // whose archived record cannot be read degrades to
-                    // the unproven not-found answer instead of a panic.
-                    let receipt = chain.receipt_encoded(block, index)?;
-                    let proof = engine.receipt_proof(chain, block, index);
-                    let result = parp_rlp::encode_list(&[
-                        parp_rlp::encode_u64(index as u64),
-                        parp_rlp::encode_bytes(&receipt),
-                    ]);
-                    Some((block, result, proof))
-                }))
-            }
-            _ => None,
+        headers: &mut ExchangeHeaders,
+    ) -> Result<Option<Option<CallOutput>>, ServeError> {
+        let (hash, wants_receipt) = match call {
+            RpcCall::GetTransactionByHash { hash } => (hash, false),
+            RpcCall::GetTransactionReceipt { hash } => (hash, true),
+            _ => return Ok(None),
+        };
+        let Some((block, index)) = chain.transaction_location(hash) else {
+            return Ok(Some(None));
+        };
+        let (header, _) = headers.resolve(chain, block)?;
+        let position = parp_rlp::encode_u64(index as u64);
+        if !wants_receipt {
+            let proof = engine.transaction_proof(chain, header, index);
+            return Ok(Some(Some((block, position, proof))));
         }
+        // Located receipts normally exist; a pruned block whose archived
+        // record cannot be read degrades to the unproven not-found
+        // answer instead of a panic.
+        Ok(Some(engine.receipt_proof(chain, header, index).map(
+            |(receipt, proof)| {
+                let result = parp_rlp::encode_list(&[position, parp_rlp::encode_bytes(&receipt)]);
+                (block, result, proof)
+            },
+        )))
     }
 
     /// Serves [`RpcCall::SendRawTransaction`]: mine the transaction,
@@ -869,7 +907,11 @@ impl FullNode {
         let (block, index) = chain.transaction_location(&hash).ok_or_else(|| {
             ServeError::Execution("the mined transaction is not indexed".to_string())
         })?;
-        let proof = engine.transaction_proof(chain, block, index);
+        let header = &chain
+            .block(block)
+            .ok_or(ServeError::UnknownBlock(block))?
+            .header;
+        let proof = engine.transaction_proof(chain, header, index);
         Ok((block, parp_rlp::encode_u64(index as u64), proof))
     }
 
@@ -893,13 +935,13 @@ impl FullNode {
                 unreachable!("writes route through execute_write")
             }
             RpcCall::GetTransactionByHash { .. } | RpcCall::GetTransactionReceipt { .. } => {
-                match Self::inclusion_lookup(call, chain, engine).expect("inclusion call") {
-                    Some(output) => Ok(output),
-                    // Absence of a transaction by hash is not provable in
-                    // the transaction trie; serve an empty result at the
-                    // head (the client treats it as unverified data).
-                    None => Ok((chain.height(), Vec::new(), Vec::new())),
-                }
+                let mut headers = ExchangeHeaders::default();
+                // Absence of a transaction by hash is not provable in
+                // the transaction trie; serve an empty result at the
+                // head (the client treats it as unverified data).
+                Ok(Self::inclusion_lookup(call, chain, engine, &mut headers)?
+                    .flatten()
+                    .unwrap_or_else(|| (chain.height(), Vec::new(), Vec::new())))
             }
             RpcCall::BlockNumber | RpcCall::GetHeader { .. } | RpcCall::GetChannelStatus { .. } => {
                 let head = chain.height();

@@ -4,14 +4,14 @@
 use crate::admission::{AdmissionController, AdmissionError, AdmissionStats};
 use crate::cache::SnapshotCache;
 use crate::shard::{sharded_account_multiproof, sharded_account_multiproof_into};
-use crate::tiered::ColdProofEngine;
-use parp_chain::{Blockchain, State};
+use crate::tiered::{item_with_proof, ordered_page, ColdProofEngine};
+use parp_chain::{Blockchain, Header, State};
 use parp_contracts::{
     ParpBatchRequest, ParpBatchResponse, ParpExecutor, ParpRequest, ParpResponse,
 };
 use parp_core::{FullNode, ProofEngine, ServeError};
 use parp_crypto::keccak256;
-use parp_primitives::Address;
+use parp_primitives::{Address, H256};
 use parp_telemetry::{Histogram, Telemetry, TimeSource};
 use parp_trie::{FrozenTrie, ProofBuf};
 use std::collections::HashSet;
@@ -171,51 +171,32 @@ impl ProofEngine for Runtime {
         trie.prove(keccak256(address.as_bytes()).as_bytes())
     }
 
-    fn transaction_proof(&mut self, chain: &Blockchain, block: u64, index: usize) -> Vec<Vec<u8>> {
-        if let Some(cold) = &mut self.cold {
-            return cold.transaction_proof(chain, block, index);
-        }
-        let Some(header) = chain.header_at(block) else {
-            return Vec::new();
-        };
-        let root = header.transactions_root;
-        if let Some(trie) = self.inclusion_cache.get(&root) {
-            return trie.prove(&parp_rlp::encode_u64(index as u64));
-        }
-        let Some(encoded) = chain.transactions_encoded(block) else {
-            return Vec::new();
-        };
-        self.inclusion_cache.miss_counter().inc();
-        let trie = Arc::new(FrozenTrie::new(parp_trie::ordered_trie(
-            encoded.iter().map(Vec::as_slice),
-        )));
-        self.inclusion_cache.insert(root, trie.clone());
-        trie.prove(&parp_rlp::encode_u64(index as u64))
+    fn transaction_proof(
+        &mut self,
+        chain: &Blockchain,
+        header: &Header,
+        index: usize,
+    ) -> Vec<Vec<u8>> {
+        self.inclusion_page(header.transactions_root, || {
+            chain.transactions_encoded(header.number)
+        })
+        .map(|page| page.prove(&parp_rlp::encode_u64(index as u64)))
+        .unwrap_or_default()
     }
 
-    fn receipt_proof(&mut self, chain: &Blockchain, block: u64, index: usize) -> Vec<Vec<u8>> {
-        if let Some(cold) = &mut self.cold {
-            return cold.receipt_proof(chain, block, index);
-        }
-        let Some(header) = chain.header_at(block) else {
-            return Vec::new();
-        };
-        let root = header.receipts_root;
-        if let Some(trie) = self.inclusion_cache.get(&root) {
-            return trie.prove(&parp_rlp::encode_u64(index as u64));
-        }
+    fn receipt_proof(
+        &mut self,
+        chain: &Blockchain,
+        header: &Header,
+        index: usize,
+    ) -> Option<(Vec<u8>, Vec<Vec<u8>>)> {
         // The ordered trie over the encoded receipts is exactly
         // `parp_chain::receipts_trie`, so the proof bytes match the
         // in-memory path whether the body came from RAM or a segment.
-        let Some(encoded) = chain.receipts_encoded(block) else {
-            return Vec::new();
-        };
-        self.inclusion_cache.miss_counter().inc();
-        let trie = Arc::new(FrozenTrie::new(parp_trie::ordered_trie(
-            encoded.iter().map(Vec::as_slice),
-        )));
-        self.inclusion_cache.insert(root, trie.clone());
-        trie.prove(&parp_rlp::encode_u64(index as u64))
+        let page = self.inclusion_page(header.receipts_root, || {
+            chain.receipts_encoded(header.number)
+        })?;
+        item_with_proof(&page, index)
     }
 }
 
@@ -255,6 +236,27 @@ impl Runtime {
     /// adopted.
     pub fn enable_cold_storage(&mut self, spill: parp_store::SpillStore, budget_bytes: usize) {
         self.cold = Some(ColdProofEngine::new(budget_bytes, spill));
+    }
+
+    /// The ordered-trie page under `root` — out of the byte-budgeted
+    /// cold tier when one is enabled, else the fixed-slot inclusion
+    /// cache — built on a miss from the encoded items `body` reads off
+    /// the chain.
+    fn inclusion_page(
+        &mut self,
+        root: H256,
+        body: impl FnOnce() -> Option<Vec<Vec<u8>>>,
+    ) -> Option<Arc<FrozenTrie>> {
+        if let Some(cold) = &mut self.cold {
+            return cold.page(root, body);
+        }
+        if let Some(page) = self.inclusion_cache.get(&root) {
+            return Some(page);
+        }
+        let page = Arc::new(ordered_page(&body()?));
+        self.inclusion_cache.miss_counter().inc();
+        self.inclusion_cache.insert(root, page.clone());
+        Some(page)
     }
 
     /// The cold-storage inclusion engine, when one is enabled (tier
@@ -449,9 +451,8 @@ impl Runtime {
     /// one while the runtime stays untouched. Proofs are byte-identical
     /// to the cached sequential path — same frozen trie, same walk.
     pub fn read_engine(&mut self, chain: &Blockchain) -> FrozenReadEngine {
-        let state = chain.state_at(chain.height()).expect("head state exists");
         FrozenReadEngine {
-            trie: self.cache.get_or_build(state),
+            trie: self.cache.get_or_build(chain.state()),
         }
     }
 
@@ -609,22 +610,30 @@ mod tests {
         assert!(cold_rt.cold_storage().is_some());
         let mut warm_rt = Runtime::default();
         for block in [1u64, 2, 3, 1, 2, 3] {
-            let cold_proof = cold_rt.transaction_proof(&cold_chain, block, 0);
-            assert_eq!(cold_proof, warm_rt.transaction_proof(&resident, block, 0));
+            // The header comes off a segment on one side and out of
+            // memory on the other, and must be the same header.
+            let header = cold_chain.header_at(block).unwrap();
+            assert_eq!(Some(&header), resident.header_at(block).as_ref());
+            let cold_proof = cold_rt.transaction_proof(&cold_chain, &header, 0);
+            assert_eq!(cold_proof, warm_rt.transaction_proof(&resident, &header, 0));
             assert!(!cold_proof.is_empty());
-            let cold_receipt = cold_rt.receipt_proof(&cold_chain, block, 0);
-            assert_eq!(cold_receipt, warm_rt.receipt_proof(&resident, block, 0));
+            // Receipt and proof come off one page, cold or resident.
+            let cold_receipt = cold_rt.receipt_proof(&cold_chain, &header, 0);
+            assert_eq!(cold_receipt, warm_rt.receipt_proof(&resident, &header, 0));
+            assert_eq!(cold_receipt, resident.receipt_with_proof(block, 0));
         }
         let tier = cold_rt.cold_storage().unwrap().tier();
         assert!(tier.spill_count() > 0, "tiny budget forced spills");
         assert!(tier.rehydrate_count() > 0, "revisits rehydrated from disk");
         // Unknown locations degrade to empty proofs, not panics.
-        assert!(cold_rt
-            .transaction_proof(&cold_chain, blocks + 99, 0)
-            .is_empty());
-        assert!(warm_rt
-            .transaction_proof(&resident, blocks + 99, 0)
-            .is_empty());
+        let mut ghost = resident.head().header.clone();
+        ghost.number = blocks + 99;
+        ghost.transactions_root = H256::new([0xee; 32]);
+        ghost.receipts_root = H256::new([0xef; 32]);
+        assert!(cold_rt.transaction_proof(&cold_chain, &ghost, 0).is_empty());
+        assert!(warm_rt.transaction_proof(&resident, &ghost, 0).is_empty());
+        assert_eq!(cold_rt.receipt_proof(&cold_chain, &ghost, 0), None);
+        assert_eq!(warm_rt.receipt_proof(&resident, &ghost, 0), None);
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -2,7 +2,7 @@
 //! by [`FrozenTrie::mem_bytes`], cold pages spilled to an append-only
 //! [`SpillStore`] and rehydrated on demand.
 
-use parp_chain::{Blockchain, State};
+use parp_chain::{Blockchain, Header, State};
 use parp_core::ProofEngine;
 use parp_primitives::{Address, H256};
 use parp_store::SpillStore;
@@ -84,14 +84,16 @@ impl TieredSnapshotStore {
             return Some(page);
         }
         // Disk tier: a spilled page rehydrates without touching the
-        // chain. A page that fails its bounds checks (torn spill
-        // file) falls through to a fresh build instead of erroring.
+        // chain, straight from the slice of the record the store just
+        // read and checksummed. A page that fails its checksum or its
+        // bounds checks (rotten or torn spill file) falls through to a
+        // fresh build instead of erroring.
         let rehydrated = self
             .spill
-            .get(&root)
+            .with_page(&root, FrozenTrie::from_bytes)
             .ok()
             .flatten()
-            .and_then(|page| FrozenTrie::from_bytes(&page))
+            .flatten()
             .filter(|trie| trie.root_hash() == root);
         let (page, counter) = match rehydrated {
             Some(trie) => (Arc::new(trie), &self.rehydrates),
@@ -194,15 +196,15 @@ impl TieredSnapshotStore {
 
 /// Segment-backed inclusion-proof engine for deep history.
 ///
-/// The runtime's default inclusion path assumes the block is resident
-/// (`Blockchain::block` panics past the pruning window). This engine
-/// resolves headers and bodies through the chain's cold accessors —
-/// which fall through to the append-only segment files when the block
-/// has been pruned — and keeps the rebuilt per-block transaction and
-/// receipt tries in a [`TieredSnapshotStore`], so repeated old-block
-/// lookups pay the segment decode once and a page rehydrate (or warm
-/// hit) thereafter. Proofs are byte-identical to the in-memory path:
-/// same ordered trie over the same encoded items.
+/// The serving loop hands in the header of the block an item sits in
+/// (resolved through the chain's cold accessors — the append-only
+/// segment files once the block has been pruned); this engine keeps the
+/// per-block transaction and receipt tries in a
+/// [`TieredSnapshotStore`] keyed by the header's roots, so repeated
+/// old-block lookups pay the segment decode once and a page rehydrate
+/// (or warm hit) thereafter, and a body record is read only when
+/// neither tier holds its page. Proofs are byte-identical to the
+/// in-memory path: same ordered trie over the same encoded items.
 ///
 /// A missing location yields an *empty* proof rather than a panic; the
 /// protocol layer treats an empty proof as unverifiable, so a client
@@ -226,25 +228,31 @@ impl ColdProofEngine {
         &self.tier
     }
 
-    /// Inclusion proof for item `index` under the ordered trie over
-    /// `items`, served through the warm tier.
-    fn ordered_proof(
+    /// The ordered-trie page under `root`: warm, rehydrated, or — only
+    /// when neither tier has it — built from the encoded items `body`
+    /// reads off the chain.
+    pub(crate) fn page(
         &mut self,
         root: H256,
-        index: usize,
-        items: Option<Vec<Vec<u8>>>,
-    ) -> Vec<Vec<u8>> {
-        let trie = self.tier.get_or_insert_with(root, || {
-            let encoded = items?;
-            Some(Arc::new(FrozenTrie::new(parp_trie::ordered_trie(
-                encoded.iter().map(Vec::as_slice),
-            ))))
-        });
-        match trie {
-            Some(trie) => trie.prove(&parp_rlp::encode_u64(index as u64)),
-            None => Vec::new(),
-        }
+        body: impl FnOnce() -> Option<Vec<Vec<u8>>>,
+    ) -> Option<Arc<FrozenTrie>> {
+        self.tier
+            .get_or_insert_with(root, || Some(Arc::new(ordered_page(&body()?))))
     }
+}
+
+/// The frozen ordered trie over a block's encoded transactions or
+/// receipts — exactly the trie the header's root was computed from.
+pub(crate) fn ordered_page(encoded: &[Vec<u8>]) -> FrozenTrie {
+    FrozenTrie::new(parp_trie::ordered_trie(encoded.iter().map(Vec::as_slice)))
+}
+
+/// Item `index` of an ordered page with its inclusion proof: the
+/// value is read off the arena the proof is cut from, so a receipt
+/// whose page is in either tier never touches the receipts segment.
+pub(crate) fn item_with_proof(page: &FrozenTrie, index: usize) -> Option<(Vec<u8>, Vec<Vec<u8>>)> {
+    let key = parp_rlp::encode_u64(index as u64);
+    Some((page.get(&key)?, page.prove(&key)))
 }
 
 impl ProofEngine for ColdProofEngine {
@@ -256,38 +264,29 @@ impl ProofEngine for ColdProofEngine {
         state.account_proof(address)
     }
 
-    fn transaction_proof(&mut self, chain: &Blockchain, block: u64, index: usize) -> Vec<Vec<u8>> {
-        let Some(header) = chain.header_at(block) else {
-            return Vec::new();
-        };
-        // Resolve the body lazily: a warm (or spilled) trie page means
-        // the segment file is never touched.
-        let root = header.transactions_root;
-        if let Some(trie) = self.tier_hit(root) {
-            return trie.prove(&parp_rlp::encode_u64(index as u64));
-        }
-        let items = chain.transactions_encoded(block);
-        self.ordered_proof(root, index, items)
+    fn transaction_proof(
+        &mut self,
+        chain: &Blockchain,
+        header: &Header,
+        index: usize,
+    ) -> Vec<Vec<u8>> {
+        self.page(header.transactions_root, || {
+            chain.transactions_encoded(header.number)
+        })
+        .map(|page| page.prove(&parp_rlp::encode_u64(index as u64)))
+        .unwrap_or_default()
     }
 
-    fn receipt_proof(&mut self, chain: &Blockchain, block: u64, index: usize) -> Vec<Vec<u8>> {
-        let Some(header) = chain.header_at(block) else {
-            return Vec::new();
-        };
-        let root = header.receipts_root;
-        if let Some(trie) = self.tier_hit(root) {
-            return trie.prove(&parp_rlp::encode_u64(index as u64));
-        }
-        let items = chain.receipts_encoded(block);
-        self.ordered_proof(root, index, items)
-    }
-}
-
-impl ColdProofEngine {
-    /// A warm-tier or spill-store page for `root`, if one exists, with
-    /// no build fallback (counts a hit or rehydrate, never a miss).
-    fn tier_hit(&mut self, root: H256) -> Option<Arc<FrozenTrie>> {
-        self.tier.get_or_insert_with(root, || None)
+    fn receipt_proof(
+        &mut self,
+        chain: &Blockchain,
+        header: &Header,
+        index: usize,
+    ) -> Option<(Vec<u8>, Vec<Vec<u8>>)> {
+        let page = self.page(header.receipts_root, || {
+            chain.receipts_encoded(header.number)
+        })?;
+        item_with_proof(&page, index)
     }
 }
 
@@ -338,6 +337,38 @@ mod tests {
         let key = parp_crypto::keccak256(&1u64.to_be_bytes());
         assert_eq!(back.prove(key.as_bytes()), page_a.prove(key.as_bytes()));
         assert_eq!(back.root_hash(), root_a);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_rotten_spilled_page_is_rebuilt_not_served() {
+        let (root_a, page_a) = page(5, 120);
+        let (root_b, page_b) = page(6, 120);
+        let (mut tiered, dir) = store(1); // every page but the newest spills
+        tiered.get_or_insert_with(root_a, || Some(page_a.clone()));
+        tiered.get_or_insert_with(root_b, || Some(page_b.clone()));
+        assert_eq!(tiered.spill_count(), 1, "A is on disk only");
+        // One bit of A's spilled arena flips after the spill.
+        let path = dir.join("spill.seg");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let middle = bytes.len() / 2;
+        bytes[middle] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        // The read fails its checksum, so the lookup falls through to
+        // a rebuild — counted as a miss, not a rehydrate — and what it
+        // serves is the page the chain would build, not the file's.
+        let mut rebuilt = false;
+        let back = tiered
+            .get_or_insert_with(root_a, || {
+                rebuilt = true;
+                Some(page_a.clone())
+            })
+            .unwrap();
+        assert!(rebuilt, "a page that fails its checksum must not be served");
+        assert_eq!(tiered.rehydrate_count(), 0);
+        assert_eq!(tiered.misses(), 3);
+        let key = parp_crypto::keccak256(&5u64.to_be_bytes());
+        assert_eq!(back.prove(key.as_bytes()), page_a.prove(key.as_bytes()));
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -20,8 +20,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// or none of them.
 ///
 /// Handles are cheaply cloneable and share one underlying store
-/// (reads seek, so access is serialized internally); this is what
-/// lets a [`Clone`]d chain share its history files.
+/// (appends move the tails, so access is serialized internally); this
+/// is what lets a [`Clone`]d chain share its history files.
 #[derive(Debug, Clone)]
 pub struct BlockStore {
     inner: Arc<Mutex<Segments>>,
@@ -33,6 +33,21 @@ struct Segments {
     transactions: SegmentFile,
     receipts: SegmentFile,
     dropped_bytes: u64,
+    reads: ReadCounts,
+}
+
+/// Record reads a [`BlockStore`] has served since it was opened, per
+/// segment. A plain tally for tests and benches that pin how often the
+/// serving path goes to disk; deliberately not a telemetry metric, so
+/// exported snapshots do not change with it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReadCounts {
+    /// Reads of the header segment.
+    pub headers: u64,
+    /// Reads of the transaction segment.
+    pub transactions: u64,
+    /// Reads of the receipt segment.
+    pub receipts: u64,
 }
 
 impl BlockStore {
@@ -62,6 +77,7 @@ impl BlockStore {
                 transactions,
                 receipts,
                 dropped_bytes,
+                reads: ReadCounts::default(),
             })),
         })
     }
@@ -122,7 +138,9 @@ impl BlockStore {
     ///
     /// Returns the underlying I/O error on read failure.
     pub fn header(&self, number: u64) -> io::Result<Option<Vec<u8>>> {
-        self.locked().headers.get(number)
+        let mut inner = self.locked();
+        inner.reads.headers += 1;
+        inner.headers.get(number)
     }
 
     /// The encoded transactions of block `number`, in block order.
@@ -134,7 +152,11 @@ impl BlockStore {
     /// Returns `InvalidData` when the packed record is malformed, or
     /// the underlying I/O error on read failure.
     pub fn transactions(&self, number: u64) -> io::Result<Option<Vec<Vec<u8>>>> {
-        let record = self.locked().transactions.get(number)?;
+        let record = {
+            let mut inner = self.locked();
+            inner.reads.transactions += 1;
+            inner.transactions.get(number)?
+        };
         record.map(|bytes| unpack(&bytes)).transpose()
     }
 
@@ -147,7 +169,11 @@ impl BlockStore {
     /// Returns `InvalidData` when the packed record is malformed, or
     /// the underlying I/O error on read failure.
     pub fn receipts(&self, number: u64) -> io::Result<Option<Vec<Vec<u8>>>> {
-        let record = self.locked().receipts.get(number)?;
+        let record = {
+            let mut inner = self.locked();
+            inner.reads.receipts += 1;
+            inner.receipts.get(number)?
+        };
         record.map(|bytes| unpack(&bytes)).transpose()
     }
 
@@ -172,6 +198,11 @@ impl BlockStore {
     /// Bytes dropped by torn-write recovery when this store opened.
     pub fn dropped_bytes(&self) -> u64 {
         self.locked().dropped_bytes
+    }
+
+    /// Record reads served so far, per segment.
+    pub fn read_counts(&self) -> ReadCounts {
+        self.locked().reads
     }
 }
 

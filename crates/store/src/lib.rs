@@ -13,8 +13,11 @@
 //!
 //! * [`SegmentFile`] — one append-only file of framed records
 //!   (`[len u32][crc32 u32][payload]`), an in-memory offset index
-//!   rebuilt by scan on open, and torn-write recovery that truncates
-//!   the file back to the last record whose checksum verifies.
+//!   rebuilt by one streamed scan on open (memory: the largest record,
+//!   not the file), and torn-write recovery that truncates the file
+//!   back to the last record whose checksum verifies. A read is one
+//!   positional `pread` of the record plus its checksum — every read
+//!   re-verifies, there is no "verified once" state.
 //! * [`BlockStore`] — three segments (headers, transactions, receipts)
 //!   advancing in lockstep, one record per block number starting at
 //!   genesis. Opening after a crash trims all three to the shortest
@@ -22,7 +25,15 @@
 //!   a unit.
 //! * [`SpillStore`] — a content-addressed segment keyed by 32-byte
 //!   root hash, used by the runtime's warm tier to spill serialized
-//!   frozen-trie pages and rehydrate them on demand.
+//!   frozen-trie pages and rehydrate them on demand. Its root index is
+//!   built by the same scan that verifies the segment, and a page is
+//!   handed out as a slice of the record just read.
+//!
+//! The checksum is CRC-32 (IEEE) computed sixteen bytes per step from
+//! compile-time tables; a cold read is dominated by it (a trie page is
+//! ~12 KB), so its speed is the tier's speed. The values are the
+//! polynomial's, not the loop's: files written by any earlier build
+//! open unchanged.
 //!
 //! Durability boundary: appends are buffered by the OS; [`BlockStore::sync`]
 //! / [`SpillStore::sync`] / [`SegmentFile::sync`] fsync the tail.
@@ -37,7 +48,7 @@ mod checksum;
 mod segment;
 mod spill;
 
-pub use blockstore::BlockStore;
+pub use blockstore::{BlockStore, ReadCounts};
 pub use checksum::crc32;
 pub use segment::{decode_items, encode_items, SegmentFile};
 pub use spill::SpillStore;

@@ -3,11 +3,17 @@
 
 use crate::checksum::crc32;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Read};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 /// Bytes of framing per record: `[len: u32 LE][crc32: u32 LE]`.
 const FRAME_HEADER: u64 = 8;
+
+/// Read-ahead of the open scan. A record longer than this is read
+/// straight into the scan's one reused payload buffer, so opening
+/// holds this plus the largest record in memory, never the file.
+const SCAN_BUFFER_BYTES: usize = 64 * 1024;
 
 /// One append-only file of framed records.
 ///
@@ -20,8 +26,10 @@ const FRAME_HEADER: u64 = 8;
 /// never served.
 ///
 /// Appends go through the OS page cache; [`SegmentFile::sync`]
-/// fsyncs the tail. Reads re-verify the stored checksum so a record
-/// that rots after open surfaces as an error, not as wrong bytes.
+/// fsyncs the tail. Every read re-verifies the stored checksum so a
+/// record that rots after open surfaces as an error, not as wrong
+/// bytes. Reads and appends are positional (`pread`/`pwrite`): the
+/// handle has no cursor to move, so reading takes `&self`.
 #[derive(Debug)]
 pub struct SegmentFile {
     file: File,
@@ -45,40 +53,62 @@ impl SegmentFile {
     /// Returns the underlying I/O error when the file cannot be
     /// opened, read, or truncated.
     pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        let mut file = OpenOptions::new()
+        Self::open_with(path, |_, _| {})
+    }
+
+    /// [`SegmentFile::open`], handing `visit` the index and payload of
+    /// every record the scan keeps — how a store that indexes records
+    /// by their contents builds that index from the one pass that
+    /// verifies the checksums, instead of reading the file twice.
+    ///
+    /// # Errors
+    ///
+    /// As [`SegmentFile::open`].
+    pub fn open_with<P, F>(path: P, mut visit: F) -> io::Result<Self>
+    where
+        P: AsRef<Path>,
+        F: FnMut(u64, &[u8]),
+    {
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(path)?;
-        let mut data = Vec::new();
-        file.seek(SeekFrom::Start(0))?;
-        file.read_to_end(&mut data)?;
-
+        let file_len = file.metadata()?.len();
+        let mut reader = BufReader::with_capacity(SCAN_BUFFER_BYTES, &file);
         let mut offsets = Vec::new();
-        let mut pos = 0usize;
-        while let Some(header) = data.get(pos..pos + FRAME_HEADER as usize) {
+        let mut payload = Vec::new();
+        let mut tail = 0u64;
+        while file_len - tail >= FRAME_HEADER {
+            let mut header = [0u8; FRAME_HEADER as usize];
+            reader.read_exact(&mut header)?;
             let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
             let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-            let start = pos + FRAME_HEADER as usize;
-            let Some(payload) = data.get(start..start + len as usize) else {
-                break;
-            };
-            if crc32(payload) != crc {
+            let start = tail + FRAME_HEADER;
+            // A length that overruns the file is a torn (or rotten)
+            // frame: it ends the scan before anything is allocated.
+            if u64::from(len) > file_len - start {
                 break;
             }
-            offsets.push((start as u64, len, crc));
-            pos = start + len as usize;
+            payload.resize(len as usize, 0);
+            reader.read_exact(&mut payload)?;
+            if crc32(&payload) != crc {
+                break;
+            }
+            visit(offsets.len() as u64, &payload);
+            offsets.push((start, len, crc));
+            tail = start + u64::from(len);
         }
-        let dropped_bytes = (data.len() - pos) as u64;
+        let dropped_bytes = file_len - tail;
         if dropped_bytes > 0 {
-            file.set_len(pos as u64)?;
+            file.set_len(tail)?;
             file.sync_data()?;
         }
         Ok(SegmentFile {
             file,
             offsets,
-            tail: pos as u64,
+            tail,
             dropped_bytes,
         })
     }
@@ -99,15 +129,15 @@ impl SegmentFile {
         frame.extend_from_slice(&len.to_le_bytes());
         frame.extend_from_slice(&crc.to_le_bytes());
         frame.extend_from_slice(payload);
-        self.file.seek(SeekFrom::Start(self.tail))?;
-        self.file.write_all(&frame)?;
+        self.file.write_all_at(&frame, self.tail)?;
         let index = self.offsets.len() as u64;
         self.offsets.push((self.tail + FRAME_HEADER, len, crc));
         self.tail += frame.len() as u64;
         Ok(index)
     }
 
-    /// Reads record `index`, re-verifying its checksum.
+    /// Reads record `index` with one positional read, re-verifying
+    /// its checksum.
     ///
     /// Returns `Ok(None)` when no such record exists.
     ///
@@ -115,16 +145,15 @@ impl SegmentFile {
     ///
     /// Returns `InvalidData` when the stored bytes no longer match
     /// their checksum, or the underlying I/O error on read failure.
-    pub fn get(&mut self, index: u64) -> io::Result<Option<Vec<u8>>> {
+    pub fn get(&self, index: u64) -> io::Result<Option<Vec<u8>>> {
         let slot = usize::try_from(index)
             .ok()
             .and_then(|i| self.offsets.get(i).copied());
         let Some((offset, len, crc)) = slot else {
             return Ok(None);
         };
-        self.file.seek(SeekFrom::Start(offset))?;
         let mut payload = vec![0u8; len as usize];
-        self.file.read_exact(&mut payload)?;
+        self.file.read_exact_at(&mut payload, offset)?;
         if crc32(&payload) != crc {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -222,6 +251,7 @@ pub fn decode_items(record: &[u8]) -> Option<Vec<Vec<u8>>> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::io::{Seek, SeekFrom, Write};
 
     fn scratch_segment(tag: &str) -> (std::path::PathBuf, std::path::PathBuf) {
         let dir = crate::scratch_dir(tag).unwrap();
@@ -242,7 +272,7 @@ mod tests {
             }
             seg.sync().unwrap();
         }
-        let mut seg = SegmentFile::open(&path).unwrap();
+        let seg = SegmentFile::open(&path).unwrap();
         assert_eq!(seg.len(), records.len());
         assert_eq!(seg.dropped_bytes(), 0);
         for (i, record) in records.iter().enumerate() {
@@ -255,6 +285,64 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// A segment byte for byte as the format lays it out — and as the
+    /// byte-at-a-time checksum loop this crate used to ship wrote it;
+    /// the CRCs are zlib's. Three records (`"123456789"`, the empty
+    /// record, `"a"`), then a torn tail: a frame announcing five bytes
+    /// of which two reached the disk.
+    const FIXTURE: &[u8] = &[
+        0x09, 0x00, 0x00, 0x00, 0x26, 0x39, 0xf4, 0xcb, // len 9, crc 0xCBF43926
+        0x31, 0x32, 0x33, 0x34, 0x35, 0x36, 0x37, 0x38, 0x39, // "123456789"
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // len 0, crc 0
+        0x01, 0x00, 0x00, 0x00, 0x43, 0xbe, 0xb7, 0xe8, // len 1, crc 0xE8B7BE43
+        0x61, // "a"
+        0x05, 0x00, 0x00, 0x00, 0xef, 0xbe, 0xad, 0xde, // len 5, any crc
+        0x78, 0x79, // "xy", then the crash
+    ];
+    /// Bytes of [`FIXTURE`] before the torn frame.
+    const FIXTURE_VALID: usize = 34;
+
+    #[test]
+    fn fixture_in_the_on_disk_format_opens_truncates_and_reads() {
+        let (dir, path) = scratch_segment("fixture");
+        std::fs::write(&path, FIXTURE).unwrap();
+        let mut visited = Vec::new();
+        let mut seg = SegmentFile::open_with(&path, |index, payload: &[u8]| {
+            visited.push((index, payload.to_vec()));
+        })
+        .unwrap();
+        let records: [&[u8]; 3] = [b"123456789", b"", b"a"];
+        assert_eq!(seg.len(), 3);
+        assert_eq!(seg.file_bytes(), FIXTURE_VALID as u64);
+        assert_eq!(seg.dropped_bytes(), (FIXTURE.len() - FIXTURE_VALID) as u64);
+        assert_eq!(std::fs::read(&path).unwrap(), &FIXTURE[..FIXTURE_VALID]);
+        for (i, record) in records.iter().enumerate() {
+            assert_eq!(visited[i], (i as u64, record.to_vec()), "scan visit {i}");
+            assert_eq!(seg.get(i as u64).unwrap().as_deref(), Some(*record));
+        }
+        assert_eq!(visited.len(), 3);
+        assert_eq!(seg.get(3).unwrap(), None);
+
+        // The other direction: what this build appends is the frame the
+        // format (and the fixture) spells out for the same payload.
+        seg.append(b"a").unwrap();
+        let mut expected = FIXTURE[..FIXTURE_VALID].to_vec();
+        expected.extend_from_slice(&FIXTURE[25..FIXTURE_VALID]);
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
+
+        // A bit that rots after open: the scan vouched for the record
+        // once, the read still checks it, and the damage stays local.
+        let mut file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.seek(SeekFrom::Start(8)).unwrap();
+        file.write_all(&[b'1' ^ 0x04]).unwrap();
+        drop(file);
+        let err = seg.get(0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(seg.get(2).unwrap().as_deref(), Some(&b"a"[..]));
+        assert_eq!(seg.get(3).unwrap().as_deref(), Some(&b"a"[..]));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     #[test]
     fn empty_records_are_valid() {
         let (dir, path) = scratch_segment("empty");
@@ -262,7 +350,7 @@ mod tests {
         seg.append(b"").unwrap();
         seg.append(b"x").unwrap();
         drop(seg);
-        let mut seg = SegmentFile::open(&path).unwrap();
+        let seg = SegmentFile::open(&path).unwrap();
         assert_eq!(seg.len(), 2);
         assert_eq!(seg.get(0).unwrap(), Some(Vec::new()));
         let _ = std::fs::remove_dir_all(dir);
@@ -282,7 +370,7 @@ mod tests {
         // Appends continue cleanly after a truncation.
         seg.append(b"new").unwrap();
         drop(seg);
-        let mut seg = SegmentFile::open(&path).unwrap();
+        let seg = SegmentFile::open(&path).unwrap();
         assert_eq!(seg.len(), 5);
         assert_eq!(seg.get(4).unwrap(), Some(b"new".to_vec()));
         let _ = std::fs::remove_dir_all(dir);
@@ -313,7 +401,7 @@ mod tests {
     /// Asserts the segment at `path` opens to a valid prefix of
     /// `records` and returns the recovered count.
     fn assert_recovers_prefix(path: &std::path::Path, records: &[Vec<u8>]) -> usize {
-        let mut seg = SegmentFile::open(path).unwrap();
+        let seg = SegmentFile::open(path).unwrap();
         let recovered = seg.len();
         assert!(recovered <= records.len());
         for (i, record) in records.iter().take(recovered).enumerate() {

@@ -8,6 +8,9 @@ use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+/// Bytes of key leading every record.
+const KEY_BYTES: usize = 32;
+
 /// An append-only spill store for pages addressed by root hash.
 ///
 /// Each record is `[root: 32 bytes][page bytes]`, so the key → record
@@ -41,16 +44,14 @@ impl SpillStore {
     pub fn open<P: AsRef<Path>>(dir: P) -> io::Result<Self> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        let mut segment = SegmentFile::open(dir.join("spill.seg"))?;
+        // One pass over the file verifies every record's checksum and
+        // reads its key off the same bytes.
         let mut index = BTreeMap::new();
-        for record in 0..segment.len() as u64 {
-            let Some(payload) = segment.get(record)? else {
-                break;
-            };
-            if let Some(root) = H256::from_slice(payload.get(..32).unwrap_or_default()) {
+        let segment = SegmentFile::open_with(dir.join("spill.seg"), |record, payload| {
+            if let Some(root) = H256::from_slice(payload.get(..KEY_BYTES).unwrap_or_default()) {
                 index.entry(root).or_insert(record);
             }
-        }
+        })?;
         Ok(SpillStore {
             inner: Arc::new(Mutex::new(Spill { segment, index })),
         })
@@ -74,7 +75,7 @@ impl SpillStore {
         if inner.index.contains_key(&root) {
             return Ok(());
         }
-        let mut record = Vec::with_capacity(32 + page.len());
+        let mut record = Vec::with_capacity(KEY_BYTES + page.len());
         record.extend_from_slice(root.as_bytes());
         record.extend_from_slice(page);
         let index = inner.segment.append(&record)?;
@@ -82,8 +83,9 @@ impl SpillStore {
         Ok(())
     }
 
-    /// Reads back the page spilled under `root`, byte-identical to
-    /// what was stored.
+    /// Reads the page spilled under `root` and hands `read` its bytes
+    /// — byte-identical to what was stored — as a slice of the record
+    /// just read and verified, without copying the page out of it.
     ///
     /// Returns `Ok(None)` when the root was never spilled.
     ///
@@ -91,16 +93,29 @@ impl SpillStore {
     ///
     /// Returns the underlying I/O error (including checksum failure)
     /// on read failure.
-    pub fn get(&self, root: &H256) -> io::Result<Option<Vec<u8>>> {
-        let mut inner = self.locked();
-        let Some(&record) = inner.index.get(root) else {
-            return Ok(None);
+    pub fn with_page<R>(
+        &self,
+        root: &H256,
+        read: impl FnOnce(&[u8]) -> R,
+    ) -> io::Result<Option<R>> {
+        let record = {
+            let inner = self.locked();
+            let Some(&record) = inner.index.get(root) else {
+                return Ok(None);
+            };
+            inner.segment.get(record)?
         };
-        let payload = inner.segment.get(record)?;
-        Ok(payload.map(|mut bytes| {
-            bytes.drain(..32);
-            bytes
-        }))
+        Ok(record.map(|bytes| read(bytes.get(KEY_BYTES..).unwrap_or_default())))
+    }
+
+    /// An owned copy of the page spilled under `root`
+    /// ([`SpillStore::with_page`] for callers that keep the bytes).
+    ///
+    /// # Errors
+    ///
+    /// As [`SpillStore::with_page`].
+    pub fn get(&self, root: &H256) -> io::Result<Option<Vec<u8>>> {
+        self.with_page(root, <[u8]>::to_vec)
     }
 
     /// Whether a page is stored under `root`.
@@ -151,6 +166,58 @@ mod tests {
         assert_eq!(store.get(&root(2)).unwrap(), Some(Vec::new()));
         assert_eq!(store.get(&root(3)).unwrap(), None);
         assert_eq!(store.len(), 2);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A spill file byte for byte as the format lays it out (the CRCs
+    /// are zlib's): `"page-one"` under root `0x11…`, the empty page
+    /// under `0x22…`, a later record under `0x11…` again (the first
+    /// one wins), then a torn tail announcing 40 bytes of which 36
+    /// reached the disk.
+    fn fixture() -> Vec<u8> {
+        let frames: [(&[u8], u8, &[u8]); 4] = [
+            (&[0x28, 0, 0, 0, 0xf3, 0x0c, 0xc0, 0x90], 0x11, b"page-one"),
+            (&[0x20, 0, 0, 0, 0x06, 0xb9, 0xfd, 0x88], 0x22, b""),
+            (&[0x28, 0, 0, 0, 0x4d, 0x0f, 0x35, 0xd7], 0x11, b"shadowed"),
+            (&[0x28, 0, 0, 0, 0x04, 0x03, 0x02, 0x01], 0x33, b"torn"),
+        ];
+        let mut bytes = Vec::new();
+        for (header, key, page) in frames {
+            bytes.extend_from_slice(header);
+            bytes.extend_from_slice(&[key; 32]);
+            bytes.extend_from_slice(page);
+        }
+        bytes
+    }
+    /// Bytes of [`fixture`] before the torn frame.
+    const FIXTURE_VALID: usize = 136;
+
+    #[test]
+    fn fixture_in_the_on_disk_format_opens_indexes_and_reads() {
+        let dir = crate::scratch_dir("spill-fixture").unwrap();
+        let path = dir.join("spill.seg");
+        std::fs::write(&path, fixture()).unwrap();
+        let store = SpillStore::open(&dir).unwrap();
+        assert_eq!(store.len(), 2, "two distinct roots survive the scan");
+        assert_eq!(store.disk_bytes(), FIXTURE_VALID as u64);
+        assert_eq!(std::fs::read(&path).unwrap(), &fixture()[..FIXTURE_VALID]);
+        assert_eq!(store.get(&root(0x11)).unwrap(), Some(b"page-one".to_vec()));
+        assert_eq!(store.get(&root(0x22)).unwrap(), Some(Vec::new()));
+        assert_eq!(store.get(&root(0x33)).unwrap(), None, "torn, never indexed");
+        assert_eq!(
+            store.with_page(&root(0x11), <[u8]>::len).unwrap(),
+            Some(b"page-one".len())
+        );
+
+        // A bit of the first page rots after open: reading it is an
+        // error, not the wrong page; its neighbour is untouched.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8 + 32] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = store.get(&root(0x11)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(store.with_page(&root(0x11), <[u8]>::len).is_err());
+        assert_eq!(store.get(&root(0x22)).unwrap(), Some(Vec::new()));
         let _ = std::fs::remove_dir_all(dir);
     }
 

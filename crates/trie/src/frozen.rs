@@ -386,8 +386,47 @@ impl FrozenTrie {
     /// ids reproduces [`FrozenTrie::prove_many`]. This is the shard
     /// workers' interface: they exchange ids, never bytes.
     pub fn prove_ids(&self, key: &[u8], out: &mut Vec<u32>) {
+        self.walk(key, |node, is_root| {
+            if node.enc_len >= 32 || is_root {
+                out.push(node.dedup);
+            }
+        });
+    }
+
+    /// The value stored under `key`, read off the same arena nodes
+    /// [`FrozenTrie::prove`] cuts the key's proof from — no hashing,
+    /// and no second copy of the values kept beside the page.
+    ///
+    /// Returns `None` when the key is absent, and also when the node
+    /// the walk ends on does not decode (which only a corrupted page
+    /// can cause: [`FrozenTrie::from_bytes`] checks structure, not
+    /// contents).
+    pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
+        let (id, consumed) = self.walk(key, |_, _| {})?;
+        let is_leaf = self.nodes[id as usize].kind == Kind::Leaf;
+        let arity = if is_leaf { 2 } else { 17 };
+        let mut items = parp_rlp::decode_list_of(self.node_bytes(id), arity).ok()?;
+        if is_leaf {
+            let (path, _) = hp_decode(items.first()?.as_bytes().ok()?)?;
+            let rest = consumed..key.len() * 2;
+            if path.len() != rest.len() || !rest.zip(&path).all(|(i, &p)| nibble_at(key, i) == p) {
+                return None;
+            }
+        }
+        match items.pop()? {
+            Item::Bytes(value) if !value.is_empty() => Some(value),
+            _ => None,
+        }
+    }
+
+    /// Walks from the root along `key`, calling `visit(node, is_root)`
+    /// on every node reached, in order. Returns the arena id of the
+    /// node the key's value would sit in — the leaf the walk ended on,
+    /// or the branch at which the key ran out — with the key nibbles
+    /// consumed before it; `None` when the walk fell off the trie first.
+    fn walk(&self, key: &[u8], mut visit: impl FnMut(&ArenaNode, bool)) -> Option<(u32, usize)> {
         if self.nodes.is_empty() {
-            return;
+            return None;
         }
         let nib_len = key.len() * 2;
         let mut id = 0u32;
@@ -395,12 +434,10 @@ impl FrozenTrie {
         let mut is_root = true;
         loop {
             let node = self.nodes[id as usize];
-            if node.enc_len >= 32 || is_root {
-                out.push(node.dedup);
-            }
+            visit(&node, is_root);
             is_root = false;
             match node.kind {
-                Kind::Leaf => break,
+                Kind::Leaf => return Some((id, consumed)),
                 Kind::Extension => {
                     let path = &self.paths
                         [node.path_off as usize..(node.path_off + node.path_len) as usize];
@@ -410,20 +447,20 @@ impl FrozenTrie {
                             .enumerate()
                             .all(|(i, &p)| nibble_at(key, consumed + i) == p)
                     {
-                        break;
+                        return None;
                     }
                     consumed += path.len();
                     id = self.children[node.child_off as usize];
                 }
                 Kind::Branch => {
                     if consumed == nib_len {
-                        break;
+                        return Some((id, consumed));
                     }
                     let idx = nibble_at(key, consumed) as usize;
                     consumed += 1;
                     let child = self.children[node.child_off as usize + idx];
                     if child == NO_NODE {
-                        break;
+                        return None;
                     }
                     id = child;
                 }
@@ -1273,6 +1310,36 @@ mod tests {
         assert_eq!(arena_proof.len(), 2);
         let results = crate::verify_many(arena.root_hash(), &keys, &arena_proof).unwrap();
         assert!(results.iter().all(Option::is_some));
+    }
+
+    #[test]
+    fn get_reads_what_the_trie_holds() {
+        // Hashed keys with 40-byte values, ordered keys (one a prefix
+        // path of the next level) with values short enough to inline.
+        let mut ordered = Trie::new();
+        for i in 0..300u64 {
+            ordered.insert(
+                parp_rlp::encode_u64(i),
+                vec![(i % 251) as u8 + 1; 1 + (i % 5) as usize],
+            );
+        }
+        for trie in [sample_trie(200), ordered, sample_trie(1), Trie::new()] {
+            let frozen = FrozenTrie::new(trie.clone());
+            let page = FrozenTrie::from_bytes(&frozen.to_bytes()).unwrap();
+            for (key, value) in trie.iter() {
+                assert_eq!(frozen.get(&key).as_deref(), Some(value));
+                assert_eq!(page.get(&key).as_deref(), Some(value));
+                // A longer key is absent; a shorter one is whatever
+                // the trie says (another key, or nothing).
+                let mut longer = key.clone();
+                longer.push(0x11);
+                assert_eq!(frozen.get(&longer), None);
+                let shorter = &key[..key.len() - 1];
+                assert_eq!(frozen.get(shorter).as_deref(), trie.get(shorter));
+            }
+            assert_eq!(frozen.get(keccak256(b"absent").as_bytes()), None);
+            assert_eq!(frozen.get(&[]), None);
+        }
     }
 
     #[test]

@@ -14,5 +14,6 @@ pub use parp_net as net;
 pub use parp_primitives as primitives;
 pub use parp_rlp as rlp;
 pub use parp_runtime as runtime;
+pub use parp_store as store;
 pub use parp_telemetry as telemetry;
 pub use parp_trie as trie;
