@@ -25,14 +25,26 @@
 //!    updated contents (hard assert), 6 keys must derive ≥ 10× faster
 //!    than the rebuild, and 1,000 keys no slower.
 //!
+//! 6. **Client verification** — the inverse of section 2, on the same
+//!    fixture: `verify_many` over the 64-key multiproof and
+//!    `verify_proof` over one key's own proof, results pinned equal to
+//!    the trie's contents; then `expected_hash` and `encode` of a 64-item
+//!    [`ParpBatchResponse`] carrying that multiproof, pinned to the
+//!    free-function digest and a decode round trip. No speed gate: each
+//!    figure is emitted beside the one the parent commit measured on the
+//!    same box (`*_PARENT_US`), so the artifact shows both.
+//!
 //! Emits `BENCH_trie.json` at the workspace root (a CI artifact
 //! alongside `BENCH_crypto.json` and friends).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use parp_chain::State;
-use parp_crypto::{keccak256, keccak256_batch, Keccak256};
-use parp_primitives::{Address, U256};
-use parp_trie::{baseline, verify_many, FrozenTrie, ProofBuf, Trie};
+use parp_contracts::{
+    batch_response_hash, BatchOutput, ParpBatchRequest, ParpBatchResponse, RpcCall,
+};
+use parp_crypto::{keccak256, keccak256_batch, Keccak256, SecretKey};
+use parp_primitives::{Address, H256, U256};
+use parp_trie::{baseline, verify_many, verify_proof, FrozenTrie, ProofBuf, Trie};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -42,6 +54,21 @@ const ACCOUNTS: u64 = 10_000;
 const BATCH: usize = 64;
 /// Measurement rounds per timed section.
 const ROUNDS: u32 = 30;
+
+/// Rounds for the section 6 timings (each round is well under a
+/// millisecond).
+const VERIFY_ROUNDS: u32 = 300;
+/// Section 6 as the parent commit `af1d086` (the `Item`-tree walk and the
+/// `Vec<Vec<u8>>` response hash) measured it with this same bench code on
+/// the box that produced the checked-in artifact: medians of four runs
+/// alternated with this commit's (288–310, 7.3–7.7, 124–139 and 15–16 µs
+/// against this commit's 144–178, 5.6–7.2, 102–126 and 3–4). The host's
+/// speed drifts by up to 2× over tens of minutes, so compare a figure
+/// with its parent only within one such alternation.
+const VERIFY_MANY64_PARENT_US: f64 = 298.0;
+const VERIFY1_PARENT_US: f64 = 7.6;
+const BATCH_RESPONSE_HASH_PARENT_US: f64 = 136.0;
+const BATCH_RESPONSE_ENCODE_PARENT_US: f64 = 16.0;
 
 /// A populated snapshot trie plus the hashed keys of a 64-call batch
 /// (every call an account read, some duplicated — the dedup-heavy shape
@@ -147,6 +174,15 @@ fn assert_byte_identical(
     reference
 }
 
+/// Mean wall-clock microseconds of `f` over `rounds` back-to-back calls.
+fn mean_us(rounds: u32, f: &mut dyn FnMut()) -> f64 {
+    let started = Instant::now();
+    for _ in 0..rounds {
+        f();
+    }
+    started.elapsed().as_nanos() as f64 / 1e3 / f64::from(rounds)
+}
+
 struct Numbers {
     multiproof_base_us: f64,
     multiproof_arena_us: f64,
@@ -162,6 +198,93 @@ struct Numbers {
     rebuild_10k_us: f64,
     derive_1000_into_5k_us: f64,
     rebuild_6k_us: f64,
+    verify_many64_us: f64,
+    verify1_us: f64,
+    batch_response_hash_us: f64,
+    batch_response_encode_us: f64,
+}
+
+/// Section 6: `(verify_many64_us, verify1_us, batch_response_hash_us,
+/// batch_response_encode_us)` over `multiproof`, the fixture batch's
+/// proof.
+fn measure_client_side(
+    trie: &Trie,
+    arena: &FrozenTrie,
+    keys: &[Vec<u8>],
+    multiproof: &[Vec<u8>],
+) -> (f64, f64, f64, f64) {
+    let time = |f: &mut dyn FnMut()| mean_us(VERIFY_ROUNDS, f);
+    let root = arena.root_hash();
+    let expected: Vec<Option<Vec<u8>>> = keys
+        .iter()
+        .map(|key| trie.get(key).map(<[u8]>::to_vec))
+        .collect();
+    assert_eq!(
+        verify_many(root, keys, multiproof).expect("multiproof verifies"),
+        expected,
+        "verify_many must bind every key to the trie's own value"
+    );
+    let verify_many64_us = time(&mut || {
+        black_box(verify_many(root, keys, black_box(multiproof)).is_ok());
+    });
+    let single = arena.prove(&keys[0]);
+    assert_eq!(
+        verify_proof(root, &keys[0], &single).expect("single proof verifies"),
+        expected[0],
+    );
+    let verify1_us = time(&mut || {
+        black_box(verify_proof(root, &keys[0], black_box(&single)).is_ok());
+    });
+
+    // A 64-item response shaped like the serving path's: one account
+    // encoding per call, the shared multiproof, one carried header.
+    let calls: Vec<RpcCall> = (0..keys.len() as u64)
+        .map(|i| RpcCall::GetBalance {
+            address: Address::from_low_u64_be(i),
+        })
+        .collect();
+    let request = ParpBatchRequest::build(
+        &SecretKey::from_seed(b"trie-hotpath-client"),
+        1,
+        H256::from_low_u64_be(0xb10c),
+        U256::from(64_000u64),
+        calls,
+    );
+    let output = BatchOutput::snapshot(
+        9,
+        expected.iter().flatten().cloned().collect(),
+        multiproof.to_vec(),
+        vec![0xab; 540],
+    );
+    let digest = batch_response_hash(
+        request.channel_id,
+        &request.amount,
+        &output,
+        &request.request_hash,
+        &request.request_sig,
+    );
+    let response = ParpBatchResponse::build(
+        &SecretKey::from_seed(b"trie-hotpath-node"),
+        &request,
+        output,
+    );
+    assert_eq!(response.expected_hash(), digest);
+    assert_eq!(
+        ParpBatchResponse::decode(&response.encode()).expect("own encoding decodes"),
+        response,
+    );
+    let batch_response_hash_us = time(&mut || {
+        black_box(black_box(&response).expected_hash());
+    });
+    let batch_response_encode_us = time(&mut || {
+        black_box(black_box(&response).encode());
+    });
+    (
+        verify_many64_us,
+        verify1_us,
+        batch_response_hash_us,
+        batch_response_encode_us,
+    )
 }
 
 fn measure(trie: &Trie, keys: &[Vec<u8>]) -> Numbers {
@@ -171,13 +294,7 @@ fn measure(trie: &Trie, keys: &[Vec<u8>]) -> Numbers {
     let proof_nodes = reference.len();
     let proof_bytes = reference.iter().map(Vec::len).sum();
 
-    let time = |f: &mut dyn FnMut()| {
-        let started = Instant::now();
-        for _ in 0..ROUNDS {
-            f();
-        }
-        started.elapsed().as_micros() as f64 / f64::from(ROUNDS)
-    };
+    let time = |f: &mut dyn FnMut()| mean_us(ROUNDS, f);
 
     let multiproof_base_us = time(&mut || {
         black_box(base.prove_many(keys));
@@ -238,6 +355,9 @@ fn measure(trie: &Trie, keys: &[Vec<u8>]) -> Numbers {
     let (derive_1000_into_5k_us, rebuild_6k_us) =
         derive_vs_rebuild(&funded_state(5_000), &thousand, FREEZE_ROUNDS);
 
+    let (verify_many64_us, verify1_us, batch_response_hash_us, batch_response_encode_us) =
+        measure_client_side(trie, &arena, keys, &reference);
+
     Numbers {
         multiproof_base_us,
         multiproof_arena_us,
@@ -253,6 +373,10 @@ fn measure(trie: &Trie, keys: &[Vec<u8>]) -> Numbers {
         rebuild_10k_us,
         derive_1000_into_5k_us,
         rebuild_6k_us,
+        verify_many64_us,
+        verify1_us,
+        batch_response_hash_us,
+        batch_response_encode_us,
     }
 }
 
@@ -277,7 +401,14 @@ fn emit_artifact(n: &Numbers) {
          \"derive_6_of_10k_us\":{:.0},\"rebuild_10k_us\":{:.0},\
          \"derive_6_speedup\":{derive_6_speedup:.1},\
          \"derive_1000_into_5k_us\":{:.0},\"rebuild_6k_us\":{:.0},\
-         \"derive_1000_speedup\":{derive_1000_speedup:.2}}}\n",
+         \"derive_1000_speedup\":{derive_1000_speedup:.2},\
+         \"verify_nodes\":{},\"verify_bytes\":{},\
+         \"verify_many64_us\":{:.1},\"verify_many64_parent_us\":{VERIFY_MANY64_PARENT_US:.1},\
+         \"verify1_us\":{:.2},\"verify1_parent_us\":{VERIFY1_PARENT_US:.2},\
+         \"batch_response_hash_us\":{:.1},\
+         \"batch_response_hash_parent_us\":{BATCH_RESPONSE_HASH_PARENT_US:.1},\
+         \"batch_response_encode_us\":{:.1},\
+         \"batch_response_encode_parent_us\":{BATCH_RESPONSE_ENCODE_PARENT_US:.1}}}\n",
         n.multiproof_base_us,
         n.multiproof_arena_us,
         n.multiproof_into_us,
@@ -292,6 +423,12 @@ fn emit_artifact(n: &Numbers) {
         n.rebuild_10k_us,
         n.derive_1000_into_5k_us,
         n.rebuild_6k_us,
+        n.proof_nodes,
+        n.proof_bytes,
+        n.verify_many64_us,
+        n.verify1_us,
+        n.batch_response_hash_us,
+        n.batch_response_encode_us,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trie.json");
     std::fs::write(path, &json).expect("write BENCH_trie.json");
@@ -313,6 +450,19 @@ fn emit_artifact(n: &Numbers) {
          ({derive_6_speedup:.1}×) | 1,000 new into 5,000 — derive {:.0} µs vs build+freeze {:.0} µs \
          ({derive_1000_speedup:.2}×)",
         n.derive_6_of_10k_us, n.rebuild_10k_us, n.derive_1000_into_5k_us, n.rebuild_6k_us,
+    );
+
+    println!(
+        "client side of the same batch ({} nodes, {} B): verify_many {:.0} µs (parent \
+         {VERIFY_MANY64_PARENT_US:.0}) | verify_proof {:.1} µs (parent {VERIFY1_PARENT_US:.1}) | \
+         64-item response h_res {:.0} µs (parent {BATCH_RESPONSE_HASH_PARENT_US:.0}) | encode \
+         {:.0} µs (parent {BATCH_RESPONSE_ENCODE_PARENT_US:.0})",
+        n.proof_nodes,
+        n.proof_bytes,
+        n.verify_many64_us,
+        n.verify1_us,
+        n.batch_response_hash_us,
+        n.batch_response_encode_us,
     );
 
     // Hard gates, set conservatively below the measured wins so VM

@@ -28,13 +28,15 @@
 
 use crate::fdm::FraudVerdict;
 use crate::message::{
-    decode_signature, encode_signature, payment_digest, MessageError, ProofKind, RpcCall,
+    decode_signature, encode_signature, payment_digest, request_envelope_len, MessageError,
+    ProofKind, RpcCall, H256_FIELD_LEN, SIGNATURE_FIELD_LEN,
 };
 use parp_chain::Header;
 use parp_crypto::{keccak256, recover_address, sign, SecretKey, Signature};
 use parp_primitives::{Address, H256, U256};
 use parp_rlp::{
-    decode_list_of, encode_bytes, encode_h256, encode_list, encode_u256, encode_u64, Item,
+    bytes_len, decode_list_of, encode_bytes, encode_h256, encode_list, encode_u256, encode_u64,
+    list_len, u256_len, u64_len, write_bytes, write_list_header, write_u256, write_u64, Item,
 };
 use std::collections::BTreeMap;
 
@@ -43,9 +45,17 @@ fn encode_calls(calls: &[RpcCall]) -> Vec<u8> {
     encode_list(&items)
 }
 
-fn encode_nodes(nodes: &[Vec<u8>]) -> Vec<u8> {
-    let items: Vec<Vec<u8>> = nodes.iter().map(|n| encode_bytes(n)).collect();
-    encode_list(&items)
+/// Encoded size of the items of a list of byte strings.
+fn nodes_payload_len(nodes: &[Vec<u8>]) -> usize {
+    nodes.iter().map(|n| bytes_len(n)).sum()
+}
+
+/// Appends `nodes` as a list of byte strings.
+fn write_nodes(nodes: &[Vec<u8>], out: &mut Vec<u8>) {
+    write_list_header(nodes_payload_len(nodes), out);
+    for node in nodes {
+        write_bytes(node, out);
+    }
 }
 
 fn decode_nodes(item: &Item) -> Result<Vec<Vec<u8>>, MessageError> {
@@ -56,9 +66,8 @@ fn decode_nodes(item: &Item) -> Result<Vec<Vec<u8>>, MessageError> {
         .collect::<Result<Vec<_>, _>>()?)
 }
 
-fn encode_u64_list(values: &[u64]) -> Vec<u8> {
-    let items: Vec<Vec<u8>> = values.iter().map(|v| encode_u64(*v)).collect();
-    encode_list(&items)
+fn u64s_payload_len(values: &[u64]) -> usize {
+    values.iter().map(|v| u64_len(*v)).sum()
 }
 
 fn decode_u64_list(item: &Item) -> Result<Vec<u64>, MessageError> {
@@ -69,9 +78,8 @@ fn decode_u64_list(item: &Item) -> Result<Vec<u64>, MessageError> {
         .collect::<Result<Vec<_>, _>>()?)
 }
 
-fn encode_proof_sets(proofs: &[Vec<Vec<u8>>]) -> Vec<u8> {
-    let items: Vec<Vec<u8>> = proofs.iter().map(|p| encode_nodes(p)).collect();
-    encode_list(&items)
+fn proof_sets_payload_len(proofs: &[Vec<Vec<u8>>]) -> usize {
+    proofs.iter().map(|p| list_len(nodes_payload_len(p))).sum()
 }
 
 fn decode_proof_sets(item: &Item) -> Result<Vec<Vec<Vec<u8>>>, MessageError> {
@@ -216,12 +224,18 @@ impl ParpBatchRequest {
         })
     }
 
+    /// `self.encode().len()`, from the field sizes alone.
+    pub fn encoded_len(&self) -> usize {
+        let calls: usize = self.calls.iter().map(|c| list_len(c.encoded_len())).sum();
+        request_envelope_len(self.channel_id, &self.amount, list_len(calls))
+    }
+
     /// Byte size of the PARP metadata added on top of the bare RPC calls:
     /// the per-batch equivalent of Table II's request overhead. Constant
     /// in the batch size — that is the point.
     pub fn overhead_bytes(&self) -> usize {
-        let calls: usize = self.calls.iter().map(|c| c.encode().len()).sum();
-        self.encode().len() - calls
+        let calls: usize = self.calls.iter().map(RpcCall::encoded_len).sum();
+        self.encoded_len() - calls
     }
 }
 
@@ -315,6 +329,72 @@ pub struct ParpBatchResponse {
     pub response_sig: Signature,
 }
 
+/// The ten fields `σ_res` signs, by reference. `h_res` is the keccak of
+/// their list; the wire encoding is the same ten followed by `σ_res`, so
+/// both are sized arithmetically and written once into one buffer.
+struct SignedFields<'a> {
+    channel_id: u64,
+    block_number: u64,
+    amount: &'a U256,
+    results: &'a [Vec<u8>],
+    multiproof: &'a [Vec<u8>],
+    item_blocks: &'a [u64],
+    item_proofs: &'a [Vec<Vec<u8>>],
+    headers: &'a [Vec<u8>],
+    request_hash: &'a H256,
+    request_sig: &'a Signature,
+}
+
+impl SignedFields<'_> {
+    /// Encoded size of the ten fields: exactly what [`Self::write`]
+    /// appends.
+    fn len(&self) -> usize {
+        u64_len(self.channel_id)
+            + u64_len(self.block_number)
+            + u256_len(self.amount)
+            + list_len(nodes_payload_len(self.results))
+            + list_len(nodes_payload_len(self.multiproof))
+            + list_len(u64s_payload_len(self.item_blocks))
+            + list_len(proof_sets_payload_len(self.item_proofs))
+            + list_len(nodes_payload_len(self.headers))
+            + H256_FIELD_LEN
+            + SIGNATURE_FIELD_LEN
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
+        write_u64(self.channel_id, out);
+        write_u64(self.block_number, out);
+        write_u256(self.amount, out);
+        write_nodes(self.results, out);
+        write_nodes(self.multiproof, out);
+        write_list_header(u64s_payload_len(self.item_blocks), out);
+        for block in self.item_blocks {
+            write_u64(*block, out);
+        }
+        write_list_header(proof_sets_payload_len(self.item_proofs), out);
+        for proof in self.item_proofs {
+            write_nodes(proof, out);
+        }
+        write_nodes(self.headers, out);
+        write_bytes(self.request_hash.as_bytes(), out);
+        write_bytes(&self.request_sig.to_bytes(), out);
+    }
+
+    /// The fields as one list, then `trailer_len` bytes of room the
+    /// caller fills with further items of the same list.
+    fn encode_with_room(&self, trailer_len: usize) -> Vec<u8> {
+        let payload_len = self.len() + trailer_len;
+        let mut out = Vec::with_capacity(list_len(payload_len));
+        write_list_header(payload_len, &mut out);
+        self.write(&mut out);
+        out
+    }
+
+    fn hash(&self) -> H256 {
+        keccak256(&self.encode_with_room(0))
+    }
+}
+
 /// Computes the batch `h_res` over all response fields before `σ_res`.
 pub fn batch_response_hash(
     channel_id: u64,
@@ -323,49 +403,19 @@ pub fn batch_response_hash(
     request_hash: &H256,
     request_sig: &Signature,
 ) -> H256 {
-    hash_response_parts(
+    SignedFields {
         channel_id,
-        output.block_number,
+        block_number: output.block_number,
         amount,
-        &output.results,
-        &output.multiproof,
-        &output.item_blocks,
-        &output.item_proofs,
-        &output.headers,
+        results: &output.results,
+        multiproof: &output.multiproof,
+        item_blocks: &output.item_blocks,
+        item_proofs: &output.item_proofs,
+        headers: &output.headers,
         request_hash,
         request_sig,
-    )
-}
-
-/// The shared `h_res` computation, by reference — [`batch_response_hash`]
-/// and [`ParpBatchResponse::expected_hash`] both borrow their payloads so
-/// neither copies proof or header bytes just to hash them.
-#[allow(clippy::too_many_arguments)]
-fn hash_response_parts(
-    channel_id: u64,
-    block_number: u64,
-    amount: &U256,
-    results: &[Vec<u8>],
-    multiproof: &[Vec<u8>],
-    item_blocks: &[u64],
-    item_proofs: &[Vec<Vec<u8>>],
-    headers: &[Vec<u8>],
-    request_hash: &H256,
-    request_sig: &Signature,
-) -> H256 {
-    let result_items: Vec<Vec<u8>> = results.iter().map(|r| encode_bytes(r)).collect();
-    keccak256(&encode_list(&[
-        encode_u64(channel_id),
-        encode_u64(block_number),
-        encode_u256(amount),
-        encode_list(&result_items),
-        encode_nodes(multiproof),
-        encode_u64_list(item_blocks),
-        encode_proof_sets(item_proofs),
-        encode_nodes(headers),
-        encode_h256(request_hash),
-        encode_bytes(&request_sig.to_bytes()),
-    ]))
+    }
+    .hash()
 }
 
 impl ParpBatchResponse {
@@ -403,20 +453,24 @@ impl ParpBatchResponse {
         self.results.is_empty()
     }
 
+    fn signed_fields(&self) -> SignedFields<'_> {
+        SignedFields {
+            channel_id: self.channel_id,
+            block_number: self.block_number,
+            amount: &self.amount,
+            results: &self.results,
+            multiproof: &self.multiproof,
+            item_blocks: &self.item_blocks,
+            item_proofs: &self.item_proofs,
+            headers: &self.headers,
+            request_hash: &self.request_hash,
+            request_sig: &self.request_sig,
+        }
+    }
+
     /// Recomputes `h_res` from the response contents.
     pub fn expected_hash(&self) -> H256 {
-        hash_response_parts(
-            self.channel_id,
-            self.block_number,
-            &self.amount,
-            &self.results,
-            &self.multiproof,
-            &self.item_blocks,
-            &self.item_proofs,
-            &self.headers,
-            &self.request_hash,
-            &self.request_sig,
-        )
+        self.signed_fields().hash()
     }
 
     /// Recovers the response signer (the full node) from `σ_res`.
@@ -426,20 +480,14 @@ impl ParpBatchResponse {
 
     /// Full RLP wire encoding (11 fields).
     pub fn encode(&self) -> Vec<u8> {
-        let result_items: Vec<Vec<u8>> = self.results.iter().map(|r| encode_bytes(r)).collect();
-        encode_list(&[
-            encode_u64(self.channel_id),
-            encode_u64(self.block_number),
-            encode_u256(&self.amount),
-            encode_list(&result_items),
-            encode_nodes(&self.multiproof),
-            encode_u64_list(&self.item_blocks),
-            encode_proof_sets(&self.item_proofs),
-            encode_nodes(&self.headers),
-            encode_h256(&self.request_hash),
-            encode_signature(&self.request_sig),
-            encode_signature(&self.response_sig),
-        ])
+        let mut out = self.signed_fields().encode_with_room(SIGNATURE_FIELD_LEN);
+        write_bytes(&self.response_sig.to_bytes(), &mut out);
+        out
+    }
+
+    /// `self.encode().len()`, from the field sizes alone.
+    pub fn encoded_len(&self) -> usize {
+        list_len(self.signed_fields().len() + SIGNATURE_FIELD_LEN)
     }
 
     /// Decodes a batch response.
@@ -496,7 +544,7 @@ impl ParpBatchResponse {
     /// headers: the per-batch equivalent of Table II's response overhead.
     pub fn overhead_bytes(&self) -> usize {
         let results: usize = self.results.iter().map(Vec::len).sum();
-        self.encode().len() - results - self.proof_bytes() - self.header_bytes()
+        self.encoded_len() - results - self.proof_bytes() - self.header_bytes()
     }
 }
 
@@ -657,13 +705,13 @@ pub fn batch_fraud_conditions(
     // extraction matches on `proof_kind()` — the same predicate the
     // per-item loop below pairs results with — so the two sides cannot
     // desync if a new state-proven call variant appears.
-    let mut state_keys: Vec<Vec<u8>> = Vec::new();
+    let mut state_keys: Vec<H256> = Vec::new();
     for call in &req.calls {
         if call.proof_kind() == ProofKind::State {
             let Some(address) = call.state_address() else {
                 return Err(format!("state-proven call without a trie key: {call:?}"));
             };
-            state_keys.push(keccak256(address.as_bytes()).as_bytes().to_vec());
+            state_keys.push(keccak256(address.as_bytes()));
         }
     }
     let proven =
@@ -682,7 +730,9 @@ pub fn batch_fraud_conditions(
     for (index, (call, result)) in req.calls.iter().zip(res.results.iter()).enumerate() {
         let verdict = match call.proof_kind() {
             ProofKind::State => {
-                let proven_value = proven_iter.next().expect("one entry per state key");
+                let proven_value = proven_iter
+                    .next()
+                    .ok_or("state multiproof bound fewer values than state keys")?;
                 if crate::fdm::state_claim_matches(result, &proven_value) {
                     None
                 } else {

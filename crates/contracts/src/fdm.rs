@@ -456,7 +456,7 @@ impl FraudModule {
                 .into_iter()
                 .flatten()
                 .next()
-                .expect("Items only returned when some item is condemned"),
+                .ok_or_else(|| Revert::new("no fraud detected"))?,
         };
         self.slash_and_record(
             req.request_hash,

@@ -11,8 +11,8 @@
 use parp_crypto::{keccak256, recover_address, sign, SecretKey, Signature};
 use parp_primitives::{Address, H256, U256};
 use parp_rlp::{
-    decode_list_of, encode_bytes, encode_h256, encode_list, encode_u256, encode_u64, DecodeError,
-    Item,
+    bytes_len, decode_list_of, encode_bytes, encode_h256, encode_list, encode_u256, encode_u64,
+    list_len, u256_len, u64_len, DecodeError, Item,
 };
 use std::error::Error;
 use std::fmt;
@@ -115,6 +115,24 @@ impl RpcCall {
                 encode_list(&[encode_u64(7), parp_rlp::encode_address(address)])
             }
         }
+    }
+
+    /// `self.encode().len()`, from the argument's size alone.
+    pub fn encoded_len(&self) -> usize {
+        let argument = match self {
+            RpcCall::GetBalance { address } | RpcCall::GetTransactionCount { address } => {
+                bytes_len(address.as_bytes())
+            }
+            RpcCall::SendRawTransaction { raw } => bytes_len(raw),
+            RpcCall::GetTransactionByHash { hash } | RpcCall::GetTransactionReceipt { hash } => {
+                bytes_len(hash.as_bytes())
+            }
+            RpcCall::BlockNumber => 0,
+            RpcCall::GetHeader { number } => u64_len(*number),
+            RpcCall::GetChannelStatus { channel_id } => u64_len(*channel_id),
+        };
+        // Every selector is below 0x80: one byte.
+        list_len(1 + argument)
     }
 
     /// Decodes a call.
@@ -281,6 +299,24 @@ impl From<DecodeError> for MessageError {
     }
 }
 
+/// Encoded size of a 32-byte hash field.
+pub(crate) const H256_FIELD_LEN: usize = 1 + 32;
+/// Encoded size of a 65-byte signature field (a long-form string header).
+pub(crate) const SIGNATURE_FIELD_LEN: usize = 2 + 65;
+
+/// Encoded size of a request envelope (single or batched) around a γ
+/// field of `gamma_len` encoded bytes: `[α, h_B, a, γ, h_req, σ_a, σ_req]`.
+pub(crate) fn request_envelope_len(channel_id: u64, amount: &U256, gamma_len: usize) -> usize {
+    list_len(
+        u64_len(channel_id)
+            + H256_FIELD_LEN
+            + u256_len(amount)
+            + gamma_len
+            + H256_FIELD_LEN
+            + 2 * SIGNATURE_FIELD_LEN,
+    )
+}
+
 pub(crate) fn encode_signature(sig: &Signature) -> Vec<u8> {
     encode_bytes(&sig.to_bytes())
 }
@@ -404,10 +440,17 @@ impl ParpRequest {
         })
     }
 
+    /// `self.encode().len()`, from the field sizes alone.
+    pub fn encoded_len(&self) -> usize {
+        // γ travels as a byte string holding the call's own list.
+        let call = list_len(self.call.encoded_len());
+        request_envelope_len(self.channel_id, &self.amount, call)
+    }
+
     /// Byte size of the PARP metadata added on top of the bare RPC call
     /// (Table II's "PARP request overhead").
     pub fn overhead_bytes(&self) -> usize {
-        self.encode().len() - self.call.encode().len()
+        self.encoded_len() - self.call.encoded_len()
     }
 }
 
@@ -547,11 +590,25 @@ impl ParpResponse {
         self.proof.iter().map(Vec::len).sum()
     }
 
+    /// `self.encode().len()`, from the field sizes alone.
+    pub fn encoded_len(&self) -> usize {
+        let proof: usize = self.proof.iter().map(|n| bytes_len(n)).sum();
+        list_len(
+            u64_len(self.channel_id)
+                + u64_len(self.block_number)
+                + u256_len(&self.amount)
+                + bytes_len(&self.result)
+                + list_len(proof)
+                + H256_FIELD_LEN
+                + 2 * SIGNATURE_FIELD_LEN,
+        )
+    }
+
     /// Byte size of the PARP metadata added on top of the result and proof
     /// (Table II's "PARP response overhead", which excludes the
     /// variable-sized proof).
     pub fn overhead_bytes(&self) -> usize {
-        self.encode().len() - self.result.len() - self.proof_bytes()
+        self.encoded_len() - self.result.len() - self.proof_bytes()
     }
 }
 

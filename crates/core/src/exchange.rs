@@ -95,7 +95,7 @@ impl Exchange for RpcCall {
     }
 
     fn wire_bytes(request: &ParpRequest, response: &ParpResponse) -> (usize, usize, usize) {
-        let (request, wire) = (request.encode().len(), response.encode().len());
+        let (request, wire) = (request.encoded_len(), response.encoded_len());
         (request, wire, response.proof_bytes())
     }
 
@@ -153,7 +153,7 @@ impl Exchange for Vec<RpcCall> {
         request: &ParpBatchRequest,
         response: &ParpBatchResponse,
     ) -> (usize, usize, usize) {
-        let (request, wire) = (request.encode().len(), response.encode().len());
+        let (request, wire) = (request.encoded_len(), response.encoded_len());
         (request, wire, response.proof_bytes())
     }
 

@@ -10,6 +10,19 @@
 //! zeros, trailing garbage), which matters because trie keys and fraud
 //! proofs must have exactly one valid encoding.
 //!
+//! Two shapes of each direction, one set of rules behind both:
+//!
+//! * **Reading.** [`decode`] builds an owned [`Item`] tree; [`view`]
+//!   checks the same input just as strictly (nested items included) and
+//!   hands back a [`View`] whose payloads are slices of the input — no
+//!   allocation, which is what proof verification walks. Both split
+//!   items with the same header parser, so they cannot disagree on what
+//!   is well-formed.
+//! * **Writing.** `write_*` append to a caller's buffer and `*_len`
+//!   say, arithmetically, how many bytes that will be, so a message is
+//!   sized once and written once; the `Vec`-returning `encode_*` are
+//!   those writers behind an exactly-sized allocation.
+//!
 //! # Examples
 //!
 //! ```
@@ -197,34 +210,104 @@ impl fmt::Display for DecodeError {
 
 impl Error for DecodeError {}
 
-fn encode_length(len: usize, short_offset: u8, out: &mut Vec<u8>) {
+/// Bytes of the minimal big-endian form of `value` (zero → 0).
+fn be_len(value: u64) -> usize {
+    (64 - value.leading_zeros() as usize).div_ceil(8)
+}
+
+/// Size of the length header in front of a `payload_len`-byte payload.
+fn header_len(payload_len: usize) -> usize {
+    if payload_len <= 55 {
+        1
+    } else {
+        1 + be_len(payload_len as u64)
+    }
+}
+
+/// Encoded size of a byte string: what [`write_bytes`] appends.
+pub fn bytes_len(data: &[u8]) -> usize {
+    match data {
+        [byte] if *byte < 0x80 => 1,
+        _ => header_len(data.len()) + data.len(),
+    }
+}
+
+/// Encoded size of a list whose items total `payload_len` bytes.
+pub fn list_len(payload_len: usize) -> usize {
+    header_len(payload_len) + payload_len
+}
+
+/// Encoded size of a `u64`: what [`write_u64`] appends.
+pub fn u64_len(value: u64) -> usize {
+    if value < 0x80 {
+        1
+    } else {
+        1 + be_len(value)
+    }
+}
+
+/// Encoded size of a [`U256`]: what [`write_u256`] appends.
+pub fn u256_len(value: &U256) -> usize {
+    match value.to_u64() {
+        Some(small) => u64_len(small),
+        None => 1 + u256_be_len(value),
+    }
+}
+
+fn u256_be_len(value: &U256) -> usize {
+    (value.bits() as usize).div_ceil(8)
+}
+
+fn write_header(len: usize, short_offset: u8, out: &mut Vec<u8>) {
     if len <= 55 {
         out.push(short_offset + len as u8);
     } else {
         let len_bytes = (len as u64).to_be_bytes();
-        let first = len_bytes.iter().position(|&b| b != 0).expect("len > 55");
-        let minimal = &len_bytes[first..];
+        let minimal = &len_bytes[8 - be_len(len as u64)..];
         out.push(short_offset + 55 + minimal.len() as u8);
         out.extend_from_slice(minimal);
     }
 }
 
+/// Appends the encoding of a byte string to `out`.
+pub fn write_bytes(data: &[u8], out: &mut Vec<u8>) {
+    match data {
+        [byte] if *byte < 0x80 => out.push(*byte),
+        _ => {
+            write_header(data.len(), 0x80, out);
+            out.extend_from_slice(data);
+        }
+    }
+}
+
+/// Appends the header of a list whose already-encoded items total
+/// `payload_len` bytes; the caller appends the items after it.
+pub fn write_list_header(payload_len: usize, out: &mut Vec<u8>) {
+    write_header(payload_len, 0xc0, out);
+}
+
+/// Appends a `u64` as a minimal big-endian byte string (zero → empty).
+pub fn write_u64(value: u64, out: &mut Vec<u8>) {
+    write_bytes(&value.to_be_bytes()[8 - be_len(value)..], out);
+}
+
+/// Appends a [`U256`] as a minimal big-endian byte string.
+pub fn write_u256(value: &U256, out: &mut Vec<u8>) {
+    write_bytes(&value.to_be_bytes()[32 - u256_be_len(value)..], out);
+}
+
 /// Encodes a byte string.
 pub fn encode_bytes(data: &[u8]) -> Vec<u8> {
-    if data.len() == 1 && data[0] < 0x80 {
-        return vec![data[0]];
-    }
-    let mut out = Vec::with_capacity(data.len() + 9);
-    encode_length(data.len(), 0x80, &mut out);
-    out.extend_from_slice(data);
+    let mut out = Vec::with_capacity(bytes_len(data));
+    write_bytes(data, &mut out);
     out
 }
 
 /// Wraps already-encoded items in a list header.
 pub fn encode_list(encoded_items: &[Vec<u8>]) -> Vec<u8> {
     let payload_len: usize = encoded_items.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(payload_len + 9);
-    encode_length(payload_len, 0xc0, &mut out);
+    let mut out = Vec::with_capacity(list_len(payload_len));
+    write_list_header(payload_len, &mut out);
     for item in encoded_items {
         out.extend_from_slice(item);
     }
@@ -233,17 +316,16 @@ pub fn encode_list(encoded_items: &[Vec<u8>]) -> Vec<u8> {
 
 /// Encodes a `u64` as a minimal big-endian byte string (zero → empty).
 pub fn encode_u64(value: u64) -> Vec<u8> {
-    if value == 0 {
-        return encode_bytes(&[]);
-    }
-    let bytes = value.to_be_bytes();
-    let first = bytes.iter().position(|&b| b != 0).expect("nonzero");
-    encode_bytes(&bytes[first..])
+    let mut out = Vec::with_capacity(u64_len(value));
+    write_u64(value, &mut out);
+    out
 }
 
 /// Encodes a [`U256`] as a minimal big-endian byte string.
 pub fn encode_u256(value: &U256) -> Vec<u8> {
-    encode_bytes(&value.to_be_bytes_minimal())
+    let mut out = Vec::with_capacity(u256_len(value));
+    write_u256(value, &mut out);
+    out
 }
 
 /// Encodes a 32-byte hash as a byte string.
@@ -254,6 +336,148 @@ pub fn encode_h256(value: &H256) -> Vec<u8> {
 /// Encodes a 20-byte address as a byte string.
 pub fn encode_address(value: &Address) -> Vec<u8> {
     encode_bytes(value.as_bytes())
+}
+
+/// A borrowed view of one RLP item: payload slices over the input, no
+/// allocation. [`view`] checks the whole nested structure as strictly as
+/// [`decode`] before handing one out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum View<'a> {
+    /// A byte string's payload.
+    Bytes(&'a [u8]),
+    /// A list; iterate it for the items.
+    List(ListView<'a>),
+}
+
+/// The items of a borrowed list, already checked by [`view`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ListView<'a> {
+    /// The list payload: zero or more well-formed items back to back.
+    payload: &'a [u8],
+}
+
+impl<'a> ListView<'a> {
+    /// Iterates the list's items in order.
+    pub fn iter(&self) -> Items<'a> {
+        Items { rest: self.payload }
+    }
+}
+
+impl<'a> IntoIterator for ListView<'a> {
+    type Item = View<'a>;
+    type IntoIter = Items<'a>;
+
+    fn into_iter(self) -> Items<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over the items of a [`ListView`].
+#[derive(Debug, Clone)]
+pub struct Items<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for Items<'a> {
+    type Item = View<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<View<'a>> {
+        // `view` checked this payload, so the split only fails at its end.
+        let (item, rest) = split_item(self.rest).ok()?;
+        self.rest = rest;
+        Some(item)
+    }
+}
+
+/// Borrows a complete RLP item without allocating, rejecting exactly the
+/// inputs [`decode`] rejects (nested items included).
+///
+/// # Errors
+///
+/// Returns a [`DecodeError`] on malformed, truncated or non-minimal input.
+///
+/// # Examples
+///
+/// ```
+/// use parp_rlp::{encode_bytes, encode_list, view, View};
+///
+/// let list = encode_list(&[encode_bytes(b"cat"), encode_list(&[])]);
+/// let View::List(items) = view(&list).unwrap() else { panic!("a list") };
+/// let mut items = items.iter();
+/// assert_eq!(items.next(), Some(View::Bytes(b"cat")));
+/// assert!(matches!(items.next(), Some(View::List(_))));
+/// assert_eq!(items.next(), None);
+/// ```
+pub fn view(input: &[u8]) -> Result<View<'_>, DecodeError> {
+    let (item, rest) = split_item(input)?;
+    if let View::List(list) = item {
+        check_items(list.payload)?;
+    }
+    if !rest.is_empty() {
+        return Err(DecodeError::TrailingBytes);
+    }
+    Ok(item)
+}
+
+fn check_items(mut payload: &[u8]) -> Result<(), DecodeError> {
+    while !payload.is_empty() {
+        let (item, rest) = split_item(payload)?;
+        if let View::List(list) = item {
+            check_items(list.payload)?;
+        }
+        payload = rest;
+    }
+    Ok(())
+}
+
+/// Splits the first item off `input`: its header read and checked, its
+/// payload borrowed (a list's payload not yet looked into), and the
+/// bytes after it. Every header rule of the strict decoder lives here.
+#[inline]
+fn split_item(input: &[u8]) -> Result<(View<'_>, &[u8]), DecodeError> {
+    let (first, after_first) = input.split_first().ok_or(DecodeError::UnexpectedEof)?;
+    let (is_list, header, len) = match *first {
+        0x00..=0x7f => return Ok((View::Bytes(std::slice::from_ref(first)), after_first)),
+        byte @ 0x80..=0xb7 => (false, 1, usize::from(byte - 0x80)),
+        byte @ 0xb8..=0xbf => {
+            let len_of_len = usize::from(byte - 0xb7);
+            (false, 1 + len_of_len, read_long_length(input, len_of_len)?)
+        }
+        byte @ 0xc0..=0xf7 => (true, 1, usize::from(byte - 0xc0)),
+        byte @ 0xf8..=0xff => {
+            let len_of_len = usize::from(byte - 0xf7);
+            (true, 1 + len_of_len, read_long_length(input, len_of_len)?)
+        }
+    };
+    let (item, rest) = header
+        .checked_add(len)
+        .and_then(|end| input.split_at_checked(end))
+        .ok_or(DecodeError::UnexpectedEof)?;
+    let payload = item.get(header..).ok_or(DecodeError::UnexpectedEof)?;
+    if is_list {
+        return Ok((View::List(ListView { payload }), rest));
+    }
+    match payload {
+        [byte] if *byte < 0x80 => Err(DecodeError::NonMinimalByte),
+        _ => Ok((View::Bytes(payload), rest)),
+    }
+}
+
+fn read_long_length(input: &[u8], len_of_len: usize) -> Result<usize, DecodeError> {
+    let len_bytes = input
+        .get(1..1 + len_of_len)
+        .ok_or(DecodeError::UnexpectedEof)?;
+    if len_bytes.first() == Some(&0) {
+        return Err(DecodeError::NonMinimalLength);
+    }
+    let len = len_bytes
+        .iter()
+        .fold(0u64, |len, byte| (len << 8) | u64::from(*byte));
+    if len <= 55 {
+        return Err(DecodeError::NonMinimalLength);
+    }
+    usize::try_from(len).map_err(|_| DecodeError::UnexpectedEof)
 }
 
 /// Decodes a complete RLP item, rejecting trailing bytes.
@@ -276,68 +500,25 @@ pub fn decode(input: &[u8]) -> Result<Item, DecodeError> {
 ///
 /// Returns a [`DecodeError`] on malformed, truncated or non-minimal input.
 pub fn decode_prefix(input: &[u8]) -> Result<(Item, usize), DecodeError> {
-    let first = *input.first().ok_or(DecodeError::UnexpectedEof)?;
-    match first {
-        0x00..=0x7f => Ok((Item::Bytes(vec![first]), 1)),
-        0x80..=0xb7 => {
-            let len = (first - 0x80) as usize;
-            let payload = input.get(1..1 + len).ok_or(DecodeError::UnexpectedEof)?;
-            if len == 1 && payload[0] < 0x80 {
-                return Err(DecodeError::NonMinimalByte);
-            }
-            Ok((Item::Bytes(payload.to_vec()), 1 + len))
-        }
-        0xb8..=0xbf => {
-            let len_of_len = (first - 0xb7) as usize;
-            let len = read_long_length(input, len_of_len)?;
-            let start = 1 + len_of_len;
-            let payload = input
-                .get(start..start + len)
-                .ok_or(DecodeError::UnexpectedEof)?;
-            Ok((Item::Bytes(payload.to_vec()), start + len))
-        }
-        0xc0..=0xf7 => {
-            let len = (first - 0xc0) as usize;
-            let payload = input.get(1..1 + len).ok_or(DecodeError::UnexpectedEof)?;
-            Ok((Item::List(decode_list_payload(payload)?), 1 + len))
-        }
-        0xf8..=0xff => {
-            let len_of_len = (first - 0xf7) as usize;
-            let len = read_long_length(input, len_of_len)?;
-            let start = 1 + len_of_len;
-            let payload = input
-                .get(start..start + len)
-                .ok_or(DecodeError::UnexpectedEof)?;
-            Ok((Item::List(decode_list_payload(payload)?), start + len))
-        }
-    }
+    let (item, rest) = decode_item(input)?;
+    Ok((item, input.len() - rest.len()))
 }
 
-fn read_long_length(input: &[u8], len_of_len: usize) -> Result<usize, DecodeError> {
-    let len_bytes = input
-        .get(1..1 + len_of_len)
-        .ok_or(DecodeError::UnexpectedEof)?;
-    if len_bytes[0] == 0 {
-        return Err(DecodeError::NonMinimalLength);
-    }
-    if len_bytes.len() > 8 {
-        return Err(DecodeError::NonMinimalLength);
-    }
-    let mut buf = [0u8; 8];
-    buf[8 - len_bytes.len()..].copy_from_slice(len_bytes);
-    let len = u64::from_be_bytes(buf) as usize;
-    if len <= 55 {
-        return Err(DecodeError::NonMinimalLength);
-    }
-    Ok(len)
+fn decode_item(input: &[u8]) -> Result<(Item, &[u8]), DecodeError> {
+    let (item, rest) = split_item(input)?;
+    let item = match item {
+        View::Bytes(payload) => Item::Bytes(payload.to_vec()),
+        View::List(list) => Item::List(decode_list_payload(list.payload)?),
+    };
+    Ok((item, rest))
 }
 
 fn decode_list_payload(mut payload: &[u8]) -> Result<Vec<Item>, DecodeError> {
     let mut items = Vec::new();
     while !payload.is_empty() {
-        let (item, consumed) = decode_prefix(payload)?;
+        let (item, rest) = decode_item(payload)?;
         items.push(item);
-        payload = &payload[consumed..];
+        payload = rest;
     }
     Ok(items)
 }

@@ -1,8 +1,28 @@
-//! Property tests: RLP encode/decode round-trips for arbitrary item trees.
+//! Property tests: RLP encode/decode round-trips for arbitrary item
+//! trees, the borrowed [`view`] against the allocating [`decode`] on
+//! well-formed, damaged and arbitrary input, and the `*_len` companions
+//! against the bytes the writers actually append.
 
 use parp_primitives::U256;
-use parp_rlp::{decode, decode_prefix, encode_bytes, encode_u256, encode_u64, Item};
+use parp_rlp::{
+    bytes_len, decode, decode_prefix, encode_bytes, encode_list, encode_u256, encode_u64, list_len,
+    u256_len, u64_len, view, write_bytes, write_list_header, write_u256, write_u64, DecodeError,
+    Item, View,
+};
 use proptest::prelude::*;
+
+/// The owned tree a borrowed view describes.
+fn to_item(view: View<'_>) -> Item {
+    match view {
+        View::Bytes(bytes) => Item::Bytes(bytes.to_vec()),
+        View::List(items) => Item::List(items.iter().map(to_item).collect()),
+    }
+}
+
+/// What [`view`] makes of `input`, in [`decode`]'s terms.
+fn viewed(input: &[u8]) -> Result<Item, DecodeError> {
+    view(input).map(to_item)
+}
 
 fn arb_item() -> impl Strategy<Value = Item> {
     let leaf = proptest::collection::vec(any::<u8>(), 0..80).prop_map(Item::Bytes);
@@ -57,5 +77,135 @@ proptest! {
     #[test]
     fn random_bytes_never_panic(data in proptest::collection::vec(any::<u8>(), 0..200)) {
         let _ = decode(&data); // must not panic
+    }
+
+    /// The view yields the structure `decode` yields, nested lists
+    /// included.
+    #[test]
+    fn view_matches_decode_on_item_trees(item in arb_item()) {
+        prop_assert_eq!(viewed(&item.encode()), Ok(item));
+    }
+
+    /// Damaging one byte of a well-formed encoding (or cutting it, or
+    /// appending to it) lands exactly where `decode` lands: the same
+    /// structure or the same error.
+    #[test]
+    fn view_matches_decode_on_damaged_encodings(
+        item in arb_item(),
+        at in any::<prop::sample::Index>(),
+        byte in any::<u8>(),
+        cut in any::<prop::sample::Index>(),
+    ) {
+        let encoded = item.encode();
+        let mut flipped = encoded.clone();
+        flipped[at.index(encoded.len())] = byte;
+        prop_assert_eq!(viewed(&flipped), decode(&flipped));
+        let mut inserted = encoded.clone();
+        inserted.insert(at.index(encoded.len()), byte);
+        prop_assert_eq!(viewed(&inserted), decode(&inserted));
+        let truncated = &encoded[..cut.index(encoded.len())];
+        prop_assert_eq!(viewed(truncated), decode(truncated));
+        prop_assert!(viewed(truncated).is_err());
+        let mut trailing = encoded;
+        trailing.push(byte);
+        prop_assert_eq!(viewed(&trailing), Err(DecodeError::TrailingBytes));
+    }
+
+    /// Total on arbitrary bytes: no panic, and acceptance, structure and
+    /// error all equal `decode`'s. Header bytes are over-represented so
+    /// the sweep reaches nested and long-form cases.
+    #[test]
+    fn view_matches_decode_on_arbitrary_bytes(
+        data in proptest::collection::vec(
+            prop_oneof![
+                any::<u8>(),
+                prop_oneof![Just(0x80u8), Just(0x81), Just(0xb8), Just(0xb9), Just(0xbf)],
+                prop_oneof![Just(0xc0u8), Just(0xc1), Just(0xc3), Just(0xf8), Just(0xf9), Just(0xff)],
+                0u8..0x40,
+            ],
+            0..200,
+        ),
+    ) {
+        prop_assert_eq!(viewed(&data), decode(&data));
+    }
+
+    #[test]
+    fn len_companions_match_the_writers(
+        data in proptest::collection::vec(any::<u8>(), 0..400),
+        small in any::<u8>(),
+        value in any::<u64>(),
+        shift in 0u32..64,
+        limbs in any::<[u64; 4]>(),
+        zero_limbs in 0usize..5,
+    ) {
+        // Appending to a non-empty buffer: the writers only ever extend.
+        let mut out = vec![0xee];
+        write_bytes(&data, &mut out);
+        prop_assert_eq!(out.len() - 1, bytes_len(&data));
+        prop_assert_eq!(&out[1..], encode_bytes(&data).as_slice());
+        prop_assert_eq!(bytes_len(&[small]), encode_bytes(&[small]).len());
+
+        for v in [value, value >> shift, u64::from(small)] {
+            let mut out = Vec::new();
+            write_u64(v, &mut out);
+            prop_assert_eq!(out.len(), u64_len(v));
+            prop_assert_eq!(decode(&out).unwrap().as_u64().unwrap(), v);
+        }
+
+        let mut limbs = limbs;
+        for limb in limbs.iter_mut().rev().take(zero_limbs) {
+            *limb = 0;
+        }
+        let wide = U256::from_limbs(limbs);
+        let mut out = Vec::new();
+        write_u256(&wide, &mut out);
+        prop_assert_eq!(out.len(), u256_len(&wide));
+        prop_assert_eq!(&out, &encode_u256(&wide));
+        prop_assert_eq!(decode(&out).unwrap().as_u256().unwrap(), wide);
+
+        // A list header over `data` as an opaque payload.
+        let mut out = Vec::new();
+        write_list_header(data.len(), &mut out);
+        out.extend_from_slice(&data);
+        prop_assert_eq!(out.len(), list_len(data.len()));
+        prop_assert_eq!(out, encode_list(std::slice::from_ref(&data)));
+    }
+}
+
+#[test]
+fn length_boundaries() {
+    for len in [0usize, 1, 55, 56, 255, 256, 65_535, 65_536] {
+        let data = vec![0xabu8; len];
+        assert_eq!(bytes_len(&data), encode_bytes(&data).len(), "{len} bytes");
+        assert_eq!(
+            list_len(len),
+            encode_list(std::slice::from_ref(&data)).len(),
+            "{len}-byte list payload"
+        );
+        assert_eq!(viewed(&encode_bytes(&data)), Ok(Item::Bytes(data)));
+    }
+    for value in [0u64, 1, 0x7f, 0x80, 0xff, 0x100, u64::MAX] {
+        assert_eq!(u64_len(value), encode_u64(value).len(), "{value}");
+        assert_eq!(
+            u256_len(&U256::from(value)),
+            encode_u256(&U256::from(value)).len(),
+            "{value}"
+        );
+    }
+    let max = U256::from_limbs([u64::MAX; 4]);
+    assert_eq!(u256_len(&max), 33);
+    assert_eq!(encode_u256(&max).len(), 33);
+}
+
+/// A length field claiming more bytes than a `usize` can address must be
+/// an ordinary error, not an overflow.
+#[test]
+fn absurd_lengths_are_truncation() {
+    for first in [0xbfu8, 0xff] {
+        let mut input = vec![first];
+        input.extend_from_slice(&[0xff; 8]);
+        input.extend_from_slice(&[0; 32]);
+        assert_eq!(viewed(&input), Err(DecodeError::UnexpectedEof));
+        assert_eq!(decode(&input), Err(DecodeError::UnexpectedEof));
     }
 }

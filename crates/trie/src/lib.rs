@@ -7,6 +7,12 @@
 //! Detection Module) verify those proofs statelessly with
 //! [`verify_proof`].
 //!
+//! Verification ([`verify_proof`], [`verify_many`]) reads a proof from
+//! the bytes it arrived in: every node is hashed once, decoded at most
+//! once — into borrowed item slices, on the first walk that reaches it —
+//! and a 64-key multiproof shares that work across all 64 walks. Nothing
+//! is copied until the proven values are returned.
+//!
 //! # Examples
 //!
 //! ```

@@ -9,11 +9,11 @@
 //! touches, so a malicious prover cannot pad proofs.
 
 use crate::node::empty_root;
-use crate::proof::{index_nodes, walk, ProofError};
+use crate::proof::{NodeTable, ProofError};
 use crate::trie::Trie;
 use parp_crypto::keccak256;
 use parp_primitives::H256;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 impl Trie {
     /// Generates a deduplicated multiproof for `keys`: the union of every
@@ -89,31 +89,24 @@ pub fn verify_many<K: AsRef<[u8]>, P: AsRef<[u8]>>(
             Err(ProofError::UnusedNodes)
         };
     }
-    let nodes = index_nodes(proof);
-    if nodes.len() != proof.len() {
+    let mut nodes = NodeTable::new(proof);
+    if nodes.has_duplicates() {
         // A repeated node is padding by duplication.
         return Err(ProofError::UnusedNodes);
     }
-    let mut used = HashSet::with_capacity(nodes.len());
-    // Walk each distinct key once; duplicates reuse the first walk's result.
-    let mut walked: HashMap<&[u8], Option<Vec<u8>>> = HashMap::new();
-    let mut results = Vec::with_capacity(keys.len());
-    for key in keys {
-        let key = key.as_ref();
-        let result = match walked.get(key) {
-            Some(result) => result.clone(),
-            None => {
-                let result = walk(root, key, &nodes, &mut used)?;
-                walked.insert(key, result.clone());
-                result
-            }
-        };
-        results.push(result);
-    }
-    if used.len() != nodes.len() {
+    // The shared upper nodes are hashed and decoded once for all keys;
+    // values stay borrowed from the proof until every walk has passed.
+    let values = keys
+        .iter()
+        .map(|key| nodes.walk(root, key.as_ref()))
+        .collect::<Result<Vec<_>, _>>()?;
+    if !nodes.all_used() {
         return Err(ProofError::UnusedNodes);
     }
-    Ok(results)
+    Ok(values
+        .into_iter()
+        .map(|value| value.map(<[u8]>::to_vec))
+        .collect())
 }
 
 #[cfg(test)]

@@ -34,28 +34,67 @@ pub fn hp_encode(nibbles: &[u8], is_leaf: bool) -> Vec<u8> {
     out
 }
 
+/// Nibble `index` of `bytes` (high nibble of each byte first), if in range.
+pub(crate) fn nibble_at(bytes: &[u8], index: usize) -> Option<u8> {
+    let byte = *bytes.get(index / 2)?;
+    Some(if index & 1 == 0 {
+        byte >> 4
+    } else {
+        byte & 0x0f
+    })
+}
+
+/// A hex-prefix encoded path read in place: the flags are checked once
+/// and nibbles come straight out of the encoded bytes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HpPath<'a> {
+    encoded: &'a [u8],
+    /// Index in `encoded`'s nibble stream of the path's first nibble: 1
+    /// for an odd path (it shares the flag byte), 2 for an even one.
+    start: usize,
+    pub(crate) is_leaf: bool,
+}
+
+impl<'a> HpPath<'a> {
+    /// Reads the flag nibble; `None` on an empty input, an invalid flag,
+    /// or a nonzero padding nibble on an even path.
+    pub(crate) fn parse(encoded: &'a [u8]) -> Option<Self> {
+        let first = *encoded.first()?;
+        let flag = first >> 4;
+        if flag > 3 {
+            return None;
+        }
+        let odd = flag & 0x1 != 0;
+        if !odd && first & 0x0f != 0 {
+            return None; // padding nibble must be zero for even paths
+        }
+        Some(HpPath {
+            encoded,
+            start: if odd { 1 } else { 2 },
+            is_leaf: flag & 0x2 != 0,
+        })
+    }
+
+    /// Number of nibbles in the path.
+    pub(crate) fn len(&self) -> usize {
+        self.encoded.len() * 2 - self.start
+    }
+
+    /// The path's nibbles in order.
+    pub(crate) fn nibbles(&self) -> impl Iterator<Item = u8> + 'a {
+        let encoded = self.encoded;
+        (self.start..encoded.len() * 2).filter_map(move |i| nibble_at(encoded, i))
+    }
+}
+
 /// Decodes a hex-prefix encoded path into `(nibbles, is_leaf)`.
 ///
 /// Returns `None` on an empty input or invalid flag nibble.
 pub fn hp_decode(encoded: &[u8]) -> Option<(Vec<u8>, bool)> {
-    let first = *encoded.first()?;
-    let flag = first >> 4;
-    if flag > 3 {
-        return None;
-    }
-    let is_leaf = flag & 0x2 != 0;
-    let odd = flag & 0x1 != 0;
-    let mut nibbles = Vec::with_capacity(encoded.len() * 2);
-    if odd {
-        nibbles.push(first & 0x0f);
-    } else if first & 0x0f != 0 {
-        return None; // padding nibble must be zero for even paths
-    }
-    for &b in &encoded[1..] {
-        nibbles.push(b >> 4);
-        nibbles.push(b & 0x0f);
-    }
-    Some((nibbles, is_leaf))
+    let path = HpPath::parse(encoded)?;
+    let mut nibbles = Vec::with_capacity(path.len());
+    nibbles.extend(path.nibbles());
+    Some((nibbles, path.is_leaf))
 }
 
 /// Length of the longest common prefix of two nibble slices.

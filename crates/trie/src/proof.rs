@@ -4,13 +4,22 @@
 //! Detection Module) runs: given only a trusted root hash from a block
 //! header and a list of RLP-encoded trie nodes, confirm what value — if
 //! any — the trie binds to a key.
+//!
+//! The proof's nodes go into a [`NodeTable`] keyed by their hash. A walk
+//! resolves each hash reference through it; the first walk to reach a
+//! node checks it as strict RLP and records where its 2 or 17 items lie
+//! in the proof bytes, and every later walk (the other keys of a
+//! multiproof) reads those items back. Which item a key selects, and
+//! whether *that* item is well-formed as a path, a child reference or a
+//! value, is judged per walk — exactly what a walk over the full trie
+//! would look at.
 
-use crate::nibbles::{bytes_to_nibbles, hp_decode};
+use crate::nibbles::{nibble_at, HpPath};
 use crate::node::empty_root;
 use parp_crypto::keccak256;
 use parp_primitives::H256;
-use parp_rlp::{decode, Item};
-use std::collections::{HashMap, HashSet};
+use parp_rlp::{view, ListView, View};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -77,127 +86,228 @@ pub fn verify_proof<P: AsRef<[u8]>>(
             Err(ProofError::UnusedNodes)
         };
     }
-    let nodes = index_nodes(proof);
-    let mut used = HashSet::with_capacity(proof.len());
-    let result = walk(root, key, &nodes, &mut used)?;
-    // A path walk never revisits a node, so the used set counts exactly
-    // the touched proof entries.
-    if used.len() != proof.len() {
+    let mut nodes = NodeTable::new(proof);
+    let value = nodes.walk(root, key)?;
+    if !nodes.all_used() {
         return Err(ProofError::UnusedNodes);
     }
-    Ok(result)
+    Ok(value.map(<[u8]>::to_vec))
 }
 
-/// Indexes RLP node encodings by their keccak hash.
-pub(crate) fn index_nodes<P: AsRef<[u8]>>(proof: &[P]) -> HashMap<H256, &[u8]> {
-    let mut nodes: HashMap<H256, &[u8]> = HashMap::with_capacity(proof.len());
-    for encoded in proof {
-        nodes.insert(keccak256(encoded.as_ref()), encoded.as_ref());
+/// Items in a branch node: sixteen children and a value.
+const BRANCH_ITEMS: usize = 17;
+
+/// What a visit to a proof entry found there.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// No walk has reached the entry yet.
+    Unvisited,
+    /// Not strict RLP, or not a list of 2 or 17 items.
+    Malformed,
+    /// A node whose `len` (2 or 17) items sit at `slots[start..]`.
+    Node { start: usize, len: usize },
+}
+
+struct Entry<'a> {
+    bytes: &'a [u8],
+    shape: Shape,
+}
+
+/// A proof's nodes keyed by hash: each hashed once up front, each decoded
+/// at most once (on the first walk that reaches it) into borrowed item
+/// slots. An entry still [`Shape::Unvisited`] when the walks are over is
+/// one no key used.
+pub(crate) struct NodeTable<'a> {
+    nodes: HashMap<H256, Entry<'a>>,
+    /// Nodes in the proof, repeats included.
+    proof_len: usize,
+    /// Entries some walk has visited.
+    visited: usize,
+    /// Item slots of every decoded node, back to back.
+    slots: Vec<View<'a>>,
+}
+
+impl<'a> NodeTable<'a> {
+    pub(crate) fn new<P: AsRef<[u8]>>(proof: &'a [P]) -> Self {
+        let mut nodes = HashMap::with_capacity(proof.len());
+        for encoded in proof {
+            let bytes = encoded.as_ref();
+            let shape = Shape::Unvisited;
+            nodes.insert(keccak256(bytes), Entry { bytes, shape });
+        }
+        NodeTable {
+            nodes,
+            proof_len: proof.len(),
+            visited: 0,
+            slots: Vec::new(),
+        }
     }
-    nodes
-}
 
-/// Walks one key down the trie through `nodes`, recording every
-/// hash-referenced node the walk resolves into `used`.
-pub(crate) fn walk(
-    root: H256,
-    key: &[u8],
-    nodes: &HashMap<H256, &[u8]>,
-    used: &mut HashSet<H256>,
-) -> Result<Option<Vec<u8>>, ProofError> {
-    let nibbles = bytes_to_nibbles(key);
-    let mut remaining: &[u8] = &nibbles;
-    let mut current_hash = root;
-    // Resolve the root, then walk down, swapping between hash-referenced
-    // nodes (from the proof map) and inline nodes (embedded items).
-    let result = 'walk: loop {
-        let encoded = nodes
-            .get(&current_hash)
-            .ok_or(ProofError::MissingNode(current_hash))?;
-        used.insert(current_hash);
-        let mut item = decode(encoded).map_err(|_| ProofError::MalformedNode)?;
-        // Inner loop: follow inline children without a map lookup.
-        loop {
-            let list = match &item {
-                Item::List(children) => children.as_slice(),
-                Item::Bytes(_) => return Err(ProofError::MalformedNode),
+    /// Whether the proof repeats a node (padding by duplication: only one
+    /// copy can ever be used).
+    pub(crate) fn has_duplicates(&self) -> bool {
+        self.nodes.len() != self.proof_len
+    }
+
+    /// Whether every node of the proof was reached by some walk.
+    pub(crate) fn all_used(&self) -> bool {
+        self.visited == self.proof_len
+    }
+
+    /// Resolves a hash reference to its node's items, decoding the entry
+    /// on its first visit.
+    fn resolve(&mut self, hash: H256) -> Result<&[View<'a>], ProofError> {
+        let entry = self
+            .nodes
+            .get_mut(&hash)
+            .ok_or(ProofError::MissingNode(hash))?;
+        if let Shape::Unvisited = entry.shape {
+            self.visited += 1;
+            entry.shape = match view(entry.bytes) {
+                Ok(View::List(list)) => push_items(&mut self.slots, list),
+                _ => Shape::Malformed,
             };
-            match list.len() {
-                2 => {
-                    let encoded_path = list[0].as_bytes().map_err(|_| ProofError::MalformedNode)?;
-                    let (path, is_leaf) =
-                        hp_decode(encoded_path).ok_or(ProofError::MalformedNode)?;
-                    if is_leaf {
-                        if path.as_slice() == remaining {
-                            let value = list[1]
-                                .as_bytes()
-                                .map_err(|_| ProofError::MalformedNode)?
-                                .to_vec();
-                            break 'walk Some(value);
-                        }
-                        break 'walk None; // diverged: key absent
-                    }
-                    // Extension node.
-                    if remaining.len() < path.len() || remaining[..path.len()] != path[..] {
-                        break 'walk None;
-                    }
-                    remaining = &remaining[path.len()..];
-                    match follow_child(&list[1])? {
-                        ChildRef::Hash(hash) => {
-                            current_hash = hash;
-                            continue 'walk;
-                        }
-                        ChildRef::Inline(child) => {
-                            item = child;
-                            continue;
-                        }
-                        ChildRef::Empty => return Err(ProofError::MalformedNode),
-                    }
-                }
-                17 => {
-                    if remaining.is_empty() {
-                        let value = list[16].as_bytes().map_err(|_| ProofError::MalformedNode)?;
-                        break 'walk if value.is_empty() {
-                            None
-                        } else {
-                            Some(value.to_vec())
-                        };
-                    }
-                    let idx = remaining[0] as usize;
-                    remaining = &remaining[1..];
-                    match follow_child(&list[idx])? {
-                        ChildRef::Hash(hash) => {
-                            current_hash = hash;
-                            continue 'walk;
-                        }
-                        ChildRef::Inline(child) => {
-                            item = child;
-                            continue;
-                        }
-                        ChildRef::Empty => break 'walk None,
-                    }
-                }
-                _ => return Err(ProofError::MalformedNode),
-            }
         }
-    };
-    Ok(result)
+        let shape = entry.shape;
+        self.items(shape)
+    }
+
+    fn items(&self, shape: Shape) -> Result<&[View<'a>], ProofError> {
+        match shape {
+            Shape::Node { start, len } => self.slots.get(start..start + len),
+            Shape::Unvisited | Shape::Malformed => None,
+        }
+        .ok_or(ProofError::MalformedNode)
+    }
+
+    /// Walks one key down from `root`, marking every hash-referenced node
+    /// it resolves as used. The value, if any, borrows from the proof.
+    pub(crate) fn walk(&mut self, root: H256, key: &[u8]) -> Result<Option<&'a [u8]>, ProofError> {
+        let mut remaining = KeyNibbles { key, pos: 0 };
+        let mut hash = root;
+        loop {
+            let mut step = step_into(self.resolve(hash)?, &mut remaining)?;
+            // Follow inline children (embedded lists) without a lookup;
+            // their items only stay in `slots` for the step through them.
+            hash = loop {
+                match step {
+                    Step::Done(value) => return Ok(value),
+                    Step::Hash(child) => break child,
+                    Step::Inline(list) => {
+                        let kept = self.slots.len();
+                        let shape = push_items(&mut self.slots, list);
+                        step = step_into(self.items(shape)?, &mut remaining)?;
+                        self.slots.truncate(kept);
+                    }
+                }
+            };
+        }
+    }
 }
 
-enum ChildRef {
-    Empty,
+/// Appends a node's items to `slots`; appends nothing and reports
+/// [`Shape::Malformed`] unless there are exactly 2 (leaf or extension)
+/// or 17 (branch).
+fn push_items<'a>(slots: &mut Vec<View<'a>>, list: ListView<'a>) -> Shape {
+    let start = slots.len();
+    slots.extend(list.iter().take(BRANCH_ITEMS + 1));
+    match slots.len() - start {
+        len @ (2 | BRANCH_ITEMS) => Shape::Node { start, len },
+        _ => {
+            slots.truncate(start);
+            Shape::Malformed
+        }
+    }
+}
+
+/// The part of a key a walk has not consumed yet, as nibbles read in
+/// place from the key bytes.
+struct KeyNibbles<'k> {
+    key: &'k [u8],
+    pos: usize,
+}
+
+impl KeyNibbles<'_> {
+    fn len(&self) -> usize {
+        self.key.len() * 2 - self.pos
+    }
+
+    fn pop_front(&mut self) -> Option<u8> {
+        let nibble = nibble_at(self.key, self.pos)?;
+        self.pos += 1;
+        Some(nibble)
+    }
+
+    fn starts_with(&self, path: &HpPath<'_>) -> bool {
+        path.len() <= self.len()
+            && path
+                .nibbles()
+                .zip(self.pos..)
+                .all(|(nibble, at)| nibble_at(self.key, at) == Some(nibble))
+    }
+}
+
+/// Where one node sends the walk.
+enum Step<'a> {
+    /// The walk ends: the key's value, or proof of its absence.
+    Done(Option<&'a [u8]>),
+    /// Descend into the node with this hash.
     Hash(H256),
-    Inline(Item),
+    /// Descend into a child embedded in its parent.
+    Inline(ListView<'a>),
 }
 
-fn follow_child(item: &Item) -> Result<ChildRef, ProofError> {
-    match item {
-        Item::Bytes(bytes) if bytes.is_empty() => Ok(ChildRef::Empty),
-        Item::Bytes(bytes) => {
-            let hash = H256::from_slice(bytes).ok_or(ProofError::MalformedNode)?;
-            Ok(ChildRef::Hash(hash))
+/// Advances the walk through one node, given its 2 or 17 items. Only the
+/// item the key selects is inspected, as in a walk over the full trie.
+fn step_into<'a>(
+    items: &[View<'a>],
+    remaining: &mut KeyNibbles<'_>,
+) -> Result<Step<'a>, ProofError> {
+    match items {
+        [View::Bytes(encoded_path), target] => {
+            let path = HpPath::parse(encoded_path).ok_or(ProofError::MalformedNode)?;
+            if path.is_leaf {
+                if path.len() != remaining.len() || !remaining.starts_with(&path) {
+                    return Ok(Step::Done(None)); // diverged: key absent
+                }
+                return match target {
+                    View::Bytes(value) => Ok(Step::Done(Some(value))),
+                    View::List(_) => Err(ProofError::MalformedNode),
+                };
+            }
+            // Extension node.
+            if !remaining.starts_with(&path) {
+                return Ok(Step::Done(None));
+            }
+            remaining.pos += path.len();
+            child(target)?.ok_or(ProofError::MalformedNode)
         }
-        Item::List(_) => Ok(ChildRef::Inline(item.clone())),
+        [children @ .., value] if children.len() == BRANCH_ITEMS - 1 => {
+            let Some(nibble) = remaining.pop_front() else {
+                return match value {
+                    View::Bytes([]) => Ok(Step::Done(None)),
+                    View::Bytes(value) => Ok(Step::Done(Some(value))),
+                    View::List(_) => Err(ProofError::MalformedNode),
+                };
+            };
+            let target = children
+                .get(usize::from(nibble))
+                .ok_or(ProofError::MalformedNode)?;
+            Ok(child(target)?.unwrap_or(Step::Done(None)))
+        }
+        _ => Err(ProofError::MalformedNode),
+    }
+}
+
+/// Reads a child reference: `None` for an empty slot, a hash for a
+/// 32-byte string, the embedded node for a list.
+fn child<'a>(item: &View<'a>) -> Result<Option<Step<'a>>, ProofError> {
+    match *item {
+        View::Bytes([]) => Ok(None),
+        View::Bytes(bytes) => H256::from_slice(bytes)
+            .map(|hash| Some(Step::Hash(hash)))
+            .ok_or(ProofError::MalformedNode),
+        View::List(list) => Ok(Some(Step::Inline(list))),
     }
 }
 
