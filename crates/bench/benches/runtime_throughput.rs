@@ -245,7 +245,7 @@ fn report_crypto_vs_trie_split() {
     }
     let crypto = started.elapsed() / ROUNDS;
     // Trie share: the deduplicated multiproof off the cached snapshot.
-    let state = chain.state_at(chain.height()).expect("head state");
+    let state = chain.state();
     let started = Instant::now();
     for _ in 0..ROUNDS {
         black_box(runtime.account_multiproof(state, targets));
@@ -281,7 +281,7 @@ fn report_crypto_vs_trie_split() {
 
 fn bench_shard_sweep(c: &mut Criterion) {
     let (chain, _executor, _node, _client, _channel, addresses) = serving_fixture(ACCOUNTS);
-    let state = chain.state_at(chain.height()).expect("head state");
+    let state = chain.state();
     let trie = state.shared_trie();
     let targets = &addresses[..256];
     let reference = sharded_account_multiproof(&trie, targets, 1);

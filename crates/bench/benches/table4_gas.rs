@@ -97,7 +97,7 @@ impl GasEnv {
                 address: self.client.address(),
             },
         );
-        let state = self.chain.state_at(head.number).expect("head state");
+        let state = self.chain.state();
         let proof = state.account_proof(&self.client.address());
         let forged = parp_chain::Account::with_balance(U256::from(1u64));
         let response =

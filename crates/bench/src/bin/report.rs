@@ -640,10 +640,7 @@ fn table4() {
             address: client.address(),
         },
     );
-    let proof = chain
-        .state_at(head.number)
-        .unwrap()
-        .account_proof(&client.address());
+    let proof = chain.state().account_proof(&client.address());
     let forged = parp_chain::Account::with_balance(U256::ONE);
     let f_response = ParpResponse::build(&node, &f_request, head.number, forged.encode(), proof);
     let fraud_gas = run(

@@ -1,20 +1,23 @@
 //! The simulated blockchain: deterministic block production over the
-//! pluggable execution layer, with snapshot-backed historical queries and
-//! Merkle proofs — everything a PARP full node needs to serve.
+//! pluggable execution layer, with one materialised state (the head's),
+//! per-block undo records for historical queries, and Merkle proofs —
+//! everything a PARP full node needs to serve.
 
 use crate::block::Block;
 use crate::exec::{BlockContext, TransactionExecutor};
 use crate::header::{empty_ommers_hash, Header};
-use crate::receipt::Receipt;
-use crate::state::State;
+use crate::receipt::{Log, Receipt};
+use crate::state::{State, UndoRecord};
 use crate::transaction::SignedTransaction;
 use parp_crypto::keccak256;
 use parp_primitives::{Address, H256, U256};
 use parp_store::{BlockStore, ReadCounts};
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::io;
+use std::mem::size_of;
 
 /// EVM `BLOCKHASH` visibility window, which bounds fraud-proof freshness
 /// exactly as in the paper's prototype (§VI).
@@ -65,7 +68,41 @@ impl fmt::Display for BlockError {
 
 impl Error for BlockError {}
 
+/// Estimated bytes a [`Blockchain`] holds in memory, by what holds them
+/// ([`Blockchain::mem_breakdown`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChainMemory {
+    /// The head state's account map ([`State::mem_bytes`]).
+    pub head_accounts: usize,
+    /// The head state's frozen trie (shared with whoever else holds its
+    /// `Arc`, a runtime's snapshot cache for one).
+    pub head_trie: usize,
+    /// The resident blocks' undo records.
+    pub undo_records: usize,
+    /// The resident blocks — headers and transactions — and receipts.
+    pub blocks: usize,
+    /// The block-hash and transaction-hash indices and the `BLOCKHASH`
+    /// window (these cover pruned blocks too).
+    pub indices: usize,
+}
+
+impl ChainMemory {
+    /// The sum of the parts.
+    pub fn total(&self) -> usize {
+        self.head_accounts + self.head_trie + self.undo_records + self.blocks + self.indices
+    }
+}
+
 /// A deterministic in-process blockchain.
+///
+/// The chain holds **one** copy of the world state: the head's, which
+/// block production writes in place. What it keeps per resident block is
+/// an [`UndoRecord`] — the prior value of each account that block wrote,
+/// a few hundred bytes for a transfer — so memory grows with what blocks
+/// change, not with the number of accounts. [`Blockchain::state_at`]
+/// rebuilds an older state on demand by rewinding a copy of the head;
+/// nothing on a serving path asks for one (PARP proves accounts at the
+/// head and inclusion at any depth).
 ///
 /// # Examples
 ///
@@ -97,10 +134,12 @@ pub struct Blockchain {
     blocks: Vec<Block>,
     /// Per-block receipts, parallel to `blocks`.
     receipts: Vec<Vec<Receipt>>,
-    /// Post-execution state snapshots, parallel to `blocks`. The last
-    /// one is the head state, and the only one that keeps its built
-    /// trie.
-    snapshots: Vec<State>,
+    /// What each resident block changed, parallel to `blocks`: rewinding
+    /// `undo[i]` takes the state after block `base + i` to the one
+    /// before it. Genesis changed nothing.
+    undo: Vec<UndoRecord>,
+    /// The state after the head block, its trie built and sealed.
+    state: State,
     hash_index: HashMap<H256, u64>,
     tx_index: HashMap<H256, (u64, usize)>,
     beneficiary: Address,
@@ -145,7 +184,8 @@ impl Blockchain {
         let mut hash_index = HashMap::new();
         hash_index.insert(genesis_hash, 0);
         Blockchain {
-            snapshots: vec![state],
+            undo: vec![UndoRecord::default()],
+            state,
             receipts: vec![Vec::new()],
             blocks: vec![genesis],
             hash_index,
@@ -229,7 +269,7 @@ impl Blockchain {
             let drop = (resident - self.window) as usize;
             self.blocks.drain(..drop);
             self.receipts.drain(..drop);
-            self.snapshots.drain(..drop);
+            self.undo.drain(..drop);
             self.base += drop as u64;
         }
     }
@@ -237,18 +277,66 @@ impl Blockchain {
     /// Produces and appends a block containing `transactions`.
     ///
     /// Each transaction is validated (signature, nonce, gas purchase),
-    /// executed through `executor`, and folded into the block's receipt
-    /// and state roots.
+    /// executed through `executor` against the head state in place, and
+    /// folded into the block's receipt and state roots.
     ///
     /// # Errors
     ///
-    /// Returns [`BlockError`] when any transaction fails validation; the
-    /// chain is left unchanged in that case.
+    /// Returns [`BlockError`] when a transaction fails validation, the
+    /// block outgrows the gas limit or the history store refuses it. The
+    /// chain is left unchanged in that case: the writes earlier
+    /// transactions of the block made are reverted, and the head keeps
+    /// the trie it had (no rebuild is paid). State a
+    /// [`TransactionExecutor`] keeps of its own — `ParpExecutor`'s module
+    /// state — is **not** rolled back with the block; a caller that
+    /// retries after an error with such an executor must restore it
+    /// itself.
     pub fn produce_block(
         &mut self,
         transactions: Vec<SignedTransaction>,
         executor: &mut dyn TransactionExecutor,
     ) -> Result<&Block, BlockError> {
+        let mark = self.state.checkpoint();
+        let (block, receipts, tx_hashes) = match self.execute_block(transactions, executor) {
+            Ok(built) => built,
+            Err(e) => {
+                self.state.revert_to(mark);
+                return Err(e);
+            }
+        };
+        let number = block.number();
+        let block_hash = block.hash();
+        self.hash_index.insert(block_hash, number);
+        self.recent_window.push_back((number, block_hash));
+        while self.recent_window.len() > BLOCK_HASH_WINDOW as usize {
+            self.recent_window.pop_front();
+        }
+        for (i, hash) in tx_hashes.into_iter().enumerate() {
+            self.tx_index.insert(hash, (number, i));
+        }
+        // Growth is bounded: once a history store is attached,
+        // `prune_resident` drains the front of all three parallel
+        // vectors back to the configured window (the block just
+        // archived is safe to drop whenever it ages out). Without a
+        // store every block and its undo record stay resident.
+        self.undo.push(self.state.seal());
+        self.receipts.push(receipts);
+        self.blocks.push(block);
+        if self.history.is_some() {
+            self.prune_resident();
+        }
+        Ok(self.blocks.last().expect("just pushed"))
+    }
+
+    /// Executes `transactions` on the head state and archives the block
+    /// they make, touching nothing else of the chain: on `Err` the caller
+    /// reverts the state and the chain is as it was. Returns the block,
+    /// its receipts and its transaction hashes.
+    fn execute_block(
+        &mut self,
+        transactions: Vec<SignedTransaction>,
+        executor: &mut dyn TransactionExecutor,
+    ) -> Result<(Block, Vec<Receipt>, Vec<H256>), BlockError> {
         let parent = self.blocks.last().expect("genesis always present");
         let number = parent.number() + 1;
         // The rolling window already holds `(n, hash)` for the last
@@ -265,14 +353,12 @@ impl Blockchain {
             beneficiary: self.beneficiary,
             recent_hashes,
         };
-        // The copy shares the head's built trie; its first write makes
-        // that trie the parent the new state root is derived from.
-        let mut state = self.state().clone();
         let mut receipts = Vec::with_capacity(transactions.len());
         let mut cumulative_gas = 0u64;
         for (index, tx) in transactions.iter().enumerate() {
-            let receipt = Self::apply_transaction(&mut state, &ctx, tx, executor, cumulative_gas)
-                .map_err(|reason| BlockError::InvalidTransaction { index, reason })?;
+            let receipt =
+                Self::apply_transaction(&mut self.state, &ctx, tx, executor, cumulative_gas)
+                    .map_err(|reason| BlockError::InvalidTransaction { index, reason })?;
             cumulative_gas = receipt.cumulative_gas_used;
             if cumulative_gas > self.gas_limit {
                 return Err(BlockError::GasLimitExceeded);
@@ -287,16 +373,14 @@ impl Blockchain {
         let ordered_root = |encoded: &[Vec<u8>]| {
             parp_trie::ordered_trie(encoded.iter().map(Vec::as_slice)).root_hash()
         };
-        let state_root = state.state_root();
-        // The root is built, so the new head no longer needs the trie it
-        // was derived from: no snapshot pins its predecessor's arena.
-        state.seal();
         let block = Block {
             header: Header {
                 parent_hash,
                 ommers_hash: empty_ommers_hash(),
                 beneficiary: ctx.beneficiary,
-                state_root,
+                // The first write made the head's trie the parent this
+                // root is derived from.
+                state_root: self.state.state_root(),
                 transactions_root: ordered_root(&encoded_txs),
                 receipts_root: ordered_root(&encoded_receipts),
                 difficulty: U256::ZERO,
@@ -308,9 +392,6 @@ impl Blockchain {
             },
             transactions,
         };
-        // Archive into cold storage *before* any chain mutation, so an
-        // I/O failure leaves the chain unchanged, matching the
-        // validation-error contract above.
         if let Some(history) = &self.history {
             history
                 .append_block(
@@ -323,33 +404,8 @@ impl Blockchain {
                     reason: e.to_string(),
                 })?;
         }
-        let block_hash = block.hash();
-        self.hash_index.insert(block_hash, number);
-        self.recent_window.push_back((number, block_hash));
-        while self.recent_window.len() > BLOCK_HASH_WINDOW as usize {
-            self.recent_window.pop_front();
-        }
-        for (i, encoded) in encoded_txs.iter().enumerate() {
-            self.tx_index.insert(keccak256(encoded), (number, i));
-        }
-        // The outgoing head's memoized trie would otherwise be retained
-        // forever by the snapshot store (one full frozen trie per block);
-        // drop it — snapshot caches that still want it hold their own Arc.
-        if let Some(previous_head) = self.snapshots.last_mut() {
-            previous_head.release_trie();
-        }
-        // Growth is bounded: once a history store is attached,
-        // `prune_resident` drains the front of all three parallel
-        // vectors back to the configured window (the block just
-        // archived above is safe to drop whenever it ages out).
-        // Without a store the chain is deliberately fully resident.
-        self.snapshots.push(state);
-        self.receipts.push(receipts);
-        self.blocks.push(block);
-        if self.history.is_some() {
-            self.prune_resident();
-        }
-        Ok(self.blocks.last().expect("just pushed"))
+        let tx_hashes = encoded_txs.iter().map(|tx| keccak256(tx)).collect();
+        Ok((block, receipts, tx_hashes))
     }
 
     fn apply_transaction(
@@ -458,17 +514,28 @@ impl Blockchain {
             .map(Vec::as_slice)
     }
 
-    /// The state snapshot *after* executing block `number`, when still
-    /// in the resident window (historical state is not archived —
+    /// The state *after* executing block `number`, when that block is
+    /// still in the resident window (historical state is not archived —
     /// PARP serves account proofs at the head, inclusion proofs for
-    /// arbitrary depth).
-    pub fn state_at(&self, number: u64) -> Option<&State> {
-        self.snapshots.get(self.resident_index(number)?)
+    /// arbitrary depth). The head's is borrowed; an older one is rebuilt
+    /// by rewinding a copy of the head through the undo records of the
+    /// blocks above `number` — O(accounts) for the copy, and the first
+    /// proof off it freezes a trie from scratch.
+    pub fn state_at(&self, number: u64) -> Option<Cow<'_, State>> {
+        let above = self.undo.get(self.resident_index(number)? + 1..)?;
+        if above.is_empty() {
+            return Some(Cow::Borrowed(&self.state));
+        }
+        let mut state = self.state.clone();
+        for undo in above.iter().rev() {
+            state.rewind(undo);
+        }
+        Some(Cow::Owned(state))
     }
 
-    /// The current world state: the head block's snapshot.
+    /// The current world state: the one after the head block.
     pub fn state(&self) -> &State {
-        self.snapshots.last().expect("genesis always present")
+        &self.state
     }
 
     /// Current balance of an address.
@@ -559,6 +626,53 @@ impl Blockchain {
         self.history
             .as_ref()
             .map_or_else(ReadCounts::default, BlockStore::read_counts)
+    }
+
+    /// Estimated bytes this chain holds in memory, by component. Heap
+    /// buffers are charged at capacity and hash maps at one slot and one
+    /// control byte per 7/8 of a bucket; allocator slack is not modelled.
+    pub fn mem_breakdown(&self) -> ChainMemory {
+        let transactions = |block: &Block| {
+            let data: usize = block.transactions.iter().map(|t| t.tx().data.len()).sum();
+            block.transactions.capacity() * size_of::<SignedTransaction>() + data
+        };
+        let logs = |receipt: &Receipt| {
+            let payload: usize = receipt
+                .logs
+                .iter()
+                .map(|log| log.topics.capacity() * size_of::<H256>() + log.data.capacity())
+                .sum();
+            receipt.logs.capacity() * size_of::<Log>() + payload
+        };
+        let blocks: usize = self
+            .blocks
+            .iter()
+            .map(|b| b.header.extra_data.capacity() + transactions(b))
+            .sum();
+        let receipts: usize = self
+            .receipts
+            .iter()
+            .map(|rs| rs.capacity() * size_of::<Receipt>() + rs.iter().map(logs).sum::<usize>())
+            .sum();
+        let map_bytes = |capacity: usize, entry: usize| capacity * 8 / 7 * (entry + 1);
+        ChainMemory {
+            head_accounts: self.state.mem_bytes(),
+            head_trie: self.state.shared_trie().mem_bytes(),
+            undo_records: self.undo.iter().map(UndoRecord::mem_bytes).sum(),
+            blocks: self.blocks.capacity() * size_of::<Block>()
+                + blocks
+                + self.receipts.capacity() * size_of::<Vec<Receipt>>()
+                + receipts,
+            indices: map_bytes(self.hash_index.capacity(), size_of::<(H256, u64)>())
+                + map_bytes(self.tx_index.capacity(), size_of::<(H256, (u64, usize))>())
+                + self.recent_window.capacity() * size_of::<(u64, H256)>(),
+        }
+    }
+
+    /// Estimated bytes this chain holds in memory: the sum of
+    /// [`Blockchain::mem_breakdown`].
+    pub fn mem_bytes(&self) -> usize {
+        size_of::<Self>() - size_of::<State>() + self.mem_breakdown().total()
     }
 
     /// Fsyncs the history store's segment tails.
@@ -796,6 +910,17 @@ mod tests {
         assert_eq!(chain.state_at(0).unwrap().balance(&to), U256::ZERO);
         assert_eq!(chain.state_at(1).unwrap().balance(&to), U256::from(100u64));
         assert_eq!(chain.state_at(2).unwrap().balance(&to), U256::from(150u64));
+        // The head's is the chain's own; older ones are rebuilt, and
+        // prove against their block's root all the same.
+        assert!(matches!(chain.state_at(2), Some(Cow::Borrowed(_))));
+        assert!(chain.state_at(3).is_none());
+        let proof = chain.account_proof_at(&to, 1).unwrap();
+        let root = chain.block(1).unwrap().header.state_root;
+        let value = parp_trie::verify_proof(root, keccak256(to.as_bytes()).as_bytes(), &proof)
+            .unwrap()
+            .unwrap();
+        let account = crate::account::Account::decode(&value).unwrap();
+        assert_eq!(account.balance, U256::from(100u64));
     }
 
     #[test]
@@ -831,28 +956,42 @@ mod tests {
         assert!(receipt.is_success());
     }
 
-    #[test]
-    fn only_head_snapshot_retains_built_trie() {
-        let (mut chain, key) = funded_chain();
-        for nonce in 0..5 {
+    /// A chain of `accounts` bystanders plus the funded key, and the
+    /// estimated bytes each of 40 one-transfer blocks then adds to it.
+    fn bytes_per_block(accounts: u64) -> usize {
+        let key = SecretKey::from_seed(b"rich");
+        let mut chain = Blockchain::new(
+            (1..=accounts)
+                .map(|i| (Address::from_low_u64_be(i * 31), U256::from(i)))
+                .chain([(key.address(), U256::from(1u64) << 80)]),
+        );
+        let blocks = 40;
+        // Past the first few blocks, so the vectors' doubling is in both.
+        for nonce in 0..8 {
             chain
                 .produce_block(vec![transfer(&key, nonce, 2, 1)], &mut TransferExecutor)
                 .unwrap();
         }
-        let head = chain.height();
-        assert!(
-            chain.state_at(head).unwrap().trie_is_built(),
-            "head snapshot keeps the trie built at block production"
-        );
-        for number in 0..head {
-            assert!(
-                !chain.state_at(number).unwrap().trie_is_built(),
-                "historical snapshot {number} must not pin a frozen trie"
-            );
+        let before = chain.mem_breakdown();
+        for nonce in 8..8 + blocks {
+            chain
+                .produce_block(vec![transfer(&key, nonce, 2, 1)], &mut TransferExecutor)
+                .unwrap();
         }
-        // Historical proofs still work — they rebuild on demand.
-        let proof = chain.account_proof_at(&key.address(), 1).unwrap();
-        assert!(!proof.is_empty());
+        let after = chain.mem_breakdown();
+        assert_eq!(after.head_accounts, before.head_accounts);
+        // Sender, recipient, beneficiary: three prior values a block.
+        assert!(chain.undo.iter().skip(1).all(|undo| undo.len() == 3));
+        (after.total() - before.total()) / blocks as usize
+    }
+
+    #[test]
+    fn a_block_retains_what_it_changed_not_a_copy_of_the_state() {
+        let (small, large) = (bytes_per_block(100), bytes_per_block(2_000));
+        assert!(large <= 16 * 1024, "{large} bytes per block");
+        // Independent of the account count, up to the head trie's own
+        // (logarithmic) growth.
+        assert!(large.abs_diff(small) * 10 <= small, "{small} vs {large}");
     }
 
     fn history_chain(blocks: u64, window: u64) -> (Blockchain, SecretKey, std::path::PathBuf) {

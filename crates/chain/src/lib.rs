@@ -50,9 +50,11 @@ mod transaction;
 
 pub use account::{empty_code_hash, Account};
 pub use block::{receipts_trie, Block};
-pub use chain::{BlockError, Blockchain, BLOCK_HASH_WINDOW, BLOCK_INTERVAL, MIN_HISTORY_WINDOW};
+pub use chain::{
+    BlockError, Blockchain, ChainMemory, BLOCK_HASH_WINDOW, BLOCK_INTERVAL, MIN_HISTORY_WINDOW,
+};
 pub use exec::{BlockContext, ExecutionResult, TransactionExecutor, TransferExecutor};
 pub use header::{empty_ommers_hash, Header};
 pub use receipt::{Log, Receipt};
-pub use state::State;
+pub use state::{State, UndoRecord};
 pub use transaction::{SignedTransaction, Transaction, TransactionError};

@@ -6,26 +6,63 @@ use parp_crypto::keccak256;
 use parp_primitives::{Address, H256, U256};
 use parp_trie::{FrozenTrie, Trie};
 use std::collections::{BTreeMap, BTreeSet};
+use std::mem::size_of;
 use std::sync::{Arc, OnceLock};
 
-/// The world state at a point in time.
+/// What one sealed write generation changed: for each account it wrote,
+/// the value the account had before (`None`: it did not exist), one
+/// entry per account. [`State::rewind`] applies it; a chain keeps one per
+/// block in place of a copy of the state.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct UndoRecord(Vec<(Address, Option<Account>)>);
+
+impl UndoRecord {
+    /// Number of accounts the generation wrote.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the generation wrote nothing.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Bytes this record occupies: itself plus its heap entries.
+    pub fn mem_bytes(&self) -> usize {
+        size_of::<Self>() + self.0.capacity() * size_of::<(Address, Option<Account>)>()
+    }
+}
+
+/// The world state: one account map, and a **journal** of the writes made
+/// to it since it was last sealed.
+///
+/// Every write ([`State::account_mut`], [`State::credit`], a successful
+/// [`State::debit`] or [`State::transfer`]) first logs the account's prior
+/// value. [`State::checkpoint`] names a point in that log and
+/// [`State::revert_to`] unwinds back to it, so a failed module call or a
+/// refused block undoes exactly the accounts it touched and nothing is
+/// ever copied to make that possible. [`State::seal`] ends the generation:
+/// it hands the log back as an [`UndoRecord`] — what a chain keeps per
+/// block — and starts an empty one.
 ///
 /// The secure state trie over the accounts is memoized: the first call to
 /// [`State::state_root`], [`State::account_proof`],
 /// [`State::account_multiproof`] or [`State::shared_trie`] builds it once,
 /// and every later call reuses the same [`Arc`]-shared trie until a write
-/// supersedes it. Clones share the built trie (the contents are equal),
-/// so chain snapshots inherit the trie built at block production for free.
+/// supersedes it. Clones share the built trie (the contents are equal).
 ///
 /// A write does not throw the built trie away: it becomes the **parent**
-/// of the next build, and the written address joins a **dirty set**. The
-/// next build then [derives](FrozenTrie::derive) the new trie from the
-/// parent — an O(accounts) copy plus O(dirty · depth) node hashes —
-/// instead of re-hashing every account. Only a state that does not
-/// descend from a built trie (genesis, [`State::with_alloc`], a snapshot
-/// whose memo was [released](State::release_trie)) pays the full
-/// [`State::build_trie`] + freeze. The two routes produce the same root
-/// and the same proof bytes; debug builds assert it on every derive.
+/// of the next build, remembered with the journal length it was current
+/// at, so the accounts written since — the dirty set — are the journal's
+/// tail. The next build then [derives](FrozenTrie::derive) the new trie
+/// from the parent — an O(accounts) copy plus O(dirty · depth) node
+/// hashes — instead of re-hashing every account, and a revert that lands
+/// exactly where the parent was current takes it back as the memo (same
+/// `Arc`, nothing rebuilt). Only a state that does not descend from a
+/// built trie (genesis, [`State::with_alloc`], a [rewound](State::rewind)
+/// one) pays the full [`State::build_trie`] + freeze. The two routes
+/// produce the same root and the same proof bytes; debug builds assert it
+/// on every derive.
 ///
 /// # Examples
 ///
@@ -36,6 +73,9 @@ use std::sync::{Arc, OnceLock};
 /// let mut state = State::new();
 /// let alice = Address::from_low_u64_be(1);
 /// state.credit(alice, U256::from(100u64));
+/// let mark = state.checkpoint();
+/// assert!(state.debit(&alice, U256::from(60u64)));
+/// state.revert_to(mark);
 /// assert_eq!(state.balance(&alice), U256::from(100u64));
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -46,16 +86,27 @@ pub struct State {
     /// `OnceLock` keeps `&State` shareable across threads (the sharded
     /// proof executor walks one frozen trie from many workers).
     trie: OnceLock<Arc<FrozenTrie>>,
-    /// The trie of the accounts as they were before the writes in
-    /// `dirty`, when this state descends from a built one.
-    parent: Option<Arc<FrozenTrie>>,
-    /// Addresses written since `parent` was built (empty without one).
-    dirty: BTreeSet<Address>,
+    /// A trie built earlier in this generation, with the length the
+    /// journal had while it was current: the accounts differ from it in
+    /// exactly the addresses logged from there on.
+    parent: Option<(Arc<FrozenTrie>, usize)>,
+    /// `(address, value before the write)` for every write since the
+    /// last seal, oldest first.
+    journal: Vec<(Address, Option<Account>)>,
+}
+
+/// Puts `address` back to `prior`: its earlier value, or gone.
+fn restore(accounts: &mut BTreeMap<Address, Account>, address: Address, prior: Option<Account>) {
+    match prior {
+        Some(account) => accounts.insert(address, account),
+        None => accounts.remove(&address),
+    };
 }
 
 impl PartialEq for State {
     fn eq(&self, other: &Self) -> bool {
-        // The memoized trie is derived data; only the accounts count.
+        // The memoized trie is derived data and the journal is history;
+        // only the accounts count.
         self.accounts == other.accounts
     }
 }
@@ -68,7 +119,8 @@ impl State {
         State::default()
     }
 
-    /// Creates a state pre-funded with the given balances.
+    /// Creates a state pre-funded with the given balances (nothing
+    /// journaled: there is no earlier state to go back to).
     pub fn with_alloc<I: IntoIterator<Item = (Address, U256)>>(alloc: I) -> Self {
         let mut state = State::new();
         for (address, balance) in alloc {
@@ -85,23 +137,80 @@ impl State {
     }
 
     /// Returns a mutable account record, creating a default one on first
-    /// touch. Supersedes the memoized trie (the caller holds a mutable
-    /// handle, so the account must be assumed changed).
+    /// touch. Journals the prior value and supersedes the memoized trie
+    /// (the caller holds a mutable handle, so the account must be
+    /// assumed changed).
     pub fn account_mut(&mut self, address: Address) -> &mut Account {
-        self.wrote(address);
+        self.log_write(address);
         self.accounts.entry(address).or_default()
     }
 
-    /// Records a write to `address`: a built trie becomes the parent the
-    /// next build derives from (replacing — and so releasing — the one
-    /// it was itself derived from), and the address is marked dirty.
-    fn wrote(&mut self, address: Address) {
+    /// Records that `address` is about to be written: a built trie
+    /// becomes the parent the next build derives from (replacing — and so
+    /// releasing — the one it was itself derived from), and the account's
+    /// current value goes on the journal.
+    fn log_write(&mut self, address: Address) {
         if let Some(built) = self.trie.take() {
-            self.parent = Some(built);
-            self.dirty.clear();
+            self.parent = Some((built, self.journal.len()));
         }
-        if self.parent.is_some() {
-            self.dirty.insert(address);
+        self.journal
+            .push((address, self.accounts.get(&address).cloned()));
+    }
+
+    /// A mark for [`State::revert_to`]: the current journal length.
+    /// Marks nest (revert to an outer one undoes the inner ones too) and
+    /// are void once the state is [sealed](State::seal).
+    pub fn checkpoint(&self) -> usize {
+        self.journal.len()
+    }
+
+    /// Undoes every write made since `mark` was taken, newest first.
+    ///
+    /// The accounts end up exactly as they were, created ones gone. The
+    /// memoized trie follows: landing where the parent trie was current
+    /// makes it the memo again, a parent from before `mark` still serves
+    /// the next build, and one built after `mark` is dropped. A `mark` at
+    /// or past the journal's end undoes nothing.
+    pub fn revert_to(&mut self, mark: usize) {
+        if mark >= self.journal.len() {
+            return;
+        }
+        self.trie.take();
+        for (address, prior) in self.journal.drain(mark..).rev() {
+            restore(&mut self.accounts, address, prior);
+        }
+        match self.parent.take() {
+            Some((trie, at)) if at == mark => self.trie = OnceLock::from(trie),
+            Some(parent) if parent.1 < mark => self.parent = Some(parent),
+            _ => {}
+        }
+    }
+
+    /// Ends the write generation: builds the trie if a write is pending
+    /// (the journal about to go is its dirty set), lets go of the trie it
+    /// was derived from, and returns what the generation changed. After
+    /// this the state pins no predecessor's arena and holds no journal.
+    pub fn seal(&mut self) -> UndoRecord {
+        self.shared_trie();
+        self.parent = None;
+        let mut undo = std::mem::take(&mut self.journal);
+        // Only the value from before the generation matters per account.
+        let mut seen = BTreeSet::new();
+        undo.retain(|(address, _)| seen.insert(*address));
+        undo.shrink_to_fit();
+        UndoRecord(undo)
+    }
+
+    /// Takes a sealed state back across one generation: every account
+    /// `undo` names gets the value it had before. The result descends
+    /// from no built trie (its next proof pays a full freeze) and has an
+    /// empty journal.
+    pub fn rewind(&mut self, undo: &UndoRecord) {
+        self.trie.take();
+        self.parent = None;
+        self.journal.clear();
+        for (address, prior) in &undo.0 {
+            restore(&mut self.accounts, *address, prior.clone());
         }
     }
 
@@ -126,21 +235,18 @@ impl State {
 
     /// Removes `amount` from an address.
     ///
-    /// Returns `false` (leaving the balance untouched) when funds are
-    /// insufficient.
+    /// Returns `false` (leaving the balance, the journal and the
+    /// memoized trie untouched) when funds are insufficient.
     #[must_use]
     pub fn debit(&mut self, address: &Address, amount: U256) -> bool {
-        match self.accounts.get_mut(address) {
-            Some(account) => match account.balance.checked_sub(amount) {
-                Some(rest) => {
-                    account.balance = rest;
-                    self.wrote(*address);
-                    true
-                }
-                None => false,
-            },
-            None => amount.is_zero(),
-        }
+        let Some(account) = self.accounts.get(address) else {
+            return amount.is_zero();
+        };
+        let Some(rest) = account.balance.checked_sub(amount) else {
+            return false;
+        };
+        self.account_mut(*address).balance = rest;
+        true
     }
 
     /// Moves `amount` from `from` to `to`; `false` on insufficient funds.
@@ -193,10 +299,14 @@ impl State {
     pub fn shared_trie(&self) -> Arc<FrozenTrie> {
         self.trie
             .get_or_init(|| {
-                let Some(parent) = &self.parent else {
+                let Some((parent, at)) = &self.parent else {
                     return Arc::new(FrozenTrie::new(self.build_trie()));
                 };
-                let derived = parent.derive(self.dirty.iter().map(|address| {
+                // Every address logged since the parent was current is
+                // still an account: undoing its creation pops the entry.
+                let dirty: BTreeSet<Address> =
+                    self.journal[*at..].iter().map(|(a, _)| *a).collect();
+                let derived = parent.derive(dirty.iter().map(|address| {
                     (
                         keccak256(address.as_bytes()),
                         self.accounts[address].encode(),
@@ -212,35 +322,22 @@ impl State {
             .clone()
     }
 
-    /// Lets go of the trie this state's own was derived from, once that
-    /// is built — [`State::shared_trie`] cannot (it only has `&self`),
-    /// so whoever builds a state to keep seals it, or the predecessor's
-    /// arena stays pinned until the next write.
-    pub(crate) fn seal(&mut self) {
-        if self.trie_is_built() {
-            self.parent = None;
-            self.dirty.clear();
-        }
-    }
-
     /// Whether the memoized trie is currently built (no rebuild would be
     /// paid for a proof right now). Observability for cache tests.
     pub fn trie_is_built(&self) -> bool {
         self.trie.get().is_some()
     }
 
-    /// Drops this state's memoized trie without touching the accounts.
-    ///
-    /// Retention control for long-lived snapshot stores: a frozen trie
-    /// (structure + encoding index) is several times the size of the
-    /// account map, so a chain that keeps every historical snapshot
-    /// releases the memo when a snapshot stops being the head — callers
-    /// that still need the build (the runtime's `SnapshotCache`) hold
-    /// their own `Arc` and control its lifetime via LRU eviction.
-    pub fn release_trie(&mut self) {
-        self.trie.take();
-        self.parent = None;
-        self.dirty.clear();
+    /// Estimated bytes of the account map and the journal (the memoized
+    /// trie is `Arc`-shared with caches and reports
+    /// [its own](FrozenTrie::mem_bytes)). A B-tree node has 11 slots and
+    /// runs about two-thirds full, so the map is charged one node — its
+    /// slots, a 16-byte header and the allocator's 16 — per 7 accounts.
+    pub fn mem_bytes(&self) -> usize {
+        let node = 11 * (size_of::<Address>() + size_of::<Account>()) + 32;
+        size_of::<Self>()
+            + self.accounts.len().div_ceil(7) * node
+            + self.journal.capacity() * size_of::<(Address, Option<Account>)>()
     }
 
     /// The state root committed into block headers.
@@ -422,12 +519,12 @@ mod tests {
         state.credit(addr(3), U256::from(50u64));
         state.credit(addr(500), U256::from(50u64));
         let after = state.clone();
-        // The same writes replayed on the earlier copy; a released copy
-        // takes the full-freeze route to the same answer.
+        // The same writes replayed on the earlier copy; a copy without a
+        // memo takes the full-freeze route to the same answer.
         before.credit(addr(3), U256::from(50u64));
         before.credit(addr(500), U256::from(50u64));
         let mut released = after.clone();
-        released.release_trie();
+        released.rewind(&UndoRecord::default());
         let tries = [&state, &before, &after, &released].map(State::shared_trie);
         for trie in &tries[1..] {
             assert!(!Arc::ptr_eq(&tries[0], trie), "each copy builds its own");
@@ -442,12 +539,9 @@ mod tests {
         let mut state = State::with_alloc((1..50u64).map(|i| (addr(i), U256::from(i))));
         let parent = Arc::downgrade(&state.shared_trie());
         state.credit(addr(1), U256::ONE);
-        // Not built yet: sealing must not drop what the build needs.
-        state.seal();
-        assert!(parent.upgrade().is_some());
         let _ = state.state_root();
         assert!(parent.upgrade().is_some(), "held until sealed or rewritten");
-        state.seal();
+        assert_eq!(state.seal().len(), 1);
         assert!(
             parent.upgrade().is_none(),
             "a sealed state pins no predecessor"
@@ -458,6 +552,62 @@ mod tests {
         let _ = state.state_root();
         state.credit(addr(3), U256::ONE);
         assert!(parent.upgrade().is_none());
+        // Sealing with a write pending builds first: the journal it hands
+        // back is the dirty set that build needs.
+        assert!(!state.trie_is_built());
+        let undo = state.seal();
+        assert!(state.trie_is_built());
+        assert_eq!(undo.len(), 2);
+        assert_matches_fresh_freeze(&state, &[addr(1), addr(2), addr(3)]);
+    }
+
+    #[test]
+    fn revert_restores_the_accounts_and_the_trie_that_was_current() {
+        let mut state = State::with_alloc((1..50u64).map(|i| (addr(i), U256::from(i))));
+        let before = state.clone();
+        let trie = state.shared_trie();
+        let outer = state.checkpoint();
+        state.credit(addr(1), U256::ONE);
+        let inner = state.checkpoint();
+        assert!(state.transfer(&addr(2), addr(900), U256::ONE));
+        state.account_mut(addr(901)).nonce = 4;
+        // Back to the inner mark: the created accounts are gone and the
+        // next trie still derives from the one built before `outer`.
+        state.revert_to(inner);
+        assert_eq!(state.len(), 49);
+        assert_eq!(state.balance(&addr(1)), U256::from(2u64));
+        assert_eq!(state.balance(&addr(2)), U256::from(2u64));
+        assert_matches_fresh_freeze(&state, &[addr(1), addr(2), addr(900), addr(901)]);
+        // Back to the outer mark, across the trie just built: the
+        // original is the memo again, not a rebuild of it.
+        state.revert_to(outer);
+        assert_eq!(state, before);
+        assert!(Arc::ptr_eq(&trie, &state.shared_trie()));
+        assert_eq!(state.checkpoint(), 0);
+        // A mark at the journal's end undoes nothing and keeps the memo.
+        state.revert_to(state.checkpoint());
+        assert!(state.trie_is_built());
+    }
+
+    #[test]
+    fn rewind_applies_what_seal_returned() {
+        let mut state = State::with_alloc((1..50u64).map(|i| (addr(i), U256::from(i))));
+        let genesis = state.clone();
+        state.credit(addr(1), U256::ONE);
+        state.credit(addr(1), U256::ONE);
+        state.credit(addr(700), U256::ONE);
+        let first = state.seal();
+        assert_eq!(first.len(), 2, "one entry per account, its oldest value");
+        let after_first = state.clone();
+        assert!(state.debit(&addr(700), U256::ONE));
+        let second = state.seal();
+        state.rewind(&second);
+        assert_eq!(state, after_first);
+        assert_eq!(state.state_root(), after_first.state_root());
+        state.rewind(&first);
+        assert_eq!(state, genesis);
+        assert_eq!(state.account(&addr(700)), None);
+        assert_eq!(state.state_root(), genesis.state_root());
     }
 
     #[test]

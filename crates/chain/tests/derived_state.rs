@@ -1,10 +1,13 @@
 //! Differential test of the head trie a block derives from its
 //! parent's arena: over a long random chain, every header's state root
 //! and every account proof must equal what freezing the state from
-//! scratch gives, a rejected block must leave the head trie alone, and
-//! no state may pin its predecessor's arena.
+//! scratch gives, a rejected block must leave the head trie alone, no
+//! state may pin its predecessor's arena, and every older state must come
+//! back out of the undo records as a replay from genesis produces it.
 
-use parp_chain::{BlockError, Blockchain, SignedTransaction, State, Transaction, TransferExecutor};
+use parp_chain::{
+    Account, BlockError, Blockchain, SignedTransaction, State, Transaction, TransferExecutor,
+};
 use parp_crypto::{keccak256, SecretKey};
 use parp_primitives::{Address, H256, U256};
 use parp_trie::FrozenTrie;
@@ -15,7 +18,7 @@ use std::sync::Arc;
 
 const GAS_PRICE: u64 = 1_000_000_000;
 const SENDERS: usize = 6;
-const BLOCKS: usize = 220;
+const BLOCKS: usize = 300;
 
 fn transfer(key: &SecretKey, nonce: u64, to: Address, value: U256) -> SignedTransaction {
     Transaction {
@@ -59,6 +62,15 @@ fn every_block_derives_the_trie_a_fresh_freeze_would_build() {
         .map(|i| Address::from_low_u64_be(i * 97))
         .collect();
     let (mut empty, mut rejected, mut failed) = (0, 0, 0);
+    // Replay-from-genesis oracle: the accounts after every block (not
+    // `State` copies, which would share — and pin — each head's trie).
+    let accounts_of = |state: &State| -> Vec<(Address, Account)> {
+        state
+            .iter()
+            .map(|(a, account)| (*a, account.clone()))
+            .collect()
+    };
+    let mut replayed = vec![accounts_of(chain.state())];
 
     for round in 0..BLOCKS {
         let head_trie = chain.state().shared_trie();
@@ -130,8 +142,8 @@ fn every_block_derives_the_trie_a_fresh_freeze_would_build() {
             probes.push(known[rng.gen_range(0..known.len())]);
             probes.push(Address::from_low_u64_be(0xab5e27)); // absent
             assert_head_matches_fresh_freeze(&chain, &probes);
-            // The outgoing head released its trie and the new head was
-            // sealed: with our own handle gone, nothing holds the old arena.
+            // The new head was sealed: with our own handle gone, nothing
+            // holds the old arena.
             let old = Arc::downgrade(&head_trie);
             drop(head_trie);
             assert!(
@@ -139,18 +151,40 @@ fn every_block_derives_the_trie_a_fresh_freeze_would_build() {
                 "block {round} pinned its parent's arena"
             );
         }
+        if replayed.len() as u64 <= chain.height() {
+            replayed.push(accounts_of(chain.state()));
+        }
     }
     assert!(
         empty > 5 && rejected > 5 && failed > 20,
         "{empty} {rejected} {failed}"
     );
-    // History is intact and rebuilds on demand to the committed roots.
-    for number in [0, 1, chain.height() / 2, chain.height() - 1] {
-        let snapshot = chain.state_at(number).unwrap();
-        assert!(!snapshot.trie_is_built());
+    // History is intact: every state comes back out of the undo records
+    // equal to the replay's, and rebuilds on demand to the committed root.
+    assert_eq!(replayed.len() as u64, chain.height() + 1);
+    // A copy that prunes its resident window behind a history store.
+    let mut pruned = chain.clone();
+    let dir = parp_store::scratch_dir("derived-state").unwrap();
+    pruned
+        .attach_history(parp_store::BlockStore::open(&dir).unwrap(), 0)
+        .unwrap();
+    assert!(pruned.resident_base() > 0, "the copy pruned nothing");
+    for (number, expected) in replayed.iter().enumerate() {
+        let number = number as u64;
+        let rebuilt = chain.state_at(number).unwrap();
+        assert_eq!(&accounts_of(&rebuilt), expected, "state {number}");
         assert_eq!(
-            snapshot.state_root(),
+            rebuilt.state_root(),
             chain.block(number).unwrap().header.state_root
         );
+        // Pruned: the same state while the block is resident, none after.
+        if number >= pruned.resident_base() {
+            assert_eq!(&accounts_of(&pruned.state_at(number).unwrap()), expected);
+        } else {
+            assert!(pruned.state_at(number).is_none());
+        }
     }
+    assert!(chain.state_at(chain.height() + 1).is_none());
+    assert_eq!(pruned.head().header, chain.head().header);
+    let _ = std::fs::remove_dir_all(dir);
 }

@@ -185,8 +185,9 @@ impl TransactionExecutor for ParpExecutor {
         if call.target() != to {
             return ExecutionResult::failure(intrinsic_gas + meter.used());
         }
-        // Snapshot for revert semantics.
-        let state_snapshot = state.clone();
+        // Revert semantics: a mark in the state's journal, a copy of the
+        // modules.
+        let mark = state.checkpoint();
         let modules_snapshot = self.clone();
         // Move the transaction value into the module's custody.
         if !state.transfer(&sender, to, tx.tx().value) {
@@ -203,7 +204,7 @@ impl TransactionExecutor for ParpExecutor {
                 }
             }
             Err(revert) => {
-                *state = state_snapshot;
+                state.revert_to(mark);
                 *self = modules_snapshot;
                 let mut result = ExecutionResult::failure(intrinsic_gas + meter.used());
                 result.output = revert.0.into_bytes();

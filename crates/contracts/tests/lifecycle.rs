@@ -384,7 +384,7 @@ fn honest_response_cannot_be_proven_fraudulent() {
         RpcCall::GetBalance { address: target },
     );
     // Fully honest response: correct account record + proof.
-    let state = env.chain.state_at(head.number).unwrap();
+    let state = env.chain.state();
     let account = state.account(&target).unwrap().clone();
     let proof = state.account_proof(&target);
     let response = ParpResponse::build(&env.node, &request, head.number, account.encode(), proof);
@@ -532,7 +532,7 @@ fn gas_costs_reproduce_table4_ordering() {
             address: env.client.address(),
         },
     );
-    let state = env.chain.state_at(head.number).unwrap();
+    let state = env.chain.state();
     let proof = state.account_proof(&env.client.address());
     let forged = parp_chain::Account::with_balance(U256::from(1u64));
     let response = ParpResponse::build(&env.node, &request, head.number, forged.encode(), proof);

@@ -18,6 +18,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
+use std::mem::size_of;
 
 /// The light client's protocol state (Fig. 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -285,6 +286,32 @@ impl LightClient {
             prices: HashMap::new(),
             valid_responses: 0,
         }
+    }
+
+    /// Estimated bytes this client holds: every synced header (the term
+    /// that grows with the chain), the header index, and per provider a
+    /// session with its prepared key. In-flight requests are charged their
+    /// record, not the calls they carry.
+    pub fn mem_bytes(&self) -> usize {
+        let headers: usize = self
+            .headers
+            .values()
+            .map(|h| size_of::<(u64, Header)>() + h.extra_data.capacity())
+            .sum();
+        let sessions: usize = self
+            .sessions
+            .values()
+            .map(|s| {
+                size_of::<(Address, ProviderSession)>()
+                    + s.pending.capacity() * size_of::<(H256, Pending)>()
+                    + s.provider_key.as_ref().map_or(0, PreparedKey::mem_bytes)
+            })
+            .sum();
+        size_of::<Self>()
+            + headers
+            + self.hash_index.capacity() * size_of::<(H256, u64)>()
+            + sessions
+            + self.prices.capacity() * size_of::<(Address, U256)>()
     }
 
     /// Records the price agreed with one provider (e.g. its advertised

@@ -17,6 +17,7 @@ use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::mem::size_of;
 
 /// Strategy that supplies state-trie proofs to the serving paths.
 ///
@@ -347,6 +348,21 @@ impl FullNode {
             stages: None,
             clock: TimeSource::default(),
         }
+    }
+
+    /// Estimated bytes this node holds of its own (the chain it serves
+    /// is the caller's): one record per channel with the client's
+    /// prepared key, and the multiproof scratch at its capacity.
+    pub fn mem_bytes(&self) -> usize {
+        let channels: usize = self
+            .channels
+            .values()
+            .map(|c| {
+                size_of::<(u64, ServedChannel)>()
+                    + c.client_key.as_ref().map_or(0, PreparedKey::mem_bytes)
+            })
+            .sum();
+        size_of::<Self>() - size_of::<ProofBuf>() + channels + self.proof_scratch.mem_bytes()
     }
 
     /// Replaces the clock stage durations are measured with (see

@@ -272,6 +272,11 @@ impl PreparedKey {
         }
     }
 
+    /// Bytes this key occupies, its table's heap entries included.
+    pub fn mem_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() - std::mem::size_of::<PointTable>() + self.table.mem_bytes()
+    }
+
     /// The key this was prepared from.
     pub fn public_key(&self) -> &PublicKey {
         &self.public

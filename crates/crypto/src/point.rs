@@ -471,6 +471,11 @@ impl PointTable {
         }
     }
 
+    /// Bytes this table occupies: itself plus its heap entries.
+    pub fn mem_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.odd.capacity() * std::mem::size_of::<AffinePoint>()
+    }
+
     /// The wNAF window width the table was built for.
     pub fn width(&self) -> u32 {
         self.width

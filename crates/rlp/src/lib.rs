@@ -8,7 +8,9 @@
 //! The decoder is *strict*: it rejects non-minimal encodings (a single byte
 //! below `0x80` wrapped in a string header, length fields with leading
 //! zeros, trailing garbage), which matters because trie keys and fraud
-//! proofs must have exactly one valid encoding.
+//! proofs must have exactly one valid encoding. It is also *bounded*:
+//! lists nested more than [`MAX_DEPTH`] deep are an error, so hostile
+//! input costs a fixed amount of stack.
 //!
 //! Two shapes of each direction, one set of rules behind both:
 //!
@@ -185,6 +187,8 @@ pub enum DecodeError {
         /// Count found in the input.
         actual: usize,
     },
+    /// Lists were nested more than [`MAX_DEPTH`] deep.
+    TooDeep,
 }
 
 impl fmt::Display for DecodeError {
@@ -204,6 +208,7 @@ impl fmt::Display for DecodeError {
             DecodeError::WrongArity { expected, actual } => {
                 write!(f, "expected list of {expected} items, found {actual}")
             }
+            DecodeError::TooDeep => write!(f, "rlp lists nested more than {MAX_DEPTH} deep"),
         }
     }
 }
@@ -395,7 +400,8 @@ impl<'a> Iterator for Items<'a> {
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] on malformed, truncated or non-minimal input.
+/// Returns a [`DecodeError`] on malformed, truncated, non-minimal or too
+/// deeply nested input.
 ///
 /// # Examples
 ///
@@ -410,9 +416,9 @@ impl<'a> Iterator for Items<'a> {
 /// assert_eq!(items.next(), None);
 /// ```
 pub fn view(input: &[u8]) -> Result<View<'_>, DecodeError> {
-    let (item, rest) = split_item(input)?;
+    let (item, rest) = split_nested(input, 0)?;
     if let View::List(list) = item {
-        check_items(list.payload)?;
+        check_items(list.payload, 1)?;
     }
     if !rest.is_empty() {
         return Err(DecodeError::TrailingBytes);
@@ -420,15 +426,40 @@ pub fn view(input: &[u8]) -> Result<View<'_>, DecodeError> {
     Ok(item)
 }
 
-fn check_items(mut payload: &[u8]) -> Result<(), DecodeError> {
+fn check_items(mut payload: &[u8], depth: usize) -> Result<(), DecodeError> {
     while !payload.is_empty() {
-        let (item, rest) = split_item(payload)?;
+        let (item, rest) = split_nested(payload, depth)?;
         if let View::List(list) = item {
-            check_items(list.payload)?;
+            check_items(list.payload, depth + 1)?;
         }
         payload = rest;
     }
     Ok(())
+}
+
+/// How deep lists may nest: the outermost list is depth 1, a list inside
+/// it depth 2, and so on.
+///
+/// [`decode`] and [`view`] recurse once per level, so without a bound a
+/// few hundred kilobytes of nested list headers overflow the stack. The
+/// deepest thing this protocol encodes is a trie node: a list (1) whose
+/// inline children are nodes of under 32 bytes, each level of which
+/// spends at least one byte on its header — at most 31 more. The deepest
+/// message (a batch response carrying receipts with log topics) nests 8.
+/// 64 clears both twice over and keeps the decoder within a few
+/// kilobytes of stack.
+pub const MAX_DEPTH: usize = 64;
+
+/// [`split_item`] for an item sitting inside `depth` lists — the one way
+/// [`decode`] and [`view`] go down a level, and so where [`MAX_DEPTH`]
+/// holds for both.
+#[inline]
+fn split_nested(input: &[u8], depth: usize) -> Result<(View<'_>, &[u8]), DecodeError> {
+    let split = split_item(input)?;
+    if depth >= MAX_DEPTH && matches!(split.0, View::List(_)) {
+        return Err(DecodeError::TooDeep);
+    }
+    Ok(split)
 }
 
 /// Splits the first item off `input`: its header read and checked, its
@@ -484,7 +515,8 @@ fn read_long_length(input: &[u8], len_of_len: usize) -> Result<usize, DecodeErro
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] on malformed, truncated or non-minimal input.
+/// Returns a [`DecodeError`] on malformed, truncated, non-minimal or too
+/// deeply nested input.
 pub fn decode(input: &[u8]) -> Result<Item, DecodeError> {
     let (item, consumed) = decode_prefix(input)?;
     if consumed != input.len() {
@@ -500,23 +532,23 @@ pub fn decode(input: &[u8]) -> Result<Item, DecodeError> {
 ///
 /// Returns a [`DecodeError`] on malformed, truncated or non-minimal input.
 pub fn decode_prefix(input: &[u8]) -> Result<(Item, usize), DecodeError> {
-    let (item, rest) = decode_item(input)?;
+    let (item, rest) = decode_item(input, 0)?;
     Ok((item, input.len() - rest.len()))
 }
 
-fn decode_item(input: &[u8]) -> Result<(Item, &[u8]), DecodeError> {
-    let (item, rest) = split_item(input)?;
+fn decode_item(input: &[u8], depth: usize) -> Result<(Item, &[u8]), DecodeError> {
+    let (item, rest) = split_nested(input, depth)?;
     let item = match item {
         View::Bytes(payload) => Item::Bytes(payload.to_vec()),
-        View::List(list) => Item::List(decode_list_payload(list.payload)?),
+        View::List(list) => Item::List(decode_list_payload(list.payload, depth + 1)?),
     };
     Ok((item, rest))
 }
 
-fn decode_list_payload(mut payload: &[u8]) -> Result<Vec<Item>, DecodeError> {
+fn decode_list_payload(mut payload: &[u8], depth: usize) -> Result<Vec<Item>, DecodeError> {
     let mut items = Vec::new();
     while !payload.is_empty() {
-        let (item, rest) = decode_item(payload)?;
+        let (item, rest) = decode_item(payload, depth)?;
         items.push(item);
         payload = rest;
     }

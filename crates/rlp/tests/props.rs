@@ -1,13 +1,14 @@
 //! Property tests: RLP encode/decode round-trips for arbitrary item
 //! trees, the borrowed [`view`] against the allocating [`decode`] on
-//! well-formed, damaged and arbitrary input, and the `*_len` companions
-//! against the bytes the writers actually append.
+//! well-formed, damaged and arbitrary input, the `*_len` companions
+//! against the bytes the writers actually append, and the nesting bound
+//! against the unbounded decoder it replaced.
 
 use parp_primitives::U256;
 use parp_rlp::{
     bytes_len, decode, decode_prefix, encode_bytes, encode_list, encode_u256, encode_u64, list_len,
     u256_len, u64_len, view, write_bytes, write_list_header, write_u256, write_u64, DecodeError,
-    Item, View,
+    Item, View, MAX_DEPTH,
 };
 use proptest::prelude::*;
 
@@ -31,7 +32,124 @@ fn arb_item() -> impl Strategy<Value = Item> {
     })
 }
 
+/// The decoder as it stood before [`MAX_DEPTH`]: the same strict rules,
+/// recursing as deep as the input says. Kept as the oracle for "inputs
+/// within the bound decode exactly as they did"; `deepest` is raised to
+/// the deepest list nesting entered.
+fn unbounded_item<'a>(
+    input: &'a [u8],
+    depth: usize,
+    deepest: &mut usize,
+) -> Result<(Item, &'a [u8]), DecodeError> {
+    let long_length = |len_of_len: usize| {
+        let len_bytes = input
+            .get(1..1 + len_of_len)
+            .ok_or(DecodeError::UnexpectedEof)?;
+        let len = len_bytes
+            .iter()
+            .fold(0u64, |len, byte| (len << 8) | u64::from(*byte));
+        if len_bytes[0] == 0 || len <= 55 {
+            return Err(DecodeError::NonMinimalLength);
+        }
+        usize::try_from(len).map_err(|_| DecodeError::UnexpectedEof)
+    };
+    let first = *input.first().ok_or(DecodeError::UnexpectedEof)?;
+    let (is_list, header, len) = match first {
+        0x00..=0x7f => return Ok((Item::Bytes(vec![first]), &input[1..])),
+        0x80..=0xb7 => (false, 1, usize::from(first - 0x80)),
+        0xb8..=0xbf => (
+            false,
+            usize::from(first - 0xb6),
+            long_length((first - 0xb7).into())?,
+        ),
+        0xc0..=0xf7 => (true, 1, usize::from(first - 0xc0)),
+        0xf8..=0xff => (
+            true,
+            usize::from(first - 0xf6),
+            long_length((first - 0xf7).into())?,
+        ),
+    };
+    let end = header
+        .checked_add(len)
+        .filter(|end| *end <= input.len())
+        .ok_or(DecodeError::UnexpectedEof)?;
+    let (mut payload, rest) = (&input[header..end], &input[end..]);
+    if !is_list {
+        return match payload {
+            [byte] if *byte < 0x80 => Err(DecodeError::NonMinimalByte),
+            _ => Ok((Item::Bytes(payload.to_vec()), rest)),
+        };
+    }
+    *deepest = (*deepest).max(depth + 1);
+    let mut items = Vec::new();
+    while !payload.is_empty() {
+        let (item, after) = unbounded_item(payload, depth + 1, deepest)?;
+        items.push(item);
+        payload = after;
+    }
+    Ok((Item::List(items), rest))
+}
+
+/// [`unbounded_item`] as a whole-input decode, with the deepest nesting
+/// it entered before it finished or failed.
+fn unbounded_decode(input: &[u8]) -> (Result<Item, DecodeError>, usize) {
+    let mut deepest = 0;
+    let result = unbounded_item(input, 0, &mut deepest).and_then(|(item, rest)| {
+        if rest.is_empty() {
+            Ok(item)
+        } else {
+            Err(DecodeError::TrailingBytes)
+        }
+    });
+    (result, deepest)
+}
+
+/// `decode` and `view` against the unbounded oracle: equal in structure
+/// and in error wherever the oracle stayed within the bound, an error
+/// wherever it went past it.
+fn assert_bounded_like_unbounded(input: &[u8]) -> Result<(), TestCaseError> {
+    let (expected, deepest) = unbounded_decode(input);
+    if deepest <= MAX_DEPTH {
+        prop_assert_eq!(decode(input), expected.clone());
+        prop_assert_eq!(viewed(input), expected);
+    } else {
+        prop_assert!(decode(input).is_err());
+        prop_assert!(view(input).is_err());
+    }
+    Ok(())
+}
+
 proptest! {
+    /// Item trees wrapped in up to a few more list layers than the bound
+    /// allows, intact and with one byte damaged.
+    #[test]
+    fn within_the_depth_bound_nothing_changed(
+        item in arb_item(),
+        wraps in 0..MAX_DEPTH + 6,
+        at in any::<prop::sample::Index>(),
+        byte in any::<u8>(),
+    ) {
+        let mut encoded = item.encode();
+        for layer in 0..wraps {
+            let sibling = encode_bytes(&[layer as u8, 0xaa]);
+            encoded = if layer % 3 == 0 {
+                encode_list(&[sibling, encoded])
+            } else {
+                encode_list(&[encoded])
+            };
+        }
+        let (intact, deepest) = unbounded_decode(&encoded);
+        prop_assert!(intact.is_ok());
+        if deepest > MAX_DEPTH {
+            prop_assert_eq!(decode(&encoded), Err(DecodeError::TooDeep));
+            prop_assert_eq!(viewed(&encoded), Err(DecodeError::TooDeep));
+        }
+        assert_bounded_like_unbounded(&encoded)?;
+        let at = at.index(encoded.len());
+        encoded[at] = byte;
+        assert_bounded_like_unbounded(&encoded)?;
+    }
+
     #[test]
     fn item_roundtrip(item in arb_item()) {
         let encoded = item.encode();
@@ -127,6 +245,7 @@ proptest! {
         ),
     ) {
         prop_assert_eq!(viewed(&data), decode(&data));
+        assert_bounded_like_unbounded(&data)?;
     }
 
     #[test]
@@ -208,4 +327,40 @@ fn absurd_lengths_are_truncation() {
         assert_eq!(viewed(&input), Err(DecodeError::UnexpectedEof));
         assert_eq!(decode(&input), Err(DecodeError::UnexpectedEof));
     }
+}
+
+/// `levels` lists, each holding only the next: written outermost header
+/// first from the payload lengths, so building it is linear.
+fn nested_lists(levels: usize) -> Vec<u8> {
+    let mut payload_lens = Vec::with_capacity(levels);
+    let mut len = 0;
+    for _ in 0..levels {
+        payload_lens.push(len);
+        len = list_len(len);
+    }
+    let mut out = Vec::with_capacity(len);
+    for payload_len in payload_lens.into_iter().rev() {
+        write_list_header(payload_len, &mut out);
+    }
+    out
+}
+
+/// Hostile nesting is an error after [`MAX_DEPTH`] levels, on a stack
+/// far too small to recurse through all of it.
+#[test]
+fn deep_nesting_is_an_error_not_a_stack_overflow() {
+    assert_eq!(nested_lists(3), vec![0xc2, 0xc1, 0xc0]);
+    assert!(decode(&nested_lists(MAX_DEPTH)).is_ok());
+    assert!(view(&nested_lists(MAX_DEPTH)).is_ok());
+    let bomb = nested_lists(200_000);
+    let small_stack = std::thread::Builder::new().stack_size(256 * 1024);
+    let verdicts = small_stack
+        .spawn(move || (decode(&bomb), view(&bomb).map(|_| ())))
+        .expect("spawn")
+        .join()
+        .expect("the decoder must not overflow its stack");
+    assert_eq!(
+        verdicts,
+        (Err(DecodeError::TooDeep), Err(DecodeError::TooDeep))
+    );
 }

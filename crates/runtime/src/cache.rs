@@ -69,6 +69,19 @@ impl SnapshotCache {
         self.entries.is_empty()
     }
 
+    /// Bytes this cache keeps alive: itself, its slots and every trie it
+    /// holds ([`FrozenTrie::mem_bytes`]) — including one another owner
+    /// (a chain's head state, say) shares and reports too.
+    pub fn mem_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.entries.capacity() * std::mem::size_of::<(H256, Arc<FrozenTrie>)>()
+            + self
+                .entries
+                .iter()
+                .map(|(_, t)| t.mem_bytes())
+                .sum::<usize>()
+    }
+
     /// Lookups served from the cache so far.
     pub fn hits(&self) -> u64 {
         self.hits.get()

@@ -372,6 +372,16 @@ impl Runtime {
         &self.inclusion_cache
     }
 
+    /// Bytes this runtime keeps alive: both caches
+    /// ([`SnapshotCache::mem_bytes`]) and the warm tier's resident pages
+    /// (not the admission controller's few dozen bytes per client).
+    pub fn mem_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() - 2 * std::mem::size_of::<SnapshotCache>()
+            + self.cache.mem_bytes()
+            + self.inclusion_cache.mem_bytes()
+            + self.cold.as_ref().map_or(0, |c| c.tier().resident_bytes())
+    }
+
     /// Current shard count.
     pub fn shards(&self) -> usize {
         self.shards
@@ -468,9 +478,7 @@ impl Runtime {
             .map(|block| block.header.state_root)
             .collect();
         self.cache.retain(|root| recent.contains(root));
-        if let Some(state) = chain.state_at(head) {
-            self.cache.get_or_build(state);
-        }
+        self.cache.get_or_build(chain.state());
     }
 }
 
@@ -537,7 +545,7 @@ mod tests {
         let foreign_root = foreign.state_root();
         runtime.cache.insert(foreign_root, foreign.shared_trie());
         // Also warm an Arc for the genesis trie to check continuity.
-        let genesis_trie = runtime.cache.get_or_build(chain.state_at(0).unwrap());
+        let genesis_trie = runtime.cache.get_or_build(chain.state());
         chain
             .produce_block(
                 vec![parp_chain::Transaction {

@@ -39,6 +39,10 @@
 //! / [`SpillStore::sync`] / [`SegmentFile::sync`] fsync the tail.
 //! Recovery never panics — a corrupt or truncated tail is dropped, a
 //! valid prefix is kept.
+//!
+//! Platform: unix only. Segment reads are positional
+//! (`std::os::unix::fs::FileExt::read_exact_at`), so the crate — and with
+//! it `parp-chain` and everything above — does not build elsewhere.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

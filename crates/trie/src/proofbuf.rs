@@ -62,6 +62,13 @@ impl ProofBuf {
         self.ends.is_empty()
     }
 
+    /// Bytes this buffer occupies, its (reusable) capacity included.
+    pub fn mem_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.bytes.capacity()
+            + self.ends.capacity() * std::mem::size_of::<usize>()
+    }
+
     /// Total encoded bytes across all nodes.
     pub fn total_bytes(&self) -> usize {
         self.bytes.len()

@@ -198,7 +198,7 @@ fn snapshot_cache_lru_stays_bounded() {
     let heights: Vec<u64> = (0..=net.chain().height()).collect();
     assert!(heights.len() > 2, "need more snapshots than capacity");
     for height in &heights {
-        cache.get_or_build(net.chain().state_at(*height).expect("snapshot"));
+        cache.get_or_build(&net.chain().state_at(*height).expect("snapshot"));
         assert!(cache.len() <= 2, "cache exceeded its bound");
     }
     assert_eq!(cache.len(), 2);
