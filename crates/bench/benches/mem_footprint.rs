@@ -7,27 +7,26 @@
 //! following the head and reading a balance every block. At blocks 0,
 //! 100 and 500 past set-up it prints, per component, the bytes each
 //! `mem_bytes()` attributes — head accounts, undo records, blocks and
-//! receipts, indices, head trie, the snapshot cache's other tries, the
-//! inclusion cache, client, node — their sum, the process's `VmRSS`
-//! growth since start, and the remainder nobody claimed (allocator
-//! slack, the executor's module state, crypto tables).
+//! receipts, indices, head trie, whatever the runtime's state cache
+//! holds beyond it, the inclusion cache, client, node — their sum, the
+//! process's `VmRSS` growth since start, and the remainder nobody
+//! claimed (allocator slack, the executor's module state, crypto tables).
 //!
-//! Hard asserts, over blocks 100–500:
+//! Hard asserts — at every sample, the runtime's state cache holds the
+//! head trie and under 1 KiB besides — and over blocks 100–500:
 //!
 //! * [`Blockchain::mem_bytes`] grows by at most 16 KiB a block, and by
 //!   the same amount (±10 %) on a 1,000-account chain — a block keeps
 //!   what it changed, not a function of how many accounts exist;
-//! * `VmRSS` grows by at most 32 MiB (where `/proc` says; skipped
-//!   elsewhere). Under a megabyte of what grows is retained data. Every
-//!   block frees one ~2.3 MB trie arena (the snapshot cache's eviction)
-//!   and allocates another of almost the same size, and glibc — once its
-//!   mmap threshold has climbed past that size — serves them from the
-//!   main heap, where the small allocations of later blocks split the
-//!   holes. How much that strands depends on the order of allocations:
-//!   this fixture has read 6.8, 10.5 and 12.8 MiB as its set-up was
-//!   reordered, and 0.2 MiB under `MALLOC_MMAP_THRESHOLD_=131072`. The
-//!   ceiling is there to catch a copy of the state per block, not to
-//!   measure the allocator.
+//! * `VmRSS` grows by at most 8 MiB (where `/proc` says; skipped
+//!   elsewhere). Every block frees one ~2.3 MB trie arena and allocates
+//!   another of almost the same size; the one freed is the previous
+//!   head's, so glibc hands the next block the hole the last one left,
+//!   and this fixture reads 0.00–0.23 MiB as its set-up is reordered
+//!   (an arena freed several blocks late finds its hole split by the
+//!   small allocations in between: 6.8–12.8 MiB at eight blocks). The
+//!   ceiling is there to catch a copy of the state, or a retained trie,
+//!   per block — not to measure the allocator.
 //!
 //! The chain that kept one cloned account map per block read +2.24 MiB
 //! of RSS per block on this fixture (~896 MiB over the same window);
@@ -46,7 +45,9 @@ const SAMPLE_AT: [u64; 3] = [0, 100, BLOCKS];
 /// Most a one-transfer block may add to [`Blockchain::mem_bytes`].
 const CHAIN_BYTES_PER_BLOCK_CEILING: usize = 16 * 1024;
 /// Most `VmRSS` may grow over blocks 100–500.
-const RSS_GROWTH_CEILING_MIB: f64 = 32.0;
+const RSS_GROWTH_CEILING_MIB: f64 = 8.0;
+/// Most the runtime's state cache may hold beyond the head trie.
+const CACHE_BEYOND_HEAD_CEILING: usize = 1024;
 /// Chain height both fixtures are padded to before block 0, so their
 /// per-block vectors double at the same blocks.
 const SETUP_HEIGHT: u64 = 32;
@@ -118,6 +119,10 @@ fn breakdown(world: &World) -> Breakdown {
     // The cache holds the head's trie too; the chain already reports it.
     let head_cached = runtime.cache().contains(&chain.head().header.state_root);
     let other_tries = runtime.cache().mem_bytes() - if head_cached { memory.head_trie } else { 0 };
+    assert!(
+        other_tries < CACHE_BEYOND_HEAD_CEILING,
+        "the runtime holds {other_tries} B of state tries besides the head's"
+    );
     vec![
         ("head_accounts", memory.head_accounts),
         ("undo_records", memory.undo_records),

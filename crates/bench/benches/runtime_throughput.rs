@@ -1,15 +1,13 @@
 //! The `parp-runtime` throughput bench: what the serving runtime buys a
 //! full node under heavy read traffic.
 //!
-//! Three questions, three sections:
+//! Two questions, two sections:
 //!
 //! 1. **Cold vs warm snapshot cache** — `FullNode::handle_batch` at a
 //!    10k-account head, paying a full trie rebuild per batch (the
 //!    pre-runtime behaviour) versus reusing the cached `Arc`-shared
 //!    trie. The measured warm speedup is asserted ≥ 5×.
-//! 2. **Shard sweep** — multiproof generation for a 256-key batch at
-//!    1/2/4/8 shards, with byte-identical output asserted along the way.
-//! 3. **Fairness under contention** — the `parp-net` over-capacity
+//! 2. **Fairness under contention** — the `parp-net` over-capacity
 //!    scenario: a flooding client against honest clients, admitted
 //!    calls and latency per class, contended vs uncontended.
 
@@ -23,7 +21,8 @@ use parp_core::{FullNode, ProofEngine};
 use parp_crypto::{keccak256, SecretKey};
 use parp_net::{run_contention, ContentionConfig};
 use parp_primitives::{Address, U256};
-use parp_runtime::{sharded_account_multiproof, Runtime, RuntimeConfig};
+use parp_runtime::{Runtime, RuntimeConfig};
+use parp_trie::ProofBuf;
 use std::cell::Cell;
 use std::hint::black_box;
 use std::time::Instant;
@@ -36,12 +35,19 @@ const BATCH: usize = 64;
 struct ColdEngine;
 
 impl ProofEngine for ColdEngine {
-    fn account_multiproof(&mut self, state: &State, addresses: &[Address]) -> Vec<Vec<u8>> {
-        state.build_trie().prove_many(
-            addresses
-                .iter()
-                .map(|a| keccak256(a.as_bytes()).as_bytes().to_vec()),
-        )
+    fn account_multiproof_into(
+        &mut self,
+        state: &State,
+        addresses: &[Address],
+        out: &mut ProofBuf,
+    ) {
+        out.clear();
+        let keys = addresses
+            .iter()
+            .map(|a| keccak256(a.as_bytes()).as_bytes().to_vec());
+        for node in state.build_trie().prove_many(keys) {
+            out.push(&node);
+        }
     }
 
     fn account_proof(&mut self, state: &State, address: &Address) -> Vec<Vec<u8>> {
@@ -246,9 +252,11 @@ fn report_crypto_vs_trie_split() {
     let crypto = started.elapsed() / ROUNDS;
     // Trie share: the deduplicated multiproof off the cached snapshot.
     let state = chain.state();
+    let mut proof = ProofBuf::new();
     let started = Instant::now();
     for _ in 0..ROUNDS {
-        black_box(runtime.account_multiproof(state, targets));
+        runtime.account_multiproof_into(state, black_box(targets), &mut proof);
+        black_box(&proof);
     }
     let trie = started.elapsed() / ROUNDS;
     // Whole serve (verify + execute + multiproof + response signing).
@@ -277,29 +285,6 @@ fn report_crypto_vs_trie_split() {
          (pre-arena it held ~42% of a warm serve)",
         share(trie)
     );
-}
-
-fn bench_shard_sweep(c: &mut Criterion) {
-    let (chain, _executor, _node, _client, _channel, addresses) = serving_fixture(ACCOUNTS);
-    let state = chain.state();
-    let trie = state.shared_trie();
-    let targets = &addresses[..256];
-    let reference = sharded_account_multiproof(&trie, targets, 1);
-    let mut group = c.benchmark_group("runtime_throughput/shards");
-    group.sample_size(10);
-    for shards in [1usize, 2, 4, 8] {
-        let proof = sharded_account_multiproof(&trie, targets, shards);
-        assert_eq!(
-            proof, reference,
-            "shard count {shards} must be byte-identical"
-        );
-        group.bench_with_input(
-            BenchmarkId::new("multiproof_256", shards),
-            &shards,
-            |b, &s| b.iter(|| black_box(sharded_account_multiproof(&trie, targets, s))),
-        );
-    }
-    group.finish();
 }
 
 fn report_contention() {
@@ -332,7 +317,6 @@ fn report_contention() {
 fn run_all(c: &mut Criterion) {
     bench_cold_vs_warm(c);
     report_crypto_vs_trie_split();
-    bench_shard_sweep(c);
     report_contention();
 }
 

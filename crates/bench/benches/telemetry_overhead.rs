@@ -43,8 +43,8 @@ const BUDGET_PCT: f64 = 5.0;
 /// One warm serving world: a zero-latency network, a funded account
 /// set, a bonded channel, and every batch request pre-built and
 /// pre-signed (request construction is client-side work; the measured
-/// path is the node's serve: verify → snapshot cache → sharded
-/// multiproof → sign).
+/// path is the node's serve: verify → snapshot cache → multiproof →
+/// sign).
 struct World {
     net: Network,
     node: NodeId,

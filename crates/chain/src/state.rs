@@ -83,8 +83,8 @@ pub struct State {
     accounts: BTreeMap<Address, Account>,
     /// Lazily built, frozen secure trie over `accounts` (structure plus
     /// the O(depth)-proof encoding index); superseded by every write.
-    /// `OnceLock` keeps `&State` shareable across threads (the sharded
-    /// proof executor walks one frozen trie from many workers).
+    /// `OnceLock` keeps `&State` shareable across threads (the read
+    /// legs of a fan-out are served from one `&Blockchain`).
     trie: OnceLock<Arc<FrozenTrie>>,
     /// A trie built earlier in this generation, with the length the
     /// journal had while it was current: the accounts differ from it in
@@ -292,7 +292,7 @@ impl State {
     }
 
     /// The memoized, frozen secure state trie, shared behind an [`Arc`]
-    /// so snapshot caches and shard workers can hold it without copying.
+    /// so the serving runtime can hold it without copying.
     /// Built (and its proof index computed) at most once per write
     /// generation: derived from the parent trie when this state descends
     /// from a built one, frozen from scratch otherwise.

@@ -994,8 +994,8 @@ impl LightClient {
     /// §V-D classifications — a signature check plus a Merkle proof
     /// check each — are **independent pure functions** of the paired
     /// exchanges, the session keys and the header store, so they fan
-    /// out across scoped worker threads (the `parp-runtime` shard idiom,
-    /// via [`parp_crypto::par_map`]). Outcomes come back in leg order.
+    /// out across scoped worker threads ([`parp_crypto::par_map`]).
+    /// Outcomes come back in leg order.
     pub fn process_responses_from(
         &mut self,
         legs: &[(Address, ParpResponse)],

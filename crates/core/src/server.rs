@@ -22,33 +22,17 @@ use std::mem::size_of;
 /// Strategy that supplies state-trie proofs to the serving paths.
 ///
 /// [`FullNode::handle_request`] and [`FullNode::handle_batch`] are
-/// parameterized over this trait so a serving runtime can slot in
-/// snapshot caching and sharded proof generation *without* the protocol
-/// layer depending on it — the engine only decides **how** proof nodes
-/// are produced, never **which** nodes, so responses stay byte-identical
-/// across engines (the fraud checks require it).
+/// parameterized over this trait so a serving runtime can slot in its
+/// caches and counters *without* the protocol layer depending on it —
+/// the engine only decides **where** the trie a proof is cut from comes
+/// from, never **which** nodes the proof holds, so responses stay
+/// byte-identical across engines (the fraud checks require it).
 pub trait ProofEngine {
-    /// Deduplicated multiproof for `addresses` under `state`'s root,
-    /// equivalent to [`State::account_multiproof`].
-    fn account_multiproof(&mut self, state: &State, addresses: &[Address]) -> Vec<Vec<u8>>;
-
-    /// [`ProofEngine::account_multiproof`] serialized into a reusable
-    /// [`ProofBuf`]: the same node set, written zero-copy into one
-    /// contiguous allocation the serving loop carries across batches.
-    /// The default copies through the allocating path; engines backed
-    /// by an arena-frozen trie override it to skip the per-node `Vec`s
-    /// entirely.
-    fn account_multiproof_into(
-        &mut self,
-        state: &State,
-        addresses: &[Address],
-        out: &mut ProofBuf,
-    ) {
-        out.clear();
-        for node in self.account_multiproof(state, addresses) {
-            out.push(&node);
-        }
-    }
+    /// Deduplicated multiproof for `addresses` under `state`'s root —
+    /// the node set of [`State::account_multiproof`] — written into
+    /// `out`, the one contiguous buffer the serving loop carries across
+    /// batches (cleared first; capacity is kept).
+    fn account_multiproof_into(&mut self, state: &State, addresses: &[Address], out: &mut ProofBuf);
 
     /// Single-account proof under `state`'s root, equivalent to
     /// [`State::account_proof`].
@@ -88,17 +72,13 @@ pub trait ProofEngine {
     }
 }
 
-/// The built-in engine: proofs straight off the state's memoized trie,
-/// generated sequentially. [`FullNode::handle_request`] and
+/// The built-in engine: proofs straight off the state's memoized trie.
+/// [`FullNode::handle_request`] and
 /// [`FullNode::handle_batch`] use it when no runtime is attached.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SequentialEngine;
 
 impl ProofEngine for SequentialEngine {
-    fn account_multiproof(&mut self, state: &State, addresses: &[Address]) -> Vec<Vec<u8>> {
-        state.account_multiproof(addresses)
-    }
-
     fn account_multiproof_into(
         &mut self,
         state: &State,
@@ -601,10 +581,10 @@ impl FullNode {
     }
 
     /// [`FullNode::handle_batch`] with an explicit [`ProofEngine`] — the
-    /// hook a serving runtime uses to reuse a cached snapshot trie and
-    /// generate the multiproof across shards. Engines only change *how*
-    /// the proof nodes are produced; the response bytes are identical to
-    /// the sequential path for any engine and any shard count.
+    /// hook a serving runtime uses to count its cache traffic and to
+    /// serve inclusion proofs off cached per-block tries. Engines only
+    /// change *where* the proof nodes are read from; the response bytes
+    /// are identical to the sequential path for any engine.
     ///
     /// # Errors
     ///

@@ -3,9 +3,8 @@
 //! Some PARP verification sites run several **independent** ECDSA
 //! operations: a gateway cross-checks `k` quorum responses, a batch
 //! verifier judges N items. These helpers spread that work across
-//! `std::thread::scope` workers — the same per-batch worker idiom as
-//! `parp-runtime`'s sharded multiproof executor: workers live exactly as
-//! long as the call and nothing persists.
+//! `std::thread::scope` workers: they live exactly as long as the call
+//! and nothing persists.
 //!
 //! **A spawn is not free.** On the 2-vCPU reference VM one scoped
 //! spawn-and-join is 12–40 µs back to back in a tight loop and 28–250 µs

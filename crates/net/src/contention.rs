@@ -5,8 +5,8 @@
 //! One client floods far beyond any sustainable rate while honest
 //! clients request at modest, paid-for rates. The scenario drives real
 //! batched exchanges through the serving runtime (so the snapshot cache
-//! and shard pool are exercised, not mocked) under a deterministic
-//! logical clock, and reports per-client admission and latency figures.
+//! is exercised, not mocked) under a deterministic logical clock, and
+//! reports per-client admission and latency figures.
 //! The properties the runtime must deliver — the flooder bounded to its
 //! token-bucket rate, honest clients' latency within a small factor of
 //! the uncontended case — are asserted by `tests/runtime.rs` on top of

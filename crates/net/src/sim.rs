@@ -341,9 +341,9 @@ pub struct Network {
     faucet: SecretKey,
     clock_us: u64,
     /// The serving runtime every node's exchanges route through:
-    /// snapshot cache (invalidated by [`Network::mine`]), sharded proof
-    /// generation, and the admission controller the contention scenario
-    /// drives.
+    /// the head trie it proves state off (re-taken by
+    /// [`Network::mine`]), the inclusion-trie cache, and the admission
+    /// controller the contention scenario drives.
     runtime: Runtime,
     /// Per-provider exchange accounting (see [`ProviderAggregate`]).
     provider_stats: HashMap<Address, ProviderAggregate>,
@@ -623,7 +623,7 @@ impl Network {
             .expect("just inserted")
     }
 
-    /// Replaces the serving runtime (cache size, shard count, admission
+    /// Replaces the serving runtime (inclusion-cache size, admission
     /// limits). The existing cache is dropped with the old runtime; the
     /// network's injected clock carries over so a runtime swap cannot
     /// silently reintroduce wall-clock readings into the sim.
@@ -637,8 +637,7 @@ impl Network {
         &self.runtime
     }
 
-    /// Mutable access to the serving runtime (admission checks, shard
-    /// reconfiguration).
+    /// Mutable access to the serving runtime (admission checks).
     pub fn runtime_mut(&mut self) -> &mut Runtime {
         &mut self.runtime
     }
@@ -679,8 +678,8 @@ impl Network {
     /// Propagates chain validation failures.
     pub fn mine(&mut self, txs: Vec<SignedTransaction>) -> Result<(), SimError> {
         self.chain.produce_block(txs, &mut self.executor)?;
-        // The head moved: evict unreachable snapshot tries and warm the
-        // new head so the next exchange is a cache hit.
+        // The head moved: hand the runtime the new head's trie (it lets
+        // go of the old one) so the next exchange is a cache hit.
         self.runtime.note_new_head(&self.chain);
         Ok(())
     }
@@ -1507,8 +1506,8 @@ impl Network {
     }
 
     /// Server-side batch handling only (used by the benches). Routes
-    /// through the serving runtime: cached snapshot trie, sharded
-    /// multiproof generation — byte-identical to the sequential path.
+    /// through the serving runtime: one multiproof walk over the held
+    /// head trie — byte-identical to [`FullNode::handle_batch`].
     ///
     /// # Errors
     ///

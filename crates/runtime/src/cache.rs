@@ -1,19 +1,20 @@
-//! LRU cache of fully built, [`Arc`]-shared state tries, keyed by state
-//! root.
+//! LRU cache of fully built, [`Arc`]-shared tries, keyed by trie root.
 //!
 //! A PARP full node serves almost all of its traffic at an unchanged
 //! head: every batch and every single balance read between two blocks
-//! walks the *same* state trie. Rebuilding it per exchange is an O(n)
-//! cost in the account count — the dominant term the ROADMAP's
-//! "snapshot caching across batches" item names. The cache holds the
-//! last few built tries (head plus a short tail of recent snapshots for
-//! historical serving) behind `Arc`s, so concurrent shard workers and
-//! overlapping exchanges all share one build.
+//! walks the *same* state trie, and every lookup into a hot block walks
+//! the same transaction or receipt trie. The cache holds built tries
+//! behind `Arc`s so overlapping exchanges (and the read legs of a
+//! fan-out) share one build. [`Runtime`](crate::Runtime) uses it twice:
+//! with one slot for the head state trie — PARP proves accounts at the
+//! head only, so nothing older is kept — and with a fixed number of
+//! slots for per-block inclusion tries.
 //!
-//! Keying by state root makes entries content-addressed: a cached trie
-//! can never be *wrong* for its key, so invalidation is purely a memory
-//! and relevance concern — [`SnapshotCache::retain`] drops roots that a
-//! new head (or a reorg) has made unreachable.
+//! Keying by root makes entries content-addressed: a cached trie can
+//! never be *wrong* for its key, so invalidation is purely a memory and
+//! relevance concern — a full cache drops its least recently used
+//! entry, and [`SnapshotCache::retain`] drops whatever roots the caller
+//! no longer wants.
 
 use parp_chain::State;
 use parp_primitives::H256;
@@ -21,7 +22,7 @@ use parp_telemetry::Counter;
 use parp_trie::FrozenTrie;
 use std::sync::Arc;
 
-/// An LRU of built state tries keyed by their root hash.
+/// An LRU of built tries keyed by their root hash.
 ///
 /// Hit/miss accounting lives in live [`Counter`] handles so a
 /// telemetry [`Registry`](parp_telemetry::Registry) can adopt them
@@ -167,9 +168,8 @@ impl SnapshotCache {
         }
     }
 
-    /// Keeps only the entries whose root satisfies `keep` — the
-    /// invalidation hook a new head or a reorg drives: roots no longer
-    /// reachable from the canonical chain are dropped in one sweep.
+    /// Keeps only the entries whose root satisfies `keep`, dropping the
+    /// rest in one sweep.
     pub fn retain(&mut self, keep: impl Fn(&H256) -> bool) {
         self.entries.retain(|(root, _)| keep(root));
     }

@@ -4,21 +4,16 @@
 //! The accountable RPC protocol only matters at provider scale — a full
 //! node serving heavy read traffic from many light clients must not let
 //! per-request overheads swamp the accountability machinery. This crate
-//! supplies the three serving-layer mechanisms the protocol layer
+//! supplies the serving-layer mechanisms the protocol layer
 //! (`parp-core`) deliberately stays agnostic of:
 //!
-//! * [`SnapshotCache`] — an LRU of fully built, `Arc`-shared state
-//!   tries keyed by state root. Every exchange served at an unchanged
-//!   head reuses one trie instead of paying an O(accounts) rebuild;
-//!   [`Runtime::note_new_head`] is the invalidation hook block
-//!   production (and reorgs) drive.
-//! * [`sharded_account_multiproof`] — batch items split across a
-//!   `std::thread` worker pool in equal contiguous chunks (balanced for
-//!   any key skew), workers exchanging arena witness ids rather than
-//!   proof bytes, with per-shard paths merged into the *same*
-//!   deduplicated multiproof the sequential path produces:
-//!   byte-identical output for every shard count, so sharding can never
-//!   change what the client verifies.
+//! * [`SnapshotCache`] — a small LRU of built, `Arc`-shared tries keyed
+//!   by trie root. [`Runtime`] keeps two: a **one-slot** holder of the
+//!   head state trie (the very `Arc` the chain's `State` memoises, so a
+//!   state proof is one [`FrozenTrie::multiproof_into`](parp_trie::FrozenTrie::multiproof_into)
+//!   walk and nothing is built twice; [`Runtime::note_new_head`] is the
+//!   hook block production drives), and a fixed-slot cache of per-block
+//!   transaction / receipt tries for batched inclusion lookups.
 //! * [`AdmissionController`] + [`FairQueue`] — per-client token-bucket
 //!   rate limiting and fair round-robin dequeueing across open
 //!   channels, so one flooding client is bounded to its paid-for rate
@@ -30,23 +25,25 @@
 //!   node can serve arbitrarily deep history under a fixed
 //!   `storage_budget_bytes` memory envelope.
 //!
-//! [`Runtime`] bundles the three behind `parp-core`'s
+//! [`Runtime`] bundles them behind `parp-core`'s
 //! [`ProofEngine`](parp_core::ProofEngine) hook:
 //!
 //! ```
-//! use parp_runtime::{Runtime, RuntimeConfig};
+//! use parp_runtime::Runtime;
 //! use parp_chain::State;
 //! use parp_core::ProofEngine;
 //! use parp_primitives::{Address, U256};
+//! use parp_trie::ProofBuf;
 //!
-//! let mut runtime = Runtime::new(RuntimeConfig { shards: 4, ..Default::default() });
+//! let mut runtime = Runtime::default();
 //! let state = State::with_alloc(
 //!     (1..=100u64).map(|i| (Address::from_low_u64_be(i), U256::from(i))),
 //! );
 //! let addresses = [Address::from_low_u64_be(1), Address::from_low_u64_be(2)];
-//! let multiproof = runtime.account_multiproof(&state, &addresses);
-//! // Identical bytes to the sequential path, with the build now cached.
-//! assert_eq!(multiproof, state.account_multiproof(&addresses));
+//! let mut multiproof = ProofBuf::new();
+//! runtime.account_multiproof_into(&state, &addresses, &mut multiproof);
+//! // The bytes `State` itself proves, cut from the trie it memoises.
+//! assert_eq!(multiproof.to_vecs(), state.account_multiproof(&addresses));
 //! assert_eq!(runtime.cache().misses(), 1);
 //! ```
 
@@ -56,14 +53,9 @@
 mod admission;
 mod cache;
 mod runtime;
-mod shard;
 mod tiered;
 
 pub use admission::{AdmissionController, AdmissionError, AdmissionStats, FairQueue, TokenBucket};
 pub use cache::SnapshotCache;
 pub use runtime::{FrozenReadEngine, Runtime, RuntimeConfig, RuntimeError};
-pub use shard::{
-    shard_of, sharded_account_multiproof, sharded_account_multiproof_into, INLINE_THRESHOLD,
-    MAX_SHARDS,
-};
 pub use tiered::{ColdProofEngine, TieredSnapshotStore};

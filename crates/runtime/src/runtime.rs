@@ -1,9 +1,8 @@
-//! The serving runtime: snapshot cache + sharded proof executor +
+//! The serving runtime: head-trie holder + inclusion-trie cache +
 //! admission controller behind one [`parp_core::ProofEngine`].
 
 use crate::admission::{AdmissionController, AdmissionError, AdmissionStats};
 use crate::cache::SnapshotCache;
-use crate::shard::{sharded_account_multiproof, sharded_account_multiproof_into};
 use crate::tiered::{item_with_proof, ordered_page, ColdProofEngine};
 use parp_chain::{Blockchain, Header, State};
 use parp_contracts::{
@@ -14,20 +13,16 @@ use parp_crypto::keccak256;
 use parp_primitives::{Address, H256};
 use parp_telemetry::{Histogram, Telemetry, TimeSource};
 use parp_trie::{FrozenTrie, ProofBuf};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Tuning knobs for a [`Runtime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
-    /// Built tries kept in the snapshot cache (head + recent history).
-    pub snapshot_cache_capacity: usize,
     /// Built per-block transaction and receipt tries kept for serving
     /// batched inclusion lookups (each block contributes up to two
-    /// tries, so this covers roughly half as many hot blocks).
+    /// tries, so this covers roughly half as many hot blocks). At least
+    /// one is kept: [`Runtime::new`] reads zero as one.
     pub inclusion_cache_capacity: usize,
-    /// Worker shards for multiproof generation.
-    pub shards: usize,
     /// Per-client admission burst (calls).
     pub burst_capacity: u64,
     /// Per-client steady-state admission rate (calls per second).
@@ -45,9 +40,7 @@ pub struct RuntimeConfig {
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
-            snapshot_cache_capacity: 8,
             inclusion_cache_capacity: 16,
-            shards: 4,
             burst_capacity: 256,
             rate_per_sec: 512,
             storage_budget_bytes: 0,
@@ -90,14 +83,16 @@ impl From<ServeError> for RuntimeError {
 ///
 /// Combines the runtime concerns:
 ///
-/// * a [`SnapshotCache`] so exchanges served at an unchanged head reuse
-///   one `Arc`-shared trie instead of paying an O(accounts) rebuild;
+/// * a one-slot [`SnapshotCache`] holding the **head** state trie — the
+///   `Arc` the chain's [`State`] memoises, not a second build — so every
+///   state proof is one [`FrozenTrie::multiproof_into`] /
+///   [`FrozenTrie::prove`] walk over it, and the slot's hit / miss
+///   counters say how often the head moved under the traffic. PARP
+///   proves accounts at the head only, so no older state trie is kept;
 /// * a second cache of per-block **transaction and receipt tries**
 ///   (content-addressed by their roots, exactly like state tries), so
 ///   batched historical inclusion lookups against a hot block reuse one
 ///   frozen trie instead of rebuilding it per proof;
-/// * [sharded multiproof generation](crate::sharded_account_multiproof),
-///   byte-identical to the sequential path for any shard count;
 /// * an [`AdmissionController`] so one aggressive client cannot starve
 ///   the others ([`Runtime::admit`] + [`crate::FairQueue`]).
 ///
@@ -106,12 +101,12 @@ impl From<ServeError> for RuntimeError {
 /// [`Runtime::serve_batch`] are the ready-made entry points.
 #[derive(Debug, Clone)]
 pub struct Runtime {
+    /// One slot: the head state trie, the `Arc` the chain's `State` holds.
     cache: SnapshotCache,
     /// Frozen transaction/receipt tries keyed by their trie roots.
     /// Content addressing makes entries reusable across forks and
     /// immune to invalidation: a block's transaction set never changes.
     inclusion_cache: SnapshotCache,
-    shards: usize,
     admission: AdmissionController,
     /// Serve-path histograms, present once a telemetry registry is
     /// attached. `None` keeps the uninstrumented path at one branch.
@@ -142,16 +137,6 @@ impl Default for Runtime {
 }
 
 impl ProofEngine for Runtime {
-    fn account_multiproof(&mut self, state: &State, addresses: &[Address]) -> Vec<Vec<u8>> {
-        let trie = self.cache.get_or_build(state);
-        let start = self.metrics.is_some().then(|| self.clock.start());
-        let proof = sharded_account_multiproof(&trie, addresses, self.shards);
-        if let (Some(m), Some(t)) = (&self.metrics, start) {
-            m.multiproof_us.record(self.clock.elapsed_us(t));
-        }
-        proof
-    }
-
     fn account_multiproof_into(
         &mut self,
         state: &State,
@@ -160,7 +145,7 @@ impl ProofEngine for Runtime {
     ) {
         let trie = self.cache.get_or_build(state);
         let start = self.metrics.is_some().then(|| self.clock.start());
-        sharded_account_multiproof_into(&trie, addresses, self.shards, out);
+        account_multiproof_into(&trie, addresses, out);
         if let (Some(m), Some(t)) = (&self.metrics, start) {
             m.multiproof_us.record(self.clock.elapsed_us(t));
         }
@@ -207,7 +192,8 @@ impl Runtime {
     /// scratch directory; an environment without a writable temp dir
     /// falls back to the in-memory inclusion cache (serving still
     /// works, just unbudgeted). Call [`Runtime::enable_cold_storage`]
-    /// to place the spill file somewhere durable instead.
+    /// to place the spill file somewhere durable instead. An
+    /// `inclusion_cache_capacity` of zero is read as one.
     pub fn new(config: RuntimeConfig) -> Self {
         let cold = (config.storage_budget_bytes > 0)
             .then(|| {
@@ -220,9 +206,8 @@ impl Runtime {
             })
             .flatten();
         Runtime {
-            cache: SnapshotCache::new(config.snapshot_cache_capacity),
-            inclusion_cache: SnapshotCache::new(config.inclusion_cache_capacity),
-            shards: config.shards.max(1),
+            cache: SnapshotCache::new(1),
+            inclusion_cache: SnapshotCache::new(config.inclusion_cache_capacity.max(1)),
             admission: AdmissionController::new(config.burst_capacity, config.rate_per_sec),
             metrics: None,
             clock: TimeSource::default(),
@@ -361,7 +346,7 @@ impl Runtime {
         self
     }
 
-    /// The snapshot cache (hit/miss counters, contents).
+    /// The one-slot head-trie cache (hit/miss counters, contents).
     pub fn cache(&self) -> &SnapshotCache {
         &self.cache
     }
@@ -380,16 +365,6 @@ impl Runtime {
             + self.cache.mem_bytes()
             + self.inclusion_cache.mem_bytes()
             + self.cold.as_ref().map_or(0, |c| c.tier().resident_bytes())
-    }
-
-    /// Current shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Changes the shard count (responses stay byte-identical).
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards.max(1);
     }
 
     /// Admission check for `calls` calls from `client` at `now_us`.
@@ -431,8 +406,7 @@ impl Runtime {
         response
     }
 
-    /// Serves one batched exchange through the snapshot cache and the
-    /// shard pool.
+    /// Serves one batched exchange through the snapshot cache.
     ///
     /// # Errors
     ///
@@ -466,20 +440,23 @@ impl Runtime {
         }
     }
 
-    /// Invalidation hook for `Blockchain::mine` (and reorgs): drops
-    /// cached tries whose roots are no longer reachable from the
-    /// canonical chain's recent history, then warms the cache with the
-    /// new head so the next exchange is a hit.
+    /// Invalidation hook for `Blockchain::mine` (and reorgs): takes the
+    /// new head's trie into the one slot — which lets go of whatever
+    /// was there — so the next exchange is a hit.
     pub fn note_new_head(&mut self, chain: &Blockchain) {
-        let head = chain.height();
-        let window = self.cache.capacity() as u64;
-        let recent: HashSet<_> = (head.saturating_sub(window.saturating_sub(1))..=head)
-            .filter_map(|number| chain.block(number))
-            .map(|block| block.header.state_root)
-            .collect();
-        self.cache.retain(|root| recent.contains(root));
         self.cache.get_or_build(chain.state());
     }
+}
+
+/// The deduplicated multiproof for `addresses` (keys `keccak256(address)`)
+/// cut from `trie` into `out`.
+fn account_multiproof_into(trie: &FrozenTrie, addresses: &[Address], out: &mut ProofBuf) {
+    trie.multiproof_into(
+        addresses
+            .iter()
+            .map(|address| keccak256(address.as_bytes())),
+        out,
+    );
 }
 
 /// A detached read-only [`ProofEngine`] over one `Arc`-shared frozen
@@ -493,17 +470,13 @@ pub struct FrozenReadEngine {
 }
 
 impl ProofEngine for FrozenReadEngine {
-    fn account_multiproof(&mut self, _state: &State, addresses: &[Address]) -> Vec<Vec<u8>> {
-        sharded_account_multiproof(&self.trie, addresses, 1)
-    }
-
     fn account_multiproof_into(
         &mut self,
         _state: &State,
         addresses: &[Address],
         out: &mut ProofBuf,
     ) {
-        sharded_account_multiproof_into(&self.trie, addresses, 1, out);
+        account_multiproof_into(&self.trie, addresses, out);
     }
 
     fn account_proof(&mut self, _state: &State, address: &Address) -> Vec<Vec<u8>> {
@@ -517,14 +490,28 @@ mod tests {
     use parp_primitives::U256;
     use std::sync::Arc;
 
+    /// A signed one-unit transfer from `key` to account 7.
+    fn transfer(key: &parp_crypto::SecretKey, nonce: u64) -> parp_chain::SignedTransaction {
+        parp_chain::Transaction {
+            nonce,
+            gas_price: U256::ZERO,
+            gas_limit: 21_000,
+            to: Some(Address::from_low_u64_be(7)),
+            value: U256::ONE,
+            data: Vec::new(),
+        }
+        .sign(key)
+    }
+
     #[test]
     fn engine_reuses_cached_trie() {
         let mut runtime = Runtime::default();
         let state =
             State::with_alloc((1..=64u64).map(|i| (Address::from_low_u64_be(i), U256::from(i))));
         let addresses: Vec<Address> = (1..=8).map(Address::from_low_u64_be).collect();
-        let multi = runtime.account_multiproof(&state, &addresses);
-        assert_eq!(multi, state.account_multiproof(&addresses));
+        let mut multi = ProofBuf::new();
+        runtime.account_multiproof_into(&state, &addresses, &mut multi);
+        assert_eq!(multi.to_vecs(), state.account_multiproof(&addresses));
         assert_eq!(runtime.cache().misses(), 1);
         let single = runtime.account_proof(&state, &addresses[0]);
         assert_eq!(single, state.account_proof(&addresses[0]));
@@ -533,62 +520,81 @@ mod tests {
     }
 
     #[test]
-    fn note_new_head_evicts_unreachable_roots() {
-        let mut runtime = Runtime::new(RuntimeConfig {
-            snapshot_cache_capacity: 2,
-            ..RuntimeConfig::default()
-        });
+    fn runtime_keeps_the_head_trie_and_nothing_else() {
+        let mut runtime = Runtime::default();
         let key = parp_crypto::SecretKey::from_seed(b"runtime-head");
-        let mut chain = Blockchain::new(vec![(key.address(), U256::from(1u64) << 64)]);
-        // A foreign root (an abandoned fork, say) sits in the cache.
+        let bystanders = (1..=200u64).map(|i| (Address::from_low_u64_be(0x1000 + i), U256::ONE));
+        let mut chain = Blockchain::new(
+            std::iter::once((key.address(), U256::from(1u64) << 64)).chain(bystanders),
+        );
+        // A foreign root (an abandoned fork, say) sits in the slot.
         let foreign = State::with_alloc([(Address::from_low_u64_be(9), U256::ONE)]);
         let foreign_root = foreign.state_root();
         runtime.cache.insert(foreign_root, foreign.shared_trie());
-        // Also warm an Arc for the genesis trie to check continuity.
-        let genesis_trie = runtime.cache.get_or_build(chain.state());
-        chain
-            .produce_block(
-                vec![parp_chain::Transaction {
-                    nonce: 0,
-                    gas_price: U256::ZERO,
-                    gas_limit: 21_000,
-                    to: Some(Address::from_low_u64_be(2)),
-                    value: U256::ONE,
-                    data: Vec::new(),
-                }
-                .sign(&key)],
-                &mut parp_chain::TransferExecutor,
-            )
-            .unwrap();
-        runtime.note_new_head(&chain);
-        let head_root = chain.head().header.state_root;
-        assert!(runtime.cache().contains(&head_root), "head warmed");
+        let mut earlier_heads = Vec::new();
+        let mut mem_at_second = 0;
+        for nonce in 0..12 {
+            chain
+                .produce_block(
+                    vec![transfer(&key, nonce)],
+                    &mut parp_chain::TransferExecutor,
+                )
+                .unwrap();
+            runtime.note_new_head(&chain);
+            assert!(
+                earlier_heads
+                    .iter()
+                    .all(|trie: &std::sync::Weak<FrozenTrie>| trie.upgrade().is_none()),
+                "a trie below the head is still alive at block {}",
+                chain.height()
+            );
+            assert!(!runtime.cache().contains(&foreign_root));
+            assert_eq!(runtime.cache().len(), 1);
+            let held = runtime
+                .cache
+                .get(&chain.head().header.state_root)
+                .expect("the head is held");
+            assert!(Arc::ptr_eq(&held, &chain.state().shared_trie()));
+            earlier_heads.push(Arc::downgrade(&held));
+            if chain.height() == 2 {
+                mem_at_second = runtime.mem_bytes();
+            }
+        }
+        let mem_at_last = runtime.mem_bytes();
         assert!(
-            !runtime.cache().contains(&foreign_root),
-            "unreachable root evicted"
+            mem_at_last.abs_diff(mem_at_second) * 20 <= mem_at_second,
+            "{mem_at_second} B at block 2, {mem_at_last} B at block 12"
         );
-        // The genesis root is still within the 2-block window: kept, and
-        // still the same shared build.
-        let genesis_root = chain.block(0).unwrap().header.state_root;
-        assert!(runtime.cache().contains(&genesis_root));
-        let again = runtime.cache.get(&genesis_root).unwrap();
-        assert!(Arc::ptr_eq(&genesis_trie, &again));
+    }
+
+    #[test]
+    fn zero_inclusion_capacity_is_read_as_one() {
+        let mut runtime = Runtime::new(RuntimeConfig {
+            inclusion_cache_capacity: 0,
+            ..RuntimeConfig::default()
+        });
+        let key = parp_crypto::SecretKey::from_seed(b"zero-capacity");
+        let mut chain = Blockchain::new(vec![(key.address(), U256::from(1u64) << 64)]);
+        for nonce in 0..2 {
+            chain
+                .produce_block(
+                    vec![transfer(&key, nonce)],
+                    &mut parp_chain::TransferExecutor,
+                )
+                .unwrap();
+        }
+        for block in [1, 2] {
+            let header = chain.header_at(block).unwrap();
+            let proof = runtime.transaction_proof(&chain, &header, 0);
+            assert!(!proof.is_empty());
+            assert_eq!(Some(proof), chain.transaction_proof(block, 0));
+        }
+        assert_eq!(runtime.inclusion_cache().len(), 1);
     }
 
     #[test]
     fn cold_runtime_serves_pruned_blocks_byte_identically() {
         let key = parp_crypto::SecretKey::from_seed(b"cold-runtime");
-        let make_tx = |nonce| {
-            parp_chain::Transaction {
-                nonce,
-                gas_price: U256::ZERO,
-                gas_limit: 21_000,
-                to: Some(Address::from_low_u64_be(7)),
-                value: U256::ONE,
-                data: Vec::new(),
-            }
-            .sign(&key)
-        };
         // Twin chains over the same blocks: `cold` prunes behind a
         // history store, `resident` keeps everything in memory.
         let alloc = vec![(key.address(), U256::from(1u64) << 64)];
@@ -601,10 +607,10 @@ mod tests {
         for nonce in 0..blocks {
             let executor = &mut parp_chain::TransferExecutor;
             cold_chain
-                .produce_block(vec![make_tx(nonce)], executor)
+                .produce_block(vec![transfer(&key, nonce)], executor)
                 .unwrap();
             resident
-                .produce_block(vec![make_tx(nonce)], executor)
+                .produce_block(vec![transfer(&key, nonce)], executor)
                 .unwrap();
         }
         assert!(cold_chain.resident_base() > 1, "old blocks were pruned");

@@ -7,7 +7,7 @@ use parp_core::ProofEngine;
 use parp_primitives::{Address, H256};
 use parp_store::SpillStore;
 use parp_telemetry::{Counter, Gauge};
-use parp_trie::FrozenTrie;
+use parp_trie::{FrozenTrie, ProofBuf};
 use std::sync::Arc;
 
 /// A [`SnapshotCache`](crate::SnapshotCache)-shaped store whose warm
@@ -256,8 +256,13 @@ pub(crate) fn item_with_proof(page: &FrozenTrie, index: usize) -> Option<(Vec<u8
 }
 
 impl ProofEngine for ColdProofEngine {
-    fn account_multiproof(&mut self, state: &State, addresses: &[Address]) -> Vec<Vec<u8>> {
-        state.account_multiproof(addresses)
+    fn account_multiproof_into(
+        &mut self,
+        state: &State,
+        addresses: &[Address],
+        out: &mut ProofBuf,
+    ) {
+        state.account_multiproof_into(addresses, out);
     }
 
     fn account_proof(&mut self, state: &State, address: &Address) -> Vec<Vec<u8>> {

@@ -29,9 +29,8 @@
 //! the retained baseline — the freeze changes where encodings come
 //! from, never what they are — so frozen proofs verify (and
 //! fraud-check) interchangeably with unfrozen ones. This is the shape
-//! the serving runtime's snapshot cache shares across batches and shard
-//! workers: workers walk arena ids and only the final merge touches
-//! bytes.
+//! the chain's head state and the serving runtime share behind one
+//! `Arc`: a walk chases arena ids and only the final emit touches bytes.
 //!
 //! # Deriving instead of re-freezing
 //!
@@ -206,9 +205,8 @@ impl FrozenTrie {
         self.root
     }
 
-    /// Number of arena nodes. Witness ids from [`FrozenTrie::prove_ids`]
-    /// are always below this bound, so a `node_count()`-sized bitset
-    /// dedups any set of id paths.
+    /// Number of arena nodes: the bound every id accepted by
+    /// [`FrozenTrie::node_bytes`] is below.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
@@ -371,8 +369,7 @@ impl FrozenTrie {
     ///
     /// # Panics
     ///
-    /// Panics when `id` is not a valid arena id (ids come from
-    /// [`FrozenTrie::prove_ids`] on the same trie).
+    /// Panics when `id` is not below [`FrozenTrie::node_count`].
     pub fn node_bytes(&self, id: u32) -> &[u8] {
         let node = &self.nodes[id as usize];
         &self.buf[node.enc_off as usize..(node.enc_off + node.enc_len) as usize]
@@ -383,9 +380,8 @@ impl FrozenTrie {
     ///
     /// Mapping each id through [`FrozenTrie::node_bytes`] reproduces
     /// [`FrozenTrie::prove`] exactly; first-touch deduplication over the
-    /// ids reproduces [`FrozenTrie::prove_many`]. This is the shard
-    /// workers' interface: they exchange ids, never bytes.
-    pub fn prove_ids(&self, key: &[u8], out: &mut Vec<u32>) {
+    /// ids reproduces [`FrozenTrie::prove_many`].
+    fn prove_ids(&self, key: &[u8], out: &mut Vec<u32>) {
         self.walk(key, |node, is_root| {
             if node.enc_len >= 32 || is_root {
                 out.push(node.dedup);

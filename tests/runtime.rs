@@ -1,30 +1,17 @@
-//! End-to-end tests for the `parp-runtime` serving engine: sharded
-//! serving determinism, snapshot-cache behaviour across blocks, LRU
-//! bounds, and fairness under a flooding client.
+//! End-to-end tests for the `parp-runtime` serving engine: byte
+//! identity with the bare full node, head-trie cache behaviour across
+//! blocks, LRU bounds, and fairness under a flooding client.
 
-use parp_suite::contracts::RpcCall;
-use parp_suite::net::{run_contention, ContentionConfig, Network};
+use parp_suite::contracts::{ParpBatchRequest, ParpBatchResponse, RpcCall};
+use parp_suite::net::{run_contention, ContentionConfig, Network, NodeId};
 use parp_suite::primitives::{Address, U256};
 use parp_suite::runtime::{Runtime, RuntimeConfig, SnapshotCache};
 
 const PRICE: u64 = 10;
 
-/// A connected network with `accounts` bulk-funded addresses and a
-/// runtime configured with `shards` shards.
-fn connected_with_shards(
-    shards: usize,
-    accounts: u64,
-) -> (
-    Network,
-    parp_suite::net::NodeId,
-    parp_suite::core::LightClient,
-    Vec<Address>,
-) {
+/// A connected network with `accounts` bulk-funded addresses.
+fn connected(accounts: u64) -> (Network, NodeId, parp_suite::core::LightClient, Vec<Address>) {
     let mut net = Network::new();
-    net.set_runtime(Runtime::new(RuntimeConfig {
-        shards,
-        ..RuntimeConfig::default()
-    }));
     let node = net.spawn_node(b"runtime-node", U256::from(PRICE));
     let mut client = net.spawn_client(b"runtime-client", U256::from(PRICE));
     net.connect(&mut client, node, U256::from(1_000_000u64))
@@ -37,14 +24,44 @@ fn connected_with_shards(
     (net, node, client, addresses)
 }
 
+/// The two proof engines a batch can be served through: the network's
+/// `Runtime`, and the bare `FullNode` with its built-in
+/// `SequentialEngine` (on copies of the node, chain and executor — the
+/// network lends them out only together with its runtime).
+#[derive(Debug, Clone, Copy)]
+enum Engine {
+    Runtime,
+    Sequential,
+}
+
+impl Engine {
+    fn serve(
+        self,
+        net: &mut Network,
+        node: NodeId,
+        request: &ParpBatchRequest,
+    ) -> ParpBatchResponse {
+        match self {
+            Engine::Runtime => net.serve_batch(node, request).expect("serve"),
+            Engine::Sequential => {
+                let (mut chain, mut executor) = (net.chain().clone(), net.executor().clone());
+                let mut bare = net.node(node).clone();
+                bare.handle_batch(request, &mut chain, &mut executor)
+                    .expect("serve")
+            }
+        }
+    }
+}
+
 #[test]
-fn sharded_batch_responses_are_byte_identical() {
-    // The same seeded network at shard counts 1, 2 and 8 must sign the
-    // exact same bytes for the same batch: sharding decides who walks
-    // which key, never what goes on the wire.
+fn batch_responses_are_byte_identical_across_engines() {
+    // The same seeded network served through the runtime and through
+    // the bare full node must sign the exact same bytes for the same
+    // batch: an engine decides where the trie comes from, never what
+    // goes on the wire.
     let mut encodings = Vec::new();
-    for shards in [1usize, 2, 8] {
-        let (mut net, node, mut client, addresses) = connected_with_shards(shards, 24);
+    for engine in [Engine::Runtime, Engine::Sequential] {
+        let (mut net, node, mut client, addresses) = connected(24);
         let calls: Vec<RpcCall> = addresses
             .iter()
             .map(|a| RpcCall::GetBalance { address: *a })
@@ -56,39 +73,39 @@ fn sharded_batch_responses_are_byte_identical() {
             .chain([RpcCall::BlockNumber])
             .collect();
         let request = client.request_batch(calls).expect("batch request");
-        let response = net.serve_batch(node, &request).expect("serve");
-        assert_eq!(net.runtime().shards(), shards);
-        encodings.push((shards, request.encode(), response.encode()));
+        let response = engine.serve(&mut net, node, &request);
+        encodings.push((engine, request.encode(), response.encode()));
     }
     let (_, ref request_reference, ref response_reference) = encodings[0];
-    for (shards, request, response) in &encodings {
-        assert_eq!(
-            request, request_reference,
-            "fixture drift at {shards} shards"
-        );
+    for (engine, request, response) in &encodings {
+        assert_eq!(request, request_reference, "fixture drift under {engine:?}");
         assert_eq!(
             response, response_reference,
-            "response bytes diverged at {shards} shards"
+            "response bytes diverged under {engine:?}"
         );
     }
 }
 
 #[test]
 fn skewed_batch_byte_identical_and_passes_fraud_conditions() {
-    // A Zipf-flavoured batch — most calls hammer a few hot accounts —
-    // served off the arena-frozen trie at shard counts 1, 2 and 8 must
-    // sign the same bytes. And the honest arena-served response must
-    // pass the on-chain fraud conditions: a framing attempt against it
-    // reverts, so the zero-copy serving path interoperates with the
-    // accountability machinery unchanged.
+    // A Zipf-flavoured batch — most calls hammer a few hot accounts,
+    // two ask for accounts that do not exist — served off the
+    // arena-frozen trie through either engine must sign the same bytes.
+    // And the honest arena-served response must pass the on-chain fraud
+    // conditions: a framing attempt against it reverts, so the zero-copy
+    // serving path interoperates with the accountability machinery
+    // unchanged.
     let mut encodings = Vec::new();
-    for shards in [1usize, 2, 8] {
-        let (mut net, node, mut client, addresses) = connected_with_shards(shards, 16);
+    for engine in [Engine::Runtime, Engine::Sequential] {
+        let (mut net, node, mut client, addresses) = connected(16);
         let witness = net.spawn_node(b"runtime-witness", U256::from(PRICE));
         let calls: Vec<RpcCall> = (0..96usize)
             .map(|i| {
-                // ~70% of calls hit 3 hot accounts; the rest spread out.
-                let address = if i % 10 < 7 {
+                // ~70% of calls hit 3 hot accounts; the rest spread out,
+                // and calls 33 and 66 name accounts nobody funded.
+                let address = if i % 33 == 0 && i > 0 {
+                    Address::from_low_u64_be(0xDEAD00 + i as u64)
+                } else if i % 10 < 7 {
                     addresses[i % 3]
                 } else {
                     addresses[(i * 7) % addresses.len()]
@@ -97,12 +114,12 @@ fn skewed_batch_byte_identical_and_passes_fraud_conditions() {
             })
             .collect();
         let request = client.request_batch(calls).expect("batch request");
-        let response = net.serve_batch(node, &request).expect("serve");
+        let response = engine.serve(&mut net, node, &request);
         net.sync_client(&mut client);
         let outcome = client.process_batch_response(&response).expect("process");
         assert!(
             matches!(outcome, parp_suite::core::ProcessBatchOutcome::Valid { .. }),
-            "arena-served skewed batch must classify Valid at {shards} shards"
+            "arena-served skewed batch must classify Valid under {engine:?}"
         );
         // Framing the honest batch must find no fraud condition.
         let header = client
@@ -120,27 +137,24 @@ fn skewed_batch_byte_identical_and_passes_fraud_conditions() {
         let deposit_before = net.executor().fndm().deposit_of(&offender);
         assert!(
             !net.report_batch_fraud(&evidence, witness).expect("relay"),
-            "framing an arena-served honest batch must revert at {shards} shards"
+            "framing an arena-served honest batch must revert under {engine:?}"
         );
         assert_eq!(net.executor().fndm().deposit_of(&offender), deposit_before);
-        encodings.push((shards, request.encode(), response.encode()));
+        encodings.push((engine, request.encode(), response.encode()));
     }
     let (_, ref request_reference, ref response_reference) = encodings[0];
-    for (shards, request, response) in &encodings {
-        assert_eq!(
-            request, request_reference,
-            "fixture drift at {shards} shards"
-        );
+    for (engine, request, response) in &encodings {
+        assert_eq!(request, request_reference, "fixture drift under {engine:?}");
         assert_eq!(
             response, response_reference,
-            "skewed-batch response bytes diverged at {shards} shards"
+            "skewed-batch response bytes diverged under {engine:?}"
         );
     }
 }
 
 #[test]
 fn snapshot_cache_warms_and_invalidates_across_mine() {
-    let (mut net, node, mut client, addresses) = connected_with_shards(2, 8);
+    let (mut net, node, mut client, addresses) = connected(8);
     let calls: Vec<RpcCall> = addresses
         .iter()
         .map(|a| RpcCall::GetBalance { address: *a })
@@ -194,7 +208,7 @@ fn snapshot_cache_warms_and_invalidates_across_mine() {
 #[test]
 fn snapshot_cache_lru_stays_bounded() {
     let mut cache = SnapshotCache::new(2);
-    let (net, _, _, _) = connected_with_shards(1, 4);
+    let (net, _, _, _) = connected(4);
     let heights: Vec<u64> = (0..=net.chain().height()).collect();
     assert!(heights.len() > 2, "need more snapshots than capacity");
     for height in &heights {
@@ -282,7 +296,7 @@ fn inclusion_trie_cache_reuses_per_block_tries() {
     // Batched historical lookups against the same block must build its
     // transaction/receipt tries once and serve every later proof from
     // the cache — with bytes identical to the uncached chain path.
-    let (mut net, node, mut client, _) = connected_with_shards(1, 4);
+    let (mut net, node, mut client, _) = connected(4);
     net.advance_blocks(1).expect("empty block");
     net.sync_client(&mut client);
     // Pick a historical faucet transfer.
