@@ -6,7 +6,7 @@
 //! the signature and its address compared with the registered one: that
 //! is how the key is learned. **After**, the signature is checked against
 //! that key ([`PreparedKey::signed`]), which accepts exactly the
-//! signatures whose recovery yields the key and costs two thirds of one.
+//! signatures whose recovery yields the key and costs under half of one.
 //! Which way runs depends on nothing but whether the key is known.
 
 use parp_crypto::{recover, PreparedKey, PublicKey, Signature};

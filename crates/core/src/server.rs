@@ -735,7 +735,7 @@ impl FullNode {
     /// key when this envelope was first contact on an Open channel.
     ///
     /// The two signature checks run back to back on the calling thread:
-    /// each is 50–80 µs, and handing one to a scoped worker costs more
+    /// each is 30–50 µs, and handing one to a scoped worker costs more
     /// than that on the hosts this runs on (see the module docs of
     /// `parp_crypto`'s `parallel.rs`).
     fn verify_envelope(

@@ -14,7 +14,7 @@
 use crate::field::FieldElement;
 use crate::keccak::hmac_keccak256;
 use crate::keys::{PublicKey, SecretKey};
-use crate::point::{double_scalar_mul, mul_generator, AffinePoint, PointTable};
+use crate::point::{double_scalar_mul, mul_generator, AffinePoint, PointComb};
 use crate::scalar::Scalar;
 use parp_primitives::{Address, H256};
 use std::error::Error;
@@ -214,8 +214,8 @@ pub fn sign(secret: &SecretKey, digest: &H256) -> Signature {
 
 /// The multipliers `(z·s⁻¹, r·s⁻¹)` of the nonce point a valid signature
 /// commits to, `R' = (z·s⁻¹)·G + (r·s⁻¹)·Q` — shared by [`verify`] and
-/// [`PreparedKey::signed`], which differ only in whose table of `Q` the
-/// ladder reads and in what they ask of `R'`.
+/// [`PreparedKey::signed`], which differ only in which table of `Q` the
+/// multiplication reads and in what they ask of `R'`.
 fn nonce_multipliers(digest: &H256, signature: &Signature) -> (Scalar, Scalar) {
     let z = Scalar::from_be_bytes_reduced(&digest.into_inner());
     let s_inv = signature.s_scalar().invert();
@@ -238,17 +238,17 @@ pub fn verify(public: &PublicKey, digest: &H256, signature: &Signature) -> bool 
 }
 
 /// A verifying key prepared for repeated use: the public key, its
-/// address, and its [`PointTable`] at a wide window, built once.
+/// address, and its [`PointComb`], built once.
 ///
 /// Both ends of a PARP channel are fixed for the channel's lifetime, so
 /// after the first [`recover`] names the peer, every later envelope check
 /// asks a cheaper question — *did this key sign?* — that needs no field
-/// square root, no per-call table and fewer additions than a recovery.
+/// square root, no per-call table and a sixth of a recovery's doublings.
 #[derive(Clone)]
 pub struct PreparedKey {
     public: PublicKey,
     address: Address,
-    table: PointTable,
+    comb: PointComb,
 }
 
 impl fmt::Debug for PreparedKey {
@@ -258,23 +258,19 @@ impl fmt::Debug for PreparedKey {
 }
 
 impl PreparedKey {
-    /// The window the table is built at: 32 odd multiples, 2.25 KiB per
-    /// key.
-    pub const WINDOW: u32 = 7;
-
-    /// Prepares `public`: one table build (~16 µs), after which every
-    /// [`PreparedKey::signed`] skips it.
+    /// Prepares `public`: one comb build (32 entries, 2.25 KiB per key),
+    /// after which every [`PreparedKey::signed`] reads it.
     pub fn new(public: PublicKey) -> Self {
         PreparedKey {
             public,
             address: public.address(),
-            table: PointTable::new(public.point(), Self::WINDOW),
+            comb: PointComb::new(public.point()),
         }
     }
 
-    /// Bytes this key occupies, its table's heap entries included.
+    /// Bytes this key occupies, its comb's heap entries included.
     pub fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() - std::mem::size_of::<PointTable>() + self.table.mem_bytes()
+        std::mem::size_of::<Self>() - std::mem::size_of::<PointComb>() + self.comb.mem_bytes()
     }
 
     /// The key this was prepared from.
@@ -295,7 +291,7 @@ impl PreparedKey {
     /// too.
     pub fn signed(&self, digest: &H256, signature: &Signature) -> bool {
         let (u1, u2) = nonce_multipliers(digest, signature);
-        match self.table.double_scalar_mul(&u1, &u2) {
+        match self.comb.double_scalar_mul(&u1, &u2) {
             AffinePoint::Infinity => false,
             AffinePoint::Point { x, y } => {
                 x.to_be_bytes() == signature.r && y.is_odd() == (signature.v == 1)

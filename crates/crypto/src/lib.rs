@@ -41,6 +41,7 @@ pub use keccak::{hmac_keccak256, keccak256, keccak256_batch, keccak256_concat, K
 pub use keys::{InvalidSecretKey, KeyPair, PublicKey, SecretKey};
 pub use parallel::{par_join, par_map, recover_addresses_parallel};
 pub use point::{
-    batch_to_affine, double_scalar_mul, mul_generator, AffinePoint, JacobianPoint, PointTable,
+    batch_to_affine, double_scalar_mul, mul_generator, AffinePoint, JacobianPoint, PointComb,
+    PointTable,
 };
 pub use scalar::Scalar;

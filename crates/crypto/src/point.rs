@@ -1,5 +1,5 @@
-//! secp256k1 group arithmetic: affine and Jacobian points, windowed scalar
-//! multiplication, and the curve generator.
+//! secp256k1 group arithmetic: affine and Jacobian points, windowed and
+//! comb scalar multiplication, and the curve generator.
 //!
 //! The curve is `y^2 = x^3 + 7` over `F_p`. Jacobian coordinates
 //! `(X, Y, Z)` represent the affine point `(X/Z^2, Y/Z^3)`; `Z = 0` is the
@@ -13,13 +13,17 @@
 //! built once behind `OnceLock` and normalized to affine with a single
 //! shared field inversion ([`batch_to_affine`]): [`mul_generator`] is ≤ 32
 //! mixed additions with **zero** doublings, and it is the `a·G` half of
-//! [`PointTable::double_scalar_mul`].
+//! every `a·G + b·Q`.
 //!
-//! Arbitrary points (`Q` in verification and recovery) get a
-//! [`PointTable`]: the odd multiples `1Q, 3Q, …`, batch-normalized so the
-//! one GLV/wNAF ladder uses cheap mixed additions. A point seen once (the
-//! nonce point of a recovery) gets a table per call; a point seen on every
-//! exchange (a channel peer's key) keeps one, built once.
+//! # The two variable-base paths
+//!
+//! A point seen once (the nonce point of a recovery) gets a
+//! [`PointTable`] per call: eight odd multiples, batch-normalized, read by
+//! a GLV/wNAF ladder over a ~130-long doubling chain. A point seen on
+//! every exchange (a channel peer's key) keeps a [`PointComb`], built
+//! once: 32 sign patterns of six rows `2^(22j)·Q`, read column by column
+//! over a 22-long chain. Which one a caller gets depends only on which it
+//! built.
 
 use crate::field::FieldElement;
 use crate::scalar::Scalar;
@@ -310,8 +314,17 @@ impl JacobianPoint {
         acc
     }
 
+    /// Negates the point.
+    fn neg(&self) -> JacobianPoint {
+        JacobianPoint {
+            x: self.x,
+            y: -self.y,
+            z: self.z,
+        }
+    }
+
     /// Mixed addition with the sign of the affine operand chosen at the
-    /// call site — wNAF loops add or subtract table entries, and negating
+    /// call site — the ladders add or subtract table entries, and negating
     /// an affine point is one field negation.
     fn add_affine_signed(&self, other: &AffinePoint, negate: bool) -> JacobianPoint {
         match other {
@@ -373,8 +386,8 @@ const COMB_WINDOWS: usize = 256 / COMB_WINDOW_BITS;
 /// Entries per comb window (every non-zero byte value).
 const COMB_ENTRIES: usize = (1 << COMB_WINDOW_BITS) - 1;
 
-/// wNAF window width for a point multiplied once (8 odd multiples — the
-/// table is rebuilt for every recovery, so it must stay small).
+/// wNAF window width of a [`PointTable`] (8 odd multiples — the table is
+/// rebuilt for every recovery, so it must stay small).
 const WNAF_ONCE_WIDTH: u32 = 5;
 
 /// The precomputed fixed-base comb: `windows[i][j] = (j+1) · 2^(8i) · G`.
@@ -435,66 +448,55 @@ fn beta() -> FieldElement {
 /// (≤129 bits, plus the window's carry slack).
 const GLV_DIGITS: usize = 136;
 
-/// The odd multiples `1Q, 3Q, …, (2^(w−1)−1)Q` of a point,
-/// batch-normalized: everything the GLV/wNAF ladder reads about `Q` (the
-/// endomorphism image of an entry is one field multiplication away, so
-/// it is not stored). Building one costs `2^(w−2)` Jacobian additions
-/// plus one field inversion, so the width is the caller's trade: narrow
-/// for a point multiplied once, wide for a point multiplied on every
-/// exchange.
+/// `λ·(x, y) = (β·x, y)`: the endomorphism image of a table entry, one
+/// field multiplication away and therefore never stored.
+fn lambda_image(point: &AffinePoint, beta: FieldElement) -> AffinePoint {
+    match *point {
+        AffinePoint::Infinity => AffinePoint::Infinity,
+        AffinePoint::Point { x, y } => AffinePoint::Point { x: beta * x, y },
+    }
+}
+
+/// The odd multiples `1Q, 3Q, …, 15Q` of a point seen once (the nonce
+/// point of a recovery), batch-normalized: everything the GLV/wNAF ladder
+/// reads about `Q`. Building one costs 8 Jacobian additions plus one
+/// field inversion on every call, so it stays small; a point multiplied
+/// on every exchange gets a [`PointComb`] instead.
 #[derive(Clone)]
 pub struct PointTable {
-    width: u32,
     odd: Vec<AffinePoint>,
 }
 
 impl PointTable {
-    /// Builds the width-`width` table of `q` (`2^(width−2)` entries of
-    /// 72 bytes).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `2 <= width <= 8` (wNAF digits are `i8`).
-    pub fn new(q: &AffinePoint, width: u32) -> Self {
-        assert!((2..=8).contains(&width), "wNAF width out of range");
+    /// Builds the w = 5 table of `q` (8 entries of 72 bytes).
+    pub fn new(q: &AffinePoint) -> Self {
         let qj = q.to_jacobian();
         let q2 = qj.double();
-        let mut jacobians = Vec::with_capacity(1 << (width - 2));
+        let mut jacobians = Vec::with_capacity(1 << (WNAF_ONCE_WIDTH - 2));
         let mut current = qj;
-        for _ in 0..(1usize << (width - 2)) {
+        for _ in 0..(1usize << (WNAF_ONCE_WIDTH - 2)) {
             jacobians.push(current);
             current = current.add(&q2);
         }
         PointTable {
-            width,
             odd: batch_to_affine(&jacobians),
         }
     }
 
-    /// Bytes this table occupies: itself plus its heap entries.
-    pub fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.odd.capacity() * std::mem::size_of::<AffinePoint>()
-    }
-
-    /// The wNAF window width the table was built for.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Computes `a * G + b * Q` — the core of ECDSA verification and
-    /// recovery, and the **only** variable-base ladder in the crate.
+    /// Computes `a * G + b * Q` for a point without a comb — the core of
+    /// recovery and one-shot verification, and the only ladder in the
+    /// crate that walks a full doubling chain.
     ///
     /// The `G` half rides the precomputed fixed-base comb (≤32 mixed
     /// additions, zero doublings). The `Q` half is GLV-split into two
     /// ≤129-bit scalars whose wNAF forms interleave over **one**
     /// half-length doubling chain, adding the table's odd multiples and
-    /// their endomorphism image `λ·(x, y) = (β·x, y)`. Net cost at w = 5:
-    /// ~130 doublings plus ~75 mixed additions; each extra bit of width
-    /// removes ~1/(w+1) of the `Q`-half additions.
+    /// their endomorphism image `λ·(x, y) = (β·x, y)`. Net cost: ~130
+    /// doublings plus ~75 mixed additions (~1,750 field operations).
     pub fn double_scalar_mul(&self, a: &Scalar, b: &Scalar) -> AffinePoint {
         let (b1, neg1, b2, neg2) = b.split_glv();
-        let naf1 = b1.wnaf(self.width);
-        let naf2 = b2.wnaf(self.width);
+        let naf1 = b1.wnaf(WNAF_ONCE_WIDTH);
+        let naf2 = b2.wnaf(WNAF_ONCE_WIDTH);
         debug_assert!(
             naf1[GLV_DIGITS..].iter().all(|&d| d == 0)
                 && naf2[GLV_DIGITS..].iter().all(|&d| d == 0),
@@ -513,10 +515,7 @@ impl PointTable {
             }
             let d2 = naf2[i];
             if d2 != 0 {
-                let entry = match self.odd[(d2.unsigned_abs() as usize - 1) / 2] {
-                    AffinePoint::Infinity => AffinePoint::Infinity,
-                    AffinePoint::Point { x, y } => AffinePoint::Point { x: beta * x, y },
-                };
+                let entry = lambda_image(&self.odd[(d2.unsigned_abs() as usize - 1) / 2], beta);
                 acc = acc.add_affine_signed(&entry, (d2 < 0) ^ neg2);
             }
         }
@@ -524,10 +523,124 @@ impl PointTable {
     }
 }
 
-/// `a * G + b * Q` for a point multiplied once: a narrow (w = 5) table of
-/// `q`, then [`PointTable::double_scalar_mul`].
+/// `a * G + b * Q` for a point multiplied once: a [`PointTable`] of `q`,
+/// then [`PointTable::double_scalar_mul`].
 pub fn double_scalar_mul(a: &Scalar, b: &Scalar, q: &AffinePoint) -> AffinePoint {
-    PointTable::new(q, WNAF_ONCE_WIDTH).double_scalar_mul(a, b)
+    PointTable::new(q).double_scalar_mul(a, b)
+}
+
+/// Teeth of a [`PointComb`]: rows `2^(COLS·j)·Q` for `j = 0..TEETH`.
+const POINT_COMB_TEETH: usize = 6;
+/// Columns of a [`PointComb`], and the length of its doubling chain:
+/// `TEETH × COLS = 132` bits hold a ≤130-bit odd GLV half.
+const POINT_COMB_COLS: usize = 22;
+/// Entries of a [`PointComb`]: one per sign pattern of the lower teeth
+/// (the top tooth's sign is folded into the lookup).
+const POINT_COMB_ENTRIES: usize = 1 << (POINT_COMB_TEETH - 1);
+
+/// A signed-digit Lim–Lee comb of a point multiplied on every exchange (a
+/// channel peer's key): what [`mul_generator`]'s table is to `G`, sized
+/// to be kept per peer.
+///
+/// With rows `R_j = 2^(COLS·j)·Q`, entry `i` is `R_top + Σ_{j<top} ±R_j`,
+/// `R_j` entering with `+` where bit `j` of `i` is set — batch-normalized
+/// once. An odd `k < 2^(TEETH·COLS)` is a sum of digits `±1`
+/// (`k = Σ s_i·2^i`, `s_i = 2·bit_(i+1)(k) − 1`, the top digit `+1`), so
+/// every column of every GLV half is exactly one lookup, and
+/// `a·G + b·Q` costs 22 doublings plus 44 mixed additions for `Q` where
+/// the wNAF ladder of a [`PointTable`] walks ~130 doublings.
+#[derive(Clone)]
+pub struct PointComb {
+    entries: Box<[AffinePoint]>,
+}
+
+impl PointComb {
+    /// Builds the comb of `q`: 110 doublings for the rows, 36 additions
+    /// for the 32 entries (72 bytes each), one field inversion.
+    pub fn new(q: &AffinePoint) -> Self {
+        // lower[j] = R_j and twice[j] = 2·R_j (which the chain from R_j to
+        // R_(j+1) passes through anyway); the chain ends on the top row.
+        let mut lower = [JacobianPoint::INFINITY; POINT_COMB_TEETH - 1];
+        let mut twice = [JacobianPoint::INFINITY; POINT_COMB_TEETH - 1];
+        let mut row = q.to_jacobian();
+        for j in 0..POINT_COMB_TEETH - 1 {
+            lower[j] = row;
+            row = row.double();
+            twice[j] = row;
+            for _ in 1..POINT_COMB_COLS {
+                row = row.double();
+            }
+        }
+        // Entry 0 has every lower tooth negative; setting bit j of the
+        // index flips R_j from − to +, i.e. adds 2·R_j.
+        let mut jacobians = Vec::with_capacity(POINT_COMB_ENTRIES);
+        jacobians.push(lower.iter().fold(row, |sum, r| sum.add(&r.neg())));
+        for (j, step) in twice.iter().enumerate() {
+            for i in 0..1 << j {
+                jacobians.push(jacobians[i].add(step));
+            }
+        }
+        PointComb {
+            entries: batch_to_affine(&jacobians).into_boxed_slice(),
+        }
+    }
+
+    /// Bytes this comb occupies: itself plus its heap entries.
+    pub fn mem_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + std::mem::size_of_val(&*self.entries)
+    }
+
+    /// The entry column `col` of `k` selects, and whether it enters
+    /// negated: tooth `j`'s sign is bit `col + COLS·j + 1` of `k` (the
+    /// digit string is `k >> 1` with the top digit forced to `+1`), and a
+    /// negative top tooth is the mirrored pattern negated,
+    /// `−entries[!lower]`.
+    fn lookup(&self, k: &Scalar, col: usize) -> (&AffinePoint, bool) {
+        const TOP: usize = POINT_COMB_TEETH - 1;
+        let mut lower = 0;
+        for j in 0..TOP {
+            lower |= k.bit(col + POINT_COMB_COLS * j + 1) << j;
+        }
+        if col == POINT_COMB_COLS - 1 || k.bit(col + POINT_COMB_COLS * TOP + 1) == 1 {
+            (&self.entries[lower], false)
+        } else {
+            (&self.entries[!lower & (POINT_COMB_ENTRIES - 1)], true)
+        }
+    }
+
+    /// `±k1·Q ± k2·λ·Q` for odd halves below `2^(TEETH·COLS)`: both read
+    /// this one table column by column (the `λ` half through `β·x`) over
+    /// a single `COLS`-long doubling chain.
+    fn mul_halves(&self, k1: &Scalar, neg1: bool, k2: &Scalar, neg2: bool) -> JacobianPoint {
+        const BITS: usize = POINT_COMB_TEETH * POINT_COMB_COLS;
+        debug_assert!(
+            [k1, k2]
+                .iter()
+                .all(|k| k.bit(0) == 1 && (BITS..256).all(|i| k.bit(i) == 0)),
+            "comb halves must be odd and short"
+        );
+        let beta = beta();
+        let mut acc = JacobianPoint::INFINITY;
+        for col in (0..POINT_COMB_COLS).rev() {
+            acc = acc.double();
+            let (entry, negated) = self.lookup(k1, col);
+            acc = acc.add_affine_signed(entry, negated ^ neg1);
+            let (entry, negated) = self.lookup(k2, col);
+            acc = acc.add_affine_signed(&lambda_image(entry, beta), negated ^ neg2);
+        }
+        acc
+    }
+
+    /// Computes `a * G + b * Q` with next to no doubling chain: the GLV
+    /// halves of `b` (made odd: digits `±1` spell only odd numbers) read the comb
+    /// and the `G` half rides [`mul_generator`]. 22 doublings plus ~76
+    /// mixed additions (~1,000 field operations).
+    pub fn double_scalar_mul(&self, a: &Scalar, b: &Scalar) -> AffinePoint {
+        let (k1, neg1, k2, neg2) = b.split_glv_odd();
+        self.mul_halves(&k1, neg1, &k2, neg2)
+            .add(&mul_generator(a))
+            .to_affine()
+    }
 }
 
 #[cfg(test)]
@@ -658,12 +771,65 @@ mod tests {
 
     #[test]
     fn prepared_key_table_fits_its_budget() {
-        // What a channel end keeps per peer: the table at the serving
-        // window, ≤ 8 KiB.
-        let table = PointTable::new(&g(), crate::PreparedKey::WINDOW);
-        let bytes = table.odd.len() * std::mem::size_of::<AffinePoint>();
-        assert_eq!(table.odd.len(), 1 << (crate::PreparedKey::WINDOW - 2));
-        assert!(bytes <= 8 * 1024, "{bytes} bytes per peer");
+        // What a channel end keeps per peer: 32 entries, the 2,304 bytes
+        // the w = 7 wNAF table took before it.
+        let comb = PointComb::new(&g());
+        assert_eq!(comb.entries.len(), 32);
+        assert_eq!(comb.mem_bytes(), std::mem::size_of::<PointComb>() + 2304);
+    }
+
+    #[test]
+    fn comb_halves_match_the_slow_ladder_at_every_edge() {
+        // Odd halves the GLV split rarely or never hands the comb: the
+        // shortest, the longest it has room for (132 bits), exactly 129
+        // and 130 bits, every column's lower teeth all negative (1 — the
+        // digit string is all zeros under the forced top digit), every
+        // digit positive (2^132 − 1), and one tooth alone positive.
+        let bit = |i: u32| {
+            let mut bytes = [0u8; 32];
+            bytes[31 - (i / 8) as usize] = 1 << (i % 8);
+            Scalar::from_be_bytes(&bytes).unwrap()
+        };
+        let one = Scalar::ONE;
+        let halves = [
+            one,
+            Scalar::from_u64(3),
+            bit(128) + one,
+            bit(129) - one,
+            bit(129) + one,
+            bit(130) - one,
+            bit(132) - one,
+            bit(132) - bit(110) + one,
+            bit(22) - one,
+            bit(88) - bit(66) + one,
+        ];
+        let q = g().mul(&Scalar::from_u64(0xc0ffee));
+        let comb = PointComb::new(&q);
+        let lambda_q = lambda_image(&q, beta());
+        let signed = |p: AffinePoint, negate: bool| if negate { p.neg() } else { p };
+        for (i, k1) in halves.iter().enumerate() {
+            let k2 = &halves[(i + 3) % halves.len()];
+            for (neg1, neg2) in [(false, false), (true, false), (false, true), (true, true)] {
+                let expected = signed(q.mul(k1), neg1)
+                    .to_jacobian()
+                    .add(&signed(lambda_q.mul(k2), neg2).to_jacobian())
+                    .to_affine();
+                assert_eq!(
+                    comb.mul_halves(k1, neg1, k2, neg2).to_affine(),
+                    expected,
+                    "{k1:?} {neg1} {k2:?} {neg2}"
+                );
+            }
+        }
+        // Equal halves entering with opposite signs.
+        let k = bit(100) + one;
+        assert_eq!(
+            comb.mul_halves(&k, false, &k, true).to_affine(),
+            q.mul(&k)
+                .to_jacobian()
+                .add(&lambda_q.mul(&k).neg().to_jacobian())
+                .to_affine()
+        );
     }
 
     #[test]

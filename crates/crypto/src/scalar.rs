@@ -25,6 +25,13 @@ const HALF_N: Limbs = [
     0x7fff_ffff_ffff_ffff,
 ];
 
+/// The GLV lattice basis: `a + b·λ ≡ 0 (mod n)` for `(a1, b1)` and
+/// `(a2, b2)`, with `b1` negative and `b2 = a1` on this curve.
+const GLV_A1: Limbs = [0xe86c_90e4_9284_eb15, 0x3086_d221_a7d4_6bcd, 0, 0];
+const GLV_MINUS_B1: Limbs = [0x6f54_7fa9_0abf_e4c3, 0xe443_7ed6_010e_8828, 0, 0];
+const GLV_A2: Limbs = [0x57c1_108d_9d44_cfd8, 0x14ca_50f7_a8e2_f3f6, 0x1, 0];
+const GLV_B2: Limbs = GLV_A1;
+
 /// A scalar modulo the secp256k1 group order, always reduced below `n`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Scalar(Limbs);
@@ -111,6 +118,12 @@ impl Scalar {
         (self.0[i / 8] >> ((i % 8) * 8)) as u8
     }
 
+    /// Bit `i` (0 = least significant) — the per-point comb reads its
+    /// column digits off these.
+    pub(crate) fn bit(&self, i: usize) -> usize {
+        (self.0[i / 64] >> (i % 64)) as usize & 1
+    }
+
     /// Splits the scalar for the secp256k1 GLV endomorphism:
     /// `self ≡ k1 + k2·λ (mod n)` with both halves at most 129 bits
     /// (after sign normalization), where `λ` is the cube root of unity
@@ -124,6 +137,34 @@ impl Scalar {
     /// precomputed `round(2^384·b/n)` constants only make the halves
     /// short, a bound the property tests pin down.
     pub(crate) fn split_glv(&self) -> (Scalar, bool, Scalar, bool) {
+        let (k1, k2) = self.split_glv_mod_n();
+        sign_normalized_halves(k1, k2)
+    }
+
+    /// [`Scalar::split_glv`] with both halves **odd** and at most 130
+    /// bits: the per-point comb spells a half in digits `±1`, which reach
+    /// only odd numbers. Adding a lattice vector leaves `k1 + k2·λ`
+    /// alone, and the basis has the parities to fix either half: `a1`,
+    /// `b1` and `b2` are odd and `a2` is even, so `(a1, b1)` flips both
+    /// halves' parity and `(a2, b2)` only `k2`'s. (A half's parity is its
+    /// magnitude's — `n` is odd, so a negative half's residue has the
+    /// other one.)
+    pub(crate) fn split_glv_odd(&self) -> (Scalar, bool, Scalar, bool) {
+        let (mut k1, mut k2) = self.split_glv_mod_n();
+        if k1.sign_normalized().0.bit(0) == 0 {
+            k1 = k1 + Scalar(GLV_A1);
+            k2 = k2 - Scalar(GLV_MINUS_B1);
+        }
+        if k2.sign_normalized().0.bit(0) == 0 {
+            k1 = k1 + Scalar(GLV_A2);
+            k2 = k2 + Scalar(GLV_B2);
+        }
+        sign_normalized_halves(k1, k2)
+    }
+
+    /// The GLV halves as residues mod `n` (a negative half is `n − |k|`):
+    /// `k1 = k − c1·a1 − c2·a2`, `k2 = c1·|b1| − c2·b2`.
+    fn split_glv_mod_n(&self) -> (Scalar, Scalar) {
         /// `round(2^384 · b2 / n)`.
         const G1: Limbs = [
             0xe893_209a_45db_b031,
@@ -138,19 +179,12 @@ impl Scalar {
             0x6f54_7fa9_0abf_e4c4,
             0xe443_7ed6_010e_8828,
         ];
-        const A1: Limbs = [0xe86c_90e4_9284_eb15, 0x3086_d221_a7d4_6bcd, 0, 0];
-        const MINUS_B1: Limbs = [0x6f54_7fa9_0abf_e4c3, 0xe443_7ed6_010e_8828, 0, 0];
-        const A2: Limbs = [0x57c1_108d_9d44_cfd8, 0x14ca_50f7_a8e2_f3f6, 0x1, 0];
-        // b2 = a1 for this curve.
-        const B2: Limbs = A1;
         let c1 = Scalar(mul_shift_384(&self.0, &G1));
         let c2 = Scalar(mul_shift_384(&self.0, &G2));
-        // k1 = k − c1·a1 − c2·a2; k2 = c1·|b1| − c2·b2 (mod n).
-        let k1 = *self - c1 * Scalar(A1) - c2 * Scalar(A2);
-        let k2 = c1 * Scalar(MINUS_B1) - c2 * Scalar(B2);
-        let (k1, neg1) = k1.sign_normalized();
-        let (k2, neg2) = k2.sign_normalized();
-        (k1, neg1, k2, neg2)
+        (
+            *self - c1 * Scalar(GLV_A1) - c2 * Scalar(GLV_A2),
+            c1 * Scalar(GLV_MINUS_B1) - c2 * Scalar(GLV_B2),
+        )
     }
 
     /// `(magnitude, was_negated)`: values above `n/2` are treated as
@@ -212,6 +246,13 @@ impl Scalar {
         }
         digits
     }
+}
+
+/// `(k1, neg1, k2, neg2)` from two GLV halves given as residues mod `n`.
+fn sign_normalized_halves(k1: Scalar, k2: Scalar) -> (Scalar, bool, Scalar, bool) {
+    let (k1, neg1) = k1.sign_normalized();
+    let (k2, neg2) = k2.sign_normalized();
+    (k1, neg1, k2, neg2)
 }
 
 /// `round((a · g) / 2^384)`: the 512-bit product's limbs 6 and 7, plus a
@@ -359,19 +400,40 @@ mod tests {
 
     #[test]
     fn glv_split_recomposes_with_short_halves() {
-        for seed in [1u64, 7, 0xdead_beef, u64::MAX] {
-            let k =
-                Scalar::from_be_bytes_reduced(&crate::keccak256(&seed.to_be_bytes()).into_inner());
-            let (k1, neg1, k2, neg2) = k.split_glv();
+        let recomposes = |k: Scalar, (k1, neg1, k2, neg2): (Scalar, bool, Scalar, bool)| {
             let s1 = if neg1 { -k1 } else { k1 };
             let s2 = if neg2 { -k2 } else { k2 };
             assert_eq!(s1 + s2 * LAMBDA, k, "k1 + k2·λ must equal k");
+        };
+        let seeded = [1u64, 7, 0xdead_beef, u64::MAX]
+            .map(|seed| crate::keccak256(&seed.to_be_bytes()).into_inner())
+            .map(|bytes| Scalar::from_be_bytes_reduced(&bytes));
+        // Small scalars split as (k, 0): the odd split has parities to fix.
+        let small = [0u64, 1, 2, 3].map(Scalar::from_u64);
+        for k in seeded
+            .into_iter()
+            .chain(small)
+            .chain([-Scalar::ONE, LAMBDA])
+        {
+            let (k1, neg1, k2, neg2) = k.split_glv();
+            recomposes(k, (k1, neg1, k2, neg2));
             // Both magnitudes fit in 129 bits (the GLV shortness bound).
             for half in [k1, k2] {
                 let bytes = half.to_be_bytes();
                 assert!(
                     bytes[..15].iter().all(|&b| b == 0) && bytes[15] <= 3,
                     "GLV half too long: {half:?}"
+                );
+            }
+            // The comb's split: the same sum from odd halves that fit its
+            // 132 bits with room to spare (≤ 130).
+            let (k1, neg1, k2, neg2) = k.split_glv_odd();
+            recomposes(k, (k1, neg1, k2, neg2));
+            for half in [k1, k2] {
+                assert_eq!(half.bit(0), 1, "half must be odd: {half:?}");
+                assert!(
+                    (130..256).all(|i| half.bit(i) == 0),
+                    "odd GLV half too long: {half:?}"
                 );
             }
         }

@@ -5,7 +5,7 @@
 
 use parp_crypto::{
     baseline, double_scalar_mul, keccak256, recover, recover_address, sign, verify, AffinePoint,
-    PointTable, PreparedKey, Scalar, SecretKey, Signature,
+    PointComb, PointTable, PreparedKey, Scalar, SecretKey, Signature,
 };
 use parp_primitives::H256;
 use proptest::prelude::*;
@@ -18,8 +18,12 @@ fn arb_scalar() -> impl Strategy<Value = Scalar> {
     any::<[u8; 32]>().prop_map(|b| Scalar::from_be_bytes_reduced(&b))
 }
 
-/// Every wNAF window a [`PointTable`] accepts.
-const WINDOWS: std::ops::RangeInclusive<u32> = 2..=8;
+/// `a·G + b·Q` the slow way: two 4-bit fixed-window ladders and one
+/// addition, sharing nothing with the wNAF table or the comb.
+fn slow_double_mul(a: &Scalar, b: &Scalar, q: &AffinePoint) -> AffinePoint {
+    let ag = AffinePoint::generator().mul(a).to_jacobian();
+    ag.add(&q.mul(b).to_jacobian()).to_affine()
+}
 
 /// `signature` with one byte of `r || s || v` XOR-ed, when the result
 /// still parses (a high `s` or out-of-range `r` is refused at the door,
@@ -31,14 +35,14 @@ fn with_byte_flipped(signature: &Signature, index: usize, mask: u8) -> Option<Si
 }
 
 proptest! {
-    // 1,500 cases × 7 signature columns = 10,500 verdicts.
+    // 1,500 cases × 8 signature columns = 12,000 verdicts.
     #![proptest_config(ProptestConfig::with_cases(1500))]
 
     /// The known-signer check accepts exactly the signatures whose
     /// recovery yields the key — on the genuine signature and on every
     /// way an envelope can be wrong. Every eighth case also holds the
-    /// verdict to the retained pre-optimization recovery. (The ladder
-    /// under it is held to `double_scalar_mul` at every window below.)
+    /// verdict to the retained pre-optimization recovery. (The comb
+    /// under it is held to the slow ladder below.)
     #[test]
     fn prepared_key_verdict_is_recovery_verdict(
         key in arb_secret(),
@@ -62,11 +66,16 @@ proptest! {
         random[32..64].copy_from_slice(&random_sig);
         random[32] &= 0x3f;
         random[64] = mask & 1;
+        // The key `n − d`, whose public point is `−Q`: a comb that lost a
+        // sign would take its signatures for the key's.
+        let negated = Scalar::from_be_bytes(&key.to_bytes()).expect("a secret key is below n");
+        let negated = SecretKey::from_bytes(&(-negated).to_be_bytes()).expect("n − d is in range");
         // (what is wrong with it, digest, signature if it still parses)
-        let columns: [(Option<&str>, H256, Option<Signature>); 7] = [
+        let columns: [(Option<&str>, H256, Option<Signature>); 8] = [
             (None, digest, Some(genuine)),
             (Some("flipped recovery id"), digest, with_byte_flipped(&genuine, 64, 1)),
             (Some("another key's signature"), digest, Some(sign(&other, &digest))),
+            (Some("the negated key's signature"), digest, Some(sign(&negated, &digest))),
             (Some("tampered digest"), tampered_digest, Some(genuine)),
             (Some("tampered r"), digest, with_byte_flipped(&genuine, flip, mask)),
             // Low-order half of s: the result stays in the low half of
@@ -98,19 +107,78 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// One ladder: `double_scalar_mul` is the table-taking loop at the
-    /// one-shot window, and the loop computes the same point at every
-    /// window.
+    /// One answer: `double_scalar_mul` is the wNAF table's loop, and the
+    /// loop and the per-point comb both compute what two slow ladders and
+    /// an addition do.
     #[test]
     fn double_scalar_mul_is_the_table_loop(a in arb_scalar(), b in arb_scalar(), q in arb_scalar()) {
         let q = AffinePoint::generator().mul(&q);
-        let expected = double_scalar_mul(&a, &b, &q);
-        for window in WINDOWS {
-            let table = PointTable::new(&q, window);
-            prop_assert_eq!(table.width(), window);
-            prop_assert_eq!(table.double_scalar_mul(&a, &b), expected, "w = {}", window);
+        let expected = slow_double_mul(&a, &b, &q);
+        prop_assert_eq!(double_scalar_mul(&a, &b, &q), expected);
+        prop_assert_eq!(PointTable::new(&q).double_scalar_mul(&a, &b), expected);
+        prop_assert_eq!(PointComb::new(&q).double_scalar_mul(&a, &b), expected);
+    }
+}
+
+/// `λ`, the scalar of the GLV endomorphism: `b = k1 + k2·λ` puts chosen
+/// halves in front of the split.
+const LAMBDA: [u8; 32] = [
+    0x53, 0x63, 0xad, 0x4c, 0xc0, 0x5c, 0x30, 0xe0, 0xa5, 0x26, 0x1c, 0x02, 0x88, 0x12, 0x64, 0x5a,
+    0x12, 0x2e, 0x22, 0xea, 0x20, 0x81, 0x66, 0x78, 0xdf, 0x02, 0x96, 0x7c, 0x1b, 0x23, 0xbd, 0x72,
+];
+
+/// The comb against the slow ladder where a digit string, a sign or an
+/// addition is special: `b` ∈ {0, 1, n−1}; halves that are 0, 1, a lone
+/// high bit, all ones across every column, and ~2^127 (one parity fix
+/// away from the longest half the comb meets); `a = 0`; `a·G = −b·Q` (the
+/// sum is infinity); `a·G = b·Q` (the last addition must double); and
+/// `Q` at infinity.
+#[test]
+fn comb_matches_the_slow_ladder_at_the_edges() {
+    let lambda = Scalar::from_be_bytes(&LAMBDA).unwrap();
+    let pow2 = |i: u32| {
+        let mut bytes = [0u8; 32];
+        bytes[31 - (i / 8) as usize] = 1 << (i % 8);
+        Scalar::from_be_bytes(&bytes).unwrap()
+    };
+    let one = Scalar::ONE;
+    let halves = [
+        Scalar::ZERO,
+        one,
+        Scalar::from_u64(2),
+        pow2(22),
+        pow2(110),
+        pow2(127),
+        pow2(127) - one,
+        pow2(126) + pow2(22) - one,
+    ];
+    let mut bs = vec![Scalar::ZERO, one, -one, lambda, -lambda, one + lambda];
+    for k1 in &halves {
+        for k2 in &halves {
+            bs.push(*k1 + *k2 * lambda);
+            bs.push(*k1 - *k2 * lambda);
+            bs.push(-*k1 + *k2 * lambda);
         }
     }
+    let t = Scalar::from_be_bytes_reduced(&keccak256(b"comb edges").into_inner());
+    let q = AffinePoint::generator().mul(&t);
+    let comb = PointComb::new(&q);
+    let a = Scalar::from_be_bytes_reduced(&keccak256(b"comb edges, a").into_inner());
+    for b in &bs {
+        // b·Q = (b·t)·G, so these two choices of `a` cancel and double it.
+        for a in [Scalar::ZERO, a, -(*b * t), *b * t] {
+            assert_eq!(
+                comb.double_scalar_mul(&a, b),
+                slow_double_mul(&a, b, &q),
+                "a = {a:?}, b = {b:?}"
+            );
+        }
+        assert!(comb.double_scalar_mul(&-(*b * t), b).is_infinity());
+    }
+    assert_eq!(
+        PointComb::new(&AffinePoint::Infinity).double_scalar_mul(&a, &bs[7]),
+        AffinePoint::generator().mul(&a)
+    );
 }
 
 proptest! {

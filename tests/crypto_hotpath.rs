@@ -2,17 +2,20 @@
 //! pre-optimization semantics.
 //!
 //! The fixed-base comb, the GLV-split interleaved-wNAF double
-//! multiplication, the binary-GCD inversions and the Montgomery batch
-//! inversion are all pure speedups: every one of them must be
+//! multiplication, the per-point comb, the binary-GCD inversions and the
+//! Montgomery batch inversion are all pure speedups: every one must be
 //! **bit-identical** to the generic (retained) implementations. These
 //! tests check that equivalence on random inputs, plus the edge cases
 //! the batch paths must survive (zero elements, points at infinity).
 
+use parp_suite::contracts::RpcCall;
 use parp_suite::crypto::{
     batch_to_affine, double_scalar_mul, keccak256, mul_generator, recover_address,
-    recover_addresses_parallel, sign, AffinePoint, FieldElement, PointTable, PreparedKey, Scalar,
+    recover_addresses_parallel, sign, AffinePoint, FieldElement, PointComb, PreparedKey, Scalar,
     SecretKey,
 };
+use parp_suite::net::Network;
+use parp_suite::primitives::U256;
 use proptest::prelude::*;
 
 fn scalar_from(seed: &[u8]) -> Scalar {
@@ -147,18 +150,18 @@ fn degenerate_scalars_and_points() {
     // a + b spanning the order: (n−1)·G + 1·G = O.
     let n_minus_one = -Scalar::ONE;
     assert!(double_scalar_mul(&n_minus_one, &Scalar::ONE, &g).is_infinity());
-    // The same edges through the wide table a prepared key carries.
-    let wide = PointTable::new(&g, PreparedKey::WINDOW);
-    assert_eq!(wide.double_scalar_mul(&Scalar::ZERO, &Scalar::ONE), g);
-    assert_eq!(wide.double_scalar_mul(&Scalar::ONE, &Scalar::ZERO), g);
-    assert!(wide
+    // The same edges through the comb a prepared key carries.
+    let comb = PointComb::new(&g);
+    assert_eq!(comb.double_scalar_mul(&Scalar::ZERO, &Scalar::ONE), g);
+    assert_eq!(comb.double_scalar_mul(&Scalar::ONE, &Scalar::ZERO), g);
+    assert!(comb
         .double_scalar_mul(&Scalar::ZERO, &Scalar::ZERO)
         .is_infinity());
-    assert!(wide
+    assert!(comb
         .double_scalar_mul(&n_minus_one, &Scalar::ONE)
         .is_infinity());
     assert_eq!(
-        PointTable::new(&AffinePoint::Infinity, PreparedKey::WINDOW)
+        PointComb::new(&AffinePoint::Infinity)
             .double_scalar_mul(&Scalar::from_u64(7), &Scalar::from_u64(9)),
         g.mul(&Scalar::from_u64(7))
     );
@@ -170,4 +173,32 @@ fn degenerate_scalars_and_points() {
     FieldElement::batch_invert(&mut empty);
     assert!(empty.is_empty());
     assert!(batch_to_affine(&[]).is_empty());
+}
+
+/// The budget that keeps `gateway-chaos` flat: every failover there
+/// learns two keys again and abandoned channels pin theirs, so a learned
+/// key may cost no more than it did when it carried the w = 7 wNAF table
+/// (2,432 bytes a key; 2,680 on the node and 3,392 on the client for the
+/// first exchange of a channel, pending record included).
+#[test]
+fn a_learned_key_costs_no_more_than_the_table_it_replaced() {
+    let key = PreparedKey::new(SecretKey::from_seed(b"key-budget").public_key());
+    assert!(key.mem_bytes() <= 2432, "{} bytes a key", key.mem_bytes());
+
+    let mut net = Network::new();
+    let node = net.spawn_node(b"key-budget-node", U256::from(10u64));
+    let mut client = net.spawn_client(b"key-budget-client", U256::from(10u64));
+    let channel = net
+        .connect(&mut client, node, U256::from(10_000u64))
+        .expect("connection setup");
+    let (node_before, client_before) = (net.node(node).mem_bytes(), client.mem_bytes());
+    let address = client.address();
+    net.parp_call(&mut client, node, RpcCall::GetBalance { address })
+        .expect("first exchange");
+    assert!(net.node(node).client_key(channel).is_some());
+    assert!(client.provider_key(&net.node(node).address()).is_some());
+    let node_grew = net.node(node).mem_bytes() - node_before;
+    let client_grew = client.mem_bytes() - client_before;
+    assert!(node_grew <= 2680, "node grew {node_grew} bytes");
+    assert!(client_grew <= 3392, "client grew {client_grew} bytes");
 }
