@@ -37,7 +37,7 @@ use parp_crypto::SecretKey;
 use parp_primitives::{Address, U256};
 use parp_runtime::{ColdProofEngine, Runtime, RuntimeConfig};
 use parp_store::{crc32, encode_items, scratch_dir, BlockStore, SegmentFile, SpillStore};
-use parp_trie::{ordered_trie, FrozenTrie};
+use parp_trie::{ordered_trie, FrozenTrie, ProofBuf};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -104,7 +104,7 @@ fn fresh_engine(budget: usize, dirs: &mut Vec<PathBuf>) -> ColdProofEngine {
 
 /// One old-block transaction proof, cut as the serving loop cuts it:
 /// resolve the block's header, hand it to the engine.
-fn prove(engine: &mut impl ProofEngine, chain: &Blockchain, block: u64) -> Vec<Vec<u8>> {
+fn prove(engine: &mut impl ProofEngine, chain: &Blockchain, block: u64) -> ProofBuf {
     let header = chain.header_at(block).expect("probed block has a header");
     engine.transaction_proof(chain, &header, 0)
 }

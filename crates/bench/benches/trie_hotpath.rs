@@ -28,10 +28,14 @@
 //! 6. **Client verification** — the inverse of section 2, on the same
 //!    fixture: `verify_many` over the 64-key multiproof and
 //!    `verify_proof` over one key's own proof, results pinned equal to
-//!    the trie's contents; then `expected_hash` and `encode` of a 64-item
-//!    [`ParpBatchResponse`] carrying that multiproof, pinned to the
-//!    free-function digest and a decode round trip. No speed gate: each
-//!    figure is emitted beside the one the parent commit measured on the
+//!    the trie's contents; then `h_res` and `encode` of a 64-item
+//!    [`ParpBatchResponse`] carrying that multiproof. `h_res` binds proof
+//!    nodes by hash and is timed in both forms: the client's
+//!    (`expected_hash`: hash every node, then the digest) and the
+//!    server's (`digest` over the hashes `multiproof_into` recorded in
+//!    its [`ProofBuf`]); the two are hard-asserted equal, and the
+//!    encoding is pinned by a decode round trip. No speed gate: each
+//!    figure is emitted beside the one an earlier commit measured on the
 //!    same box (`*_PARENT_US`), so the artifact shows both.
 //!
 //! Emits `BENCH_trie.json` at the workspace root (a CI artifact
@@ -39,9 +43,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use parp_chain::State;
-use parp_contracts::{
-    batch_response_hash, BatchOutput, ParpBatchRequest, ParpBatchResponse, RpcCall,
-};
+use parp_contracts::{BatchOutput, ParpBatchRequest, ParpBatchResponse, ProofHashes, RpcCall};
 use parp_crypto::{keccak256, keccak256_batch, Keccak256, SecretKey};
 use parp_primitives::{Address, H256, U256};
 use parp_trie::{baseline, verify_many, verify_proof, FrozenTrie, ProofBuf, Trie};
@@ -58,17 +60,20 @@ const ROUNDS: u32 = 30;
 /// Rounds for the section 6 timings (each round is well under a
 /// millisecond).
 const VERIFY_ROUNDS: u32 = 300;
-/// Section 6 as the parent commit `af1d086` (the `Item`-tree walk and the
-/// `Vec<Vec<u8>>` response hash) measured it with this same bench code on
-/// the box that produced the checked-in artifact: medians of four runs
-/// alternated with this commit's (288–310, 7.3–7.7, 124–139 and 15–16 µs
-/// against this commit's 144–178, 5.6–7.2, 102–126 and 3–4). The host's
-/// speed drifts by up to 2× over tens of minutes, so compare a figure
-/// with its parent only within one such alternation.
+/// Section 6 as commit `af1d086` (the `Item`-tree walk and the
+/// `Vec<Vec<u8>>` response encoder) measured it with this same bench code
+/// on the box that produced the checked-in artifact: medians of four runs
+/// alternated with its successor's (288–310, 7.3–7.7 and 15–16 µs against
+/// 144–178, 5.6–7.2 and 3–4). The host's speed drifts by up to 2× over
+/// tens of minutes, so compare a figure with its parent only within one
+/// such alternation.
 const VERIFY_MANY64_PARENT_US: f64 = 298.0;
 const VERIFY1_PARENT_US: f64 = 7.6;
-const BATCH_RESPONSE_HASH_PARENT_US: f64 = 136.0;
 const BATCH_RESPONSE_ENCODE_PARENT_US: f64 = 16.0;
+/// `h_res` of the section 6 response when it hashed the whole envelope,
+/// every proof node's bytes included (119.7 µs in the artifact the last
+/// commit before proof nodes were bound by hash checked in).
+const BATCH_RESPONSE_HASH_PARENT_US: f64 = 120.0;
 
 /// A populated snapshot trie plus the hashed keys of a 64-call batch
 /// (every call an account read, some duplicated — the dedup-heavy shape
@@ -198,21 +203,29 @@ struct Numbers {
     rebuild_10k_us: f64,
     derive_1000_into_5k_us: f64,
     rebuild_6k_us: f64,
+    client: ClientSide,
+}
+
+/// Section 6's timings, µs.
+struct ClientSide {
     verify_many64_us: f64,
     verify1_us: f64,
+    /// `h_res` as a client computes it: hash every proof node, then the
+    /// digest.
     batch_response_hash_us: f64,
+    /// `h_res` as the serving node computes it, from the node hashes its
+    /// multiproof walk recorded.
+    batch_response_digest_served_us: f64,
     batch_response_encode_us: f64,
 }
 
-/// Section 6: `(verify_many64_us, verify1_us, batch_response_hash_us,
-/// batch_response_encode_us)` over `multiproof`, the fixture batch's
-/// proof.
+/// Section 6 over `multiproof`, the fixture batch's proof.
 fn measure_client_side(
     trie: &Trie,
     arena: &FrozenTrie,
     keys: &[Vec<u8>],
     multiproof: &[Vec<u8>],
-) -> (f64, f64, f64, f64) {
+) -> ClientSide {
     let time = |f: &mut dyn FnMut()| mean_us(VERIFY_ROUNDS, f);
     let root = arena.root_hash();
     let expected: Vec<Option<Vec<u8>>> = keys
@@ -256,19 +269,27 @@ fn measure_client_side(
         multiproof.to_vec(),
         vec![0xab; 540],
     );
-    let digest = batch_response_hash(
-        request.channel_id,
-        &request.amount,
-        &output,
-        &request.request_hash,
-        &request.request_sig,
-    );
-    let response = ParpBatchResponse::build(
+    // The serving node's hashes: recorded by the multiproof walk, never
+    // computed from the node bytes.
+    let mut buf = ProofBuf::new();
+    arena.multiproof_into(keys, &mut buf);
+    assert_eq!(buf.to_vecs(), multiproof);
+    let served = ProofHashes::served(&buf, &vec![ProofBuf::new(); output.item_proofs.len()]);
+    let response = ParpBatchResponse::build_hashed(
         &SecretKey::from_seed(b"trie-hotpath-node"),
         &request,
         output,
+        &served,
     );
-    assert_eq!(response.expected_hash(), digest);
+    assert_eq!(
+        response.digest(&served),
+        response.expected_hash(),
+        "the server's digest must equal the client's"
+    );
+    assert_eq!(
+        response.signer(),
+        Some(SecretKey::from_seed(b"trie-hotpath-node").address())
+    );
     assert_eq!(
         ParpBatchResponse::decode(&response.encode()).expect("own encoding decodes"),
         response,
@@ -276,15 +297,19 @@ fn measure_client_side(
     let batch_response_hash_us = time(&mut || {
         black_box(black_box(&response).expected_hash());
     });
+    let batch_response_digest_served_us = time(&mut || {
+        black_box(black_box(&response).digest(black_box(&served)));
+    });
     let batch_response_encode_us = time(&mut || {
         black_box(black_box(&response).encode());
     });
-    (
+    ClientSide {
         verify_many64_us,
         verify1_us,
         batch_response_hash_us,
+        batch_response_digest_served_us,
         batch_response_encode_us,
-    )
+    }
 }
 
 fn measure(trie: &Trie, keys: &[Vec<u8>]) -> Numbers {
@@ -355,9 +380,7 @@ fn measure(trie: &Trie, keys: &[Vec<u8>]) -> Numbers {
     let (derive_1000_into_5k_us, rebuild_6k_us) =
         derive_vs_rebuild(&funded_state(5_000), &thousand, FREEZE_ROUNDS);
 
-    let (verify_many64_us, verify1_us, batch_response_hash_us, batch_response_encode_us) =
-        measure_client_side(trie, &arena, keys, &reference);
-
+    let client = measure_client_side(trie, &arena, keys, &reference);
     Numbers {
         multiproof_base_us,
         multiproof_arena_us,
@@ -373,10 +396,7 @@ fn measure(trie: &Trie, keys: &[Vec<u8>]) -> Numbers {
         rebuild_10k_us,
         derive_1000_into_5k_us,
         rebuild_6k_us,
-        verify_many64_us,
-        verify1_us,
-        batch_response_hash_us,
-        batch_response_encode_us,
+        client,
     }
 }
 
@@ -407,6 +427,7 @@ fn emit_artifact(n: &Numbers) {
          \"verify1_us\":{:.2},\"verify1_parent_us\":{VERIFY1_PARENT_US:.2},\
          \"batch_response_hash_us\":{:.1},\
          \"batch_response_hash_parent_us\":{BATCH_RESPONSE_HASH_PARENT_US:.1},\
+         \"batch_response_digest_served_us\":{:.1},\
          \"batch_response_encode_us\":{:.1},\
          \"batch_response_encode_parent_us\":{BATCH_RESPONSE_ENCODE_PARENT_US:.1}}}\n",
         n.multiproof_base_us,
@@ -425,10 +446,11 @@ fn emit_artifact(n: &Numbers) {
         n.rebuild_6k_us,
         n.proof_nodes,
         n.proof_bytes,
-        n.verify_many64_us,
-        n.verify1_us,
-        n.batch_response_hash_us,
-        n.batch_response_encode_us,
+        n.client.verify_many64_us,
+        n.client.verify1_us,
+        n.client.batch_response_hash_us,
+        n.client.batch_response_digest_served_us,
+        n.client.batch_response_encode_us,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trie.json");
     std::fs::write(path, &json).expect("write BENCH_trie.json");
@@ -455,14 +477,16 @@ fn emit_artifact(n: &Numbers) {
     println!(
         "client side of the same batch ({} nodes, {} B): verify_many {:.0} µs (parent \
          {VERIFY_MANY64_PARENT_US:.0}) | verify_proof {:.1} µs (parent {VERIFY1_PARENT_US:.1}) | \
-         64-item response h_res {:.0} µs (parent {BATCH_RESPONSE_HASH_PARENT_US:.0}) | encode \
-         {:.0} µs (parent {BATCH_RESPONSE_ENCODE_PARENT_US:.0})",
+         64-item response h_res {:.0} µs hashing the nodes, {:.0} µs from the walk's hashes \
+         (parent {BATCH_RESPONSE_HASH_PARENT_US:.0}, over the node bytes) | encode {:.0} µs \
+         (parent {BATCH_RESPONSE_ENCODE_PARENT_US:.0})",
         n.proof_nodes,
         n.proof_bytes,
-        n.verify_many64_us,
-        n.verify1_us,
-        n.batch_response_hash_us,
-        n.batch_response_encode_us,
+        n.client.verify_many64_us,
+        n.client.verify1_us,
+        n.client.batch_response_hash_us,
+        n.client.batch_response_digest_served_us,
+        n.client.batch_response_encode_us,
     );
 
     // Hard gates, set conservatively below the measured wins so VM

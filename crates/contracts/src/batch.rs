@@ -25,6 +25,21 @@
 //! commits it to every `(result, block, proof)` triple, so one
 //! fraudulent item is enough for the client to hold fraud evidence
 //! against the whole signed response.
+//!
+//! # What `σ_res` signs
+//!
+//! `h_res` is the keccak of the response's ten signed fields with every
+//! proof node — multiproof and inclusion proofs alike — replaced by its
+//! `keccak256` ([`ProofHashes`]); results, item blocks, carried headers,
+//! `h_req` and `σ_req` are bound by their bytes. The binding is as
+//! strong as binding the bytes: finding two different proof nodes with
+//! one hash is a keccak collision, and the client verifies the very bytes
+//! whose hashes the node signed. It is cheaper on both sides, because
+//! each side holds those hashes anyway — the server reads each node's
+//! hash from its parent's child reference during the trie walk that cut
+//! the proof, and the client hashes each node once, for the digest and
+//! for the proof walk ([`parp_trie::verify_many_hashed`]). The single-call
+//! [`crate::ParpResponse`] keeps the paper's §V digest over its bytes.
 
 use crate::fdm::FraudVerdict;
 use crate::message::{
@@ -38,6 +53,7 @@ use parp_rlp::{
     bytes_len, decode_list_of, encode_bytes, encode_h256, encode_list, encode_u256, encode_u64,
     list_len, u256_len, u64_len, write_bytes, write_list_header, write_u256, write_u64, Item,
 };
+use parp_trie::ProofBuf;
 use std::collections::BTreeMap;
 
 fn encode_calls(calls: &[RpcCall]) -> Vec<u8> {
@@ -84,6 +100,86 @@ fn proof_sets_payload_len(proofs: &[Vec<Vec<u8>>]) -> usize {
 
 fn decode_proof_sets(item: &Item) -> Result<Vec<Vec<Vec<u8>>>, MessageError> {
     item.as_list()?.iter().map(decode_nodes).collect()
+}
+
+/// Encoded size of the items of a list of hashes.
+fn hashes_payload_len(hashes: &[H256]) -> usize {
+    hashes.len() * H256_FIELD_LEN
+}
+
+/// Appends `hashes` as a list of 32-byte strings.
+fn write_hashes(hashes: &[H256], out: &mut Vec<u8>) {
+    write_list_header(hashes_payload_len(hashes), out);
+    for hash in hashes {
+        write_bytes(hash.as_bytes(), out);
+    }
+}
+
+/// `keccak256` of every proof node of a batch response, in envelope
+/// order: the multiproof's nodes, then each item proof's nodes, item by
+/// item. `h_res` binds proof nodes through these hashes, and the same
+/// hashes key the verifier's node table, so a node's bytes are hashed at
+/// most once on each side of an exchange.
+///
+/// Built only from bytes the holder has — by hashing a received
+/// response's nodes ([`ParpBatchResponse::proof_hashes`]) or from the
+/// serving node's own proof buffers ([`ProofHashes::served`]) — never
+/// read off the wire.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ProofHashes {
+    hashes: Vec<H256>,
+    /// How many of `hashes` are the multiproof's.
+    multiproof: usize,
+}
+
+impl ProofHashes {
+    /// Hashes every node of a multiproof and of each item's inclusion
+    /// proof: what a client or a judge does with a response it received.
+    fn of(multiproof: &[Vec<u8>], item_proofs: &[Vec<Vec<u8>>]) -> Self {
+        let item_nodes: usize = item_proofs.iter().map(Vec::len).sum();
+        let mut hashes = Vec::with_capacity(multiproof.len() + item_nodes);
+        let nodes = multiproof.iter().chain(item_proofs.iter().flatten());
+        hashes.extend(nodes.map(|node| keccak256(node)));
+        ProofHashes {
+            hashes,
+            multiproof: multiproof.len(),
+        }
+    }
+
+    /// The serving node's form: every hash as its trie walks recorded it
+    /// beside the node — in `multiproof`, the buffer the response's
+    /// multiproof is copied out of, and in `item_proofs`, one buffer per
+    /// item that its inclusion proof is copied out of. Nothing is hashed.
+    pub fn served(multiproof: &ProofBuf, item_proofs: &[ProofBuf]) -> Self {
+        let item_nodes: usize = item_proofs.iter().map(ProofBuf::len).sum();
+        let mut hashes = Vec::with_capacity(multiproof.len() + item_nodes);
+        hashes.extend(multiproof.hashes());
+        hashes.extend(item_proofs.iter().flat_map(ProofBuf::hashes));
+        ProofHashes {
+            hashes,
+            multiproof: multiproof.len(),
+        }
+    }
+
+    /// The multiproof's node hashes.
+    fn multiproof(&self) -> &[H256] {
+        &self.hashes[..self.multiproof]
+    }
+
+    /// The inclusion-proof node hashes, cut into one run per item, each
+    /// as long as that item's proof in `item_proofs`. Runs past the end
+    /// of the hashes come out short, never a panic.
+    fn items<'a>(
+        &'a self,
+        item_proofs: &'a [Vec<Vec<u8>>],
+    ) -> impl Iterator<Item = &'a [H256]> + 'a {
+        let mut rest = &self.hashes[self.multiproof..];
+        item_proofs.iter().map(move |proof| {
+            let (run, tail) = rest.split_at(proof.len().min(rest.len()));
+            rest = tail;
+            run
+        })
+    }
 }
 
 /// Computes the batch `h_req` over the request's signed fields.
@@ -329,9 +425,20 @@ pub struct ParpBatchResponse {
     pub response_sig: Signature,
 }
 
-/// The ten fields `σ_res` signs, by reference. `h_res` is the keccak of
-/// their list; the wire encoding is the same ten followed by `σ_res`, so
-/// both are sized arithmetically and written once into one buffer.
+/// How [`SignedFields`] writes its proof nodes.
+#[derive(Clone, Copy)]
+enum ProofForm<'a> {
+    /// As the wire carries them: each node's bytes.
+    Bytes,
+    /// As `h_res` binds them: each node's `keccak256`.
+    Hashes(&'a ProofHashes),
+}
+
+/// The ten fields `σ_res` signs, by reference. The wire encoding is the
+/// ten as a list followed by `σ_res`; `h_res` is the keccak of the ten as
+/// a list with every proof node written as its hash
+/// ([`SignedFields::digest`], the one batch digest). Both are sized
+/// arithmetically and written once into one buffer.
 struct SignedFields<'a> {
     channel_id: u64,
     block_number: u64,
@@ -346,34 +453,54 @@ struct SignedFields<'a> {
 }
 
 impl SignedFields<'_> {
-    /// Encoded size of the ten fields: exactly what [`Self::write`]
-    /// appends.
-    fn len(&self) -> usize {
+    /// Encoded size of the ten fields with proof nodes in `form`:
+    /// exactly what [`Self::write`] appends.
+    fn len(&self, form: ProofForm<'_>) -> usize {
+        let multiproof = match form {
+            ProofForm::Bytes => nodes_payload_len(self.multiproof),
+            ProofForm::Hashes(hashes) => hashes_payload_len(hashes.multiproof()),
+        };
         u64_len(self.channel_id)
             + u64_len(self.block_number)
             + u256_len(self.amount)
             + list_len(nodes_payload_len(self.results))
-            + list_len(nodes_payload_len(self.multiproof))
+            + list_len(multiproof)
             + list_len(u64s_payload_len(self.item_blocks))
-            + list_len(proof_sets_payload_len(self.item_proofs))
+            + list_len(self.item_proofs_payload_len(form))
             + list_len(nodes_payload_len(self.headers))
             + H256_FIELD_LEN
             + SIGNATURE_FIELD_LEN
     }
 
-    fn write(&self, out: &mut Vec<u8>) {
+    fn item_proofs_payload_len(&self, form: ProofForm<'_>) -> usize {
+        match form {
+            ProofForm::Bytes => proof_sets_payload_len(self.item_proofs),
+            ProofForm::Hashes(hashes) => hashes
+                .items(self.item_proofs)
+                .map(|run| list_len(hashes_payload_len(run)))
+                .sum(),
+        }
+    }
+
+    fn write(&self, form: ProofForm<'_>, out: &mut Vec<u8>) {
         write_u64(self.channel_id, out);
         write_u64(self.block_number, out);
         write_u256(self.amount, out);
         write_nodes(self.results, out);
-        write_nodes(self.multiproof, out);
+        match form {
+            ProofForm::Bytes => write_nodes(self.multiproof, out),
+            ProofForm::Hashes(hashes) => write_hashes(hashes.multiproof(), out),
+        }
         write_list_header(u64s_payload_len(self.item_blocks), out);
         for block in self.item_blocks {
             write_u64(*block, out);
         }
-        write_list_header(proof_sets_payload_len(self.item_proofs), out);
-        for proof in self.item_proofs {
-            write_nodes(proof, out);
+        write_list_header(self.item_proofs_payload_len(form), out);
+        match form {
+            ProofForm::Bytes => self.item_proofs.iter().for_each(|p| write_nodes(p, out)),
+            ProofForm::Hashes(hashes) => hashes
+                .items(self.item_proofs)
+                .for_each(|run| write_hashes(run, out)),
         }
         write_nodes(self.headers, out);
         write_bytes(self.request_hash.as_bytes(), out);
@@ -382,52 +509,53 @@ impl SignedFields<'_> {
 
     /// The fields as one list, then `trailer_len` bytes of room the
     /// caller fills with further items of the same list.
-    fn encode_with_room(&self, trailer_len: usize) -> Vec<u8> {
-        let payload_len = self.len() + trailer_len;
+    fn encode_with_room(&self, form: ProofForm<'_>, trailer_len: usize) -> Vec<u8> {
+        let payload_len = self.len(form) + trailer_len;
         let mut out = Vec::with_capacity(list_len(payload_len));
         write_list_header(payload_len, &mut out);
-        self.write(&mut out);
+        self.write(form, &mut out);
         out
     }
 
-    fn hash(&self) -> H256 {
-        keccak256(&self.encode_with_room(0))
+    /// `h_res`: the keccak of the fields with each proof node bound by
+    /// its hash in `hashes`. The builder, the client and the judge all
+    /// reach this one function.
+    fn digest(&self, hashes: &ProofHashes) -> H256 {
+        keccak256(&self.encode_with_room(ProofForm::Hashes(hashes), 0))
     }
-}
-
-/// Computes the batch `h_res` over all response fields before `σ_res`.
-pub fn batch_response_hash(
-    channel_id: u64,
-    amount: &U256,
-    output: &BatchOutput,
-    request_hash: &H256,
-    request_sig: &Signature,
-) -> H256 {
-    SignedFields {
-        channel_id,
-        block_number: output.block_number,
-        amount,
-        results: &output.results,
-        multiproof: &output.multiproof,
-        item_blocks: &output.item_blocks,
-        item_proofs: &output.item_proofs,
-        headers: &output.headers,
-        request_hash,
-        request_sig,
-    }
-    .hash()
 }
 
 impl ParpBatchResponse {
-    /// Builds and signs a batch response with the full node's key.
+    /// Builds and signs a batch response with the full node's key,
+    /// hashing every proof node for `h_res`.
     pub fn build(secret: &SecretKey, request: &ParpBatchRequest, output: BatchOutput) -> Self {
-        let h_res = batch_response_hash(
-            request.channel_id,
-            &request.amount,
-            &output,
-            &request.request_hash,
-            &request.request_sig,
-        );
+        let hashes = ProofHashes::of(&output.multiproof, &output.item_proofs);
+        Self::build_hashed(secret, request, output, &hashes)
+    }
+
+    /// [`ParpBatchResponse::build`] with the proof-node hashes already in
+    /// hand — a serving node's [`ProofHashes::served`], which its trie
+    /// walks recorded without hashing. `hashes` must be those of
+    /// `output`'s proofs, or the signature will not verify.
+    pub fn build_hashed(
+        secret: &SecretKey,
+        request: &ParpBatchRequest,
+        output: BatchOutput,
+        hashes: &ProofHashes,
+    ) -> Self {
+        let h_res = SignedFields {
+            channel_id: request.channel_id,
+            block_number: output.block_number,
+            amount: &request.amount,
+            results: &output.results,
+            multiproof: &output.multiproof,
+            item_blocks: &output.item_blocks,
+            item_proofs: &output.item_proofs,
+            headers: &output.headers,
+            request_hash: &request.request_hash,
+            request_sig: &request.request_sig,
+        }
+        .digest(hashes);
         ParpBatchResponse {
             channel_id: request.channel_id,
             block_number: output.block_number,
@@ -468,9 +596,31 @@ impl ParpBatchResponse {
         }
     }
 
-    /// Recomputes `h_res` from the response contents.
+    /// `keccak256` of every proof node this response carries, each
+    /// hashed once: the input to [`ParpBatchResponse::digest`] and to
+    /// [`batch_fraud_conditions`].
+    pub fn proof_hashes(&self) -> ProofHashes {
+        ProofHashes::of(&self.multiproof, &self.item_proofs)
+    }
+
+    /// `h_res` from the response contents, with proof nodes bound by
+    /// `hashes` — this response's [`ParpBatchResponse::proof_hashes`],
+    /// computed once and shared with the proof checks.
+    pub fn digest(&self, hashes: &ProofHashes) -> H256 {
+        self.signed_fields().digest(hashes)
+    }
+
+    /// Recomputes `h_res` from the response contents, hashing every
+    /// proof node.
     pub fn expected_hash(&self) -> H256 {
-        self.signed_fields().hash()
+        self.digest(&self.proof_hashes())
+    }
+
+    /// Bytes `h_res` hashes: the length of the list
+    /// [`ParpBatchResponse::digest`] feeds keccak — what the judge meters
+    /// the response-hash recomputation over.
+    pub(crate) fn digest_preimage_len(&self, hashes: &ProofHashes) -> usize {
+        list_len(self.signed_fields().len(ProofForm::Hashes(hashes)))
     }
 
     /// Recovers the response signer (the full node) from `σ_res`.
@@ -480,14 +630,16 @@ impl ParpBatchResponse {
 
     /// Full RLP wire encoding (11 fields).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = self.signed_fields().encode_with_room(SIGNATURE_FIELD_LEN);
+        let mut out = self
+            .signed_fields()
+            .encode_with_room(ProofForm::Bytes, SIGNATURE_FIELD_LEN);
         write_bytes(&self.response_sig.to_bytes(), &mut out);
         out
     }
 
     /// `self.encode().len()`, from the field sizes alone.
     pub fn encoded_len(&self) -> usize {
-        list_len(self.signed_fields().len() + SIGNATURE_FIELD_LEN)
+        list_len(self.signed_fields().len(ProofForm::Bytes) + SIGNATURE_FIELD_LEN)
     }
 
     /// Decodes a batch response.
@@ -667,6 +819,10 @@ fn check_envelope_structure(
 /// the paper's §VI freshness bound — and never blocks judging the
 /// items next to it.
 ///
+/// `hashes` is `res`'s [`ParpBatchResponse::proof_hashes`], the same
+/// value its `σ_res` was checked with: the proof walks key the nodes by
+/// it instead of hashing them again.
+///
 /// Returns `Ok(None)` when every item is consistent.
 ///
 /// # Errors
@@ -678,6 +834,7 @@ fn check_envelope_structure(
 pub fn batch_fraud_conditions(
     req: &ParpBatchRequest,
     res: &ParpBatchResponse,
+    hashes: &ProofHashes,
     trusted: &BTreeMap<u64, Header>,
     request_height: u64,
 ) -> Result<Option<BatchFraud>, String> {
@@ -714,20 +871,29 @@ pub fn batch_fraud_conditions(
             state_keys.push(keccak256(address.as_bytes()));
         }
     }
-    let proven =
-        match parp_trie::verify_many(snapshot_header.state_root, &state_keys, &res.multiproof) {
-            Ok(proven) => proven,
-            // The node signed a multiproof that does not verify against the
-            // trusted root: provably wrong as a whole.
-            Err(_) => return Ok(Some(BatchFraud::Batch(FraudVerdict::InvalidProof))),
-        };
+    let proven = match parp_trie::verify_many_hashed(
+        snapshot_header.state_root,
+        &state_keys,
+        &res.multiproof,
+        hashes.multiproof(),
+    ) {
+        Ok(proven) => proven,
+        // The node signed a multiproof that does not verify against the
+        // trusted root: provably wrong as a whole.
+        Err(_) => return Ok(Some(BatchFraud::Batch(FraudVerdict::InvalidProof))),
+    };
     // Condition 3b: per-item value checks. State items against the
     // proven multiproof bindings; inclusion items against their own
     // block's transaction/receipt root via the single-call proof check.
     let mut verdicts: Vec<Option<FraudVerdict>> = Vec::with_capacity(req.calls.len());
     let mut any_fraud = false;
     let mut proven_iter = proven.into_iter();
-    for (index, (call, result)) in req.calls.iter().zip(res.results.iter()).enumerate() {
+    let items = req
+        .calls
+        .iter()
+        .zip(&res.results)
+        .zip(hashes.items(&res.item_proofs));
+    for (index, ((call, result), item_hashes)) in items.enumerate() {
         let verdict = match call.proof_kind() {
             ProofKind::State => {
                 let proven_value = proven_iter
@@ -742,7 +908,10 @@ pub fn batch_fraud_conditions(
             ProofKind::Transaction | ProofKind::Receipt => {
                 match trusted.get(&res.item_blocks[index]) {
                     Some(header) => {
-                        crate::fdm::proof_condition(call, result, &res.item_proofs[index], header)?
+                        let proof = &res.item_proofs[index];
+                        crate::fdm::proof_condition(call, result, proof, header, |root, key| {
+                            parp_trie::verify_proof_hashed(root, key, proof, item_hashes)
+                        })?
                     }
                     // No trusted header for the item's block (it fell
                     // out of the `BLOCKHASH` window): the item cannot
@@ -798,6 +967,177 @@ mod tests {
         vec![0xc1, 0x80]
     }
 
+    /// The serving node's form of `h_res` — multiproof hashes taken from
+    /// a [`ProofBuf`] — equals the client's, which hashes every node.
+    fn assert_forms_agree(response: &ParpBatchResponse) {
+        let buf: ProofBuf = response.multiproof.iter().collect();
+        let items: Vec<ProofBuf> = response
+            .item_proofs
+            .iter()
+            .map(|proof| proof.iter().collect())
+            .collect();
+        let served = ProofHashes::served(&buf, &items);
+        assert_eq!(served, response.proof_hashes());
+        assert_eq!(response.digest(&served), response.expected_hash());
+    }
+
+    /// A three-item response with a two-node multiproof and a two-node
+    /// inclusion proof on the last item.
+    fn proof_carrying_response() -> ParpBatchResponse {
+        let output = BatchOutput {
+            block_number: 42,
+            results: vec![Vec::new(), vec![0x05], vec![0xd7; 60]],
+            multiproof: vec![vec![0xa1; 57], vec![0xc2, 0x80, 0x80]],
+            item_blocks: vec![42, 42, 7],
+            item_proofs: vec![Vec::new(), Vec::new(), vec![vec![9, 9], vec![8]]],
+            headers: vec![vec![0xc1, 0x07], vec![0xc1, 0x2a]],
+        };
+        ParpBatchResponse::build(&fn_key(), &sample_request(3), output)
+    }
+
+    #[test]
+    fn digest_is_the_list_of_fields_with_proof_nodes_hashed() {
+        // Oracle: the ten fields through the allocating `Vec` encoders,
+        // each proof node replaced by its keccak.
+        let response = proof_carrying_response();
+        let hashed = |nodes: &[Vec<u8>]| {
+            encode_list(
+                &nodes
+                    .iter()
+                    .map(|node| encode_h256(&keccak256(node)))
+                    .collect::<Vec<_>>(),
+            )
+        };
+        let strings = |items: &[Vec<u8>]| {
+            encode_list(&items.iter().map(|i| encode_bytes(i)).collect::<Vec<_>>())
+        };
+        let preimage = encode_list(&[
+            encode_u64(response.channel_id),
+            encode_u64(response.block_number),
+            encode_u256(&response.amount),
+            strings(&response.results),
+            hashed(&response.multiproof),
+            encode_list(
+                &response
+                    .item_blocks
+                    .iter()
+                    .map(|b| encode_u64(*b))
+                    .collect::<Vec<_>>(),
+            ),
+            encode_list(
+                &response
+                    .item_proofs
+                    .iter()
+                    .map(|p| hashed(p))
+                    .collect::<Vec<_>>(),
+            ),
+            strings(&response.headers),
+            encode_h256(&response.request_hash),
+            encode_signature(&response.request_sig),
+        ]);
+        assert_eq!(response.expected_hash(), keccak256(&preimage));
+        assert_eq!(
+            response.digest_preimage_len(&response.proof_hashes()),
+            preimage.len()
+        );
+        assert_forms_agree(&response);
+    }
+
+    #[test]
+    fn every_proof_node_byte_is_bound() {
+        let response = proof_carrying_response();
+        let signed = response.expected_hash();
+        let mut flips = 0;
+        for node in 0..response.multiproof.len() {
+            for byte in 0..response.multiproof[node].len() {
+                let mut tampered = response.clone();
+                tampered.multiproof[node][byte] ^= 0x01;
+                assert_ne!(tampered.expected_hash(), signed, "multiproof {node}:{byte}");
+                flips += 1;
+            }
+        }
+        for item in 0..response.item_proofs.len() {
+            for node in 0..response.item_proofs[item].len() {
+                for byte in 0..response.item_proofs[item][node].len() {
+                    let mut tampered = response.clone();
+                    tampered.item_proofs[item][node][byte] ^= 0x01;
+                    assert_ne!(
+                        tampered.expected_hash(),
+                        signed,
+                        "item {item} {node}:{byte}"
+                    );
+                    flips += 1;
+                }
+            }
+        }
+        assert_eq!(flips, response.proof_bytes());
+    }
+
+    #[test]
+    fn proof_node_order_and_placement_are_bound() {
+        let response = proof_carrying_response();
+        let signed = response.expected_hash();
+        let mut swapped = response.clone();
+        swapped.multiproof.swap(0, 1);
+        assert_ne!(swapped.expected_hash(), signed);
+        let mut swapped = response.clone();
+        swapped.item_proofs[2].swap(0, 1);
+        assert_ne!(swapped.expected_hash(), signed);
+        // Trading a multiproof node for an inclusion-proof node.
+        let mut traded = response.clone();
+        std::mem::swap(&mut traded.multiproof[0], &mut traded.item_proofs[2][0]);
+        assert_ne!(traded.expected_hash(), signed);
+        // Moving a node out of the multiproof into an item's proof, at
+        // either end of it.
+        for at in [0, 2] {
+            let mut moved = response.clone();
+            let node = moved.multiproof.pop().unwrap();
+            moved.item_proofs[2].insert(at, node);
+            assert_ne!(moved.expected_hash(), signed, "moved to {at}");
+            assert_forms_agree(&moved);
+        }
+        // ...or into an item that had none.
+        let mut moved = response.clone();
+        let node = moved.multiproof.pop().unwrap();
+        moved.item_proofs[0].push(node);
+        assert_ne!(moved.expected_hash(), signed);
+    }
+
+    #[test]
+    fn served_hashes_from_a_trie_walk_sign_what_the_client_checks() {
+        // A real multiproof: the walk reads each node's hash from its
+        // parent instead of hashing the node.
+        let mut trie = parp_trie::Trie::new();
+        for i in 0..300u32 {
+            let key = keccak256(&i.to_be_bytes());
+            trie.insert(key.as_bytes().to_vec(), vec![0x5a; 70]);
+        }
+        let trie = parp_trie::FrozenTrie::new(trie);
+        let keys: Vec<H256> = (0..64u32)
+            .map(|i| keccak256(&(i * 3).to_be_bytes()))
+            .collect();
+        let mut buf = ProofBuf::new();
+        trie.multiproof_into(&keys, &mut buf);
+        let mut inclusion = ProofBuf::new();
+        trie.multiproof_into([keys[1]], &mut inclusion);
+        let items = [ProofBuf::new(), inclusion, [[3u8; 40]].iter().collect()];
+        let request = sample_request(3);
+        let output = BatchOutput {
+            block_number: 42,
+            results: vec![b"state".to_vec(), b"tx".to_vec(), b"receipt".to_vec()],
+            multiproof: buf.to_vecs(),
+            item_blocks: vec![42, 7, 7],
+            item_proofs: items.iter().map(ProofBuf::to_vecs).collect(),
+            headers: vec![sample_header_bytes(), sample_header_bytes()],
+        };
+        assert_eq!(output.item_proofs[1], trie.prove(keys[1].as_bytes()));
+        let served = ProofHashes::served(&buf, &items);
+        let response = ParpBatchResponse::build_hashed(&fn_key(), &request, output, &served);
+        assert_eq!(served, response.proof_hashes());
+        assert_eq!(response.signer(), Some(fn_key().address()));
+        assert_forms_agree(&response);
+    }
+
     #[test]
     fn batch_request_roundtrip_and_signers() {
         let request = sample_request(5);
@@ -842,6 +1182,7 @@ mod tests {
         assert_eq!(decoded.proof_bytes(), 5);
         assert_eq!(decoded.item_blocks, vec![42; 3]);
         assert_eq!(decoded.referenced_blocks(), vec![42]);
+        assert_forms_agree(&decoded);
     }
 
     #[test]
@@ -863,6 +1204,7 @@ mod tests {
         // Proof bytes cover the multiproof and the inclusion proofs.
         assert_eq!(decoded.proof_bytes(), 2 + 3);
         assert_eq!(decoded.header_bytes(), 4);
+        assert_forms_agree(&decoded);
     }
 
     #[test]
@@ -878,6 +1220,7 @@ mod tests {
                 sample_header_bytes(),
             ),
         );
+        assert_forms_agree(&response);
         response.results[1] = b"forged".to_vec();
         assert_ne!(response.signer(), Some(fn_key().address()));
         // The signature also commits the node to its item blocks and

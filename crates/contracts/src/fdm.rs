@@ -22,7 +22,7 @@ use crate::message::{ParpRequest, ParpResponse, ProofKind, RpcCall};
 use parp_chain::{BlockContext, Header, Log, State};
 use parp_crypto::{keccak256, recover_address, Signature};
 use parp_primitives::{Address, H256, U256};
-use parp_trie::verify_proof;
+use parp_trie::{verify_proof, ProofError};
 use std::collections::BTreeMap;
 
 /// Why a full node was condemned.
@@ -79,7 +79,9 @@ pub fn fraud_conditions(
     if req.call.requires_fresh_height() && res.block_number < request_height {
         return Ok(Some(FraudVerdict::StaleBlockHeight));
     }
-    proof_condition(&req.call, &res.result, &res.proof, header)
+    proof_condition(&req.call, &res.result, &res.proof, header, |root, key| {
+        verify_proof(root, key, &res.proof)
+    })
 }
 
 /// Whether a claimed result equals the value a state proof binds (an
@@ -95,6 +97,9 @@ pub(crate) fn state_claim_matches(result: &[u8], proven: &Option<Vec<u8>>) -> bo
 
 /// Condition 3 of the §V-D checks in isolation: does the call's Merkle
 /// proof authenticate the claimed result under the trusted `header`?
+/// `verify(root, key)` walks `proof` — [`verify_proof`] for a single
+/// call, the pre-hashed core for a batch item whose node hashes the
+/// batch digest already computed.
 ///
 /// # Errors
 ///
@@ -105,6 +110,7 @@ pub(crate) fn proof_condition(
     result: &[u8],
     proof: &[Vec<u8>],
     header: &Header,
+    verify: impl Fn(H256, &[u8]) -> Result<Option<Vec<u8>>, ProofError>,
 ) -> Result<Option<FraudVerdict>, String> {
     // An unproven empty result for an inclusion lookup means "not found"
     // — absence by hash is not provable in an index-keyed trie, so it is
@@ -124,7 +130,7 @@ pub(crate) fn proof_condition(
                 return Ok(None);
             };
             let key = keccak256(address.as_bytes());
-            match verify_proof(header.state_root, key.as_bytes(), proof) {
+            match verify(header.state_root, key.as_bytes()) {
                 Err(_) => Ok(Some(FraudVerdict::InvalidProof)),
                 Ok(proven) => {
                     if state_claim_matches(result, &proven) {
@@ -141,7 +147,7 @@ pub(crate) fn proof_condition(
                 .and_then(|i| i.as_u64())
                 .map_err(|_| "malformed transaction index in result".to_string())?;
             let key = parp_rlp::encode_u64(index);
-            match verify_proof(header.transactions_root, &key, proof) {
+            match verify(header.transactions_root, &key) {
                 Err(_) | Ok(None) => Ok(Some(FraudVerdict::InvalidProof)),
                 Ok(Some(proven_tx)) => {
                     let consistent = match call {
@@ -169,7 +175,7 @@ pub(crate) fn proof_condition(
                 .as_bytes()
                 .map_err(|_| "malformed receipt payload".to_string())?;
             let key = parp_rlp::encode_u64(index);
-            match verify_proof(header.receipts_root, &key, proof) {
+            match verify(header.receipts_root, &key) {
                 Err(_) | Ok(None) => Ok(Some(FraudVerdict::InvalidProof)),
                 Ok(Some(proven_receipt)) => {
                     if proven_receipt == claimed_receipt {
@@ -313,7 +319,7 @@ impl FraudModule {
             || req.expected_hash(),
             || res.signer(),
             request_bytes,
-            response_bytes,
+            || response_bytes.len(),
             ctx,
             cmm,
             meter,
@@ -398,12 +404,17 @@ impl FraudModule {
             request_block_hash: req.block_hash,
             amounts_equal: req.amount == res.amount,
         };
+        // Each proof node is hashed once — after the cheap guards pass —
+        // for `h_res` and for the proof walks; `h_res` hashes those
+        // hashes, not the nodes' bytes.
+        let hashes = std::cell::OnceCell::new();
+        let hashes = || hashes.get_or_init(|| res.proof_hashes());
         let (channel, request_height) = self.authenticate_exchange(
             &exchange,
             || req.expected_hash(),
-            || res.signer(),
+            || recover_address(&res.digest(hashes()), &res.response_sig).ok(),
             request_bytes,
-            response_bytes,
+            || res.digest_preimage_len(hashes()),
             ctx,
             cmm,
             meter,
@@ -447,7 +458,7 @@ impl FraudModule {
         for header in &res.headers {
             meter.keccak(header.len());
         }
-        let fraud = crate::batch_fraud_conditions(&req, &res, &trusted, request_height)
+        let fraud = crate::batch_fraud_conditions(&req, &res, hashes(), &trusted, request_height)
             .map_err(Revert::new)?;
         let verdict = match fraud {
             None => return Err(Revert::new("no fraud detected")),
@@ -498,7 +509,10 @@ impl FraudModule {
     /// recomputation and response-signer recovery run only after the
     /// cheap guards pass. Header validation is separate
     /// ([`FraudModule::validate_header`]) because single and batched
-    /// submissions carry different header sets.
+    /// submissions carry different header sets. `h_res` is metered over
+    /// `response_digest_len()` bytes: the whole response for a single
+    /// call (§V's digest covers its fields' bytes), the digest preimage
+    /// for a batch (proof nodes enter it as 32-byte hashes).
     #[allow(clippy::too_many_arguments)]
     fn authenticate_exchange(
         &self,
@@ -506,7 +520,7 @@ impl FraudModule {
         expected_request_hash: impl FnOnce() -> H256,
         response_signer: impl FnOnce() -> Option<Address>,
         request_bytes: &[u8],
-        response_bytes: &[u8],
+        response_digest_len: impl FnOnce() -> usize,
         ctx: &BlockContext,
         cmm: &ChannelsModule,
         meter: &mut GasMeter,
@@ -547,7 +561,7 @@ impl FraudModule {
         }
 
         // The origin of the response: recover σ_res.
-        meter.keccak(response_bytes.len());
+        meter.keccak(response_digest_len());
         meter.ecrecover();
         let response_signer =
             response_signer().ok_or_else(|| Revert::new("response signature invalid"))?;

@@ -47,8 +47,8 @@ pub mod gas;
 mod message;
 
 pub use batch::{
-    batch_fraud_conditions, batch_request_hash, batch_response_hash, referenced_blocks, BatchFraud,
-    BatchOutput, ParpBatchRequest, ParpBatchResponse,
+    batch_fraud_conditions, batch_request_hash, referenced_blocks, BatchFraud, BatchOutput,
+    ParpBatchRequest, ParpBatchResponse, ProofHashes,
 };
 pub use calls::{cmm_address, fdm_address, fndm_address, ModuleCall};
 pub use cmm::{confirmation_digest, Channel, ChannelStatus, ChannelsModule, DISPUTE_WINDOW_BLOCKS};

@@ -1,11 +1,12 @@
 //! End-to-end tests of the on-chain modules running on the simulated
 //! chain: deposits, channel lifecycle, disputes and fraud proofs.
 
-use parp_chain::{Blockchain, Header, TransferExecutor};
+use parp_chain::{Blockchain, Header, Transaction, TransferExecutor};
 use parp_contracts::{
     build_module_call, cmm_address, confirmation_digest, fdm_address, fndm_address, min_deposit,
-    payment_digest, ChannelStatus, FraudVerdict, ModuleCall, ParpExecutor, ParpRequest,
-    ParpResponse, RpcCall, DISPUTE_WINDOW_BLOCKS, SLASH_CLIENT_SHARE, SLASH_WITNESS_SHARE,
+    payment_digest, BatchOutput, ChannelStatus, FraudVerdict, ModuleCall, ParpBatchRequest,
+    ParpBatchResponse, ParpExecutor, ParpRequest, ParpResponse, RpcCall, DISPUTE_WINDOW_BLOCKS,
+    SLASH_CLIENT_SHARE, SLASH_WITNESS_SHARE,
 };
 use parp_crypto::{keccak256, sign, SecretKey};
 use parp_primitives::{Address, H256, U256};
@@ -26,12 +27,16 @@ fn token(n: u64) -> U256 {
 
 impl Env {
     fn new() -> Self {
+        Env::with_accounts(&[])
+    }
+
+    /// [`Env::new`] with `accounts` funded at genesis too.
+    fn with_accounts(accounts: &[Address]) -> Self {
         let node = SecretKey::from_seed(b"env-full-node");
         let client = SecretKey::from_seed(b"env-light-client");
-        let chain = Blockchain::new(vec![
-            (node.address(), token(10)),
-            (client.address(), token(10)),
-        ]);
+        let mut alloc = vec![(node.address(), token(10)), (client.address(), token(10))];
+        alloc.extend(accounts.iter().map(|address| (*address, token(1))));
+        let chain = Blockchain::new(alloc);
         Env {
             chain,
             executor: ParpExecutor::new(),
@@ -439,6 +444,77 @@ fn header_outside_window_is_unverifiable() {
         &old_header,
     );
     assert_eq!(env.last_receipt_status(), 0, "stale header must revert");
+}
+
+/// Gas the dispute in [`forged_batch64_fraud_proof_gas`] used while the
+/// judge metered `h_res` over the whole 16,487-byte response.
+const FORGED_BATCH64_FRAUD_GAS_BEFORE: u64 = 4_209_780;
+/// The same dispute with `h_res` metered over its digest preimage, where
+/// each proof node is a 32-byte hash: 251 keccak words fewer.
+const FORGED_BATCH64_FRAUD_GAS: u64 = 4_208_274;
+
+/// The forged 64-item batch of [`forged_batch64_fraud_proof_gas`]: 64
+/// funded accounts besides the node and the client.
+fn batch_accounts() -> Vec<Address> {
+    (0..64u64)
+        .map(|i| Address::from_low_u64_be(0xB000 + i))
+        .collect()
+}
+
+#[test]
+fn forged_batch64_fraud_proof_gas() {
+    let accounts = batch_accounts();
+    let mut env = Env::with_accounts(&accounts);
+    env.register_node();
+    let id = env.open_channel(U256::from(1_000_000u64));
+    let head = env.chain.head().header.clone();
+    let calls: Vec<RpcCall> = accounts
+        .iter()
+        .map(|address| RpcCall::GetBalance { address: *address })
+        .collect();
+    let request = ParpBatchRequest::build(&env.client, id, head.hash(), U256::from(640u64), calls);
+    let state = env.chain.state();
+    let mut results: Vec<Vec<u8>> = accounts
+        .iter()
+        .map(|address| state.account(address).expect("funded").encode())
+        .collect();
+    results[63] = parp_chain::Account::with_balance(U256::from(1u64)).encode();
+    let output = BatchOutput::snapshot(
+        head.number,
+        results,
+        state.account_multiproof(&accounts),
+        head.encode(),
+    );
+    let response = ParpBatchResponse::build(&env.node, &request, output);
+    let call = ModuleCall::SubmitBatchFraudProof {
+        request: request.encode(),
+        response: response.encode(),
+        witness: Address::from_low_u64_be(0x64),
+        headers: vec![head.encode()],
+    };
+    // A 64-item dispute does not fit `MODULE_CALL_GAS_LIMIT`: it is
+    // submitted with room to spare, and the gas it used is what counts.
+    let tx = Transaction {
+        nonce: env.client_nonce,
+        gas_price: U256::ZERO,
+        gas_limit: 10_000_000,
+        to: Some(call.target()),
+        value: U256::ZERO,
+        data: call.encode(),
+    }
+    .sign(&env.client);
+    env.chain
+        .produce_block(vec![tx], &mut env.executor)
+        .expect("dispute block");
+    assert_eq!(
+        env.last_receipt_status(),
+        1,
+        "the forged batch is condemned"
+    );
+    let gas = env.chain.head().header.gas_used;
+    assert_eq!(gas, FORGED_BATCH64_FRAUD_GAS);
+    assert!(gas < FORGED_BATCH64_FRAUD_GAS_BEFORE);
+    assert_eq!(response.encoded_len(), 16_487);
 }
 
 fn resign(node: &SecretKey, mut response: ParpResponse) -> ParpResponse {

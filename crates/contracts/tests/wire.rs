@@ -1,14 +1,16 @@
 //! The wire encoding as a byte-for-byte contract: `encoded_len()` equals
 //! `encode().len()` on all four PARP messages for arbitrary contents, and
-//! one hand-built batch response still hashes and encodes to the bytes
-//! the `Vec<Vec<u8>>` encoder produced before `h_res` and the wire
+//! one hand-built batch response whose signed fields still encode to the
+//! bytes the `Vec<Vec<u8>>` encoder produced before `h_res` and the wire
 //! encoding were written into one buffer.
 
 use parp_contracts::{
-    BatchOutput, ParpBatchRequest, ParpBatchResponse, ParpRequest, ParpResponse, RpcCall,
+    BatchOutput, ParpBatchRequest, ParpBatchResponse, ParpRequest, ParpResponse, ProofHashes,
+    RpcCall,
 };
 use parp_crypto::{sign, SecretKey, Signature};
 use parp_primitives::{to_hex, Address, H256, U256};
+use parp_trie::ProofBuf;
 use proptest::prelude::*;
 
 fn a_signature() -> Signature {
@@ -156,8 +158,11 @@ proptest! {
     }
 }
 
-/// `h_res`, `σ_res` and the wire bytes of a three-item response, as the
-/// commit before the one-buffer encoder produced them.
+/// `h_res`, `σ_res` and the wire bytes of a three-item response. The
+/// ten signed fields encode to the bytes the `Vec<Vec<u8>>` encoder
+/// produced before `h_res` and the wire encoding were written into one
+/// buffer; `h_res` and `σ_res` are those of the digest that binds proof
+/// nodes by their hashes.
 #[test]
 fn batch_response_fixed_vector() {
     let calls = vec![
@@ -186,27 +191,43 @@ fn batch_response_fixed_vector() {
         item_proofs: vec![Vec::new(), Vec::new(), vec![vec![9, 9], vec![8]]],
         headers: vec![vec![0xc1, 0x07], vec![0xc1, 0x2a]],
     };
-    let response =
-        ParpBatchResponse::build(&SecretKey::from_seed(b"vector-full-node"), &request, output);
+    // The serving node's form of the digest: the hashes beside the
+    // nodes in its proof buffers.
+    let multiproof: ProofBuf = output.multiproof.iter().collect();
+    let items: Vec<ProofBuf> = output
+        .item_proofs
+        .iter()
+        .map(|proof| proof.iter().collect())
+        .collect();
+    let served = ProofHashes::served(&multiproof, &items);
+    let node = SecretKey::from_seed(b"vector-full-node");
+    let response = ParpBatchResponse::build_hashed(&node, &request, output, &served);
     assert_eq!(
         to_hex(response.expected_hash().as_bytes()),
-        "bacd9b348601670da37a0feaeafc47b9897dd3e9f287df8ed86121c489116381"
+        "937b41970e06382177d505c04febceb66706488bb0a1e9756970c498d8fbd6d8"
     );
+    assert_eq!(response.digest(&served), response.expected_hash());
+    assert_eq!(response.signer(), Some(node.address()));
+    let signed_fields = concat!(
+        "f90142072a82012cf8408005b83c",
+        "d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7",
+        "d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7",
+        "f83fb839",
+        "a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1",
+        "a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1",
+        "83c28080c32a2a07c7c0c0c482090908c682c10782c12a",
+        "a0439f62f2309c1f07ddc691b1143475923b0d388c076ce186671b66792aee5435",
+        "b8412b56f45ec44d1c4efa2e6be96f850516cd8e8036061fab0fa6510382f3f63a07",
+        "3eb7d4e4695092051fe36f23e084aed0445a0a905305865c9672517d92e755d100",
+    );
+    let encoded = to_hex(&response.encode());
+    let (fields, response_sig) = encoded.split_at(signed_fields.len().min(encoded.len()));
+    assert_eq!(fields, signed_fields);
     assert_eq!(
-        to_hex(&response.encode()),
+        response_sig,
         concat!(
-            "f90142072a82012cf8408005b83c",
-            "d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7",
-            "d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7d7",
-            "f83fb839",
-            "a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1",
-            "a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1",
-            "83c28080c32a2a07c7c0c0c482090908c682c10782c12a",
-            "a0439f62f2309c1f07ddc691b1143475923b0d388c076ce186671b66792aee5435",
-            "b8412b56f45ec44d1c4efa2e6be96f850516cd8e8036061fab0fa6510382f3f63a07",
-            "3eb7d4e4695092051fe36f23e084aed0445a0a905305865c9672517d92e755d100",
-            "b84102957eb75481874656e223b5d6f419944b7f7f71884d299387bac6ca3b27bd66",
-            "4cbf99d173f7ec50ddb4d3a5a41626702f3340566379a350e81c643fc35e36f400",
+            "b84141e391087984b11e2114c64917527f10f8d8d63ad053a6713e7b96ebe0e6ad4f",
+            "20947359adc55f755ad670901a6366e4366eadd3dded2ff9b98a8553c31f6be101",
         )
     );
 }

@@ -7,7 +7,7 @@ use crate::peer::{NotPeer, Peer};
 use parp_chain::{Blockchain, Header, State};
 use parp_contracts::{
     confirmation_digest, payment_digest, ChannelStatus, ModuleCall, ParpBatchRequest,
-    ParpBatchResponse, ParpExecutor, ParpRequest, ParpResponse, RpcCall,
+    ParpBatchResponse, ParpExecutor, ParpRequest, ParpResponse, ProofHashes, RpcCall,
 };
 use parp_crypto::{sign, KeyPair, PreparedKey, PublicKey, SecretKey, Signature};
 use parp_primitives::{Address, H256, U256};
@@ -31,7 +31,8 @@ pub trait ProofEngine {
     /// Deduplicated multiproof for `addresses` under `state`'s root —
     /// the node set of [`State::account_multiproof`] — written into
     /// `out`, the one contiguous buffer the serving loop carries across
-    /// batches (cleared first; capacity is kept).
+    /// batches (cleared first; capacity is kept). The hashes `out` keeps
+    /// beside the nodes are what the batch's `σ_res` signs.
     fn account_multiproof_into(&mut self, state: &State, addresses: &[Address], out: &mut ProofBuf);
 
     /// Single-account proof under `state`'s root, equivalent to
@@ -41,23 +42,22 @@ pub trait ProofEngine {
     /// Inclusion proof for transaction `index` of the block `header`
     /// heads, equivalent to [`Blockchain::transaction_proof`] — empty
     /// when the block holds no such transaction or its body cannot be
-    /// read. The serving loop resolves the header (once per exchange)
-    /// and hands it in, so an engine keyed by trie root never looks it
-    /// up again; a runtime overrides this to reuse a cached per-block
-    /// transaction trie instead of rebuilding it per lookup.
-    fn transaction_proof(
-        &mut self,
-        chain: &Blockchain,
-        header: &Header,
-        index: usize,
-    ) -> Vec<Vec<u8>> {
+    /// read — with each node's hash, which a batch's `σ_res` signs. The
+    /// serving loop resolves the header (once per exchange) and hands
+    /// it in, so an engine keyed by trie root never looks it up again;
+    /// a runtime overrides this to reuse a cached per-block transaction
+    /// trie instead of rebuilding it per lookup, and to read the node
+    /// hashes off its walk instead of hashing the nodes.
+    fn transaction_proof(&mut self, chain: &Blockchain, header: &Header, index: usize) -> ProofBuf {
         chain
             .transaction_proof(header.number, index)
             .unwrap_or_default()
+            .iter()
+            .collect()
     }
 
     /// The encoded receipt `index` of the block `header` heads and its
-    /// inclusion proof, equivalent to
+    /// inclusion proof with each node's hash, equivalent to
     /// [`Blockchain::receipt_with_proof`]: the pair comes from one
     /// trie, so the receipt served is the one the proof binds. `None`
     /// when there is no such receipt to serve. A runtime overrides
@@ -67,8 +67,9 @@ pub trait ProofEngine {
         chain: &Blockchain,
         header: &Header,
         index: usize,
-    ) -> Option<(Vec<u8>, Vec<Vec<u8>>)> {
-        chain.receipt_with_proof(header.number, index)
+    ) -> Option<(Vec<u8>, ProofBuf)> {
+        let (receipt, proof) = chain.receipt_with_proof(header.number, index)?;
+        Some((receipt, proof.iter().collect()))
     }
 }
 
@@ -95,6 +96,10 @@ impl ProofEngine for SequentialEngine {
 
 /// `(m_B, R(γ), π_γ)`: the served height, result payload and proof nodes.
 type CallOutput = (u64, Vec<u8>, Vec<Vec<u8>>);
+
+/// A located inclusion lookup: its containing block, result payload and
+/// proof nodes with their hashes.
+type InclusionOutput = (u64, Vec<u8>, ProofBuf);
 
 /// The headers one exchange has resolved, decoded and encoded, by
 /// block number. Each referenced block is resolved once — for a pruned
@@ -625,13 +630,13 @@ impl FullNode {
                 Some(None) => {
                     results.push(Vec::new());
                     item_blocks.push(head);
-                    item_proofs.push(Vec::new());
+                    item_proofs.push(ProofBuf::new());
                 }
                 // A snapshot-provable read.
                 None => {
                     results.push(Self::read_result(call, head, state, chain, executor)?);
                     item_blocks.push(head);
-                    item_proofs.push(Vec::new());
+                    item_proofs.push(ProofBuf::new());
                     if let Some(address) = call.state_address() {
                         state_addresses.push(*address);
                     }
@@ -666,16 +671,19 @@ impl FullNode {
             request.calls.len() as u64,
             learned,
         );
+        // `h_res` binds proof nodes by hash: every one of them is in a
+        // buffer beside the hash its trie walk recorded.
+        let hashes = ProofHashes::served(&self.proof_scratch, &item_proofs);
         let output = parp_contracts::BatchOutput {
             block_number: head,
             results,
             multiproof,
             item_blocks,
-            item_proofs,
+            item_proofs: item_proofs.iter().map(ProofBuf::to_vecs).collect(),
             headers: carried,
         };
         let sign_start = self.stage_start();
-        let honest = ParpBatchResponse::build(self.key.secret(), request, output);
+        let honest = ParpBatchResponse::build_hashed(self.key.secret(), request, output, &hashes);
         self.stage_sign(sign_start);
         Ok(self
             .misbehavior
@@ -854,7 +862,7 @@ impl FullNode {
         chain: &Blockchain,
         engine: &mut dyn ProofEngine,
         headers: &mut ExchangeHeaders,
-    ) -> Result<Option<Option<CallOutput>>, ServeError> {
+    ) -> Result<Option<Option<InclusionOutput>>, ServeError> {
         let (hash, wants_receipt) = match call {
             RpcCall::GetTransactionByHash { hash } => (hash, false),
             RpcCall::GetTransactionReceipt { hash } => (hash, true),
@@ -907,7 +915,7 @@ impl FullNode {
             .block(block)
             .ok_or(ServeError::UnknownBlock(block))?
             .header;
-        let proof = engine.transaction_proof(chain, header, index);
+        let proof = engine.transaction_proof(chain, header, index).to_vecs();
         Ok((block, parp_rlp::encode_u64(index as u64), proof))
     }
 
@@ -937,6 +945,7 @@ impl FullNode {
                 // head (the client treats it as unverified data).
                 Ok(Self::inclusion_lookup(call, chain, engine, &mut headers)?
                     .flatten()
+                    .map(|(block, result, proof)| (block, result, proof.to_vecs()))
                     .unwrap_or_else(|| (chain.height(), Vec::new(), Vec::new())))
             }
             RpcCall::BlockNumber | RpcCall::GetHeader { .. } | RpcCall::GetChannelStatus { .. } => {

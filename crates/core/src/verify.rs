@@ -230,8 +230,11 @@ pub(crate) fn classify_batch_paired(
     if res.request_sig != req.request_sig {
         return invalid(InvalidReason::RequestSigMismatch);
     }
-    // 2. One response-signature check for the whole batch.
-    let Ok(learned) = full_node.signed(&res.expected_hash(), &res.response_sig) else {
+    // 2. One response-signature check for the whole batch. Each proof
+    //    node is hashed here once: `h_res` binds the nodes by these
+    //    hashes, and the proof walks below key the nodes by them.
+    let hashes = res.proof_hashes();
+    let Ok(learned) = full_node.signed(&res.digest(&hashes), &res.response_sig) else {
         return invalid(InvalidReason::ResponseSignatureInvalid);
     };
     // 3. Channel identifier.
@@ -251,7 +254,7 @@ pub(crate) fn classify_batch_paired(
         };
         trusted.insert(number, header);
     }
-    let classification = match batch_fraud_conditions(req, res, &trusted, request_height) {
+    let classification = match batch_fraud_conditions(req, res, &hashes, &trusted, request_height) {
         Err(e) => BatchClassification::Invalid(InvalidReason::MalformedResult(e)),
         Ok(None) => BatchClassification::Items(vec![Classification::Valid; req.calls.len()]),
         Ok(Some(BatchFraud::Batch(verdict))) => BatchClassification::BatchFraud { verdict },

@@ -3,7 +3,7 @@
 
 use crate::admission::{AdmissionController, AdmissionError, AdmissionStats};
 use crate::cache::SnapshotCache;
-use crate::tiered::{item_with_proof, ordered_page, ColdProofEngine};
+use crate::tiered::{item_proof, item_with_proof, ordered_page, ColdProofEngine};
 use parp_chain::{Blockchain, Header, State};
 use parp_contracts::{
     ParpBatchRequest, ParpBatchResponse, ParpExecutor, ParpRequest, ParpResponse,
@@ -156,16 +156,11 @@ impl ProofEngine for Runtime {
         trie.prove(keccak256(address.as_bytes()).as_bytes())
     }
 
-    fn transaction_proof(
-        &mut self,
-        chain: &Blockchain,
-        header: &Header,
-        index: usize,
-    ) -> Vec<Vec<u8>> {
+    fn transaction_proof(&mut self, chain: &Blockchain, header: &Header, index: usize) -> ProofBuf {
         self.inclusion_page(header.transactions_root, || {
             chain.transactions_encoded(header.number)
         })
-        .map(|page| page.prove(&parp_rlp::encode_u64(index as u64)))
+        .map(|page| item_proof(&page, index))
         .unwrap_or_default()
     }
 
@@ -174,7 +169,7 @@ impl ProofEngine for Runtime {
         chain: &Blockchain,
         header: &Header,
         index: usize,
-    ) -> Option<(Vec<u8>, Vec<Vec<u8>>)> {
+    ) -> Option<(Vec<u8>, ProofBuf)> {
         // The ordered trie over the encoded receipts is exactly
         // `parp_chain::receipts_trie`, so the proof bytes match the
         // in-memory path whether the body came from RAM or a segment.
@@ -587,7 +582,7 @@ mod tests {
             let header = chain.header_at(block).unwrap();
             let proof = runtime.transaction_proof(&chain, &header, 0);
             assert!(!proof.is_empty());
-            assert_eq!(Some(proof), chain.transaction_proof(block, 0));
+            assert_eq!(Some(proof.to_vecs()), chain.transaction_proof(block, 0));
         }
         assert_eq!(runtime.inclusion_cache().len(), 1);
     }
@@ -634,7 +629,11 @@ mod tests {
             // Receipt and proof come off one page, cold or resident.
             let cold_receipt = cold_rt.receipt_proof(&cold_chain, &header, 0);
             assert_eq!(cold_receipt, warm_rt.receipt_proof(&resident, &header, 0));
-            assert_eq!(cold_receipt, resident.receipt_with_proof(block, 0));
+            let (receipt, proof) = cold_receipt.expect("a receipt");
+            assert_eq!(
+                Some((receipt, proof.to_vecs())),
+                resident.receipt_with_proof(block, 0)
+            );
         }
         let tier = cold_rt.cold_storage().unwrap().tier();
         assert!(tier.spill_count() > 0, "tiny budget forced spills");

@@ -247,12 +247,20 @@ pub(crate) fn ordered_page(encoded: &[Vec<u8>]) -> FrozenTrie {
     FrozenTrie::new(parp_trie::ordered_trie(encoded.iter().map(Vec::as_slice)))
 }
 
+/// The inclusion proof of item `index` of an ordered page, each node
+/// beside the hash the walk read from its parent — nothing is hashed.
+pub(crate) fn item_proof(page: &FrozenTrie, index: usize) -> ProofBuf {
+    let mut proof = ProofBuf::new();
+    page.multiproof_into([parp_rlp::encode_u64(index as u64)], &mut proof);
+    proof
+}
+
 /// Item `index` of an ordered page with its inclusion proof: the
 /// value is read off the arena the proof is cut from, so a receipt
 /// whose page is in either tier never touches the receipts segment.
-pub(crate) fn item_with_proof(page: &FrozenTrie, index: usize) -> Option<(Vec<u8>, Vec<Vec<u8>>)> {
-    let key = parp_rlp::encode_u64(index as u64);
-    Some((page.get(&key)?, page.prove(&key)))
+pub(crate) fn item_with_proof(page: &FrozenTrie, index: usize) -> Option<(Vec<u8>, ProofBuf)> {
+    let item = page.get(&parp_rlp::encode_u64(index as u64))?;
+    Some((item, item_proof(page, index)))
 }
 
 impl ProofEngine for ColdProofEngine {
@@ -269,16 +277,11 @@ impl ProofEngine for ColdProofEngine {
         state.account_proof(address)
     }
 
-    fn transaction_proof(
-        &mut self,
-        chain: &Blockchain,
-        header: &Header,
-        index: usize,
-    ) -> Vec<Vec<u8>> {
+    fn transaction_proof(&mut self, chain: &Blockchain, header: &Header, index: usize) -> ProofBuf {
         self.page(header.transactions_root, || {
             chain.transactions_encoded(header.number)
         })
-        .map(|page| page.prove(&parp_rlp::encode_u64(index as u64)))
+        .map(|page| item_proof(&page, index))
         .unwrap_or_default()
     }
 
@@ -287,7 +290,7 @@ impl ProofEngine for ColdProofEngine {
         chain: &Blockchain,
         header: &Header,
         index: usize,
-    ) -> Option<(Vec<u8>, Vec<Vec<u8>>)> {
+    ) -> Option<(Vec<u8>, ProofBuf)> {
         let page = self.page(header.receipts_root, || {
             chain.receipts_encoded(header.number)
         })?;

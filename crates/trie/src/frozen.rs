@@ -382,8 +382,8 @@ impl FrozenTrie {
     /// [`FrozenTrie::prove`] exactly; first-touch deduplication over the
     /// ids reproduces [`FrozenTrie::prove_many`].
     fn prove_ids(&self, key: &[u8], out: &mut Vec<u32>) {
-        self.walk(key, |node, is_root| {
-            if node.enc_len >= 32 || is_root {
+        self.walk(key, |node, parent| {
+            if recorded(node, parent) {
                 out.push(node.dedup);
             }
         });
@@ -415,23 +415,29 @@ impl FrozenTrie {
         }
     }
 
-    /// Walks from the root along `key`, calling `visit(node, is_root)`
-    /// on every node reached, in order. Returns the arena id of the
-    /// node the key's value would sit in — the leaf the walk ended on,
-    /// or the branch at which the key ran out — with the key nibbles
-    /// consumed before it; `None` when the walk fell off the trie first.
-    fn walk(&self, key: &[u8], mut visit: impl FnMut(&ArenaNode, bool)) -> Option<(u32, usize)> {
+    /// Walks from the root along `key`, calling `visit(node, parent)` on
+    /// every node reached, in order: `parent` is `None` at the root and
+    /// otherwise the parent's arena id with the index of the item that
+    /// holds this node's reference in the parent's encoding. Returns the
+    /// arena id of the node the key's value would sit in — the leaf the
+    /// walk ended on, or the branch at which the key ran out — with the
+    /// key nibbles consumed before it; `None` when the walk fell off the
+    /// trie first.
+    fn walk(
+        &self,
+        key: &[u8],
+        mut visit: impl FnMut(&ArenaNode, Option<(u32, usize)>),
+    ) -> Option<(u32, usize)> {
         if self.nodes.is_empty() {
             return None;
         }
         let nib_len = key.len() * 2;
         let mut id = 0u32;
         let mut consumed = 0usize;
-        let mut is_root = true;
+        let mut parent = None;
         loop {
             let node = self.nodes[id as usize];
-            visit(&node, is_root);
-            is_root = false;
+            visit(&node, parent);
             match node.kind {
                 Kind::Leaf => return Some((id, consumed)),
                 Kind::Extension => {
@@ -446,6 +452,7 @@ impl FrozenTrie {
                         return None;
                     }
                     consumed += path.len();
+                    parent = Some((id, 1));
                     id = self.children[node.child_off as usize];
                 }
                 Kind::Branch => {
@@ -458,6 +465,7 @@ impl FrozenTrie {
                     if child == NO_NODE {
                         return None;
                     }
+                    parent = Some((id, idx));
                     id = child;
                 }
             }
@@ -481,21 +489,28 @@ impl FrozenTrie {
         K: AsRef<[u8]>,
     {
         let mut nodes = Vec::new();
-        self.for_each_multiproof_node(keys, |bytes| nodes.push(bytes.to_vec()));
+        self.for_each_multiproof_node(keys, |bytes, _| nodes.push(bytes.to_vec()));
         nodes
     }
 
     /// [`FrozenTrie::prove_many`] into a reusable [`ProofBuf`]: the
     /// whole multiproof lands in one contiguous allocation, each shared
     /// node materialized exactly once across all keys. Clears `out`
-    /// first; capacity is retained across batches.
+    /// first; capacity is retained across batches. For one key it holds
+    /// exactly the nodes of [`FrozenTrie::prove`].
+    ///
+    /// Each node's hash is recorded beside it without hashing: it is the
+    /// 32-byte reference the walk read the node through in its parent's
+    /// encoding, and the root's is [`FrozenTrie::root_hash`]. A reference
+    /// that cannot be read (only a corrupted page has one) falls back to
+    /// a fresh `keccak256` of the node.
     pub fn multiproof_into<I, K>(&self, keys: I, out: &mut ProofBuf)
     where
         I: IntoIterator<Item = K>,
         K: AsRef<[u8]>,
     {
         out.clear();
-        self.for_each_multiproof_node(keys, |bytes| out.push(bytes));
+        self.for_each_multiproof_node(keys, |bytes, hash| out.push_hashed(bytes, hash));
     }
 
     /// The frozen arena of this trie with `upserts` applied (insert or
@@ -537,24 +552,75 @@ impl FrozenTrie {
     }
 
     /// Walks every key and emits each first-touched witness node once,
-    /// in the exact order [`Trie::prove_many`] produces.
+    /// with its hash, in the exact order [`Trie::prove_many`] produces.
     fn for_each_multiproof_node<I, K, F>(&self, keys: I, mut emit: F)
     where
         I: IntoIterator<Item = K>,
         K: AsRef<[u8]>,
-        F: FnMut(&[u8]),
+        F: FnMut(&[u8], H256),
     {
         let mut seen = vec![false; self.nodes.len()];
-        let mut ids = Vec::new();
         for key in keys {
-            ids.clear();
-            self.prove_ids(key.as_ref(), &mut ids);
-            for &id in &ids {
-                if !std::mem::replace(&mut seen[id as usize], true) {
-                    emit(self.node_bytes(id));
+            self.walk(key.as_ref(), |node, parent| {
+                let id = node.dedup;
+                if !recorded(node, parent) || std::mem::replace(&mut seen[id as usize], true) {
+                    return;
                 }
-            }
+                let bytes = self.node_bytes(id);
+                let hash = match parent {
+                    None => self.root,
+                    Some((parent, item)) => child_reference(self.node_bytes(parent), item)
+                        .unwrap_or_else(|| keccak256(bytes)),
+                };
+                emit(bytes, hash);
+            });
         }
+    }
+}
+
+/// Whether a proof records `node`: the root always, any other node when
+/// its parent references it by hash (an encoding of 32 bytes or more) —
+/// shorter ones travel inline in their parent.
+fn recorded(node: &ArenaNode, parent: Option<(u32, usize)>) -> bool {
+    node.enc_len >= 32 || parent.is_none()
+}
+
+/// The 32-byte hash reference at item `index` of a node encoding, read
+/// by skipping the items before it. `None` unless the list header is
+/// well-formed, the skipped items are short forms and the item is a
+/// 32-byte string — always the case in an arena's own encodings, whose
+/// items before a child reference are empty slots, references, inline
+/// nodes or an extension's path.
+fn child_reference(encoding: &[u8], index: usize) -> Option<H256> {
+    const REFERENCE_LEN: usize = 33;
+    let mut at = match *encoding.first()? {
+        0xc0..=0xf7 => 1,
+        first @ 0xf8..=0xff => 1 + usize::from(first - 0xf7),
+        _ => return None,
+    };
+    for _ in 0..index {
+        // References and empty slots, the items a branch is made of, are
+        // matched first: a predicted branch lets the next header's load
+        // start before this one has arrived. Otherwise a single byte
+        // below 0x80 is its own item, the low six bits of a short string
+        // (0x80..=0xb7) or short list (0xc0..=0xf7) header are its
+        // payload length, and 0x38 or more marks the long forms no
+        // skipped item uses.
+        at += match *encoding.get(at)? {
+            0xa0 => REFERENCE_LEN,
+            0x80 => 1,
+            header => {
+                let len = if header < 0x80 { 0 } else { header & 0x3f };
+                if len >= 0x38 {
+                    return None;
+                }
+                1 + usize::from(len)
+            }
+        };
+    }
+    match encoding.get(at..at + REFERENCE_LEN)? {
+        [0xa0, hash @ ..] => H256::from_slice(hash),
+        _ => None,
     }
 }
 
@@ -1354,6 +1420,53 @@ mod tests {
             .collect();
         frozen.multiproof_into(&other, &mut buf);
         assert_eq!(buf.to_vecs(), frozen.prove_many(&other));
+    }
+
+    #[test]
+    fn unreadable_reference_falls_back_to_hashing() {
+        let mut frozen = FrozenTrie::new(sample_trie(200));
+        let keys: Vec<Vec<u8>> = (0..16u32)
+            .map(|i| keccak256(&i.to_be_bytes()).as_bytes().to_vec())
+            .collect();
+        // The root's list header turned into a string header: none of
+        // its child references can be read any more (the page checks
+        // structure, not contents, so a rotten page can look like this).
+        let root = frozen.nodes[0];
+        frozen.buf[root.enc_off as usize] = 0x80;
+        let mut buf = ProofBuf::new();
+        frozen.multiproof_into(&keys, &mut buf);
+        assert_eq!(buf.len(), frozen.prove_many(&keys).len());
+        let hashes: Vec<H256> = buf.hashes().collect();
+        assert_eq!(hashes[0], frozen.root_hash());
+        for (node, hash) in buf.iter().zip(&hashes).skip(1) {
+            assert_eq!(*hash, keccak256(node));
+        }
+    }
+
+    #[test]
+    fn child_reference_reads_each_item_shape() {
+        let reference = keccak256(b"child");
+        let branch = {
+            let mut items = vec![encode_bytes(&[]); 17];
+            items[3] = encode_list(&[encode_bytes(&[0x20]), encode_bytes(b"inline")]);
+            items[5] = encode_bytes(reference.as_bytes());
+            items[16] = encode_bytes(&[0x42; 60]);
+            encode_list(&items)
+        };
+        assert_eq!(child_reference(&branch, 5), Some(reference));
+        // Empty slots, an inline node and a long value are not references.
+        assert_eq!(child_reference(&branch, 0), None);
+        assert_eq!(child_reference(&branch, 3), None);
+        assert_eq!(child_reference(&branch, 16), None);
+        let extension = encode_list(&[
+            encode_bytes(&[0x00, 0x12]),
+            encode_bytes(reference.as_bytes()),
+        ]);
+        assert_eq!(child_reference(&extension, 1), Some(reference));
+        // Truncated or non-list encodings never panic.
+        assert_eq!(child_reference(&branch[..40], 5), None);
+        assert_eq!(child_reference(&[], 0), None);
+        assert_eq!(child_reference(&[0x80], 0), None);
     }
 
     #[test]

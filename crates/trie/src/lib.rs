@@ -11,7 +11,11 @@
 //! the bytes it arrived in: every node is hashed once, decoded at most
 //! once — into borrowed item slices, on the first walk that reaches it —
 //! and a 64-key multiproof shares that work across all 64 walks. Nothing
-//! is copied until the proven values are returned.
+//! is copied until the proven values are returned. A caller that needs
+//! the node hashes for something else too — a batch client binds them
+//! into the response digest — hashes once and hands them to
+//! [`verify_many_hashed`] / [`verify_proof_hashed`], the cores both
+//! entry points run.
 //!
 //! # Examples
 //!
@@ -42,9 +46,9 @@ mod proofbuf;
 mod trie;
 
 pub use frozen::FrozenTrie;
-pub use multiproof::verify_many;
+pub use multiproof::{verify_many, verify_many_hashed};
 pub use node::{empty_root, Node};
-pub use proof::{verify_proof, ProofError};
+pub use proof::{verify_proof, verify_proof_hashed, ProofError};
 pub use proofbuf::ProofBuf;
 pub use trie::{Iter, Trie};
 

@@ -9,7 +9,7 @@
 //! touches, so a malicious prover cannot pad proofs.
 
 use crate::node::empty_root;
-use crate::proof::{NodeTable, ProofError};
+use crate::proof::{hash_nodes, NodeTable, ProofError};
 use crate::trie::Trie;
 use parp_crypto::keccak256;
 use parp_primitives::H256;
@@ -81,6 +81,35 @@ pub fn verify_many<K: AsRef<[u8]>, P: AsRef<[u8]>>(
     keys: &[K],
     proof: &[P],
 ) -> Result<Vec<Option<Vec<u8>>>, ProofError> {
+    verify_many_with(root, keys, proof, hash_nodes(proof))
+}
+
+/// [`verify_many`] for a caller that has already hashed the proof's
+/// nodes: `hashes[i]` must be `keccak256(proof[i])`, computed by the
+/// caller from these very bytes (a batch client hashes each multiproof
+/// node once, for the response digest and for this walk). Returns
+/// exactly what [`verify_many`] returns on the same proof.
+///
+/// # Errors
+///
+/// As [`verify_many`]; a `hashes` slice of the wrong length leaves
+/// nodes out of the table, which is reported as
+/// [`ProofError::UnusedNodes`], never a panic.
+pub fn verify_many_hashed<K: AsRef<[u8]>, P: AsRef<[u8]>>(
+    root: H256,
+    keys: &[K],
+    proof: &[P],
+    hashes: &[H256],
+) -> Result<Vec<Option<Vec<u8>>>, ProofError> {
+    verify_many_with(root, keys, proof, hashes.iter().copied())
+}
+
+fn verify_many_with<K: AsRef<[u8]>, P: AsRef<[u8]>>(
+    root: H256,
+    keys: &[K],
+    proof: &[P],
+    hashes: impl Iterator<Item = H256>,
+) -> Result<Vec<Option<Vec<u8>>>, ProofError> {
     if root == empty_root() || keys.is_empty() {
         // Nothing can be proven: the whole node set would be unused.
         return if proof.is_empty() {
@@ -89,7 +118,7 @@ pub fn verify_many<K: AsRef<[u8]>, P: AsRef<[u8]>>(
             Err(ProofError::UnusedNodes)
         };
     }
-    let mut nodes = NodeTable::new(proof);
+    let mut nodes = NodeTable::new(proof, hashes);
     if nodes.has_duplicates() {
         // A repeated node is padding by duplication.
         return Err(ProofError::UnusedNodes);

@@ -79,6 +79,41 @@ pub fn verify_proof<P: AsRef<[u8]>>(
     key: &[u8],
     proof: &[P],
 ) -> Result<Option<Vec<u8>>, ProofError> {
+    verify_proof_with(root, key, proof, hash_nodes(proof))
+}
+
+/// [`verify_proof`] for a caller that has already hashed the proof's
+/// nodes: `hashes[i]` must be `keccak256(proof[i])`, computed by the
+/// caller from these very bytes (a batch client hashes each node once,
+/// for the response digest and for this walk). Returns exactly what
+/// [`verify_proof`] returns on the same proof.
+///
+/// # Errors
+///
+/// As [`verify_proof`]; a `hashes` slice of the wrong length leaves
+/// nodes out of the walk, which is reported as [`ProofError`], never a
+/// panic.
+pub fn verify_proof_hashed<P: AsRef<[u8]>>(
+    root: H256,
+    key: &[u8],
+    proof: &[P],
+    hashes: &[H256],
+) -> Result<Option<Vec<u8>>, ProofError> {
+    verify_proof_with(root, key, proof, hashes.iter().copied())
+}
+
+/// `keccak256` of each node, in order: what [`verify_proof`] and
+/// [`crate::verify_many`] feed their pre-hashed cores.
+pub(crate) fn hash_nodes<P: AsRef<[u8]>>(proof: &[P]) -> impl Iterator<Item = H256> + '_ {
+    proof.iter().map(|node| keccak256(node.as_ref()))
+}
+
+fn verify_proof_with<P: AsRef<[u8]>>(
+    root: H256,
+    key: &[u8],
+    proof: &[P],
+    hashes: impl Iterator<Item = H256>,
+) -> Result<Option<Vec<u8>>, ProofError> {
     if root == empty_root() {
         return if proof.is_empty() {
             Ok(None)
@@ -86,7 +121,7 @@ pub fn verify_proof<P: AsRef<[u8]>>(
             Err(ProofError::UnusedNodes)
         };
     }
-    let mut nodes = NodeTable::new(proof);
+    let mut nodes = NodeTable::new(proof, hashes);
     let value = nodes.walk(root, key)?;
     if !nodes.all_used() {
         return Err(ProofError::UnusedNodes);
@@ -113,10 +148,10 @@ struct Entry<'a> {
     shape: Shape,
 }
 
-/// A proof's nodes keyed by hash: each hashed once up front, each decoded
-/// at most once (on the first walk that reaches it) into borrowed item
-/// slots. An entry still [`Shape::Unvisited`] when the walks are over is
-/// one no key used.
+/// A proof's nodes keyed by hash: each hashed once, by the caller, each
+/// decoded at most once (on the first walk that reaches it) into borrowed
+/// item slots. An entry still [`Shape::Unvisited`] when the walks are
+/// over is one no key used.
 pub(crate) struct NodeTable<'a> {
     nodes: HashMap<H256, Entry<'a>>,
     /// Nodes in the proof, repeats included.
@@ -128,12 +163,15 @@ pub(crate) struct NodeTable<'a> {
 }
 
 impl<'a> NodeTable<'a> {
-    pub(crate) fn new<P: AsRef<[u8]>>(proof: &'a [P]) -> Self {
+    /// Keys each node of `proof` by its hash in `hashes`. A node without
+    /// a hash (a short `hashes`) is left out of the table but still
+    /// counted, so the walk reports the proof as padded.
+    pub(crate) fn new<P: AsRef<[u8]>>(proof: &'a [P], hashes: impl Iterator<Item = H256>) -> Self {
         let mut nodes = HashMap::with_capacity(proof.len());
-        for encoded in proof {
+        for (encoded, hash) in proof.iter().zip(hashes) {
             let bytes = encoded.as_ref();
             let shape = Shape::Unvisited;
-            nodes.insert(keccak256(bytes), Entry { bytes, shape });
+            nodes.insert(hash, Entry { bytes, shape });
         }
         NodeTable {
             nodes,

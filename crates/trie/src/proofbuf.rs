@@ -1,5 +1,5 @@
 //! A flat, reusable proof container: many node encodings in one
-//! contiguous allocation.
+//! contiguous allocation, each with its hash.
 //!
 //! The serving path materializes a multiproof per batch; shipping it as
 //! `Vec<Vec<u8>>` costs one heap allocation per node, every batch. A
@@ -8,9 +8,26 @@
 //! two allocations across batches ([`ProofBuf::clear`] keeps capacity).
 //! Conversion to the wire's `Vec<Vec<u8>>` shape happens exactly once,
 //! at the envelope boundary, via [`ProofBuf::to_vecs`].
+//!
+//! Beside each node's end offset sits `keccak256` of the node: the batch
+//! response digest binds proof nodes by hash, and a multiproof walk
+//! already holds each node's hash — it is the 32-byte reference in the
+//! node's parent, or the root hash — so the server never hashes a proof
+//! node's bytes a second time ([`crate::FrozenTrie::multiproof_into`]).
+
+use parp_crypto::keccak256;
+use parp_primitives::H256;
+
+/// Where one node ends in [`ProofBuf`]'s bytes, and its hash. Kept in one
+/// vector so the buffer stays two allocations and its struct two `Vec`s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct NodeEnd {
+    end: usize,
+    hash: H256,
+}
 
 /// An ordered sequence of proof-node encodings stored back to back in
-/// one buffer.
+/// one buffer, each with `keccak256` of its bytes.
 ///
 /// # Examples
 ///
@@ -22,6 +39,7 @@
 /// buf.push(b"node-2");
 /// assert_eq!(buf.len(), 2);
 /// assert_eq!(buf.get(1), Some(b"node-2".as_slice()));
+/// assert_eq!(buf.hashes().nth(1), Some(parp_crypto::keccak256(b"node-2")));
 /// assert_eq!(buf.to_vecs(), vec![b"node-1".to_vec(), b"node-2".to_vec()]);
 /// buf.clear(); // keeps capacity for the next batch
 /// assert!(buf.is_empty());
@@ -29,9 +47,10 @@
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProofBuf {
     bytes: Vec<u8>,
-    /// End offset of each node in `bytes`; node `i` spans
-    /// `ends[i-1]..ends[i]` (with `ends[-1]` read as 0).
-    ends: Vec<usize>,
+    /// Per node: its end offset in `bytes` — node `i` spans
+    /// `ends[i-1].end..ends[i].end` (with `ends[-1]` read as 0) — and
+    /// `keccak256` of those bytes.
+    ends: Vec<NodeEnd>,
 }
 
 impl ProofBuf {
@@ -40,10 +59,18 @@ impl ProofBuf {
         Self::default()
     }
 
-    /// Appends one node encoding.
+    /// Appends one node encoding, hashing it.
     pub fn push(&mut self, node: &[u8]) {
+        self.push_hashed(node, keccak256(node));
+    }
+
+    /// Appends one node encoding whose hash the caller already holds.
+    /// `hash` must be `keccak256(node)`: [`ProofBuf::hash`] reports it as
+    /// such.
+    pub(crate) fn push_hashed(&mut self, node: &[u8], hash: H256) {
         self.bytes.extend_from_slice(node);
-        self.ends.push(self.bytes.len());
+        let end = self.bytes.len();
+        self.ends.push(NodeEnd { end, hash });
     }
 
     /// Removes every node, keeping the allocations for reuse.
@@ -66,7 +93,7 @@ impl ProofBuf {
     pub fn mem_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.bytes.capacity()
-            + self.ends.capacity() * std::mem::size_of::<usize>()
+            + self.ends.capacity() * std::mem::size_of::<NodeEnd>()
     }
 
     /// Total encoded bytes across all nodes.
@@ -76,9 +103,18 @@ impl ProofBuf {
 
     /// The `index`-th node encoding, if present.
     pub fn get(&self, index: usize) -> Option<&[u8]> {
-        let end = *self.ends.get(index)?;
-        let start = if index == 0 { 0 } else { self.ends[index - 1] };
+        let end = self.ends.get(index)?.end;
+        let start = if index == 0 {
+            0
+        } else {
+            self.ends[index - 1].end
+        };
         Some(&self.bytes[start..end])
+    }
+
+    /// `keccak256` of each node encoding, in insertion order.
+    pub fn hashes(&self) -> impl ExactSizeIterator<Item = H256> + '_ {
+        self.ends.iter().map(|node| node.hash)
     }
 
     /// Iterates the node encodings in insertion order.
@@ -94,6 +130,18 @@ impl ProofBuf {
     /// Materializes the wire shape (one `Vec<u8>` per node).
     pub fn to_vecs(&self) -> Vec<Vec<u8>> {
         self.iter().map(<[u8]>::to_vec).collect()
+    }
+}
+
+/// Collects node encodings into a buffer, hashing each: for nodes that
+/// did not come out of a [`crate::FrozenTrie`] walk.
+impl<T: AsRef<[u8]>> FromIterator<T> for ProofBuf {
+    fn from_iter<I: IntoIterator<Item = T>>(nodes: I) -> Self {
+        let mut buf = ProofBuf::new();
+        for node in nodes {
+            buf.push(node.as_ref());
+        }
+        buf
     }
 }
 
@@ -126,6 +174,10 @@ mod tests {
         let collected: Vec<Vec<u8>> = buf.iter().map(<[u8]>::to_vec).collect();
         assert_eq!(collected, buf.to_vecs());
         assert_eq!(buf.as_slices().len(), 3);
+        let hashes: Vec<H256> = buf.hashes().collect();
+        let expected: Vec<H256> = buf.iter().map(keccak256).collect();
+        assert_eq!(hashes, expected);
+        assert_eq!(buf.to_vecs().iter().collect::<ProofBuf>(), buf);
     }
 
     #[test]
@@ -141,5 +193,15 @@ mod tests {
         assert_eq!(buf.total_bytes(), 0);
         assert_eq!(buf.bytes.capacity(), byte_cap);
         assert_eq!(buf.ends.capacity(), end_cap);
+    }
+
+    #[test]
+    fn hashes_ride_in_the_offsets_vector() {
+        // Two `Vec`s, as before the hashes were kept: a third would grow
+        // every struct that embeds a buffer (a `FullNode` holds one).
+        assert_eq!(
+            std::mem::size_of::<ProofBuf>(),
+            2 * std::mem::size_of::<Vec<u8>>()
+        );
     }
 }

@@ -1,7 +1,10 @@
 //! Property tests: the trie against a BTreeMap model, root determinism,
 //! proof soundness/completeness, the arena-frozen serving path pinned
-//! byte-identical to the retained baseline, and `FrozenTrie::derive`
-//! pinned indistinguishable from a fresh freeze over long upsert chains.
+//! byte-identical to the retained baseline, `FrozenTrie::derive`
+//! pinned indistinguishable from a fresh freeze over long upsert chains,
+//! and the node hashes `multiproof_into` records — read from parent
+//! references, never computed — equal to `keccak256` of the node bytes on
+//! fresh, derived and rehydrated arenas alike.
 
 use parp_trie::{baseline, verify_many, verify_proof, FrozenTrie, ProofBuf, Trie};
 use proptest::prelude::*;
@@ -45,6 +48,22 @@ fn arb_shared_prefix_pairs() -> impl Strategy<Value = Vec<(Vec<u8>, Vec<u8>)>> {
         })
 }
 
+/// Asserts every hash `multiproof_into` records for `keys` is
+/// `keccak256` of its node's bytes, and returns the buffer.
+fn assert_recorded_hashes(arena: &FrozenTrie, keys: &[Vec<u8>]) -> ProofBuf {
+    let mut buf = ProofBuf::new();
+    arena.multiproof_into(keys, &mut buf);
+    assert_eq!(buf.hashes().len(), buf.len());
+    for (index, (node, hash)) in buf.iter().zip(buf.hashes()).enumerate() {
+        assert_eq!(
+            hash,
+            parp_crypto::keccak256(node),
+            "recorded hash of node {index} is not the hash of its bytes"
+        );
+    }
+    buf
+}
+
 /// Asserts the arena path equals the retained baseline byte for byte on
 /// `root_hash`, `prove`, `prove_many` and the zero-copy serialization,
 /// and that the arena multiproof still verifies.
@@ -67,9 +86,9 @@ fn assert_arena_matches_baseline(
     let arena_multi = arena.prove_many(&keys);
     prop_assert_eq!(&arena_multi, &base.prove_many(&keys));
     prop_assert_eq!(&arena_multi, &trie.prove_many(&keys));
-    // Zero-copy serialization carries the same bytes...
-    let mut buf = ProofBuf::new();
-    arena.multiproof_into(&keys, &mut buf);
+    // Zero-copy serialization carries the same bytes, each beside its
+    // hash...
+    let buf = assert_recorded_hashes(&arena, &keys);
     prop_assert_eq!(buf.to_vecs(), arena_multi.clone());
     // ...and verifies straight out of the buffer, matching per-key
     // single-proof verdicts.
@@ -244,6 +263,7 @@ proptest! {
             prop_assert_eq!(back.prove(key), frozen.prove(key));
         }
         prop_assert_eq!(back.prove_many(&keys), frozen.prove_many(&keys));
+        assert_recorded_hashes(&back, &keys);
         // Rehydration is canonical: the page of the page is the page.
         prop_assert_eq!(back.to_bytes(), page.clone());
         // A torn spill write (any strict prefix) is rejected outright.
@@ -352,13 +372,13 @@ fn assert_derived_is_fresh(derived: &FrozenTrie, model: &Trie, probes: &[Vec<u8>
     for keys in [probes, &reversed[..]] {
         let expected = fresh.prove_many(keys);
         assert_eq!(derived.prove_many(keys), expected);
-        let mut buf = ProofBuf::new();
-        derived.multiproof_into(keys, &mut buf);
+        let buf = assert_recorded_hashes(derived, keys);
         assert_eq!(buf.to_vecs(), expected);
     }
     let paged = FrozenTrie::from_bytes(&derived.to_bytes()).expect("derived page parses");
     assert_eq!(paged.root_hash(), fresh.root_hash());
     assert_eq!(paged.prove_many(probes), fresh.prove_many(probes));
+    assert_recorded_hashes(&paged, probes);
 }
 
 /// One chain: a random trie of `size` keys, then `batches` derivations,

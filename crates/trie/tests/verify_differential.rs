@@ -6,13 +6,18 @@
 //! It lives here, as a test oracle only. The shipped verifier must
 //! return exactly what it returns — the same values, the same
 //! [`ProofError`] variant, the same hash inside `MissingNode` — on honest
-//! proofs and on every way of damaging one.
+//! proofs and on every way of damaging one. So must the pre-hashed cores
+//! ([`verify_many_hashed`], [`verify_proof_hashed`]) handed the proof's
+//! node hashes.
 
 use parp_crypto::keccak256;
 use parp_primitives::H256;
 use parp_rlp::{encode_bytes, encode_list, Item};
 use parp_trie::nibbles::hp_encode;
-use parp_trie::{verify_many, verify_proof, FrozenTrie, ProofError, Trie};
+use parp_trie::{
+    verify_many, verify_many_hashed, verify_proof, verify_proof_hashed, FrozenTrie, ProofError,
+    Trie,
+};
 use proptest::prelude::*;
 
 mod reference {
@@ -195,7 +200,17 @@ fn assert_many_agree(
     // The borrowed-slice form `ProofBuf::as_slices` hands over.
     let slices: Vec<&[u8]> = proof.iter().map(Vec::as_slice).collect();
     assert_eq!(verify_many(root, keys, &slices), expected);
+    // The core a batch client runs on hashes it computed once.
+    assert_eq!(
+        verify_many_hashed(root, keys, proof, &node_hashes(proof)),
+        expected,
+        "verify_many_hashed diverged"
+    );
     expected
+}
+
+fn node_hashes(proof: &[Vec<u8>]) -> Vec<H256> {
+    proof.iter().map(|node| keccak256(node)).collect()
 }
 
 /// [`assert_many_agree`], plus agreement on `verify_proof` of each key
@@ -206,11 +221,18 @@ fn assert_agree(
     proof: &[Vec<u8>],
 ) -> Result<Vec<Option<Vec<u8>>>, ProofError> {
     let expected = assert_many_agree(root, keys, proof);
+    let hashes = node_hashes(proof);
     for key in keys {
+        let single = reference::verify_proof(root, key, proof);
         assert_eq!(
             verify_proof(root, key, proof),
-            reference::verify_proof(root, key, proof),
+            single,
             "verify_proof diverged"
+        );
+        assert_eq!(
+            verify_proof_hashed(root, key, proof, &hashes),
+            single,
+            "verify_proof_hashed diverged"
         );
     }
     expected

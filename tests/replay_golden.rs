@@ -20,8 +20,14 @@ const CHAOS_DIGEST: &str = "eb0c6e37b646409176b0e1a44dcbf2034fccc63bdec3e097c61c
 const MARKETPLACE_DIGEST: &str = "d6ddb01462e52680d92d061efbd91bb627eb65046674d77b4eacf50206dae09a";
 const DEEP_HISTORY_REPORT_DIGEST: &str =
     "0eee3bb5773b16872fb9e82eb27f5b50a586ac6ff849f40f87936aaa6da01d71";
+/// Re-recorded once when the batch `h_res` began binding proof nodes by
+/// hash: every response's `σ_res` moved with it, and nothing else did —
+/// [`DEEP_HISTORY_UNSIGNED_WIRE_DIGEST`], the same bytes with each
+/// response's `σ_res` field left out, read the same before and after.
 const DEEP_HISTORY_WIRE_DIGEST: &str =
-    "38f5125bd9bad2126270425b707483c5c1995172e35b7f5b55f6742ea66a19e1";
+    "0a648748855ef98c78621d5079881f9cc38bcf42e28c577526c57b0f1ba237f4";
+const DEEP_HISTORY_UNSIGNED_WIRE_DIGEST: &str =
+    "08319e152521f5dd01953bd2954865a3d19850353387167698b37f81c7181daf";
 
 fn assert_digest(what: &str, transcript: &[u8], expected: &str) {
     let actual = format!("{:x}", keccak256(transcript));
@@ -103,7 +109,9 @@ fn deep_history_replays_the_recorded_run() {
 
 /// `run_deep_history` reports only *whether* its twins agreed; this
 /// drives the same twins (cold tier vs fully resident) over every mined
-/// transaction and pins the request and response bytes of both.
+/// transaction and pins the request and response bytes of both — with
+/// and without the responses' signatures, so a change to what `σ_res`
+/// signs shows apart from a change to what is served.
 #[test]
 fn deep_history_twins_put_the_recorded_bytes_on_the_wire() {
     let price = U256::from(10u64);
@@ -114,6 +122,7 @@ fn deep_history_twins_put_the_recorded_bytes_on_the_wire() {
     let mut full = Network::with_latency(LatencyModel::zero());
     full.set_runtime(Runtime::new(RuntimeConfig::default()));
     let mut wire = Vec::new();
+    let mut unsigned = Vec::new();
     let mut twins: Vec<_> = [cold, full]
         .into_iter()
         .map(|mut net| {
@@ -148,9 +157,18 @@ fn deep_history_twins_put_the_recorded_bytes_on_the_wire() {
             client
                 .process_batch_response_from(provider, &response)
                 .expect("response pairs");
-            wire.extend(request.encode());
-            wire.extend(response.encode());
+            let (request, response) = (request.encode(), response.encode());
+            // `σ_res` is the last field: a 65-byte string, 67 encoded.
+            unsigned.extend(&request);
+            unsigned.extend(&response[..response.len() - 67]);
+            wire.extend(request);
+            wire.extend(response);
         }
     }
     assert_digest("deep-history twins", &wire, DEEP_HISTORY_WIRE_DIGEST);
+    assert_digest(
+        "deep-history twins without σ_res",
+        &unsigned,
+        DEEP_HISTORY_UNSIGNED_WIRE_DIGEST,
+    );
 }
