@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use parp_bench::{bench_price, populated_fixture, read_call};
 use parp_contracts::{ParpBatchRequest, ParpRequest, RpcCall};
-use parp_primitives::U256;
+use parp_primitives::{Address, U256};
 use std::cell::Cell;
 use std::hint::black_box;
 use std::time::Instant;
@@ -23,10 +23,11 @@ const BATCH_SIZES: [usize; 3] = [8, 16, 64];
 /// from `*amount` (each offering `price` more than the last).
 fn build_singles(
     client: &parp_core::LightClient,
+    provider: Address,
     amount: &Cell<u64>,
     calls: &[RpcCall],
 ) -> Vec<ParpRequest> {
-    let channel = client.channel().expect("bonded");
+    let channel = client.channel_with(&provider).expect("bonded");
     let tip = client.tip().expect("synced").hash();
     calls
         .iter()
@@ -46,10 +47,11 @@ fn build_singles(
 /// Builds one batch request covering `calls`, continuing from `*amount`.
 fn build_batch(
     client: &parp_core::LightClient,
+    provider: Address,
     amount: &Cell<u64>,
     calls: &[RpcCall],
 ) -> ParpBatchRequest {
-    let channel = client.channel().expect("bonded");
+    let channel = client.channel_with(&provider).expect("bonded");
     let tip = client.tip().expect("synced").hash();
     amount.set(amount.get() + 10 * calls.len() as u64);
     ParpBatchRequest::build(
@@ -63,12 +65,13 @@ fn build_batch(
 
 fn print_wire_comparison() {
     let (mut net, node, client, addresses) = populated_fixture(ACCOUNTS);
+    let provider = net.node(node).address();
     // One cumulative-payment counter across every shape: the channel's
     // committed amount only ever grows.
     let amount = Cell::new(0u64);
     for n in BATCH_SIZES {
         let calls: Vec<RpcCall> = addresses[..n].iter().map(|a| read_call(*a)).collect();
-        let singles = build_singles(&client, &amount, &calls);
+        let singles = build_singles(&client, provider, &amount, &calls);
         let mut single_req = 0usize;
         let mut single_res = 0usize;
         let mut single_proof = 0usize;
@@ -78,7 +81,7 @@ fn print_wire_comparison() {
             single_res += response.encode().len();
             single_proof += response.proof_bytes();
         }
-        let batch = build_batch(&client, &amount, &calls);
+        let batch = build_batch(&client, provider, &amount, &calls);
         let response = net.serve_batch(node, &batch).expect("batch serve");
         let (batch_req, batch_res, batch_proof) = (
             batch.encode().len(),
@@ -100,11 +103,12 @@ fn bench_server_time(c: &mut Criterion) {
     for n in BATCH_SIZES {
         // Singles: N envelope verifications, N per-call trie walks.
         let (mut net, node, client, addresses) = populated_fixture(ACCOUNTS);
+        let provider = net.node(node).address();
         let calls: Vec<RpcCall> = addresses[..n].iter().map(|a| read_call(*a)).collect();
         let amount = Cell::new(0u64);
         group.bench_with_input(BenchmarkId::new("singles", n), &n, |b, _| {
             b.iter_batched(
-                || build_singles(&client, &amount, &calls),
+                || build_singles(&client, provider, &amount, &calls),
                 |requests| {
                     for request in &requests {
                         black_box(net.serve(node, request).expect("single serve"));
@@ -115,11 +119,12 @@ fn bench_server_time(c: &mut Criterion) {
         });
         // Batch: one envelope verification, one snapshot, one multiproof.
         let (mut net, node, client, addresses) = populated_fixture(ACCOUNTS);
+        let provider = net.node(node).address();
         let calls: Vec<RpcCall> = addresses[..n].iter().map(|a| read_call(*a)).collect();
         let amount = Cell::new(0u64);
         group.bench_with_input(BenchmarkId::new("batch", n), &n, |b, _| {
             b.iter_batched(
-                || build_batch(&client, &amount, &calls),
+                || build_batch(&client, provider, &amount, &calls),
                 |request| black_box(net.serve_batch(node, &request).expect("batch serve")),
                 BatchSize::SmallInput,
             )
@@ -136,10 +141,12 @@ fn bench_client_verification(c: &mut Criterion) {
     // classification (one signature recovery + one multiproof walk).
     let (mut net, node, mut client, addresses) = populated_fixture(ACCOUNTS);
     let calls: Vec<RpcCall> = addresses[..n].iter().map(|a| read_call(*a)).collect();
-    let request = client.request_batch(calls).expect("batch request");
+    let full_node = net.node(node).address();
+    let request = client
+        .request_batch_from(full_node, calls)
+        .expect("batch request");
     let response = net.serve_batch(node, &request).expect("batch serve");
     net.sync_client(&mut client);
-    let full_node = net.node(node).address();
     let request_height = client.tip().expect("synced").number;
     let headers: Vec<_> = (0..=request_height)
         .filter_map(|h| client.header(h).cloned())
@@ -195,7 +202,7 @@ fn measure_batch(
     let mut serve_us = u64::MAX;
     let mut last_response = None;
     for _ in 0..5 {
-        let request = build_batch(client, amount, calls);
+        let request = build_batch(client, net.node(node).address(), amount, calls);
         let started = Instant::now();
         let response = net.serve_batch(node, &request).expect("batch serve");
         serve_us = serve_us.min(started.elapsed().as_micros() as u64);

@@ -17,7 +17,10 @@ fn print_table2() {
     // Read workload: eth_getBalance.
     let base_read = base_request(&read_call(me), 1).wire_size();
     let (read_req, read_res, _) = served_exchange(&mut net, node, &mut client, read_call(me));
-    client.process_response(&read_res).expect("valid read");
+    let provider = net.node(node).address();
+    client
+        .process_response_from(provider, &read_res)
+        .expect("valid read");
 
     // Write workload: eth_sendRawTransaction.
     let raw_tx = {

@@ -15,7 +15,8 @@ use parp_primitives::{Address, U256};
 use std::hint::black_box;
 
 fn bench_request_generation(c: &mut Criterion) {
-    let (_net, _node, client) = connected_fixture();
+    let (net, node, client) = connected_fixture();
+    let provider = net.node(node).address();
     let mut group = c.benchmark_group("table3/A_request_generation");
     // Read: two ECDSA signatures over the balance query.
     group.bench_function("read", |b| {
@@ -23,7 +24,7 @@ fn bench_request_generation(c: &mut Criterion) {
             || client.clone(),
             |mut lc| {
                 let me = lc.address();
-                black_box(lc.request(read_call(me)).expect("request"))
+                black_box(lc.request_from(provider, read_call(me)).expect("request"))
             },
             BatchSize::SmallInput,
         )
@@ -45,7 +46,7 @@ fn bench_request_generation(c: &mut Criterion) {
                 .sign(&sender)
                 .encode();
                 black_box(
-                    lc.request(RpcCall::SendRawTransaction { raw })
+                    lc.request_from(provider, RpcCall::SendRawTransaction { raw })
                         .expect("request"),
                 )
             },
@@ -59,7 +60,10 @@ fn bench_request_verification(c: &mut Criterion) {
     let (mut net, node, mut client) = connected_fixture();
     let request = {
         let me = client.address();
-        client.request(read_call(me)).expect("request")
+        let provider = net.node(node).address();
+        client
+            .request_from(provider, read_call(me))
+            .expect("request")
     };
     let mut group = c.benchmark_group("table3/B_request_verification");
     // Two signature recoveries + channel lookup (paper: ~703 µs).
@@ -95,7 +99,8 @@ fn bench_response_generation(c: &mut Criterion) {
     group.bench_function("read_total", |b| {
         let request = {
             let mut lc = client.clone();
-            lc.request(read_call(me)).expect("request")
+            let provider = net.node(node).address();
+            lc.request_from(provider, read_call(me)).expect("request")
         };
         b.iter_batched(
             || {

@@ -363,11 +363,16 @@ fn table2() {
     println!("\n== Table II: message size overhead ==");
     let (mut net, node, mut client) = connected_fixture();
     let me = client.address();
+    let provider = net.node(node).address();
     let base_read = parp_jsonrpc::base_request(&read_call(me), 1).wire_size();
-    let read_req = client.request(read_call(me)).expect("request");
+    let read_req = client
+        .request_from(provider, read_call(me))
+        .expect("request");
     let read_res = net.serve(node, &read_req).expect("serve");
     net.sync_client(&mut client);
-    client.process_response(&read_res).expect("valid");
+    client
+        .process_response_from(provider, &read_res)
+        .expect("valid");
 
     let key = SecretKey::from_seed(b"report-sender");
     net.fund(key.address());
@@ -384,7 +389,7 @@ fn table2() {
     .encode();
     let write_call = RpcCall::SendRawTransaction { raw: raw.clone() };
     let base_write = parp_jsonrpc::base_request(&write_call, 1).wire_size();
-    let write_req = client.request(write_call).expect("request");
+    let write_req = client.request_from(provider, write_call).expect("request");
     let write_res = net.serve(node, &write_req).expect("serve");
 
     println!("  base eth_getBalance request:         {base_read} B   (paper 118 B)");
@@ -406,12 +411,13 @@ fn table3() {
     const N: u32 = 100;
 
     // (A) request generation.
-    let (_n, _id, client) = connected_fixture();
+    let (net, node, client) = connected_fixture();
     let me = client.address();
+    let provider = net.node(node).address();
     let wallet = SecretKey::from_seed(b"report-wallet");
     let read_a = time_avg(N, || {
         let mut lc = client.clone();
-        lc.request(read_call(me)).expect("request");
+        lc.request_from(provider, read_call(me)).expect("request");
     });
     let write_a = time_avg(N, || {
         let mut lc = client.clone();
@@ -425,7 +431,7 @@ fn table3() {
         }
         .sign(&wallet)
         .encode();
-        lc.request(RpcCall::SendRawTransaction { raw })
+        lc.request_from(provider, RpcCall::SendRawTransaction { raw })
             .expect("request");
     });
     println!("  (A) request generation    write {write_a:>9.2?}  read {read_a:>9.2?}   (paper 10.91 ms / 4.82 ms)");
@@ -433,7 +439,10 @@ fn table3() {
     // (B) request verification.
     let (mut net, node, mut client) = connected_fixture();
     let me = client.address();
-    let request = client.request(read_call(me)).expect("request");
+    let provider = net.node(node).address();
+    let request = client
+        .request_from(provider, read_call(me))
+        .expect("request");
     let fnode = net.node(node).clone();
     let executor = net.executor().clone();
     let b_time = time_avg(N, || {

@@ -72,7 +72,8 @@ pub fn served_exchange(
     client: &mut LightClient,
     call: RpcCall,
 ) -> (ParpRequest, ParpResponse, u64) {
-    let request = client.request(call).expect("bench request");
+    let provider = net.node(node).address();
+    let request = client.request_from(provider, call).expect("bench request");
     let request_height = client.tip().expect("synced").number;
     let response = net.serve(node, &request).expect("bench serve");
     net.sync_client(client);
@@ -94,7 +95,8 @@ mod tests {
         let (mut net, node, mut client) = connected_fixture();
         let me = client.address();
         let (_, response, _) = served_exchange(&mut net, node, &mut client, read_call(me));
-        let outcome = client.process_response(&response).unwrap();
+        let provider = net.node(node).address();
+        let outcome = client.process_response_from(provider, &response).unwrap();
         assert!(matches!(outcome, ProcessOutcome::Valid { .. }));
     }
 

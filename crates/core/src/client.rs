@@ -14,7 +14,6 @@ use parp_contracts::{
 };
 use parp_crypto::{recover_address, sign, KeyPair, PreparedKey, PublicKey, SecretKey};
 use parp_primitives::{Address, H256, U256};
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
@@ -226,9 +225,8 @@ struct Pending {
 /// One provider's connection state: the Fig. 4 state machine, the
 /// payment channel, and the in-flight requests bound to that channel.
 ///
-/// A multi-provider client (the gateway's orchestration layer) runs one
-/// of these per full node it talks to; the single-channel API of the
-/// paper operates on the *active* session.
+/// A client runs one of these per full node it talks to; every
+/// operation names the provider whose session it acts on.
 #[derive(Debug, Clone, Default)]
 struct ProviderSession {
     state: ClientState,
@@ -247,25 +245,21 @@ struct ProviderSession {
 ///
 /// Holds only block headers (never full blocks), one payment channel
 /// **per provider** it is connected to, and the key pair that
-/// pseudonymously identifies it. The original single-channel API
-/// (`request`, `channel`, `state`, …) operates on the *active*
-/// provider — the one most recently handshaken — so single-provider
-/// code keeps working unchanged, while a gateway can hold several
-/// bonded channels at once and route per provider with
-/// [`LightClient::request_from`] / [`LightClient::request_batch_from`].
+/// pseudonymously identifies it. Every channel operation names its
+/// provider — [`LightClient::request_from`],
+/// [`LightClient::process_response_from`], [`LightClient::state_with`],
+/// … — so a client moves between full nodes freely (§IV-A) and can hold
+/// several bonded channels at once.
 #[derive(Debug, Clone)]
 pub struct LightClient {
     key: KeyPair,
     price_per_call: U256,
     headers: BTreeMap<u64, Header>,
-    hash_index: HashMap<H256, u64>,
     /// `(number, hash)` of the highest synced header — the `h_B` every
     /// request pins, hashed once when [`LightClient::sync_header`]
     /// advances the tip rather than once per request.
     tip_id: Option<(u64, H256)>,
     sessions: HashMap<Address, ProviderSession>,
-    /// The provider the single-channel API routes to.
-    active: Option<Address>,
     /// Per-provider agreed prices (a marketplace advertises different
     /// rates); providers absent here pay the default `price_per_call`.
     prices: HashMap<Address, U256>,
@@ -279,18 +273,16 @@ impl LightClient {
             key: KeyPair::from_secret(secret),
             price_per_call,
             headers: BTreeMap::new(),
-            hash_index: HashMap::new(),
             tip_id: None,
             sessions: HashMap::new(),
-            active: None,
             prices: HashMap::new(),
             valid_responses: 0,
         }
     }
 
     /// Estimated bytes this client holds: every synced header (the term
-    /// that grows with the chain), the header index, and per provider a
-    /// session with its prepared key. In-flight requests are charged their
+    /// that grows with the chain) and per provider a session with its
+    /// prepared key. In-flight requests are charged their
     /// record, not the calls they carry.
     pub fn mem_bytes(&self) -> usize {
         let headers: usize = self
@@ -309,7 +301,6 @@ impl LightClient {
             .sum();
         size_of::<Self>()
             + headers
-            + self.hash_index.capacity() * size_of::<(H256, u64)>()
             + sessions
             + self.prices.capacity() * size_of::<(Address, U256)>()
     }
@@ -337,37 +328,6 @@ impl LightClient {
     /// The client's secret key (for signing its on-chain transactions).
     pub fn secret(&self) -> &SecretKey {
         self.key.secret()
-    }
-
-    /// Current protocol state **with the active provider** (Idle when no
-    /// provider is active).
-    pub fn state(&self) -> ClientState {
-        self.active_session()
-            .map(|s| s.state)
-            .unwrap_or(ClientState::Idle)
-    }
-
-    /// The active provider's channel view, if connected.
-    pub fn channel(&self) -> Option<&ClientChannel> {
-        self.active_session().and_then(|s| s.channel.as_ref())
-    }
-
-    /// The provider the single-channel API currently routes to.
-    pub fn active_provider(&self) -> Option<Address> {
-        self.active
-    }
-
-    /// Routes the single-channel API to `provider`.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the client has no session with `provider`.
-    pub fn set_active_provider(&mut self, provider: Address) -> Result<(), ClientError> {
-        if !self.sessions.contains_key(&provider) {
-            return Err(ClientError::UnknownProvider(provider));
-        }
-        self.active = Some(provider);
-        Ok(())
     }
 
     /// Protocol state of the session with `provider` (Idle when none).
@@ -400,10 +360,6 @@ impl LightClient {
             .collect()
     }
 
-    fn active_session(&self) -> Option<&ProviderSession> {
-        self.active.and_then(|a| self.sessions.get(&a))
-    }
-
     /// Number of responses accepted as valid.
     pub fn valid_responses(&self) -> u64 {
         self.valid_responses
@@ -419,11 +375,9 @@ impl LightClient {
         if let Some(existing) = self.headers.get(&header.number) {
             return existing.hash() == header.hash();
         }
-        let hash = header.hash();
         if self.tip_id.is_none_or(|(tip, _)| header.number > tip) {
-            self.tip_id = Some((header.number, hash));
+            self.tip_id = Some((header.number, header.hash()));
         }
-        self.hash_index.insert(hash, header.number);
         self.headers.insert(header.number, header);
         true
     }
@@ -450,12 +404,11 @@ impl LightClient {
         self.headers.len()
     }
 
-    /// Starts a handshake with a full node (Algorithm 1, `HANDSHAKE`)
-    /// and makes it the active provider.
+    /// Starts a handshake with a full node (Algorithm 1, `HANDSHAKE`).
     ///
     /// The session **with that provider** must be Idle; channels with
-    /// other providers are untouched, so a multi-provider client can
-    /// hold several bonded channels at once.
+    /// other providers are untouched, so a client can hold several
+    /// bonded channels at once.
     ///
     /// # Errors
     ///
@@ -474,40 +427,42 @@ impl LightClient {
         }
         let session = self.sessions.entry(full_node).or_default();
         session.state = ClientState::Handshaking;
-        self.active = Some(full_node);
         Ok(self.address())
     }
 
-    /// Validates an `HSCONFIRM` and produces the signed `OpenChannel`
-    /// transaction (Algorithm 1 lines 10-16).
+    /// Validates `provider`'s `HSCONFIRM` and produces the signed
+    /// `OpenChannel` transaction (Algorithm 1 lines 10-16).
     ///
     /// # Errors
     ///
-    /// Fails on state mismatch, an expired or mis-signed confirmation.
+    /// Fails when the session with `provider` is not handshaking, and
+    /// on a confirmation that names another full node, has expired or
+    /// is mis-signed (the session is then dropped for a retry).
     pub fn accept_confirmation(
         &mut self,
+        provider: Address,
         confirm: &HandshakeConfirm,
         budget: U256,
         nonce: u64,
     ) -> Result<SignedTransaction, ClientError> {
-        let active = self.require_active(ClientState::Handshaking)?;
+        self.session_in(provider, ClientState::Handshaking)?;
         let now = self.tip().map(|h| h.timestamp).unwrap_or(0);
-        if confirm.expiry < now {
-            self.reset_session(active);
-            return Err(ClientError::BadConfirmation("confirmation expired".into()));
-        }
         let digest = parp_contracts::confirmation_digest(&self.address(), confirm.expiry);
-        match recover_address(&digest, &confirm.signature) {
-            Ok(addr) if addr == confirm.full_node => {}
-            _ => {
-                self.reset_session(active);
-                return Err(ClientError::BadConfirmation(
-                    "signature does not recover to the full node".into(),
-                ));
-            }
+        let refusal = if confirm.full_node != provider {
+            Some("confirmation names another full node")
+        } else if confirm.expiry < now {
+            Some("confirmation expired")
+        } else if recover_address(&digest, &confirm.signature).ok() != Some(provider) {
+            Some("signature does not recover to the full node")
+        } else {
+            None
+        };
+        if let Some(reason) = refusal {
+            self.sessions.remove(&provider);
+            return Err(ClientError::BadConfirmation(reason.into()));
         }
         let call = ModuleCall::OpenChannel {
-            full_node: confirm.full_node,
+            full_node: provider,
             expiry: confirm.expiry,
             confirmation_sig: confirm.signature,
         };
@@ -520,48 +475,46 @@ impl LightClient {
             data: call.encode(),
         }
         .sign(self.key.secret());
-        // The channel binds to the *confirming* node; re-key the session
-        // if the handshake was started under a different address — but
-        // never on top of a live session with the confirming node (that
-        // would zero its committed spend and orphan its pending set).
-        if active != confirm.full_node {
-            if self.state_with(&confirm.full_node) != ClientState::Idle {
-                self.reset_session(active);
-                return Err(ClientError::BadConfirmation(
-                    "confirming node already has an open session".into(),
-                ));
-            }
-            self.sessions.remove(&active);
-        }
-        let session = self.sessions.entry(confirm.full_node).or_default();
+        let session = self.session_in(provider, ClientState::Handshaking)?;
         session.channel = Some(ClientChannel {
             id: u64::MAX, // assigned on receipt
-            full_node: confirm.full_node,
+            full_node: provider,
             budget,
             spent: U256::ZERO,
         });
         session.state = ClientState::Unbonded;
-        self.active = Some(confirm.full_node);
         Ok(tx)
     }
 
-    /// Drops a failed session so the provider can be re-handshaken.
-    fn reset_session(&mut self, provider: Address) {
-        self.sessions.remove(&provider);
-        if self.active == Some(provider) {
-            self.active = None;
+    /// The session with `provider`, checked to be in `expected` state.
+    fn session_in(
+        &mut self,
+        provider: Address,
+        expected: ClientState,
+    ) -> Result<&mut ProviderSession, ClientError> {
+        match self.sessions.get_mut(&provider) {
+            Some(session) if session.state == expected => Ok(session),
+            session => Err(ClientError::WrongState {
+                expected,
+                actual: session.map_or(ClientState::Idle, |s| s.state),
+            }),
         }
     }
 
-    /// Records the `OpenChannel` receipt: the channel id is known and the
-    /// client becomes *Bonded* (Algorithm 1 lines 17-21).
+    /// Records the `OpenChannel` receipt for `provider`'s channel: the
+    /// channel id is known and that session becomes *Bonded*
+    /// (Algorithm 1 lines 17-21).
     ///
     /// # Errors
     ///
-    /// Fails when not [`ClientState::Unbonded`].
-    pub fn channel_opened(&mut self, channel_id: u64) -> Result<(), ClientError> {
-        let active = self.require_active(ClientState::Unbonded)?;
-        let session = self.sessions.get_mut(&active).expect("active exists");
+    /// Fails when the session with `provider` is not
+    /// [`ClientState::Unbonded`].
+    pub fn channel_opened(
+        &mut self,
+        provider: Address,
+        channel_id: u64,
+    ) -> Result<(), ClientError> {
+        let session = self.session_in(provider, ClientState::Unbonded)?;
         if let Some(channel) = &mut session.channel {
             channel.id = channel_id;
         }
@@ -569,27 +522,14 @@ impl LightClient {
         Ok(())
     }
 
-    /// Builds the next signed request for `call`, bumping the cumulative
-    /// payment by the agreed price (§IV-E step 3).
+    /// Builds the next signed request for `call` on the channel with
+    /// `provider`, bumping the cumulative payment by the agreed price
+    /// (§IV-E step 3).
     ///
     /// # Errors
     ///
-    /// Fails when not bonded, headers are missing, or the budget cannot
-    /// cover the next payment.
-    pub fn request(&mut self, call: RpcCall) -> Result<ParpRequest, ClientError> {
-        let active = self.require_active(ClientState::Bonded)?;
-        self.request_from(active, call)
-    }
-
-    /// Builds the next signed request **on the channel with `provider`**
-    /// — the per-provider entry point a multi-channel gateway routes
-    /// through. Identical to [`LightClient::request`] when `provider`
-    /// is the active one.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`LightClient::request`], judged against the
-    /// session with `provider`.
+    /// Fails when that session is not bonded, headers are missing, or
+    /// the budget cannot cover the next payment.
     pub fn request_from(
         &mut self,
         provider: Address,
@@ -602,28 +542,15 @@ impl LightClient {
         Ok(request)
     }
 
-    /// Builds the next signed **batch** request: one signature and one
-    /// cumulative payment covering all of `calls`, bumping the committed
-    /// amount by `price_per_call × N`.
+    /// Builds the next signed **batch** request on the channel with
+    /// `provider`: one signature and one cumulative payment covering all
+    /// of `calls`, bumping the committed amount by `price × N`.
     ///
     /// # Errors
     ///
-    /// Fails when not bonded, headers are missing, the batch is empty or
-    /// carries an unbatchable call (see [`RpcCall::batchable`]), or the
-    /// budget cannot cover the batch.
-    pub fn request_batch(&mut self, calls: Vec<RpcCall>) -> Result<ParpBatchRequest, ClientError> {
-        let active = self.require_active(ClientState::Bonded)?;
-        self.request_batch_from(active, calls)
-    }
-
-    /// Builds the next signed batch request **on the channel with
-    /// `provider`** — the per-provider analogue of
-    /// [`LightClient::request_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`LightClient::request_batch`], judged against
-    /// the session with `provider`.
+    /// Fails when that session is not bonded, headers are missing, the
+    /// batch is empty or carries an unbatchable call (see
+    /// [`RpcCall::batchable`]), or the budget cannot cover the batch.
     pub fn request_batch_from(
         &mut self,
         provider: Address,
@@ -685,9 +612,10 @@ impl LightClient {
         }
     }
 
-    /// Verifies a batched response against its pending request and
-    /// updates the channel ledger: the batch analogue of
-    /// [`LightClient::process_response`], with per-item classification.
+    /// Verifies a batched response that arrived over `provider`'s
+    /// connection against its pending request and updates the channel
+    /// ledger: the batch analogue of [`LightClient::process_response_from`],
+    /// with per-item classification.
     ///
     /// One fraudulent item is enough to return
     /// [`ProcessBatchOutcome::Fraud`] — the node signed the whole
@@ -696,42 +624,19 @@ impl LightClient {
     ///
     /// # Errors
     ///
-    /// Fails when no pending batch matches the response.
-    pub fn process_batch_response(
-        &mut self,
-        response: &ParpBatchResponse,
-    ) -> Result<ProcessBatchOutcome, ClientError> {
-        self.process_batch_response_scoped(response, None)
-    }
-
-    /// [`LightClient::process_batch_response`] for a response that
-    /// arrived over `provider`'s connection: the corrupted-echo pairing
-    /// fallback is confined to that provider's in-flight batches, so a
-    /// response can never be (mis)attributed to another provider's
-    /// channel.
-    ///
-    /// # Errors
-    ///
-    /// Fails when no pending batch matches the response.
+    /// Fails when no batch pending with `provider` pairs with the
+    /// response.
     pub fn process_batch_response_from(
         &mut self,
         provider: Address,
         response: &ParpBatchResponse,
     ) -> Result<ProcessBatchOutcome, ClientError> {
-        self.process_batch_response_scoped(response, Some(provider))
-    }
-
-    fn process_batch_response_scoped(
-        &mut self,
-        response: &ParpBatchResponse,
-        scope: Option<Address>,
-    ) -> Result<ProcessBatchOutcome, ClientError> {
         let is_batch = |envelope: &Envelope| matches!(envelope, Envelope::Batch(_));
-        let (provider, pending) = self.take_pending(&response.request_hash, scope, is_batch)?;
+        let pending = self.take_pending(provider, &response.request_hash, is_batch)?;
         let Envelope::Batch(request) = pending.envelope else {
             return Err(ClientError::UnknownResponse);
         };
-        let (classification, learned) = classify_batch_paired(
+        let (classification, learned, headers) = classify_batch_paired(
             &request,
             response,
             self.provider_peer(&provider)?,
@@ -759,7 +664,7 @@ impl LightClient {
         };
         if let Some((verdict, item)) = fraud {
             let evidence = BatchFraudEvidence {
-                headers: self.evidence_headers(response),
+                headers,
                 request,
                 response: response.clone(),
                 verdict,
@@ -806,80 +711,54 @@ impl LightClient {
         }
     }
 
-    /// [`Self::forget_pending`] under its batch-side name: one pending
-    /// store holds both shapes, so the two are the same operation.
-    pub fn forget_pending_batch(&mut self, provider: Address, hash: &H256) {
-        self.forget_pending(provider, hash);
-    }
-
     /// Number of requests in flight on `provider`'s channel, single and
     /// batched together.
     pub fn pending_with(&self, provider: &Address) -> usize {
         self.sessions.get(provider).map_or(0, |s| s.pending.len())
     }
 
-    /// Removes the pending request of the asked wire shape (`of_kind`)
-    /// matching `hash` from whichever session holds it (the hash pairing
-    /// is provider-agnostic: hashes are unforgeable). When the echoed
-    /// hash matches nothing — a corrupted echo — falls back to
-    /// transport-level pairing, but **only within one session**: the
-    /// `scope` provider's when given (the connection the response
-    /// arrived over), else the sole session when the client has exactly
-    /// one (the original single-channel behaviour), and only when that
-    /// session has exactly one request of that shape in flight. The
-    /// fallback never crosses sessions — a garbage response from one
-    /// provider must not consume, and condemn, another provider's
-    /// in-flight request — and never crosses shapes: a batch response
-    /// cannot consume a single request's entry, nor the reverse.
+    /// Removes the request of the asked wire shape (`of_kind`) pending
+    /// with `provider` — the connection the response arrived over — that
+    /// `hash` names. When the echoed hash names nothing of that shape (a
+    /// corrupted echo), falls back to transport-level pairing: the sole
+    /// request of that shape in flight with `provider`, if there is
+    /// exactly one. Pairing never leaves `provider`'s session — a
+    /// garbage response from one provider must not consume, and condemn,
+    /// another provider's in-flight request — and never crosses shapes:
+    /// a batch response cannot consume a single request's entry, nor the
+    /// reverse.
     ///
     /// # Errors
     ///
     /// [`ClientError::UnknownResponse`] when nothing pairs.
     fn take_pending(
         &mut self,
+        provider: Address,
         hash: &H256,
-        scope: Option<Address>,
         of_kind: fn(&Envelope) -> bool,
-    ) -> Result<(Address, Pending), ClientError> {
-        for (provider, session) in self.sessions.iter_mut() {
-            if let Entry::Occupied(entry) = session.pending.entry(*hash) {
-                if of_kind(&entry.get().envelope) {
-                    return Ok((*provider, entry.remove()));
-                }
+    ) -> Result<Pending, ClientError> {
+        let session = self
+            .sessions
+            .get_mut(&provider)
+            .ok_or(ClientError::UnknownResponse)?;
+        let paired = match session.pending.get(hash) {
+            Some(pending) if of_kind(&pending.envelope) => *hash,
+            _ => {
+                let mut in_flight = session
+                    .pending
+                    .iter()
+                    .filter(|(_, p)| of_kind(&p.envelope))
+                    .map(|(hash, _)| *hash);
+                let (Some(sole), None) = (in_flight.next(), in_flight.next()) else {
+                    return Err(ClientError::UnknownResponse);
+                };
+                sole
             }
-        }
-        let unknown = ClientError::UnknownResponse;
-        let (provider, session) = self.fallback_session(scope).ok_or(unknown.clone())?;
-        let mut in_flight = session
-            .pending
-            .iter()
-            .filter(|(_, p)| of_kind(&p.envelope))
-            .map(|(hash, _)| *hash);
-        let (Some(sole), None) = (in_flight.next(), in_flight.next()) else {
-            return Err(unknown);
         };
-        let pending = session.pending.remove(&sole);
-        pending.map(|p| (provider, p)).ok_or(unknown)
-    }
-
-    /// The one session corrupted-echo pairing may fall back to: the
-    /// scoped provider's, or the client's sole session when unscoped.
-    fn fallback_session(
-        &mut self,
-        scope: Option<Address>,
-    ) -> Option<(Address, &mut ProviderSession)> {
-        match scope {
-            Some(provider) => self
-                .sessions
-                .get_mut(&provider)
-                .map(|session| (provider, session)),
-            None if self.sessions.len() == 1 => self
-                .sessions
-                .iter_mut()
-                .next()
-                .map(|(provider, session)| (*provider, session)),
-            None => None,
-        }
+        session
+            .pending
+            .remove(&paired)
+            .ok_or(ClientError::UnknownResponse)
     }
 
     /// The serving end of the channel with `provider`: the full node the
@@ -916,76 +795,46 @@ impl LightClient {
         }
     }
 
-    /// The trusted headers of every block `response` binds proofs to,
-    /// ascending — the set a batch fraud proof submits on-chain.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a referenced header is missing from the store; the
-    /// classification that produced the fraud verdict already read every
-    /// one of them.
-    fn evidence_headers(&self, response: &ParpBatchResponse) -> Vec<Header> {
-        response
-            .referenced_blocks()
-            .into_iter()
-            .map(|number| {
-                self.headers
-                    .get(&number)
-                    .cloned()
-                    .expect("classification used this header")
-            })
-            .collect()
-    }
-
-    /// A liveness probe for the client's own channel (§V-C).
+    /// A liveness probe for the client's own channel with `provider`
+    /// (§V-C).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`LightClient::request`].
-    pub fn liveness_probe(&mut self) -> Result<ParpRequest, ClientError> {
-        let channel_id = self
-            .channel()
-            .map(|c| c.id)
-            .ok_or(ClientError::WrongState {
-                expected: ClientState::Bonded,
-                actual: self.state(),
-            })?;
-        self.request(RpcCall::GetChannelStatus { channel_id })
+    /// Same conditions as [`LightClient::request_from`].
+    pub fn liveness_probe(&mut self, provider: Address) -> Result<ParpRequest, ClientError> {
+        let channel_id =
+            self.channel_with(&provider)
+                .map(|c| c.id)
+                .ok_or(ClientError::WrongState {
+                    expected: ClientState::Bonded,
+                    actual: self.state_with(&provider),
+                })?;
+        self.request_from(provider, RpcCall::GetChannelStatus { channel_id })
     }
 
-    /// Verifies a response against its pending request ((D) in Fig. 5) and
-    /// updates the channel ledger.
+    /// Verifies a response that arrived over `provider`'s connection
+    /// against the request pending with that provider ((D) in Fig. 5)
+    /// and updates the channel ledger.
     ///
     /// On a *valid* response the committed amount advances. On an
-    /// *invalid* one the pending payment is rolled back (it was never
-    /// acknowledged) and the caller should fail over to another node. On
+    /// *invalid* one the client should fail over to another node. On
     /// *fraud* the returned evidence supports an on-chain proof.
     ///
     /// # Errors
     ///
-    /// Fails when no pending request matches the response.
-    pub fn process_response(
-        &mut self,
-        response: &ParpResponse,
-    ) -> Result<ProcessOutcome, ClientError> {
-        self.process_response_scoped(response, None)
-    }
-
-    /// [`LightClient::process_response`] for a response that arrived
-    /// over `provider`'s connection: the corrupted-echo pairing
-    /// fallback is confined to that provider's in-flight requests, so a
-    /// response can never be (mis)attributed to another provider's
-    /// channel.
-    ///
-    /// # Errors
-    ///
-    /// Fails when no pending request matches the response.
+    /// Fails when no request pending with `provider` pairs with the
+    /// response.
     pub fn process_response_from(
         &mut self,
         provider: Address,
         response: &ParpResponse,
     ) -> Result<ProcessOutcome, ClientError> {
-        self.process_response_scoped(response, Some(provider))
+        let (request, height) = self.take_single(provider, &response.request_hash)?;
+        let peer = self.provider_peer(&provider)?;
+        let header_for = |n| self.headers.get(&n).cloned();
+        let (judged, learned) = classify_paired(&request, response, peer, height, header_for);
+        self.keep_provider_key(provider, learned);
+        Ok(self.apply_classification(provider, request, response, judged))
     }
 
     /// Verifies many responses that arrived concurrently, one per
@@ -1000,16 +849,16 @@ impl LightClient {
         &mut self,
         legs: &[(Address, ParpResponse)],
     ) -> Vec<Result<ProcessOutcome, ClientError>> {
-        // Phase 1 (sequential, &mut self): pair each response with its
-        // pending request, scoped to the connection it arrived over.
+        // Phase 1 (sequential, &mut self): pair each response with the
+        // request pending on the connection it arrived over.
         let paired: Vec<_> = legs
             .iter()
-            .map(|(provider, response)| self.take_single(&response.request_hash, Some(*provider)))
+            .map(|(provider, response)| self.take_single(*provider, &response.request_hash))
             .collect();
         // Phase 2 (parallel, &self): classify every paired exchange.
         let work: Vec<_> = paired.iter().zip(legs).collect();
-        let classified = parp_crypto::par_map(&work, |(paired, (_, response))| {
-            let (provider, request, height) = paired.as_ref().map_err(ClientError::clone)?;
+        let classified = parp_crypto::par_map(&work, |(paired, (provider, response))| {
+            let (request, height) = paired.as_ref().map_err(ClientError::clone)?;
             let peer = self.provider_peer(provider)?;
             let header_for = |n| self.headers.get(&n).cloned();
             let classified = classify_paired(request, response, peer, *height, header_for);
@@ -1021,45 +870,39 @@ impl LightClient {
             .into_iter()
             .zip(classified)
             .zip(legs)
-            .map(|((paired, classified), (_, response))| {
-                let (provider, request, _) = paired?;
-                let (classification, learned) = classified?;
-                self.keep_provider_key(provider, learned);
-                Ok(self.apply_classification(provider, request, response, classification))
+            .map(|((paired, classified), (provider, response))| {
+                let (request, _) = paired?;
+                let (judged, learned) = classified?;
+                self.keep_provider_key(*provider, learned);
+                Ok(self.apply_classification(*provider, request, response, judged))
             })
             .collect()
     }
 
-    /// Applies a §V-D classification to the channel ledger and shapes
-    /// the outcome — shared by the single-response path and the parallel
-    /// quorum fan-in.
+    /// Applies a §V-D classification, with the header it was judged
+    /// against, to the channel ledger and shapes the outcome — shared by
+    /// the single-response path and the parallel quorum fan-in.
     fn apply_classification(
         &mut self,
         provider: Address,
         request: ParpRequest,
         response: &ParpResponse,
-        classification: Classification,
+        judged: Result<(Classification, Header), InvalidReason>,
     ) -> ProcessOutcome {
         // The node holds σ_a whatever the verdict: on an invalid or
         // fraudulent response it cannot redeem the payment without
         // returning a verifiable one, but the client still counts it
         // spent defensively (and terminates per §V-D).
         self.commit_payment(provider, request.amount);
-        match classification {
-            Classification::Valid => {
+        match judged {
+            Ok((Classification::Valid, _)) => {
                 self.valid_responses += 1;
                 ProcessOutcome::Valid {
                     result: response.result.clone(),
                     proven: !response.proof.is_empty(),
                 }
             }
-            Classification::Invalid(reason) => ProcessOutcome::Invalid(reason),
-            Classification::Fraudulent(verdict) => {
-                let header = self
-                    .headers
-                    .get(&response.block_number)
-                    .cloned()
-                    .expect("classification used this header");
+            Ok((Classification::Fraudulent(verdict), header)) => {
                 ProcessOutcome::Fraud(Box::new(FraudEvidence {
                     request,
                     response: response.clone(),
@@ -1067,40 +910,26 @@ impl LightClient {
                     verdict,
                 }))
             }
+            Err(reason) | Ok((Classification::Invalid(reason), _)) => {
+                ProcessOutcome::Invalid(reason)
+            }
         }
     }
 
-    /// Pairs a single response's echoed hash with its pending request;
-    /// when the echo is corrupted but exactly one single request is in
-    /// flight on the response's connection, transport-level pairing
-    /// still identifies it (and the §V-D hash check will flag the
-    /// response). Returns the session's provider, the request, and the
-    /// height of the block its `h_B` names.
+    /// Pairs a single response arriving from `provider` with the single
+    /// request pending there (see [`Self::take_pending`]). Returns the
+    /// request and the height of the block its `h_B` names.
     fn take_single(
         &mut self,
+        provider: Address,
         hash: &H256,
-        scope: Option<Address>,
-    ) -> Result<(Address, ParpRequest, u64), ClientError> {
+    ) -> Result<(ParpRequest, u64), ClientError> {
         let is_single = |envelope: &Envelope| matches!(envelope, Envelope::Single(_));
-        let (provider, pending) = self.take_pending(hash, scope, is_single)?;
+        let pending = self.take_pending(provider, hash, is_single)?;
         let Envelope::Single(request) = pending.envelope else {
             return Err(ClientError::UnknownResponse);
         };
-        Ok((provider, request, pending.request_height))
-    }
-
-    fn process_response_scoped(
-        &mut self,
-        response: &ParpResponse,
-        scope: Option<Address>,
-    ) -> Result<ProcessOutcome, ClientError> {
-        let (provider, request, height) = self.take_single(&response.request_hash, scope)?;
-        let peer = self.provider_peer(&provider)?;
-        let header_for = |n| self.headers.get(&n).cloned();
-        let (classification, learned) =
-            classify_paired(&request, response, peer, height, header_for);
-        self.keep_provider_key(provider, learned);
-        Ok(self.apply_classification(provider, request, response, classification))
+        Ok((request, pending.request_height))
     }
 
     /// Interprets a liveness-probe result: `true` when the channel is
@@ -1109,22 +938,25 @@ impl LightClient {
         result == [ChannelStatus::Open.as_byte()]
     }
 
-    /// Builds the `closeChannel` call with the client's final state and
-    /// transitions to *Unbonding* (§IV-E step 4).
+    /// Builds the `closeChannel` call with the client's final state on
+    /// the channel with `provider`, and moves that session to
+    /// *Unbonding* (§IV-E step 4).
     ///
     /// # Errors
     ///
-    /// Fails when not bonded.
-    pub fn close_channel_call(&mut self) -> Result<ModuleCall, ClientError> {
-        let active = self.require_active(ClientState::Bonded)?;
-        let session = self.sessions.get_mut(&active).expect("active exists");
-        let channel = session.channel.as_ref().expect("bonded implies channel");
+    /// Fails when the session with `provider` is not bonded.
+    pub fn close_channel_call(&mut self, provider: Address) -> Result<ModuleCall, ClientError> {
+        let session = self.session_in(provider, ClientState::Bonded)?;
+        let channel = session
+            .channel
+            .as_ref()
+            .ok_or(ClientError::UnknownProvider(provider))?;
         let (channel_id, amount) = (channel.id, channel.spent);
+        session.state = ClientState::Unbonding;
         let payment_sig = sign(
             self.key.secret(),
             &parp_contracts::payment_digest(channel_id, &amount),
         );
-        session.state = ClientState::Unbonding;
         Ok(ModuleCall::CloseChannel {
             channel_id,
             amount,
@@ -1132,53 +964,36 @@ impl LightClient {
         })
     }
 
-    /// Builds the `confirmClosure` call for the active channel.
+    /// Builds the `confirmClosure` call for the channel with `provider`.
     ///
     /// # Errors
     ///
-    /// Fails when the client has no channel.
-    pub fn confirm_closure_call(&self) -> Result<ModuleCall, ClientError> {
-        let channel = self.channel().ok_or(ClientError::WrongState {
-            expected: ClientState::Unbonding,
-            actual: self.state(),
-        })?;
+    /// Fails when the client has no channel with `provider`.
+    pub fn confirm_closure_call(&self, provider: Address) -> Result<ModuleCall, ClientError> {
+        let channel = self
+            .channel_with(&provider)
+            .ok_or(ClientError::WrongState {
+                expected: ClientState::Unbonding,
+                actual: self.state_with(&provider),
+            })?;
         Ok(ModuleCall::ConfirmClosure {
             channel_id: channel.id,
         })
     }
 
-    /// Records final settlement of the active channel: that session is
-    /// dropped and the provider can be re-handshaken.
-    pub fn channel_closed(&mut self) {
-        if let Some(active) = self.active {
-            self.reset_session(active);
-        }
+    /// Records final settlement of the channel with `provider`: that
+    /// session is dropped and the provider can be re-handshaken.
+    pub fn channel_closed(&mut self, provider: Address) {
+        self.sessions.remove(&provider);
     }
 
-    /// Abandons the active connection (fail-over after an invalid
+    /// Abandons the session with `provider` (fail-over after an invalid
     /// response or detected fraud): that session returns to *Idle* and
     /// the client can immediately handshake with another node, since
     /// PARP needs no sign-up (§IV-A "enhanced availability"). Channels
     /// with other providers are untouched.
-    pub fn abandon_connection(&mut self) {
-        if let Some(active) = self.active {
-            self.reset_session(active);
-        }
-    }
-
-    /// Abandons the session with one specific provider (the gateway's
-    /// per-provider fail-over), leaving every other channel open.
     pub fn abandon_provider(&mut self, provider: Address) {
-        self.reset_session(provider);
-    }
-
-    /// The active provider, checked to be in `expected` state.
-    fn require_active(&self, expected: ClientState) -> Result<Address, ClientError> {
-        let actual = self.state();
-        if actual != expected {
-            return Err(ClientError::WrongState { expected, actual });
-        }
-        Ok(self.active.expect("non-Idle state implies active"))
+        self.sessions.remove(&provider);
     }
 }
 
@@ -1205,44 +1020,64 @@ mod tests {
         }
     }
 
-    fn bonded_client() -> (LightClient, FullNode) {
-        let node = FullNode::new(SecretKey::from_seed(b"lc-test-node"), U256::from(10u64));
+    fn node(seed: &str) -> FullNode {
+        FullNode::new(SecretKey::from_seed(seed.as_bytes()), U256::from(10u64))
+    }
+
+    /// A client with five synced headers, bonded to each `(node, channel
+    /// id)` in turn with a 1,000 wei budget.
+    fn client_bonded_to(nodes: &[(&FullNode, u64)]) -> LightClient {
         let mut client = LightClient::new(SecretKey::from_seed(b"lc-test"), U256::from(10u64));
         client.sync_headers((0..5).map(header_at));
-        client.start_handshake(node.address()).unwrap();
-        let confirm = node.confirm_handshake(client.address(), 1_700_000_000);
+        for (node, channel_id) in nodes {
+            let provider = node.address();
+            client.start_handshake(provider).unwrap();
+            let confirm = node.confirm_handshake(client.address(), 1_700_000_000);
+            client
+                .accept_confirmation(provider, &confirm, U256::from(1_000u64), 0)
+                .unwrap();
+            client.channel_opened(provider, *channel_id).unwrap();
+        }
         client
-            .accept_confirmation(&confirm, U256::from(1_000u64), 0)
-            .unwrap();
-        client.channel_opened(7).unwrap();
-        (client, node)
+    }
+
+    fn bonded_client() -> (LightClient, FullNode) {
+        let node = node("lc-test-node");
+        (client_bonded_to(&[(&node, 7)]), node)
+    }
+
+    /// `node`'s honest answer to a `BlockNumber` request at height 4.
+    fn tip_answer(node: &FullNode, request: &ParpRequest) -> ParpResponse {
+        let result = parp_rlp::encode_u64(4);
+        ParpResponse::build(node.secret(), request, 4, result, Vec::new())
     }
 
     #[test]
     fn state_machine_follows_fig4() {
         let node = FullNode::new(SecretKey::from_seed(b"sm-node"), U256::ONE);
         let mut client = LightClient::new(SecretKey::from_seed(b"sm"), U256::ONE);
-        assert_eq!(client.state(), ClientState::Idle);
+        let provider = node.address();
+        assert_eq!(client.state_with(&provider), ClientState::Idle);
         // No headers: cannot handshake.
         assert_eq!(
-            client.start_handshake(node.address()),
+            client.start_handshake(provider),
             Err(ClientError::NoHeaders)
         );
         client.sync_header(header_at(0));
-        client.start_handshake(node.address()).unwrap();
-        assert_eq!(client.state(), ClientState::Handshaking);
+        client.start_handshake(provider).unwrap();
+        assert_eq!(client.state_with(&provider), ClientState::Handshaking);
         let confirm = node.confirm_handshake(client.address(), 1_700_000_000);
         client
-            .accept_confirmation(&confirm, U256::from(100u64), 0)
+            .accept_confirmation(provider, &confirm, U256::from(100u64), 0)
             .unwrap();
-        assert_eq!(client.state(), ClientState::Unbonded);
-        client.channel_opened(0).unwrap();
-        assert_eq!(client.state(), ClientState::Bonded);
-        client.close_channel_call().unwrap();
-        assert_eq!(client.state(), ClientState::Unbonding);
-        client.channel_closed();
-        assert_eq!(client.state(), ClientState::Idle);
-        assert!(client.channel().is_none());
+        assert_eq!(client.state_with(&provider), ClientState::Unbonded);
+        client.channel_opened(provider, 0).unwrap();
+        assert_eq!(client.state_with(&provider), ClientState::Bonded);
+        client.close_channel_call(provider).unwrap();
+        assert_eq!(client.state_with(&provider), ClientState::Unbonding);
+        client.channel_closed(provider);
+        assert_eq!(client.state_with(&provider), ClientState::Idle);
+        assert!(client.channel_with(&provider).is_none());
     }
 
     #[test]
@@ -1254,11 +1089,11 @@ mod tests {
         let mut confirm = node.confirm_handshake(client.address(), 1_700_000_000);
         confirm.full_node = Address::from_low_u64_be(0xbad); // not the signer
         assert!(matches!(
-            client.accept_confirmation(&confirm, U256::from(100u64), 0),
+            client.accept_confirmation(node.address(), &confirm, U256::from(100u64), 0),
             Err(ClientError::BadConfirmation(_))
         ));
         // Failed confirmation resets to Idle for a retry.
-        assert_eq!(client.state(), ClientState::Idle);
+        assert_eq!(client.state_with(&node.address()), ClientState::Idle);
     }
 
     #[test]
@@ -1269,19 +1104,20 @@ mod tests {
         client.start_handshake(node.address()).unwrap();
         let confirm = node.confirm_handshake(client.address(), 0); // expiry = TTL only
         assert!(matches!(
-            client.accept_confirmation(&confirm, U256::from(100u64), 0),
+            client.accept_confirmation(node.address(), &confirm, U256::from(100u64), 0),
             Err(ClientError::BadConfirmation(_))
         ));
     }
 
     #[test]
     fn requests_accumulate_payments() {
-        let (mut client, _) = bonded_client();
-        let r1 = client.request(RpcCall::BlockNumber).unwrap();
+        let (mut client, node) = bonded_client();
+        let provider = node.address();
+        let r1 = client.request_from(provider, RpcCall::BlockNumber).unwrap();
         assert_eq!(r1.amount, U256::from(10u64));
         // Until a response is accepted, `spent` stays; a second request
         // re-offers the same cumulative amount (r1 was never acknowledged).
-        let r2 = client.request(RpcCall::BlockNumber).unwrap();
+        let r2 = client.request_from(provider, RpcCall::BlockNumber).unwrap();
         assert_eq!(r2.amount, U256::from(10u64));
         assert_eq!(r1.channel_id, 7);
     }
@@ -1290,18 +1126,19 @@ mod tests {
     fn budget_exhaustion() {
         let node = FullNode::new(SecretKey::from_seed(b"be-node"), U256::from(60u64));
         let mut client = LightClient::new(SecretKey::from_seed(b"be"), U256::from(60u64));
+        let provider = node.address();
         client.sync_header(header_at(0));
-        client.start_handshake(node.address()).unwrap();
+        client.start_handshake(provider).unwrap();
         let confirm = node.confirm_handshake(client.address(), 1_700_000_000);
         client
-            .accept_confirmation(&confirm, U256::from(100u64), 0)
+            .accept_confirmation(provider, &confirm, U256::from(100u64), 0)
             .unwrap();
-        client.channel_opened(0).unwrap();
-        let r = client.request(RpcCall::BlockNumber).unwrap();
+        client.channel_opened(provider, 0).unwrap();
+        let r = client.request_from(provider, RpcCall::BlockNumber).unwrap();
         // Simulate acceptance to advance spent.
-        client.commit_payment(node.address(), r.amount);
+        client.commit_payment(provider, r.amount);
         assert_eq!(
-            client.request(RpcCall::BlockNumber),
+            client.request_from(provider, RpcCall::BlockNumber),
             Err(ClientError::BudgetExhausted)
         );
     }
@@ -1328,15 +1165,9 @@ mod tests {
             U256::from(10u64),
             RpcCall::BlockNumber,
         );
-        let response = ParpResponse::build(
-            node.secret(),
-            &foreign_req,
-            4,
-            parp_rlp::encode_u64(4),
-            Vec::new(),
-        );
+        let response = tip_answer(&node, &foreign_req);
         assert_eq!(
-            client.process_response(&response),
+            client.process_response_from(node.address(), &response),
             Err(ClientError::UnknownResponse)
         );
     }
@@ -1344,38 +1175,31 @@ mod tests {
     #[test]
     fn valid_response_advances_ledger() {
         let (mut client, node) = bonded_client();
-        let request = client.request(RpcCall::BlockNumber).unwrap();
-        let response = ParpResponse::build(
-            node.secret(),
-            &request,
-            4,
-            parp_rlp::encode_u64(4),
-            Vec::new(),
-        );
-        let outcome = client.process_response(&response).unwrap();
+        let provider = node.address();
+        let request = client.request_from(provider, RpcCall::BlockNumber).unwrap();
+        let response = tip_answer(&node, &request);
+        let outcome = client.process_response_from(provider, &response).unwrap();
         assert!(matches!(outcome, ProcessOutcome::Valid { .. }));
-        assert_eq!(client.channel().unwrap().spent, U256::from(10u64));
+        assert_eq!(
+            client.channel_with(&provider).unwrap().spent,
+            U256::from(10u64)
+        );
         assert_eq!(client.valid_responses(), 1);
         // The next request pays more.
-        let next = client.request(RpcCall::BlockNumber).unwrap();
+        let next = client.request_from(provider, RpcCall::BlockNumber).unwrap();
         assert_eq!(next.amount, U256::from(20u64));
     }
 
     #[test]
     fn fraudulent_response_yields_evidence() {
         let (mut client, node) = bonded_client();
-        let request = client.request(RpcCall::BlockNumber).unwrap();
-        let mut response = ParpResponse::build(
-            node.secret(),
-            &request,
-            4,
-            parp_rlp::encode_u64(4),
-            Vec::new(),
-        );
+        let provider = node.address();
+        let request = client.request_from(provider, RpcCall::BlockNumber).unwrap();
+        let mut response = tip_answer(&node, &request);
         response.amount = U256::ZERO; // amount mismatch
         let digest = response.expected_hash();
         response.response_sig = parp_crypto::sign(node.secret(), &digest);
-        let outcome = client.process_response(&response).unwrap();
+        let outcome = client.process_response_from(provider, &response).unwrap();
         let ProcessOutcome::Fraud(evidence) = outcome else {
             panic!("expected fraud, got {outcome:?}");
         };
@@ -1389,7 +1213,7 @@ mod tests {
     #[test]
     fn liveness_probe_and_interpretation() {
         let (mut client, node) = bonded_client();
-        let probe = client.liveness_probe().unwrap();
+        let probe = client.liveness_probe(node.address()).unwrap();
         assert!(matches!(
             probe.call,
             RpcCall::GetChannelStatus { channel_id: 7 }
@@ -1401,7 +1225,9 @@ mod tests {
             vec![ChannelStatus::Open.as_byte()],
             Vec::new(),
         );
-        let outcome = client.process_response(&response).unwrap();
+        let outcome = client
+            .process_response_from(node.address(), &response)
+            .unwrap();
         let ProcessOutcome::Valid { result, .. } = outcome else {
             panic!("probe should be valid");
         };
@@ -1413,163 +1239,110 @@ mod tests {
 
     #[test]
     fn concurrent_channels_to_two_providers() {
-        let node_a = FullNode::new(SecretKey::from_seed(b"multi-a"), U256::from(10u64));
-        let node_b = FullNode::new(SecretKey::from_seed(b"multi-b"), U256::from(10u64));
-        let mut client = LightClient::new(SecretKey::from_seed(b"multi-client"), U256::from(10u64));
-        client.sync_headers((0..5).map(header_at));
-        for (node, id) in [(&node_a, 1u64), (&node_b, 2u64)] {
-            client.start_handshake(node.address()).unwrap();
-            let confirm = node.confirm_handshake(client.address(), 1_700_000_000);
-            client
-                .accept_confirmation(&confirm, U256::from(1_000u64), 0)
-                .unwrap();
-            client.channel_opened(id).unwrap();
-        }
+        let (node_a, node_b) = (node("multi-a"), node("multi-b"));
+        let (a, b) = (node_a.address(), node_b.address());
+        let mut client = client_bonded_to(&[(&node_a, 1), (&node_b, 2)]);
         // Both sessions bonded, each with its own channel.
-        assert_eq!(client.state_with(&node_a.address()), ClientState::Bonded);
-        assert_eq!(client.state_with(&node_b.address()), ClientState::Bonded);
-        assert_eq!(client.channel_with(&node_a.address()).unwrap().id, 1);
-        assert_eq!(client.channel_with(&node_b.address()).unwrap().id, 2);
+        assert_eq!(client.state_with(&a), ClientState::Bonded);
+        assert_eq!(client.state_with(&b), ClientState::Bonded);
+        assert_eq!(client.channel_with(&a).unwrap().id, 1);
+        assert_eq!(client.channel_with(&b).unwrap().id, 2);
         assert_eq!(client.bonded_providers().len(), 2);
         // Per-provider requests pay on their own channels and pair back
         // to them even when responses interleave.
-        let req_a = client
-            .request_from(node_a.address(), RpcCall::BlockNumber)
-            .unwrap();
-        let req_b = client
-            .request_from(node_b.address(), RpcCall::BlockNumber)
-            .unwrap();
+        let req_a = client.request_from(a, RpcCall::BlockNumber).unwrap();
+        let req_b = client.request_from(b, RpcCall::BlockNumber).unwrap();
         assert_eq!(req_a.channel_id, 1);
         assert_eq!(req_b.channel_id, 2);
-        let res_b = ParpResponse::build(
-            node_b.secret(),
-            &req_b,
-            4,
-            parp_rlp::encode_u64(4),
-            Vec::new(),
-        );
-        let res_a = ParpResponse::build(
-            node_a.secret(),
-            &req_a,
-            4,
-            parp_rlp::encode_u64(4),
-            Vec::new(),
-        );
+        let (res_a, res_b) = (tip_answer(&node_a, &req_a), tip_answer(&node_b, &req_b));
         assert!(matches!(
-            client.process_response(&res_b).unwrap(),
+            client.process_response_from(b, &res_b).unwrap(),
             ProcessOutcome::Valid { .. }
         ));
         assert!(matches!(
-            client.process_response(&res_a).unwrap(),
+            client.process_response_from(a, &res_a).unwrap(),
             ProcessOutcome::Valid { .. }
         ));
-        assert_eq!(
-            client.channel_with(&node_a.address()).unwrap().spent,
-            U256::from(10u64)
-        );
-        assert_eq!(
-            client.channel_with(&node_b.address()).unwrap().spent,
-            U256::from(10u64)
-        );
+        assert_eq!(client.channel_with(&a).unwrap().spent, U256::from(10u64));
+        assert_eq!(client.channel_with(&b).unwrap().spent, U256::from(10u64));
         // Abandoning one provider leaves the other bonded.
-        client.abandon_provider(node_a.address());
-        assert_eq!(client.state_with(&node_a.address()), ClientState::Idle);
-        assert_eq!(client.state_with(&node_b.address()), ClientState::Bonded);
+        client.abandon_provider(a);
+        assert_eq!(client.state_with(&a), ClientState::Idle);
+        assert_eq!(client.state_with(&b), ClientState::Bonded);
     }
 
     #[test]
     fn corrupted_echo_pairing_never_crosses_sessions() {
-        let node_a = FullNode::new(SecretKey::from_seed(b"scope-a"), U256::from(10u64));
-        let node_b = FullNode::new(SecretKey::from_seed(b"scope-b"), U256::from(10u64));
-        let mut client = LightClient::new(SecretKey::from_seed(b"scope-client"), U256::from(10u64));
-        client.sync_headers((0..5).map(header_at));
-        for (node, id) in [(&node_a, 1u64), (&node_b, 2u64)] {
-            client.start_handshake(node.address()).unwrap();
-            let confirm = node.confirm_handshake(client.address(), 1_700_000_000);
-            client
-                .accept_confirmation(&confirm, U256::from(1_000u64), 0)
-                .unwrap();
-            client.channel_opened(id).unwrap();
-        }
+        let (node_a, node_b) = (node("scope-a"), node("scope-b"));
+        let (a, b) = (node_a.address(), node_b.address());
+        let mut client = client_bonded_to(&[(&node_a, 1), (&node_b, 2)]);
         // Exactly one request in flight, on A's channel.
-        let req_a = client
-            .request_from(node_a.address(), RpcCall::BlockNumber)
-            .unwrap();
-        // A response with a corrupted (unmatchable) echo arrives.
-        let mut garbage = ParpResponse::build(
-            node_b.secret(),
-            &req_a,
-            4,
-            parp_rlp::encode_u64(4),
-            Vec::new(),
-        );
+        let req_a = client.request_from(a, RpcCall::BlockNumber).unwrap();
+        // A response with a corrupted (unmatchable) echo arrives over B's
+        // connection: B has nothing in flight — rejected rather than
+        // misattributed to A's channel.
+        let mut garbage = tip_answer(&node_b, &req_a);
         garbage.request_hash = parp_crypto::keccak256(b"corrupted echo");
-        // Unscoped (two sessions): no fallback, the response is rejected
-        // rather than misattributed to A's channel.
         assert_eq!(
-            client.process_response(&garbage),
-            Err(ClientError::UnknownResponse)
-        );
-        // Scoped to B's connection: B has nothing in flight — rejected.
-        assert_eq!(
-            client.process_response_from(node_b.address(), &garbage),
+            client.process_response_from(b, &garbage),
             Err(ClientError::UnknownResponse)
         );
         // A's pending request is still alive and pairs with the honest
         // response when it arrives.
-        let honest = ParpResponse::build(
-            node_a.secret(),
-            &req_a,
-            4,
-            parp_rlp::encode_u64(4),
-            Vec::new(),
-        );
+        let honest = tip_answer(&node_a, &req_a);
         assert!(matches!(
-            client
-                .process_response_from(node_a.address(), &honest)
-                .unwrap(),
+            client.process_response_from(a, &honest).unwrap(),
             ProcessOutcome::Valid { .. }
         ));
     }
 
     #[test]
-    fn confirmation_cannot_clobber_a_bonded_session() {
-        let node_a = FullNode::new(SecretKey::from_seed(b"clobber-a"), U256::from(10u64));
-        let node_b = FullNode::new(SecretKey::from_seed(b"clobber-b"), U256::from(10u64));
-        let mut client =
-            LightClient::new(SecretKey::from_seed(b"clobber-client"), U256::from(10u64));
-        client.sync_headers((0..5).map(header_at));
-        // Bond to B and advance its committed spend.
-        client.start_handshake(node_b.address()).unwrap();
-        let confirm_b = node_b.confirm_handshake(client.address(), 1_700_000_000);
-        client
-            .accept_confirmation(&confirm_b, U256::from(1_000u64), 0)
-            .unwrap();
-        client.channel_opened(2).unwrap();
-        let req = client
-            .request_from(node_b.address(), RpcCall::BlockNumber)
-            .unwrap();
-        let res = ParpResponse::build(
-            node_b.secret(),
-            &req,
-            4,
-            parp_rlp::encode_u64(4),
-            Vec::new(),
+    fn hash_pairing_never_crosses_sessions() {
+        let (node_a, node_b) = (node("cross-a"), node("cross-b"));
+        let (a, b) = (node_a.address(), node_b.address());
+        let mut client = client_bonded_to(&[(&node_a, 1), (&node_b, 2)]);
+        let req_b = client.request_from(b, RpcCall::BlockNumber).unwrap();
+        let res_b = tip_answer(&node_b, &req_b);
+        // B's response, with an intact echo, processed as arriving over
+        // A's connection: A has nothing pending, so nothing pairs.
+        assert_eq!(
+            client.process_response_from(a, &res_b),
+            Err(ClientError::UnknownResponse)
         );
-        client.process_response(&res).unwrap();
-        let spent_before = client.channel_with(&node_b.address()).unwrap().spent;
+        assert_eq!(client.pending_with(&b), 1);
+        assert!(matches!(
+            client.process_response_from(b, &res_b).unwrap(),
+            ProcessOutcome::Valid { .. }
+        ));
+        assert_eq!(client.pending_with(&b), 0);
+    }
+
+    #[test]
+    fn confirmation_cannot_clobber_a_bonded_session() {
+        let (node_a, node_b) = (node("clobber-a"), node("clobber-b"));
+        let (a, b) = (node_a.address(), node_b.address());
+        // Bond to B and advance its committed spend.
+        let mut client = client_bonded_to(&[(&node_b, 2)]);
+        let req = client.request_from(b, RpcCall::BlockNumber).unwrap();
+        client
+            .process_response_from(b, &tip_answer(&node_b, &req))
+            .unwrap();
+        let spent_before = client.channel_with(&b).unwrap().spent;
         assert!(spent_before > U256::ZERO);
         // Handshake with A, but a (colluding/replayed) confirmation from
-        // B arrives: accepting it must not reset B's live channel.
-        client.start_handshake(node_a.address()).unwrap();
+        // B arrives: it names another node, so it is refused and must not
+        // reset B's live channel.
+        client.start_handshake(a).unwrap();
         let replayed = node_b.confirm_handshake(client.address(), 1_700_000_000);
         assert!(matches!(
-            client.accept_confirmation(&replayed, U256::from(1_000u64), 1),
+            client.accept_confirmation(a, &replayed, U256::from(1_000u64), 1),
             Err(ClientError::BadConfirmation(_))
         ));
-        assert_eq!(client.state_with(&node_b.address()), ClientState::Bonded);
+        // The refused handshake with A is dropped for a retry.
+        assert_eq!(client.state_with(&a), ClientState::Idle);
+        assert_eq!(client.state_with(&b), ClientState::Bonded);
         assert_eq!(
-            client.channel_with(&node_b.address()).unwrap().spent,
+            client.channel_with(&b).unwrap().spent,
             spent_before,
             "B's committed spend survives"
         );
@@ -1577,11 +1350,14 @@ mod tests {
 
     #[test]
     fn abandon_allows_new_handshake() {
-        let (mut client, _) = bonded_client();
-        client.abandon_connection();
-        assert_eq!(client.state(), ClientState::Idle);
+        let (mut client, node) = bonded_client();
+        client.abandon_provider(node.address());
+        assert_eq!(client.state_with(&node.address()), ClientState::Idle);
         let other = FullNode::new(SecretKey::from_seed(b"failover"), U256::from(10u64));
         client.start_handshake(other.address()).unwrap();
-        assert_eq!(client.state(), ClientState::Handshaking);
+        assert_eq!(
+            client.state_with(&other.address()),
+            ClientState::Handshaking
+        );
     }
 }

@@ -5,7 +5,8 @@
 //! on-chain modules from [`parp_contracts`]:
 //!
 //! * [`LightClient`] — header store, handshake and channel state machine
-//!   (paper Fig. 4 / Algorithm 1), signed request construction with
+//!   (paper Fig. 4 / Algorithm 1), one session per full node with every
+//!   operation naming its provider, signed request construction with
 //!   cumulative micropayments, the §V-D response classification
 //!   (valid / invalid / fraudulent), fraud-evidence collection, and the
 //!   §V-C channel liveness probe.
@@ -15,7 +16,7 @@
 //!   fraud experiments.
 //! * [`classify_response`] — the standalone check sequence, shared with
 //!   the on-chain Fraud Detection Module.
-//! * The **batched pipeline**: [`LightClient::request_batch`] signs N
+//! * The **batched pipeline**: [`LightClient::request_batch_from`] signs N
 //!   calls with one signature and one cumulative payment,
 //!   [`FullNode::handle_batch`] serves them from a single state
 //!   snapshot with a deduplicated multiproof, and
@@ -57,19 +58,22 @@
 //!
 //! // Bootstrap: sync headers, handshake, open the channel on-chain.
 //! client.sync_headers((0..=chain.height()).map(|n| chain.block(n).unwrap().header.clone()));
-//! client.start_handshake(node.address()).unwrap();
+//! // Every channel operation names the provider it talks to.
+//! let provider = node.address();
+//! client.start_handshake(provider).unwrap();
 //! let confirm = node.confirm_handshake(client.address(), chain.head().header.timestamp);
-//! let open_tx = client.accept_confirmation(&confirm, U256::from(10_000u64), 0).unwrap();
+//! let open_tx = client.accept_confirmation(provider, &confirm, U256::from(10_000u64), 0).unwrap();
 //! chain.produce_block(vec![open_tx], &mut executor).unwrap();
 //! let channel_id = executor.cmm().channel_count() as u64 - 1;
-//! client.channel_opened(channel_id).unwrap();
+//! client.channel_opened(provider, channel_id).unwrap();
 //! client.sync_header(chain.head().header.clone());
 //!
 //! // Request/response with verification.
-//! let request = client.request(RpcCall::GetBalance { address: client.address() }).unwrap();
+//! let call = RpcCall::GetBalance { address: client.address() };
+//! let request = client.request_from(provider, call).unwrap();
 //! let response = node.handle_request(&request, &mut chain, &mut executor).unwrap();
 //! client.sync_header(chain.head().header.clone());
-//! match client.process_response(&response).unwrap() {
+//! match client.process_response_from(provider, &response).unwrap() {
 //!     ProcessOutcome::Valid { proven, .. } => assert!(proven),
 //!     other => panic!("expected valid, got {other:?}"),
 //! }

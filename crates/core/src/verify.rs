@@ -98,20 +98,28 @@ pub fn classify_response(
         header_for,
     )
     .0
+    .map_or_else(Classification::Invalid, |(classification, _)| {
+        classification
+    })
 }
 
 /// [`classify_response`] for a request whose `request_hash` is known to
 /// be the hash of its contents (the client's own pending request),
-/// against whatever the session knows of the node's key. Also returns
-/// the node's key when this was first contact.
+/// against whatever the session knows of the node's key. Once the
+/// envelope checks pass, the classification comes with the header of
+/// `res.m_B` it was judged against. Also returns the node's key when
+/// this was first contact.
 pub(crate) fn classify_paired(
     req: &ParpRequest,
     res: &ParpResponse,
     full_node: Peer<'_>,
     request_height: u64,
     header_for: impl Fn(u64) -> Option<Header>,
-) -> (Classification, Option<PublicKey>) {
-    let invalid = |reason| (Classification::Invalid(reason), None);
+) -> (
+    Result<(Classification, Header), InvalidReason>,
+    Option<PublicKey>,
+) {
+    let invalid = |reason| (Err(reason), None);
     // 1. Verify request hash: without the correct linkage no fraud proof
     //    can be built, so a mismatch is invalid, not fraud.
     if res.request_hash != req.request_hash {
@@ -132,14 +140,14 @@ pub(crate) fn classify_paired(
     // conditions the on-chain module enforces (Algorithm 2).
     let Some(header) = header_for(res.block_number) else {
         let reason = InvalidReason::MissingHeader(res.block_number);
-        return (Classification::Invalid(reason), learned);
+        return (Err(reason), learned);
     };
     let classification = match fraud_conditions(req, res, &header, request_height) {
         Err(e) => Classification::Invalid(InvalidReason::MalformedResult(e)),
         Ok(Some(verdict)) => Classification::Fraudulent(verdict),
         Ok(None) => Classification::Valid,
     };
-    (classification, learned)
+    (Ok((classification, header)), learned)
 }
 
 /// The §V-D trichotomy applied to a batched exchange.
@@ -214,15 +222,17 @@ pub fn classify_batch_response(
     .0
 }
 
-/// The batch analogue of [`classify_paired`].
+/// The batch analogue of [`classify_paired`]: the headers handed back
+/// are those of every block the response references, ascending, once
+/// the checks reached them (empty before).
 pub(crate) fn classify_batch_paired(
     req: &ParpBatchRequest,
     res: &ParpBatchResponse,
     full_node: Peer<'_>,
     request_height: u64,
     header_for: impl Fn(u64) -> Option<Header>,
-) -> (BatchClassification, Option<PublicKey>) {
-    let invalid = |reason| (BatchClassification::Invalid(reason), None);
+) -> (BatchClassification, Option<PublicKey>, Vec<Header>) {
+    let invalid = |reason| (BatchClassification::Invalid(reason), None, Vec::new());
     // 1. Request hash linkage (no fraud proof without it).
     if res.request_hash != req.request_hash {
         return invalid(InvalidReason::RequestHashMismatch);
@@ -250,7 +260,7 @@ pub(crate) fn classify_batch_paired(
     for number in res.referenced_blocks() {
         let Some(header) = header_for(number) else {
             let reason = InvalidReason::MissingHeader(number);
-            return (BatchClassification::Invalid(reason), learned);
+            return (BatchClassification::Invalid(reason), learned, Vec::new());
         };
         trusted.insert(number, header);
     }
@@ -268,7 +278,7 @@ pub(crate) fn classify_batch_paired(
                 .collect(),
         ),
     };
-    (classification, learned)
+    (classification, learned, trusted.into_values().collect())
 }
 
 #[cfg(test)]

@@ -942,23 +942,24 @@ impl Network {
             .nodes
             .get(node_id.0)
             .ok_or(SimError::UnknownNode(node_id.0))?;
-        client.start_handshake(node.address())?;
+        let provider = node.address();
+        client.start_handshake(provider)?;
         let now = self.chain.head().header.timestamp;
         let confirm = node.confirm_handshake(client.address(), now);
         self.clock_us += self.latency.round_trip_us(64, 128);
         let nonce = self.next_nonce(client.address());
-        let open_tx = client.accept_confirmation(&confirm, budget, nonce)?;
+        let open_tx = client.accept_confirmation(provider, &confirm, budget, nonce)?;
         self.mine(vec![open_tx])?;
         let receipts = self
             .chain
             .receipts(self.chain.height())
             .expect("just mined");
         if receipts.last().map(|r| r.status) != Some(1) {
-            client.abandon_connection();
+            client.abandon_provider(provider);
             return Err(SimError::Reverted("open channel reverted".into()));
         }
         let channel_id = self.executor.cmm().channel_count() as u64 - 1;
-        client.channel_opened(channel_id)?;
+        client.channel_opened(provider, channel_id)?;
         self.sync_client(client);
         Ok(channel_id)
     }
@@ -1526,28 +1527,35 @@ impl Network {
             .serve_batch(node, request, &mut self.chain, &mut self.executor)?)
     }
 
-    /// Cooperative closure initiated by the client: close, wait out the
-    /// dispute window, confirm, settle.
+    /// Cooperative closure of the client's channel with `node_id`,
+    /// initiated by the client: close, wait out the dispute window,
+    /// confirm, settle. Channels with other nodes stay open.
     ///
     /// # Errors
     ///
-    /// Propagates chain failures and reverted settlements.
+    /// Propagates client refusals, chain failures and reverted
+    /// settlements.
     pub fn close_cooperatively(
         &mut self,
         client: &mut LightClient,
-        _node_id: NodeId,
+        node_id: NodeId,
     ) -> Result<(), SimError> {
-        let close = client.close_channel_call()?;
+        let provider = self
+            .nodes
+            .get(node_id.0)
+            .ok_or(SimError::UnknownNode(node_id.0))?
+            .address();
+        let close = client.close_channel_call(provider)?;
         let client_key = *client.secret();
         if !self.submit_module_call(&client_key, close, U256::ZERO)? {
             return Err(SimError::Reverted("close channel reverted".into()));
         }
         self.advance_blocks(DISPUTE_WINDOW_BLOCKS)?;
-        let confirm = client.confirm_closure_call()?;
+        let confirm = client.confirm_closure_call(provider)?;
         if !self.submit_module_call(&client_key, confirm, U256::ZERO)? {
             return Err(SimError::Reverted("confirm closure reverted".into()));
         }
-        client.channel_closed();
+        client.channel_closed(provider);
         Ok(())
     }
 

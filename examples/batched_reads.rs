@@ -67,7 +67,10 @@ fn main() {
     );
     println!(
         "channel ledger: {} wei committed over {} verified responses",
-        client.channel().expect("bonded").spent,
+        client
+            .channel_with(&net.node(node).address())
+            .expect("bonded")
+            .spent,
         client.valid_responses()
     );
 }

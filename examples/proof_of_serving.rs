@@ -34,7 +34,10 @@ fn main() {
         println!(
             "client {} paid for {calls} calls (channel spent: {} wei)",
             client.address(),
-            client.channel().expect("bonded").spent
+            client
+                .channel_with(&net.node(node).address())
+                .expect("bonded")
+                .spent
         );
     }
 

@@ -87,7 +87,7 @@ fn main() {
     }
 
     // Fail-over: permissionless means a new channel is one handshake away.
-    wallet.abandon_connection();
+    wallet.abandon_provider(net.node(primary).address());
     println!(
         "\nwallet fails over to backup node {}",
         net.node(backup).address()

@@ -39,6 +39,7 @@ fn funded_addresses(net: &mut Network, n: u64) -> Vec<Address> {
 #[test]
 fn batch_of_reads_verifies_end_to_end() {
     let (mut net, node, mut client) = connected();
+    let provider = net.node(node).address();
     let addresses = funded_addresses(&mut net, 8);
     net.sync_client(&mut client);
     let calls: Vec<RpcCall> = addresses
@@ -59,7 +60,10 @@ fn batch_of_reads_verifies_end_to_end() {
     assert!(!proven[8]);
     assert!(stats.proof_bytes > 0);
     // One batch advanced the ledger by N × price.
-    assert_eq!(client.channel().unwrap().spent, U256::from(n * PRICE));
+    assert_eq!(
+        client.channel_with(&provider).unwrap().spent,
+        U256::from(n * PRICE)
+    );
     assert_eq!(client.valid_responses(), n);
     assert_eq!(net.node(node).requests_served(), n);
 }
@@ -67,15 +71,16 @@ fn batch_of_reads_verifies_end_to_end() {
 #[test]
 fn empty_batch_rejected_by_client_and_server() {
     let (mut net, node, mut client) = connected();
+    let provider = net.node(node).address();
     // Client refuses to build one.
     assert_eq!(
-        client.request_batch(Vec::new()),
+        client.request_batch_from(provider, Vec::new()),
         Err(parp_suite::core::ClientError::EmptyBatch)
     );
     // A hand-built empty batch is refused by the server.
     let request = ParpBatchRequest::build(
         client.secret(),
-        client.channel().unwrap().id,
+        client.channel_with(&provider).unwrap().id,
         client.tip().unwrap().hash(),
         U256::from(PRICE),
         Vec::new(),
@@ -91,6 +96,7 @@ fn unbatchable_calls_rejected() {
     // With the multi-header envelope, every *read* batches — including
     // historical inclusion lookups. Only writes travel alone.
     let (mut net, node, mut client) = connected();
+    let provider = net.node(node).address();
     let write = RpcCall::SendRawTransaction { raw: vec![1, 2, 3] };
     assert!(RpcCall::GetTransactionByHash {
         hash: keccak256(b"tx"),
@@ -102,13 +108,13 @@ fn unbatchable_calls_rejected() {
     .batchable());
     assert!(!write.batchable());
     assert_eq!(
-        client.request_batch(vec![RpcCall::BlockNumber, write.clone()]),
+        client.request_batch_from(provider, vec![RpcCall::BlockNumber, write.clone()]),
         Err(parp_suite::core::ClientError::UnbatchableCall)
     );
     // The server refuses them too, independently of the client.
     let request = ParpBatchRequest::build(
         client.secret(),
-        client.channel().unwrap().id,
+        client.channel_with(&provider).unwrap().id,
         client.tip().unwrap().hash(),
         U256::from(2 * PRICE),
         vec![RpcCall::BlockNumber, write],
@@ -129,7 +135,7 @@ fn unknown_block_hash_rejected_not_served_at_genesis() {
     // fabricated genesis-height view.
     let (mut net, node, client) = connected();
     let ghost_hash = keccak256(b"no-such-block");
-    let channel_id = client.channel().unwrap().id;
+    let channel_id = client.channel_with(&net.node(node).address()).unwrap().id;
     let batch = ParpBatchRequest::build(
         client.secret(),
         channel_id,
@@ -163,6 +169,7 @@ fn unknown_block_hash_rejected_not_served_at_genesis() {
 #[test]
 fn batches_mix_balance_and_nonce_reads_over_one_multiproof() {
     let (mut net, node, mut client) = connected();
+    let provider = net.node(node).address();
     let addresses = funded_addresses(&mut net, 3);
     net.sync_client(&mut client);
     // Interleave balance and nonce reads of the same and different
@@ -202,7 +209,10 @@ fn batches_mix_balance_and_nonce_reads_over_one_multiproof() {
     // The client's own account opened the channel: nonce advanced.
     let own = parp_suite::chain::Account::decode(&results[4]).expect("account record");
     assert!(own.nonce > 0, "channel-open transaction bumped the nonce");
-    assert_eq!(client.channel().unwrap().spent, U256::from(n * PRICE));
+    assert_eq!(
+        client.channel_with(&provider).unwrap().spent,
+        U256::from(n * PRICE)
+    );
 
     // A *forged* nonce answer inside a batch is provable fraud, exactly
     // like a forged balance.
@@ -233,19 +243,20 @@ fn batches_mix_balance_and_nonce_reads_over_one_multiproof() {
 #[test]
 fn duplicate_keys_deduplicated_in_multiproof() {
     let (mut net, node, mut client) = connected();
+    let provider = net.node(node).address();
     let addresses = funded_addresses(&mut net, 2);
     net.sync_client(&mut client);
     let target = addresses[0];
     // Five reads of the same account: the multiproof must carry that
     // account's path once, not five times.
     let repeated = client
-        .request_batch(vec![RpcCall::GetBalance { address: target }; 5])
+        .request_batch_from(provider, vec![RpcCall::GetBalance { address: target }; 5])
         .expect("batch request");
     let repeated_response = net.serve_batch(node, &repeated).expect("serve");
     net.sync_client(&mut client);
     // The deduplicated proof verifies all five items.
     let outcome = client
-        .process_batch_response(&repeated_response)
+        .process_batch_response_from(provider, &repeated_response)
         .expect("process");
     let ProcessBatchOutcome::Valid { results, .. } = outcome else {
         panic!("expected valid, got {outcome:?}");
@@ -255,7 +266,7 @@ fn duplicate_keys_deduplicated_in_multiproof() {
     // A single read of the same account needs the identical node set:
     // duplicate keys contributed nothing extra.
     let distinct = client
-        .request_batch(vec![RpcCall::GetBalance { address: target }])
+        .request_batch_from(provider, vec![RpcCall::GetBalance { address: target }])
         .expect("batch request");
     let distinct_response = net.serve_batch(node, &distinct).expect("serve");
     assert_eq!(
@@ -267,6 +278,7 @@ fn duplicate_keys_deduplicated_in_multiproof() {
 #[test]
 fn one_forged_item_classified_per_item_and_yields_evidence() {
     let (mut net, node, mut client) = connected();
+    let provider = net.node(node).address();
     let addresses = funded_addresses(&mut net, 4);
     net.sync_client(&mut client);
     // Forge only the last item's result; the other three stay honest.
@@ -293,7 +305,7 @@ fn one_forged_item_classified_per_item_and_yields_evidence() {
     assert_eq!(evidence.item, Some(3));
     assert_eq!(evidence.verdict, FraudVerdict::InvalidProof);
     // The evidence binds the node's own signature to the forged item.
-    assert_eq!(evidence.response.signer(), Some(net.node(node).address()));
+    assert_eq!(evidence.response.signer(), Some(provider));
 }
 
 #[test]
@@ -357,6 +369,7 @@ fn unprovable_batch_misbehavior_is_invalid_not_fraud() {
 #[test]
 fn cumulative_payment_monotonic_across_mixed_traffic() {
     let (mut net, node, mut client) = connected();
+    let provider = net.node(node).address();
     let addresses = funded_addresses(&mut net, 4);
     net.sync_client(&mut client);
     let me = client.address();
@@ -366,7 +379,10 @@ fn cumulative_payment_monotonic_across_mixed_traffic() {
         .parp_call(&mut client, node, RpcCall::GetBalance { address: me })
         .expect("single");
     assert!(matches!(outcome, ProcessOutcome::Valid { .. }));
-    assert_eq!(client.channel().unwrap().spent, U256::from(PRICE));
+    assert_eq!(
+        client.channel_with(&provider).unwrap().spent,
+        U256::from(PRICE)
+    );
 
     // Batch of 4: spent 10 → 50.
     let calls: Vec<RpcCall> = addresses
@@ -377,18 +393,24 @@ fn cumulative_payment_monotonic_across_mixed_traffic() {
         .parp_batch_call(&mut client, node, calls)
         .expect("batch");
     assert!(matches!(outcome, ProcessBatchOutcome::Valid { .. }));
-    assert_eq!(client.channel().unwrap().spent, U256::from(5 * PRICE));
+    assert_eq!(
+        client.channel_with(&provider).unwrap().spent,
+        U256::from(5 * PRICE)
+    );
 
     // Another single: spent 50 → 60.
     let (outcome, _) = net
         .parp_call(&mut client, node, RpcCall::BlockNumber)
         .expect("single");
     assert!(matches!(outcome, ProcessOutcome::Valid { .. }));
-    assert_eq!(client.channel().unwrap().spent, U256::from(6 * PRICE));
+    assert_eq!(
+        client.channel_with(&provider).unwrap().spent,
+        U256::from(6 * PRICE)
+    );
 
     // The node's receivable tracks the same cumulative amount, and its
     // per-channel call count includes the batched items.
-    let channel_id = client.channel().unwrap().id;
+    let channel_id = client.channel_with(&provider).unwrap().id;
     let served = net.node(node).served_channel(channel_id).expect("served");
     assert_eq!(served.latest_amount, U256::from(6 * PRICE));
     assert_eq!(served.calls_served, 6);
@@ -474,13 +496,14 @@ fn batch_multiproof_verifies_against_header_root() {
     // The served multiproof is a real trie multiproof: verify it directly
     // against the header's state root with verify_many.
     let (mut net, node, mut client) = connected();
+    let provider = net.node(node).address();
     let addresses = funded_addresses(&mut net, 6);
     net.sync_client(&mut client);
     let calls: Vec<RpcCall> = addresses
         .iter()
         .map(|a| RpcCall::GetBalance { address: *a })
         .collect();
-    let request = client.request_batch(calls).expect("request");
+    let request = client.request_batch_from(provider, calls).expect("request");
     let response = net.serve_batch(node, &request).expect("serve");
     net.sync_client(&mut client);
     let header = client.header(response.block_number).expect("header");
@@ -555,7 +578,9 @@ fn honest_batch_cannot_be_framed() {
         .iter()
         .map(|a| RpcCall::GetBalance { address: *a })
         .collect();
-    let request = client.request_batch(calls).expect("request");
+    let request = client
+        .request_batch_from(net.node(node).address(), calls)
+        .expect("request");
     let response = net.serve_batch(node, &request).expect("serve");
     net.sync_client(&mut client);
     let header = client
@@ -584,7 +609,8 @@ fn probe_batches_served_while_channel_is_closing() {
     // of liveness probes, matching the single-call path; anything else
     // in the batch requires an Open channel.
     let (mut net, node, mut client) = connected();
-    let channel_id = client.channel().unwrap().id;
+    let provider = net.node(node).address();
+    let channel_id = client.channel_with(&provider).unwrap().id;
     // The node secretly starts closing the channel with the zero state.
     let node_key = *net.node(node).secret();
     let close = parp_suite::contracts::ModuleCall::CloseChannel {
@@ -601,7 +627,9 @@ fn probe_batches_served_while_channel_is_closing() {
     net.sync_client(&mut client);
     // A pure probe batch is still served...
     let probes = vec![RpcCall::GetChannelStatus { channel_id }; 2];
-    let request = client.request_batch(probes).expect("probe batch");
+    let request = client
+        .request_batch_from(provider, probes)
+        .expect("probe batch");
     let response = net
         .serve_batch(node, &request)
         .expect("served while closing");
@@ -634,6 +662,7 @@ fn multi_block_mixed_batch_round_trips() {
     // GetTransactionByHash and GetTransactionReceipt across ≥ 3 distinct
     // blocks, every item verified through the multi-header envelope.
     let (mut net, node, mut client) = connected();
+    let provider = net.node(node).address();
     let addresses = funded_addresses(&mut net, 3);
     net.sync_client(&mut client);
     // The last three mined blocks each hold one faucet transfer.
@@ -678,7 +707,10 @@ fn multi_block_mixed_batch_round_trips() {
     );
     assert!(results[6].is_empty(), "unknown lookup answers empty");
     assert!(stats.proof_bytes > 0);
-    assert_eq!(client.channel().unwrap().spent, U256::from(n * PRICE));
+    assert_eq!(
+        client.channel_with(&provider).unwrap().spent,
+        U256::from(n * PRICE)
+    );
     assert_eq!(client.valid_responses(), n);
 }
 
@@ -688,6 +720,7 @@ fn multi_block_batch_headers_and_proofs_bind_per_block() {
     // referenced blocks, and each inclusion proof verifies against its
     // own block's transaction/receipt root — not the snapshot's.
     let (mut net, node, mut client) = connected();
+    let provider = net.node(node).address();
     funded_addresses(&mut net, 3);
     // One empty block on top: the snapshot head is distinct from every
     // lookup's containing block, so the envelope carries 4 headers.
@@ -700,7 +733,7 @@ fn multi_block_batch_headers_and_proofs_bind_per_block() {
         RpcCall::GetTransactionReceipt { hash: lookups[1].0 },
         RpcCall::GetTransactionByHash { hash: lookups[2].0 },
     ];
-    let request = client.request_batch(calls).expect("request");
+    let request = client.request_batch_from(provider, calls).expect("request");
     let response = net.serve_batch(node, &request).expect("serve");
     net.sync_client(&mut client);
 
@@ -753,7 +786,9 @@ fn multi_block_batch_headers_and_proofs_bind_per_block() {
     assert_eq!(proven_receipt, claimed_receipt);
 
     // And the client classifies the whole thing Valid.
-    let outcome = client.process_batch_response(&response).expect("process");
+    let outcome = client
+        .process_batch_response_from(provider, &response)
+        .expect("process");
     assert!(matches!(outcome, ProcessBatchOutcome::Valid { .. }));
 }
 
@@ -836,7 +871,7 @@ fn unknown_get_header_rejected_not_served_empty() {
     let (mut net, node, mut client) = connected();
     net.sync_client(&mut client);
     let beyond = net.chain().height() + 100;
-    let channel_id = client.channel().unwrap().id;
+    let channel_id = client.channel_with(&net.node(node).address()).unwrap().id;
 
     let single = parp_suite::contracts::ParpRequest::build(
         client.secret(),
@@ -1001,11 +1036,6 @@ fn corrupted_echo_pairs_within_one_connection_and_one_wire_shape() {
     // the §V-D hash check refuses it.
     let mut garbage_single = tip_answer(0, &single_a);
     garbage_single.request_hash = keccak256(b"corrupted single echo");
-    // Unscoped, with two sessions, nothing may pair at all.
-    assert_eq!(
-        client.process_response(&garbage_single),
-        Err(parp_suite::core::ClientError::UnknownResponse)
-    );
     assert_eq!(
         client.process_response_from(a, &garbage_single).unwrap(),
         ProcessOutcome::Invalid(InvalidReason::RequestHashMismatch)

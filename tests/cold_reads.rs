@@ -51,11 +51,15 @@ fn world(cold: bool) -> World {
 impl World {
     /// Serves `calls` as one batch and has the client accept it.
     fn exchange(&mut self, calls: &[RpcCall]) -> ParpBatchResponse {
-        let request = self.client.request_batch(calls.to_vec()).expect("request");
+        let provider = self.net.node(self.node).address();
+        let request = self
+            .client
+            .request_batch_from(provider, calls.to_vec())
+            .expect("request");
         let response = self.net.serve_batch(self.node, &request).expect("serve");
         let outcome = self
             .client
-            .process_batch_response(&response)
+            .process_batch_response_from(provider, &response)
             .expect("process");
         assert!(
             matches!(outcome, ProcessBatchOutcome::Valid { .. }),

@@ -15,12 +15,13 @@ fn full_lifecycle_with_cooperative_close() {
 
     // Discovery via the on-chain registry (§IV-A).
     let registry = net.registry();
-    assert!(registry.contains(&net.node(node).address()));
+    let provider = net.node(node).address();
+    assert!(registry.contains(&provider));
 
     // Bootstrap + connection setup.
     let budget = U256::from(10_000u64);
     let channel_id = net.connect(&mut client, node, budget).unwrap();
-    assert_eq!(client.state(), ClientState::Bonded);
+    assert_eq!(client.state_with(&provider), ClientState::Bonded);
     assert_eq!(
         net.executor().cmm().channel(channel_id).unwrap().status,
         ChannelStatus::Open
@@ -45,13 +46,16 @@ fn full_lifecycle_with_cooperative_close() {
     assert!(matches!(outcome, ProcessOutcome::Valid { .. }));
 
     // The client committed 6 calls x 10 wei.
-    assert_eq!(client.channel().unwrap().spent, U256::from(60u64));
+    assert_eq!(
+        client.channel_with(&provider).unwrap().spent,
+        U256::from(60u64)
+    );
     assert_eq!(net.node(node).requests_served(), 6);
 
     // Cooperative closure: client closes, window passes, settlement.
     let node_balance_before = net.chain().balance(&net.node(node).address());
     net.close_cooperatively(&mut client, node).unwrap();
-    assert_eq!(client.state(), ClientState::Idle);
+    assert_eq!(client.state_with(&provider), ClientState::Idle);
     assert_eq!(
         net.executor().cmm().channel(channel_id).unwrap().status,
         ChannelStatus::Closed
@@ -65,6 +69,47 @@ fn full_lifecycle_with_cooperative_close() {
         balance_after_close - balance_before_close,
         budget - U256::from(60u64)
     );
+}
+
+#[test]
+fn cooperative_close_settles_the_named_channel_only() {
+    let mut net = Network::new();
+    let node_a = net.spawn_node(b"close-a", U256::from(10u64));
+    let node_b = net.spawn_node(b"close-b", U256::from(10u64));
+    let mut client = net.spawn_client(b"close-client", U256::from(10u64));
+    let (a, b) = (net.node(node_a).address(), net.node(node_b).address());
+    let channel_a = net
+        .connect(&mut client, node_a, U256::from(1_000u64))
+        .unwrap();
+    let channel_b = net
+        .connect(&mut client, node_b, U256::from(1_000u64))
+        .unwrap();
+    let (outcome, _) = net
+        .parp_call(&mut client, node_a, RpcCall::BlockNumber)
+        .unwrap();
+    assert!(matches!(outcome, ProcessOutcome::Valid { .. }));
+
+    // Close A, the channel handshaken first.
+    net.close_cooperatively(&mut client, node_a).unwrap();
+    assert_eq!(client.state_with(&a), ClientState::Idle);
+    assert_eq!(
+        net.executor().cmm().channel(channel_a).unwrap().status,
+        ChannelStatus::Closed
+    );
+    // B's channel is untouched and still serves verified calls.
+    assert_eq!(client.state_with(&b), ClientState::Bonded);
+    assert_eq!(
+        net.executor().cmm().channel(channel_b).unwrap().status,
+        ChannelStatus::Open
+    );
+    let me = client.address();
+    let (outcome, _) = net
+        .parp_call(&mut client, node_b, RpcCall::GetBalance { address: me })
+        .unwrap();
+    assert!(matches!(
+        outcome,
+        ProcessOutcome::Valid { proven: true, .. }
+    ));
 }
 
 #[test]
@@ -307,8 +352,9 @@ fn historical_tx_lookup_is_valid_not_fraud() {
 
     // A malicious client trying to frame the honest response as "stale"
     // fails on-chain.
+    let provider = net.node(node).address();
     let request = client
-        .request(RpcCall::GetTransactionByHash { hash: tx_hash })
+        .request_from(provider, RpcCall::GetTransactionByHash { hash: tx_hash })
         .unwrap();
     let response = net.serve(node, &request).unwrap();
     net.sync_client(&mut client);
@@ -325,7 +371,7 @@ fn historical_tx_lookup_is_valid_not_fraud() {
         verdict: parp_suite::contracts::FraudVerdict::StaleBlockHeight,
     };
     // Commit the exchange client-side so the payment ledger stays in sync.
-    let outcome = client.process_response(&response).unwrap();
+    let outcome = client.process_response_from(provider, &response).unwrap();
     assert!(matches!(outcome, ProcessOutcome::Valid { .. }));
     assert!(
         !net.report_fraud(&evidence, witness).unwrap(),

@@ -18,10 +18,12 @@ fn connected(seed: &str) -> (Network, NodeId, LightClient) {
 #[test]
 fn liveness_probe_reports_open_channel() {
     let (mut net, node, mut client) = connected("live-open");
-    let probe = client.liveness_probe().unwrap();
+    let provider = net.node(node).address();
+    let probe = client.liveness_probe(provider).unwrap();
     let response = net.serve(node, &probe).unwrap();
     net.sync_client(&mut client);
-    let ProcessOutcome::Valid { result, .. } = client.process_response(&response).unwrap() else {
+    let outcome = client.process_response_from(provider, &response).unwrap();
+    let ProcessOutcome::Valid { result, .. } = outcome else {
         panic!("probe must be valid");
     };
     assert!(LightClient::channel_reported_open(&result));
@@ -50,10 +52,12 @@ fn secret_close_is_detected_by_liveness_probe() {
     ));
 
     // The client's periodic probe (answered honestly here) reveals it.
-    let probe = client.liveness_probe().unwrap();
+    let provider = net.node(node).address();
+    let probe = client.liveness_probe(provider).unwrap();
     let response = net.serve(node, &probe).unwrap();
     net.sync_client(&mut client);
-    let ProcessOutcome::Valid { result, .. } = client.process_response(&response).unwrap() else {
+    let outcome = client.process_response_from(provider, &response).unwrap();
+    let ProcessOutcome::Valid { result, .. } = outcome else {
         panic!("probe should verify");
     };
     assert!(
@@ -87,11 +91,14 @@ fn lying_about_channel_status_is_caught_via_witness() {
     let status = net.executor().cmm().channel(0).map(|c| c.status).unwrap();
     assert!(matches!(status, ChannelStatus::Closing { .. }));
     // The client reacts: abandon and fail over.
-    client.abandon_connection();
+    client.abandon_provider(net.node(node).address());
     let mut client2 = client.clone();
     net.connect(&mut client2, witness, U256::from(1_000u64))
         .unwrap();
-    assert_eq!(client2.state(), ClientState::Bonded);
+    assert_eq!(
+        client2.state_with(&net.node(witness).address()),
+        ClientState::Bonded
+    );
 }
 
 #[test]
@@ -112,7 +119,7 @@ fn failover_after_invalid_response() {
     assert!(matches!(outcome, ProcessOutcome::Invalid(_)));
 
     // §V-D: sensible to terminate. No sign-up means switching is trivial.
-    client.abandon_connection();
+    client.abandon_provider(net.node(bad_node).address());
     net.connect(&mut client, good_node, U256::from(1_000u64))
         .unwrap();
     let (outcome, _) = net
@@ -139,7 +146,7 @@ fn failover_after_proven_fraud_keeps_client_whole() {
         panic!("expected fraud");
     };
     assert!(net.report_fraud(&evidence, witness).unwrap());
-    client.abandon_connection();
+    client.abandon_provider(net.node(rogue).address());
 
     // Budget refunded + slash reward: the client ends richer than it
     // started, then re-connects to the witness and resumes service.

@@ -109,8 +109,12 @@ fn invalid_misbehaviors_are_rejected_but_not_slashable() {
             "{misbehavior:?}"
         );
         // Client walks away and can reconnect elsewhere.
-        client.abandon_connection();
-        assert_eq!(client.state(), parp_suite::core::ClientState::Idle);
+        let provider = net.node(node).address();
+        client.abandon_provider(provider);
+        assert_eq!(
+            client.state_with(&provider),
+            parp_suite::core::ClientState::Idle
+        );
     }
 }
 
@@ -118,10 +122,13 @@ fn invalid_misbehaviors_are_rejected_but_not_slashable() {
 fn honest_node_cannot_be_framed_with_valid_response() {
     let (mut net, node, witness, mut client, _) = fraud_fixture("frame");
     let me = client.address();
-    let request = client.request(RpcCall::GetBalance { address: me }).unwrap();
+    let provider = net.node(node).address();
+    let request = client
+        .request_from(provider, RpcCall::GetBalance { address: me })
+        .unwrap();
     let response = net.serve(node, &request).unwrap();
     net.sync_client(&mut client);
-    let outcome = client.process_response(&response).unwrap();
+    let outcome = client.process_response_from(provider, &response).unwrap();
     let ProcessOutcome::Valid { .. } = outcome else {
         panic!("honest response should be valid");
     };
@@ -151,7 +158,10 @@ fn client_cannot_forge_responses_to_slash() {
     // A malicious *client* invents a response the node never signed.
     let (mut net, node, witness, mut client, _) = fraud_fixture("forge");
     let me = client.address();
-    let request = client.request(RpcCall::GetBalance { address: me }).unwrap();
+    let provider = net.node(node).address();
+    let request = client
+        .request_from(provider, RpcCall::GetBalance { address: me })
+        .unwrap();
     let honest = net.serve(node, &request).unwrap();
     net.sync_client(&mut client);
     // Tamper the result but keep the node's (now wrong) signature.
@@ -269,11 +279,14 @@ fn forged_exchange(
     forge: impl Fn(&mut ParpResponse),
 ) -> ProcessOutcome {
     let me = client.address();
-    let request = client.request(RpcCall::GetBalance { address: me }).unwrap();
+    let provider = net.node(node).address();
+    let request = client
+        .request_from(provider, RpcCall::GetBalance { address: me })
+        .unwrap();
     let mut response = net.serve(node, &request).unwrap();
     net.sync_client(client);
     forge(&mut response);
-    client.process_response(&response).unwrap()
+    client.process_response_from(provider, &response).unwrap()
 }
 
 #[test]

@@ -267,14 +267,18 @@ fn one_leg_fanout_is_a_parp_call() {
     let fanned = fanned.pop().expect("one leg").expect("fan-out leg");
     assert_eq!(alone, fanned, "outcome and stats");
     assert_eq!(net_a.now_us(), net_b.now_us(), "clock");
-    assert_eq!(client_a.channel(), client_b.channel(), "client ledger");
-    assert_eq!(client_a.valid_responses(), client_b.valid_responses());
     let provider = net_a.node(node).address();
+    assert_eq!(
+        client_a.channel_with(&provider),
+        client_b.channel_with(&provider),
+        "client ledger"
+    );
+    assert_eq!(client_a.valid_responses(), client_b.valid_responses());
     assert_eq!(client_a.pending_with(&provider), 0);
     assert_eq!(client_b.pending_with(&provider), 0);
     let (served_a, served_b) = (net_a.node(node), net_b.node(node));
     assert_eq!(served_a.requests_served(), served_b.requests_served());
-    let channel_id = client_a.channel().expect("bonded").id;
+    let channel_id = client_a.channel_with(&provider).expect("bonded").id;
     let ledger = |node: &parp_suite::core::FullNode| {
         let channel = node.served_channel(channel_id).expect("served");
         (

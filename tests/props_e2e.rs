@@ -53,6 +53,7 @@ proptest! {
         let supply = total_supply(&net);
         let budget = U256::from(1_000_000u64);
         net.connect(&mut client, node, budget).unwrap();
+        let provider = net.node(node).address();
         let sender = parp_suite::crypto::SecretKey::from_seed(
             format!("pe2e-sender-{seed}").as_bytes(),
         );
@@ -79,7 +80,7 @@ proptest! {
                     RpcCall::SendRawTransaction { raw: tx.encode() }
                 }
                 Step::Probe => {
-                    let id = client.channel().unwrap().id;
+                    let id = client.channel_with(&provider).unwrap().id;
                     RpcCall::GetChannelStatus { channel_id: id }
                 }
             };
@@ -88,7 +89,7 @@ proptest! {
             let is_valid = matches!(outcome, ProcessOutcome::Valid { .. });
             prop_assert!(is_valid, "expected valid outcome, got {:?}", outcome);
             // Invariant 2: spend is monotone and bounded.
-            let spent = client.channel().unwrap().spent;
+            let spent = client.channel_with(&provider).unwrap().spent;
             prop_assert!(spent >= last_spent);
             prop_assert!(spent <= budget);
             last_spent = spent;

@@ -62,6 +62,7 @@ fn batch_responses_are_byte_identical_across_engines() {
     let mut encodings = Vec::new();
     for engine in [Engine::Runtime, Engine::Sequential] {
         let (mut net, node, mut client, addresses) = connected(24);
+        let provider = net.node(node).address();
         let calls: Vec<RpcCall> = addresses
             .iter()
             .map(|a| RpcCall::GetBalance { address: *a })
@@ -72,7 +73,9 @@ fn batch_responses_are_byte_identical_across_engines() {
             )
             .chain([RpcCall::BlockNumber])
             .collect();
-        let request = client.request_batch(calls).expect("batch request");
+        let request = client
+            .request_batch_from(provider, calls)
+            .expect("batch request");
         let response = engine.serve(&mut net, node, &request);
         encodings.push((engine, request.encode(), response.encode()));
     }
@@ -98,6 +101,7 @@ fn skewed_batch_byte_identical_and_passes_fraud_conditions() {
     let mut encodings = Vec::new();
     for engine in [Engine::Runtime, Engine::Sequential] {
         let (mut net, node, mut client, addresses) = connected(16);
+        let provider = net.node(node).address();
         let witness = net.spawn_node(b"runtime-witness", U256::from(PRICE));
         let calls: Vec<RpcCall> = (0..96usize)
             .map(|i| {
@@ -113,10 +117,14 @@ fn skewed_batch_byte_identical_and_passes_fraud_conditions() {
                 RpcCall::GetBalance { address }
             })
             .collect();
-        let request = client.request_batch(calls).expect("batch request");
+        let request = client
+            .request_batch_from(provider, calls)
+            .expect("batch request");
         let response = engine.serve(&mut net, node, &request);
         net.sync_client(&mut client);
-        let outcome = client.process_batch_response(&response).expect("process");
+        let outcome = client
+            .process_batch_response_from(provider, &response)
+            .expect("process");
         assert!(
             matches!(outcome, parp_suite::core::ProcessBatchOutcome::Valid { .. }),
             "arena-served skewed batch must classify Valid under {engine:?}"
@@ -155,6 +163,7 @@ fn skewed_batch_byte_identical_and_passes_fraud_conditions() {
 #[test]
 fn snapshot_cache_warms_and_invalidates_across_mine() {
     let (mut net, node, mut client, addresses) = connected(8);
+    let provider = net.node(node).address();
     let calls: Vec<RpcCall> = addresses
         .iter()
         .map(|a| RpcCall::GetBalance { address: *a })
@@ -164,13 +173,17 @@ fn snapshot_cache_warms_and_invalidates_across_mine() {
     let head_root = net.chain().head().header.state_root;
     assert!(net.runtime().cache().contains(&head_root));
     let hits_before = net.runtime().cache().hits();
-    let request = client.request_batch(calls.clone()).expect("request");
+    let request = client
+        .request_batch_from(provider, calls.clone())
+        .expect("request");
     let response = net.serve_batch(node, &request).expect("serve");
     assert!(net.runtime().cache().hits() > hits_before);
     assert_eq!(response.block_number, net.chain().height());
     // Accept the response so the next request's payment advances.
     net.sync_client(&mut client);
-    client.process_batch_response(&response).expect("process");
+    client
+        .process_batch_response_from(provider, &response)
+        .expect("process");
 
     // Mining moves the head: the cache must pick up the new root and
     // the next batch must be served (and proven) at the new height, not
@@ -183,7 +196,7 @@ fn snapshot_cache_warms_and_invalidates_across_mine() {
         net.runtime().cache().contains(&new_root),
         "mine() must warm the new head"
     );
-    let request = client.request_batch(calls).expect("request");
+    let request = client.request_batch_from(provider, calls).expect("request");
     let response = net.serve_batch(node, &request).expect("serve");
     assert_eq!(response.block_number, net.chain().height());
     let header = net
@@ -297,6 +310,7 @@ fn inclusion_trie_cache_reuses_per_block_tries() {
     // transaction/receipt tries once and serve every later proof from
     // the cache — with bytes identical to the uncached chain path.
     let (mut net, node, mut client, _) = connected(4);
+    let provider = net.node(node).address();
     net.advance_blocks(1).expect("empty block");
     net.sync_client(&mut client);
     // Pick a historical faucet transfer.
@@ -311,7 +325,9 @@ fn inclusion_trie_cache_reuses_per_block_tries() {
         RpcCall::GetTransactionByHash { hash: tx_hash },
         RpcCall::GetTransactionReceipt { hash: tx_hash },
     ];
-    let request = client.request_batch(calls.clone()).expect("request");
+    let request = client
+        .request_batch_from(provider, calls.clone())
+        .expect("request");
     let response = net.serve_batch(node, &request).expect("serve");
     // Two tries built (tx + receipt), both now cached.
     assert_eq!(net.runtime().inclusion_cache().misses(), 2);
@@ -332,8 +348,10 @@ fn inclusion_trie_cache_reuses_per_block_tries() {
 
     // A second batch over the same block is served from the cache.
     net.sync_client(&mut client);
-    client.process_batch_response(&response).expect("process");
-    let request = client.request_batch(calls).expect("request");
+    client
+        .process_batch_response_from(provider, &response)
+        .expect("process");
+    let request = client.request_batch_from(provider, calls).expect("request");
     let again = net.serve_batch(node, &request).expect("serve");
     assert_eq!(net.runtime().inclusion_cache().misses(), 2, "no rebuild");
     assert!(net.runtime().inclusion_cache().hits() >= 2);
