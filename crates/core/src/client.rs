@@ -6,6 +6,7 @@ use crate::peer::Peer;
 use crate::server::HandshakeConfirm;
 use crate::verify::{
     classify_batch_paired, classify_paired, BatchClassification, Classification, InvalidReason,
+    Judged,
 };
 use parp_chain::{Header, SignedTransaction, Transaction};
 use parp_contracts::{
@@ -445,7 +446,6 @@ impl LightClient {
         budget: U256,
         nonce: u64,
     ) -> Result<SignedTransaction, ClientError> {
-        self.session_in(provider, ClientState::Handshaking)?;
         let now = self.tip().map(|h| h.timestamp).unwrap_or(0);
         let digest = parp_contracts::confirmation_digest(&self.address(), confirm.expiry);
         let refusal = if confirm.full_node != provider {
@@ -457,25 +457,11 @@ impl LightClient {
         } else {
             None
         };
+        let session = self.session_in(provider, ClientState::Handshaking)?;
         if let Some(reason) = refusal {
             self.sessions.remove(&provider);
             return Err(ClientError::BadConfirmation(reason.into()));
         }
-        let call = ModuleCall::OpenChannel {
-            full_node: provider,
-            expiry: confirm.expiry,
-            confirmation_sig: confirm.signature,
-        };
-        let tx = Transaction {
-            nonce,
-            gas_price: U256::ZERO,
-            gas_limit: MODULE_CALL_GAS_LIMIT,
-            to: Some(call.target()),
-            value: budget,
-            data: call.encode(),
-        }
-        .sign(self.key.secret());
-        let session = self.session_in(provider, ClientState::Handshaking)?;
         session.channel = Some(ClientChannel {
             id: u64::MAX, // assigned on receipt
             full_node: provider,
@@ -483,7 +469,20 @@ impl LightClient {
             spent: U256::ZERO,
         });
         session.state = ClientState::Unbonded;
-        Ok(tx)
+        let call = ModuleCall::OpenChannel {
+            full_node: provider,
+            expiry: confirm.expiry,
+            confirmation_sig: confirm.signature,
+        };
+        Ok(Transaction {
+            nonce,
+            gas_price: U256::ZERO,
+            gas_limit: MODULE_CALL_GAS_LIMIT,
+            to: Some(call.target()),
+            value: budget,
+            data: call.encode(),
+        }
+        .sign(self.key.secret()))
     }
 
     /// The session with `provider`, checked to be in `expected` state.
@@ -664,7 +663,7 @@ impl LightClient {
         };
         if let Some((verdict, item)) = fraud {
             let evidence = BatchFraudEvidence {
-                headers,
+                headers: headers.into_values().collect(),
                 request,
                 response: response.clone(),
                 verdict,
@@ -879,15 +878,15 @@ impl LightClient {
             .collect()
     }
 
-    /// Applies a §V-D classification, with the header it was judged
-    /// against, to the channel ledger and shapes the outcome — shared by
-    /// the single-response path and the parallel quorum fan-in.
+    /// Applies a §V-D verdict ([`Judged`]) to the channel
+    /// ledger and shapes the outcome — shared by the single-response
+    /// path and the parallel quorum fan-in.
     fn apply_classification(
         &mut self,
         provider: Address,
         request: ParpRequest,
         response: &ParpResponse,
-        judged: Result<(Classification, Header), InvalidReason>,
+        judged: Judged,
     ) -> ProcessOutcome {
         // The node holds σ_a whatever the verdict: on an invalid or
         // fraudulent response it cannot redeem the payment without
@@ -895,24 +894,20 @@ impl LightClient {
         // spent defensively (and terminates per §V-D).
         self.commit_payment(provider, request.amount);
         match judged {
-            Ok((Classification::Valid, _)) => {
+            Ok(None) => {
                 self.valid_responses += 1;
                 ProcessOutcome::Valid {
                     result: response.result.clone(),
                     proven: !response.proof.is_empty(),
                 }
             }
-            Ok((Classification::Fraudulent(verdict), header)) => {
-                ProcessOutcome::Fraud(Box::new(FraudEvidence {
-                    request,
-                    response: response.clone(),
-                    header,
-                    verdict,
-                }))
-            }
-            Err(reason) | Ok((Classification::Invalid(reason), _)) => {
-                ProcessOutcome::Invalid(reason)
-            }
+            Ok(Some((verdict, header))) => ProcessOutcome::Fraud(Box::new(FraudEvidence {
+                request,
+                response: response.clone(),
+                header,
+                verdict,
+            })),
+            Err(reason) => ProcessOutcome::Invalid(reason),
         }
     }
 
@@ -1085,15 +1080,30 @@ mod tests {
         let mut client = LightClient::new(SecretKey::from_seed(b"forge"), U256::ONE);
         client.sync_header(header_at(0));
         let node = FullNode::new(SecretKey::from_seed(b"honest"), U256::ONE);
-        client.start_handshake(node.address()).unwrap();
-        let mut confirm = node.confirm_handshake(client.address(), 1_700_000_000);
-        confirm.full_node = Address::from_low_u64_be(0xbad); // not the signer
-        assert!(matches!(
-            client.accept_confirmation(node.address(), &confirm, U256::from(100u64), 0),
-            Err(ClientError::BadConfirmation(_))
-        ));
-        // Failed confirmation resets to Idle for a retry.
-        assert_eq!(client.state_with(&node.address()), ClientState::Idle);
+        let provider = node.address();
+        let genuine = node.confirm_handshake(client.address(), 1_700_000_000);
+        // Names another node; signed by a node other than the one named;
+        // signed over another expiry.
+        let mut renamed = genuine.clone();
+        renamed.full_node = Address::from_low_u64_be(0xbad);
+        let impostor = FullNode::new(SecretKey::from_seed(b"impostor"), U256::ONE);
+        let mut misattributed = impostor.confirm_handshake(client.address(), 1_700_000_000);
+        misattributed.full_node = provider;
+        let mut extended = genuine;
+        extended.expiry += 1;
+        for (confirm, reason) in [
+            (renamed, "confirmation names another full node"),
+            (misattributed, "signature does not recover to the full node"),
+            (extended, "signature does not recover to the full node"),
+        ] {
+            client.start_handshake(provider).unwrap();
+            assert_eq!(
+                client.accept_confirmation(provider, &confirm, U256::from(100u64), 0),
+                Err(ClientError::BadConfirmation(reason.into()))
+            );
+            // Failed confirmation resets to Idle for a retry.
+            assert_eq!(client.state_with(&provider), ClientState::Idle);
+        }
     }
 
     #[test]
@@ -1330,16 +1340,20 @@ mod tests {
         let spent_before = client.channel_with(&b).unwrap().spent;
         assert!(spent_before > U256::ZERO);
         // Handshake with A, but a (colluding/replayed) confirmation from
-        // B arrives: it names another node, so it is refused and must not
-        // reset B's live channel.
-        client.start_handshake(a).unwrap();
+        // B arrives, naming B or relabelled to name A: either way it is
+        // refused and must not reset B's live channel.
         let replayed = node_b.confirm_handshake(client.address(), 1_700_000_000);
-        assert!(matches!(
-            client.accept_confirmation(a, &replayed, U256::from(1_000u64), 1),
-            Err(ClientError::BadConfirmation(_))
-        ));
-        // The refused handshake with A is dropped for a retry.
-        assert_eq!(client.state_with(&a), ClientState::Idle);
+        let mut relabelled = replayed.clone();
+        relabelled.full_node = a;
+        for confirm in [replayed, relabelled] {
+            client.start_handshake(a).unwrap();
+            assert!(matches!(
+                client.accept_confirmation(a, &confirm, U256::from(1_000u64), 1),
+                Err(ClientError::BadConfirmation(_))
+            ));
+            // The refused handshake with A is dropped for a retry.
+            assert_eq!(client.state_with(&a), ClientState::Idle);
+        }
         assert_eq!(client.state_with(&b), ClientState::Bonded);
         assert_eq!(
             client.channel_with(&b).unwrap().spent,

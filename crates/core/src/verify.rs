@@ -13,6 +13,7 @@ use parp_contracts::{
 };
 use parp_crypto::PublicKey;
 use parp_primitives::Address;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Why a response is invalid (untrusted but not slashable).
@@ -90,35 +91,30 @@ pub fn classify_response(
     if req.expected_hash() != req.request_hash {
         return Classification::Invalid(InvalidReason::RequestHashMismatch);
     }
-    classify_paired(
-        req,
-        res,
-        Peer::first_contact(full_node),
-        request_height,
-        header_for,
-    )
-    .0
-    .map_or_else(Classification::Invalid, |(classification, _)| {
-        classification
-    })
+    let peer = Peer::first_contact(full_node);
+    match classify_paired(req, res, peer, request_height, header_for).0 {
+        Err(reason) => Classification::Invalid(reason),
+        Ok(None) => Classification::Valid,
+        Ok(Some((verdict, _))) => Classification::Fraudulent(verdict),
+    }
 }
+
+/// A single response's §V-D verdict as the client acts on it: `Err` when
+/// invalid, `Ok(None)` when valid, and on fraud the verdict with the
+/// header of `res.m_B` it was judged against.
+pub(crate) type Judged = Result<Option<(FraudVerdict, Header)>, InvalidReason>;
 
 /// [`classify_response`] for a request whose `request_hash` is known to
 /// be the hash of its contents (the client's own pending request),
-/// against whatever the session knows of the node's key. Once the
-/// envelope checks pass, the classification comes with the header of
-/// `res.m_B` it was judged against. Also returns the node's key when
-/// this was first contact.
+/// against whatever the session knows of the node's key. Also returns
+/// the node's key when this was first contact.
 pub(crate) fn classify_paired(
     req: &ParpRequest,
     res: &ParpResponse,
     full_node: Peer<'_>,
     request_height: u64,
     header_for: impl Fn(u64) -> Option<Header>,
-) -> (
-    Result<(Classification, Header), InvalidReason>,
-    Option<PublicKey>,
-) {
+) -> (Judged, Option<PublicKey>) {
     let invalid = |reason| (Err(reason), None);
     // 1. Verify request hash: without the correct linkage no fraud proof
     //    can be built, so a mismatch is invalid, not fraud.
@@ -142,12 +138,10 @@ pub(crate) fn classify_paired(
         let reason = InvalidReason::MissingHeader(res.block_number);
         return (Err(reason), learned);
     };
-    let classification = match fraud_conditions(req, res, &header, request_height) {
-        Err(e) => Classification::Invalid(InvalidReason::MalformedResult(e)),
-        Ok(Some(verdict)) => Classification::Fraudulent(verdict),
-        Ok(None) => Classification::Valid,
-    };
-    (Ok((classification, header)), learned)
+    let judged = fraud_conditions(req, res, &header, request_height)
+        .map(|verdict| verdict.map(|verdict| (verdict, header)))
+        .map_err(InvalidReason::MalformedResult);
+    (judged, learned)
 }
 
 /// The §V-D trichotomy applied to a batched exchange.
@@ -223,7 +217,7 @@ pub fn classify_batch_response(
 }
 
 /// The batch analogue of [`classify_paired`]: the headers handed back
-/// are those of every block the response references, ascending, once
+/// are those of every block the response references, by number, once
 /// the checks reached them (empty before).
 pub(crate) fn classify_batch_paired(
     req: &ParpBatchRequest,
@@ -231,8 +225,12 @@ pub(crate) fn classify_batch_paired(
     full_node: Peer<'_>,
     request_height: u64,
     header_for: impl Fn(u64) -> Option<Header>,
-) -> (BatchClassification, Option<PublicKey>, Vec<Header>) {
-    let invalid = |reason| (BatchClassification::Invalid(reason), None, Vec::new());
+) -> (
+    BatchClassification,
+    Option<PublicKey>,
+    BTreeMap<u64, Header>,
+) {
+    let invalid = |reason| (BatchClassification::Invalid(reason), None, BTreeMap::new());
     // 1. Request hash linkage (no fraud proof without it).
     if res.request_hash != req.request_hash {
         return invalid(InvalidReason::RequestHashMismatch);
@@ -256,11 +254,15 @@ pub(crate) fn classify_batch_paired(
     // the response references (the carried header set must match them —
     // a mismatch is unjudgeable, not fraud, because the node's proofs
     // are checked against the canonical roots either way).
-    let mut trusted = std::collections::BTreeMap::new();
+    let mut trusted = BTreeMap::new();
     for number in res.referenced_blocks() {
         let Some(header) = header_for(number) else {
             let reason = InvalidReason::MissingHeader(number);
-            return (BatchClassification::Invalid(reason), learned, Vec::new());
+            return (
+                BatchClassification::Invalid(reason),
+                learned,
+                BTreeMap::new(),
+            );
         };
         trusted.insert(number, header);
     }
@@ -278,7 +280,7 @@ pub(crate) fn classify_batch_paired(
                 .collect(),
         ),
     };
-    (classification, learned, trusted.into_values().collect())
+    (classification, learned, trusted)
 }
 
 #[cfg(test)]
