@@ -7,26 +7,34 @@
 //! following the head and reading a balance every block. At blocks 0,
 //! 100 and 500 past set-up it prints, per component, the bytes each
 //! `mem_bytes()` attributes — head accounts, undo records, blocks and
-//! receipts, indices, head trie, whatever the runtime's state cache
-//! holds beyond it, the inclusion cache, client, node — their sum, the
+//! receipts, indices, the head trie (its live bytes and, apart, the
+//! superseded encodings its derivations left in shared pages), whatever
+//! the runtime's state cache holds beyond it, the inclusion cache,
+//! client, node — their sum, the
 //! process's `VmRSS` growth since start, and the remainder nobody
 //! claimed (allocator slack, the executor's module state, crypto tables).
 //!
 //! Hard asserts — at every sample, the runtime's state cache holds the
 //! head trie and under 1 KiB besides — and over blocks 100–500:
 //!
-//! * [`Blockchain::mem_bytes`] grows by at most 16 KiB a block, and by
-//!   the same amount (±10 %) on a 1,000-account chain — a block keeps
-//!   what it changed, not a function of how many accounts exist;
+//! * [`Blockchain::mem_bytes`], less the head trie's superseded bytes,
+//!   grows by at most 16 KiB a block, and by the same amount (±10 %) on
+//!   a 1,000-account chain — a block keeps what it changed, not a
+//!   function of how many accounts exist. The superseded bytes are left
+//!   out because they do not grow with the chain: they rise with every
+//!   block and drop to zero whenever a derive compacts the arena, which
+//!   happens at different blocks on the two chains;
 //! * `VmRSS` grows by at most 8 MiB (where `/proc` says; skipped
-//!   elsewhere). Every block frees one ~2.3 MB trie arena and allocates
-//!   another of almost the same size; the one freed is the previous
-//!   head's, so glibc hands the next block the hole the last one left,
-//!   and this fixture reads 0.00–0.23 MiB as its set-up is reordered
-//!   (an arena freed several blocks late finds its hole split by the
-//!   small allocations in between: 6.8–12.8 MiB at eight blocks). The
-//!   ceiling is there to catch a copy of the state, or a retained trie,
-//!   per block — not to measure the allocator.
+//!   elsewhere). A block's head trie shares all but a few 3–4 KiB pages
+//!   with the previous head's, so a block allocates and frees tens of
+//!   KiB; every few dozen blocks a derive writes the ~2.2 MB arena
+//!   compact while the previous one is still alive, and the pages the
+//!   old one frees leave holes among the long-lived ones. This fixture
+//!   reads 0.73 MiB, the same in five runs, without pinning
+//!   `MALLOC_MMAP_THRESHOLD_` (a full copy per block read 0.00–0.23 MiB
+//!   when the hole it freed was the previous block's, 6.8–12.8 MiB at
+//!   eight blocks). The ceiling is there to catch a copy of the state,
+//!   or a retained trie, per block — not to measure the allocator.
 //!
 //! The chain that kept one cloned account map per block read +2.24 MiB
 //! of RSS per block on this fixture (~896 MiB over the same window);
@@ -42,7 +50,8 @@ use parp_primitives::Address;
 
 const BLOCKS: u64 = 500;
 const SAMPLE_AT: [u64; 3] = [0, 100, BLOCKS];
-/// Most a one-transfer block may add to [`Blockchain::mem_bytes`].
+/// Most a one-transfer block may add to [`Blockchain::mem_bytes`] (less
+/// the head trie's superseded bytes).
 const CHAIN_BYTES_PER_BLOCK_CEILING: usize = 16 * 1024;
 /// Most `VmRSS` may grow over blocks 100–500.
 const RSS_GROWTH_CEILING_MIB: f64 = 8.0;
@@ -115,6 +124,7 @@ type Breakdown = Vec<(&'static str, usize)>;
 fn breakdown(world: &World) -> Breakdown {
     let chain: &Blockchain = world.net.chain();
     let memory = chain.mem_breakdown();
+    let superseded = chain.state().shared_trie().superseded_bytes();
     let runtime = world.net.runtime();
     // The cache holds the head's trie too; the chain already reports it.
     let head_cached = runtime.cache().contains(&chain.head().header.state_root);
@@ -128,7 +138,8 @@ fn breakdown(world: &World) -> Breakdown {
         ("undo_records", memory.undo_records),
         ("blocks_and_receipts", memory.blocks),
         ("indices", memory.indices),
-        ("head_trie", memory.head_trie),
+        ("head_trie_live", memory.head_trie - superseded),
+        ("head_trie_superseded", superseded),
         ("snapshot_cache_other_tries", other_tries),
         ("inclusion_cache", runtime.inclusion_cache().mem_bytes()),
         ("client", world.client.mem_bytes()),
@@ -140,6 +151,7 @@ fn breakdown(world: &World) -> Breakdown {
 struct Sample {
     block: u64,
     parts: Breakdown,
+    /// [`Blockchain::mem_bytes`] less the head trie's superseded bytes.
     chain_bytes: usize,
     rss: Option<usize>,
 }
@@ -152,17 +164,18 @@ fn run(accounts: usize) -> Vec<Sample> {
     for at in SAMPLE_AT {
         mine(&mut world, mined, at - mined);
         mined = at;
+        let chain = world.net.chain();
         samples.push(Sample {
             block: at,
             parts: breakdown(&world),
-            chain_bytes: world.net.chain().mem_bytes(),
+            chain_bytes: chain.mem_bytes() - chain.state().shared_trie().superseded_bytes(),
             rss: vm_rss(),
         });
     }
     samples
 }
 
-/// Bytes [`Blockchain::mem_bytes`] grew per block between the last two
+/// Bytes the chain's live memory grew per block between the last two
 /// samples (blocks 100 and 500).
 fn chain_bytes_per_block(samples: &[Sample]) -> usize {
     let [.., from, to] = samples else {
@@ -192,7 +205,7 @@ fn main() {
             .map(|(name, bytes)| format!("\"{name}\":{bytes}"))
             .collect();
         fields.push(format!("\"attributed_sum\":{attributed}"));
-        fields.push(format!("\"chain_mem_bytes\":{}", sample.chain_bytes));
+        fields.push(format!("\"chain_live_bytes\":{}", sample.chain_bytes));
         if let (Some(rss), Some(start)) = (sample.rss, rss_at_start) {
             let grown = rss.saturating_sub(start);
             let remainder = grown as i64 - attributed as i64;
@@ -217,7 +230,8 @@ fn main() {
     let (per_block_small, per_block_large) =
         (chain_bytes_per_block(&small), chain_bytes_per_block(&large));
     println!(
-        "Blockchain::mem_bytes per block, blocks 100-500: {per_block_large} B at 10,000 accounts, \
+        "Blockchain::mem_bytes less superseded trie bytes, per block, blocks 100-500: \
+         {per_block_large} B at 10,000 accounts, \
          {per_block_small} B at 1,000 (ceiling {CHAIN_BYTES_PER_BLOCK_CEILING} B)"
     );
     assert!(

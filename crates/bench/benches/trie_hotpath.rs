@@ -23,7 +23,11 @@
 //!    10,000; 1,000 new accounts funded into 5,000). The derived arena
 //!    must serve byte-identical proofs to the retained baseline over the
 //!    updated contents (hard assert), 6 keys must derive ≥ 10× faster
-//!    than the rebuild, and 1,000 keys no slower.
+//!    than the rebuild, and 1,000 keys no slower. A derived arena shares
+//!    its parent's pages: the bytes of the pages a 3-key derive over
+//!    10,000 accounts does *not* share (`derive_3_of_10k_copied_bytes`,
+//!    a count that repeats exactly) are hard-asserted under 256 KiB,
+//!    against the ~2.2 MB a full copy of the arena costs.
 //!
 //! 6. **Client verification** — the inverse of section 2, on the same
 //!    fixture: `verify_many` over the 64-key multiproof and
@@ -52,6 +56,8 @@ use std::time::Instant;
 
 /// Accounts in the snapshot trie (the runtime bench's serving scale).
 const ACCOUNTS: u64 = 10_000;
+/// Most a 3-account derive over [`ACCOUNTS`] may copy or write.
+const DERIVE_3_COPIED_CEILING: usize = 256 * 1024;
 /// Calls per warm batch (the paper's batch evaluation size).
 const BATCH: usize = 64;
 /// Measurement rounds per timed section.
@@ -124,7 +130,11 @@ fn derive_vs_rebuild(state: &State, touched: &[Address], rounds: u32) -> (f64, f
             )
         })
         .collect();
-    let derive = || parent.derive(upserts.iter().map(|(k, v)| (k, v)));
+    let derive = || {
+        parent
+            .derive(upserts.iter().map(|(k, v)| (k, v)))
+            .expect("the arena's own spine decodes")
+    };
 
     let derived = derive();
     let base = baseline::FrozenTrie::new(updated.build_trie());
@@ -147,6 +157,29 @@ fn derive_vs_rebuild(state: &State, touched: &[Address], rounds: u32) -> (f64, f
     }
     let rebuild_us = started.elapsed().as_micros() as f64 / f64::from(rounds);
     (derive_us, rebuild_us)
+}
+
+/// Section 5, the sharing row: the bytes of the pages that deriving a
+/// 3-account write from a fresh 10,000-account arena copies or writes —
+/// every page it does not share with its parent.
+fn derive_3_copied_bytes() -> usize {
+    let state = funded_state(ACCOUNTS);
+    let parent = FrozenTrie::new(state.build_trie());
+    let touched = [17u64, 4_001, 9_973].map(|i| Address::from_low_u64_be(i * 31));
+    let mut updated = state.clone();
+    let upserts: Vec<(H256, Vec<u8>)> = touched
+        .iter()
+        .map(|address| {
+            updated.credit(*address, U256::from(7u64));
+            let account = updated.account(address).expect("just credited");
+            (keccak256(address.as_bytes()), account.encode())
+        })
+        .collect();
+    let derived = parent
+        .derive(upserts.iter().map(|(k, v)| (k, v)))
+        .expect("the arena's own spine decodes");
+    assert_eq!(derived.root_hash(), updated.state_root());
+    derived.bytes_not_shared_with(&parent)
 }
 
 /// Section 1: the arena path must be indistinguishable from the
@@ -203,6 +236,7 @@ struct Numbers {
     rebuild_10k_us: f64,
     derive_1000_into_5k_us: f64,
     rebuild_6k_us: f64,
+    derive_3_of_10k_copied_bytes: usize,
     client: ClientSide,
 }
 
@@ -379,6 +413,12 @@ fn measure(trie: &Trie, keys: &[Vec<u8>]) -> Numbers {
         .collect();
     let (derive_1000_into_5k_us, rebuild_6k_us) =
         derive_vs_rebuild(&funded_state(5_000), &thousand, FREEZE_ROUNDS);
+    let derive_3_of_10k_copied_bytes = derive_3_copied_bytes();
+    assert_eq!(
+        derive_3_copied_bytes(),
+        derive_3_of_10k_copied_bytes,
+        "the copied-bytes count must repeat exactly"
+    );
 
     let client = measure_client_side(trie, &arena, keys, &reference);
     Numbers {
@@ -396,6 +436,7 @@ fn measure(trie: &Trie, keys: &[Vec<u8>]) -> Numbers {
         rebuild_10k_us,
         derive_1000_into_5k_us,
         rebuild_6k_us,
+        derive_3_of_10k_copied_bytes,
         client,
     }
 }
@@ -422,6 +463,8 @@ fn emit_artifact(n: &Numbers) {
          \"derive_6_speedup\":{derive_6_speedup:.1},\
          \"derive_1000_into_5k_us\":{:.0},\"rebuild_6k_us\":{:.0},\
          \"derive_1000_speedup\":{derive_1000_speedup:.2},\
+         \"derive_3_of_10k_copied_bytes\":{},\
+         \"derive_3_of_10k_copied_ceiling\":{DERIVE_3_COPIED_CEILING},\
          \"verify_nodes\":{},\"verify_bytes\":{},\
          \"verify_many64_us\":{:.1},\"verify_many64_parent_us\":{VERIFY_MANY64_PARENT_US:.1},\
          \"verify1_us\":{:.2},\"verify1_parent_us\":{VERIFY1_PARENT_US:.2},\
@@ -444,6 +487,7 @@ fn emit_artifact(n: &Numbers) {
         n.rebuild_10k_us,
         n.derive_1000_into_5k_us,
         n.rebuild_6k_us,
+        n.derive_3_of_10k_copied_bytes,
         n.proof_nodes,
         n.proof_bytes,
         n.client.verify_many64_us,
@@ -470,8 +514,13 @@ fn emit_artifact(n: &Numbers) {
     println!(
         "head trie after a write: 6 of {ACCOUNTS} accounts — derive {:.0} µs vs build+freeze {:.0} µs \
          ({derive_6_speedup:.1}×) | 1,000 new into 5,000 — derive {:.0} µs vs build+freeze {:.0} µs \
-         ({derive_1000_speedup:.2}×)",
-        n.derive_6_of_10k_us, n.rebuild_10k_us, n.derive_1000_into_5k_us, n.rebuild_6k_us,
+         ({derive_1000_speedup:.2}×) | a 3-account derive copies or writes {} B of pages \
+         (ceiling {DERIVE_3_COPIED_CEILING} B)",
+        n.derive_6_of_10k_us,
+        n.rebuild_10k_us,
+        n.derive_1000_into_5k_us,
+        n.rebuild_6k_us,
+        n.derive_3_of_10k_copied_bytes,
     );
 
     println!(
@@ -517,6 +566,11 @@ fn emit_artifact(n: &Numbers) {
         derive_1000_speedup >= 1.0,
         "deriving a 1,000-account block must not be dearer than the rebuild it replaces \
          (measured {derive_1000_speedup:.2}×)"
+    );
+    assert!(
+        n.derive_3_of_10k_copied_bytes <= DERIVE_3_COPIED_CEILING,
+        "a 3-account derive copied or wrote {} B of pages (ceiling {DERIVE_3_COPIED_CEILING} B)",
+        n.derive_3_of_10k_copied_bytes
     );
     assert!(
         freeze_ratio <= 1.5,

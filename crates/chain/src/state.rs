@@ -55,8 +55,9 @@ impl UndoRecord {
 /// of the next build, remembered with the journal length it was current
 /// at, so the accounts written since — the dirty set — are the journal's
 /// tail. The next build then [derives](FrozenTrie::derive) the new trie
-/// from the parent — an O(accounts) copy plus O(dirty · depth) node
-/// hashes — instead of re-hashing every account, and a revert that lands
+/// from the parent — O(dirty · depth) node hashes and page copies, every
+/// arena page the writes do not touch shared with the parent — instead
+/// of re-hashing every account, and a revert that lands
 /// exactly where the parent was current takes it back as the memo (same
 /// `Arc`, nothing rebuilt). Only a state that does not descend from a
 /// built trie (genesis, [`State::with_alloc`], a [rewound](State::rewind)
@@ -295,23 +296,28 @@ impl State {
     /// so the serving runtime can hold it without copying.
     /// Built (and its proof index computed) at most once per write
     /// generation: derived from the parent trie when this state descends
-    /// from a built one, frozen from scratch otherwise.
+    /// from a built one, frozen from scratch otherwise — and also when
+    /// the parent's spine does not decode, which only a corrupted arena
+    /// can cause.
     pub fn shared_trie(&self) -> Arc<FrozenTrie> {
         self.trie
             .get_or_init(|| {
-                let Some((parent, at)) = &self.parent else {
+                let derived = self.parent.as_ref().and_then(|(parent, at)| {
+                    // Every address logged since the parent was current
+                    // is still an account: undoing its creation pops the
+                    // entry.
+                    let dirty: BTreeSet<Address> =
+                        self.journal[*at..].iter().map(|(a, _)| *a).collect();
+                    parent.derive(dirty.iter().map(|address| {
+                        (
+                            keccak256(address.as_bytes()),
+                            self.accounts[address].encode(),
+                        )
+                    }))
+                });
+                let Some(derived) = derived else {
                     return Arc::new(FrozenTrie::new(self.build_trie()));
                 };
-                // Every address logged since the parent was current is
-                // still an account: undoing its creation pops the entry.
-                let dirty: BTreeSet<Address> =
-                    self.journal[*at..].iter().map(|(a, _)| *a).collect();
-                let derived = parent.derive(dirty.iter().map(|address| {
-                    (
-                        keccak256(address.as_bytes()),
-                        self.accounts[address].encode(),
-                    )
-                }));
                 debug_assert_eq!(
                     derived.root_hash(),
                     FrozenTrie::new(self.build_trie()).root_hash(),

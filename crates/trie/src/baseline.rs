@@ -120,7 +120,8 @@ impl FrozenTrie {
 
     /// Deduplicated multiproof for `keys`: byte-identical to
     /// [`Trie::prove_many`]. Deduplication re-hashes every recorded
-    /// node — the cost the arena path's precomputed witness ids remove.
+    /// node — the cost the arena path removes by reading each node's
+    /// hash off its parent's reference.
     pub fn prove_many<I, K>(&self, keys: I) -> Vec<Vec<u8>>
     where
         I: IntoIterator<Item = K>,

@@ -1,5 +1,5 @@
 //! An arena-flattened trie frozen for serving: node encodings laid out
-//! contiguously, proofs in O(depth) with zero hashing.
+//! in shared pages, proofs in O(depth) with zero hashing.
 //!
 //! [`crate::Trie::prove`] re-encodes every node it records, and encoding
 //! an interior node recursively encodes (and hashes) its whole subtree —
@@ -12,18 +12,19 @@
 //!
 //! A [`FrozenTrie`] flattens the trie into an arena instead:
 //!
-//! * one contiguous node table ([`ArenaNode`] is a few words; children
-//!   are `u32` arena ids, not boxes), so a proof walk is index chasing
-//!   through one allocation;
-//! * one contiguous encoding buffer, with each node holding an
-//!   `(offset, len)` range — recorded proof nodes are slices, copied at
-//!   most once into the caller's [`ProofBuf`];
+//! * a node table ([`ArenaNode`] is a few words; children are `u32`
+//!   arena ids, not boxes), so a proof walk is index chasing;
+//! * an encoding buffer, with each node holding an `(offset, len)` range
+//!   — recorded proof nodes are slices, copied at most once into the
+//!   caller's [`ProofBuf`];
 //! * a freeze pass that encodes bottom-up level by level and hashes
-//!   each level's encodings through [`parp_crypto::keccak256_batch`],
-//!   then precomputes every node's **witness id** — the canonical arena
-//!   id among nodes with byte-identical encodings — so
-//!   [`FrozenTrie::prove_many`]'s cross-key dedup is a bitset probe
-//!   instead of a keccak per recorded node per key.
+//!   each level's encodings through [`parp_crypto::keccak256_batch`].
+//!
+//! A multiproof needs no hashing either: each recorded node's hash is the
+//! reference its parent's encoding already holds, and
+//! [`FrozenTrie::prove_many`] deduplicates across keys on that hash —
+//! the same rule, byte-identical encodings recorded once, that
+//! [`crate::Trie::prove_many`] applies by keccak.
 //!
 //! The proof bytes are **identical** to [`crate::Trie::prove`] and to
 //! the retained baseline — the freeze changes where encodings come
@@ -32,7 +33,11 @@
 //! the chain's head state and the serving runtime share behind one
 //! `Arc`: a walk chases arena ids and only the final emit touches bytes.
 //!
-//! # Deriving instead of re-freezing
+//! # Pages, and deriving instead of re-freezing
+//!
+//! The node table, the child-id and path pools and the encoding buffer
+//! are each stored as fixed-size pages behind [`Arc`] (3–4 KiB; a
+//! node's encoding, child slots and path never straddle two pages).
 //!
 //! A frozen arena is immutable, but the next block's state differs from
 //! it in a handful of keys. [`FrozenTrie::derive`] produces the arena of
@@ -42,13 +47,22 @@
 //! extensions exactly as [`Trie::insert`] does), encodes and hashes each
 //! touched node once, bottom-up — an untouched child's reference is the
 //! hash already embedded in its old parent's encoding, never a fresh
-//! keccak — and writes the result out with one compacting copy of the
-//! parent's pools. The cost is O(n) bytes copied plus O(dirty · depth)
-//! nodes hashed, against O(n) nodes hashed for a re-freeze; the derived
-//! arena has the same root, the same proofs and the same size as
-//! `FrozenTrie::new` on the updated contents (only the arena ids, and
-//! therefore the page bytes, may differ), and holds no reference to its
-//! parent.
+//! keccak. The result starts as a copy of the parent's page *lists*: it
+//! copies only the pages whose node records or child slots change, and
+//! the last page of a pool it appends to, sharing every other page with
+//! its parent. The cost is O(dirty · depth) nodes hashed and pages
+//! copied, against O(n) nodes hashed for a re-freeze.
+//!
+//! A replaced encoding stays where it is, **superseded**: the derived
+//! arena still holds its bytes, and [`FrozenTrie::superseded_bytes`]
+//! counts them. A derive that could take them past
+//! [`FrozenTrie::LIVE_PER_SUPERSEDED`]'s fraction of the live bytes
+//! writes the updated arena compact instead, so a long chain of
+//! derivations pays that O(n) copy once per many blocks. A derived arena
+//! answers like `FrozenTrie::new` on the updated contents through its
+//! root, length, node count and proofs; only its arena ids and the
+//! superseded bytes may differ, and a [`FrozenTrie::to_bytes`] page
+//! leaves the superseded bytes out.
 
 use crate::nibbles::{bytes_to_nibbles, common_prefix_len, hp_decode, hp_encode};
 use crate::node::{empty_root, Node};
@@ -57,21 +71,34 @@ use crate::trie::Trie;
 use parp_crypto::{keccak256, keccak256_batch};
 use parp_primitives::H256;
 use parp_rlp::{encode_bytes, encode_list, Item};
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hasher};
 use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// Sentinel arena id marking an absent branch child.
 const NO_NODE: u32 = u32::MAX;
 
 /// What [`FrozenTrie::mem_bytes`] charges per arena on top of its
-/// pools: the struct and the bookkeeping of its four heap allocations.
-/// A constant, not `size_of::<Self>()`, so that byte budgets — and the
-/// recorded deep-history replay, whose spill pattern under a 1 KiB
-/// budget this decides — do not shift when a field comes or goes.
+/// pools: the struct and the bookkeeping of its page lists. A constant,
+/// not `size_of::<Self>()`, so that byte budgets — and the recorded
+/// deep-history replay, whose spill pattern under a 1 KiB budget this
+/// decides — do not shift when a field comes or goes.
 const ARENA_HEADER_BYTES: usize = 192;
 
 /// Magic prefix of a serialized arena page ([`FrozenTrie::to_bytes`]).
-const PAGE_MAGIC: &[u8] = b"PFT1";
+const PAGE_MAGIC: &[u8] = b"PFT2";
+
+/// Bytes of one node record in a serialized page: kind, encoding length
+/// and path length.
+const RECORD_BYTES: usize = 9;
+
+/// Log2 of the elements per page of each pool: 128 node records
+/// (3 KiB), 1,024 child slots and 4,096 path or encoding bytes (4 KiB).
+const NODE_PAGE_SHIFT: u32 = 7;
+const SLOT_PAGE_SHIFT: u32 = 10;
+const BYTE_PAGE_SHIFT: u32 = 12;
 
 /// Cursor over a serialized page; every read is bounds-checked.
 struct Reader<'a> {
@@ -93,20 +120,21 @@ impl<'a> Reader<'a> {
 
 /// What a flattened node is; the walk only needs the shape, never the
 /// boxed tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Kind {
+    #[default]
     Leaf,
     Extension,
     Branch,
 }
 
 /// One flattened trie node: encoding range, children ids and walk
-/// metadata, all as indices into the arena's shared pools.
-#[derive(Debug, Clone, Copy)]
+/// metadata, all as offsets into the arena's pools.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct ArenaNode {
     kind: Kind,
-    /// Range of this node's canonical RLP encoding in the shared
-    /// encoding buffer.
+    /// Range of this node's canonical RLP encoding in the encoding
+    /// buffer.
     enc_off: u32,
     enc_len: u32,
     /// Extension: one slot in the children pool; branch: 16 slots
@@ -116,15 +144,187 @@ struct ArenaNode {
     /// unused (a proof walk never compares a leaf's path).
     path_off: u32,
     path_len: u32,
-    /// Witness id: the one arena id that stands for every node whose
-    /// encoding is byte-identical to this node's (the smallest such id
-    /// after a freeze; any member of the class after a derive).
-    /// Structurally repeated subtrees collapse to one witness, exactly
-    /// like the baseline's hash-keyed dedup — but precomputed.
-    dedup: u32,
 }
 
-/// A [`Trie`] flattened into a contiguous arena for O(depth),
+impl ArenaNode {
+    /// Child slots the node holds in the children pool.
+    fn slots(&self) -> u32 {
+        match self.kind {
+            Kind::Leaf => 0,
+            Kind::Extension => 1,
+            Kind::Branch => 16,
+        }
+    }
+
+    /// Pool bytes the node's ranges cover: its encoding, slots and path.
+    fn pool_bytes(&self) -> usize {
+        self.enc_len as usize + self.slots() as usize * 4 + self.path_len as usize
+    }
+}
+
+/// One pool of an arena, stored as pages of `1 << SHIFT` elements
+/// behind [`Arc`] so that a derived arena shares every page it does not
+/// write with its parent.
+///
+/// An offset is the page's index times the page size plus the position
+/// in the page. [`Paged::push`] never lets a run straddle two pages — a
+/// run that does not fit the last page opens the next, and one longer
+/// than a page gets a page of its own — so every run reads back as one
+/// slice. A page is as long as the run that opens it and at least
+/// doubles whenever a later run does not fit, up to the page size, so
+/// that a small arena holds little more than its elements; the
+/// elements past the runs pushed onto a page are filler no offset
+/// points at.
+#[derive(Debug, Clone)]
+struct Paged<T, const SHIFT: u32> {
+    pages: Vec<Arc<[T]>>,
+    /// Elements pushed onto the last page.
+    tail: usize,
+    /// Elements pushed, over all pages (the slack a page leaves at its
+    /// end, where the next run did not fit, is not counted).
+    len: usize,
+}
+
+impl<T, const SHIFT: u32> Default for Paged<T, SHIFT> {
+    fn default() -> Self {
+        Paged {
+            pages: Vec::new(),
+            tail: 0,
+            len: 0,
+        }
+    }
+}
+
+impl<T: Copy + Default, const SHIFT: u32> Paged<T, SHIFT> {
+    const CAP: usize = 1 << SHIFT;
+
+    fn page_of(off: u32) -> usize {
+        (off >> SHIFT) as usize
+    }
+
+    fn in_page(off: u32) -> usize {
+        off as usize & (Self::CAP - 1)
+    }
+
+    fn get(&self, i: u32) -> T {
+        self.pages[Self::page_of(i)][Self::in_page(i)]
+    }
+
+    fn slice(&self, off: u32, len: u32) -> &[T] {
+        let at = Self::in_page(off);
+        &self.pages[Self::page_of(off)][at..at + len as usize]
+    }
+
+    /// The run at `off` for writing, its page copied first when another
+    /// arena holds it too.
+    fn slice_mut(&mut self, off: u32, len: u32) -> &mut [T] {
+        let at = Self::in_page(off);
+        &mut Arc::make_mut(&mut self.pages[Self::page_of(off)])[at..at + len as usize]
+    }
+
+    fn get_mut(&mut self, i: u32) -> &mut T {
+        &mut self.slice_mut(i, 1)[0]
+    }
+
+    /// Where a run of `len` elements pushed now would start.
+    fn next_offset(&self, len: usize) -> u32 {
+        if !self.pages.is_empty() && self.tail + len.max(1) <= Self::CAP {
+            (((self.pages.len() - 1) << SHIFT) | self.tail) as u32
+        } else {
+            (self.pages.len() << SHIFT) as u32
+        }
+    }
+
+    /// Appends `data` as one run and returns its offset: on the last
+    /// page when it fits there (copying that page first when it is
+    /// shared, growing it when it is short), on a fresh page otherwise.
+    fn push(&mut self, data: &[T]) -> u32 {
+        let off = self.next_offset(data.len());
+        self.len += data.len();
+        if Self::page_of(off) == self.pages.len() {
+            self.pages.push(Arc::from(data));
+            self.tail = data.len();
+            return off;
+        }
+        let last = self.pages.len() - 1;
+        let end = self.tail + data.len();
+        if self.pages[last].len() < end {
+            let size = (2 * self.pages[last].len())
+                .clamp(Self::CAP / 16, Self::CAP)
+                .max(end);
+            let mut grown = Vec::with_capacity(size);
+            grown.extend_from_slice(&self.pages[last][..self.tail]);
+            grown.resize(size, T::default());
+            self.pages[last] = Arc::from(grown);
+        }
+        Arc::make_mut(&mut self.pages[last])[self.tail..end].copy_from_slice(data);
+        self.tail = end;
+        off
+    }
+
+    /// Every element, in order, of a pool pushed one element at a time
+    /// (so that no page but the last has slack).
+    fn iter(&self) -> impl Iterator<Item = T> + '_ {
+        let elements = self.pages.iter().flat_map(|page| page.iter().copied());
+        elements.take(self.len)
+    }
+
+    /// Bytes of this pool's pages that `other` does not hold as well.
+    fn unshared_bytes(&self, other: &Self) -> usize {
+        self.pages
+            .iter()
+            .enumerate()
+            .filter(|&(i, page)| other.pages.get(i).is_none_or(|o| !Arc::ptr_eq(page, o)))
+            .map(|(_, page)| page.len() * std::mem::size_of::<T>())
+            .sum()
+    }
+}
+
+/// Hashes what is spread already — a node hash, by its first eight
+/// bytes, or an arena id — mixed with a per-process random seed by one
+/// multiply, so that which keys share a bucket cannot be worked out
+/// from outside (account keys, and so node hashes, are chosen by users).
+struct SpreadHasher(u64);
+
+impl Hasher for SpreadHasher {
+    fn finish(&self) -> u64 {
+        let mixed = self.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        mixed ^ (mixed >> 32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let head = bytes.first_chunk::<8>().copied().unwrap_or_default();
+        self.0 ^= u64::from_le_bytes(head);
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 ^= u64::from(id);
+    }
+
+    /// A hash's length prefix, the same for every key.
+    fn write_usize(&mut self, _: usize) {}
+}
+
+/// Builds [`SpreadHasher`]s from the process's seed.
+#[derive(Clone, Copy)]
+struct Spread(u64);
+
+impl Default for Spread {
+    fn default() -> Self {
+        static SEED: OnceLock<u64> = OnceLock::new();
+        Spread(*SEED.get_or_init(|| RandomState::new().hash_one(())))
+    }
+}
+
+impl BuildHasher for Spread {
+    type Hasher = SpreadHasher;
+
+    fn build_hasher(&self) -> SpreadHasher {
+        SpreadHasher(self.0)
+    }
+}
+
+/// A [`Trie`] flattened into a paged arena for O(depth),
 /// allocation-light proof serving.
 ///
 /// # Examples
@@ -143,7 +343,7 @@ struct ArenaNode {
 /// assert_eq!(frozen.root_hash(), trie.root_hash());
 ///
 /// // The next version of the trie, without re-hashing what did not change.
-/// let next = frozen.derive([(key, b"changed")]);
+/// let next = frozen.derive([(key, b"changed")]).expect("the arena's own nodes decode");
 /// trie.insert(key.to_vec(), b"changed".to_vec());
 /// assert_eq!(next.root_hash(), trie.root_hash());
 /// assert_eq!(next.prove(&key), trie.prove(&key));
@@ -154,40 +354,52 @@ pub struct FrozenTrie {
     /// Key/value pair count (the arena does not keep the boxed tree it
     /// was flattened from).
     len: usize,
-    nodes: Vec<ArenaNode>,
+    nodes: Paged<ArenaNode, NODE_PAGE_SHIFT>,
     /// Child-id pool: 16 slots per branch, 1 per extension.
-    children: Vec<u32>,
+    children: Paged<u32, SLOT_PAGE_SHIFT>,
     /// Nibble-path pool for extension nodes.
-    paths: Vec<u8>,
-    /// Every node's canonical RLP encoding, back to back.
-    buf: Vec<u8>,
+    paths: Paged<u8, BYTE_PAGE_SHIFT>,
+    /// Node encodings.
+    buf: Paged<u8, BYTE_PAGE_SHIFT>,
+    /// Pool bytes some node's ranges cover; the pools' other bytes are
+    /// superseded.
+    live: usize,
 }
 
 impl FrozenTrie {
+    /// A derived arena's live bytes are at least this many times its
+    /// superseded ones: `superseded_bytes() × LIVE_PER_SUPERSEDED ≤
+    /// mem_bytes() − superseded_bytes()`. A derivation that would pass
+    /// the bound writes a compact arena instead.
+    pub const LIVE_PER_SUPERSEDED: usize = 8;
+
     /// Freezes `trie`: flattens it into the arena and computes every
     /// node encoding bottom-up, hashing each level's encodings in one
     /// batched keccak pass. The boxed tree is dropped: the arena alone
     /// serves proofs and [`FrozenTrie::derive`]s successors.
     pub fn new(trie: Trie) -> Self {
-        let (root, nodes, children, paths, buf) = match trie.root_node() {
-            Node::Empty => (empty_root(), Vec::new(), Vec::new(), Vec::new(), Vec::new()),
+        let len = trie.len();
+        let (root, arena) = match trie.root_node() {
+            Node::Empty => (empty_root(), Arena::default()),
             node => {
                 let mut arena = Arena::default();
                 arena.flatten(node, 0);
-                let root = arena.encode_levels();
-                // `srcs` (which borrows the trie) stays behind; only the
-                // owned pools move into the frozen value.
-                (root, arena.nodes, arena.children, arena.paths, arena.buf)
+                (arena.encode_levels(), arena)
             }
         };
-        FrozenTrie {
+        // `srcs` (which borrows the trie) stays behind; only the pools
+        // move into the frozen value.
+        let mut frozen = FrozenTrie {
             root,
-            len: trie.len(),
-            nodes,
-            children,
-            paths,
-            buf,
-        }
+            len,
+            nodes: arena.nodes,
+            children: arena.children,
+            paths: arena.paths,
+            buf: arena.buf,
+            live: 0,
+        };
+        frozen.live = frozen.pool_bytes();
+        frozen
     }
 
     /// Number of key/value pairs stored.
@@ -208,69 +420,92 @@ impl FrozenTrie {
     /// Number of arena nodes: the bound every id accepted by
     /// [`FrozenTrie::node_bytes`] is below.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.nodes.len
     }
 
-    /// Measured resident size of the arena in bytes: the node table,
-    /// the child and nibble-path pools and the shared encoding buffer,
-    /// plus a fixed charge for the struct itself — the whole footprint
-    /// (no boxed tree is retained), which is what a byte-budgeted cache
-    /// should account and what [`FrozenTrie::to_bytes`] round-trips.
+    /// Bytes the child, path and encoding pools hold, superseded ones
+    /// included.
+    fn pool_bytes(&self) -> usize {
+        self.children.len * 4 + self.paths.len + self.buf.len
+    }
+
+    /// Measured size of the arena in bytes: the node table, the child
+    /// and nibble-path pools and the encoding buffer — superseded bytes
+    /// included — plus a fixed charge for the struct itself. No boxed
+    /// tree is retained, so this is what a byte-budgeted cache should
+    /// account. Pages shared with another arena are counted by both.
     pub fn mem_bytes(&self) -> usize {
-        ARENA_HEADER_BYTES
-            + self.nodes.len() * std::mem::size_of::<ArenaNode>()
-            + self.children.len() * std::mem::size_of::<u32>()
-            + self.paths.len()
-            + self.buf.len()
+        ARENA_HEADER_BYTES + self.nodes.len * std::mem::size_of::<ArenaNode>() + self.pool_bytes()
     }
 
-    /// Serializes the arena (root, key count, node table and pools)
-    /// into a flat byte page suitable for spilling to disk.
+    /// Bytes [`FrozenTrie::mem_bytes`] counts that no node refers to
+    /// any more: encodings, child slots and paths a
+    /// [`FrozenTrie::derive`] replaced and left in place. Zero for a
+    /// fresh freeze and a rehydrated page; bounded by
+    /// [`FrozenTrie::LIVE_PER_SUPERSEDED`].
+    pub fn superseded_bytes(&self) -> usize {
+        self.pool_bytes() - self.live
+    }
+
+    /// Bytes of this arena's pages that `other` does not hold as well —
+    /// for an arena derived from `other`, what the derivation copied
+    /// or wrote.
+    pub fn bytes_not_shared_with(&self, other: &FrozenTrie) -> usize {
+        self.nodes.unshared_bytes(&other.nodes)
+            + self.children.unshared_bytes(&other.children)
+            + self.paths.unshared_bytes(&other.paths)
+            + self.buf.unshared_bytes(&other.buf)
+    }
+
+    /// Serializes the arena (root, key count, node records and the
+    /// ranges they cover, in id order) into a flat byte page suitable
+    /// for spilling to disk. Superseded bytes are left out.
     ///
     /// [`FrozenTrie::from_bytes`] inverts this, and the rehydrated
     /// trie's proofs are byte-identical to the original's.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.mem_bytes());
+        let (mut slots, mut nibbles) = (0u32, 0u32);
+        for node in self.nodes.iter() {
+            slots += node.slots();
+            nibbles += node.path_len;
+        }
         out.extend_from_slice(PAGE_MAGIC);
         out.extend_from_slice(self.root.as_bytes());
         out.extend_from_slice(&(self.len as u64).to_le_bytes());
-        out.extend_from_slice(&(self.nodes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.children.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.paths.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.buf.len() as u32).to_le_bytes());
-        for node in &self.nodes {
+        for count in [self.nodes.len as u32, slots, nibbles] {
+            out.extend_from_slice(&count.to_le_bytes());
+        }
+        for node in self.nodes.iter() {
             out.push(match node.kind {
                 Kind::Leaf => 0,
                 Kind::Extension => 1,
                 Kind::Branch => 2,
             });
-            for word in [
-                node.enc_off,
-                node.enc_len,
-                node.child_off,
-                node.path_off,
-                node.path_len,
-                node.dedup,
-            ] {
-                out.extend_from_slice(&word.to_le_bytes());
+            out.extend_from_slice(&node.enc_len.to_le_bytes());
+            out.extend_from_slice(&node.path_len.to_le_bytes());
+        }
+        for node in self.nodes.iter().filter(|node| node.slots() > 0) {
+            for &child in self.children.slice(node.child_off, node.slots()) {
+                out.extend_from_slice(&child.to_le_bytes());
             }
         }
-        for &child in &self.children {
-            out.extend_from_slice(&child.to_le_bytes());
+        for node in self.nodes.iter().filter(|node| node.path_len > 0) {
+            out.extend_from_slice(self.paths.slice(node.path_off, node.path_len));
         }
-        out.extend_from_slice(&self.paths);
-        out.extend_from_slice(&self.buf);
+        for node in self.nodes.iter() {
+            out.extend_from_slice(self.buf.slice(node.enc_off, node.enc_len));
+        }
         out
     }
 
     /// Rehydrates a trie from a [`FrozenTrie::to_bytes`] page.
     ///
-    /// Returns `None` when the page is malformed: every node's
-    /// encoding range, child slots, extension path and witness id are
-    /// bounds-checked here so that proof walks over a page read from
-    /// disk can never panic or loop, even on corrupt input. The
-    /// rehydrated instance's proofs are byte-identical to the
-    /// original's.
+    /// Returns `None` when the page is malformed: the node records must
+    /// account for every byte of the page, and every child id must name
+    /// a node, so that proof walks over a page read from disk can never
+    /// panic or loop, even on corrupt input. The rehydrated instance's
+    /// proofs are byte-identical to the original's.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut reader = Reader { bytes, pos: 0 };
         if reader.take(PAGE_MAGIC.len())? != PAGE_MAGIC {
@@ -278,115 +513,112 @@ impl FrozenTrie {
         }
         let root = H256::from_slice(reader.take(32)?)?;
         let len = u64::from_le_bytes(reader.take(8)?.try_into().ok()?) as usize;
-        let node_count = reader.u32()? as usize;
-        let children_len = reader.u32()? as usize;
-        let paths_len = reader.u32()? as usize;
-        let buf_len = reader.u32()? as usize;
+        let node_count = reader.u32()?;
+        let slot_count = reader.u32()? as usize;
+        let nibble_count = reader.u32()? as usize;
 
-        // Reject length prefixes that overrun the page before any
+        // Reject a node count that overruns the page before any
         // allocation happens — a corrupt count must not turn into a
         // multi-gigabyte reservation.
-        let required = (node_count as u64) * 25
-            + (children_len as u64) * 4
-            + paths_len as u64
-            + buf_len as u64;
-        if required != (bytes.len() - reader.pos) as u64 {
-            return None;
-        }
-
-        let mut nodes = Vec::with_capacity(node_count);
-        for _ in 0..node_count {
-            let kind = match reader.take(1)?[0] {
+        let records = reader.take((node_count as usize).checked_mul(RECORD_BYTES)?)?;
+        let mut shapes = Vec::with_capacity(node_count as usize);
+        let (mut slots, mut nibbles, mut enc_bytes) = (0usize, 0usize, 0usize);
+        for record in records.chunks_exact(RECORD_BYTES) {
+            let kind = match record[0] {
                 0 => Kind::Leaf,
                 1 => Kind::Extension,
                 2 => Kind::Branch,
                 _ => return None,
             };
-            let mut words = [0u32; 6];
-            for word in &mut words {
-                *word = reader.u32()?;
+            let enc_len = u32::from_le_bytes(record[1..5].try_into().ok()?);
+            let path_len = u32::from_le_bytes(record[5..9].try_into().ok()?);
+            // Only an extension has a path, and never an empty one: a
+            // zero-length extension path would let a crafted page trap a
+            // proof walk in a cycle.
+            if enc_len == 0 || (kind == Kind::Extension) != (path_len > 0) {
+                return None;
             }
             let node = ArenaNode {
                 kind,
-                enc_off: words[0],
-                enc_len: words[1],
-                child_off: words[2],
-                path_off: words[3],
-                path_len: words[4],
-                dedup: words[5],
+                enc_off: 0,
+                enc_len,
+                child_off: 0,
+                path_off: 0,
+                path_len,
             };
-            // Bounds that make every later arena access infallible.
-            let enc_end = node.enc_off as u64 + node.enc_len as u64;
-            if enc_end > buf_len as u64 || node.dedup as usize >= node_count {
-                return None;
-            }
-            match node.kind {
-                Kind::Leaf => {}
-                Kind::Extension => {
-                    let path_end = node.path_off as u64 + node.path_len as u64;
-                    // A zero-length extension path would let a crafted
-                    // page trap a proof walk in a cycle.
-                    if node.path_len == 0
-                        || path_end > paths_len as u64
-                        || node.child_off as usize >= children_len
-                    {
-                        return None;
-                    }
-                }
-                Kind::Branch => {
-                    if node.child_off as u64 + 16 > children_len as u64 {
-                        return None;
-                    }
-                }
-            }
-            nodes.push(node);
+            slots += node.slots() as usize;
+            nibbles += path_len as usize;
+            enc_bytes += enc_len as usize;
+            shapes.push(node);
         }
-        let mut children = Vec::with_capacity(children_len);
-        for _ in 0..children_len {
-            let child = reader.u32()?;
-            if child != NO_NODE && child as usize >= node_count {
-                return None;
-            }
-            children.push(child);
+        if slots != slot_count || nibbles != nibble_count {
+            return None;
         }
-        let paths = reader.take(paths_len)?.to_vec();
-        let buf = reader.take(buf_len)?.to_vec();
+        let child_bytes = reader.take(slots * 4)?;
+        let path_bytes = reader.take(nibbles)?;
+        let enc = reader.take(enc_bytes)?;
         if reader.pos != bytes.len() {
             return None;
         }
-        Some(FrozenTrie {
+
+        let ids: Vec<u32> = child_bytes
+            .chunks_exact(4)
+            .map(|word| u32::from_le_bytes([word[0], word[1], word[2], word[3]]))
+            .collect();
+        let mut children = Pool::new(&ids[..]);
+        let mut paths = Pool::new(path_bytes);
+        let mut buf = Pool::new(enc);
+        let (mut slot_at, mut path_at, mut enc_at) = (0u32, 0u32, 0u32);
+        for node in &mut shapes {
+            let held = node.slots();
+            if held > 0 {
+                let range = slot_at as usize..(slot_at + held) as usize;
+                // An extension always has a child; a branch may not.
+                let dangling = |&child: &u32| {
+                    child >= node_count && (child != NO_NODE || node.kind == Kind::Extension)
+                };
+                if ids[range].iter().any(dangling) {
+                    return None;
+                }
+                node.child_off = children.keep(slot_at, held);
+                slot_at += held;
+            }
+            if node.path_len > 0 {
+                node.path_off = paths.keep(path_at, node.path_len);
+                path_at += node.path_len;
+            }
+            node.enc_off = buf.keep(enc_at, node.enc_len);
+            enc_at += node.enc_len;
+        }
+        let mut frozen = FrozenTrie {
             root,
             len,
-            nodes,
-            children,
-            paths,
-            buf,
-        })
+            nodes: Paged::default(),
+            children: children.finish(),
+            paths: paths.finish(),
+            buf: buf.finish(),
+            live: 0,
+        };
+        // Whole pages of records: each id lands at its own offset.
+        for records in shapes.chunks(Paged::<ArenaNode, NODE_PAGE_SHIFT>::CAP) {
+            frozen.nodes.push(records);
+        }
+        frozen.live = frozen.pool_bytes();
+        Some(frozen)
     }
 
     /// The canonical encoding of arena node `id`, as a slice into the
-    /// shared buffer.
+    /// encoding buffer.
     ///
     /// # Panics
     ///
     /// Panics when `id` is not below [`FrozenTrie::node_count`].
     pub fn node_bytes(&self, id: u32) -> &[u8] {
-        let node = &self.nodes[id as usize];
-        &self.buf[node.enc_off as usize..(node.enc_off + node.enc_len) as usize]
+        self.encoding(&self.nodes.get(id))
     }
 
-    /// Appends the witness ids of the proof nodes [`Trie::prove`] would
-    /// record for `key`, in walk order.
-    ///
-    /// Mapping each id through [`FrozenTrie::node_bytes`] reproduces
-    /// [`FrozenTrie::prove`] exactly; first-touch deduplication over the
-    /// ids reproduces [`FrozenTrie::prove_many`].
-    fn prove_ids(&self, key: &[u8], out: &mut Vec<u32>) {
-        self.walk(key, |node, parent| {
-            if recorded(node, parent) {
-                out.push(node.dedup);
-            }
-        });
+    fn encoding(&self, node: &ArenaNode) -> &[u8] {
+        self.buf.slice(node.enc_off, node.enc_len)
     }
 
     /// The value stored under `key`, read off the same arena nodes
@@ -399,7 +631,7 @@ impl FrozenTrie {
     /// contents).
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
         let (id, consumed) = self.walk(key, |_, _| {})?;
-        let is_leaf = self.nodes[id as usize].kind == Kind::Leaf;
+        let is_leaf = self.nodes.get(id).kind == Kind::Leaf;
         let arity = if is_leaf { 2 } else { 17 };
         let mut items = parp_rlp::decode_list_of(self.node_bytes(id), arity).ok()?;
         if is_leaf {
@@ -415,10 +647,10 @@ impl FrozenTrie {
         }
     }
 
-    /// Walks from the root along `key`, calling `visit(node, parent)` on
-    /// every node reached, in order: `parent` is `None` at the root and
-    /// otherwise the parent's arena id with the index of the item that
-    /// holds this node's reference in the parent's encoding. Returns the
+    /// Walks from the root along `key`, calling `visit(node, via)` on
+    /// every node reached, in order: `via` is `None` at the root and
+    /// otherwise the index of the item that holds this node's reference
+    /// in its parent's encoding — the node visited just before it. Returns the
     /// arena id of the node the key's value would sit in — the leaf the
     /// walk ended on, or the branch at which the key ran out — with the
     /// key nibbles consumed before it; `None` when the walk fell off the
@@ -426,23 +658,22 @@ impl FrozenTrie {
     fn walk(
         &self,
         key: &[u8],
-        mut visit: impl FnMut(&ArenaNode, Option<(u32, usize)>),
+        mut visit: impl FnMut(&ArenaNode, Option<usize>),
     ) -> Option<(u32, usize)> {
-        if self.nodes.is_empty() {
+        if self.nodes.len == 0 {
             return None;
         }
         let nib_len = key.len() * 2;
         let mut id = 0u32;
         let mut consumed = 0usize;
-        let mut parent = None;
+        let mut via = None;
         loop {
-            let node = self.nodes[id as usize];
-            visit(&node, parent);
+            let node = self.nodes.get(id);
+            visit(&node, via);
             match node.kind {
                 Kind::Leaf => return Some((id, consumed)),
                 Kind::Extension => {
-                    let path = &self.paths
-                        [node.path_off as usize..(node.path_off + node.path_len) as usize];
+                    let path = self.paths.slice(node.path_off, node.path_len);
                     if nib_len - consumed < path.len()
                         || !path
                             .iter()
@@ -452,8 +683,8 @@ impl FrozenTrie {
                         return None;
                     }
                     consumed += path.len();
-                    parent = Some((id, 1));
-                    id = self.children[node.child_off as usize];
+                    via = Some(1);
+                    id = self.children.get(node.child_off);
                 }
                 Kind::Branch => {
                     if consumed == nib_len {
@@ -461,11 +692,11 @@ impl FrozenTrie {
                     }
                     let idx = nibble_at(key, consumed) as usize;
                     consumed += 1;
-                    let child = self.children[node.child_off as usize + idx];
+                    let child = self.children.get(node.child_off + idx as u32);
                     if child == NO_NODE {
                         return None;
                     }
-                    parent = Some((id, idx));
+                    via = Some(idx);
                     id = child;
                 }
             }
@@ -475,14 +706,18 @@ impl FrozenTrie {
     /// Merkle proof for `key`: byte-identical to [`Trie::prove`], with
     /// every node a slice copy out of the arena's encoding buffer.
     pub fn prove(&self, key: &[u8]) -> Vec<Vec<u8>> {
-        let mut ids = Vec::new();
-        self.prove_ids(key, &mut ids);
-        ids.iter().map(|&id| self.node_bytes(id).to_vec()).collect()
+        let mut proof = Vec::new();
+        self.walk(key, |node, via| {
+            if recorded(node, via) {
+                proof.push(self.encoding(node).to_vec());
+            }
+        });
+        proof
     }
 
     /// Deduplicated multiproof for `keys`: byte-identical to
-    /// [`Trie::prove_many`]. Cross-key dedup is a bitset over
-    /// precomputed witness ids — no hashing, no hash map.
+    /// [`Trie::prove_many`]. Cross-key dedup is on the hash each node's
+    /// parent references it by — no hashing.
     pub fn prove_many<I, K>(&self, keys: I) -> Vec<Vec<u8>>
     where
         I: IntoIterator<Item = K>,
@@ -516,23 +751,28 @@ impl FrozenTrie {
     /// The frozen arena of this trie with `upserts` applied (insert or
     /// replace, in order — a repeated key keeps its last value), without
     /// re-freezing: only the nodes on the upserted keys' spines are
-    /// re-encoded and re-hashed, each once; everything else is copied.
-    /// Costs O(n) bytes copied plus O(upserts · depth) nodes hashed,
-    /// against O(n) nodes hashed for [`FrozenTrie::new`].
+    /// re-encoded and re-hashed, each once, and only the pages holding
+    /// their records and changed child slots are copied; every other
+    /// page is shared with `self`. Costs O(upserts · depth), against
+    /// O(n) nodes hashed for [`FrozenTrie::new`] — plus, once the
+    /// superseded bytes pass [`FrozenTrie::LIVE_PER_SUPERSEDED`]'s
+    /// bound, one compacting O(n) copy.
     ///
     /// The result is indistinguishable from [`FrozenTrie::new`] on the
     /// updated contents through `root_hash`, `len`, `node_count`,
     /// `prove`, `prove_many` / `multiproof_into` and a
-    /// [`FrozenTrie::to_bytes`] round trip; it shares nothing with
-    /// `self`.
+    /// [`FrozenTrie::to_bytes`] round trip. It does not depend on `self`
+    /// staying alive: shared pages live as long as either arena does.
+    ///
+    /// Returns `None` when a node on a touched spine is not node RLP —
+    /// which only a corrupted page can cause ([`FrozenTrie::from_bytes`]
+    /// checks a page's structure, not its contents); a fresh freeze of
+    /// the updated contents is then the way to the new arena.
     ///
     /// # Panics
     ///
-    /// Panics when a value is empty (as [`Trie::insert`] does), or when
-    /// a node encoding on a touched spine is not node RLP — which only
-    /// a corrupted page can cause: [`FrozenTrie::from_bytes`] checks a
-    /// page's structure, not its contents.
-    pub fn derive<I, K, V>(&self, upserts: I) -> FrozenTrie
+    /// Panics when a value is empty, as [`Trie::insert`] does.
+    pub fn derive<I, K, V>(&self, upserts: I) -> Option<FrozenTrie>
     where
         I: IntoIterator<Item = (K, V)>,
         K: AsRef<[u8]>,
@@ -542,37 +782,50 @@ impl FrozenTrie {
         for (key, value) in upserts {
             let value = value.as_ref();
             assert!(!value.is_empty(), "empty values are not representable");
-            overlay.upsert(&bytes_to_nibbles(key.as_ref()), value);
+            overlay.upsert(&bytes_to_nibbles(key.as_ref()), value)?;
         }
         if overlay.work.is_empty() {
-            return self.clone();
+            return Some(self.clone());
         }
-        overlay.encode(0);
-        overlay.emit()
+        overlay.encode(0, 0)?;
+        Some(if overlay.fits() {
+            overlay.apply()
+        } else {
+            overlay.emit()
+        })
     }
 
-    /// Walks every key and emits each first-touched witness node once,
-    /// with its hash, in the exact order [`Trie::prove_many`] produces.
+    /// Walks every key and emits each recorded node once — the first
+    /// time its hash comes up — with that hash, in the exact order
+    /// [`Trie::prove_many`] produces.
     fn for_each_multiproof_node<I, K, F>(&self, keys: I, mut emit: F)
     where
         I: IntoIterator<Item = K>,
         K: AsRef<[u8]>,
         F: FnMut(&[u8], H256),
     {
-        let mut seen = vec![false; self.nodes.len()];
+        let keys = keys.into_iter();
+        // Room for a few distinct nodes a key, so that a batch rarely
+        // grows the set.
+        let mut seen: HashSet<H256, Spread> =
+            HashSet::with_capacity_and_hasher(4 * keys.size_hint().0, Spread::default());
         for key in keys {
-            self.walk(key.as_ref(), |node, parent| {
-                let id = node.dedup;
-                if !recorded(node, parent) || std::mem::replace(&mut seen[id as usize], true) {
+            let mut above: &[u8] = &[];
+            self.walk(key.as_ref(), |node, via| {
+                let bytes = self.encoding(node);
+                let parent = std::mem::replace(&mut above, bytes);
+                if !recorded(node, via) {
                     return;
                 }
-                let bytes = self.node_bytes(id);
-                let hash = match parent {
+                let hash = match via {
+                    // Every walk starts at the root: recorded by the first.
+                    None if !seen.is_empty() => return,
                     None => self.root,
-                    Some((parent, item)) => child_reference(self.node_bytes(parent), item)
-                        .unwrap_or_else(|| keccak256(bytes)),
+                    Some(item) => child_reference(parent, item).unwrap_or_else(|| keccak256(bytes)),
                 };
-                emit(bytes, hash);
+                if seen.insert(hash) {
+                    emit(bytes, hash);
+                }
             });
         }
     }
@@ -581,8 +834,8 @@ impl FrozenTrie {
 /// Whether a proof records `node`: the root always, any other node when
 /// its parent references it by hash (an encoding of 32 bytes or more) —
 /// shorter ones travel inline in their parent.
-fn recorded(node: &ArenaNode, parent: Option<(u32, usize)>) -> bool {
-    node.enc_len >= 32 || parent.is_none()
+fn recorded(node: &ArenaNode, via: Option<usize>) -> bool {
+    node.enc_len >= 32 || via.is_none()
 }
 
 /// The 32-byte hash reference at item `index` of a node encoding, read
@@ -645,10 +898,10 @@ fn nibble_at(key: &[u8], i: usize) -> u8 {
 /// hashes it level by level.
 #[derive(Default)]
 struct Arena<'a> {
-    nodes: Vec<ArenaNode>,
-    children: Vec<u32>,
-    paths: Vec<u8>,
-    buf: Vec<u8>,
+    nodes: Paged<ArenaNode, NODE_PAGE_SHIFT>,
+    children: Paged<u32, SLOT_PAGE_SHIFT>,
+    paths: Paged<u8, BYTE_PAGE_SHIFT>,
+    buf: Paged<u8, BYTE_PAGE_SHIFT>,
     /// Source nodes, parallel to `nodes` (branch values are read at
     /// encode time instead of being copied into a pool).
     srcs: Vec<&'a Node>,
@@ -660,16 +913,7 @@ impl<'a> Arena<'a> {
     /// records structure, and encodes leaves (which have no
     /// dependencies) immediately.
     fn flatten(&mut self, node: &'a Node, depth: u32) -> u32 {
-        let id = self.nodes.len() as u32;
-        self.nodes.push(ArenaNode {
-            kind: Kind::Leaf,
-            enc_off: 0,
-            enc_len: 0,
-            child_off: 0,
-            path_off: 0,
-            path_len: 0,
-            dedup: id,
-        });
+        let id = self.nodes.push(&[ArenaNode::default()]);
         self.srcs.push(node);
         self.depths.push(depth);
         match node {
@@ -682,32 +926,25 @@ impl<'a> Arena<'a> {
                 self.set_encoding(id, &encoded);
             }
             Node::Extension { path, child } => {
-                let path_off = self.paths.len() as u32;
-                self.paths.extend_from_slice(path);
-                let child_off = self.children.len() as u32;
-                self.children.push(NO_NODE);
-                {
-                    let slot = &mut self.nodes[id as usize];
-                    slot.kind = Kind::Extension;
-                    slot.child_off = child_off;
-                    slot.path_off = path_off;
-                    slot.path_len = path.len() as u32;
-                }
+                let path_off = self.paths.push(path);
+                let child_off = self.children.push(&[NO_NODE]);
+                let slot = self.nodes.get_mut(id);
+                slot.kind = Kind::Extension;
+                slot.child_off = child_off;
+                slot.path_off = path_off;
+                slot.path_len = path.len() as u32;
                 let child_id = self.flatten(child, depth + 1);
-                self.children[child_off as usize] = child_id;
+                *self.children.get_mut(child_off) = child_id;
             }
             Node::Branch { children, .. } => {
-                let child_off = self.children.len() as u32;
-                self.children.extend_from_slice(&[NO_NODE; 16]);
-                {
-                    let slot = &mut self.nodes[id as usize];
-                    slot.kind = Kind::Branch;
-                    slot.child_off = child_off;
-                }
+                let child_off = self.children.push(&[NO_NODE; 16]);
+                let slot = self.nodes.get_mut(id);
+                slot.kind = Kind::Branch;
+                slot.child_off = child_off;
                 for (i, child) in children.iter().enumerate() {
                     if !child.is_empty() {
                         let child_id = self.flatten(child, depth + 1);
-                        self.children[child_off as usize + i] = child_id;
+                        *self.children.get_mut(child_off + i as u32) = child_id;
                     }
                 }
             }
@@ -716,11 +953,10 @@ impl<'a> Arena<'a> {
     }
 
     /// Pass 2: deepest level first, encodes interior nodes from their
-    /// children's cached references, batch-hashes each level's
-    /// recordable encodings, and derives witness ids. Returns the root
-    /// hash.
+    /// children's cached references and batch-hashes each level's
+    /// recordable encodings. Returns the root hash.
     fn encode_levels(&mut self) -> H256 {
-        let count = self.nodes.len();
+        let count = self.nodes.len;
         let mut hashes: Vec<H256> = vec![H256::default(); count];
         let max_depth = *self.depths.iter().max().expect("non-empty arena") as usize;
         let mut by_depth: Vec<Vec<u32>> = vec![Vec::new(); max_depth + 1];
@@ -729,28 +965,27 @@ impl<'a> Arena<'a> {
         }
         for level in by_depth.iter().rev() {
             for &id in level {
-                let node = self.nodes[id as usize];
+                let node = self.nodes.get(id);
                 let encoded = match node.kind {
                     Kind::Leaf => continue, // encoded during flatten
                     Kind::Extension => {
-                        let path = &self.paths
-                            [node.path_off as usize..(node.path_off + node.path_len) as usize];
-                        let child = self.children[node.child_off as usize];
+                        let path = self.paths.slice(node.path_off, node.path_len);
+                        let child = self.children.get(node.child_off);
                         encode_list(&[
                             encode_bytes(&crate::nibbles::hp_encode(path, false)),
                             self.reference(child, &hashes),
                         ])
                     }
                     Kind::Branch => {
-                        let mut items: Vec<Vec<u8>> = Vec::with_capacity(17);
-                        for i in 0..16 {
-                            let child = self.children[node.child_off as usize + i];
-                            items.push(if child == NO_NODE {
-                                encode_bytes(&[])
-                            } else {
-                                self.reference(child, &hashes)
-                            });
-                        }
+                        let mut items: Vec<Vec<u8>> = self
+                            .children
+                            .slice(node.child_off, 16)
+                            .iter()
+                            .map(|&child| match child {
+                                NO_NODE => encode_bytes(&[]),
+                                child => self.reference(child, &hashes),
+                            })
+                            .collect();
                         items.push(match self.srcs[id as usize] {
                             Node::Branch { value: Some(v), .. } => encode_bytes(v),
                             _ => encode_bytes(&[]),
@@ -766,45 +1001,36 @@ impl<'a> Arena<'a> {
             let to_hash: Vec<u32> = level
                 .iter()
                 .copied()
-                .filter(|&id| self.nodes[id as usize].enc_len >= 32 || id == 0)
+                .filter(|&id| self.nodes.get(id).enc_len >= 32 || id == 0)
                 .collect();
             let slices: Vec<&[u8]> = to_hash.iter().map(|&id| self.encoding(id)).collect();
             for (&id, digest) in to_hash.iter().zip(keccak256_batch(&slices)) {
                 hashes[id as usize] = digest;
             }
         }
-        // Witness ids: among recordable nodes, byte-identical encodings
-        // share the first id carrying them, mirroring the baseline's
-        // first-touch hash dedup without any hashing at prove time.
-        let mut first: HashMap<H256, u32> = HashMap::new();
-        for id in 0..count as u32 {
-            if self.nodes[id as usize].enc_len >= 32 || id == 0 {
-                let canonical = *first.entry(hashes[id as usize]).or_insert(id);
-                self.nodes[id as usize].dedup = canonical;
-            }
-        }
         hashes[0]
     }
 
-    /// Appends `encoded` to the shared buffer and records its range.
+    /// Appends `encoded` to the encoding buffer and records its range.
     fn set_encoding(&mut self, id: u32, encoded: &[u8]) {
-        let slot = &mut self.nodes[id as usize];
-        slot.enc_off = self.buf.len() as u32;
+        let enc_off = self.buf.push(encoded);
+        let slot = self.nodes.get_mut(id);
+        slot.enc_off = enc_off;
         slot.enc_len = encoded.len() as u32;
-        self.buf.extend_from_slice(encoded);
     }
 
     fn encoding(&self, id: u32) -> &[u8] {
-        let node = &self.nodes[id as usize];
-        &self.buf[node.enc_off as usize..(node.enc_off + node.enc_len) as usize]
+        let node = self.nodes.get(id);
+        self.buf.slice(node.enc_off, node.enc_len)
     }
 
     /// The parent-embedded reference of node `id`: the raw encoding
     /// when shorter than 32 bytes, otherwise the RLP-wrapped hash
     /// cached by the level pass.
     fn reference(&self, id: u32, hashes: &[H256]) -> Vec<u8> {
-        if self.nodes[id as usize].enc_len < 32 {
-            self.encoding(id).to_vec()
+        let encoded = self.encoding(id);
+        if encoded.len() < 32 {
+            encoded.to_vec()
         } else {
             encode_bytes(hashes[id as usize].as_bytes())
         }
@@ -829,140 +1055,150 @@ enum Work {
     },
 }
 
+/// One touched node of an overlay.
+struct Touched {
+    id: u32,
+    node: Work,
+    /// Canonical encoding; empty until `encode` reaches the node.
+    encoding: Vec<u8>,
+    /// Its keccak, when it is referenced by hash or is the root.
+    hash: H256,
+}
+
+impl Touched {
+    /// Pool bytes the node's record will cover (see
+    /// [`ArenaNode::pool_bytes`]).
+    fn pool_bytes(&self) -> usize {
+        self.encoding.len()
+            + match &self.node {
+                Work::Leaf { .. } => 0,
+                Work::Extension { path, .. } => 4 + path.len(),
+                Work::Branch { .. } => 16 * 4,
+            }
+    }
+}
+
 /// Derive-pass scratch: the parent arena plus a sparse overlay of the
 /// nodes the upserts touch.
 ///
 /// A node that is replaced (a split leaf or extension) hands its arena
 /// id to the top node of what replaces it, so no id ever dies, no
 /// parent's child slot ever needs re-pointing, and the root stays id 0;
-/// nodes the upserts create take fresh ids past the parent's.
+/// nodes the upserts create take fresh ids past the parent's, in order.
 struct Overlay<'a> {
     parent: &'a FrozenTrie,
-    /// Per arena id: its index in `work`, or [`NO_NODE`] while the node
-    /// is untouched. Longer than the parent's table once nodes are
-    /// created.
-    slot: Vec<u32>,
-    work: Vec<Work>,
-    /// New canonical encodings, parallel to `work` (empty until `encode`).
-    encodings: Vec<Vec<u8>>,
-    /// Per arena id, where known: the hash its parent references it by.
-    /// For an untouched node that is read out of its old parent's
-    /// encoding when the parent is decoded; for a touched one it is
-    /// computed by `encode`.
-    hashes: Vec<H256>,
+    /// Touched arena id → its index in `work`.
+    slot: HashMap<u32, usize, Spread>,
+    work: Vec<Touched>,
+    /// For the untouched children of touched nodes: the hash the old
+    /// parent's encoding references each by, read when it was decoded.
+    hashes: HashMap<u32, H256, Spread>,
+    /// The id the next created node takes.
+    next_id: u32,
     /// Keys the upserts added (as opposed to overwrote).
     added: usize,
 }
 
 impl<'a> Overlay<'a> {
     fn new(parent: &'a FrozenTrie) -> Self {
-        let count = parent.nodes.len();
         Overlay {
             parent,
-            slot: vec![NO_NODE; count],
+            slot: HashMap::default(),
             work: Vec::new(),
-            encodings: Vec::new(),
-            hashes: vec![H256::default(); count],
+            hashes: HashMap::default(),
+            next_id: parent.nodes.len as u32,
             added: 0,
         }
     }
 
+    fn touch(&mut self, id: u32, node: Work) -> usize {
+        self.slot.insert(id, self.work.len());
+        self.work.push(Touched {
+            id,
+            node,
+            encoding: Vec::new(),
+            hash: H256::default(),
+        });
+        self.work.len() - 1
+    }
+
     /// Gives `node` a fresh arena id.
     fn create(&mut self, node: Work) -> u32 {
-        let id = self.slot.len() as u32;
-        self.slot.push(self.work.len() as u32);
-        self.hashes.push(H256::default());
-        self.work.push(node);
-        self.encodings.push(Vec::new());
+        let id = self.next_id;
+        self.next_id += 1;
+        self.touch(id, node);
         id
     }
 
     /// The overlay index of arena node `id`, decoding it out of the
     /// parent on first touch (which also records the hashes the old
-    /// encoding references its children by).
-    fn edit(&mut self, id: u32) -> usize {
-        if self.slot[id as usize] != NO_NODE {
-            return self.slot[id as usize] as usize;
+    /// encoding references its children by). `None` when the encoding
+    /// is not the node RLP its record says it is.
+    fn edit(&mut self, id: u32) -> Option<usize> {
+        if let Some(&at) = self.slot.get(&id) {
+            return Some(at);
         }
         let parent = self.parent;
-        let node = parent.nodes[id as usize];
-        let items = match parp_rlp::decode(parent.node_bytes(id)) {
-            Ok(Item::List(items)) => items,
-            _ => panic!("arena node {id} is not an RLP list"),
-        };
-        let payload = |item: &Item| match item {
-            Item::Bytes(bytes) => bytes.clone(),
-            Item::List(_) => panic!("arena node {id} holds a list where bytes belong"),
-        };
+        let node = parent.nodes.get(id);
+        let arity = if node.kind == Kind::Branch { 17 } else { 2 };
+        let items = parp_rlp::decode_list_of(parent.node_bytes(id), arity).ok()?;
         let mut note_child = |child: u32, reference: &Item| {
             // A 32-byte string is a hash reference; anything else is an
             // embedded (< 32 byte) child, referenced by its own bytes.
-            if let Item::Bytes(bytes) = reference {
-                if let Some(hash) = H256::from_slice(bytes) {
-                    self.hashes[child as usize] = hash;
-                }
+            if let Some(hash) = reference.as_bytes().ok().and_then(H256::from_slice) {
+                self.hashes.insert(child, hash);
             }
         };
         let decoded = match node.kind {
-            Kind::Leaf => {
-                assert_eq!(items.len(), 2, "arena leaf {id} is not a pair");
-                let (path, _) = hp_decode(&payload(&items[0])).expect("leaf path is hex-prefix");
-                Work::Leaf {
-                    path,
-                    value: payload(&items[1]),
-                }
-            }
+            Kind::Leaf => Work::Leaf {
+                path: hp_decode(items[0].as_bytes().ok()?)?.0,
+                value: items[1].as_bytes().ok()?.to_vec(),
+            },
             Kind::Extension => {
-                assert_eq!(items.len(), 2, "arena extension {id} is not a pair");
-                let child = parent.children[node.child_off as usize];
+                let child = parent.children.get(node.child_off);
                 note_child(child, &items[1]);
-                let path = node.path_off as usize..(node.path_off + node.path_len) as usize;
                 Work::Extension {
-                    path: parent.paths[path].to_vec(),
+                    path: parent.paths.slice(node.path_off, node.path_len).to_vec(),
                     child,
                 }
             }
             Kind::Branch => {
-                assert_eq!(items.len(), 17, "arena branch {id} has no 17 items");
                 let mut children = [NO_NODE; 16];
-                let slots = node.child_off as usize..node.child_off as usize + 16;
-                children.copy_from_slice(&parent.children[slots]);
+                children.copy_from_slice(parent.children.slice(node.child_off, 16));
                 for (&child, reference) in children.iter().zip(&items) {
                     if child != NO_NODE {
                         note_child(child, reference);
                     }
                 }
-                let value = payload(&items[16]);
+                let value = items[16].as_bytes().ok()?;
                 Work::Branch {
                     children,
-                    value: (!value.is_empty()).then_some(value),
+                    value: (!value.is_empty()).then(|| value.to_vec()),
                 }
             }
         };
-        self.slot[id as usize] = self.work.len() as u32;
-        self.work.push(decoded);
-        self.encodings.push(Vec::new());
-        self.work.len() - 1
+        Some(self.touch(id, decoded))
     }
 
     /// Inserts or replaces one key (as nibbles), mirroring
-    /// [`Trie::insert`] node for node.
-    fn upsert(&mut self, key: &[u8], value: &[u8]) {
-        if self.slot.is_empty() {
+    /// [`Trie::insert`] node for node. `None` when a node on the way
+    /// does not decode.
+    fn upsert(&mut self, key: &[u8], value: &[u8]) -> Option<()> {
+        if self.next_id == 0 {
             self.create(Work::Leaf {
                 path: key.to_vec(),
                 value: value.to_vec(),
             });
             self.added += 1;
-            return;
+            return Some(());
         }
         let mut id = 0u32;
         let mut rest = key;
         loop {
-            let at = self.edit(id);
+            let at = self.edit(id)?;
             // What sits at `id` besides the new key, if the two part
             // ways here: its path and what hangs below the fork.
-            let (old_path, old) = match &mut self.work[at] {
+            let (old_path, old) = match &mut self.work[at].node {
                 Work::Branch {
                     children,
                     value: slot,
@@ -970,7 +1206,7 @@ impl<'a> Overlay<'a> {
                     let Some((&nibble, below)) = rest.split_first() else {
                         self.added += usize::from(slot.is_none());
                         *slot = Some(value.to_vec());
-                        return;
+                        return Some(());
                     };
                     let child = children[nibble as usize];
                     if child != NO_NODE {
@@ -982,11 +1218,11 @@ impl<'a> Overlay<'a> {
                         path: below.to_vec(),
                         value: value.to_vec(),
                     });
-                    if let Work::Branch { children, .. } = &mut self.work[at] {
+                    if let Work::Branch { children, .. } = &mut self.work[at].node {
                         children[nibble as usize] = leaf;
                     }
                     self.added += 1;
-                    return;
+                    return Some(());
                 }
                 Work::Extension { path, child } => {
                     if rest.starts_with(path) {
@@ -999,14 +1235,14 @@ impl<'a> Overlay<'a> {
                 Work::Leaf { path, value: slot } => {
                     if path.as_slice() == rest {
                         *slot = value.to_vec();
-                        return;
+                        return Some(());
                     }
                     (std::mem::take(path), Below::Value(std::mem::take(slot)))
                 }
             };
             self.fork(at, &old_path, old, rest, value);
             self.added += 1;
-            return;
+            return Some(());
         }
     }
 
@@ -1043,7 +1279,7 @@ impl<'a> Overlay<'a> {
             children,
             value: branch_value,
         };
-        self.work[at] = if shared == 0 {
+        self.work[at].node = if shared == 0 {
             branch
         } else {
             Work::Extension {
@@ -1053,44 +1289,51 @@ impl<'a> Overlay<'a> {
         };
     }
 
-    /// Current encoding of arena node `id`: the overlay's once encoded,
-    /// the parent's otherwise.
-    fn encoding(&self, id: u32) -> &[u8] {
-        match self.slot[id as usize] {
-            NO_NODE => self.parent.node_bytes(id),
-            at => &self.encodings[at as usize],
-        }
-    }
-
     /// The parent-embedded reference of node `id` (see
-    /// [`Arena::reference`]).
+    /// [`Arena::reference`]): a touched node's new encoding or hash,
+    /// an untouched one's old encoding or the hash its old parent
+    /// referenced it by (hashed afresh only if that parent held none).
     fn reference(&self, id: u32) -> Vec<u8> {
-        let encoded = self.encoding(id);
+        let (encoded, hash) = match self.slot.get(&id) {
+            Some(&at) => (&self.work[at].encoding[..], Some(self.work[at].hash)),
+            None => (self.parent.node_bytes(id), self.hashes.get(&id).copied()),
+        };
         if encoded.len() < 32 {
             encoded.to_vec()
         } else {
-            encode_bytes(self.hashes[id as usize].as_bytes())
+            encode_bytes(hash.unwrap_or_else(|| keccak256(encoded)).as_bytes())
         }
     }
 
     /// Encodes and hashes the touched nodes at and below `id`, children
-    /// first, each exactly once.
-    fn encode(&mut self, id: u32) {
-        let at = match self.slot[id as usize] {
-            NO_NODE => return,
-            at => at as usize,
+    /// first, each exactly once. `None` when the child ids loop back
+    /// (only a crafted page can): no path through distinct touched nodes
+    /// is longer than there are touched nodes.
+    fn encode(&mut self, id: u32, depth: usize) -> Option<()> {
+        let Some(&at) = self.slot.get(&id) else {
+            return Some(());
         };
-        let below: Vec<u32> = match &self.work[at] {
-            Work::Leaf { .. } => Vec::new(),
-            Work::Extension { child, .. } => vec![*child],
-            Work::Branch { children, .. } => {
-                children.iter().copied().filter(|&c| c != NO_NODE).collect()
+        if !self.work[at].encoding.is_empty() {
+            return Some(());
+        }
+        if depth > self.work.len() {
+            return None;
+        }
+        let below = match &self.work[at].node {
+            Work::Leaf { .. } => [NO_NODE; 16],
+            Work::Extension { child, .. } => {
+                let mut one = [NO_NODE; 16];
+                one[0] = *child;
+                one
             }
+            Work::Branch { children, .. } => *children,
         };
         for child in below {
-            self.encode(child);
+            if child != NO_NODE {
+                self.encode(child, depth + 1)?;
+            }
         }
-        let encoded = match &self.work[at] {
+        let encoded = match &self.work[at].node {
             Work::Leaf { path, value } => {
                 encode_list(&[encode_bytes(&hp_encode(path, true)), encode_bytes(value)])
             }
@@ -1111,129 +1354,196 @@ impl<'a> Overlay<'a> {
             }
         };
         if encoded.len() >= 32 || id == 0 {
-            self.hashes[id as usize] = keccak256(&encoded);
+            self.work[at].hash = keccak256(&encoded);
         }
-        self.encodings[at] = encoded;
+        self.work[at].encoding = encoded;
+        Some(())
     }
 
-    /// Writes the derived arena out: one pass in id order that copies
-    /// every untouched node's ranges out of the parent's pools (adjacent
-    /// ranges as one run), appends the overlay's nodes where they fall,
-    /// and re-seats the witness ids the upserts disturbed.
+    /// Whether [`Overlay::apply`] keeps the derived arena's superseded
+    /// bytes within [`FrozenTrie::LIVE_PER_SUPERSEDED`]'s bound, counting
+    /// every byte a touched node held as superseded (`apply` keeps some
+    /// of them in use).
+    fn fits(&self) -> bool {
+        let parent = self.parent;
+        let (mut superseded, mut live) = (parent.superseded_bytes(), parent.live);
+        for touched in &self.work {
+            if touched.id < parent.nodes.len as u32 {
+                let old = parent.nodes.get(touched.id).pool_bytes();
+                superseded += old;
+                live -= old;
+            }
+            live += touched.pool_bytes();
+        }
+        let records = self.next_id as usize * std::mem::size_of::<ArenaNode>();
+        superseded * FrozenTrie::LIVE_PER_SUPERSEDED <= ARENA_HEADER_BYTES + records + live
+    }
+
+    /// The root hash and key count the upserts leave.
+    fn root_and_len(&self) -> (H256, usize) {
+        let root = self
+            .slot
+            .get(&0)
+            .map_or(self.parent.root, |&at| self.work[at].hash);
+        (root, self.parent.len + self.added)
+    }
+
+    /// The derived arena: the parent's page lists, with each touched
+    /// node's record written in place (a created node's appended) and
+    /// its new encoding, slots and path placed by [`FrozenTrie::place`].
+    fn apply(self) -> FrozenTrie {
+        let parent = self.parent;
+        let mut out = parent.clone();
+        // Created ids follow the parent's, and `work` holds them in
+        // creation order: each one's record is the next to append.
+        for touched in &self.work {
+            let old = (touched.id < parent.nodes.len as u32).then(|| parent.nodes.get(touched.id));
+            let node = out.place(touched, old);
+            match old {
+                None => {
+                    let id = out.nodes.push(&[node]);
+                    debug_assert_eq!(id, touched.id, "created ids are appended in order");
+                }
+                Some(old) if old != node => *out.nodes.get_mut(touched.id) = node,
+                Some(_) => {}
+            }
+        }
+        let (root, len) = self.root_and_len();
+        FrozenTrie { root, len, ..out }
+    }
+
+    /// The derived arena written compact, superseded bytes left behind:
+    /// one pass in id order into fresh pages that copies each untouched
+    /// node's ranges out of the parent's (adjacent ranges as one run)
+    /// and writes each touched node's new ones where it falls. Arena ids
+    /// are the same as [`Overlay::apply`] gives them.
     fn emit(self) -> FrozenTrie {
         let parent = self.parent;
-        let recordable = |id: u32, enc_len: usize| enc_len >= 32 || id == 0;
-
-        // Touched nodes a proof can record, sorted by encoding so that
-        // byte-identical ones are neighbours, smallest id first, and an
-        // untouched node can find its new twins by binary search.
-        let mut fresh: Vec<(&[u8], u32)> = (0..self.slot.len() as u32)
-            .filter(|&id| self.slot[id as usize] != NO_NODE)
-            .map(|id| (self.encoding(id), id))
-            .filter(|&(encoded, id)| recordable(id, encoded.len()))
-            .collect();
-        fresh.sort_by_key(|&(encoded, id)| (rank(encoded), id));
-        // Witness id per twin class of `fresh`, held at the index of the
-        // class's first member: that member, unless an untouched node
-        // already carries the same bytes.
-        let mut witness: Vec<u32> = fresh.iter().map(|&(_, id)| id).collect();
-        // Untouched classes whose witness was touched (and so left the
-        // class): old witness id → the first untouched member.
-        let mut reseated: HashMap<u32, u32> = HashMap::new();
-
-        let mut nodes = Vec::with_capacity(self.slot.len());
-        // Sized for the parent's data plus everything the overlay adds:
-        // never less than the result, so the copy never reallocates.
-        let (mut slots, mut nibbles) = (0, 0);
-        for node in &self.work {
-            match node {
-                Work::Leaf { .. } => {}
-                Work::Extension { path, .. } => {
-                    (slots, nibbles) = (slots + 1, nibbles + path.len())
-                }
-                Work::Branch { .. } => slots += 16,
-            }
-        }
-        let mut buf = Pool::new(&parent.buf, self.encodings.iter().map(Vec::len).sum());
-        let mut children = Pool::new(&parent.children, slots);
-        let mut paths = Pool::new(&parent.paths, nibbles);
-        for (id, &at) in self.slot.iter().enumerate() {
-            let id = id as u32;
-            if at == NO_NODE {
-                let old = parent.nodes[id as usize];
-                let mut dedup = old.dedup;
-                if recordable(id, old.enc_len as usize) {
-                    if self.slot[dedup as usize] != NO_NODE {
-                        dedup = *reseated.entry(dedup).or_insert(id);
+        let mut buf = Pool::new(&parent.buf);
+        let mut children = Pool::new(&parent.children);
+        let mut paths = Pool::new(&parent.paths);
+        let mut nodes = Paged::default();
+        for id in 0..self.next_id {
+            let node = match self.slot.get(&id) {
+                None => {
+                    let old = parent.nodes.get(id);
+                    ArenaNode {
+                        enc_off: buf.keep(old.enc_off, old.enc_len),
+                        child_off: match old.slots() {
+                            0 => 0,
+                            slots => children.keep(old.child_off, slots),
+                        },
+                        path_off: match old.path_len {
+                            0 => 0,
+                            len => paths.keep(old.path_off, len),
+                        },
+                        ..old
                     }
-                    if dedup == id {
-                        let bytes = parent.node_bytes(id);
-                        let first = fresh.partition_point(|&(f, _)| rank(f) < rank(bytes));
-                        if fresh.get(first).is_some_and(|&(f, _)| f == bytes) {
-                            witness[first] = id;
+                }
+                Some(&at) => {
+                    let touched = &self.work[at];
+                    let mut node = ArenaNode {
+                        enc_off: buf.add(&touched.encoding),
+                        enc_len: touched.encoding.len() as u32,
+                        ..ArenaNode::default()
+                    };
+                    match &touched.node {
+                        Work::Leaf { .. } => {}
+                        Work::Extension { path, child } => {
+                            node.kind = Kind::Extension;
+                            node.child_off = children.add(&[*child]);
+                            node.path_off = paths.add(path);
+                            node.path_len = path.len() as u32;
+                        }
+                        Work::Branch { children: ids, .. } => {
+                            node.kind = Kind::Branch;
+                            node.child_off = children.add(ids);
                         }
                     }
+                    node
                 }
-                let (child_off, path_off) = match old.kind {
-                    Kind::Leaf => (0, 0),
-                    Kind::Extension => (
-                        children.keep(old.child_off, 1),
-                        paths.keep(old.path_off, old.path_len),
-                    ),
-                    Kind::Branch => (children.keep(old.child_off, 16), 0),
-                };
-                nodes.push(ArenaNode {
-                    enc_off: buf.keep(old.enc_off, old.enc_len),
-                    child_off,
-                    path_off,
-                    dedup,
-                    ..old
-                });
-            } else {
-                let encoded = &self.encodings[at as usize];
-                let (kind, child_off, path_off, path_len) = match &self.work[at as usize] {
-                    Work::Leaf { .. } => (Kind::Leaf, 0, 0, 0),
-                    Work::Extension { path, child } => (
-                        Kind::Extension,
-                        children.add(&[*child]),
-                        paths.add(path),
-                        path.len() as u32,
-                    ),
-                    Work::Branch { children: ids, .. } => (Kind::Branch, children.add(ids), 0, 0),
-                };
-                nodes.push(ArenaNode {
-                    kind,
-                    enc_off: buf.add(encoded),
-                    enc_len: encoded.len() as u32,
-                    child_off,
-                    path_off,
-                    path_len,
-                    dedup: id,
-                });
-            }
+            };
+            nodes.push(&[node]);
         }
-        let mut class = 0;
-        for (i, &(encoded, id)) in fresh.iter().enumerate() {
-            if encoded != fresh[class].0 {
-                class = i;
-            }
-            nodes[id as usize].dedup = witness[class];
-        }
-        FrozenTrie {
-            root: self.hashes[0],
-            len: parent.len + self.added,
+        let (root, len) = self.root_and_len();
+        let mut frozen = FrozenTrie {
+            root,
+            len,
             nodes,
             children: children.finish(),
             paths: paths.finish(),
             buf: buf.finish(),
-        }
+            live: 0,
+        };
+        frozen.live = frozen.pool_bytes();
+        frozen
     }
 }
 
-/// Sort key for node encodings: by length first — lengths alone tell
-/// most encodings apart, so a search rarely compares bytes.
-fn rank(encoded: &[u8]) -> (usize, &[u8]) {
-    (encoded.len(), encoded)
+impl FrozenTrie {
+    /// Writes a touched node's encoding, child slots and path into the
+    /// pools and returns its record. What the node held at its id
+    /// before (`old`) is kept where it still serves: an unchanged
+    /// encoding, the slots of a node of the same kind (rewritten only
+    /// where a child changed) and a path the new one is a prefix of.
+    /// Everything else is appended, and what it replaced is superseded.
+    fn place(&mut self, touched: &Touched, old: Option<ArenaNode>) -> ArenaNode {
+        let encoding = &touched.encoding[..];
+        let enc_off = match old {
+            Some(old) if self.encoding(&old) == encoding => old.enc_off,
+            _ => self.buf.push(encoding),
+        };
+        let mut node = ArenaNode {
+            kind: Kind::Leaf,
+            enc_off,
+            enc_len: encoding.len() as u32,
+            child_off: 0,
+            path_off: 0,
+            path_len: 0,
+        };
+        match &touched.node {
+            Work::Leaf { .. } => {}
+            Work::Extension { path, child } => {
+                node.kind = Kind::Extension;
+                node.child_off = self.place_slots(old, node.kind, &[*child]);
+                node.path_len = path.len() as u32;
+                node.path_off = match old {
+                    Some(old)
+                        if old.kind == Kind::Extension
+                            && old.path_len >= node.path_len
+                            && self.paths.slice(old.path_off, node.path_len) == path.as_slice() =>
+                    {
+                        old.path_off
+                    }
+                    _ => self.paths.push(path),
+                };
+            }
+            Work::Branch { children, .. } => {
+                node.kind = Kind::Branch;
+                node.child_off = self.place_slots(old, node.kind, children);
+            }
+        }
+        self.live += node.pool_bytes();
+        self.live -= old.map_or(0, |old| old.pool_bytes());
+        node
+    }
+
+    /// The child slots holding `ids` for a node of `kind`: the old
+    /// node's when it was of the same kind, fresh ones otherwise.
+    fn place_slots(&mut self, old: Option<ArenaNode>, kind: Kind, ids: &[u32]) -> u32 {
+        let len = ids.len() as u32;
+        match old {
+            Some(old) if old.kind == kind => {
+                if self.children.slice(old.child_off, len) != ids {
+                    self.children
+                        .slice_mut(old.child_off, len)
+                        .copy_from_slice(ids);
+                }
+                old.child_off
+            }
+            _ => self.children.push(ids),
+        }
+    }
 }
 
 /// What a forked leaf or extension carried below its path.
@@ -1242,47 +1552,92 @@ enum Below {
     Child(u32),
 }
 
-/// A compacting copy of one of the parent's pools: ranges to keep are
-/// gathered into runs (a range that starts where the last one ended
-/// extends it) and copied a run at a time, with new data appended in
-/// between. Returned offsets are positions in the copy.
-struct Pool<'a, T> {
-    src: &'a [T],
-    out: Vec<T>,
-    run: Range<usize>,
+/// What a [`Pool`] copies runs out of: an arena's pool, where a run
+/// ends at its page's end, or one flat slice.
+trait Runs<T> {
+    /// Whether a range starting at `off`, where the run that started at
+    /// `start` ends, can join that run.
+    fn joins(&self, start: u32, off: u32) -> bool;
+
+    fn run(&self, off: u32, len: u32) -> &[T];
 }
 
-impl<'a, T: Copy> Pool<'a, T> {
-    fn new(src: &'a [T], added: usize) -> Self {
+impl<T: Copy + Default, const SHIFT: u32> Runs<T> for Paged<T, SHIFT> {
+    fn joins(&self, start: u32, off: u32) -> bool {
+        start >> SHIFT == off >> SHIFT
+    }
+
+    fn run(&self, off: u32, len: u32) -> &[T] {
+        self.slice(off, len)
+    }
+}
+
+impl<T> Runs<T> for [T] {
+    fn joins(&self, _: u32, _: u32) -> bool {
+        true
+    }
+
+    fn run(&self, off: u32, len: u32) -> &[T] {
+        &self[off as usize..(off + len) as usize]
+    }
+}
+
+/// A compacting copy into fresh pages: ranges to keep are gathered into
+/// runs (a range that starts where the last one ended, and fits on the
+/// copy's page beside it, extends it) and copied a run at a time, with
+/// new data appended in between. Returned offsets are positions in the
+/// copy.
+struct Pool<'a, T, R: ?Sized, const SHIFT: u32> {
+    src: &'a R,
+    out: Paged<T, SHIFT>,
+    run: Range<u32>,
+    /// Where the run starts in `out`.
+    at: u32,
+}
+
+impl<'a, T: Copy + Default, R: Runs<T> + ?Sized, const SHIFT: u32> Pool<'a, T, R, SHIFT> {
+    fn new(src: &'a R) -> Self {
         Pool {
             src,
-            out: Vec::with_capacity(src.len() + added),
+            out: Paged::default(),
             run: 0..0,
+            at: 0,
         }
     }
 
     fn keep(&mut self, off: u32, len: u32) -> u32 {
-        if off as usize != self.run.end {
+        let run_len = (self.run.end - self.run.start) as usize;
+        let extends = run_len > 0
+            && off == self.run.end
+            && self.src.joins(self.run.start, off)
+            && Paged::<T, SHIFT>::in_page(self.at) + run_len + len as usize
+                <= Paged::<T, SHIFT>::CAP;
+        if !extends {
             self.flush();
-            self.run = off as usize..off as usize;
+            self.run = off..off;
+            self.at = self.out.next_offset(len as usize);
         }
-        let at = self.out.len() + self.run.len();
-        self.run.end += len as usize;
-        at as u32
+        let at = self.at + (off - self.run.start);
+        self.run.end += len;
+        at
     }
 
+    /// Appends `data`, which the source does not hold.
     fn add(&mut self, data: &[T]) -> u32 {
         self.flush();
-        self.out.extend_from_slice(data);
-        (self.out.len() - data.len()) as u32
+        self.out.push(data)
     }
 
     fn flush(&mut self) {
-        self.out.extend_from_slice(&self.src[self.run.clone()]);
+        let len = self.run.end - self.run.start;
+        if len > 0 {
+            let at = self.out.push(self.src.run(self.run.start, len));
+            debug_assert_eq!(at, self.at, "a run lands where its offsets said");
+        }
         self.run.start = self.run.end;
     }
 
-    fn finish(mut self) -> Vec<T> {
+    fn finish(mut self) -> Paged<T, SHIFT> {
         self.flush();
         self.out
     }
@@ -1353,7 +1708,8 @@ mod tests {
         // Two keys diverging at the first nibble but with identical
         // (≥ 32 byte) tails produce byte-identical leaf encodings at
         // different arena positions. The baseline's hash dedup collapses
-        // them in a multiproof; witness ids must do the same.
+        // them in a multiproof; the arena's dedup on the referenced hash
+        // must do the same.
         let mut trie = Trie::new();
         let tail = [0xabu8; 20];
         let mut key_a = vec![0x10];
@@ -1431,8 +1787,8 @@ mod tests {
         // The root's list header turned into a string header: none of
         // its child references can be read any more (the page checks
         // structure, not contents, so a rotten page can look like this).
-        let root = frozen.nodes[0];
-        frozen.buf[root.enc_off as usize] = 0x80;
+        let root = frozen.nodes.get(0);
+        *frozen.buf.get_mut(root.enc_off) = 0x80;
         let mut buf = ProofBuf::new();
         frozen.multiproof_into(&keys, &mut buf);
         assert_eq!(buf.len(), frozen.prove_many(&keys).len());
@@ -1554,6 +1910,78 @@ mod tests {
         }
         assert!(FrozenTrie::from_bytes(b"").is_none());
         assert!(FrozenTrie::from_bytes(b"nope").is_none());
+    }
+
+    #[test]
+    fn derive_shares_all_but_the_touched_pages() {
+        fn pages<T, const S: u32>(pool: &Paged<T, S>, parent: &Paged<T, S>) -> (usize, usize) {
+            let shared = (pool.pages.iter().zip(&parent.pages))
+                .filter(|(page, old)| Arc::ptr_eq(page, old))
+                .count();
+            (pool.pages.len(), shared)
+        }
+        let parent = FrozenTrie::new(sample_trie(10_000));
+        let keys = [11u32, 4_321, 9_876].map(|i| keccak256(&i.to_be_bytes()));
+        let child = parent
+            .derive(keys.iter().map(|key| (key.as_bytes(), b"rewritten")))
+            .expect("derives");
+        let counts = [
+            pages(&child.nodes, &parent.nodes),
+            pages(&child.children, &parent.children),
+            pages(&child.paths, &parent.paths),
+            pages(&child.buf, &parent.buf),
+        ];
+        let total: usize = counts.iter().map(|(all, _)| all).sum();
+        let unshared = total - counts.iter().map(|(_, shared)| shared).sum::<usize>();
+        let depth = keys
+            .iter()
+            .map(|key| parent.prove(key.as_bytes()).len())
+            .max()
+            .unwrap();
+        assert!(total > 300, "{total} pages");
+        assert!(
+            unshared <= 3 * depth + 4,
+            "{unshared} of {total} pages not shared for 3 keys at depth {depth}"
+        );
+        // The child stands on its own: the parent's pages it shares
+        // outlive the parent.
+        let proofs = keys.map(|key| child.prove(key.as_bytes()));
+        drop(parent);
+        for (key, proof) in keys.iter().zip(&proofs) {
+            assert_eq!(&child.prove(key.as_bytes()), proof);
+            let value = verify_proof(child.root_hash(), key.as_bytes(), proof).unwrap();
+            assert_eq!(value.as_deref(), Some(&b"rewritten"[..]));
+        }
+    }
+
+    #[test]
+    fn derive_on_an_undecodable_spine_is_none_not_a_panic() {
+        let mut trie = sample_trie(300);
+        let fresh = FrozenTrie::new(trie.clone());
+        let key = keccak256(&7u32.to_be_bytes());
+        trie.insert(key.as_bytes().to_vec(), b"after".to_vec());
+        let expected = trie.root_hash();
+        let page = fresh.to_bytes();
+        // Each spine node in turn, its list header flipped in the page:
+        // the page still parses (it checks structure, not contents), but
+        // the node no longer decodes.
+        let mut spine = Vec::new();
+        fresh.walk(key.as_bytes(), |node, _| spine.push(*node));
+        let encodings_at = page.len() - fresh.buf.len;
+        for node in spine {
+            let mut offset = encodings_at;
+            for earlier in fresh.nodes.iter().take_while(|n| *n != node) {
+                offset += earlier.enc_len as usize;
+            }
+            let mut bad = page.clone();
+            bad[offset] ^= 0x40;
+            let rotten = FrozenTrie::from_bytes(&bad).expect("structure is intact");
+            let derived = rotten.derive([(key.as_bytes(), b"after")]);
+            assert!(derived.is_none());
+            // What a caller falls back to: a fresh freeze.
+            let next = derived.unwrap_or_else(|| FrozenTrie::new(trie.clone()));
+            assert_eq!(next.root_hash(), expected);
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Property tests: the trie against a BTreeMap model, root determinism,
 //! proof soundness/completeness, the arena-frozen serving path pinned
 //! byte-identical to the retained baseline, `FrozenTrie::derive`
-//! pinned indistinguishable from a fresh freeze over long upsert chains,
-//! and the node hashes `multiproof_into` records — read from parent
-//! references, never computed — equal to `keccak256` of the node bytes on
-//! fresh, derived and rehydrated arenas alike.
+//! pinned indistinguishable from a fresh freeze over long upsert chains
+//! (its superseded bytes held to their bound), and the node hashes
+//! `multiproof_into` records — read from parent references, never
+//! computed — equal to `keccak256` of the node bytes on fresh, derived
+//! and rehydrated arenas alike.
 
 use parp_trie::{baseline, verify_many, verify_proof, FrozenTrie, ProofBuf, Trie};
 use proptest::prelude::*;
@@ -24,7 +25,7 @@ fn arb_pairs() -> impl Strategy<Value = Vec<(Vec<u8>, Vec<u8>)>> {
 
 /// Key sets drawn from a two-byte alphabet behind a shared prefix:
 /// long extension chains, dense branch fan-in, and byte-identical
-/// repeated subtrees — the shapes that stress witness-id dedup.
+/// repeated subtrees — the shapes that stress multiproof hash dedup.
 fn arb_shared_prefix_pairs() -> impl Strategy<Value = Vec<(Vec<u8>, Vec<u8>)>> {
     (
         proptest::collection::vec(any::<u8>(), 0..5),
@@ -353,16 +354,28 @@ impl Shape {
     }
 }
 
-/// Shape constraint (1) of the derive contract, plus "no garbage": the
-/// derived arena answers exactly like a fresh freeze of `model` and is
-/// exactly its size.
+/// The superseded bytes a derived arena carries stay within their fixed
+/// fraction of its live bytes.
+fn assert_superseded_bounded(derived: &FrozenTrie) {
+    let superseded = derived.superseded_bytes();
+    assert!(
+        superseded * FrozenTrie::LIVE_PER_SUPERSEDED <= derived.mem_bytes() - superseded,
+        "{superseded} superseded bytes in a {} byte arena",
+        derived.mem_bytes()
+    );
+}
+
+/// The derive contract: the derived arena answers exactly like a fresh
+/// freeze of `model`, carries superseded bytes only within their bound,
+/// and leaves none in its page: rehydrated, it is exactly the fresh
+/// freeze's size.
 fn assert_derived_is_fresh(derived: &FrozenTrie, model: &Trie, probes: &[Vec<u8>]) {
     let fresh = FrozenTrie::new(model.clone());
     assert_eq!(derived.root_hash(), fresh.root_hash());
     assert_eq!(derived.len(), fresh.len());
     assert_eq!(derived.is_empty(), fresh.is_empty());
     assert_eq!(derived.node_count(), fresh.node_count());
-    assert_eq!(derived.mem_bytes(), fresh.mem_bytes());
+    assert_superseded_bounded(derived);
     for key in probes {
         assert_eq!(derived.prove(key), fresh.prove(key));
     }
@@ -376,6 +389,8 @@ fn assert_derived_is_fresh(derived: &FrozenTrie, model: &Trie, probes: &[Vec<u8>
         assert_eq!(buf.to_vecs(), expected);
     }
     let paged = FrozenTrie::from_bytes(&derived.to_bytes()).expect("derived page parses");
+    assert_eq!(paged.mem_bytes(), fresh.mem_bytes());
+    assert_eq!(paged.superseded_bytes(), 0);
     assert_eq!(paged.root_hash(), fresh.root_hash());
     assert_eq!(paged.prove_many(probes), fresh.prove_many(probes));
     assert_recorded_hashes(&paged, probes);
@@ -415,7 +430,9 @@ fn derive_chain(shape: Shape, size: usize, batches: usize, seed: u64) {
             };
             batch.push((key, value));
         }
-        arena = arena.derive(batch.iter().map(|(k, v)| (k, v)));
+        arena = arena
+            .derive(batch.iter().map(|(k, v)| (k, v)))
+            .expect("derives");
         for (key, value) in &batch {
             if model.insert(key.clone(), value.clone()).is_none() {
                 known.push(key.clone());
@@ -458,9 +475,9 @@ fn derive_matches_fresh_freeze_over_long_chains_of_short_keys() {
 #[test]
 fn derived_arenas_carry_no_garbage_after_a_thousand_derivations() {
     // Every key of a small key space is overwritten, split and
-    // re-joined many times over; the arena must stay the size of a
-    // fresh freeze (checked exactly at every step by
-    // `assert_derived_is_fresh`, here only at the end of a long chain).
+    // re-joined many times over; the superseded bytes must stay within
+    // their bound after every derivation, and the arena's page must be
+    // the size of a fresh freeze's at the end of the chain.
     let shape = Shape::Short;
     let mut rng = StdRng::seed_from_u64(0xC0FFEE);
     let mut model = Trie::new();
@@ -469,7 +486,10 @@ fn derived_arenas_carry_no_garbage_after_a_thousand_derivations() {
         let batch: Vec<(Vec<u8>, Vec<u8>)> = (0..1 + rng.gen_range(0..4usize))
             .map(|_| (shape.key(&mut rng), shape.value(&mut rng)))
             .collect();
-        arena = arena.derive(batch.iter().map(|(k, v)| (k, v)));
+        arena = arena
+            .derive(batch.iter().map(|(k, v)| (k, v)))
+            .expect("derives");
+        assert_superseded_bounded(&arena);
         for (key, value) in batch {
             model.insert(key, value);
         }
@@ -492,7 +512,9 @@ fn derive_and_check(
     upserts: &[(Vec<u8>, Vec<u8>)],
     probes: &[Vec<u8>],
 ) -> FrozenTrie {
-    let derived = arena.derive(upserts.iter().map(|(k, v)| (k, v)));
+    let derived = arena
+        .derive(upserts.iter().map(|(k, v)| (k, v)))
+        .expect("derives");
     for (key, value) in upserts {
         model.insert(key.clone(), value.clone());
     }
@@ -596,7 +618,9 @@ fn derive_handles_every_root_and_split_shape() {
         arena = derive_and_check(&arena, &mut model, &upserts, &probes);
     }
     // No upserts: the same arena.
-    let same = arena.derive(std::iter::empty::<(&[u8], &[u8])>());
+    let same = arena
+        .derive(std::iter::empty::<(&[u8], &[u8])>())
+        .expect("nothing to decode");
     assert_eq!(same.to_bytes(), arena.to_bytes());
 }
 

@@ -18,8 +18,12 @@ use parp_suite::runtime::{Runtime, RuntimeConfig};
 
 const CHAOS_DIGEST: &str = "eb0c6e37b646409176b0e1a44dcbf2034fccc63bdec3e097c61cc69ba6d173cc";
 const MARKETPLACE_DIGEST: &str = "d6ddb01462e52680d92d061efbd91bb627eb65046674d77b4eacf50206dae09a";
+/// Re-recorded once when arena pages dropped their witness ids: a spilled
+/// node record went from 25 bytes to 9 and a resident one from 28 to 24,
+/// so `spill_disk_bytes` (2,647 → 2,407) and `resident_trie_bytes`
+/// (790 → 778) moved; warm hits, misses, spills and rehydrates did not.
 const DEEP_HISTORY_REPORT_DIGEST: &str =
-    "0eee3bb5773b16872fb9e82eb27f5b50a586ac6ff849f40f87936aaa6da01d71";
+    "02199565962aa2b653848ace7530bc2676d85e74316e4545027d5a283e4038b9";
 /// Re-recorded once when the batch `h_res` began binding proof nodes by
 /// hash: every response's `σ_res` moved with it, and nothing else did —
 /// [`DEEP_HISTORY_UNSIGNED_WIRE_DIGEST`], the same bytes with each
