@@ -5,15 +5,16 @@
 //! Five sections:
 //!
 //! 1. **Correctness pin** — transaction and receipt proofs served by
-//!    the [`ColdProofEngine`] against a pruned chain must be
-//!    byte-identical to a plain [`Runtime`] against the fully resident
-//!    twin (hard assert).
+//!    a [`Runtime`] with cold storage enabled against a pruned chain
+//!    must be byte-identical to a plain [`Runtime`] against the fully
+//!    resident twin (hard assert).
 //! 2. **Cold first touch** — segment read + RLP decode + ordered-trie
 //!    rebuild + freeze, on a fresh engine per round.
 //! 3. **Rehydrate** — the same lookups against a tightly budgeted tier
 //!    whose pages were spilled to disk: spill read + `from_bytes`.
-//! 4. **Warm / in-memory** — warm-tier hits and the resident runtime's
-//!    inclusion-cache hits, the steady-state serve cost.
+//! 4. **Warm / in-memory** — warm-tier hits and a plain runtime's
+//!    inclusion-cache hits on the resident twin, the steady-state serve
+//!    cost.
 //! 5. **Store leaf calls at the ledger's page size** — the checksum
 //!    per byte, one record read and one spilled-page read, on the
 //!    record and the ~12 KB page of a 64-transfer block (what the
@@ -23,7 +24,7 @@
 //!
 //! Every proof in sections 1–4 is cut the way the serving loop cuts
 //! it: the block's header is resolved through the chain (a segment
-//! read and a decode for a pruned block), then handed to the engine.
+//! read and a decode for a pruned block), then handed to the runtime.
 //!
 //! Emits `BENCH_store.json` at the workspace root (a CI artifact
 //! alongside `BENCH_trie.json` and friends) with the latency ladder
@@ -35,7 +36,7 @@ use parp_chain::{Blockchain, Transaction, TransferExecutor, MIN_HISTORY_WINDOW};
 use parp_core::ProofEngine;
 use parp_crypto::SecretKey;
 use parp_primitives::{Address, U256};
-use parp_runtime::{ColdProofEngine, Runtime, RuntimeConfig};
+use parp_runtime::{Runtime, TrieCache};
 use parp_store::{crc32, encode_items, scratch_dir, BlockStore, SegmentFile, SpillStore};
 use parp_trie::{ordered_trie, FrozenTrie, ProofBuf};
 use std::hint::black_box;
@@ -94,17 +95,25 @@ fn fixture() -> Fixture {
     }
 }
 
-/// A cold engine over a fresh, empty spill directory.
-fn fresh_engine(budget: usize, dirs: &mut Vec<PathBuf>) -> ColdProofEngine {
+/// A runtime whose inclusion cache keeps `budget` bytes resident and
+/// spills to a fresh, empty directory.
+fn fresh_engine(budget: usize, dirs: &mut Vec<PathBuf>) -> Runtime {
     let dir = scratch_dir("bench-spill").expect("scratch dir");
     let spill = SpillStore::open(&dir).expect("open spill store");
     dirs.push(dir);
-    ColdProofEngine::new(budget, spill)
+    let mut runtime = Runtime::default();
+    runtime.enable_cold_storage(spill, budget);
+    runtime
+}
+
+/// The spilling inclusion cache of a [`fresh_engine`] runtime.
+fn tier(runtime: &Runtime) -> &TrieCache {
+    runtime.cold_storage().expect("cold storage enabled").tier()
 }
 
 /// One old-block transaction proof, cut as the serving loop cuts it:
-/// resolve the block's header, hand it to the engine.
-fn prove(engine: &mut impl ProofEngine, chain: &Blockchain, block: u64) -> ProofBuf {
+/// resolve the block's header, hand it to the runtime.
+fn prove(engine: &mut Runtime, chain: &Blockchain, block: u64) -> ProofBuf {
     let header = chain.header_at(block).expect("probed block has a header");
     engine.transaction_proof(chain, &header, 0)
 }
@@ -138,8 +147,8 @@ fn assert_byte_identical(fx: &mut Fixture) {
             );
         }
     }
-    assert!(engine.tier().spill_count() > 0, "budget of 1 must spill");
-    assert!(engine.tier().rehydrate_count() > 0, "revisits rehydrate");
+    assert!(tier(&engine).spill_count() > 0, "budget of 1 must spill");
+    assert!(tier(&engine).rehydrate_count() > 0, "revisits rehydrate");
 }
 
 /// Transfers in the block whose record and page section 5 reads: the
@@ -271,7 +280,7 @@ fn measure(fx: &mut Fixture) -> Numbers {
 
     // Cold first touch: a fresh engine (and fresh, empty spill) per
     // round, so every proof pays segment read + rebuild + freeze.
-    let mut engines: Vec<ColdProofEngine> = (0..ROUNDS)
+    let mut engines: Vec<Runtime> = (0..ROUNDS)
         .map(|_| fresh_engine(usize::MAX, &mut fx.dirs))
         .collect();
     let started = Instant::now();
@@ -285,7 +294,7 @@ fn measure(fx: &mut Fixture) -> Numbers {
     // The unbounded engine now holds every probed page resident: its
     // measured footprint is what "keep deep history in RAM" costs.
     let warm_engine = &mut engines[0];
-    let resident_full_bytes = warm_engine.tier().resident_bytes();
+    let resident_full_bytes = tier(warm_engine).resident_bytes();
 
     // Warm hits against that engine: the steady-state tier serve.
     let started = Instant::now();
@@ -305,7 +314,7 @@ fn measure(fx: &mut Fixture) -> Numbers {
     for &block in &fx.probe {
         black_box(prove(&mut budgeted, &fx.cold, block));
     }
-    let rehydrates_before = budgeted.tier().rehydrate_count();
+    let rehydrates_before = tier(&budgeted).rehydrate_count();
     let started = Instant::now();
     for _ in 0..ROUNDS {
         for &block in &fx.probe {
@@ -314,21 +323,20 @@ fn measure(fx: &mut Fixture) -> Numbers {
     }
     let rehydrate_us = per_proof(started.elapsed().as_nanos(), ROUNDS);
     assert!(
-        budgeted.tier().rehydrate_count() > rehydrates_before,
+        tier(&budgeted).rehydrate_count() > rehydrates_before,
         "the budgeted passes must actually rehydrate"
     );
-    let budget_resident_bytes = budgeted.tier().resident_bytes();
-    let spill_disk_bytes = budgeted.tier().disk_bytes();
+    let budget_resident_bytes = tier(&budgeted).resident_bytes();
+    let spill_disk_bytes = tier(&budgeted).disk_bytes();
 
-    // The in-memory baseline: a resident chain behind the runtime's
-    // inclusion cache, sized so every probe is a cache hit.
-    let mut runtime = Runtime::new(RuntimeConfig {
-        inclusion_cache_capacity: fx.probe.len() + 8,
-        ..RuntimeConfig::default()
-    });
+    // The in-memory baseline: a resident chain behind a plain runtime's
+    // inclusion cache, whose default budget holds every probed page, so
+    // every timed probe is a cache hit.
+    let mut runtime = Runtime::default();
     for &block in &fx.probe {
         black_box(prove(&mut runtime, &fx.resident, block));
     }
+    let misses_before = runtime.inclusion_cache().misses();
     let started = Instant::now();
     for _ in 0..ROUNDS {
         for &block in &fx.probe {
@@ -336,6 +344,11 @@ fn measure(fx: &mut Fixture) -> Numbers {
         }
     }
     let inmem_us = per_proof(started.elapsed().as_nanos(), ROUNDS);
+    assert_eq!(
+        runtime.inclusion_cache().misses(),
+        misses_before,
+        "the in-memory baseline must serve every probe from its cache"
+    );
 
     Numbers {
         cold_first_us,

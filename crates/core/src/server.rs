@@ -44,10 +44,11 @@ pub trait ProofEngine {
     /// when the block holds no such transaction or its body cannot be
     /// read — with each node's hash, which a batch's `σ_res` signs. The
     /// serving loop resolves the header (once per exchange) and hands
-    /// it in, so an engine keyed by trie root never looks it up again;
-    /// a runtime overrides this to reuse a cached per-block transaction
-    /// trie instead of rebuilding it per lookup, and to read the node
-    /// hashes off its walk instead of hashing the nodes.
+    /// it in, so an engine keyed by trie root never looks it up again.
+    /// This default rebuilds the block's transaction trie per lookup and
+    /// hashes the proof nodes; `parp-runtime`'s `Runtime` overrides it
+    /// to prove off its inclusion engine's cached page, reading the node
+    /// hashes off the walk.
     fn transaction_proof(&mut self, chain: &Blockchain, header: &Header, index: usize) -> ProofBuf {
         chain
             .transaction_proof(header.number, index)
@@ -60,8 +61,9 @@ pub trait ProofEngine {
     /// inclusion proof with each node's hash, equivalent to
     /// [`Blockchain::receipt_with_proof`]: the pair comes from one
     /// trie, so the receipt served is the one the proof binds. `None`
-    /// when there is no such receipt to serve. A runtime overrides
-    /// this to reuse a cached per-block receipt trie.
+    /// when there is no such receipt to serve. This default rebuilds the
+    /// receipt trie per lookup; `parp-runtime`'s `Runtime` overrides it
+    /// to read both off its inclusion engine's cached page.
     fn receipt_proof(
         &mut self,
         chain: &Blockchain,

@@ -167,7 +167,6 @@ pub fn run_contention(config: &ContentionConfig) -> ContentionReport {
     net.set_runtime(Runtime::new(RuntimeConfig {
         burst_capacity: config.admission_burst,
         rate_per_sec: config.admission_rate_per_sec,
-        ..RuntimeConfig::default()
     }));
     net.attach_telemetry(&telemetry);
     let node = net.spawn_node(b"contended-node", price);

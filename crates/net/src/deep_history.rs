@@ -293,7 +293,22 @@ mod tests {
         assert!(report.warm_misses > 0);
         assert!(report.spills > 0, "budget pressure forced spills");
         assert!(report.rehydrates > 0, "revisited pages came back from disk");
-        // Telemetry adopted the live tier counters.
+        // Telemetry adopted the live tier counters, each under one name.
+        let counter = |name| report.metrics.counter(name, &[]);
+        assert_eq!(
+            counter("parp_runtime_inclusion_cache_hits_total"),
+            Some(report.warm_hits)
+        );
+        assert_eq!(
+            counter("parp_runtime_inclusion_cache_misses_total"),
+            Some(report.warm_misses)
+        );
+        assert_eq!(counter("parp_runtime_warm_tier_hits_total"), None);
+        assert_eq!(counter("parp_runtime_warm_tier_misses_total"), None);
+        assert_eq!(
+            counter("parp_runtime_warm_tier_rehydrates_total"),
+            Some(report.rehydrates)
+        );
         assert_eq!(
             report
                 .metrics

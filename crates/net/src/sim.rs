@@ -30,7 +30,7 @@ use parp_contracts::{
 };
 use parp_core::{
     Classification, Exchange, FullNode, LightClient, ProcessBatchOutcome, ProcessOutcome,
-    ServeError,
+    SequentialEngine, ServeError,
 };
 use parp_crypto::SecretKey;
 use parp_primitives::{Address, U256};
@@ -1163,9 +1163,11 @@ impl Network {
                 })
                 .collect();
         }
-        // One &mut moment resolves the shared frozen head trie; the
-        // legs then serve over disjoint &mut nodes + one &chain.
-        let engine = self.runtime.read_engine(&self.chain);
+        // The fan-out touches the head slot once, as one exchange
+        // would; each leg then proves through `SequentialEngine` off the
+        // trie the head state memoises (the `Arc` the slot holds), over
+        // disjoint &mut nodes + one &chain.
+        self.runtime.note_new_head(&self.chain);
         let clock = self.time.clone();
         let Network {
             nodes,
@@ -1175,25 +1177,24 @@ impl Network {
         } = &mut *self;
         let (chain, executor) = (&*chain, &*executor);
         let mut node_slots: HashMap<usize, &mut FullNode> = nodes.iter_mut().enumerate().collect();
-        // Each leg owns its node and its engine handle; the mutex
-        // only carries that `&mut` across `par_map`'s shared slice
-        // (never contended: one leg, one worker).
+        // Each leg owns its node; the mutex only carries that `&mut`
+        // across `par_map`'s shared slice (never contended: one leg,
+        // one worker).
         let jobs: Vec<_> = opened
             .iter()
             .enumerate()
             .filter_map(|(index, opened)| {
                 let leg = opened.as_ref().ok().filter(|leg| leg.reaches_node())?;
                 let node = node_slots.remove(&leg.node_id.0)?;
-                Some((index, &leg.request, Mutex::new((node, engine.clone()))))
+                Some((index, &leg.request, Mutex::new(node)))
             })
             .collect();
         // One worker per core at most, the calling thread among
         // them: a spawn costs about what a leg does.
         let worker_results = parp_crypto::par_map(&jobs, |(index, request, slot)| {
-            let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
-            let (node, engine) = &mut *slot;
+            let mut node = slot.lock().unwrap_or_else(PoisonError::into_inner);
             let started = clock.start();
-            let outcome = node.handle_read_request(request, chain, executor, engine);
+            let outcome = node.handle_read_request(request, chain, executor, &mut SequentialEngine);
             (*index, outcome, clock.elapsed_us(started))
         });
         let mut served: Vec<Served<RpcCall>> = opened.iter().map(|_| Ok(None)).collect();

@@ -2,48 +2,38 @@
 //! admission controller behind one [`parp_core::ProofEngine`].
 
 use crate::admission::{AdmissionController, AdmissionError, AdmissionStats};
-use crate::cache::SnapshotCache;
-use crate::tiered::{item_proof, item_with_proof, ordered_page, ColdProofEngine};
+use crate::tiered::{ColdProofEngine, TrieCache};
 use parp_chain::{Blockchain, Header, State};
 use parp_contracts::{
     ParpBatchRequest, ParpBatchResponse, ParpExecutor, ParpRequest, ParpResponse,
 };
 use parp_core::{FullNode, ProofEngine, ServeError};
 use parp_crypto::keccak256;
-use parp_primitives::{Address, H256};
+use parp_primitives::Address;
 use parp_telemetry::{Histogram, Telemetry, TimeSource};
-use parp_trie::{FrozenTrie, ProofBuf};
+use parp_trie::ProofBuf;
 use std::sync::Arc;
 
-/// Tuning knobs for a [`Runtime`].
+/// Measured bytes of per-block transaction and receipt tries a runtime
+/// keeps resident until [`Runtime::enable_cold_storage`] sets its own
+/// budget: some eighty pages of a one-transfer block, five of a
+/// 64-transfer one.
+const INCLUSION_BUDGET_BYTES: usize = 64 * 1024;
+
+/// Admission tuning for a [`Runtime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
-    /// Built per-block transaction and receipt tries kept for serving
-    /// batched inclusion lookups (each block contributes up to two
-    /// tries, so this covers roughly half as many hot blocks). At least
-    /// one is kept: [`Runtime::new`] reads zero as one.
-    pub inclusion_cache_capacity: usize,
     /// Per-client admission burst (calls).
     pub burst_capacity: u64,
     /// Per-client steady-state admission rate (calls per second).
     pub rate_per_sec: u64,
-    /// Warm-tier byte budget for historical inclusion tries. Zero (the
-    /// default) keeps the fixed-slot inclusion cache; a non-zero budget
-    /// routes inclusion proofs through a [`ColdProofEngine`] whose
-    /// resident pages are bounded by *measured* bytes
-    /// ([`parp_trie::FrozenTrie::mem_bytes`]), spilling overflow to an
-    /// on-disk [`parp_store::SpillStore`] in a scratch directory (use
-    /// [`Runtime::enable_cold_storage`] to pick the directory instead).
-    pub storage_budget_bytes: u64,
 }
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
-            inclusion_cache_capacity: 16,
             burst_capacity: 256,
             rate_per_sec: 512,
-            storage_budget_bytes: 0,
         }
     }
 }
@@ -81,18 +71,22 @@ impl From<ServeError> for RuntimeError {
 
 /// The concurrent serving engine behind a PARP full node.
 ///
-/// Combines the runtime concerns:
+/// Combines the runtime concerns, each trie held in a [`TrieCache`]:
 ///
-/// * a one-slot [`SnapshotCache`] holding the **head** state trie — the
-///   `Arc` the chain's [`State`] memoises, not a second build — so every
-///   state proof is one [`FrozenTrie::multiproof_into`] /
-///   [`FrozenTrie::prove`] walk over it, and the slot's hit / miss
-///   counters say how often the head moved under the traffic. PARP
-///   proves accounts at the head only, so no older state trie is kept;
-/// * a second cache of per-block **transaction and receipt tries**
-///   (content-addressed by their roots, exactly like state tries), so
-///   batched historical inclusion lookups against a hot block reuse one
-///   frozen trie instead of rebuilding it per proof;
+/// * a zero-budget cache — one slot — holding the **head** state trie:
+///   the `Arc` the chain's [`State`] memoises, not a second build, so
+///   every state proof is one
+///   [`FrozenTrie::multiproof_into`](parp_trie::FrozenTrie::multiproof_into)
+///   / [`FrozenTrie::prove`](parp_trie::FrozenTrie::prove) walk over
+///   it, and the slot's hit / miss counters say how often the head
+///   moved under the traffic. PARP proves accounts at the head only,
+///   so no older state trie is kept;
+/// * a byte-budgeted cache of per-block **transaction and receipt
+///   tries** (content-addressed by their roots, exactly like state
+///   tries), so batched inclusion lookups against a hot block reuse one
+///   frozen trie instead of rebuilding it per proof, and — once
+///   [`Runtime::enable_cold_storage`] gives it a spill store — evicted
+///   pages of deep history come back off disk;
 /// * an [`AdmissionController`] so one aggressive client cannot starve
 ///   the others ([`Runtime::admit`] + [`crate::FairQueue`]).
 ///
@@ -101,12 +95,13 @@ impl From<ServeError> for RuntimeError {
 /// [`Runtime::serve_batch`] are the ready-made entry points.
 #[derive(Debug, Clone)]
 pub struct Runtime {
-    /// One slot: the head state trie, the `Arc` the chain's `State` holds.
-    cache: SnapshotCache,
+    /// Budget 0, so one slot: the head state trie, the `Arc` the
+    /// chain's `State` holds.
+    cache: TrieCache,
     /// Frozen transaction/receipt tries keyed by their trie roots.
     /// Content addressing makes entries reusable across forks and
     /// immune to invalidation: a block's transaction set never changes.
-    inclusion_cache: SnapshotCache,
+    inclusion: ColdProofEngine,
     admission: AdmissionController,
     /// Serve-path histograms, present once a telemetry registry is
     /// attached. `None` keeps the uninstrumented path at one branch.
@@ -116,9 +111,6 @@ pub struct Runtime {
     /// deterministic simulator injects a [`TimeSource::fixed`] handle
     /// so metric readings reproduce across hosts (lint W002).
     clock: TimeSource,
-    /// Byte-budgeted cold-storage inclusion path; `None` keeps the
-    /// fixed-slot `inclusion_cache` (see `RuntimeConfig::storage_budget_bytes`).
-    cold: Option<ColdProofEngine>,
 }
 
 /// The runtime's registered histograms (fixed-memory, lock-free).
@@ -145,7 +137,12 @@ impl ProofEngine for Runtime {
     ) {
         let trie = self.cache.get_or_build(state);
         let start = self.metrics.is_some().then(|| self.clock.start());
-        account_multiproof_into(&trie, addresses, out);
+        trie.multiproof_into(
+            addresses
+                .iter()
+                .map(|address| keccak256(address.as_bytes())),
+            out,
+        );
         if let (Some(m), Some(t)) = (&self.metrics, start) {
             m.multiproof_us.record(self.clock.elapsed_us(t));
         }
@@ -157,11 +154,7 @@ impl ProofEngine for Runtime {
     }
 
     fn transaction_proof(&mut self, chain: &Blockchain, header: &Header, index: usize) -> ProofBuf {
-        self.inclusion_page(header.transactions_root, || {
-            chain.transactions_encoded(header.number)
-        })
-        .map(|page| item_proof(&page, index))
-        .unwrap_or_default()
+        self.inclusion.transaction_proof(chain, header, index)
     }
 
     fn receipt_proof(
@@ -170,79 +163,39 @@ impl ProofEngine for Runtime {
         header: &Header,
         index: usize,
     ) -> Option<(Vec<u8>, ProofBuf)> {
-        // The ordered trie over the encoded receipts is exactly
-        // `parp_chain::receipts_trie`, so the proof bytes match the
-        // in-memory path whether the body came from RAM or a segment.
-        let page = self.inclusion_page(header.receipts_root, || {
-            chain.receipts_encoded(header.number)
-        })?;
-        item_with_proof(&page, index)
+        self.inclusion.receipt_proof(chain, header, index)
     }
 }
 
 impl Runtime {
-    /// A runtime with the given tuning.
-    ///
-    /// A non-zero `storage_budget_bytes` opens a spill store in a fresh
-    /// scratch directory; an environment without a writable temp dir
-    /// falls back to the in-memory inclusion cache (serving still
-    /// works, just unbudgeted). Call [`Runtime::enable_cold_storage`]
-    /// to place the spill file somewhere durable instead. An
-    /// `inclusion_cache_capacity` of zero is read as one.
+    /// A runtime with the given admission tuning. Its inclusion tries
+    /// stay in memory under a fixed byte budget (64 KiB) until
+    /// [`Runtime::enable_cold_storage`] says otherwise.
     pub fn new(config: RuntimeConfig) -> Self {
-        let cold = (config.storage_budget_bytes > 0)
-            .then(|| {
-                let dir = parp_store::scratch_dir("runtime-spill").ok()?;
-                let spill = parp_store::SpillStore::open(&dir).ok()?;
-                Some(ColdProofEngine::new(
-                    config.storage_budget_bytes as usize,
-                    spill,
-                ))
-            })
-            .flatten();
         Runtime {
-            cache: SnapshotCache::new(1),
-            inclusion_cache: SnapshotCache::new(config.inclusion_cache_capacity.max(1)),
+            cache: TrieCache::new(0, None),
+            inclusion: ColdProofEngine::new(INCLUSION_BUDGET_BYTES, None),
             admission: AdmissionController::new(config.burst_capacity, config.rate_per_sec),
             metrics: None,
             clock: TimeSource::default(),
-            cold,
         }
     }
 
-    /// Routes historical inclusion proofs through a byte-budgeted
-    /// [`ColdProofEngine`] spilling to `spill`. Call before
-    /// [`Runtime::attach_telemetry`] so the tier's counters are
-    /// adopted.
+    /// Keeps at most `budget_bytes` of inclusion tries resident and
+    /// spills the rest to `spill`, rehydrating them on demand. Starts
+    /// from an empty cache; call before [`Runtime::attach_telemetry`]
+    /// so the new cache's counters are adopted.
     pub fn enable_cold_storage(&mut self, spill: parp_store::SpillStore, budget_bytes: usize) {
-        self.cold = Some(ColdProofEngine::new(budget_bytes, spill));
+        self.inclusion = ColdProofEngine::new(budget_bytes, Some(spill));
     }
 
-    /// The ordered-trie page under `root` — out of the byte-budgeted
-    /// cold tier when one is enabled, else the fixed-slot inclusion
-    /// cache — built on a miss from the encoded items `body` reads off
-    /// the chain.
-    fn inclusion_page(
-        &mut self,
-        root: H256,
-        body: impl FnOnce() -> Option<Vec<Vec<u8>>>,
-    ) -> Option<Arc<FrozenTrie>> {
-        if let Some(cold) = &mut self.cold {
-            return cold.page(root, body);
-        }
-        if let Some(page) = self.inclusion_cache.get(&root) {
-            return Some(page);
-        }
-        let page = Arc::new(ordered_page(&body()?));
-        self.inclusion_cache.miss_counter().inc();
-        self.inclusion_cache.insert(root, page.clone());
-        Some(page)
-    }
-
-    /// The cold-storage inclusion engine, when one is enabled (tier
-    /// counters, resident/disk footprint).
+    /// The inclusion engine, when [`Runtime::enable_cold_storage`] gave
+    /// it a spill store (tier counters, resident/disk footprint).
     pub fn cold_storage(&self) -> Option<&ColdProofEngine> {
-        self.cold.as_ref()
+        self.inclusion
+            .tier()
+            .spills_to_disk()
+            .then_some(&self.inclusion)
     }
 
     /// Replaces the clock serve-path durations are measured with. The
@@ -264,6 +217,8 @@ impl Runtime {
     /// The caches' and admission controller's live counters are
     /// *adopted* (the registry exports the same atomic cells the hot
     /// path already increments), so attaching late loses no counts.
+    /// The spill and rehydrate counters and the resident-bytes gauge
+    /// are registered only when the inclusion cache spills to disk.
     /// Metric names follow the `parp_<subsystem>_<name>_<unit>`
     /// convention.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
@@ -278,15 +233,16 @@ impl Runtime {
             &[],
             &self.cache.miss_counter(),
         );
+        let tier = self.inclusion.tier();
         r.adopt_counter(
             "parp_runtime_inclusion_cache_hits_total",
             &[],
-            &self.inclusion_cache.hit_counter(),
+            &tier.hit_counter(),
         );
         r.adopt_counter(
             "parp_runtime_inclusion_cache_misses_total",
             &[],
-            &self.inclusion_cache.miss_counter(),
+            &tier.miss_counter(),
         );
         r.adopt_counter(
             "parp_runtime_admitted_calls_total",
@@ -298,18 +254,7 @@ impl Runtime {
             &[],
             &self.admission.throttled_counter(),
         );
-        if let Some(cold) = &self.cold {
-            let tier = cold.tier();
-            r.adopt_counter(
-                "parp_runtime_warm_tier_hits_total",
-                &[],
-                &tier.hit_counter(),
-            );
-            r.adopt_counter(
-                "parp_runtime_warm_tier_misses_total",
-                &[],
-                &tier.miss_counter(),
-            );
+        if tier.spills_to_disk() {
             r.adopt_counter(
                 "parp_runtime_warm_tier_spills_total",
                 &[],
@@ -342,24 +287,25 @@ impl Runtime {
     }
 
     /// The one-slot head-trie cache (hit/miss counters, contents).
-    pub fn cache(&self) -> &SnapshotCache {
+    pub fn cache(&self) -> &TrieCache {
         &self.cache
     }
 
     /// The per-block transaction/receipt trie cache (hit/miss counters,
     /// contents), keyed by transaction- or receipt-trie root.
-    pub fn inclusion_cache(&self) -> &SnapshotCache {
-        &self.inclusion_cache
+    pub fn inclusion_cache(&self) -> &TrieCache {
+        self.inclusion.tier()
     }
 
     /// Bytes this runtime keeps alive: both caches
-    /// ([`SnapshotCache::mem_bytes`]) and the warm tier's resident pages
-    /// (not the admission controller's few dozen bytes per client).
+    /// ([`TrieCache::mem_bytes`]), not the admission controller's few
+    /// dozen bytes per client.
     pub fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() - 2 * std::mem::size_of::<SnapshotCache>()
+        std::mem::size_of::<Self>()
+            - std::mem::size_of::<TrieCache>()
+            - std::mem::size_of::<ColdProofEngine>()
             + self.cache.mem_bytes()
-            + self.inclusion_cache.mem_bytes()
-            + self.cold.as_ref().map_or(0, |c| c.tier().resident_bytes())
+            + self.inclusion_cache().mem_bytes()
     }
 
     /// Admission check for `calls` calls from `client` at `now_us`.
@@ -381,7 +327,7 @@ impl Runtime {
         self.admission.stats(client)
     }
 
-    /// Serves one single-call exchange through the snapshot cache.
+    /// Serves one single-call exchange through the runtime's caches.
     ///
     /// # Errors
     ///
@@ -401,7 +347,7 @@ impl Runtime {
         response
     }
 
-    /// Serves one batched exchange through the snapshot cache.
+    /// Serves one batched exchange through the runtime's caches.
     ///
     /// # Errors
     ///
@@ -422,19 +368,6 @@ impl Runtime {
         response
     }
 
-    /// A self-contained **read-only** proof engine over the cached head
-    /// snapshot: the hook a fan-out uses to serve several read legs
-    /// concurrently. The one `&mut` moment (resolving the `Arc`-shared
-    /// frozen trie out of the cache) happens here; the returned engine
-    /// is then independent of the runtime, so each worker thread owns
-    /// one while the runtime stays untouched. Proofs are byte-identical
-    /// to the cached sequential path — same frozen trie, same walk.
-    pub fn read_engine(&mut self, chain: &Blockchain) -> FrozenReadEngine {
-        FrozenReadEngine {
-            trie: self.cache.get_or_build(chain.state()),
-        }
-    }
-
     /// Invalidation hook for `Blockchain::mine` (and reorgs): takes the
     /// new head's trie into the one slot — which lets go of whatever
     /// was there — so the next exchange is a hit.
@@ -443,47 +376,11 @@ impl Runtime {
     }
 }
 
-/// The deduplicated multiproof for `addresses` (keys `keccak256(address)`)
-/// cut from `trie` into `out`.
-fn account_multiproof_into(trie: &FrozenTrie, addresses: &[Address], out: &mut ProofBuf) {
-    trie.multiproof_into(
-        addresses
-            .iter()
-            .map(|address| keccak256(address.as_bytes())),
-        out,
-    );
-}
-
-/// A detached read-only [`ProofEngine`] over one `Arc`-shared frozen
-/// snapshot trie (see [`Runtime::read_engine`]). State proofs walk the
-/// shared trie; inclusion proofs fall back to the default per-lookup
-/// rebuild (correct, uncached — concurrent read legs are single-call
-/// exchanges, which rarely touch historical tries).
-#[derive(Debug, Clone)]
-pub struct FrozenReadEngine {
-    trie: Arc<FrozenTrie>,
-}
-
-impl ProofEngine for FrozenReadEngine {
-    fn account_multiproof_into(
-        &mut self,
-        _state: &State,
-        addresses: &[Address],
-        out: &mut ProofBuf,
-    ) {
-        account_multiproof_into(&self.trie, addresses, out);
-    }
-
-    fn account_proof(&mut self, _state: &State, address: &Address) -> Vec<Vec<u8>> {
-        self.trie.prove(keccak256(address.as_bytes()).as_bytes())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parp_primitives::U256;
-    use std::sync::Arc;
+    use parp_primitives::{H256, U256};
+    use parp_trie::FrozenTrie;
 
     /// A signed one-unit transfer from `key` to account 7.
     fn transfer(key: &parp_crypto::SecretKey, nonce: u64) -> parp_chain::SignedTransaction {
@@ -568,31 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_inclusion_capacity_is_read_as_one() {
-        let mut runtime = Runtime::new(RuntimeConfig {
-            inclusion_cache_capacity: 0,
-            ..RuntimeConfig::default()
-        });
-        let key = parp_crypto::SecretKey::from_seed(b"zero-capacity");
-        let mut chain = Blockchain::new(vec![(key.address(), U256::from(1u64) << 64)]);
-        for nonce in 0..2 {
-            chain
-                .produce_block(
-                    vec![transfer(&key, nonce)],
-                    &mut parp_chain::TransferExecutor,
-                )
-                .unwrap();
-        }
-        for block in [1, 2] {
-            let header = chain.header_at(block).unwrap();
-            let proof = runtime.transaction_proof(&chain, &header, 0);
-            assert!(!proof.is_empty());
-            assert_eq!(Some(proof.to_vecs()), chain.transaction_proof(block, 0));
-        }
-        assert_eq!(runtime.inclusion_cache().len(), 1);
-    }
-
-    #[test]
     fn cold_runtime_serves_pruned_blocks_byte_identically() {
         let key = parp_crypto::SecretKey::from_seed(b"cold-runtime");
         // Twin chains over the same blocks: `cold` prunes behind a
@@ -617,10 +489,11 @@ mod tests {
         // A storage-budgeted runtime against the pruned chain must
         // produce the same proof bytes as a plain runtime against the
         // fully resident one.
-        let mut cold_rt = Runtime::new(RuntimeConfig {
-            storage_budget_bytes: 1, // force spills after every page
-            ..RuntimeConfig::default()
-        });
+        let mut cold_rt = Runtime::default();
+        assert!(cold_rt.cold_storage().is_none());
+        let spill_dir = parp_store::scratch_dir("cold-runtime-spill").unwrap();
+        let spill = parp_store::SpillStore::open(&spill_dir).unwrap();
+        cold_rt.enable_cold_storage(spill, 1); // force spills after every page
         assert!(cold_rt.cold_storage().is_some());
         let mut warm_rt = Runtime::default();
         for block in [1u64, 2, 3, 1, 2, 3] {
@@ -653,6 +526,7 @@ mod tests {
         assert_eq!(cold_rt.receipt_proof(&cold_chain, &ghost, 0), None);
         assert_eq!(warm_rt.receipt_proof(&resident, &ghost, 0), None);
         let _ = std::fs::remove_dir_all(dir);
+        let _ = std::fs::remove_dir_all(spill_dir);
     }
 
     #[test]
@@ -660,7 +534,6 @@ mod tests {
         let mut runtime = Runtime::new(RuntimeConfig {
             burst_capacity: 2,
             rate_per_sec: 2,
-            ..RuntimeConfig::default()
         });
         let client = Address::from_low_u64_be(0xc1);
         assert!(runtime.admit(client, 2, 0).is_ok());

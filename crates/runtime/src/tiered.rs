@@ -1,45 +1,49 @@
-//! Byte-budgeted warm tier over frozen tries: resident pages measured
-//! by [`FrozenTrie::mem_bytes`], cold pages spilled to an append-only
-//! [`SpillStore`] and rehydrated on demand.
+//! The runtime's one trie cache: a byte-budgeted LRU of frozen tries,
+//! measured by [`FrozenTrie::mem_bytes`], whose evicted pages may spill
+//! to an append-only [`SpillStore`] and rehydrate on demand.
 
 use parp_chain::{Blockchain, Header, State};
-use parp_core::ProofEngine;
-use parp_primitives::{Address, H256};
+use parp_primitives::H256;
 use parp_store::SpillStore;
 use parp_telemetry::{Counter, Gauge};
 use parp_trie::{FrozenTrie, ProofBuf};
 use std::sync::Arc;
 
-/// A [`SnapshotCache`](crate::SnapshotCache)-shaped store whose warm
-/// tier is bounded by **measured bytes**, not entry counts.
+/// An LRU of built, [`Arc`]-shared tries keyed by their root hash and
+/// bounded by **measured bytes**, not entry counts.
 ///
-/// The snapshot cache holds N tries regardless of size; for deep
-/// historical serving that either wastes the budget on small tries or
-/// blows it on large ones. This store accounts every resident page at
-/// its [`FrozenTrie::mem_bytes`] — the arena, pools and encoding
-/// buffer that actually sit in RAM — and when the total exceeds the
-/// budget it serializes the least-recently-used pages to the spill
-/// store ([`FrozenTrie::to_bytes`]) and drops them from memory. A
-/// later lookup rehydrates the page ([`FrozenTrie::from_bytes`]) with
-/// proofs byte-identical to the in-memory original.
+/// Every resident trie is accounted at its [`FrozenTrie::mem_bytes`] —
+/// the arena, pools and encoding buffer that actually sit in RAM — and
+/// when the total exceeds the budget the least recently used tries are
+/// evicted. The newest entry is always kept, even when it alone
+/// exceeds the budget: a budget of 0 makes a one-slot holder (what
+/// [`Runtime::cache`](crate::Runtime::cache) keeps the head state trie
+/// in), and a budget smaller than one page degrades to
+/// serve-then-evict, not to failure.
 ///
-/// Content addressing (keys are trie roots) makes spilled pages
-/// immutable and forever reusable: a rehydrate can never be wrong for
-/// its key, so the disk tier needs no invalidation.
+/// With a spill store, an evicted page is serialized to disk
+/// ([`FrozenTrie::to_bytes`]) and a later lookup rehydrates it
+/// ([`FrozenTrie::from_bytes`]) with proofs byte-identical to the
+/// in-memory original. Without one, an evicted page is dropped and
+/// rebuilt on its next miss.
+///
+/// Content addressing (keys are trie roots) makes every entry, resident
+/// or spilled, immutable and forever reusable for its key, so neither
+/// tier needs invalidation.
 ///
 /// Hit/miss/spill/rehydrate accounting lives in live [`Counter`]
 /// handles a telemetry registry can adopt; the resident footprint is
-/// mirrored into a [`Gauge`] after every mutation.
+/// mirrored into a [`Gauge`] after every mutation. Clones share those
+/// cells.
 #[derive(Debug, Clone)]
-pub struct TieredSnapshotStore {
-    /// `(root, page, measured bytes)` triples, least recently used
+pub struct TrieCache {
+    /// `(root, trie, measured bytes)` triples, least recently used
     /// first. Growth is bounded by the byte budget: `enforce_budget`
-    /// spills and removes from the front whenever the measured total
-    /// exceeds it.
+    /// evicts from the front whenever the measured total exceeds it.
     warm: Vec<(H256, Arc<FrozenTrie>, usize)>,
     budget_bytes: usize,
     resident_bytes: usize,
-    spill: SpillStore,
+    spill: Option<SpillStore>,
     hits: Counter,
     misses: Counter,
     spills: Counter,
@@ -47,15 +51,12 @@ pub struct TieredSnapshotStore {
     resident_gauge: Gauge,
 }
 
-impl TieredSnapshotStore {
-    /// A store keeping at most `budget_bytes` of measured trie bytes
-    /// resident, spilling overflow into `spill`.
-    ///
-    /// The most recently used page is always kept resident even when
-    /// it alone exceeds the budget — a budget smaller than one page
-    /// must degrade to serve-then-spill, not fail.
-    pub fn new(budget_bytes: usize, spill: SpillStore) -> Self {
-        TieredSnapshotStore {
+impl TrieCache {
+    /// A cache keeping at most `budget_bytes` of measured trie bytes
+    /// resident (and always its newest entry), spilling evicted pages
+    /// into `spill` when one is given.
+    pub fn new(budget_bytes: usize, spill: Option<SpillStore>) -> Self {
+        TrieCache {
             warm: Vec::new(),
             budget_bytes,
             resident_bytes: 0,
@@ -68,92 +69,144 @@ impl TieredSnapshotStore {
         }
     }
 
-    /// The page for `root`: from the warm tier if resident, rehydrated
-    /// from the spill store if spilled, otherwise built via `build`
-    /// (returning `None` when `build` cannot produce it). Whatever the
-    /// source, the page ends resident and the budget is re-enforced.
+    /// The resident trie for `root`, marking it most recently used and
+    /// counting a hit. Never reads the spill store.
+    pub(crate) fn get(&mut self, root: &H256) -> Option<Arc<FrozenTrie>> {
+        let position = self.warm.iter().position(|(r, _, _)| r == root)?;
+        let entry = self.warm.remove(position);
+        let trie = entry.1.clone();
+        self.warm.push(entry);
+        self.hits.inc();
+        Some(trie)
+    }
+
+    /// Makes `trie` the most recently used entry under `root` (an
+    /// existing entry for `root` is replaced) and re-enforces the
+    /// budget.
+    pub(crate) fn insert(&mut self, root: H256, trie: Arc<FrozenTrie>) {
+        debug_assert_eq!(trie.root_hash(), root, "a cached trie must match its key");
+        if let Some(position) = self.warm.iter().position(|(r, _, _)| *r == root) {
+            let (_, _, bytes) = self.warm.remove(position);
+            self.resident_bytes -= bytes;
+        }
+        let bytes = trie.mem_bytes();
+        self.warm.push((root, trie, bytes));
+        self.resident_bytes += bytes;
+        self.enforce_budget();
+    }
+
+    /// The trie for `root`: resident, else rehydrated from the spill
+    /// store, else built by `build` (`None` when `build` cannot produce
+    /// it). Whatever the source, the trie ends resident and most
+    /// recently used. Content addressing makes this correct for any
+    /// trie family — state, transaction or receipt — as long as `build`
+    /// returns the trie whose root is `root`.
     pub fn get_or_insert_with<F>(&mut self, root: H256, build: F) -> Option<Arc<FrozenTrie>>
     where
         F: FnOnce() -> Option<Arc<FrozenTrie>>,
     {
-        if let Some(position) = self.warm.iter().position(|(r, _, _)| *r == root) {
-            let entry = self.warm.remove(position);
-            let page = entry.1.clone();
-            self.warm.push(entry);
-            self.hits.inc();
-            return Some(page);
+        if let Some(trie) = self.get(&root) {
+            return Some(trie);
         }
-        // Disk tier: a spilled page rehydrates without touching the
-        // chain, straight from the slice of the record the store just
-        // read and checksummed. A page that fails its checksum or its
-        // bounds checks (rotten or torn spill file) falls through to a
-        // fresh build instead of erroring.
-        let rehydrated = self
-            .spill
-            .with_page(&root, FrozenTrie::from_bytes)
-            .ok()
-            .flatten()
-            .flatten()
-            .filter(|trie| trie.root_hash() == root);
-        let (page, counter) = match rehydrated {
-            Some(trie) => (Arc::new(trie), &self.rehydrates),
+        let (trie, counter) = match self.rehydrate(&root) {
+            Some(trie) => (trie, &self.rehydrates),
             None => (build()?, &self.misses),
         };
         counter.inc();
-        let bytes = page.mem_bytes();
-        self.warm.push((root, page.clone(), bytes));
-        self.resident_bytes += bytes;
-        self.enforce_budget();
-        Some(page)
+        self.insert(root, trie.clone());
+        Some(trie)
     }
 
-    /// Spills least-recently-used pages until the measured resident
-    /// total fits the budget (always keeping the newest page).
+    /// The trie for `state`: the resident one under its root, else the
+    /// state's own memoised trie (the same `Arc`, not a second build).
+    pub fn get_or_build(&mut self, state: &State) -> Arc<FrozenTrie> {
+        let trie = state.shared_trie();
+        self.get_or_insert_with(trie.root_hash(), || Some(trie.clone()))
+            .unwrap_or(trie)
+    }
+
+    /// A spilled page for `root`, straight from the slice of the record
+    /// the store just read and checksummed. A page that fails its
+    /// checksum, its decode or its root check (a rotten or torn spill
+    /// file) is forgotten, so the caller rebuilds it and its next
+    /// eviction appends a fresh record.
+    fn rehydrate(&self, root: &H256) -> Option<Arc<FrozenTrie>> {
+        let spill = self.spill.as_ref()?;
+        let trie = match spill.with_page(root, FrozenTrie::from_bytes) {
+            Ok(None) => return None, // never spilled
+            Ok(Some(page)) => page.filter(|trie| trie.root_hash() == *root),
+            Err(_) => None,
+        };
+        if trie.is_none() {
+            spill.forget(root);
+        }
+        trie.map(Arc::new)
+    }
+
+    /// Evicts least-recently-used tries until the measured resident
+    /// total fits the budget (always keeping the newest), spilling
+    /// each to the spill store when there is one.
     fn enforce_budget(&mut self) {
         while self.resident_bytes > self.budget_bytes && self.warm.len() > 1 {
-            let (root, page, bytes) = self.warm.remove(0);
-            // Content-addressed pages never change: spilling the same
-            // root twice is a no-op inside the store, so only count
-            // the first materialization.
-            if !self.spill.contains(&root) && self.spill.put(root, &page.to_bytes()).is_ok() {
-                self.spills.inc();
+            let (root, trie, bytes) = self.warm.remove(0);
+            // Content-addressed pages never change: a root already on
+            // disk is not written or counted again.
+            if let Some(spill) = &self.spill {
+                if !spill.contains(&root) && spill.put(root, &trie.to_bytes()).is_ok() {
+                    self.spills.inc();
+                }
             }
             self.resident_bytes -= bytes;
         }
         self.resident_gauge.set(self.resident_bytes as i64);
     }
 
-    /// Measured bytes currently resident in the warm tier.
-    pub fn resident_bytes(&self) -> usize {
-        self.resident_bytes
+    /// Whether a trie for `root` is resident (touches neither the LRU
+    /// order nor the counters).
+    pub fn contains(&self, root: &H256) -> bool {
+        self.warm.iter().any(|(r, _, _)| r == root)
     }
 
-    /// The configured warm-tier budget in bytes.
-    pub fn budget_bytes(&self) -> usize {
-        self.budget_bytes
-    }
-
-    /// Resident page count.
+    /// Resident trie count.
     pub fn len(&self) -> usize {
         self.warm.len()
     }
 
-    /// Whether the warm tier is empty.
+    /// Whether nothing is resident.
     pub fn is_empty(&self) -> bool {
         self.warm.is_empty()
     }
 
-    /// Bytes the spill store occupies on disk.
-    pub fn disk_bytes(&self) -> u64 {
-        self.spill.disk_bytes()
+    /// Measured bytes of the resident tries.
+    pub fn resident_bytes(&self) -> usize {
+        self.resident_bytes
     }
 
-    /// Warm-tier lookups served without a build or a disk read.
+    /// Bytes this cache keeps alive in memory: itself, its slots and
+    /// every resident trie — including one another owner (a chain's
+    /// head state, say) shares and reports too.
+    pub fn mem_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.warm.capacity() * std::mem::size_of::<(H256, Arc<FrozenTrie>, usize)>()
+            + self.resident_bytes
+    }
+
+    /// Whether evicted pages spill to disk.
+    pub fn spills_to_disk(&self) -> bool {
+        self.spill.is_some()
+    }
+
+    /// Bytes the spill store occupies on disk (0 without one).
+    pub fn disk_bytes(&self) -> u64 {
+        self.spill.as_ref().map_or(0, SpillStore::disk_bytes)
+    }
+
+    /// Lookups served from a resident trie.
     pub fn hits(&self) -> u64 {
         self.hits.get()
     }
 
-    /// Lookups that built a fresh page.
+    /// Lookups that built a fresh trie.
     pub fn misses(&self) -> u64 {
         self.misses.get()
     }
@@ -194,17 +247,16 @@ impl TieredSnapshotStore {
     }
 }
 
-/// Segment-backed inclusion-proof engine for deep history.
+/// The runtime's inclusion-proof engine: per-block transaction and
+/// receipt tries in a [`TrieCache`] keyed by the header's roots.
 ///
 /// The serving loop hands in the header of the block an item sits in
 /// (resolved through the chain's cold accessors — the append-only
-/// segment files once the block has been pruned); this engine keeps the
-/// per-block transaction and receipt tries in a
-/// [`TieredSnapshotStore`] keyed by the header's roots, so repeated
-/// old-block lookups pay the segment decode once and a page rehydrate
-/// (or warm hit) thereafter, and a body record is read only when
-/// neither tier holds its page. Proofs are byte-identical to the
-/// in-memory path: same ordered trie over the same encoded items.
+/// segment files once the block has been pruned), so repeated lookups
+/// into one block pay the body read and the build once, and a body
+/// record is read only when no tier holds its page. Proofs are
+/// byte-identical to the chain's own: the same ordered trie over the
+/// same encoded items.
 ///
 /// A missing location yields an *empty* proof rather than a panic; the
 /// protocol layer treats an empty proof as unverifiable, so a client
@@ -212,72 +264,32 @@ impl TieredSnapshotStore {
 /// a crashed server.
 #[derive(Debug, Clone)]
 pub struct ColdProofEngine {
-    tier: TieredSnapshotStore,
+    tier: TrieCache,
 }
 
 impl ColdProofEngine {
-    /// An engine spilling to `spill` under a `budget_bytes` warm tier.
-    pub fn new(budget_bytes: usize, spill: SpillStore) -> Self {
+    /// An engine keeping `budget_bytes` of pages resident, spilling
+    /// the rest to `spill` when one is given.
+    pub(crate) fn new(budget_bytes: usize, spill: Option<SpillStore>) -> Self {
         ColdProofEngine {
-            tier: TieredSnapshotStore::new(budget_bytes, spill),
+            tier: TrieCache::new(budget_bytes, spill),
         }
     }
 
-    /// The tiered store (counters, resident/disk footprint).
-    pub fn tier(&self) -> &TieredSnapshotStore {
+    /// The page cache (counters, resident/disk footprint).
+    pub fn tier(&self) -> &TrieCache {
         &self.tier
     }
 
-    /// The ordered-trie page under `root`: warm, rehydrated, or — only
-    /// when neither tier has it — built from the encoded items `body`
-    /// reads off the chain.
-    pub(crate) fn page(
+    /// Inclusion proof for transaction `index` of the block `header`
+    /// heads, as [`parp_core::ProofEngine::transaction_proof`]: empty
+    /// when there is no such transaction.
+    pub(crate) fn transaction_proof(
         &mut self,
-        root: H256,
-        body: impl FnOnce() -> Option<Vec<Vec<u8>>>,
-    ) -> Option<Arc<FrozenTrie>> {
-        self.tier
-            .get_or_insert_with(root, || Some(Arc::new(ordered_page(&body()?))))
-    }
-}
-
-/// The frozen ordered trie over a block's encoded transactions or
-/// receipts — exactly the trie the header's root was computed from.
-pub(crate) fn ordered_page(encoded: &[Vec<u8>]) -> FrozenTrie {
-    FrozenTrie::new(parp_trie::ordered_trie(encoded.iter().map(Vec::as_slice)))
-}
-
-/// The inclusion proof of item `index` of an ordered page, each node
-/// beside the hash the walk read from its parent — nothing is hashed.
-pub(crate) fn item_proof(page: &FrozenTrie, index: usize) -> ProofBuf {
-    let mut proof = ProofBuf::new();
-    page.multiproof_into([parp_rlp::encode_u64(index as u64)], &mut proof);
-    proof
-}
-
-/// Item `index` of an ordered page with its inclusion proof: the
-/// value is read off the arena the proof is cut from, so a receipt
-/// whose page is in either tier never touches the receipts segment.
-pub(crate) fn item_with_proof(page: &FrozenTrie, index: usize) -> Option<(Vec<u8>, ProofBuf)> {
-    let item = page.get(&parp_rlp::encode_u64(index as u64))?;
-    Some((item, item_proof(page, index)))
-}
-
-impl ProofEngine for ColdProofEngine {
-    fn account_multiproof_into(
-        &mut self,
-        state: &State,
-        addresses: &[Address],
-        out: &mut ProofBuf,
-    ) {
-        state.account_multiproof_into(addresses, out);
-    }
-
-    fn account_proof(&mut self, state: &State, address: &Address) -> Vec<Vec<u8>> {
-        state.account_proof(address)
-    }
-
-    fn transaction_proof(&mut self, chain: &Blockchain, header: &Header, index: usize) -> ProofBuf {
+        chain: &Blockchain,
+        header: &Header,
+        index: usize,
+    ) -> ProofBuf {
         self.page(header.transactions_root, || {
             chain.transactions_encoded(header.number)
         })
@@ -285,7 +297,11 @@ impl ProofEngine for ColdProofEngine {
         .unwrap_or_default()
     }
 
-    fn receipt_proof(
+    /// Receipt `index` of the block `header` heads with its inclusion
+    /// proof, as [`parp_core::ProofEngine::receipt_proof`]. The receipt
+    /// is read off the page the proof is cut from, so a receipt whose
+    /// page is in either tier never touches the receipts segment.
+    pub(crate) fn receipt_proof(
         &mut self,
         chain: &Blockchain,
         header: &Header,
@@ -294,8 +310,33 @@ impl ProofEngine for ColdProofEngine {
         let page = self.page(header.receipts_root, || {
             chain.receipts_encoded(header.number)
         })?;
-        item_with_proof(&page, index)
+        let item = page.get(&parp_rlp::encode_u64(index as u64))?;
+        Some((item, item_proof(&page, index)))
     }
+
+    /// The ordered-trie page under `root`: resident, rehydrated, or —
+    /// only when neither tier has it — built from the encoded items
+    /// `body` reads off the chain.
+    fn page(
+        &mut self,
+        root: H256,
+        body: impl FnOnce() -> Option<Vec<Vec<u8>>>,
+    ) -> Option<Arc<FrozenTrie>> {
+        self.tier.get_or_insert_with(root, || {
+            let encoded = body()?;
+            Some(Arc::new(FrozenTrie::new(parp_trie::ordered_trie(
+                encoded.iter().map(Vec::as_slice),
+            ))))
+        })
+    }
+}
+
+/// The inclusion proof of item `index` of an ordered page, each node
+/// beside the hash the walk read from its parent — nothing is hashed.
+fn item_proof(page: &FrozenTrie, index: usize) -> ProofBuf {
+    let mut proof = ProofBuf::new();
+    page.multiproof_into([parp_rlp::encode_u64(index as u64)], &mut proof);
+    proof
 }
 
 #[cfg(test)]
@@ -313,10 +354,10 @@ mod tests {
         (frozen.root_hash(), Arc::new(frozen))
     }
 
-    fn store(budget: usize) -> (TieredSnapshotStore, std::path::PathBuf) {
+    fn store(budget: usize) -> (TrieCache, std::path::PathBuf) {
         let dir = parp_store::scratch_dir("tiered").unwrap();
         let spill = SpillStore::open(&dir).unwrap();
-        (TieredSnapshotStore::new(budget, spill), dir)
+        (TrieCache::new(budget, Some(spill)), dir)
     }
 
     #[test]
@@ -377,6 +418,16 @@ mod tests {
         assert_eq!(tiered.misses(), 3);
         let key = parp_crypto::keccak256(&5u64.to_be_bytes());
         assert_eq!(back.prove(key.as_bytes()), page_a.prove(key.as_bytes()));
+        assert_eq!(tiered.spill_count(), 2, "the rebuilt A pushed B out");
+        // The rotten record is forgotten: evicting A spills a fresh
+        // one, and the next visit rehydrates it instead of rebuilding.
+        tiered.get_or_insert_with(root_b, || panic!("B is on disk, intact"));
+        assert_eq!(tiered.spill_count(), 3, "A is spilled afresh");
+        let again = tiered
+            .get_or_insert_with(root_a, || panic!("a repaired page must rehydrate"))
+            .unwrap();
+        assert_eq!((tiered.misses(), tiered.rehydrate_count()), (3, 2));
+        assert_eq!(again.prove(key.as_bytes()), page_a.prove(key.as_bytes()));
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -427,5 +478,68 @@ mod tests {
         assert_eq!(gauge.get(), page.mem_bytes() as i64);
         assert_eq!(tiered.resident_bytes(), page.mem_bytes());
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn touching_an_entry_protects_it_from_eviction() {
+        let pages = [page(10, 40), page(11, 40), page(12, 40)];
+        let budget = pages[0].1.mem_bytes() + pages[1].1.mem_bytes();
+        let mut cache = TrieCache::new(budget, None);
+        for (root, trie) in &pages[..2] {
+            cache.insert(*root, trie.clone());
+        }
+        // A is older, but touching it makes B the next eviction.
+        assert!(cache.get(&pages[0].0).is_some());
+        cache.insert(pages[2].0, pages[2].1.clone());
+        assert!(cache.contains(&pages[0].0));
+        assert!(!cache.contains(&pages[1].0), "B was least recently used");
+        assert!(cache.contains(&pages[2].0));
+        assert_eq!((cache.hits(), cache.len()), (1, 2));
+    }
+
+    #[test]
+    fn without_a_spill_store_an_evicted_page_is_rebuilt() {
+        let (root_a, page_a) = page(13, 60);
+        let (root_b, page_b) = page(14, 60);
+        let mut cache = TrieCache::new(1, None);
+        cache.get_or_insert_with(root_a, || Some(page_a.clone()));
+        cache.get_or_insert_with(root_b, || Some(page_b.clone()));
+        assert!(!cache.contains(&root_a), "A was dropped, not spilled");
+        assert_eq!((cache.spill_count(), cache.disk_bytes()), (0, 0));
+        assert!(!cache.spills_to_disk());
+        let mut rebuilt = false;
+        cache.get_or_insert_with(root_a, || {
+            rebuilt = true;
+            Some(page_a.clone())
+        });
+        assert!(rebuilt, "the only way back is a rebuild");
+        assert_eq!((cache.misses(), cache.rehydrate_count()), (3, 0));
+    }
+
+    #[test]
+    fn a_zero_budget_keeps_exactly_the_newest_entry() {
+        let mut cache = TrieCache::new(0, None);
+        assert!(cache.is_empty());
+        for seed in 20..24 {
+            let (root, trie) = page(seed, 30);
+            cache.insert(root, trie.clone());
+            assert_eq!(cache.len(), 1);
+            assert!(cache.contains(&root));
+            assert_eq!(cache.resident_bytes(), trie.mem_bytes());
+        }
+        // Re-inserting the held root replaces it rather than adding one.
+        let (root, trie) = page(23, 30);
+        cache.insert(root, trie);
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "must match its key")]
+    fn a_build_for_another_root_is_refused() {
+        let (root_a, _) = page(15, 10);
+        let (_, page_b) = page(16, 10);
+        let mut cache = TrieCache::new(usize::MAX, None);
+        cache.get_or_insert_with(root_a, || Some(page_b));
     }
 }

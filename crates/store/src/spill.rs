@@ -118,6 +118,14 @@ impl SpillStore {
         self.with_page(root, <[u8]>::to_vec)
     }
 
+    /// Drops `root` from the index, so the next [`SpillStore::put`]
+    /// under it appends a fresh record: how a reader retires a record
+    /// that failed to decode. Returns whether one was indexed. Only the
+    /// open handle forgets; a reopen's scan indexes the file again.
+    pub fn forget(&self, root: &H256) -> bool {
+        self.locked().index.remove(root).is_some()
+    }
+
     /// Whether a page is stored under `root`.
     pub fn contains(&self, root: &H256) -> bool {
         self.locked().index.contains_key(root)
@@ -230,6 +238,21 @@ mod tests {
         store.put(root(9), b"second-ignored").unwrap();
         assert_eq!(store.disk_bytes(), bytes);
         assert_eq!(store.get(&root(9)).unwrap(), Some(b"first".to_vec()));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_forgotten_root_is_written_again() {
+        let dir = crate::scratch_dir("forget").unwrap();
+        let store = SpillStore::open(&dir).unwrap();
+        store.put(root(4), b"stale").unwrap();
+        assert!(store.forget(&root(4)));
+        assert!(!store.forget(&root(4)), "nothing left to forget");
+        assert_eq!(store.get(&root(4)).unwrap(), None);
+        let bytes = store.disk_bytes();
+        store.put(root(4), b"fresh").unwrap();
+        assert!(store.disk_bytes() > bytes, "a new record was appended");
+        assert_eq!(store.get(&root(4)).unwrap(), Some(b"fresh".to_vec()));
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -1,8 +1,8 @@
 //! `parp-telemetry`: the observability substrate for the PARP
 //! workspace.
 //!
-//! Six PRs in, the instrumentation had grown ad-hoc: `SnapshotCache`
-//! kept private hit/miss counters, `AdmissionController` had its own
+//! Before it, the instrumentation had grown ad-hoc: the runtime's trie
+//! cache kept private hit/miss counters, `AdmissionController` had its own
 //! stats struct, and both `ProviderAggregate` and the gateway's
 //! `Reputation` retained *every* latency sample in an unbounded
 //! `Vec<u64>` that was fully re-sorted on each quantile query — a

@@ -22,8 +22,13 @@ const MARKETPLACE_DIGEST: &str = "d6ddb01462e52680d92d061efbd91bb627eb65046674d7
 /// node record went from 25 bytes to 9 and a resident one from 28 to 24,
 /// so `spill_disk_bytes` (2,647 → 2,407) and `resident_trie_bytes`
 /// (790 → 778) moved; warm hits, misses, spills and rehydrates did not.
+/// Re-recorded again when the inclusion cache's hits and misses got one
+/// metric name: `parp_runtime_inclusion_cache_{hits,misses}_total` read
+/// 6 and 12 (they read 0 while a separate cache sat idle beside the
+/// tier) and `parp_runtime_warm_tier_{hits,misses}_total` are gone;
+/// every other field of the report and of its snapshot reads the same.
 const DEEP_HISTORY_REPORT_DIGEST: &str =
-    "02199565962aa2b653848ace7530bc2676d85e74316e4545027d5a283e4038b9";
+    "57ed334de89a6cde9a663fd9165b7345b4fcabafa82e1f409a4e41d3c3313a74";
 /// Re-recorded once when the batch `h_res` began binding proof nodes by
 /// hash: every response's `σ_res` moved with it, and nothing else did —
 /// [`DEEP_HISTORY_UNSIGNED_WIRE_DIGEST`], the same bytes with each

@@ -5,7 +5,7 @@
 use parp_suite::contracts::{ParpBatchRequest, ParpBatchResponse, RpcCall};
 use parp_suite::net::{run_contention, ContentionConfig, Network, NodeId};
 use parp_suite::primitives::{Address, U256};
-use parp_suite::runtime::{Runtime, RuntimeConfig, SnapshotCache};
+use parp_suite::runtime::{Runtime, RuntimeConfig, TrieCache};
 
 const PRICE: u64 = 10;
 
@@ -220,13 +220,30 @@ fn snapshot_cache_warms_and_invalidates_across_mine() {
 
 #[test]
 fn snapshot_cache_lru_stays_bounded() {
-    let mut cache = SnapshotCache::new(2);
     let (net, _, _, _) = connected(4);
     let heights: Vec<u64> = (0..=net.chain().height()).collect();
-    assert!(heights.len() > 2, "need more snapshots than capacity");
-    for height in &heights {
-        cache.get_or_build(&net.chain().state_at(*height).expect("snapshot"));
-        assert!(cache.len() <= 2, "cache exceeded its bound");
+    assert!(
+        heights.len() > 2,
+        "need more snapshots than the budget holds"
+    );
+    let snapshots: Vec<_> = heights
+        .iter()
+        .map(|height| net.chain().state_at(*height).expect("snapshot"))
+        .collect();
+    // A byte budget the two newest snapshot tries fill exactly.
+    let newest_two = &snapshots[snapshots.len() - 2..];
+    assert_ne!(newest_two[0].state_root(), newest_two[1].state_root());
+    let budget: usize = newest_two
+        .iter()
+        .map(|state| state.shared_trie().mem_bytes())
+        .sum();
+    let mut cache = TrieCache::new(budget, None);
+    for state in &snapshots {
+        cache.get_or_build(state);
+        assert!(
+            cache.resident_bytes() <= budget,
+            "cache exceeded its budget"
+        );
     }
     assert_eq!(cache.len(), 2);
     // Only the two most recent snapshot roots survive.
@@ -293,7 +310,6 @@ fn admission_is_per_client_not_global() {
     let mut runtime = Runtime::new(RuntimeConfig {
         burst_capacity: 4,
         rate_per_sec: 1,
-        ..RuntimeConfig::default()
     });
     let first = Address::from_low_u64_be(1);
     let second = Address::from_low_u64_be(2);
