@@ -5,11 +5,12 @@
 //! `BENCH_gateway.json`): outcome accounting (served / degraded /
 //! errored), p50/p99 time-to-recover after transient failures, hedge
 //! fire rate, circuit-breaker transitions, and the fault-plane's own
-//! counters. The artifact hard-asserts the two invariants that make the
-//! numbers meaningful — zero accepted wrong payloads and zero
-//! unclassified outcomes (no hangs) — plus byte-identical same-seed
-//! replay, so a regression fails the bench job rather than skewing a
-//! trend line.
+//! counters. The artifact hard-asserts the invariants that make the
+//! numbers meaningful — zero accepted wrong payloads, zero unclassified
+//! outcomes (no hangs), and no refused failover (every provider here is
+//! honest, so a refusal means one was banned for a transport fault) —
+//! plus byte-identical same-seed replay, so a regression fails the
+//! bench job rather than skewing a trend line.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use parp_gateway::{run_chaos, ChaosConfig, ChaosReport};
@@ -35,6 +36,12 @@ fn assert_invariants(report: &ChaosReport) {
         "issued calls must be fully accounted for (no hangs)"
     );
     assert!(report.payments_monotone, "payment trajectory regressed");
+    let refused = report
+        .failovers_by_cause
+        .iter()
+        .find(|(cause, _)| *cause == "refused")
+        .map(|(_, n)| *n);
+    assert_eq!(refused, Some(0), "an honest provider is never banned");
 }
 
 /// Emits `BENCH_chaos.json` from the default chaos schedule (crash +

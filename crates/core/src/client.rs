@@ -13,7 +13,7 @@ use parp_contracts::{
     ChannelStatus, FraudVerdict, ModuleCall, ParpBatchRequest, ParpBatchResponse, ParpRequest,
     ParpResponse, RpcCall, MODULE_CALL_GAS_LIMIT,
 };
-use parp_crypto::{recover_address, sign, KeyPair, PreparedKey, PublicKey, SecretKey};
+use parp_crypto::{recover_address, sign, KeyPair, PreparedKey, PublicKey, SecretKey, Signature};
 use parp_primitives::{Address, H256, U256};
 use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
@@ -700,10 +700,16 @@ impl LightClient {
 
     /// Drops a pending entry of either wire shape for `provider` without
     /// processing any response — the simulator's hook for a request or
-    /// response lost in transit (drop, crash, timeout). The channel's
-    /// `spent` is untouched: it only advances when a response is
-    /// processed, so a retried call re-presents the same cumulative
-    /// amount and the provider is never paid for the lost exchange.
+    /// response lost in transit (drop, crash, timeout) or refused. The
+    /// channel's `spent` is untouched: it only advances when a response
+    /// is processed. When the node *served* the lost exchange it holds
+    /// the request's `σ_a` and can redeem it, so its ledger is now ahead
+    /// of the client's; the next request is refused with that `(a, σ_a)`
+    /// attached, and [`LightClient::reconcile_payment`] catches the
+    /// client up. The client cannot tell a response lost in transit
+    /// from one the node withheld, so how often it reconciles is the
+    /// caller's policy: a gateway reconciles at most twice per provider
+    /// between two verified responses, and bans on the next refusal.
     pub fn forget_pending(&mut self, provider: Address, hash: &H256) {
         if let Some(session) = self.sessions.get_mut(&provider) {
             session.pending.remove(hash);
@@ -780,6 +786,39 @@ impl LightClient {
         if let (Some(public), Some(session)) = (learned, self.sessions.get_mut(&provider)) {
             session.provider_key = Some(PreparedKey::new(public));
         }
+    }
+
+    /// Catches the ledger of the channel with `provider` up to a
+    /// payment the node already holds: the `(amount, σ_a)` a
+    /// [`crate::ServeError::InsufficientPayment`] refusal carries. A
+    /// response the node served and the client never processed leaves
+    /// the node one payment ahead; this is how the two agree again
+    /// without abandoning the channel.
+    ///
+    /// `spent` moves to `amount` only when `payment_sig` recovers to the
+    /// client's **own** address over `payment_digest(channel_id, amount)`
+    /// (so the client accounts only for an amount it signed and the node
+    /// can already redeem on chain), `amount` is above `spent` and
+    /// within the budget. Returns whether `spent` moved; any other
+    /// refusal changes nothing.
+    pub fn reconcile_payment(
+        &mut self,
+        provider: Address,
+        amount: U256,
+        payment_sig: &Signature,
+    ) -> bool {
+        let Some(channel) = self.channel_with(&provider) else {
+            return false;
+        };
+        if amount <= channel.spent || amount > channel.budget {
+            return false;
+        }
+        let digest = parp_contracts::payment_digest(channel.id, &amount);
+        if recover_address(&digest, payment_sig).ok() != Some(self.address()) {
+            return false;
+        }
+        self.commit_payment(provider, amount);
+        true
     }
 
     /// Advances a session's committed spend to `amount` (never
@@ -1130,6 +1169,63 @@ mod tests {
         let r2 = client.request_from(provider, RpcCall::BlockNumber).unwrap();
         assert_eq!(r2.amount, U256::from(10u64));
         assert_eq!(r1.channel_id, 7);
+    }
+
+    /// `σ_a` as the client signs it: over `payment_digest(channel, amount)`.
+    fn payment_sig(secret: &SecretKey, channel_id: u64, amount: u64) -> Signature {
+        let digest = parp_contracts::payment_digest(channel_id, &U256::from(amount));
+        sign(secret, &digest)
+    }
+
+    #[test]
+    fn reconcile_catches_up_to_a_payment_the_client_signed() {
+        let (mut client, node) = bonded_client();
+        let provider = node.address();
+        // Served, then lost: the node holds σ_a for 10, the client
+        // committed nothing.
+        let lost = client.request_from(provider, RpcCall::BlockNumber).unwrap();
+        client.forget_pending(provider, &lost.request_hash);
+        assert_eq!(client.channel_with(&provider).unwrap().spent, U256::ZERO);
+        assert!(client.reconcile_payment(provider, lost.amount, &lost.payment_sig));
+        assert_eq!(client.channel_with(&provider).unwrap().spent, lost.amount);
+        // The next request pays for one more call on top.
+        let next = client.request_from(provider, RpcCall::BlockNumber).unwrap();
+        assert_eq!(next.amount, U256::from(20u64));
+        // The same evidence again is stale: nothing moves.
+        assert!(!client.reconcile_payment(provider, lost.amount, &lost.payment_sig));
+    }
+
+    #[test]
+    fn a_lying_refusal_never_moves_spent() {
+        let (mut client, node) = bonded_client();
+        let provider = node.address();
+        let own = *client.secret();
+        let spent = 30u64;
+        client.commit_payment(provider, U256::from(spent));
+        let stranger = SecretKey::from_seed(b"not-the-client");
+        let lies = [
+            // A σ_a signed by another key, for an amount the client
+            // could owe.
+            ("another key", 40, payment_sig(&stranger, 7, 40)),
+            // The client's own key, over another channel's digest.
+            ("another channel id", 40, payment_sig(&own, 8, 40)),
+            // Validly signed, but past the 1,000 wei budget.
+            ("above the budget", 1_010, payment_sig(&own, 7, 1_010)),
+            // Validly signed, but no further than the client already is.
+            ("at spent", spent, payment_sig(&own, 7, spent)),
+            ("below spent", 20, payment_sig(&own, 7, 20)),
+        ];
+        for (lie, amount, sig) in lies {
+            assert!(
+                !client.reconcile_payment(provider, U256::from(amount), &sig),
+                "{lie}"
+            );
+            let channel = client.channel_with(&provider).unwrap();
+            assert_eq!(channel.spent, U256::from(spent), "{lie}");
+        }
+        // An unknown provider has nothing to reconcile.
+        let other = Address::from_low_u64_be(0xbad);
+        assert!(!client.reconcile_payment(other, U256::from(40u64), &payment_sig(&own, 7, 40)));
     }
 
     #[test]

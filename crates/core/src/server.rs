@@ -160,6 +160,13 @@ pub enum ServeError {
         offered: U256,
         /// Minimum acceptable cumulative amount.
         required: U256,
+        /// The channel's latest redeemable `(a, σ_a)`, when the node has
+        /// served on it: the evidence a client whose ledger fell behind
+        /// (a response served, then lost) reconciles from — see
+        /// [`crate::LightClient::reconcile_payment`]. Boxed: refusals
+        /// are rare and every `Result` of a serve carries the error's
+        /// size.
+        held: Option<Box<(U256, Signature)>>,
     },
     /// The cumulative amount exceeds the channel budget.
     BudgetExceeded,
@@ -190,7 +197,9 @@ impl fmt::Display for ServeError {
             ServeError::ChannelNotOpen(id) => write!(f, "channel {id} is not open"),
             ServeError::NotOurChannel => write!(f, "channel names a different full node"),
             ServeError::WrongSigner => write!(f, "request not signed by the channel owner"),
-            ServeError::InsufficientPayment { offered, required } => {
+            ServeError::InsufficientPayment {
+                offered, required, ..
+            } => {
                 write!(f, "payment {offered} below required {required}")
             }
             ServeError::BudgetExceeded => write!(f, "cumulative amount exceeds channel budget"),
@@ -782,16 +791,14 @@ impl FullNode {
         if envelope.amount > channel.budget {
             return Err(ServeError::BudgetExceeded);
         }
-        let prev = self
-            .channels
-            .get(&channel_id)
-            .map(|c| c.latest_amount)
-            .unwrap_or(U256::ZERO);
+        let served = self.channels.get(&channel_id);
+        let prev = served.map_or(U256::ZERO, |c| c.latest_amount);
         let required = prev.saturating_add(self.price_per_call * U256::from(envelope.calls));
         if envelope.amount < required {
             return Err(ServeError::InsufficientPayment {
                 offered: envelope.amount,
                 required,
+                held: served.map(|c| Box::new((c.latest_amount, c.latest_payment_sig))),
             });
         }
         Ok(learned)

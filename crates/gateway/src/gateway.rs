@@ -6,13 +6,25 @@ use crate::policy::SelectionPolicy;
 use crate::reputation::ReputationBook;
 use crate::resilience::{CircuitBreaker, ResilienceConfig};
 use parp_contracts::{FraudVerdict, RpcCall};
-use parp_core::{ClientState, InvalidReason, LightClient, ProcessBatchOutcome, ProcessOutcome};
+use parp_core::{
+    ClientState, InvalidReason, LightClient, ProcessBatchOutcome, ProcessOutcome, ServeError,
+};
 use parp_net::{Network, NodeId, SimError};
 use parp_primitives::{Address, U256};
 use parp_telemetry::{ArgValue, Counter, Telemetry, Tracer};
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
+
+/// Refusals the client reconciles with one provider between two of its
+/// verified responses; the next one is [`FailoverCause::Refused`] and
+/// bans. The client cannot tell a response lost in transit from one
+/// withheld, so this bounds what a provider that never answers is paid:
+/// these reconciled calls plus the one whose `σ_a` it holds when banned.
+/// Two, because one call's default in-place retries
+/// ([`ResilienceConfig::max_retries`]) can lose two served responses in
+/// a row on an honest provider, and a bound of one would ban it.
+const MAX_UNVERIFIED_RECONCILES: u32 = 2;
 
 /// Tuning for a [`Gateway`].
 #[derive(Debug, Clone, Copy)]
@@ -47,7 +59,12 @@ impl Default for GatewayConfig {
 /// Why a failover fired.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FailoverCause {
-    /// The provider refused to serve (or the exchange failed locally).
+    /// The provider refused to serve (or the exchange failed locally),
+    /// and the refusal was not reconciled: it carried no evidence the
+    /// client could reconcile from (see
+    /// [`LightClient::reconcile_payment`]), or the client had already
+    /// reconciled with the provider twice since its last verified
+    /// response.
     Refused,
     /// The response was classified invalid (§V-D: walk away).
     Invalid(InvalidReason),
@@ -235,9 +252,24 @@ impl From<ProcessBatchOutcome> for Verdict<Vec<Vec<u8>>> {
 /// 2. pick a provider via the configured [`SelectionPolicy`];
 /// 3. open (or reuse) the channel with it and run the exchange;
 /// 4. on a §V-D *fraud* classification: submit the evidence through a
-///    witness (slashing the provider on-chain), abandon the channel,
-///    re-select, and replay the call; on *invalid* or a refusal: abandon
-///    and replay without the on-chain step.
+///    witness (slashing the provider on-chain), ban the provider,
+///    abandon its channel, re-select, and replay the call; on *invalid*
+///    or a refusal: the same without the on-chain step;
+/// 5. on a transient fault (timeout, corruption, crash): keep the
+///    channel and re-select, the circuit breaker gating the provider's
+///    return.
+///
+/// A response the provider served and the transport lost leaves the
+/// provider holding the request's `σ_a`, one payment ahead of the
+/// client. Its next refusal carries that `(a, σ_a)`; the gateway has the
+/// client reconcile from it ([`LightClient::reconcile_payment`]) and
+/// retries in place. The client cannot tell a response served and lost
+/// from one withheld, so it reconciles at most twice per provider
+/// between two verified responses: a refusal without the client's own
+/// valid `σ_a`, or one past that count, is `Refused` and bans. A
+/// provider that keeps every `σ_a` and never answers is thus paid for at
+/// most three calls it never verifiably served — two reconciled, and
+/// the one whose `σ_a` it holds when banned.
 ///
 /// Only verified results are ever returned — an invalid or fraudulent
 /// response is never surfaced as data.
@@ -256,17 +288,17 @@ pub struct Gateway {
     /// Index into `failovers` of the event still awaiting recovery.
     pending_recovery: Option<usize>,
     /// Per-provider committed-payment trajectory (monotonicity
-    /// witness). Entries are *cumulative across channels*: when a
-    /// channel is abandoned its committed spend folds into
-    /// `payment_epoch`, so reconnecting after a transient failure never
-    /// looks like a payment regression.
+    /// witness). A provider keeps its channel until it is banned, and a
+    /// banned provider is never scored again, so each trail follows one
+    /// channel.
     payments: HashMap<Address, Vec<U256>>,
-    /// Committed spend of abandoned channels, per provider.
-    payment_epoch: HashMap<Address, U256>,
     payments_monotone: bool,
     calls_served: u64,
     fraud_proofs_submitted: u64,
     retries: u64,
+    /// Per provider, the refusals the client reconciled since its last
+    /// verified response (at most [`MAX_UNVERIFIED_RECONCILES`]).
+    unverified: HashMap<Address, u32>,
     hedges_fired: u64,
     degraded_reads: u64,
     telemetry: Option<Telemetry>,
@@ -299,11 +331,11 @@ impl Gateway {
             failovers: Vec::new(),
             pending_recovery: None,
             payments: HashMap::new(),
-            payment_epoch: HashMap::new(),
             payments_monotone: true,
             calls_served: 0,
             fraud_proofs_submitted: 0,
             retries: 0,
+            unverified: HashMap::new(),
             hedges_fired: 0,
             degraded_reads: 0,
             telemetry: None,
@@ -353,6 +385,12 @@ impl Gateway {
     /// The reputation book.
     pub fn reputation(&self) -> &ReputationBook {
         &self.reputation
+    }
+
+    /// Providers this gateway banned (fraud, an invalid response, or a
+    /// refusal it could not reconcile); each one's channel is abandoned.
+    pub fn banned(&self) -> &HashSet<Address> {
+        &self.banned
     }
 
     /// Every failover recorded so far.
@@ -430,16 +468,14 @@ impl Gateway {
     }
 
     /// Whether every per-provider committed payment sequence has been
-    /// non-decreasing across the gateway's whole life — including
-    /// across channel switches (each new channel starts a fresh
-    /// sequence; no sequence ever regressed).
+    /// non-decreasing across the gateway's whole life, reconciles and
+    /// transient faults included.
     pub fn payments_monotone(&self) -> bool {
         self.payments_monotone
     }
 
     /// Per-provider committed-payment trajectories (final committed
-    /// amount is the last element). Amounts are cumulative across
-    /// channel switches: abandoned channels' spend stays counted.
+    /// amount is the last element), one channel per provider.
     pub fn payment_trajectories(&self) -> &HashMap<Address, Vec<U256>> {
         &self.payments
     }
@@ -540,18 +576,12 @@ impl Gateway {
         }
     }
 
-    /// Snapshots the provider's committed amount — the current
-    /// channel's `spent` on top of the epoch base accumulated from
-    /// abandoned channels — into the monotonicity trail (called after
-    /// every exchange, before any abandon).
+    /// Snapshots the provider's committed amount, its channel's `spent`,
+    /// into the monotonicity trail (called after every exchange, before
+    /// any abandon).
     fn note_payment(&mut self, provider: Address) {
         if let Some(channel) = self.client.channel_with(&provider) {
-            let base = self
-                .payment_epoch
-                .get(&provider)
-                .copied()
-                .unwrap_or(U256::from(0u64));
-            let committed = base.saturating_add(channel.spent);
+            let committed = channel.spent;
             let trail = self.payments.entry(provider).or_default();
             if let Some(last) = trail.last() {
                 if committed < *last {
@@ -562,27 +592,18 @@ impl Gateway {
         }
     }
 
-    /// Records a failover and abandons the provider's channel. Fraud,
-    /// invalid responses, and refusals ban the provider outright;
-    /// transient causes (timeout, corruption, crash) leave it
-    /// re-selectable once its circuit breaker re-admits it.
+    /// Records a failover. Fraud, invalid responses, and refusals ban
+    /// the provider outright and abandon its channel; transient causes
+    /// (timeout, corruption, crash) keep the channel, and the provider
+    /// is re-selectable once its circuit breaker re-admits it.
     fn fail_over(&mut self, net: &Network, provider: Address, cause: FailoverCause, slashed: bool) {
-        // Fold the dying channel's committed spend into the epoch base
-        // so the payment trail stays cumulative across reconnects.
-        if let Some(channel) = self.client.channel_with(&provider) {
-            let base = self
-                .payment_epoch
-                .entry(provider)
-                .or_insert(U256::from(0u64));
-            *base = base.saturating_add(channel.spent);
-        }
-        self.client.abandon_provider(provider);
         let transient = matches!(
             cause,
             FailoverCause::Timeout | FailoverCause::Corruption | FailoverCause::Crash
         );
         if !transient {
             self.banned.insert(provider);
+            self.client.abandon_provider(provider);
         }
         let now_us = net.now_us();
         if let Some(tracer) = self.tracer() {
@@ -688,6 +709,56 @@ impl Gateway {
         }
     }
 
+    /// Reconciles a refusal that carries the client's own `σ_a` for more
+    /// than the channel with `provider` has committed — the trace of a
+    /// response the provider served and the transport lost, or withheld
+    /// — and reports whether it did. Anything else changes nothing, and
+    /// so does a refusal from a provider already reconciled with
+    /// [`MAX_UNVERIFIED_RECONCILES`] times since its last verified
+    /// response.
+    fn reconcile<T>(&mut self, net: &Network, provider: Address, outcome: &Exchanged<T>) -> bool {
+        let Err(SimError::Serve(ServeError::InsufficientPayment {
+            held: Some(held), ..
+        })) = outcome
+        else {
+            return false;
+        };
+        let reconciled = self.unverified.entry(provider).or_default();
+        if *reconciled >= MAX_UNVERIFIED_RECONCILES {
+            return false;
+        }
+        let (amount, payment_sig) = &**held;
+        if !self
+            .client
+            .reconcile_payment(provider, *amount, payment_sig)
+        {
+            return false;
+        }
+        *reconciled += 1;
+        if let Some(telemetry) = &self.telemetry {
+            // Registered on the first reconcile, so a run that never
+            // loses a served response exports the metric set it did
+            // before reconciling existed.
+            let reconciled = telemetry
+                .registry
+                .counter("parp_gateway_reconciled_total", &[]);
+            reconciled.inc();
+        }
+        if let Some(tracer) = self.tracer() {
+            tracer.instant(
+                "reconcile",
+                "gateway",
+                net.now_us(),
+                0,
+                vec![
+                    ("provider".to_string(), ArgValue::Str(provider.to_string())),
+                    ("amount".to_string(), ArgValue::Str(amount.to_string())),
+                ],
+            );
+        }
+        true
+    }
+
     /// Submits fraud evidence through a witness node (§IV-F). Returns
     /// whether the proof was accepted on-chain.
     fn submit_fraud(&mut self, net: &mut Network, offender: Address, relay: FraudRelay) -> bool {
@@ -723,7 +794,8 @@ impl Gateway {
     /// One verified read through the marketplace: select, exchange,
     /// and — on fraud, an invalid response, or a refusal — slash (when
     /// provable), fail over, and replay until a provider answers
-    /// honestly. A timed-out provider is first retried in place.
+    /// honestly. A timed-out provider is first retried in place, and so
+    /// is one whose refusal the client reconciled.
     ///
     /// # Errors
     ///
@@ -826,10 +898,10 @@ impl Gateway {
         let mut attempt = 0u32;
         loop {
             let outcome = exchange(net, &mut self.client, node_id);
-            // Retry the same provider in place on a timeout: the
-            // channel is intact and the lost exchange was never paid
-            // for, so the retry re-presents the same cumulative amount
-            // after a deterministic jittered backoff.
+            // Retry the same provider in place on a timeout, after a
+            // deterministic jittered backoff: the channel is intact. If
+            // the node served the lost exchange, the retry is refused
+            // with the σ_a it holds, which the next arm reconciles.
             if matches!(outcome, Err(SimError::Timeout { .. }))
                 && attempt < max_retries
                 && net.now_us().saturating_sub(started_us) < resilience.call_budget_us
@@ -840,6 +912,9 @@ impl Gateway {
                 if let Some(metrics) = &self.metrics {
                     metrics.retries.inc();
                 }
+                continue;
+            }
+            if self.reconcile(net, provider, &outcome) {
                 continue;
             }
             return self.score(net, provider, calls, outcome);
@@ -863,6 +938,7 @@ impl Gateway {
                     .entry(provider)
                     .record_valid(stats.latency_us());
                 self.breaker_success(provider);
+                self.unverified.remove(&provider);
                 self.note_payment(provider);
                 self.mark_recovered(net.now_us());
                 self.calls_served += calls;
@@ -975,18 +1051,24 @@ impl Gateway {
         // Phase 2: fan the k legs out **concurrently** over the
         // network's scoped-worker transport (serving and §V-D
         // verification run in parallel per leg; the simulated clock
-        // advances by the slowest leg instead of the sum). Failed legs
-        // go through the normal failover scoring, then replacements are
-        // drafted serially.
+        // advances by the slowest leg instead of the sum). A leg whose
+        // refusal the client reconciled is retried in place, as `try_on`
+        // does; failed legs go through the normal failover
+        // scoring, then replacements are drafted serially.
         let mut votes: Vec<QuorumVote> = Vec::new();
         let legs: Vec<(NodeId, RpcCall)> = drafted
             .iter()
             .map(|(_, node_id)| (*node_id, call.clone()))
             .collect();
         let outcomes = net.parp_call_fanout(&mut self.client, &legs);
+        let mut single = Self::single(&call);
         let mut any_leg_failed = false;
         let mut hedge_due = false;
-        for ((provider, _), outcome) in drafted.iter().zip(outcomes) {
+        for ((provider, node_id), outcome) in drafted.iter().zip(outcomes) {
+            let mut outcome = outcome.map(|(outcome, stats)| (outcome.into(), stats));
+            if self.reconcile(net, *provider, &outcome) {
+                outcome = single(net, &mut self.client, *node_id);
+            }
             // Hedge trigger is judged against the EWMA *before* this
             // leg's own sample lands in it.
             let prior_ewma = self.reputation.get(provider).latency_ewma_us;
@@ -999,7 +1081,6 @@ impl Gateway {
             } else {
                 hedge_due = true;
             }
-            let outcome = outcome.map(|(outcome, stats)| (outcome.into(), stats));
             match self.score(net, *provider, 1, outcome)? {
                 Some(result) => votes.push(QuorumVote {
                     provider: *provider,
@@ -1016,7 +1097,6 @@ impl Gateway {
         // past its EWMA-derived threshold rather than waiting on
         // replacements alone; then replacements (rare path) until the
         // quorum fills or candidates run out.
-        let mut single = Self::single(&call);
         while hedge_due || votes.len() < k {
             let Some(provider) = self.select_excluding(&skip, net.now_us()) else {
                 break;
@@ -1088,4 +1168,201 @@ fn addr_salt(provider: &Address) -> u64 {
     provider.as_bytes().iter().fold(0u64, |acc, b| {
         acc.wrapping_mul(31).wrapping_add(u64::from(*b))
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use parp_contracts::payment_digest;
+    use parp_crypto::{sign, SecretKey, Signature};
+    use parp_telemetry::Telemetry;
+
+    const PRICE: u64 = 10;
+    const BUDGET: u64 = 1_000;
+
+    /// One honest provider and a gateway that has paid it for one call
+    /// on a 1,000 wei channel.
+    fn served_once() -> (Network, Gateway, Address) {
+        let mut net = Network::new();
+        net.spawn_node(b"reconcile-node", U256::from(PRICE));
+        let client = net.spawn_client(b"reconcile-client", U256::from(PRICE));
+        let config = GatewayConfig {
+            channel_budget: U256::from(BUDGET),
+            ..GatewayConfig::default()
+        };
+        let mut gateway = Gateway::new(client, config);
+        gateway
+            .call(&mut net, RpcCall::BlockNumber)
+            .expect("serves");
+        let provider = net.registry()[0];
+        (net, gateway, provider)
+    }
+
+    fn spent(gateway: &Gateway, provider: &Address) -> U256 {
+        gateway
+            .client()
+            .channel_with(provider)
+            .expect("bonded")
+            .spent
+    }
+
+    fn channel_id(gateway: &Gateway, provider: &Address) -> u64 {
+        gateway.client().channel_with(provider).expect("bonded").id
+    }
+
+    fn sig(secret: &SecretKey, channel_id: u64, amount: u64) -> Signature {
+        sign(secret, &payment_digest(channel_id, &U256::from(amount)))
+    }
+
+    /// A payment refusal carrying `(amount, σ_a)` as its evidence.
+    fn refusal(amount: u64, payment_sig: Signature) -> Exchanged<Vec<u8>> {
+        Err(SimError::Serve(ServeError::InsufficientPayment {
+            offered: U256::from(amount),
+            required: U256::from(amount + PRICE),
+            held: Some(Box::new((U256::from(amount), payment_sig))),
+        }))
+    }
+
+    #[test]
+    fn a_served_then_lost_call_is_reconciled_on_the_same_channel() {
+        let (mut net, mut gateway, provider) = served_once();
+        let telemetry = Telemetry::with_tracing();
+        gateway.attach_telemetry(&telemetry);
+        let channel = channel_id(&gateway, &provider);
+        // Round after round, the node serves a request whose response the
+        // client never sees; each verified response after a reconcile
+        // restores the allowance, so rounds past it ban nobody.
+        let rounds = MAX_UNVERIFIED_RECONCILES as u64 + 1;
+        for round in 1..=rounds {
+            let request = gateway
+                .client
+                .request_from(provider, RpcCall::BlockNumber)
+                .expect("builds");
+            net.serve(NodeId(0), &request).expect("node serves");
+            gateway
+                .client
+                .forget_pending(provider, &request.request_hash);
+            let served = gateway.call(&mut net, RpcCall::BlockNumber);
+            assert!(served.is_ok(), "round {round}: {served:?}");
+            // The client paid for the lost call and the one served after
+            // it; the node holds exactly that.
+            let held = net.node(NodeId(0)).served_channel(channel).expect("served");
+            let paid = U256::from((1 + 2 * round) * PRICE);
+            assert_eq!(spent(&gateway, &provider), paid, "round {round}");
+            assert_eq!(held.latest_amount, paid, "round {round}");
+        }
+        let events = telemetry.tracer.events();
+        let reconciles = events.iter().filter(|e| e.name == "reconcile").count();
+        assert_eq!(reconciles as u64, rounds);
+        assert!(gateway.failovers().is_empty() && gateway.banned().is_empty());
+        assert_eq!(channel_id(&gateway, &provider), channel);
+        assert!(gateway.payments_monotone());
+    }
+
+    #[test]
+    fn a_lying_refusal_moves_nothing_and_bans() {
+        let stranger = SecretKey::from_seed(b"not-the-client");
+        for lie in ["another key", "another channel", "above budget", "at spent"] {
+            let (mut net, mut gateway, provider) = served_once();
+            let own = *gateway.client().secret();
+            let channel = channel_id(&gateway, &provider);
+            let before = spent(&gateway, &provider);
+            let (amount, payment_sig) = match lie {
+                "another key" => (2 * PRICE, sig(&stranger, channel, 2 * PRICE)),
+                "another channel" => (2 * PRICE, sig(&own, channel + 1, 2 * PRICE)),
+                "above budget" => (BUDGET + PRICE, sig(&own, channel, BUDGET + PRICE)),
+                _ => (PRICE, sig(&own, channel, PRICE)),
+            };
+            let mut exchanges = 0;
+            let mut lying = |_: &mut Network, client: &mut LightClient, _| {
+                exchanges += 1;
+                assert_eq!(
+                    client.channel_with(&provider).unwrap().spent,
+                    before,
+                    "{lie}"
+                );
+                refusal(amount, payment_sig)
+            };
+            let outcome = gateway.try_on(&mut net, provider, 1, 0, &mut lying);
+            assert!(matches!(outcome, Ok(None)), "{lie}");
+            assert_eq!(exchanges, 1, "{lie}: no reconcile, so no retry");
+            assert!(gateway.banned().contains(&provider), "{lie}");
+            assert_eq!(
+                gateway.failovers()[0].cause,
+                FailoverCause::Refused,
+                "{lie}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_third_refusal_without_a_verified_response_bans() {
+        let (mut net, mut gateway, provider) = served_once();
+        let own = *gateway.client().secret();
+        let channel = channel_id(&gateway, &provider);
+        // A node that takes each σ_a and refuses anyway: its evidence
+        // checks out every time, but two reconciles are all it gets.
+        let mut exchanges = 0u64;
+        let mut taking = |_: &mut Network, _: &mut LightClient, _| {
+            exchanges += 1;
+            let amount = (exchanges + 1) * PRICE;
+            refusal(amount, sig(&own, channel, amount))
+        };
+        let outcome = gateway.try_on(&mut net, provider, 1, 0, &mut taking);
+        assert!(matches!(outcome, Ok(None)));
+        assert_eq!(exchanges, 3, "two reconciles, two retries");
+        assert!(gateway.banned().contains(&provider));
+    }
+
+    #[test]
+    fn a_provider_that_withholds_every_response_is_banned_within_three_prices() {
+        // The node admits each payment, keeps its σ_a, and never answers:
+        // the client cannot tell this from a response served and lost.
+        for max_retries in [0, ResilienceConfig::default().max_retries] {
+            let (mut net, mut gateway, provider) = served_once();
+            let channel = channel_id(&gateway, &provider);
+            let before = spent(&gateway, &provider);
+            let mut spent_seen = before;
+            let mut withholding =
+                |net: &mut Network, client: &mut LightClient, node_id| -> Exchanged<Vec<u8>> {
+                    spent_seen = client.channel_with(&provider).expect("bonded").spent;
+                    let request = client.request_from(provider, RpcCall::BlockNumber)?;
+                    let served = net.serve(node_id, &request);
+                    client.forget_pending(provider, &request.request_hash);
+                    served?;
+                    Err(SimError::Timeout {
+                        provider,
+                        deadline_us: 0,
+                    })
+                };
+            for _ in 0..8 {
+                let outcome = gateway.route(&mut net, 1, max_retries, &mut withholding);
+                assert!(outcome.is_err(), "retries {max_retries}: nothing served");
+                if gateway.banned().contains(&provider) {
+                    break;
+                }
+                net.advance_clock(ResilienceConfig::default().breaker_cooldown_us);
+            }
+            assert!(
+                gateway.banned().contains(&provider),
+                "retries {max_retries}: a withholder is banned"
+            );
+            let last = gateway.failovers().last().expect("failed over");
+            assert_eq!(last.cause, FailoverCause::Refused, "retries {max_retries}");
+            // Two reconciles moved the client's ledger; the node holds one
+            // more σ_a on top of them, and no more.
+            let held = net.node(NodeId(0)).served_channel(channel).expect("served");
+            let price = U256::from(PRICE);
+            assert_eq!(
+                spent_seen,
+                before + price * U256::from(2u64),
+                "retries {max_retries}"
+            );
+            assert_eq!(
+                held.latest_amount,
+                before + price * U256::from(3u64),
+                "retries {max_retries}"
+            );
+        }
+    }
 }

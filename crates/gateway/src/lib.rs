@@ -24,9 +24,9 @@
 //! * [`Gateway`] — N concurrent payment channels (one per provider,
 //!   over the multi-session [`parp_core::LightClient`]), live failover
 //!   — a §V-D fraud classification submits the proof through a witness,
-//!   abandons the channel, re-selects and replays the in-flight call —
-//!   and [`Gateway::quorum_call`] fan-out reads cross-checking `k`
-//!   providers' verified results byte-for-byte.
+//!   bans the provider, abandons its channel, re-selects and replays the
+//!   in-flight call — and [`Gateway::quorum_call`] fan-out reads
+//!   cross-checking `k` providers' verified results byte-for-byte.
 //! * [`run_marketplace`] — the end-to-end churn scenario: a
 //!   cheapest-but-fraudulent provider slashed mid-run, a join and a
 //!   voluntary exit, zero invalid results accepted.
@@ -36,8 +36,15 @@
 //!   jittered backoff, hedged quorum legs off the latency EWMA, and a
 //!   per-provider closed → open → half-open breaker. Transient causes
 //!   ([`FailoverCause::Timeout`] / `Corruption` / `Crash`) fail over
-//!   without banning, and committed payments stay monotone across the
-//!   reconnects.
+//!   without banning and keep the channel. A response the provider
+//!   served and the transport lost leaves it holding the client's
+//!   `σ_a`; its next refusal carries that `(a, σ_a)`, the client
+//!   reconciles ([`parp_core::LightClient::reconcile_payment`]) and the
+//!   call is retried in place, keeping the channel. The client cannot
+//!   tell a lost response from a withheld one, so it reconciles at most
+//!   twice per provider between verified responses; the next refusal
+//!   bans, and a provider that never answers is paid for at most three
+//!   calls.
 //! * [`run_chaos`] — the marketplace under a seeded
 //!   [`parp_net::FaultPlane`] schedule (drops, delays, corruption,
 //!   crashes, partitions): zero accepted wrong payloads, every call

@@ -1208,18 +1208,23 @@ impl Network {
 
     /// Phase 3, **deliver**: brings the response back to the client —
     /// corrupted, delayed or lost as the leg's fault has it — computes
-    /// the round trip and enforces the deadline. Whatever was lost or
-    /// late is forgotten by the client (its payment ledger only moves on
-    /// a processed response) and burns the deadline.
+    /// the round trip and enforces the deadline. Whatever was refused,
+    /// lost or late is forgotten by the client (its payment ledger only
+    /// moves on a processed response); what was lost or late burns the
+    /// deadline.
     fn deliver<E: Exchange>(
         &mut self,
         client: &mut LightClient,
         leg: &Leg<E>,
         served: Served<E>,
     ) -> Result<(E::Response, ExchangeStats), Burn> {
+        let request_hash = E::request_hash(&leg.request);
         let arrived = match served {
             Ok(arrived) => arrived,
             Err(refusal) => {
+                // Refused unserved: the node holds nothing new, and the
+                // channel stays usable for the next request.
+                client.forget_pending(leg.provider, &request_hash);
                 self.note_provider_failure(leg.provider);
                 return Err((refusal, 0));
             }
@@ -1258,9 +1263,11 @@ impl Network {
                 }
             }
         }
-        // A retry re-presents the same cumulative amount, so abandoning
-        // the in-flight entry is payment-safe.
-        client.forget_pending(leg.provider, &E::request_hash(&leg.request));
+        // Lost or late. When the node served, it holds this request's
+        // σ_a, so its ledger is now ahead of the client's by this call's
+        // price; the next request on the channel is refused with that
+        // (a, σ_a), which the client may reconcile from.
+        client.forget_pending(leg.provider, &request_hash);
         self.note_provider_failure(leg.provider);
         Err(self.timed_out(leg.provider))
     }

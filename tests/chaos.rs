@@ -199,13 +199,14 @@ fn each_fault_class_surfaces_as_its_own_failover_cause() {
 }
 
 #[test]
-fn transient_failures_do_not_ban_and_payments_stay_monotone_across_reconnects() {
+fn transient_failures_do_not_ban_and_the_channel_survives_them() {
     // Single provider that drops everything for a step window, then
-    // heals: the gateway must time out, reconnect later, and the
-    // provider's payment trail must stay cumulative (no regression when
-    // the fresh channel restarts at spent = 0).
+    // heals: the gateway must time out, come back once the breaker
+    // lets it, and find the channel it had before — same id, payment
+    // trail non-decreasing.
     let (mut net, mut gateway, targets, expected) =
         chaos_fixture(1, "heal", SelectionPolicy::Cheapest);
+    let provider = net.registry()[0];
     let call = |t: usize| RpcCall::GetBalance {
         address: targets[t],
     };
@@ -214,6 +215,7 @@ fn transient_failures_do_not_ban_and_payments_stay_monotone_across_reconnects() 
         gateway.call(&mut net, call(0)).expect("clean serve"),
         expected[0]
     );
+    let channel_before = gateway.client().channel_with(&provider).expect("bonded").id;
     // Now wall the sole provider off (the step counter starts at the
     // plane's install). The window must outlast what one call budget
     // can burn through in retries, or the call simply rides it out.
@@ -229,7 +231,7 @@ fn transient_failures_do_not_ban_and_payments_stay_monotone_across_reconnects() 
     let during = gateway.call(&mut net, call(1));
     assert!(during.is_err(), "partitioned sole provider cannot serve");
     // Past the window the provider is *not* banned — once the breaker
-    // cooldown elapses, service resumes over a fresh channel.
+    // cooldown elapses, service resumes over the same channel.
     let mut healed = None;
     for _ in 0..16 {
         net.advance_clock(200_000);
@@ -240,11 +242,13 @@ fn transient_failures_do_not_ban_and_payments_stay_monotone_across_reconnects() 
     }
     let after = healed.expect("healed provider serves after the window");
     assert_eq!(after, expected[2]);
-    assert!(
-        gateway.payments_monotone(),
-        "cumulative payments must survive the channel switch"
+    let channel_after = gateway.client().channel_with(&provider).expect("bonded").id;
+    assert_eq!(
+        channel_after, channel_before,
+        "a partition costs no channel"
     );
-    let provider = net.registry()[0];
+    assert!(gateway.banned().is_empty());
+    assert!(gateway.payments_monotone());
     let trail = &gateway.payment_trajectories()[&provider];
     assert!(trail.len() >= 2);
     assert!(
@@ -598,6 +602,8 @@ proptest! {
         let a = run_chaos(&config);
         prop_assert_eq!(a.wrong_payloads, 0, "no wrong payload under any schedule");
         prop_assert_eq!(a.unclassified, 0, "every outcome classified");
+        let refused = a.failovers_by_cause.iter().find(|(cause, _)| *cause == "refused");
+        prop_assert_eq!(refused, Some(&("refused", 0)), "an honest provider is never refused");
         prop_assert_eq!(
             a.served + a.degraded + a.errored,
             a.issued,

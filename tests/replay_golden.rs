@@ -16,7 +16,12 @@ use parp_suite::net::{run_deep_history, DeepHistoryConfig, LatencyModel, Network
 use parp_suite::primitives::{Address, U256};
 use parp_suite::runtime::{Runtime, RuntimeConfig};
 
-const CHAOS_DIGEST: &str = "eb0c6e37b646409176b0e1a44dcbf2034fccc63bdec3e097c61cc69ba6d173cc";
+/// Re-recorded once when a transient fault stopped costing the channel:
+/// timeouts, corruption and crashes keep it, a refusal carrying the
+/// client's own `σ_a` is reconciled and retried in place.
+/// The default run now serves 44 calls, degrades 4 and errors none (was
+/// 43 / 4 / 1), and its snapshot gains `parp_gateway_reconciled_total`.
+const CHAOS_DIGEST: &str = "8bbd5315051a31fd5ba5c11417240b0426f1b56b643b17f36e23855e66493436";
 const MARKETPLACE_DIGEST: &str = "d6ddb01462e52680d92d061efbd91bb627eb65046674d77b4eacf50206dae09a";
 /// Re-recorded once when arena pages dropped their witness ids: a spilled
 /// node record went from 25 bytes to 9 and a resident one from 28 to 24,
