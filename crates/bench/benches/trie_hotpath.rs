@@ -1,9 +1,9 @@
-//! The trie hot-path bench: what the arena-flattened [`FrozenTrie`],
-//! batched keccak freeze and zero-copy multiproof serialization bought,
-//! measured **against the retained pre-optimization path**
-//! (`parp_trie::baseline`) compiled into this same binary.
+//! The trie hot-path bench: what the arena [`FrozenTrie`], its derive
+//! overlay and zero-copy multiproof serialization bought, measured
+//! **against the retained pre-optimization path** (`parp_trie::baseline`)
+//! compiled into this same binary.
 //!
-//! Four sections:
+//! Five sections:
 //!
 //! 1. **Correctness pin** — on the bench fixture, the arena path must
 //!    produce the identical root hash and byte-identical multiproofs to
@@ -12,11 +12,11 @@
 //!    a frozen 10k-account trie: baseline `prove_many` vs arena
 //!    `prove_many` vs `multiproof_into` writing into one reused
 //!    [`ProofBuf`] allocation. The arena speedup is asserted ≥ 2×.
-//! 3. **Freeze cost** — `FrozenTrie::new` (flatten + level-batched
-//!    keccak) vs the baseline's recursive index pass, per snapshot.
-//! 4. **Batched keccak** — `keccak256_batch` over the frozen node set
-//!    vs one incremental `Keccak256` instance per node.
-//! 5. **Derive vs rebuild** — what a write pays for its new head trie:
+//! 3. **Freeze cost** — `FrozenTrie::new` (the derive overlay run over
+//!    the empty arena with the pointer trie's pairs, the one arena
+//!    writer) vs the baseline's recursive index pass, per snapshot.
+//!    The arena build is asserted within 1.5× of the baseline.
+//! 4. **Derive vs rebuild** — what a write pays for its new head trie:
 //!    [`FrozenTrie::derive`] from the parent arena against the
 //!    `State::build_trie` + `FrozenTrie::new` it replaced, for the two
 //!    batch sizes the chain serves (a block touching 6 accounts of
@@ -28,8 +28,7 @@
 //!    10,000 accounts does *not* share (`derive_3_of_10k_copied_bytes`,
 //!    a count that repeats exactly) are hard-asserted under 256 KiB,
 //!    against the ~2.2 MB a full copy of the arena costs.
-//!
-//! 6. **Client verification** — the inverse of section 2, on the same
+//! 5. **Client verification** — the inverse of section 2, on the same
 //!    fixture: `verify_many` over the 64-key multiproof and
 //!    `verify_proof` over one key's own proof, results pinned equal to
 //!    the trie's contents; then `h_res` and `encode` of a 64-item
@@ -48,7 +47,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use parp_chain::State;
 use parp_contracts::{BatchOutput, ParpBatchRequest, ParpBatchResponse, ProofHashes, RpcCall};
-use parp_crypto::{keccak256, keccak256_batch, Keccak256, SecretKey};
+use parp_crypto::{keccak256, SecretKey};
 use parp_primitives::{Address, H256, U256};
 use parp_trie::{baseline, verify_many, verify_proof, FrozenTrie, ProofBuf, Trie};
 use std::hint::black_box;
@@ -63,10 +62,10 @@ const BATCH: usize = 64;
 /// Measurement rounds per timed section.
 const ROUNDS: u32 = 30;
 
-/// Rounds for the section 6 timings (each round is well under a
+/// Rounds for the section 5 timings (each round is well under a
 /// millisecond).
 const VERIFY_ROUNDS: u32 = 300;
-/// Section 6 as commit `af1d086` (the `Item`-tree walk and the
+/// Section 5 as commit `af1d086` (the `Item`-tree walk and the
 /// `Vec<Vec<u8>>` response encoder) measured it with this same bench code
 /// on the box that produced the checked-in artifact: medians of four runs
 /// alternated with its successor's (288–310, 7.3–7.7 and 15–16 µs against
@@ -76,7 +75,7 @@ const VERIFY_ROUNDS: u32 = 300;
 const VERIFY_MANY64_PARENT_US: f64 = 298.0;
 const VERIFY1_PARENT_US: f64 = 7.6;
 const BATCH_RESPONSE_ENCODE_PARENT_US: f64 = 16.0;
-/// `h_res` of the section 6 response when it hashed the whole envelope,
+/// `h_res` of the section 5 response when it hashed the whole envelope,
 /// every proof node's bytes included (119.7 µs in the artifact the last
 /// commit before proof nodes were bound by hash checked in).
 const BATCH_RESPONSE_HASH_PARENT_US: f64 = 120.0;
@@ -109,7 +108,7 @@ fn funded_state(accounts: u64) -> State {
     )
 }
 
-/// Section 5, one row: credits `touched` on a copy of `state` and times
+/// Section 4, one row: credits `touched` on a copy of `state` and times
 /// the two ways to its frozen trie — deriving from `state`'s arena, and
 /// the full `build_trie` + freeze — after pinning the derived arena
 /// byte-identical to the retained baseline over the updated contents.
@@ -159,7 +158,7 @@ fn derive_vs_rebuild(state: &State, touched: &[Address], rounds: u32) -> (f64, f
     (derive_us, rebuild_us)
 }
 
-/// Section 5, the sharing row: the bytes of the pages that deriving a
+/// Section 4, the sharing row: the bytes of the pages that deriving a
 /// 3-account write from a fresh 10,000-account arena copies or writes —
 /// every page it does not share with its parent.
 fn derive_3_copied_bytes() -> usize {
@@ -227,9 +226,6 @@ struct Numbers {
     multiproof_into_us: f64,
     freeze_base_us: f64,
     freeze_arena_us: f64,
-    keccak_incremental_us: u64,
-    keccak_batch_us: u64,
-    hashed_nodes: usize,
     proof_nodes: usize,
     proof_bytes: usize,
     derive_6_of_10k_us: f64,
@@ -240,7 +236,7 @@ struct Numbers {
     client: ClientSide,
 }
 
-/// Section 6's timings, µs.
+/// Section 5's timings, µs.
 struct ClientSide {
     verify_many64_us: f64,
     verify1_us: f64,
@@ -253,7 +249,7 @@ struct ClientSide {
     batch_response_encode_us: f64,
 }
 
-/// Section 6 over `multiproof`, the fixture batch's proof.
+/// Section 5 over `multiproof`, the fixture batch's proof.
 fn measure_client_side(
     trie: &Trie,
     arena: &FrozenTrie,
@@ -380,25 +376,6 @@ fn measure(trie: &Trie, keys: &[Vec<u8>]) -> Numbers {
     }
     let freeze_arena_us = started.elapsed().as_micros() as f64 / f64::from(FREEZE_ROUNDS);
 
-    // Batched vs incremental keccak over the actual frozen node set.
-    let nodes: Vec<&[u8]> = (0..arena.node_count() as u32)
-        .map(|id| arena.node_bytes(id))
-        .collect();
-    let started = Instant::now();
-    let incremental: Vec<_> = nodes
-        .iter()
-        .map(|node| {
-            let mut hasher = Keccak256::new();
-            hasher.update(node);
-            hasher.finalize()
-        })
-        .collect();
-    let keccak_incremental_us = started.elapsed().as_micros() as u64;
-    let started = Instant::now();
-    let batched = keccak256_batch(&nodes);
-    let keccak_batch_us = started.elapsed().as_micros() as u64;
-    assert_eq!(batched, incremental, "batched keccak diverged");
-
     // A block's worth of writes: sender, recipient, beneficiary and the
     // three module accounts, here six existing accounts spread over the
     // key space.
@@ -427,9 +404,6 @@ fn measure(trie: &Trie, keys: &[Vec<u8>]) -> Numbers {
         multiproof_into_us,
         freeze_base_us,
         freeze_arena_us,
-        keccak_incremental_us,
-        keccak_batch_us,
-        hashed_nodes: nodes.len(),
         proof_nodes,
         proof_bytes,
         derive_6_of_10k_us,
@@ -445,7 +419,6 @@ fn emit_artifact(n: &Numbers) {
     let multiproof_speedup = n.multiproof_base_us / n.multiproof_arena_us.max(1e-9);
     let zero_copy_speedup = n.multiproof_base_us / n.multiproof_into_us.max(1e-9);
     let freeze_ratio = n.freeze_arena_us / n.freeze_base_us.max(1e-9);
-    let keccak_speedup = n.keccak_incremental_us as f64 / n.keccak_batch_us.max(1) as f64;
     let batch_per_sec = 1e6 / n.multiproof_into_us.max(1e-9);
     let derive_6_speedup = n.rebuild_10k_us / n.derive_6_of_10k_us.max(1e-9);
     let derive_1000_speedup = n.rebuild_6k_us / n.derive_1000_into_5k_us.max(1e-9);
@@ -457,8 +430,6 @@ fn emit_artifact(n: &Numbers) {
          \"batches_per_sec\":{batch_per_sec:.0},\
          \"proof_nodes\":{},\"proof_bytes\":{},\
          \"freeze_prepr_us\":{:.0},\"freeze_arena_us\":{:.0},\"freeze_ratio\":{freeze_ratio:.2},\
-         \"keccak_nodes\":{},\"keccak_incremental_us\":{},\"keccak_batch_us\":{},\
-         \"keccak_batch_speedup\":{keccak_speedup:.2},\
          \"derive_6_of_10k_us\":{:.0},\"rebuild_10k_us\":{:.0},\
          \"derive_6_speedup\":{derive_6_speedup:.1},\
          \"derive_1000_into_5k_us\":{:.0},\"rebuild_6k_us\":{:.0},\
@@ -480,9 +451,6 @@ fn emit_artifact(n: &Numbers) {
         n.proof_bytes,
         n.freeze_base_us,
         n.freeze_arena_us,
-        n.hashed_nodes,
-        n.keccak_incremental_us,
-        n.keccak_batch_us,
         n.derive_6_of_10k_us,
         n.rebuild_10k_us,
         n.derive_1000_into_5k_us,
@@ -507,8 +475,8 @@ fn emit_artifact(n: &Numbers) {
     );
     println!(
         "freeze {ACCOUNTS}-account snapshot: pre-PR {:.0} µs | arena {:.0} µs ({freeze_ratio:.2}× \
-         relative) | batched keccak over {} nodes: {keccak_speedup:.2}× vs per-node incremental",
-        n.freeze_base_us, n.freeze_arena_us, n.hashed_nodes,
+         relative)",
+        n.freeze_base_us, n.freeze_arena_us,
     );
 
     println!(
@@ -548,14 +516,6 @@ fn emit_artifact(n: &Numbers) {
         zero_copy_speedup >= multiproof_speedup * 0.95,
         "zero-copy serialization must not give back the arena win \
          ({zero_copy_speedup:.2}× vs {multiproof_speedup:.2}×)"
-    );
-    // The incremental path shares this PR's one-shot absorb, so the
-    // batch API's remaining edge is per-node hasher setup — small but
-    // real. Gate on "never slower", with headroom for VM noise.
-    assert!(
-        keccak_speedup >= 0.9,
-        "batched keccak must not lose to per-node incremental hashing \
-         (measured {keccak_speedup:.2}×)"
     );
     assert!(
         derive_6_speedup >= 10.0,

@@ -2,10 +2,9 @@
 //! inclusion proofs.
 
 use crate::header::Header;
-use crate::receipt::Receipt;
 use crate::transaction::SignedTransaction;
 use parp_primitives::H256;
-use parp_trie::{ordered_trie, Trie};
+use parp_trie::{ordered_pairs, FrozenTrie};
 
 /// A block: header plus ordered transactions.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,13 +27,8 @@ impl Block {
     }
 
     /// Builds the transaction trie: `rlp(index) → rlp(signed_tx)`.
-    pub fn transactions_trie(&self) -> Trie {
-        let encoded: Vec<Vec<u8>> = self
-            .transactions
-            .iter()
-            .map(SignedTransaction::encode)
-            .collect();
-        ordered_trie(encoded.iter().map(Vec::as_slice))
+    pub fn transactions_trie(&self) -> FrozenTrie {
+        ordered_pairs(self.transactions.iter().map(SignedTransaction::encode)).collect()
     }
 
     /// Merkle proof that transaction `index` is included in this block,
@@ -52,15 +46,10 @@ impl Block {
     }
 }
 
-/// Builds the receipt trie for a block's receipts.
-pub fn receipts_trie(receipts: &[Receipt]) -> Trie {
-    let encoded: Vec<Vec<u8>> = receipts.iter().map(Receipt::encode).collect();
-    ordered_trie(encoded.iter().map(Vec::as_slice))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::receipt::Receipt;
     use crate::transaction::Transaction;
     use parp_crypto::SecretKey;
     use parp_primitives::{Address, U256};
@@ -84,7 +73,7 @@ mod tests {
         let tx_root = {
             let encoded: Vec<Vec<u8>> =
                 transactions.iter().map(SignedTransaction::encode).collect();
-            ordered_trie(encoded.iter().map(Vec::as_slice)).root_hash()
+            parp_trie::ordered_trie(encoded.iter().map(Vec::as_slice)).root_hash()
         };
         Block {
             header: Header {
@@ -136,6 +125,11 @@ mod tests {
             cumulative_gas_used: 21_000,
             logs: Vec::new(),
         }];
-        assert_ne!(receipts_trie(&a).root_hash(), receipts_trie(&b).root_hash());
+        let root = |receipts: &[Receipt]| {
+            ordered_pairs(receipts.iter().map(Receipt::encode))
+                .collect::<FrozenTrie>()
+                .root_hash()
+        };
+        assert_ne!(root(&a), root(&b));
     }
 }

@@ -12,6 +12,7 @@ use crate::transaction::SignedTransaction;
 use parp_crypto::keccak256;
 use parp_primitives::{Address, H256, U256};
 use parp_store::{BlockStore, ReadCounts};
+use parp_trie::{ordered_pairs, FrozenTrie};
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
@@ -370,9 +371,8 @@ impl Blockchain {
         let encoded_txs: Vec<Vec<u8>> =
             transactions.iter().map(SignedTransaction::encode).collect();
         let encoded_receipts: Vec<Vec<u8>> = receipts.iter().map(Receipt::encode).collect();
-        let ordered_root = |encoded: &[Vec<u8>]| {
-            parp_trie::ordered_trie(encoded.iter().map(Vec::as_slice)).root_hash()
-        };
+        let ordered_root =
+            |encoded: &[Vec<u8>]| ordered_pairs(encoded).collect::<FrozenTrie>().root_hash();
         let block = Block {
             header: Header {
                 parent_hash,
@@ -571,7 +571,7 @@ impl Blockchain {
         if index >= encoded.len() {
             return None;
         }
-        let trie = parp_trie::ordered_trie(encoded.iter().map(Vec::as_slice));
+        let trie: FrozenTrie = ordered_pairs(&encoded).collect();
         Some(trie.prove(&parp_rlp::encode_u64(index as u64)))
     }
 
@@ -592,7 +592,7 @@ impl Blockchain {
         if index >= encoded.len() {
             return None;
         }
-        let trie = parp_trie::ordered_trie(encoded.iter().map(Vec::as_slice));
+        let trie: FrozenTrie = ordered_pairs(&encoded).collect();
         let proof = trie.prove(&parp_rlp::encode_u64(index as u64));
         Some((encoded.swap_remove(index), proof))
     }

@@ -49,7 +49,7 @@ mod state;
 mod transaction;
 
 pub use account::{empty_code_hash, Account};
-pub use block::{receipts_trie, Block};
+pub use block::Block;
 pub use chain::{
     BlockError, Blockchain, ChainMemory, BLOCK_HASH_WINDOW, BLOCK_INTERVAL, MIN_HISTORY_WINDOW,
 };

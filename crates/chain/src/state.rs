@@ -61,9 +61,10 @@ impl UndoRecord {
 /// exactly where the parent was current takes it back as the memo (same
 /// `Arc`, nothing rebuilt). Only a state that does not descend from a
 /// built trie (genesis, [`State::with_alloc`], a [rewound](State::rewind)
-/// one) pays the full [`State::build_trie`] + freeze. The two routes
-/// produce the same root and the same proof bytes; debug builds assert it
-/// on every derive.
+/// one) pays a build from scratch: every account derived into the empty
+/// arena. The two routes produce the same root and the same proof bytes;
+/// debug builds check every derived root against the pointer trie
+/// [`State::build_trie`] builds.
 ///
 /// # Examples
 ///
@@ -94,6 +95,12 @@ pub struct State {
     /// `(address, value before the write)` for every write since the
     /// last seal, oldest first.
     journal: Vec<(Address, Option<Account>)>,
+}
+
+/// The secure trie's pair for one account: `keccak256(address) →
+/// rlp(account)`.
+fn leaf((address, account): (&Address, &Account)) -> (H256, Vec<u8>) {
+    (keccak256(address.as_bytes()), account.encode())
 }
 
 /// Puts `address` back to `prior`: its earlier value, or gone.
@@ -275,28 +282,25 @@ impl State {
         self.accounts.iter()
     }
 
-    /// Builds the secure state trie from scratch:
+    /// Builds the secure state trie from scratch as a pointer [`Trie`]:
     /// `keccak256(address) → rlp(account)`.
     ///
     /// Bypasses the memo deliberately (cold-path baseline for the
-    /// runtime benches, and the reference the derived trie is checked
-    /// against); normal callers want [`State::shared_trie`].
+    /// runtime benches, and the independent reference the derived trie
+    /// is checked against); normal callers want [`State::shared_trie`].
     pub fn build_trie(&self) -> Trie {
-        let mut trie = Trie::new();
-        for (address, account) in &self.accounts {
-            trie.insert(
-                keccak256(address.as_bytes()).as_bytes().to_vec(),
-                account.encode(),
-            );
-        }
-        trie
+        self.accounts
+            .iter()
+            .map(leaf)
+            .map(|(key, value)| (key.as_bytes().to_vec(), value))
+            .collect()
     }
 
     /// The memoized, frozen secure state trie, shared behind an [`Arc`]
     /// so the serving runtime can hold it without copying.
     /// Built (and its proof index computed) at most once per write
     /// generation: derived from the parent trie when this state descends
-    /// from a built one, frozen from scratch otherwise — and also when
+    /// from a built one, built from scratch otherwise — and also when
     /// the parent's spine does not decode, which only a corrupted arena
     /// can cause.
     pub fn shared_trie(&self) -> Arc<FrozenTrie> {
@@ -308,20 +312,15 @@ impl State {
                     // entry.
                     let dirty: BTreeSet<Address> =
                         self.journal[*at..].iter().map(|(a, _)| *a).collect();
-                    parent.derive(dirty.iter().map(|address| {
-                        (
-                            keccak256(address.as_bytes()),
-                            self.accounts[address].encode(),
-                        )
-                    }))
+                    parent.derive(dirty.iter().map(|a| leaf((a, &self.accounts[a]))))
                 });
                 let Some(derived) = derived else {
-                    return Arc::new(FrozenTrie::new(self.build_trie()));
+                    return Arc::new(self.accounts.iter().map(leaf).collect());
                 };
                 debug_assert_eq!(
                     derived.root_hash(),
-                    FrozenTrie::new(self.build_trie()).root_hash(),
-                    "derived state trie diverged from a fresh freeze"
+                    self.build_trie().root_hash(),
+                    "derived state trie diverged from the pointer trie"
                 );
                 Arc::new(derived)
             })

@@ -205,6 +205,11 @@ impl Keccak256 {
 
 /// One-shot Keccak-256.
 ///
+/// Independent inputs — the nodes of a trie level, say — are hashed one
+/// call each. A batch entry point earns its place only with a
+/// lane-parallel permutation behind it that hashes several inputs at
+/// once; a loop over this function is what it would otherwise be.
+///
 /// # Examples
 ///
 /// ```
@@ -220,33 +225,6 @@ pub fn keccak256(data: &[u8]) -> H256 {
     let mut state = [0u64; 25];
     absorb_all(&mut state, data);
     squeeze(&state)
-}
-
-/// Keccak-256 over many independent inputs in one call.
-///
-/// The hot paths that hash whole levels of trie node encodings (the
-/// frozen-trie freeze pass) hand the hasher every encoding at once
-/// instead of paying a hasher setup per node. Each digest equals
-/// [`keccak256`] of the corresponding input; the batch shape is what a
-/// future multi-lane implementation accelerates without callers
-/// changing.
-///
-/// # Examples
-///
-/// ```
-/// use parp_crypto::{keccak256, keccak256_batch};
-///
-/// let digests = keccak256_batch(&[b"abc".as_slice(), b"".as_slice()]);
-/// assert_eq!(digests, vec![keccak256(b"abc"), keccak256(b"")]);
-/// ```
-pub fn keccak256_batch(inputs: &[&[u8]]) -> Vec<H256> {
-    let mut out = Vec::with_capacity(inputs.len());
-    for input in inputs {
-        let mut state = [0u64; 25];
-        absorb_all(&mut state, input);
-        out.push(squeeze(&state));
-    }
-    out
 }
 
 /// Keccak-256 over the concatenation of several byte slices, without
@@ -356,19 +334,6 @@ mod tests {
             hasher.update(&data[split..]);
             assert_eq!(hasher.finalize(), keccak256(&data));
         }
-    }
-
-    #[test]
-    fn batch_matches_oneshot() {
-        let inputs: Vec<Vec<u8>> = (0..10usize)
-            .map(|i| vec![i as u8; i * 41]) // crosses the rate boundary
-            .collect();
-        let slices: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
-        let digests = keccak256_batch(&slices);
-        for (input, digest) in inputs.iter().zip(&digests) {
-            assert_eq!(*digest, keccak256(input));
-        }
-        assert!(keccak256_batch(&[]).is_empty());
     }
 
     #[test]

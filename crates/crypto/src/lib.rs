@@ -37,7 +37,7 @@ mod scalar;
 
 pub use ecdsa::{recover, recover_address, sign, verify, PreparedKey, Signature, SignatureError};
 pub use field::FieldElement;
-pub use keccak::{hmac_keccak256, keccak256, keccak256_batch, keccak256_concat, Keccak256};
+pub use keccak::{hmac_keccak256, keccak256, keccak256_concat, Keccak256};
 pub use keys::{InvalidSecretKey, KeyPair, PublicKey, SecretKey};
 pub use parallel::{par_join, par_map, recover_addresses_parallel};
 pub use point::{

@@ -54,8 +54,7 @@ impl SelectionPolicy {
                 .iter()
                 .max_by(|a, b| {
                     let (sa, sb) = (book.score(&a.address), book.score(&b.address));
-                    sa.partial_cmp(&sb)
-                        .expect("scores are finite")
+                    sa.total_cmp(&sb)
                         // Prefer cheaper, then lower address, on equal
                         // score; max_by keeps the *last* maximal element,
                         // so order the comparison accordingly.

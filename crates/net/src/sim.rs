@@ -611,16 +611,14 @@ impl Network {
     /// The aggregate for `provider`, created (and, with telemetry
     /// attached, registered under per-provider labels) on first touch.
     fn provider_entry(&mut self, provider: Address) -> &mut ProviderAggregate {
-        if !self.provider_stats.contains_key(&provider) {
+        let telemetry = &self.telemetry;
+        self.provider_stats.entry(provider).or_insert_with(|| {
             let aggregate = ProviderAggregate::default();
-            if let Some(telemetry) = &self.telemetry {
+            if let Some(telemetry) = telemetry {
                 Self::register_provider(telemetry, provider, &aggregate);
             }
-            self.provider_stats.insert(provider, aggregate);
-        }
-        self.provider_stats
-            .get_mut(&provider)
-            .expect("just inserted")
+            aggregate
+        })
     }
 
     /// Replaces the serving runtime (inclusion-cache size, admission

@@ -324,9 +324,7 @@ impl ColdProofEngine {
     ) -> Option<Arc<FrozenTrie>> {
         self.tier.get_or_insert_with(root, || {
             let encoded = body()?;
-            Some(Arc::new(FrozenTrie::new(parp_trie::ordered_trie(
-                encoded.iter().map(Vec::as_slice),
-            ))))
+            Some(Arc::new(parp_trie::ordered_pairs(encoded).collect()))
         })
     }
 }

@@ -1,5 +1,5 @@
-//! An arena-flattened trie frozen for serving: node encodings laid out
-//! in shared pages, proofs in O(depth) with zero hashing.
+//! A trie frozen into an arena for serving: node encodings laid out in
+//! shared pages, proofs in O(depth) with zero hashing.
 //!
 //! [`crate::Trie::prove`] re-encodes every node it records, and encoding
 //! an interior node recursively encodes (and hashes) its whole subtree —
@@ -10,15 +10,13 @@
 //! `Vec` key clone plus a hash-map probe, every recorded node was cloned
 //! per key, and multiproof dedup re-keccaked every recorded node.
 //!
-//! A [`FrozenTrie`] flattens the trie into an arena instead:
+//! A [`FrozenTrie`] holds an arena instead:
 //!
 //! * a node table ([`ArenaNode`] is a few words; children are `u32`
 //!   arena ids, not boxes), so a proof walk is index chasing;
 //! * an encoding buffer, with each node holding an `(offset, len)` range
 //!   — recorded proof nodes are slices, copied at most once into the
-//!   caller's [`ProofBuf`];
-//! * a freeze pass that encodes bottom-up level by level and hashes
-//!   each level's encodings through [`parp_crypto::keccak256_batch`].
+//!   caller's [`ProofBuf`].
 //!
 //! A multiproof needs no hashing either: each recorded node's hash is the
 //! reference its parent's encoding already holds, and
@@ -27,31 +25,33 @@
 //! [`crate::Trie::prove_many`] applies by keccak.
 //!
 //! The proof bytes are **identical** to [`crate::Trie::prove`] and to
-//! the retained baseline — the freeze changes where encodings come
-//! from, never what they are — so frozen proofs verify (and
-//! fraud-check) interchangeably with unfrozen ones. This is the shape
-//! the chain's head state and the serving runtime share behind one
-//! `Arc`: a walk chases arena ids and only the final emit touches bytes.
+//! the retained baseline — the arena changes where encodings come from,
+//! never what they are — so frozen proofs verify (and fraud-check)
+//! interchangeably with unfrozen ones. This is the shape the chain's
+//! head state and the serving runtime share behind one `Arc`: a walk
+//! chases arena ids and only the final emit touches bytes.
 //!
-//! # Pages, and deriving instead of re-freezing
+//! # One writer: deriving
 //!
 //! The node table, the child-id and path pools and the encoding buffer
 //! are each stored as fixed-size pages behind [`Arc`] (3–4 KiB; a
 //! node's encoding, child slots and path never straddle two pages).
 //!
-//! A frozen arena is immutable, but the next block's state differs from
-//! it in a handful of keys. [`FrozenTrie::derive`] produces the arena of
-//! the updated trie from the parent arena and a set of `(key, value)`
-//! upserts: it decodes only the nodes on the upserted keys' spines into
-//! an editable overlay, applies the inserts there (splitting leaves and
-//! extensions exactly as [`Trie::insert`] does), encodes and hashes each
-//! touched node once, bottom-up — an untouched child's reference is the
-//! hash already embedded in its old parent's encoding, never a fresh
-//! keccak. The result starts as a copy of the parent's page *lists*: it
-//! copies only the pages whose node records or child slots change, and
-//! the last page of a pool it appends to, sharing every other page with
-//! its parent. The cost is O(dirty · depth) nodes hashed and pages
-//! copied, against O(n) nodes hashed for a re-freeze.
+//! A frozen arena is immutable, and only [`FrozenTrie::derive`] writes
+//! one: it produces the arena of the updated trie from a parent arena
+//! and a set of `(key, value)` upserts. It decodes only the nodes on the
+//! upserted keys' spines into an editable overlay, applies the inserts
+//! there (splitting leaves and extensions exactly as [`Trie::insert`]
+//! does), encodes and hashes each touched node once, bottom-up — an
+//! untouched child's reference is the hash already embedded in its old
+//! parent's encoding, never a fresh keccak. The result starts as a copy
+//! of the parent's page *lists*: it copies only the pages whose node
+//! records or child slots change, and the last page of a pool it appends
+//! to, sharing every other page with its parent. The cost is
+//! O(dirty · depth) nodes hashed and pages copied, against O(n) for a
+//! build from scratch. A build from scratch — [`FrozenTrie::from_iter`]
+//! over pairs, or [`FrozenTrie::new`] over a [`Trie`]'s — is the same
+//! derive run over the empty arena.
 //!
 //! A replaced encoding stays where it is, **superseded**: the derived
 //! arena still holds its bytes, and [`FrozenTrie::superseded_bytes`]
@@ -59,18 +59,18 @@
 //! [`FrozenTrie::LIVE_PER_SUPERSEDED`]'s fraction of the live bytes
 //! writes the updated arena compact instead, so a long chain of
 //! derivations pays that O(n) copy once per many blocks. A derived arena
-//! answers like `FrozenTrie::new` on the updated contents through its
+//! answers like a build from scratch of the updated contents through its
 //! root, length, node count and proofs; only its arena ids and the
 //! superseded bytes may differ, and a [`FrozenTrie::to_bytes`] page
 //! leaves the superseded bytes out.
 
 use crate::nibbles::{bytes_to_nibbles, common_prefix_len, hp_decode, hp_encode};
-use crate::node::{empty_root, Node};
+use crate::node::empty_root;
 use crate::proofbuf::ProofBuf;
 use crate::trie::Trie;
-use parp_crypto::{keccak256, keccak256_batch};
+use parp_crypto::keccak256;
 use parp_primitives::H256;
-use parp_rlp::{encode_bytes, encode_list, Item};
+use parp_rlp::{list_len, write_bytes, write_list_header, Item};
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
@@ -118,8 +118,8 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// What a flattened node is; the walk only needs the shape, never the
-/// boxed tree.
+/// What an arena node is; the walk only needs the shape, never a boxed
+/// tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Kind {
     #[default]
@@ -128,7 +128,7 @@ enum Kind {
     Branch,
 }
 
-/// One flattened trie node: encoding range, children ids and walk
+/// One arena node: encoding range, children ids and walk
 /// metadata, all as offsets into the arena's pools.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct ArenaNode {
@@ -324,8 +324,8 @@ impl BuildHasher for Spread {
     }
 }
 
-/// A [`Trie`] flattened into a paged arena for O(depth),
-/// allocation-light proof serving.
+/// A trie held in a paged arena for O(depth), allocation-light proof
+/// serving.
 ///
 /// # Examples
 ///
@@ -337,6 +337,9 @@ impl BuildHasher for Spread {
 ///     trie.insert(i.to_be_bytes().to_vec(), format!("v{i}").into_bytes());
 /// }
 /// let frozen = FrozenTrie::new(trie.clone());
+/// // The same arena as collecting the pairs straight into one.
+/// let pairs = (0..100u32).map(|i| (i.to_be_bytes(), format!("v{i}")));
+/// assert_eq!(pairs.collect::<FrozenTrie>().to_bytes(), frozen.to_bytes());
 /// let key = 42u32.to_be_bytes();
 /// // Same bytes as Trie::prove, at O(depth) instead of O(trie) cost.
 /// assert_eq!(frozen.prove(&key), trie.prove(&key));
@@ -351,8 +354,7 @@ impl BuildHasher for Spread {
 #[derive(Debug, Clone)]
 pub struct FrozenTrie {
     root: H256,
-    /// Key/value pair count (the arena does not keep the boxed tree it
-    /// was flattened from).
+    /// Key/value pair count.
     len: usize,
     nodes: Paged<ArenaNode, NODE_PAGE_SHIFT>,
     /// Child-id pool: 16 slots per branch, 1 per extension.
@@ -373,33 +375,25 @@ impl FrozenTrie {
     /// the bound writes a compact arena instead.
     pub const LIVE_PER_SUPERSEDED: usize = 8;
 
-    /// Freezes `trie`: flattens it into the arena and computes every
-    /// node encoding bottom-up, hashing each level's encodings in one
-    /// batched keccak pass. The boxed tree is dropped: the arena alone
-    /// serves proofs and [`FrozenTrie::derive`]s successors.
+    /// Freezes `trie`: the arena [`FrozenTrie::from_iter`] builds from
+    /// its pairs. The boxed tree is dropped: the arena alone serves
+    /// proofs and [`FrozenTrie::derive`]s successors.
     pub fn new(trie: Trie) -> Self {
-        let len = trie.len();
-        let (root, arena) = match trie.root_node() {
-            Node::Empty => (empty_root(), Arena::default()),
-            node => {
-                let mut arena = Arena::default();
-                arena.flatten(node, 0);
-                (arena.encode_levels(), arena)
-            }
-        };
-        // `srcs` (which borrows the trie) stays behind; only the pools
-        // move into the frozen value.
-        let mut frozen = FrozenTrie {
-            root,
-            len,
-            nodes: arena.nodes,
-            children: arena.children,
-            paths: arena.paths,
-            buf: arena.buf,
+        trie.iter().collect()
+    }
+
+    /// The arena of the empty trie, which every other arena is derived
+    /// from.
+    fn empty() -> Self {
+        FrozenTrie {
+            root: empty_root(),
+            len: 0,
+            nodes: Paged::default(),
+            children: Paged::default(),
+            paths: Paged::default(),
+            buf: Paged::default(),
             live: 0,
-        };
-        frozen.live = frozen.pool_bytes();
-        frozen
+        }
     }
 
     /// Number of key/value pairs stored.
@@ -412,7 +406,7 @@ impl FrozenTrie {
         self.len == 0
     }
 
-    /// The Merkle root, precomputed at freeze time.
+    /// The Merkle root, computed when the arena was written.
     pub fn root_hash(&self) -> H256 {
         self.root
     }
@@ -441,7 +435,7 @@ impl FrozenTrie {
     /// Bytes [`FrozenTrie::mem_bytes`] counts that no node refers to
     /// any more: encodings, child slots and paths a
     /// [`FrozenTrie::derive`] replaced and left in place. Zero for a
-    /// fresh freeze and a rehydrated page; bounded by
+    /// build from scratch and a rehydrated page; bounded by
     /// [`FrozenTrie::LIVE_PER_SUPERSEDED`].
     pub fn superseded_bytes(&self) -> usize {
         self.pool_bytes() - self.live
@@ -750,24 +744,25 @@ impl FrozenTrie {
 
     /// The frozen arena of this trie with `upserts` applied (insert or
     /// replace, in order — a repeated key keeps its last value), without
-    /// re-freezing: only the nodes on the upserted keys' spines are
+    /// a rebuild: only the nodes on the upserted keys' spines are
     /// re-encoded and re-hashed, each once, and only the pages holding
     /// their records and changed child slots are copied; every other
     /// page is shared with `self`. Costs O(upserts · depth), against
-    /// O(n) nodes hashed for [`FrozenTrie::new`] — plus, once the
+    /// O(n) nodes hashed for a build from scratch — plus, once the
     /// superseded bytes pass [`FrozenTrie::LIVE_PER_SUPERSEDED`]'s
     /// bound, one compacting O(n) copy.
     ///
-    /// The result is indistinguishable from [`FrozenTrie::new`] on the
-    /// updated contents through `root_hash`, `len`, `node_count`,
-    /// `prove`, `prove_many` / `multiproof_into` and a
-    /// [`FrozenTrie::to_bytes`] round trip. It does not depend on `self`
+    /// The result is indistinguishable from a build from scratch of the
+    /// updated contents ([`FrozenTrie::from_iter`]) through `root_hash`,
+    /// `len`, `node_count`, `prove`, `prove_many` / `multiproof_into` and
+    /// a [`FrozenTrie::to_bytes`] round trip. It does not depend on `self`
     /// staying alive: shared pages live as long as either arena does.
     ///
     /// Returns `None` when a node on a touched spine is not node RLP —
     /// which only a corrupted page can cause ([`FrozenTrie::from_bytes`]
-    /// checks a page's structure, not its contents); a fresh freeze of
-    /// the updated contents is then the way to the new arena.
+    /// checks a page's structure, not its contents); a build from
+    /// scratch of the updated contents is then the way to the new arena.
+    /// Derived from the empty arena, it is always `Some`.
     ///
     /// # Panics
     ///
@@ -877,9 +872,29 @@ fn child_reference(encoding: &[u8], index: usize) -> Option<H256> {
     }
 }
 
-impl From<Trie> for FrozenTrie {
-    fn from(trie: Trie) -> Self {
-        FrozenTrie::new(trie)
+/// Builds the arena of `(key, value)` pairs: [`FrozenTrie::derive`] over
+/// the empty arena, so a repeated key keeps its last value, order does
+/// not matter, and an empty value panics as [`Trie::insert`] does. No
+/// pairs give the empty trie, rooted at [`empty_root`].
+///
+/// # Examples
+///
+/// ```
+/// use parp_trie::{FrozenTrie, Trie};
+///
+/// let pairs: [(&[u8], &[u8]); 3] =
+///     [(b"dog", b"puppy"), (b"doe", b"deer"), (b"dog", b"hound")];
+/// let frozen: FrozenTrie = pairs.into_iter().collect();
+/// let trie: Trie = pairs.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+/// assert_eq!(frozen.len(), 2);
+/// assert_eq!(frozen.root_hash(), trie.root_hash());
+/// assert_eq!(frozen.prove(b"dog"), trie.prove(b"dog"));
+/// ```
+impl<K: AsRef<[u8]>, V: AsRef<[u8]>> FromIterator<(K, V)> for FrozenTrie {
+    fn from_iter<I: IntoIterator<Item = (K, V)>>(pairs: I) -> Self {
+        FrozenTrie::empty()
+            .derive(pairs)
+            .expect("an empty arena has no node to decode")
     }
 }
 
@@ -891,149 +906,6 @@ fn nibble_at(key: &[u8], i: usize) -> u8 {
         byte >> 4
     } else {
         byte & 0x0f
-    }
-}
-
-/// Freeze-pass scratch: flattens the boxed tree, then encodes and
-/// hashes it level by level.
-#[derive(Default)]
-struct Arena<'a> {
-    nodes: Paged<ArenaNode, NODE_PAGE_SHIFT>,
-    children: Paged<u32, SLOT_PAGE_SHIFT>,
-    paths: Paged<u8, BYTE_PAGE_SHIFT>,
-    buf: Paged<u8, BYTE_PAGE_SHIFT>,
-    /// Source nodes, parallel to `nodes` (branch values are read at
-    /// encode time instead of being copied into a pool).
-    srcs: Vec<&'a Node>,
-    depths: Vec<u32>,
-}
-
-impl<'a> Arena<'a> {
-    /// Pass 1: assigns arena ids in pre-order (the root is id 0),
-    /// records structure, and encodes leaves (which have no
-    /// dependencies) immediately.
-    fn flatten(&mut self, node: &'a Node, depth: u32) -> u32 {
-        let id = self.nodes.push(&[ArenaNode::default()]);
-        self.srcs.push(node);
-        self.depths.push(depth);
-        match node {
-            Node::Empty => unreachable!("flatten is never called on an empty node"),
-            Node::Leaf { path, value } => {
-                let encoded = encode_list(&[
-                    encode_bytes(&crate::nibbles::hp_encode(path, true)),
-                    encode_bytes(value),
-                ]);
-                self.set_encoding(id, &encoded);
-            }
-            Node::Extension { path, child } => {
-                let path_off = self.paths.push(path);
-                let child_off = self.children.push(&[NO_NODE]);
-                let slot = self.nodes.get_mut(id);
-                slot.kind = Kind::Extension;
-                slot.child_off = child_off;
-                slot.path_off = path_off;
-                slot.path_len = path.len() as u32;
-                let child_id = self.flatten(child, depth + 1);
-                *self.children.get_mut(child_off) = child_id;
-            }
-            Node::Branch { children, .. } => {
-                let child_off = self.children.push(&[NO_NODE; 16]);
-                let slot = self.nodes.get_mut(id);
-                slot.kind = Kind::Branch;
-                slot.child_off = child_off;
-                for (i, child) in children.iter().enumerate() {
-                    if !child.is_empty() {
-                        let child_id = self.flatten(child, depth + 1);
-                        *self.children.get_mut(child_off + i as u32) = child_id;
-                    }
-                }
-            }
-        }
-        id
-    }
-
-    /// Pass 2: deepest level first, encodes interior nodes from their
-    /// children's cached references and batch-hashes each level's
-    /// recordable encodings. Returns the root hash.
-    fn encode_levels(&mut self) -> H256 {
-        let count = self.nodes.len;
-        let mut hashes: Vec<H256> = vec![H256::default(); count];
-        let max_depth = *self.depths.iter().max().expect("non-empty arena") as usize;
-        let mut by_depth: Vec<Vec<u32>> = vec![Vec::new(); max_depth + 1];
-        for (id, &depth) in self.depths.iter().enumerate() {
-            by_depth[depth as usize].push(id as u32);
-        }
-        for level in by_depth.iter().rev() {
-            for &id in level {
-                let node = self.nodes.get(id);
-                let encoded = match node.kind {
-                    Kind::Leaf => continue, // encoded during flatten
-                    Kind::Extension => {
-                        let path = self.paths.slice(node.path_off, node.path_len);
-                        let child = self.children.get(node.child_off);
-                        encode_list(&[
-                            encode_bytes(&crate::nibbles::hp_encode(path, false)),
-                            self.reference(child, &hashes),
-                        ])
-                    }
-                    Kind::Branch => {
-                        let mut items: Vec<Vec<u8>> = self
-                            .children
-                            .slice(node.child_off, 16)
-                            .iter()
-                            .map(|&child| match child {
-                                NO_NODE => encode_bytes(&[]),
-                                child => self.reference(child, &hashes),
-                            })
-                            .collect();
-                        items.push(match self.srcs[id as usize] {
-                            Node::Branch { value: Some(v), .. } => encode_bytes(v),
-                            _ => encode_bytes(&[]),
-                        });
-                        encode_list(&items)
-                    }
-                };
-                self.set_encoding(id, &encoded);
-            }
-            // One batched keccak over the level's recordable encodings:
-            // nodes referenced by hash, plus the root (hashed even when
-            // its encoding is short).
-            let to_hash: Vec<u32> = level
-                .iter()
-                .copied()
-                .filter(|&id| self.nodes.get(id).enc_len >= 32 || id == 0)
-                .collect();
-            let slices: Vec<&[u8]> = to_hash.iter().map(|&id| self.encoding(id)).collect();
-            for (&id, digest) in to_hash.iter().zip(keccak256_batch(&slices)) {
-                hashes[id as usize] = digest;
-            }
-        }
-        hashes[0]
-    }
-
-    /// Appends `encoded` to the encoding buffer and records its range.
-    fn set_encoding(&mut self, id: u32, encoded: &[u8]) {
-        let enc_off = self.buf.push(encoded);
-        let slot = self.nodes.get_mut(id);
-        slot.enc_off = enc_off;
-        slot.enc_len = encoded.len() as u32;
-    }
-
-    fn encoding(&self, id: u32) -> &[u8] {
-        let node = self.nodes.get(id);
-        self.buf.slice(node.enc_off, node.enc_len)
-    }
-
-    /// The parent-embedded reference of node `id`: the raw encoding
-    /// when shorter than 32 bytes, otherwise the RLP-wrapped hash
-    /// cached by the level pass.
-    fn reference(&self, id: u32, hashes: &[H256]) -> Vec<u8> {
-        let encoded = self.encoding(id);
-        if encoded.len() < 32 {
-            encoded.to_vec()
-        } else {
-            encode_bytes(hashes[id as usize].as_bytes())
-        }
     }
 }
 
@@ -1289,19 +1161,20 @@ impl<'a> Overlay<'a> {
         };
     }
 
-    /// The parent-embedded reference of node `id` (see
-    /// [`Arena::reference`]): a touched node's new encoding or hash,
-    /// an untouched one's old encoding or the hash its old parent
-    /// referenced it by (hashed afresh only if that parent held none).
-    fn reference(&self, id: u32) -> Vec<u8> {
+    /// Appends the parent-embedded reference of node `id` to `out` — its
+    /// encoding when shorter than 32 bytes, its RLP-wrapped hash
+    /// otherwise: a touched node's new encoding or hash, an untouched
+    /// one's old encoding or the hash its old parent referenced it by
+    /// (hashed afresh only if that parent held none).
+    fn write_reference(&self, id: u32, out: &mut Vec<u8>) {
         let (encoded, hash) = match self.slot.get(&id) {
             Some(&at) => (&self.work[at].encoding[..], Some(self.work[at].hash)),
             None => (self.parent.node_bytes(id), self.hashes.get(&id).copied()),
         };
         if encoded.len() < 32 {
-            encoded.to_vec()
+            out.extend_from_slice(encoded);
         } else {
-            encode_bytes(hash.unwrap_or_else(|| keccak256(encoded)).as_bytes())
+            write_bytes(hash.unwrap_or_else(|| keccak256(encoded)).as_bytes(), out);
         }
     }
 
@@ -1333,26 +1206,32 @@ impl<'a> Overlay<'a> {
                 self.encode(child, depth + 1)?;
             }
         }
-        let encoded = match &self.work[at].node {
+        // One buffer for all of a node's items: a build from scratch
+        // encodes every node of the trie here, so per-item allocations
+        // would add up.
+        let mut items = Vec::new();
+        match &self.work[at].node {
             Work::Leaf { path, value } => {
-                encode_list(&[encode_bytes(&hp_encode(path, true)), encode_bytes(value)])
+                write_bytes(&hp_encode(path, true), &mut items);
+                write_bytes(value, &mut items);
             }
-            Work::Extension { path, child } => encode_list(&[
-                encode_bytes(&hp_encode(path, false)),
-                self.reference(*child),
-            ]),
+            Work::Extension { path, child } => {
+                write_bytes(&hp_encode(path, false), &mut items);
+                self.write_reference(*child, &mut items);
+            }
             Work::Branch { children, value } => {
-                let mut items: Vec<Vec<u8>> = children
-                    .iter()
-                    .map(|&child| match child {
-                        NO_NODE => encode_bytes(&[]),
-                        child => self.reference(child),
-                    })
-                    .collect();
-                items.push(encode_bytes(value.as_deref().unwrap_or(&[])));
-                encode_list(&items)
+                for &child in children {
+                    match child {
+                        NO_NODE => write_bytes(&[], &mut items),
+                        child => self.write_reference(child, &mut items),
+                    }
+                }
+                write_bytes(value.as_deref().unwrap_or(&[]), &mut items);
             }
-        };
+        }
+        let mut encoded = Vec::with_capacity(list_len(items.len()));
+        write_list_header(items.len(), &mut encoded);
+        encoded.extend_from_slice(&items);
         if encoded.len() >= 32 || id == 0 {
             self.work[at].hash = keccak256(&encoded);
         }
@@ -1649,6 +1528,7 @@ mod tests {
     use crate::baseline;
     use crate::proof::verify_proof;
     use parp_crypto::keccak256;
+    use parp_rlp::{encode_bytes, encode_list};
 
     fn sample_trie(n: u32) -> Trie {
         let mut trie = Trie::new();

@@ -52,8 +52,28 @@ pub use proof::{verify_proof, verify_proof_hashed, ProofError};
 pub use proofbuf::ProofBuf;
 pub use trie::{Iter, Trie};
 
-/// Builds a transaction-trie-style trie from ordered values: key `i` is
-/// `rlp(i)` as in Ethereum's transaction and receipt tries.
+/// The `(key, value)` pairs of a transaction-trie-style trie over
+/// ordered values: key `i` is `rlp(i)`, as in Ethereum's transaction and
+/// receipt tries.
+///
+/// # Examples
+///
+/// ```
+/// use parp_trie::{ordered_pairs, FrozenTrie};
+///
+/// let txs: Vec<Vec<u8>> = (0..3).map(|i| vec![i as u8; 10]).collect();
+/// let trie: FrozenTrie = ordered_pairs(&txs).collect();
+/// assert_eq!(trie.get(&parp_rlp::encode_u64(2)), Some(txs[2].clone()));
+/// ```
+pub fn ordered_pairs<I>(values: I) -> impl Iterator<Item = (Vec<u8>, I::Item)>
+where
+    I: IntoIterator,
+    I::Item: AsRef<[u8]>,
+{
+    (0u64..).map(parp_rlp::encode_u64).zip(values)
+}
+
+/// Builds the pointer [`Trie`] of [`ordered_pairs`].
 ///
 /// # Examples
 ///
@@ -66,9 +86,7 @@ pub fn ordered_trie<'a, I>(values: I) -> Trie
 where
     I: IntoIterator<Item = &'a [u8]>,
 {
-    let mut trie = Trie::new();
-    for (index, value) in values.into_iter().enumerate() {
-        trie.insert(parp_rlp::encode_u64(index as u64), value.to_vec());
-    }
-    trie
+    ordered_pairs(values)
+        .map(|(key, value)| (key, value.to_vec()))
+        .collect()
 }

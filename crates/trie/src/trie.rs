@@ -145,7 +145,7 @@ impl Trie {
         }
     }
 
-    /// The root node (for the freezing pass in [`crate::FrozenTrie`]).
+    /// The root node (for the retained [`crate::baseline`]'s index pass).
     pub(crate) fn root_node(&self) -> &Node {
         &self.root
     }

@@ -1,8 +1,10 @@
 //! Property tests: the trie against a BTreeMap model, root determinism,
 //! proof soundness/completeness, the arena-frozen serving path pinned
-//! byte-identical to the retained baseline, `FrozenTrie::derive`
-//! pinned indistinguishable from a fresh freeze over long upsert chains
-//! (its superseded bytes held to their bound), and the node hashes
+//! byte-identical to the retained baseline, an arena built from pairs in
+//! any order (repeated keys and none at all included) pinned to the
+//! pointer trie, `FrozenTrie::derive` pinned indistinguishable from a
+//! fresh build and from the pointer trie over long upsert chains (its
+//! superseded bytes held to their bound), and the node hashes
 //! `multiproof_into` records — read from parent references, never
 //! computed — equal to `keccak256` of the node bytes on fresh, derived
 //! and rehydrated arenas alike.
@@ -306,7 +308,7 @@ fn arena_matches_baseline_on_degenerate_tries() {
     assert_arena_matches_baseline(&[(vec![7], vec![1, 2])], &[vec![8]]).unwrap();
 }
 
-// --- FrozenTrie::derive ≡ FrozenTrie::new(updated trie) -----------------
+// --- FrozenTrie::derive ≡ the pointer trie of the updated contents -----
 
 /// The two key populations a `FrozenTrie` serves.
 #[derive(Clone, Copy)]
@@ -354,6 +356,103 @@ impl Shape {
     }
 }
 
+/// `pairs` in a random order (Fisher–Yates).
+fn shuffled(pairs: &[(Vec<u8>, Vec<u8>)], rng: &mut StdRng) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut out = pairs.to_vec();
+    for i in (1..out.len()).rev() {
+        out.swap(i, rng.gen_range(0..i + 1));
+    }
+    out
+}
+
+/// Asserts `arena` answers like the pointer trie `model` over the same
+/// pairs: root, length, the multiproof of `present` and `absent` keys,
+/// and each absent key's own (exclusion) proof.
+///
+/// `Trie::prove` re-encodes the whole trie for every key, so the root
+/// and the multiproof are read through the retained baseline instead:
+/// the pointer trie's own node encodings, indexed in one pass over its
+/// boxed nodes.
+fn assert_matches_pointer_trie(
+    arena: &FrozenTrie,
+    model: &Trie,
+    present: &[Vec<u8>],
+    absent: &[Vec<u8>],
+) {
+    let oracle = baseline::FrozenTrie::new(model.clone());
+    assert_eq!(arena.root_hash(), oracle.root_hash());
+    assert_eq!(arena.len(), model.len());
+    let keys: Vec<Vec<u8>> = present.iter().chain(absent).cloned().collect();
+    assert_eq!(arena.prove_many(&keys), oracle.prove_many(&keys));
+    for key in absent {
+        let proof = arena.prove(key);
+        assert_eq!(proof, model.prove(key));
+        assert_eq!(verify_proof(arena.root_hash(), key, &proof).unwrap(), None);
+    }
+}
+
+/// A build from pairs against the pointer trie: `size` pairs plus a
+/// quarter as many rewrites of earlier keys, collected as drawn and in
+/// two shuffled orders (each checked against the pointer trie built in
+/// the same order, so the last write of a key wins in both), then with
+/// every key once, sorted and shuffled. Builds of the same contents take
+/// the same bytes whatever the order: only arena ids and the record
+/// order of a page may differ.
+fn collect_matches_pointer_trie(shape: Shape, size: usize, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..size)
+        .map(|_| (shape.key(&mut rng), shape.value(&mut rng)))
+        .collect();
+    for _ in 0..size / 4 {
+        let key = pairs[rng.gen_range(0..pairs.len())].0.clone();
+        pairs.push((key, shape.value(&mut rng)));
+    }
+    let absent: Vec<Vec<u8>> = (0..6)
+        .map(|_| shape.key(&mut rng))
+        .filter(|key| !pairs.iter().any(|(k, _)| k == key))
+        .collect();
+    let orders = [
+        pairs.clone(),
+        shuffled(&pairs, &mut rng),
+        shuffled(&pairs, &mut rng),
+    ];
+    for order in &orders {
+        let model: Trie = order.iter().cloned().collect();
+        let arena: FrozenTrie = order.iter().map(|(k, v)| (k, v)).collect();
+        let present: Vec<Vec<u8>> = order.iter().step_by(3).map(|(k, _)| k.clone()).collect();
+        assert_matches_pointer_trie(&arena, &model, &present, &absent);
+    }
+    let model: Trie = pairs.iter().cloned().collect();
+    let unique: Vec<(Vec<u8>, Vec<u8>)> = model.iter().map(|(k, v)| (k, v.to_vec())).collect();
+    let sizes = |arena: &FrozenTrie| (arena.mem_bytes(), arena.to_bytes().len());
+    let expected = sizes(&pairs.iter().map(|(k, v)| (k, v)).collect());
+    for order in [unique.clone(), shuffled(&unique, &mut rng)] {
+        let arena: FrozenTrie = order.into_iter().collect();
+        let present: Vec<Vec<u8>> = unique.iter().map(|(k, _)| k.clone()).collect();
+        assert_matches_pointer_trie(&arena, &model, &present, &absent);
+        assert_eq!(sizes(&arena), expected);
+    }
+}
+
+/// Sizes from none (the empty root) to 1,000 pairs, several seeds each.
+fn collect_checks(shape: Shape) {
+    for (size, seeds) in [(0, 2), (1, 6), (2, 6), (5, 6), (17, 6), (64, 4), (1_000, 1)] {
+        for seed in 0..seeds {
+            collect_matches_pointer_trie(shape, size, 0xC0 + seed * 7919 + size as u64);
+        }
+    }
+}
+
+#[test]
+fn pairs_collect_like_the_pointer_trie_in_any_order_for_hashed_keys() {
+    collect_checks(Shape::Hashed);
+}
+
+#[test]
+fn pairs_collect_like_the_pointer_trie_in_any_order_for_short_keys() {
+    collect_checks(Shape::Short);
+}
+
 /// The superseded bytes a derived arena carries stay within their fixed
 /// fraction of its live bytes.
 fn assert_superseded_bounded(derived: &FrozenTrie) {
@@ -365,11 +464,16 @@ fn assert_superseded_bounded(derived: &FrozenTrie) {
     );
 }
 
-/// The derive contract: the derived arena answers exactly like a fresh
-/// freeze of `model`, carries superseded bytes only within their bound,
-/// and leaves none in its page: rehydrated, it is exactly the fresh
-/// freeze's size.
+/// The derive contract: the derived arena answers exactly like the
+/// pointer trie `model` and a fresh build of it, carries superseded bytes
+/// only within their bound, and leaves none in its page: rehydrated, it
+/// is exactly the fresh build's size.
+///
+/// A fresh build runs the same overlay as `derive`, so the root, length
+/// and multiproof are also checked against `model` itself: the oracle
+/// that shares no code with the arena writer.
 fn assert_derived_is_fresh(derived: &FrozenTrie, model: &Trie, probes: &[Vec<u8>]) {
+    assert_matches_pointer_trie(derived, model, probes, &[]);
     let fresh = FrozenTrie::new(model.clone());
     assert_eq!(derived.root_hash(), fresh.root_hash());
     assert_eq!(derived.len(), fresh.len());
