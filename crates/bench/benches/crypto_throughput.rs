@@ -1,5 +1,5 @@
 //! The crypto hot-path bench: what the fixed-base tables, GLV + wNAF
-//! double multiplication, binary-GCD inversion and parallel verification
+//! double multiplication, safegcd inversion and parallel verification
 //! bought, measured **against the retained pre-optimization loop**
 //! (`parp_crypto::baseline`) compiled into this same binary.
 //!
@@ -16,6 +16,9 @@
 //!    the branch predictor has seen none of it. Section 2's loops revisit
 //!    120 inputs and read ~35 % lower. Beside them, what a reconnect pays
 //!    to get that check: `PreparedKey::new` over 1,024 distinct keys.
+//!    And the two inversions every signature operation pays, field
+//!    (`Z⁻¹ mod p`) and scalar (`k⁻¹`/`s⁻¹ mod n`), over the same
+//!    digests read as residues.
 //! 4. **Batch recovery** — recovers/sec over an independent batch via
 //!    the scoped-worker fan-out (`recover_addresses_parallel`); the
 //!    speedup over the sequential baseline loop combines the algorithmic
@@ -29,8 +32,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use parp_crypto::{
-    baseline, keccak256, recover_address, recover_addresses_parallel, sign, PreparedKey, PublicKey,
-    SecretKey, Signature,
+    baseline, keccak256, recover_address, recover_addresses_parallel, sign, FieldElement,
+    PreparedKey, PublicKey, Scalar, SecretKey, Signature,
 };
 use parp_gateway::{Gateway, GatewayConfig, SelectionPolicy};
 use parp_net::Network;
@@ -88,10 +91,7 @@ struct Numbers {
     sign_ref_us: f64,
     recover_new_us: f64,
     recover_ref_us: f64,
-    sign_varied_us: f64,
-    recover_varied_us: f64,
-    known_signer_verify_us: f64,
-    prepared_key_build_us: f64,
+    varied: Varied,
     batch_seq_us: u64,
     batch_par_us: u64,
     quorum_single_wall_us: u64,
@@ -128,8 +128,7 @@ fn measure(key: &SecretKey, pairs: &[(H256, Signature)]) -> Numbers {
     }
     let recover_ref_us = started.elapsed().as_micros() as f64 / OPS as f64;
 
-    let (sign_varied_us, recover_varied_us, known_signer_verify_us, prepared_key_build_us) =
-        measure_varied(key);
+    let varied = measure_varied(key);
 
     // Batch recovery: the sequential *baseline* loop is the pre-PR
     // shape (one by one, old algorithm); the optimized path fans the
@@ -153,10 +152,7 @@ fn measure(key: &SecretKey, pairs: &[(H256, Signature)]) -> Numbers {
         sign_ref_us,
         recover_new_us,
         recover_ref_us,
-        sign_varied_us,
-        recover_varied_us,
-        known_signer_verify_us,
-        prepared_key_build_us,
+        varied,
         batch_seq_us,
         batch_par_us,
         quorum_single_wall_us,
@@ -166,10 +162,22 @@ fn measure(key: &SecretKey, pairs: &[(H256, Signature)]) -> Numbers {
     }
 }
 
+/// Section 3's per-operation costs, µs.
+#[derive(Clone, Copy)]
+struct Varied {
+    sign_varied_us: f64,
+    recover_varied_us: f64,
+    known_signer_verify_us: f64,
+    prepared_key_build_us: f64,
+    field_invert_us: f64,
+    scalar_invert_us: f64,
+}
+
 /// Section 3: one pass over `VARIED` distinct digests per operation, so
-/// no input is seen twice by the operation being timed. Returns
-/// `(sign µs, recover µs, known-signer check µs, key preparation µs)`.
-fn measure_varied(key: &SecretKey) -> (f64, f64, f64, f64) {
+/// no input is seen twice by the operation being timed. An inversion
+/// pass takes ~1.5 ms, short enough for one preemption to double it, so
+/// the inversions keep the best of five passes.
+fn measure_varied(key: &SecretKey) -> Varied {
     let digests: Vec<H256> = (0..VARIED)
         .map(|i| keccak256(&[b"varied", &(i as u64).to_be_bytes()[..]].concat()))
         .collect();
@@ -200,12 +208,43 @@ fn measure_varied(key: &SecretKey) -> (f64, f64, f64, f64) {
     for public in &publics {
         black_box(PreparedKey::new(*public));
     }
-    (
+    let prepared_key_build_us = per_op(started);
+
+    let fields: Vec<FieldElement> = digests
+        .iter()
+        .map(|d| FieldElement::from_be_bytes_reduced(&d.into_inner()))
+        .collect();
+    let scalars: Vec<Scalar> = digests
+        .iter()
+        .map(|d| Scalar::from_be_bytes_reduced(&d.into_inner()))
+        .collect();
+    let best_of_five = |pass: &dyn Fn()| {
+        (0..5)
+            .map(|_| {
+                let started = Instant::now();
+                pass();
+                per_op(started)
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let field_invert_us = best_of_five(&|| {
+        for x in &fields {
+            black_box(x.invert());
+        }
+    });
+    let scalar_invert_us = best_of_five(&|| {
+        for x in &scalars {
+            black_box(x.invert());
+        }
+    });
+    Varied {
         sign_varied_us,
         recover_varied_us,
         known_signer_verify_us,
-        per_op(started),
-    )
+        prepared_key_build_us,
+        field_invert_us,
+        scalar_invert_us,
+    }
 }
 
 /// A network of honest providers with a connected gateway (mirrors the
@@ -298,9 +337,14 @@ fn emit_artifact(n: &Numbers) {
     let batch_recovers_per_sec = ops_per_sec(BATCH, n.batch_par_us);
     let batch_recovers_per_sec_ref = ops_per_sec(BATCH, n.batch_seq_us);
     let recover_throughput_speedup = n.batch_seq_us as f64 / n.batch_par_us.max(1) as f64;
-    let (sign_varied_us, recover_varied_us) = (n.sign_varied_us, n.recover_varied_us);
-    let (known_signer_verify_us, prepared_key_build_us) =
-        (n.known_signer_verify_us, n.prepared_key_build_us);
+    let Varied {
+        sign_varied_us,
+        recover_varied_us,
+        known_signer_verify_us,
+        prepared_key_build_us,
+        field_invert_us,
+        scalar_invert_us,
+    } = n.varied;
     let quorum_wall_overhead = n.quorum_wall_us as f64 / n.quorum_single_wall_us.max(1) as f64;
     let quorum_sim_overhead = n.quorum_sim_us as f64 / n.quorum_single_sim_us.max(1) as f64;
     let json = format!(
@@ -313,6 +357,7 @@ fn emit_artifact(n: &Numbers) {
          \"recover_varied_us\":{recover_varied_us:.1},\
          \"known_signer_verify_us\":{known_signer_verify_us:.1},\
          \"prepared_key_build_us\":{prepared_key_build_us:.1},\
+         \"field_invert_us\":{field_invert_us:.2},\"scalar_invert_us\":{scalar_invert_us:.2},\
          \"batch_recovers_per_sec\":{batch_recovers_per_sec:.0},\
          \"batch_recovers_per_sec_prepr\":{batch_recovers_per_sec_ref:.0},\
          \"recover_throughput_speedup\":{recover_throughput_speedup:.2},\
@@ -329,7 +374,8 @@ fn emit_artifact(n: &Numbers) {
     println!(
         "over {VARIED} distinct digests: sign {sign_varied_us:.1} µs | recover \
          {recover_varied_us:.1} µs | known-signer verify {known_signer_verify_us:.1} µs | \
-         prepare a key {prepared_key_build_us:.1} µs"
+         prepare a key {prepared_key_build_us:.1} µs | invert mod p {field_invert_us:.2} µs, \
+         mod n {scalar_invert_us:.2} µs"
     );
     println!(
         "quorum k={QUORUM}: {quorum_wall_overhead:.2}× wall overhead vs single reads \
@@ -360,6 +406,16 @@ fn emit_artifact(n: &Numbers) {
         "preparing a key ({prepared_key_build_us:.1} µs) must cost no more than a recovery \
          ({recover_varied_us:.1} µs)"
     );
+    // An exchange pays an inversion mod n and one mod p for each of its
+    // three signatures and three known-signer checks: a safegcd inverse
+    // measured ~0.055 of a check, the binary extended GCD before it ~0.15.
+    for (modulus, invert_us) in [("p", field_invert_us), ("n", scalar_invert_us)] {
+        assert!(
+            invert_us <= 0.10 * known_signer_verify_us,
+            "an inversion mod {modulus} ({invert_us:.2} µs) must cost ≤ 0.10 of a known-signer \
+             check ({known_signer_verify_us:.1} µs)"
+        );
+    }
     // Parallel-throughput floors scale with the cores actually present:
     // the full targets only bind once the fan-out has k cores to spread
     // over (GitHub's runners have 4). A 2-core host can overlap at most

@@ -813,12 +813,9 @@ impl FullNode {
     ///
     /// Returns [`ServeError::UnknownBlock`] for a `GetHeader` naming a
     /// block this node does not have — an empty payload would be
-    /// indistinguishable from a real (unproven) answer.
-    ///
-    /// # Panics
-    ///
-    /// Panics on calls that are not snapshot-provable (the callers route
-    /// those elsewhere or reject them up front).
+    /// indistinguishable from a real (unproven) answer, and
+    /// [`ServeError::Execution`] for a call that is not snapshot-provable
+    /// (the callers route those elsewhere or reject them up front).
     fn read_result(
         call: &RpcCall,
         head: u64,
@@ -845,9 +842,9 @@ impl FullNode {
                 .unwrap_or(0xff)]),
             RpcCall::SendRawTransaction { .. }
             | RpcCall::GetTransactionByHash { .. }
-            | RpcCall::GetTransactionReceipt { .. } => {
-                unreachable!("not a snapshot-provable read: {call:?}")
-            }
+            | RpcCall::GetTransactionReceipt { .. } => Err(ServeError::Execution(format!(
+                "not a snapshot-provable read: {call:?}"
+            ))),
         }
     }
 
@@ -944,9 +941,9 @@ impl FullNode {
                 let proof = engine.account_proof(state, address);
                 Ok((head, result, proof))
             }
-            RpcCall::SendRawTransaction { .. } => {
-                unreachable!("writes route through execute_write")
-            }
+            RpcCall::SendRawTransaction { .. } => Err(ServeError::Execution(
+                "writes route through execute_write".to_string(),
+            )),
             RpcCall::GetTransactionByHash { .. } | RpcCall::GetTransactionReceipt { .. } => {
                 let mut headers = ExchangeHeaders::default();
                 // Absence of a transaction by hash is not provable in

@@ -2,7 +2,7 @@
 //!
 //! This module is a byte-faithful copy of the crate's signing and
 //! recovery hot path as it stood *before* the fixed-base tables, wNAF +
-//! GLV double multiplication, binary-GCD inversion and specialized
+//! GLV double multiplication, the faster inversions and specialized
 //! reductions landed: generic fold-loop reduction, Fermat-ladder
 //! inversion, a 16-entry window table of `G` rebuilt per signature, and
 //! the 2-bit Shamir loop over `{G, Q, G+Q}` for recovery.
@@ -12,10 +12,12 @@
 //! * the `crypto_throughput` bench measures the optimized path **against
 //!   it** (the "pre-PR loop" denominator in `BENCH_crypto.json`);
 //! * the property tests assert the optimized path is **byte-identical**
-//!   to it on signatures and recovered addresses.
+//!   to it on signatures and recovered addresses, and its Fermat
+//!   inverses are the oracle for the live safegcd inverse.
 //!
-//! Nonce derivation is shared with the live path (it was untouched by
-//! the optimization work), which is what makes signature equality exact.
+//! Nonce derivation is shared with the live path, which is what makes
+//! signature equality exact; `tests/props.rs` pins the nonce itself to a
+//! digest of 1,024 signatures.
 
 use crate::ecdsa::{deterministic_nonce, Signature};
 use crate::field;
@@ -508,7 +510,76 @@ pub fn recover_address_reference(digest: &H256, signature: &Signature) -> Option
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{recover_address, sign};
+    use crate::{recover_address, sign, FieldElement, Scalar};
+    use proptest::prelude::*;
+
+    /// The live inverse of `a` (safegcd) equals the Fermat ladder's and
+    /// times `a` is one, modulo `p` and modulo `n` — for each modulus
+    /// `a` is a nonzero residue of.
+    fn check_inverse(a: &Limbs) {
+        let bytes = modarith::to_be_bytes(a);
+        if let Some(x) = FieldElement::from_be_bytes(&bytes).filter(|x| !x.is_zero()) {
+            let inv = x.invert();
+            assert_eq!(inv.to_be_bytes(), modarith::to_be_bytes(&finv(a)), "{x:?}");
+            assert_eq!(x * inv, FieldElement::ONE, "{x:?}");
+        }
+        if let Some(x) = Scalar::from_be_bytes(&bytes).filter(|x| !x.is_zero()) {
+            let inv = x.invert();
+            assert_eq!(inv.to_be_bytes(), modarith::to_be_bytes(&sinv(a)), "{x:?}");
+            assert_eq!(x * inv, Scalar::ONE, "{x:?}");
+        }
+    }
+
+    /// `2^k` as limbs (`k < 256`).
+    fn pow2(k: usize) -> Limbs {
+        let mut limbs = [0u64; 4];
+        limbs[k / 64] = 1 << (k % 64);
+        limbs
+    }
+
+    #[test]
+    fn inverse_matches_fermat_at_the_edges() {
+        for m in [field::P, scalar::N] {
+            for small in 1..=3u64 {
+                check_inverse(&[small, 0, 0, 0]);
+                check_inverse(&modarith::sub(&m, &[small, 0, 0, 0]).0);
+            }
+            for k in 0..256 {
+                // Powers of two, runs of k ones (a long run of zeros
+                // above them), and values just under m.
+                check_inverse(&pow2(k));
+                check_inverse(&modarith::sub(&pow2(k), &[1, 0, 0, 0]).0);
+                check_inverse(&modarith::sub(&m, &pow2(k)).0);
+            }
+        }
+        // A long run of zeros between two set bits; all ones below 2^256.
+        check_inverse(&[1, 0, 0, 1 << 63]);
+        check_inverse(&[u64::MAX; 4]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random values, and random values with a long run of their
+        /// bits forced to zero or to one.
+        #[test]
+        fn inverse_matches_fermat(
+            limbs in any::<[u64; 4]>(),
+            run_start in 0usize..256,
+            run_len in 0usize..192,
+            shape in 0u8..3,
+        ) {
+            let mut a = limbs;
+            for bit in run_start..(run_start + run_len).min(256) {
+                match shape {
+                    1 => a[bit / 64] &= !(1 << (bit % 64)),
+                    2 => a[bit / 64] |= 1 << (bit % 64),
+                    _ => {}
+                }
+            }
+            check_inverse(&a);
+        }
+    }
 
     #[test]
     fn reference_matches_live_path() {

@@ -12,13 +12,14 @@
 //! remain verifiable by any standards-compliant verifier.
 
 use crate::field::FieldElement;
-use crate::keccak::hmac_keccak256;
+use crate::keccak::HmacKey;
 use crate::keys::{PublicKey, SecretKey};
 use crate::point::{double_scalar_mul, mul_generator, AffinePoint, PointComb};
 use crate::scalar::Scalar;
 use parp_primitives::{Address, H256};
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A recoverable ECDSA signature.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -129,33 +130,46 @@ impl Signature {
 /// Derives a deterministic nonce for `(secret, digest)` following the
 /// RFC 6979 HMAC-DRBG construction with Keccak-256. Shared with
 /// [`crate::baseline`] so the retained reference produces byte-identical
-/// signatures (the derivation itself is untouched by the hot-path work).
+/// signatures.
+///
+/// The derivation is the one [`crate::hmac_keccak256`] spells call by
+/// call, byte for byte; only the work differs. Each HMAC key's ipad and
+/// opad blocks are absorbed once ([`HmacKey`]) — the all-zero first key
+/// once per process, each derived key once per nonce — so a nonce costs
+/// 14 Keccak-f permutations where a fresh key per call cost 20.
 pub(crate) fn deterministic_nonce(secret: &SecretKey, digest: &H256, extra: u32) -> Scalar {
+    static ZERO_KEY: OnceLock<HmacKey> = OnceLock::new();
     let sk_bytes = secret.to_bytes();
-    let mut v = [0x01u8; 32];
-    let mut k = [0x00u8; 32];
     let extra_bytes = extra.to_be_bytes();
-    k = hmac_keccak256(
-        &k,
-        &[&v, &[0x00], &sk_bytes, digest.as_bytes(), &extra_bytes],
-    )
-    .into_inner();
-    v = hmac_keccak256(&k, &[&v]).into_inner();
-    k = hmac_keccak256(
-        &k,
-        &[&v, &[0x01], &sk_bytes, digest.as_bytes(), &extra_bytes],
-    )
-    .into_inner();
-    v = hmac_keccak256(&k, &[&v]).into_inner();
+    let v = [0x01u8; 32];
+    let k = ZERO_KEY.get_or_init(|| HmacKey::new(&[0x00u8; 32])).mac(&[
+        &v,
+        &[0x00],
+        &sk_bytes,
+        digest.as_bytes(),
+        &extra_bytes,
+    ]);
+    let key = HmacKey::new(k.as_bytes());
+    let v = key.mac(&[&v]);
+    let k = key.mac(&[
+        v.as_bytes(),
+        &[0x01],
+        &sk_bytes,
+        digest.as_bytes(),
+        &extra_bytes,
+    ]);
+    let mut key = HmacKey::new(k.as_bytes());
+    let mut v = key.mac(&[v.as_bytes()]);
     loop {
-        v = hmac_keccak256(&k, &[&v]).into_inner();
-        if let Some(candidate) = Scalar::from_be_bytes(&v) {
+        v = key.mac(&[v.as_bytes()]);
+        if let Some(candidate) = Scalar::from_be_bytes(&v.into_inner()) {
             if !candidate.is_zero() {
                 return candidate;
             }
         }
-        k = hmac_keccak256(&k, &[&v, &[0x00]]).into_inner();
-        v = hmac_keccak256(&k, &[&v]).into_inner();
+        let k = key.mac(&[v.as_bytes(), &[0x00]]);
+        key = HmacKey::new(k.as_bytes());
+        v = key.mac(&[v.as_bytes()]);
     }
 }
 
@@ -340,6 +354,43 @@ mod tests {
 
     fn sk(seed: &str) -> SecretKey {
         SecretKey::from_seed(seed.as_bytes())
+    }
+
+    /// RFC 6979 as [`crate::hmac_keccak256`] spells it, a fresh key per
+    /// call: what [`deterministic_nonce`]'s absorbed keys must reproduce.
+    fn nonce_call_by_call(secret: &SecretKey, digest: &H256, extra: u32) -> Scalar {
+        use crate::hmac_keccak256;
+        let (sk, extra) = (secret.to_bytes(), extra.to_be_bytes());
+        let d = digest.as_bytes();
+        let mut v = [0x01u8; 32];
+        let mut k = hmac_keccak256(&[0u8; 32], &[&v, &[0x00], &sk, d, &extra]).into_inner();
+        v = hmac_keccak256(&k, &[&v]).into_inner();
+        k = hmac_keccak256(&k, &[&v, &[0x01], &sk, d, &extra]).into_inner();
+        v = hmac_keccak256(&k, &[&v]).into_inner();
+        loop {
+            v = hmac_keccak256(&k, &[&v]).into_inner();
+            match Scalar::from_be_bytes(&v) {
+                Some(candidate) if !candidate.is_zero() => return candidate,
+                _ => {}
+            }
+            k = hmac_keccak256(&k, &[&v, &[0x00]]).into_inner();
+            v = hmac_keccak256(&k, &[&v]).into_inner();
+        }
+    }
+
+    #[test]
+    fn nonce_matches_the_call_by_call_derivation() {
+        for i in 0..32u8 {
+            let secret = sk(&format!("nonce-{i}"));
+            let digest = keccak256(&[i]);
+            for extra in [0, 1, u32::from(i) << 24] {
+                assert_eq!(
+                    deterministic_nonce(&secret, &digest, extra),
+                    nonce_call_by_call(&secret, &digest, extra),
+                    "key {i}, extra {extra}"
+                );
+            }
+        }
     }
 
     #[test]

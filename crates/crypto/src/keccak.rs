@@ -242,29 +242,53 @@ pub fn keccak256_concat(parts: &[&[u8]]) -> H256 {
 /// Used for deterministic ECDSA nonce derivation (RFC 6979 with the hash
 /// swapped for Keccak-256, which this prototype standardizes on).
 pub fn hmac_keccak256(key: &[u8], parts: &[&[u8]]) -> H256 {
-    let mut key_block = [0u8; RATE];
-    if key.len() > RATE {
-        let digest = keccak256(key);
-        key_block[..32].copy_from_slice(digest.as_bytes());
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
+    HmacKey::new(key).mac(parts)
+}
+
+/// An HMAC-Keccak-256 key with its ipad and opad blocks absorbed: the
+/// two sponge states every MAC under the key starts from. Absorbing a
+/// block is one Keccak-f permutation, so a key used `n` times costs two
+/// permutations once instead of on each of the `n` calls.
+#[derive(Clone)]
+pub(crate) struct HmacKey {
+    inner: Keccak256,
+    outer: Keccak256,
+}
+
+impl HmacKey {
+    /// Absorbs `key`'s ipad and opad blocks (a key longer than a block
+    /// is hashed first, as HMAC prescribes).
+    pub(crate) fn new(key: &[u8]) -> Self {
+        let mut key_block = [0u8; RATE];
+        if key.len() > RATE {
+            let digest = keccak256(key);
+            key_block[..32].copy_from_slice(digest.as_bytes());
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let mut ipad = [0x36u8; RATE];
+        let mut opad = [0x5cu8; RATE];
+        for i in 0..RATE {
+            ipad[i] ^= key_block[i];
+            opad[i] ^= key_block[i];
+        }
+        let mut inner = Keccak256::new();
+        inner.update(&ipad);
+        let mut outer = Keccak256::new();
+        outer.update(&opad);
+        HmacKey { inner, outer }
     }
-    let mut ipad = [0x36u8; RATE];
-    let mut opad = [0x5cu8; RATE];
-    for i in 0..RATE {
-        ipad[i] ^= key_block[i];
-        opad[i] ^= key_block[i];
+
+    /// The MAC of the concatenation of `parts` under this key.
+    pub(crate) fn mac(&self, parts: &[&[u8]]) -> H256 {
+        let mut inner = self.inner.clone();
+        for part in parts {
+            inner.update(part);
+        }
+        let mut outer = self.outer.clone();
+        outer.update(inner.finalize().as_bytes());
+        outer.finalize()
     }
-    let mut inner = Keccak256::new();
-    inner.update(&ipad);
-    for part in parts {
-        inner.update(part);
-    }
-    let inner_digest = inner.finalize();
-    let mut outer = Keccak256::new();
-    outer.update(&opad);
-    outer.update(inner_digest.as_bytes());
-    outer.finalize()
 }
 
 #[cfg(test)]
@@ -351,6 +375,31 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, hmac_keccak256(b"other", &[b"message"]));
         assert_ne!(a, hmac_keccak256(b"key", &[b"messagf"]));
+    }
+
+    #[test]
+    fn hmac_known_answers() {
+        // Recorded from the one-key-per-call implementation, before key
+        // blocks were absorbed once per key.
+        for (key, part, expected) in [
+            (
+                &b"key"[..],
+                &b"The quick brown fox jumps over the lazy dog"[..],
+                "0x74547bc8c8e1ef02aec834ca60ff24cc316d4c2244a360fe17448cb53410bed4",
+            ),
+            (
+                &[0u8; 32][..],
+                &b""[..],
+                "0x042186ec4e98680a0866091d6fb89b60871134b44327f8f467c14e9841d3e97b",
+            ),
+            (
+                &[0xaa; 200][..],
+                &[0x55; 300][..],
+                "0x8925a7dca95875f389d37cc8de206af26129f4bea268a14f765081b80d10f4bc",
+            ),
+        ] {
+            assert_eq!(hmac_keccak256(key, &[part]).to_string(), expected);
+        }
     }
 
     #[test]

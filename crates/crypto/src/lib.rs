@@ -6,9 +6,11 @@
 //! whole reproduction remains self-contained and auditable.
 //!
 //! **Not constant-time.** Scalar multiplication and field arithmetic take
-//! data-dependent branches. This is a research prototype for protocol
-//! evaluation, not a production signer; do not use it to protect real
-//! funds.
+//! data-dependent branches, and the modular inverse (variable-time
+//! safegcd) runs a number of steps that depends on its input — as the
+//! binary extended GCD before it did. This is a research prototype for
+//! protocol evaluation, not a production signer; do not use it to
+//! protect real funds.
 //!
 //! # Examples
 //!

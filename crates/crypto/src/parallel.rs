@@ -9,10 +9,10 @@
 //! **A spawn is not free.** On the 2-vCPU reference VM one scoped
 //! spawn-and-join is 12–40 µs back to back in a tight loop and 28–250 µs
 //! inside an exchange, where the worker wakes on a cold core; a signature
-//! recovery is 70–80 µs. The serve path used to [`par_join`] its two
-//! envelope recoveries and the ledger read 186 µs for 2 × 45 µs of work —
-//! slower than the loop it replaced, on every workload — so it now runs
-//! them back to back. Only work well above the spawn cost belongs here:
+//! recovery is 65–85 µs over distinct digests. The serve path used to
+//! [`par_join`] its two envelope recoveries and the ledger read 186 µs
+//! for 2 × 45 µs of work — slower than the loop it replaced, on every
+//! workload — so it now runs them back to back. Only work well above the spawn cost belongs here:
 //! a whole batch of recoveries ([`recover_addresses_parallel`]), a whole
 //! served leg or §V-D classification with its proof check per quorum
 //! leg. The calling thread always takes a share itself, so a fan-out

@@ -275,9 +275,14 @@ impl<T> FairQueue<T> {
         if self.cursor >= self.queues.len() {
             self.cursor = 0;
         }
-        let (client, queue) = &mut self.queues[self.cursor];
+        let (client, queue) = self.queues.get_mut(self.cursor)?;
         let client = *client;
-        let item = queue.pop_front().expect("queues in rotation are non-empty");
+        let Some(item) = queue.pop_front() else {
+            // Queues in rotation are non-empty by invariant; an empty
+            // one has nothing to serve, so it leaves the rotation.
+            self.queues.remove(self.cursor);
+            return None;
+        };
         self.len -= 1;
         if queue.is_empty() {
             // Drop the drained queue; the element after it shifts into
